@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -30,6 +31,9 @@ from .polys import PiecewiseField, PolyVectorField
 from .tolerances import Tolerances, default_tols
 
 Window = tuple[float, float, float, float]  # x0, x1, y0, y1
+_D_DIRECTION = (1.0, 0.0)
+# sewing abscissas that seed the closed-trajectory census by default
+DEFAULT_SEEDS = (-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0)
 
 
 class EventKind(Enum):
@@ -57,6 +61,7 @@ class TrajectoryArc:
     t_span: tuple[float, float]
     ts: np.ndarray
     states: np.ndarray  # shape (n, 2)
+    divergence: float | None = None  # integral of div along a smooth arc
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,8 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
 
     d_direction: -1 catches downward crossings (flows in N), +1 upward,
     0 both.  An optional section event stops the trace at a transversal
-    crossing of the segment (matching section_direction when nonzero).
+    crossing of the segment (matching section_direction when nonzero);
+    crossings of its line outside the parameter range are stepped over.
     An optional extra_quadrature(x, y) integrand is accumulated as a third
     state component (used for divergence integrals).
     """
@@ -175,31 +181,38 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
         sec_event.direction = section_direction
         events.append(sec_event)
 
-    y0 = list(p0) + ([0.0] if aug else [])
-    sol = solve_ivp(rhs, (0.0, horizon), y0, method="RK45",
-                    rtol=1e-10, atol=1e-12, events=events, dense_output=True,
-                    max_step=max(abs(horizon) / 10.0, 1e-3))
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-
-    # restart past a section crossing that is not inside the parameter range
-    if section is not None and len(sol.t_events[5]) > 0:
+    state = list(p0) + ([0.0] if aug else [])
+    offset = 0.0  # time already integrated before the current leg
+    head_ts: list[np.ndarray] = []
+    head_states: list[np.ndarray] = []
+    while True:
+        remaining = horizon - offset
+        sol = solve_ivp(rhs, (0.0, remaining), state, method="RK45",
+                        rtol=1e-10, atol=1e-12, events=events,
+                        dense_output=True,
+                        max_step=max(abs(remaining) / 10.0, 1e-3))
+        if sol.status == -1:
+            raise StepFailure(sol.message)
+        if section is None or len(sol.t_events[5]) == 0:
+            break
+        # resume just past a section crossing that is not inside the
+        # parameter range (or is the start point itself)
         te = float(sol.t_events[5][0])
         se = sol.y_events[5][0]
         s_par = section.param_of((se[0], se[1]))
-        if not (section.s_range[0] <= s_par <= section.s_range[1]) or te <= 1e-12:
-            # ignore this crossing: resume from just past it
-            t_shift = te + 1e-9 * max(1.0, abs(horizon))
-            if t_shift < horizon:
-                state = [float(v) for v in sol.sol(t_shift)]
-                tail = integrate_smooth(
-                    X, (state[0], state[1]), horizon - t_shift, window,
-                    d_direction, section, section_direction, tols,
-                    extra_quadrature)
-                ts = np.concatenate([sol.t[sol.t <= t_shift], tail.ts + t_shift])
-                states = np.vstack([sol.y.T[sol.t <= t_shift],
-                                    tail.states])
-                return SmoothTrace(ts, states, tail.status, tail.hit_state)
+        if section.s_range[0] <= s_par <= section.s_range[1] and te > 1e-12:
+            break
+        if te <= 1e-12 and head_ts:
+            # back on the line right after stepping over a crossing
+            raise NotTransversal("trajectory runs along the section line")
+        t_shift = te + 1e-9 * max(1.0, abs(remaining))
+        if t_shift >= remaining:
+            break
+        keep = sol.t <= t_shift
+        head_ts.append(sol.t[keep] + offset)
+        head_states.append(sol.y.T[keep])
+        state = [float(v) for v in sol.sol(t_shift)]
+        offset += t_shift
 
     status = "horizon"
     hit = None
@@ -223,6 +236,9 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
         end_state = sol.y_events[0][0] if status == "d_hit" else sol.y_events[5][0]
         ts = np.append(ts, t_end)
         states = np.vstack([states, end_state])
+    if head_ts:
+        ts = np.concatenate(head_ts + [ts + offset])
+        states = np.vstack(head_states + [states])
     return SmoothTrace(ts, states, status, hit)
 
 
@@ -301,14 +317,22 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                    tols: Tolerances | None = None,
                    max_arcs: int = 64,
                    section: Section | None = None,
-                   section_direction: int = 0) -> PolyTrajectory:
+                   section_direction: int = 0,
+                   stop: Callable[[float, tuple[float, float], str], bool]
+                   | None = None,
+                   with_divergence: bool = False) -> PolyTrajectory:
     """Alternate smooth and sliding arcs under the Filippov rules.
 
     side: 'N', 'S' or 'D' (consistent with p0).  When a section is given,
     transversal crossings of it terminate the trajectory with a
-    SectionCrossing event (used by return maps).
+    SectionCrossing event (used by return maps).  stop(t, p, side) is
+    asked after each sewing crossing, with the side just entered; True
+    ends the run there with a SectionCrossing event.  with_divergence
+    integrates div along each smooth arc into TrajectoryArc.divergence.
     """
     tols = tols or default_tols()
+    divs = {"N": Z.X.divergence(), "S": Z.Y.divergence()} \
+        if with_divergence else {}
     traj = PolyTrajectory()
     t = 0.0
     p = (float(p0[0]), float(p0[1]))
@@ -340,10 +364,12 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
             fld = Z.X if side == "N" else Z.Y
             ddir = -1 if side == "N" else 1
             tr = integrate_smooth(fld, p, horizon - t, window, ddir,
-                                  section, section_direction, tols)
+                                  section, section_direction, tols,
+                                  divs.get(side))
             traj.arcs.append(TrajectoryArc(
                 "X" if side == "N" else "Y",
-                (t, t + tr.ts[-1]), tr.ts + t, tr.states[:, :2]))
+                (t, t + tr.ts[-1]), tr.ts + t, tr.states[:, :2],
+                float(tr.states[-1, 2]) if with_divergence else None))
             t += float(tr.ts[-1])
             if tr.status == "window":
                 p = (float(tr.states[-1, 0]), float(tr.states[-1, 1]))
@@ -380,6 +406,9 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                 crossings.append((p[0], new_side))
                 record(EventKind.CROSSING_AT_SEWING)
                 side = new_side
+                if stop is not None and stop(t, p, side):
+                    record(EventKind.SECTION_CROSSING)
+                    break
             elif cls.tag is PointTag.SLIDING:
                 record(EventKind.ENTER_SLIDING)
                 side = "SLIDE"
@@ -475,15 +504,18 @@ def transition_derivative(X: PolyVectorField, p0: tuple[float, float],
         tr = _integrate_to_section_no_d(X, p0, t_span * 1.5, sec1, div)
     if tr.status != "section":
         raise NoReturn("orbit did not reach the target section")
-    end = tr.states[-1]
-    v0 = X(p0[0], p0[1])
-    v1 = X(float(end[0]), float(end[1]))
-    d0 = v0[0] * sec0.direction[1] - v0[1] * sec0.direction[0]
-    d1 = v1[0] * sec1.direction[1] - v1[1] * sec1.direction[0]
+    d0 = _normal_speed(X, p0, sec0.direction)
+    d1 = _normal_speed(X, tr.states[-1], sec1.direction)
     if abs(d0) <= tols.sign or abs(d1) <= tols.sign:
         raise NotTransversal("section parallel to the field")
     integral = float(tr.states[-1, 2])
     return (d0 / d1) * math.exp(integral)
+
+
+def _normal_speed(X: PolyVectorField, p, direction) -> float:
+    """Speed of X across a line with the given direction at p."""
+    v = X(float(p[0]), float(p[1]))
+    return v[0] * direction[1] - v[1] * direction[0]
 
 
 def _integrate_to_section_no_d(X: PolyVectorField, p0, horizon,
@@ -516,79 +548,65 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
                tols: Tolerances | None = None,
                with_derivative: bool = True) -> tuple[float, float | None]:
     """First-return parameter s1 of the hybrid flow from section(s0) and
-    the finite-difference derivative eta'(s0) (central, Richardson once)."""
+    its derivative eta'(s0).
+
+    The run ends at the first return.  eta' is the product over the smooth
+    arcs of the transition-map derivatives (n_start/n_end) exp(int div),
+    n being the arc field's speed across the section at the two ends of
+    the return and across D (-Q(x, 0)) at sewing crossings, so the Q_Y/Q_X
+    ratio of each crossing falls out of the product.  A return through a
+    sliding arc or a fold graze, or one that meets a section or D with
+    |n| <= tols.sign, raises NotTransversal.
+    """
     tols = tols or default_tols()
     if window is None:
         big = 50.0
         window = (-big, big, -big, big)
+    p = section.point(s0)
+    on_d = abs(p[1]) <= tols.event
+    if on_d:
+        # returns to a section on D are sewing crossings back into the
+        # starting side with parameter inside the range
+        cls = dline.classify_point(Z, p[0], tols)
+        if cls.tag is not PointTag.SEWING:
+            raise NoReturn("D-section seed not on a sewing arc")
+        start_side = "N" if cls.xf > 0 else "S"
+        lo, hi = section.s_range
 
-    def eta(s: float) -> float:
-        p = section.point(s)
-        on_d = abs(p[1]) <= tols.event
-        side = "D" if on_d else ("N" if p[1] > 0 else "S")
-        if on_d:
-            # returns to the section are D hits with matching param
-            traj = _return_on_d(Z, p, horizon, window, section, tols)
-        else:
-            traj = advance_hybrid(Z, p, side, horizon, window, tols,
-                                  section=section, section_direction=0)
-        last = traj.events[-1] if traj.events else None
-        if last is None or last.kind not in (EventKind.SECTION_CROSSING,
-                                             EventKind.CLOSED):
-            raise NoReturn(f"no return from s={s}")
-        return section.param_of(traj.end_state())
+        def returned(t, q, side):
+            return side == start_side and lo <= section.param_of(q) <= hi \
+                and t > 1e-9
 
-    s1 = eta(s0)
+        traj = advance_hybrid(Z, p, "D", horizon, window, tols,
+                              stop=returned, with_divergence=with_derivative)
+    else:
+        traj = advance_hybrid(Z, p, "N" if p[1] > 0 else "S", horizon,
+                              window, tols, section=section,
+                              section_direction=0,
+                              with_divergence=with_derivative)
+    # a run from D may also close at its start, off the parameter range
+    ends = (EventKind.SECTION_CROSSING, EventKind.CLOSED) if on_d \
+        else (EventKind.SECTION_CROSSING,)
+    if not traj.events or traj.events[-1].kind not in ends:
+        raise NoReturn(f"no return from s={s0}")
+    s1 = section.param_of(traj.end_state())
     if not with_derivative:
         return s1, None
-    span = abs(section.s_range[1] - section.s_range[0])
-    h = tols.h_fd * max(span, 1.0)
-    d_h = (eta(s0 + h) - eta(s0 - h)) / (2 * h)
-    d_h2 = (eta(s0 + h / 2) - eta(s0 - h / 2)) / h
-    eta_prime = (4 * d_h2 - d_h) / 3.0  # one Richardson step
+    if any(a.tag == "FZ" for a in traj.arcs) or any(
+            e.kind is EventKind.FOLD_GRAZE for e in traj.events):
+        raise NotTransversal("return passes a sliding arc or a fold graze")
+    eta_prime = 1.0
+    last_arc = len(traj.arcs) - 1
+    for k, arc in enumerate(traj.arcs):
+        fld = Z.X if arc.tag == "X" else Z.Y
+        n0 = _normal_speed(fld, arc.states[0],
+                           section.direction if k == 0 else _D_DIRECTION)
+        n1 = _normal_speed(fld, arc.states[-1], section.direction
+                           if k == last_arc else _D_DIRECTION)
+        if abs(n0) <= tols.sign or abs(n1) <= tols.sign:
+            raise NotTransversal("return meets a section or D tangentially")
+        eta_prime *= (n0 / n1) * math.exp(arc.divergence)
     return s1, eta_prime
-
-
-def _return_on_d(Z: PiecewiseField, p, horizon, window,
-                 section: Section, tols) -> PolyTrajectory:
-    """Return map helper for sections lying on D; the return is the next
-    D-crossing in the same direction with parameter inside the range."""
-    cls = dline.classify_point(Z, p[0], tols)
-    if cls.tag is not PointTag.SEWING:
-        raise NoReturn("D-section seed not on a sewing arc")
-    start_side = "N" if cls.xf > 0 else "S"
-    traj = advance_hybrid(Z, p, "D", horizon, window, tols)
-    # walk crossings: a valid return resumes the starting side
-    t_seen = 0.0
-    for ev in traj.events:
-        if ev.kind is EventKind.CLOSED:
-            traj.events.append(TrajectoryEvent(ev.time,
-                                               EventKind.SECTION_CROSSING,
-                                               ev.state))
-            return traj
-        if ev.kind is EventKind.CROSSING_AT_SEWING and ev.time > t_seen:
-            x = ev.state[0]
-            xf = Z.X.Q(x, 0.0)
-            side_after = "N" if xf > 0 else "S"
-            s_par = section.param_of((x, 0.0))
-            if side_after == start_side and \
-                    section.s_range[0] <= s_par <= section.s_range[1] \
-                    and ev.time > 1e-9:
-                cut = PolyTrajectory(
-                    arcs=[a for a in traj.arcs if a.t_span[0] < ev.time],
-                    events=[e for e in traj.events if e.time <= ev.time],
-                    closed=traj.closed)
-                # trim the last arc to the crossing
-                cut.events.append(TrajectoryEvent(ev.time,
-                                                  EventKind.SECTION_CROSSING,
-                                                  (x, 0.0)))
-                last = cut.arcs[-1]
-                cut.arcs[-1] = TrajectoryArc(
-                    last.tag, (last.t_span[0], ev.time), last.ts, last.states)
-                # force the exact crossing state
-                cut.arcs[-1].states[-1] = [x, 0.0]
-                return cut
-    raise NoReturn("no matching D-crossing")
 
 
 def compactified_return_map(Z: PiecewiseField, rho0: float,
@@ -654,7 +672,7 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
     """
     tols = tols or default_tols()
     if seeds is None:
-        seeds = [-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]
+        seeds = DEFAULT_SEEDS
     found: list[ClosedOrbit] = []
     seen_x: list[float] = []
 
@@ -688,7 +706,7 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
         try:
             _, eta_prime = return_map(Z, section, s_star, horizon, window, tols)
             traj = advance_hybrid(Z, (s_star, 0.0), "D", horizon, window, tols)
-        except (NoReturn, ClassificationAmbiguous):
+        except (NoReturn, NotTransversal, ClassificationAmbiguous):
             continue
         if traj.closed is not Closure.TYPE1:
             continue
@@ -798,7 +816,6 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
                         idx, stab, f"{sad.kind}{idx}:{stab}:{sgn:+.0f}", pts))
         else:  # FZ saddle: branches along D in both time directions
             x0 = sad.point[0]
-            fz = _fz_rhs(Z)
             for sgn in (1.0, -1.0):
                 for direction, stab in ((1.0, "unstable"), (-1.0, "stable")):
                     xs = _trace_d_branch(Z, x0 + sgn * tols.delta_sep,

@@ -371,17 +371,3 @@ def cauchy_bound(c: np.ndarray) -> float:
         return 1.0
     return 1.0 + float(np.max(np.abs(c[:-1])) / abs(c[-1]))
 
-
-def d_window(Z: PiecewiseField, margin: float = 0.5) -> tuple[float, float]:
-    """Window [-R, R] guaranteed to contain every finite arc endpoint on D.
-
-    R comes from the Cauchy bound of the univariate restrictions that
-    generate endpoints: Q1(x,0), Q2(x,0) and det[X,Y](x,0).
-    """
-    det = Z.X.P * Z.Y.Q - Z.X.Q * Z.Y.P
-    R = 1.0
-    for q in (Z.X.Q, Z.Y.Q, det):
-        c = q.restrict_y0()
-        if len(_trim(c, 0.0)) > 1:
-            R = max(R, cauchy_bound(c))
-    return (-R - margin, R + margin)

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import BadParameter, NoReturn
+from .errors import BadParameter, NoReturn, NotTransversal
 from .polys import PiecewiseField
 from .tolerances import Tolerances, default_tols
 
@@ -112,10 +112,6 @@ class RegularizedField:
             j[0, col] = (fp[0] - fm[0]) / (2 * h)
             j[1, col] = (fp[1] - fm[1]) / (2 * h)
         return j
-
-
-def eval_regularized(R: RegularizedField, q: tuple[float, float]) -> tuple[float, float]:
-    return R(q[0], q[1])
 
 
 class SingularityType(Enum):
@@ -266,41 +262,64 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
                              ) -> list[RegularizedCycle]:
     """Limit cycles of the regularized field crossing the vertical section
     x=section_x, y in s_range: fixed points of the smooth first-return map
-    found by bisection on eta(s)-s, with a central-difference derivative.
+    found by bisection on eta(s)-s.  The derivative at a fixed point comes
+    from one run with the divergence integral:
+    eta' = (R_x(start)/R_x(end)) exp(int div R), where
+    div R = w div X + (1-w) div Y + phi'(y/eps)/eps (Q_X - Q_Y), w = phi(y/eps).
+    Raises NotTransversal when R_x vanishes at either end of that run.
     """
     from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
 
     from .flow import Section
 
     tols = tols or default_tols()
     R = RegularizedField(Z, phi, epsilon)
     sec = Section((section_x, 0.0), (0.0, 1.0), s_range)
+    div_x, div_y = Z.X.divergence(), Z.Y.divergence()
 
-    def eta(s: float) -> float:
+    def div_r(x: float, y: float) -> float:
+        t = y / epsilon
+        w = phi(t)
+        return (w * div_x(x, y) + (1 - w) * div_y(x, y)
+                + phi.derivative(t) / epsilon * (Z.X.Q(x, y) - Z.Y.Q(x, y)))
+
+    def run(s: float, with_div: bool):
+        """End state of the first return from sec(s), with the divergence
+        integral as a third component when with_div."""
         p = sec.point(s)
 
         def rhs(t, st):
-            return list(R(st[0], st[1]))
-
-        def sec_event(t, st):
-            return st[0] - section_x
-        sec_event.terminal = True
-        sec_event.direction = -1 if R(p[0], p[1])[0] < 0 else 1
+            v = R(st[0], st[1])
+            if with_div:
+                return [v[0], v[1], div_r(st[0], st[1])]
+            return list(v)
 
         # leave the section before arming the event: integrate a short leg
-        sol0 = solve_ivp(rhs, (0.0, 1e-3), list(p), rtol=1e-11, atol=1e-13)
-        q = [float(sol0.y[0][-1]), float(sol0.y[1][-1])]
+        y0 = list(p) + ([0.0] if with_div else [])
+        sol0 = solve_ivp(rhs, (0.0, 1e-3), y0, rtol=1e-11, atol=1e-13)
 
         def ret_event(t, st):
             return st[0] - section_x
         ret_event.terminal = True
-        ret_event.direction = sec_event.direction
+        ret_event.direction = -1 if R(p[0], p[1])[0] < 0 else 1
 
-        sol = solve_ivp(rhs, (0.0, horizon), q, rtol=1e-11, atol=1e-13,
-                        events=[ret_event])
+        sol = solve_ivp(rhs, (0.0, horizon), [float(v) for v in sol0.y[:, -1]],
+                        rtol=1e-11, atol=1e-13, events=[ret_event])
         if len(sol.t_events[0]) == 0:
             raise NoReturn(f"no return from s={s}")
-        return float(sol.y_events[0][0][1])
+        return sol.y_events[0][0]
+
+    def eta(s: float) -> float:
+        return float(run(s, False)[1])
+
+    def eta_prime(s: float) -> float:
+        end = run(s, True)
+        r0 = R(section_x, s)[0]
+        r1 = R(float(end[0]), float(end[1]))[0]
+        if abs(r0) <= tols.sign or abs(r1) <= tols.sign:
+            raise NotTransversal("section parallel to the regularized field")
+        return (r0 / r1) * math.exp(float(end[2]))
 
     lo, hi = s_range
     n_grid = 24
@@ -316,13 +335,11 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
         a, b = gs[k], gs[k + 1]
         if np.isnan(a) or np.isnan(b) or a * b > 0:
             continue
-        from scipy.optimize import brentq
         s_star = brentq(lambda s: eta(s) - s, ss[k], ss[k + 1],
                         xtol=tols.root)
-        h = tols.h_fd * max(1.0, abs(hi - lo))
-        d = (eta(s_star + h) - eta(s_star - h)) / (2 * h)
         if any(abs(s_star - c.section_value) < 1e-8 for c in cycles):
             continue
+        d = eta_prime(s_star)
         cycles.append(RegularizedCycle(epsilon, float(s_star), float(d),
                                        abs(d - 1.0) > tols.sign))
     return cycles

@@ -351,7 +351,9 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
     elif cycles:
         pass  # found, all elementary: census stands as Satisfied
     elif gm2.status == SATISFIED and not options.optimistic:
-        gm2.weaken()
+        seeds = flow.DEFAULT_SEEDS if options.seeds is None else options.seeds
+        gm2.weaken({"kind": "cycle_census_empty",
+                    "seeds": [float(x) for x in seeds]})
 
     # saddle-connection probe (semi-decision)
     flags: list[tuple[int, int]] = []
@@ -373,9 +375,10 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
                                  "branches": [rep.branches[i].label,
                                               rep.branches[j].label]})
             elif not options.optimistic:
-                gm3.weaken()
+                gm3.weaken({"kind": "connection_probe_clean",
+                            "branches": len(rep.branches)})
         elif not options.optimistic:
-            gm3.weaken()
+            gm3.weaken({"kind": "no_saddles_to_probe"})
 
     return StabilityReport(gm1, gm2, gm3, interior_x, interior_y,
                            arcs, d_sings, folds, infinity, infinity_status,

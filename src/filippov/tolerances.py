@@ -21,7 +21,6 @@ class Tolerances:
     newton: float = 1e-11     # residual norm for 2-D Newton zeros
     event: float = 1e-9       # y=0 event localization in state space
     close: float = 1e-6       # trajectory closure detection
-    h_fd: float = 1e-5        # finite-difference step (scaled by section)
     delta_sep: float = 1e-6   # separatrix seeding offset
     connect: float = 1e-4     # saddle-connection distance flag
     coeff_zero: float = 1e-12 # coefficient zero-testing threshold

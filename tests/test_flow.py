@@ -1,9 +1,13 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from filippov.errors import NoReturn
+from filippov import flow
+from filippov.errors import NoReturn, NotTransversal
 from filippov.flow import (
     Closure,
     EventKind,
@@ -48,6 +52,47 @@ def test_rotation_returns_to_d_at_pi():
     assert tr.status == "d_hit"
     assert abs(tr.ts[-1] - math.pi) < 1e-8
     assert abs(tr.hit_state[0] + 1.0) < 1e-8
+
+
+def test_out_of_range_section_crossings_do_not_recurse():
+    # rotation about (0, 2): the orbit from (0, 1) crosses x = 0 at y = 1
+    # and y = 3 every half turn, never inside the range (5, 6).  Stepping
+    # over each crossing once recursed, so horizon 5000 (about 1600
+    # crossings) overflowed the default recursion limit; horizon 500
+    # under a limit 100 frames above the current depth shows the same.
+    X = vf({(0, 0): 2.0, (0, 1): -1.0}, X_MONO)
+    sec = Section((0.0, 0.0), (0.0, 1.0), (5.0, 6.0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        tr = integrate_smooth(X, (0.0, 1.0), 500.0, WIN, section=sec)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert tr.status == "horizon"
+    assert abs(tr.ts[-1] - 500.0) < 1e-6
+    assert np.all(np.diff(tr.ts) >= 0.0)
+    radius = np.hypot(tr.states[:, 0], tr.states[:, 1] - 2.0)
+    assert np.max(np.abs(radius - 1.0)) < 1e-5
+
+
+def test_out_of_range_restart_keeps_quadrature():
+    # X = (1, y) has div 1; from (-0.5, 1) it crosses x = 0 at y = e^0.5,
+    # outside the range (5, 6), and the integral must run on past it
+    X = vf(ONE, Y_MONO)
+    sec = Section((0.0, 0.0), (0.0, 1.0), (5.0, 6.0))
+    tr = integrate_smooth(X, (-0.5, 1.0), 1.0, WIN, d_direction=0,
+                          section=sec, extra_quadrature=X.divergence())
+    assert tr.status == "horizon"
+    assert abs(tr.states[-1, 1] - math.e) < 1e-8
+    assert abs(tr.states[-1, 2] - 1.0) < 1e-9
+
+
+def test_trajectory_along_section_line_not_transversal():
+    # the radial field moves (0, 1) along the line x = 0 of the section
+    X = vf(X_MONO, Y_MONO)
+    sec = Section((0.0, 0.0), (0.0, 1.0), (5.0, 6.0))
+    with pytest.raises(NotTransversal):
+        integrate_smooth(X, (0.0, 1.0), 1.0, WIN, section=sec)
 
 
 def test_reversibility_of_smooth_arc():
@@ -163,6 +208,82 @@ def test_return_map_center_is_identity():
     s1, eta_prime = return_map(Z, sec, 0.7, 100.0, WIN)
     assert abs(s1 - 0.7) < 1e-8
     assert abs(eta_prime - 1.0) < 1e-6
+
+
+def _richardson_derivative(Z, section, s0, horizon=100.0):
+    """Central difference of the return map with one Richardson step: an
+    independent cross-check of the divergence-integral eta'."""
+    h = 1e-5 * max(abs(section.s_range[1] - section.s_range[0]), 1.0)
+
+    def eta(s):
+        return return_map(Z, section, s, horizon, WIN,
+                          with_derivative=False)[0]
+
+    d_h = (eta(s0 + h) - eta(s0 - h)) / (2 * h)
+    d_h2 = (eta(s0 + h / 2) - eta(s0 - h / 2)) / h
+    return (4 * d_h2 - d_h) / 3.0
+
+
+def test_d_section_return_stops_at_first_return(monkeypatch):
+    runs = []
+    original = flow.advance_hybrid
+
+    def recording(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(flow, "advance_hybrid", recording)
+    Z = piecewise(UNIT_CYCLE, UNIT_CYCLE)
+    sec = Section((0.0, 0.0), (1.0, 0.0), (-5.0, 5.0))
+    s1, _ = return_map(Z, sec, 0.5, 100.0, WIN, with_derivative=False)
+    assert 0.5 < s1 < 1.0
+    (traj,) = runs
+    assert [a.tag for a in traj.arcs] == ["X", "Y"]
+    assert traj.events[-1].kind is EventKind.SECTION_CROSSING
+    assert traj.arcs[-1].t_span[1] < 2 * math.pi + 1
+
+
+def test_exact_eta_prime_matches_richardson_two_sided():
+    uc2 = vf(UNIT_CYCLE.P.scale(2.0).coeffs, UNIT_CYCLE.Q.scale(2.0).coeffs)
+    Z = piecewise(UNIT_CYCLE, uc2)
+    for sec, s0 in ((Section((0.0, 0.0), (1.0, 0.0), (-5.0, 5.0)), 0.5),
+                    (Section((0.0, 0.0), (1.0, 0.0), (-5.0, 5.0)), -1.5),
+                    (Section((0.0, 0.0), (0.0, 1.0), (0.1, 2.0)), 0.5)):
+        _, exact = return_map(Z, sec, s0, 100.0, WIN)
+        fd = _richardson_derivative(Z, sec, s0)
+        assert abs(exact - fd) <= 1e-4 * abs(fd)
+
+
+def test_return_through_sliding_arc_not_transversal():
+    # X = (1, x + y) over Y = (1, 1): from (-2, 1) the orbit y = 1 - t
+    # lands on the sliding arc x < 0 at x = -1, slides to the visible fold
+    # at the origin and leaves on y = e^x - 1 - x, which meets y = 1 at
+    # the root of e^x - x = 2
+    Z = piecewise(vf(ONE, {(1, 0): 1.0, (0, 1): 1.0}), vf(ONE, ONE))
+    sec = Section((-2.0, 1.0), (1.0, 0.0), (-1.0, 5.0))
+    s1, _ = return_map(Z, sec, 0.0, 100.0, WIN, with_derivative=False)
+    x_exit = brentq(lambda x: math.exp(x) - x - 2.0, 0.5, 2.0)
+    assert abs(s1 - (2.0 + x_exit)) < 1e-6
+    with pytest.raises(NotTransversal):
+        return_map(Z, sec, 0.0, 100.0, WIN)
+
+
+def test_census_work_counter(monkeypatch):
+    # deterministic work gate: every return map stops at its first return
+    # and eta' needs no finite-difference runs
+    nfev = [0]
+    original = flow.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        nfev[0] += sol.nfev
+        return sol
+
+    monkeypatch.setattr(flow, "solve_ivp", counting)
+    found = find_closed_polytrajectories(piecewise(UNIT_CYCLE, UNIT_CYCLE),
+                                         (-5.0, 5.0, -5.0, 5.0))
+    assert len(found) == 1
+    assert nfev[0] <= 40_000
 
 
 def test_compactified_return_derivative_matches_mu():

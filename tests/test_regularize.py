@@ -141,3 +141,15 @@ def test_regularized_cycle_inherits_from_crossing_cycle():
     assert abs(c.section_value - 1.0) < 1e-6
     assert c.hyperbolic
     assert abs(c.return_derivative - math.exp(-4 * math.pi)) < 1e-4
+
+
+def test_regularized_two_sided_cycle_derivative_exact():
+    # R = (2 - w) UC has the orbits of UC, so the derivative of its return
+    # map at the unit cycle is exp(-4 pi) exactly
+    X = vf({(1, 0): 1.0, (0, 1): -1.0, (3, 0): -1.0, (1, 2): -1.0}, {(1, 0): 1.0, (0, 1): 1.0, (2, 1): -1.0, (0, 3): -1.0})
+    Z = piecewise(X, vf(X.P.scale(2.0).coeffs, X.Q.scale(2.0).coeffs))
+    phi = make_transition("smoothstep", 1)
+    cycles = regularized_cycle_search(Z, phi, 0.05, 0.0, (0.4, 1.6))
+    assert len(cycles) == 1
+    want = math.exp(-4 * math.pi)
+    assert abs(cycles[0].return_derivative - want) <= 1e-6 * want
