@@ -7,6 +7,12 @@ poly-trajectory rules: X/Y swaps only at sewing points, entry/exit of
 sliding arcs only at folds or regular sliding points, termination at
 Filippov-field singularities and on escaping arcs (forward evolution is
 not unique there and trajectories are never silently branched).
+
+Every ODE solve of the package, here and in the regularized and
+compactified flows, goes through one kernel, _integrate: RK45 with
+rtol = tols.root and atol = tols.root / 100, so FILIPPOV_TOLERANCE_SCALE
+reaches the solver; events are terminal; a solve whose step controller
+gives up raises StepFailure.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ Window = tuple[float, float, float, float]  # x0, x1, y0, y1
 _D_DIRECTION = (1.0, 0.0)
 # sewing abscissas that seed the closed-trajectory census by default
 DEFAULT_SEEDS = (-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0)
+# central-difference step in rho of compactified_return_map's derivative
+_H_FD = 1e-4
 
 
 class EventKind(Enum):
@@ -129,17 +137,32 @@ class SmoothTrace:
     hit_state: tuple[float, float] | None
 
 
+def _integrate(rhs, y0, t_end: float, tols: Tolerances, events=(),
+               t0: float = 0.0, max_step: float = np.inf,
+               dense_output: bool = False):
+    """Solve y' = rhs(t, y) from t0 to t_end with RK45 at rtol = tols.root,
+    atol = tols.root / 100.  events are (g, direction) pairs, all terminal.
+    Raises StepFailure when the step controller gives up."""
+    for g, direction in events:
+        g.terminal = True
+        g.direction = direction
+    sol = solve_ivp(rhs, (t0, t_end), y0, method="RK45", rtol=tols.root,
+                    atol=tols.root / 100,
+                    events=[g for g, _ in events] or None,
+                    max_step=max_step, dense_output=dense_output)
+    if sol.status == -1:
+        raise StepFailure(sol.message)
+    return sol
+
+
 def _window_events(window: Window):
     x0, x1, y0, y1 = window
 
-    def make(idx, bound, direction):
-        def g(t, s):
-            return s[idx] - bound
-        g.terminal = True
-        g.direction = direction
-        return g
+    def make(idx, bound):
+        return lambda t, s: s[idx] - bound
 
-    return [make(0, x1, 1), make(0, x0, -1), make(1, y1, 1), make(1, y0, -1)]
+    return [(make(0, x1), 1), (make(0, x0), -1),
+            (make(1, y1), 1), (make(1, y0), -1)]
 
 
 def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
@@ -168,18 +191,10 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
             return [v[0], v[1], extra_quadrature(s[0], s[1])]
         return [v[0], v[1]]
 
-    def y_event(t, s):
-        return s[1]
-    y_event.terminal = True
-    y_event.direction = d_direction
-
-    events = [y_event] + _window_events(window)
+    events = [(lambda t, s: s[1], d_direction)] + _window_events(window)
     if section is not None:
-        def sec_event(t, s):
-            return section.signed_dist((s[0], s[1]))
-        sec_event.terminal = True
-        sec_event.direction = section_direction
-        events.append(sec_event)
+        events.append((lambda t, s: section.signed_dist((s[0], s[1])),
+                       section_direction))
 
     state = list(p0) + ([0.0] if aug else [])
     offset = 0.0  # time already integrated before the current leg
@@ -187,12 +202,9 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     head_states: list[np.ndarray] = []
     while True:
         remaining = horizon - offset
-        sol = solve_ivp(rhs, (0.0, remaining), state, method="RK45",
-                        rtol=1e-10, atol=1e-12, events=events,
-                        dense_output=True,
-                        max_step=max(abs(remaining) / 10.0, 1e-3))
-        if sol.status == -1:
-            raise StepFailure(sol.message)
+        sol = _integrate(rhs, state, remaining, tols, events,
+                         max_step=max(abs(remaining) / 10.0, 1e-3),
+                         dense_output=True)
         if section is None or len(sol.t_events[5]) == 0:
             break
         # resume just past a section crossing that is not inside the
@@ -254,6 +266,15 @@ def _fz_rhs(Z: PiecewiseField):
     return rhs
 
 
+def _d_events(Z: PiecewiseField, window: Window):
+    """Events of a motion along D: the tangency roots Q_X(x, 0) and
+    Q_Y(x, 0), then the window's x bounds."""
+    q1, q2 = Z.X.Q, Z.Y.Q
+    return [(lambda t, s: q1(s[0], 0.0), 0), (lambda t, s: q2(s[0], 0.0), 0),
+            (lambda t, s: s[0] - window[0], 0),
+            (lambda t, s: s[0] - window[1], 0)]
+
+
 def _slide(Z: PiecewiseField, x0: float, horizon: float,
            window: Window, tols: Tolerances,
            section: Section | None = None) -> tuple:
@@ -263,47 +284,17 @@ def _slide(Z: PiecewiseField, x0: float, horizon: float,
     'q1_root', 'q2_root', 'fz_singularity', 'window', 'horizon', 'section'.
     """
     fz = _fz_rhs(Z)
-    q1 = Z.X.Q
-    q2 = Z.Y.Q
     det = dline.det_xy(Z)
-
-    def rhs(t, s):
-        return [fz(s[0])]
-
-    def ev_q1(t, s):
-        return q1(s[0], 0.0)
-
-    def ev_q2(t, s):
-        return q2(s[0], 0.0)
-
-    def ev_det(t, s):
-        return det(s[0], 0.0)
-
-    def ev_xlo(t, s):
-        return s[0] - window[0]
-
-    def ev_xhi(t, s):
-        return s[0] - window[1]
-
-    events = [ev_q1, ev_q2, ev_det, ev_xlo, ev_xhi]
-    for e in events:
-        e.terminal = True
-        e.direction = 0
+    events = _d_events(Z, window) + [(lambda t, s: det(s[0], 0.0), 0)]
+    names = ["q1_root", "q2_root", "window", "window", "fz_singularity"]
     if section is not None and abs(section.direction[1]) < 1e-15:
-        def ev_sec(t, s):
-            return s[0] - section.base[0]
-        ev_sec.terminal = True
-        events.append(ev_sec)
+        events.append((lambda t, s: s[0] - section.base[0], 0))
+        names.append("section")
 
-    sol = solve_ivp(rhs, (0.0, horizon), [x0], method="RK45",
-                    rtol=1e-10, atol=1e-12, events=events)
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-    names = ["q1_root", "q2_root", "fz_singularity", "window", "window",
-             "section"]
+    sol = _integrate(lambda t, s: [fz(s[0])], [x0], horizon, tols, events)
     outcome = "horizon"
     t_end, x_end = sol.t[-1], float(sol.y[0][-1])
-    for k, name in enumerate(names[: len(events)]):
+    for k, name in enumerate(names):
         if len(sol.t_events[k]) > 0 and sol.t_events[k][0] <= t_end:
             t_end = float(sol.t_events[k][0])
             x_end = float(sol.y_events[k][0][0])
@@ -488,59 +479,36 @@ def transition_derivative(X: PolyVectorField, p0: tuple[float, float],
                           tols: Tolerances | None = None) -> float:
     """Derivative of the transition map between two transversal sections
     along the flow of X: boundary determinant ratio times the exponential
-    of the divergence integral along the orbit."""
+    of the divergence integral along the orbit.
+
+    The orbit from p0 ends at its first crossing of sec1's line in the
+    direction the flow crosses it at p1 (p0 may lie on that line, as in a
+    half turn between two rays of one line), within 1.5 t_span."""
     tols = tols or default_tols()
     div = X.divergence()
-    big = 1e6
-    window = (-big, big, -big, big)
-    tr = integrate_smooth(
-        X, p0, t_span * 1.5, window, d_direction=0, section=sec1,
-        section_direction=0, tols=tols,
-        extra_quadrature=lambda x, y: div(x, y))
-    # d_direction=0 means a y=0 crossing would stop us; rerun without the
-    # y event by shifting the problem: use the section status only
-    if tr.status != "section":
-        # trajectory may lie on y=0 or cross it; integrate ignoring D
-        tr = _integrate_to_section_no_d(X, p0, t_span * 1.5, sec1, div)
-    if tr.status != "section":
+
+    def rhs(t, s):
+        v = X(s[0], s[1])
+        return [v[0], v[1], div(s[0], s[1])]
+
+    # signed_dist grows where the speed across the line is negative
+    arrive = (lambda t, s: sec1.signed_dist((s[0], s[1])),
+              -1 if _normal_speed(X, p1, sec1.direction) > 0 else 1)
+    sol = _integrate(rhs, [p0[0], p0[1], 0.0], t_span * 1.5, tols, [arrive])
+    if len(sol.t_events[0]) == 0:
         raise NoReturn("orbit did not reach the target section")
+    end = sol.y_events[0][0]
     d0 = _normal_speed(X, p0, sec0.direction)
-    d1 = _normal_speed(X, tr.states[-1], sec1.direction)
+    d1 = _normal_speed(X, end, sec1.direction)
     if abs(d0) <= tols.sign or abs(d1) <= tols.sign:
         raise NotTransversal("section parallel to the field")
-    integral = float(tr.states[-1, 2])
-    return (d0 / d1) * math.exp(integral)
+    return (d0 / d1) * math.exp(float(end[2]))
 
 
 def _normal_speed(X: PolyVectorField, p, direction) -> float:
     """Speed of X across a line with the given direction at p."""
     v = X(float(p[0]), float(p[1]))
     return v[0] * direction[1] - v[1] * direction[0]
-
-
-def _integrate_to_section_no_d(X: PolyVectorField, p0, horizon,
-                               section: Section, div) -> SmoothTrace:
-    def rhs(t, s):
-        v = X(s[0], s[1])
-        return [v[0], v[1], div(s[0], s[1])]
-
-    def sec_event(t, s):
-        return section.signed_dist((s[0], s[1]))
-    sec_event.terminal = True
-    sec_event.direction = 0
-
-    # short event-free leg first: the start may lie on the section's line
-    t_pre = min(1e-3, horizon * 1e-3)
-    pre = solve_ivp(rhs, (0.0, t_pre), [p0[0], p0[1], 0.0], method="RK45",
-                    rtol=1e-11, atol=1e-13)
-    q = [float(v) for v in pre.y[:, -1]]
-    sol = solve_ivp(rhs, (t_pre, horizon), q, method="RK45",
-                    rtol=1e-11, atol=1e-13, events=[sec_event])
-    status = "section" if len(sol.t_events[0]) > 0 else "horizon"
-    states = sol.y.T
-    if status == "section":
-        states = np.vstack([states, sol.y_events[0][0]])
-    return SmoothTrace(sol.t, states, status, None)
 
 
 def return_map(Z: PiecewiseField, section: Section, s0: float,
@@ -610,43 +578,36 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
 
 
 def compactified_return_map(Z: PiecewiseField, rho0: float,
-                            h_fd: float = 1e-4,
                             tols: Tolerances | None = None
                             ) -> tuple[float, float]:
     """Return map of the compactified field on the section theta=0 and its
-    central finite-difference derivative at rho0.
+    central finite-difference derivative at rho0 (step _H_FD).
 
     Valid when the equator carries no singular points (theta moves
     monotonically); integrates d(rho)/d(theta) across both halves.
     """
     from .compactify import compactified_field
 
+    tols = tols or default_tols()
     tf = compactified_field(Z)
+    # (half-field, theta at entry, theta at exit) in the order theta runs
+    halves = [(tf.eval_upper, 0.0, math.pi),
+              (tf.eval_lower, math.pi, 2 * math.pi)]
+    if tf.eval_upper(math.pi / 2, 0.0)[0] <= 0:
+        halves = [(ev, b, a) for ev, a, b in reversed(halves)]
 
-    def rho_after_loop(r0: float) -> float:
-        def rhs_upper(theta, s):
-            v = tf.eval_upper(theta, s[0])
-            return [v[1] / v[0]]
-
-        def rhs_lower(theta, s):
-            v = tf.eval_lower(theta, s[0])
-            return [v[1] / v[0]]
-
-        sign = 1 if tf.eval_upper(math.pi / 2, 0.0)[0] > 0 else -1
-        if sign > 0:
-            leg1 = solve_ivp(rhs_upper, (0.0, math.pi), [r0],
-                             rtol=1e-12, atol=1e-14)
-            leg2 = solve_ivp(rhs_lower, (math.pi, 2 * math.pi),
-                             [float(leg1.y[0][-1])], rtol=1e-12, atol=1e-14)
-        else:
-            leg1 = solve_ivp(rhs_lower, (2 * math.pi, math.pi), [r0],
-                             rtol=1e-12, atol=1e-14)
-            leg2 = solve_ivp(rhs_upper, (math.pi, 0.0),
-                             [float(leg1.y[0][-1])], rtol=1e-12, atol=1e-14)
-        return float(leg2.y[0][-1])
+    def rho_after_loop(rho: float) -> float:
+        for ev, theta0, theta1 in halves:
+            def rhs(theta, s, ev=ev):
+                v = ev(theta, s[0])
+                return [v[1] / v[0]]
+            sol = _integrate(rhs, [rho], theta1, tols, t0=theta0)
+            rho = float(sol.y[0][-1])
+        return rho
 
     rho1 = rho_after_loop(rho0)
-    d = (rho_after_loop(rho0 + h_fd) - rho_after_loop(rho0 - h_fd)) / (2 * h_fd)
+    d = (rho_after_loop(rho0 + _H_FD) - rho_after_loop(rho0 - _H_FD)) \
+        / (2 * _H_FD)
     return rho1, d
 
 
@@ -859,30 +820,8 @@ def _trace_branch(Z, seed, kind, forward, horizon, window, tols) -> np.ndarray:
 
 def _trace_d_branch(Z, x0, direction, horizon, window, tols) -> np.ndarray:
     fz = _fz_rhs(Z)
-
-    def rhs(t, s):
-        return [direction * fz(s[0])]
-
-    def ev_lo(t, s):
-        return s[0] - window[0]
-
-    def ev_hi(t, s):
-        return s[0] - window[1]
-
-    q1 = Z.X.Q
-    q2 = Z.Y.Q
-
-    def ev_q1(t, s):
-        return q1(s[0], 0.0)
-
-    def ev_q2(t, s):
-        return q2(s[0], 0.0)
-
-    events = [ev_lo, ev_hi, ev_q1, ev_q2]
-    for e in events:
-        e.terminal = True
-    sol = solve_ivp(rhs, (0.0, horizon), [x0], rtol=1e-10, atol=1e-12,
-                    events=events)
+    sol = _integrate(lambda t, s: [direction * fz(s[0])], [x0], horizon,
+                     tols, _d_events(Z, window))
     return sol.y[0]
 
 

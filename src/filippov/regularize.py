@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import BadParameter, NoReturn, NotTransversal
+from .errors import BadParameter, NoReturn, NotTransversal, StepFailure
 from .polys import PiecewiseField
 from .tolerances import Tolerances, default_tols
 
@@ -267,11 +267,11 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
     eta' = (R_x(start)/R_x(end)) exp(int div R), where
     div R = w div X + (1-w) div Y + phi'(y/eps)/eps (Q_X - Q_Y), w = phi(y/eps).
     Raises NotTransversal when R_x vanishes at either end of that run.
+    Grid points whose orbit fails to return or blows up are skipped.
     """
-    from scipy.integrate import solve_ivp
     from scipy.optimize import brentq
 
-    from .flow import Section
+    from .flow import Section, _integrate
 
     tols = tols or default_tols()
     R = RegularizedField(Z, phi, epsilon)
@@ -297,15 +297,11 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
 
         # leave the section before arming the event: integrate a short leg
         y0 = list(p) + ([0.0] if with_div else [])
-        sol0 = solve_ivp(rhs, (0.0, 1e-3), y0, rtol=1e-11, atol=1e-13)
-
-        def ret_event(t, st):
-            return st[0] - section_x
-        ret_event.terminal = True
-        ret_event.direction = -1 if R(p[0], p[1])[0] < 0 else 1
-
-        sol = solve_ivp(rhs, (0.0, horizon), [float(v) for v in sol0.y[:, -1]],
-                        rtol=1e-11, atol=1e-13, events=[ret_event])
+        lead = _integrate(rhs, y0, 1e-3, tols)
+        ret = (lambda t, st: st[0] - section_x,
+               -1 if R(p[0], p[1])[0] < 0 else 1)
+        sol = _integrate(rhs, [float(v) for v in lead.y[:, -1]], horizon,
+                         tols, [ret])
         if len(sol.t_events[0]) == 0:
             raise NoReturn(f"no return from s={s}")
         return sol.y_events[0][0]
@@ -328,7 +324,7 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
     for s in ss:
         try:
             gs.append(eta(s) - s)
-        except NoReturn:
+        except (NoReturn, StepFailure):
             gs.append(np.nan)
     cycles = []
     for k in range(n_grid - 1):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class Tolerances:
-    root: float = 1e-10       # absolute root isolation accuracy
+    root: float = 1e-10       # absolute root isolation accuracy; also the
+                              # integrator's rtol, with atol = root / 100
     sign: float = 1e-9        # strict-inequality certificates
     mu: float = 1e-8          # elementarity threshold for the S^1 integral
     newton: float = 1e-11     # residual norm for 2-D Newton zeros

@@ -1,13 +1,14 @@
 import inspect
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from filippov import flow
-from filippov.errors import NoReturn, NotTransversal
+from filippov.errors import NotTransversal, StepFailure
 from filippov.flow import (
     Closure,
     EventKind,
@@ -22,6 +23,7 @@ from filippov.flow import (
     transition_derivative,
 )
 from filippov.polys import piecewise, vf
+from filippov.regularize import make_transition, regularized_cycle_search
 from filippov.tolerances import default_tols
 
 WIN = (-5.0, 5.0, -5.0, 5.0)
@@ -166,6 +168,16 @@ def test_transition_derivative_rotation_half_turn():
     assert abs(d - 1.0) < 1e-8
 
 
+def test_transition_derivative_blow_up_is_step_failure():
+    # X = (x^2, 0): x = 1/(1 - t) from x = 1 blows up at t = 1, before the
+    # horizon 1.5; the solver gives up there instead of reporting no return
+    X = vf({(2, 0): 1.0}, {})
+    sec0 = Section((1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
+    sec1 = Section((-1.0, 0.0), (0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(StepFailure):
+        transition_derivative(X, (1.0, 0.5), (-1.0, 0.5), sec0, sec1, 1.0)
+
+
 def test_transition_derivative_matches_displacement():
     # shear field with zero divergence: (y, 0) ... use (y, 0.5) to move
     X = vf({(0, 1): 1.0, (0, 0): 0.2}, {(0, 0): 0.5, (1, 0): 0.1})
@@ -284,6 +296,57 @@ def test_census_work_counter(monkeypatch):
                                          (-5.0, 5.0, -5.0, 5.0))
     assert len(found) == 1
     assert nfev[0] <= 40_000
+
+
+@pytest.mark.xfail(strict=True, reason="one RK45 step spans both y = 0 "
+                   "crossings of a polynomial orbit, so the D hit is missed")
+def test_polynomial_orbit_crossing_is_not_missed():
+    # X = (1, x) from (-2, 1): y = 1 - 2t + t^2/2 meets D at x = -sqrt(2),
+    # t = 2 - sqrt(2); the error estimate is zero on this orbit, so the
+    # step grows to horizon / 10 and jumps over the dip below D
+    tr = integrate_smooth(vf(ONE, X_MONO), (-2.0, 1.0), 100.0, WIN,
+                          d_direction=-1)
+    assert tr.status == "d_hit"
+    assert abs(tr.ts[-1] - (2.0 - math.sqrt(2.0))) < 1e-9
+
+
+def test_single_solver_call_site():
+    src = Path(flow.__file__).parent
+    calls = sum(path.read_text().count("solve_ivp(")
+                for path in src.glob("*.py"))
+    assert calls == 1
+
+
+def test_tolerance_scale_reaches_solvers(monkeypatch):
+    monkeypatch.setenv("FILIPPOV_TOLERANCE_SCALE", "10")
+    seen = []
+    original = flow.solve_ivp
+
+    def recording(*args, **kwargs):
+        seen[-1].append((kwargs["rtol"], kwargs["atol"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_ivp", recording)
+    sec0 = Section((1.0, 0.0), (1.0, 0.0), (0.5, 1.5))
+    sec1 = Section((-1.0, 0.0), (-1.0, 0.0), (0.5, 1.5))
+    spiral = piecewise(vf({(0, 1): -1.0, (1, 0): 1.0},
+                          {(1, 0): 1.0, (0, 1): 1.0}), ROT)
+    uc = piecewise(UNIT_CYCLE, UNIT_CYCLE)
+    for call in (
+            lambda: integrate_smooth(ROT, (1.0, 0.0), 10.0, WIN, -1),
+            lambda: transition_derivative(ROT, (1.0, 0.0), (-1.0, 0.0),
+                                          sec0, sec1, math.pi),
+            lambda: compactified_return_map(spiral, 0.05),
+            lambda: regularized_cycle_search(
+                uc, make_transition("smoothstep", 1), 0.05, 0.0,
+                (0.4, 1.6))):
+        seen.append([])
+        call()
+    for solves in seen:
+        assert solves
+        for rtol, atol in solves:
+            assert rtol == pytest.approx(1e-9, rel=1e-12)
+            assert atol == pytest.approx(1e-11, rel=1e-12)
 
 
 def test_compactified_return_derivative_matches_mu():
