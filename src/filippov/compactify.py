@@ -293,11 +293,13 @@ def s1_elementarity(Z: PiecewiseField,
     A1m, R1m = tf.A1[Z.m], tf.R1[Z.m]
     A2m, R2m = tf.A2[Z.m], tf.R2[Z.m]
 
-    grid1 = np.linspace(0.0, math.pi, 2048)
-    grid2 = np.linspace(math.pi, 2 * math.pi, 2048)
-    if (min(abs(A1m(t)) for t in grid1) <= tols.sign * _top_scale(A1m)
-            or min(abs(A2m(t)) for t in grid2) <= tols.sign * _top_scale(A2m)):
-        return S1Report(S1Status.HAS_SINGULARITIES)
+    # a near-zero sample or a sign change between neighbours: A_m has a
+    # zero there, so the integrand below has a pole
+    for A, lo in ((A1m, 0.0), (A2m, math.pi)):
+        vals = np.array([A(t) for t in np.linspace(lo, lo + math.pi, 2048)])
+        if (np.min(np.abs(vals)) <= tols.sign * _top_scale(A)
+                or np.any(vals[:-1] * vals[1:] < 0)):
+            return S1Report(S1Status.HAS_SINGULARITIES)
 
     def integrand(t):
         return R1m(t) / A1m(t) + R2m(t) / A2m(t)

@@ -49,6 +49,23 @@ class BivariatePolynomial:
     def __call__(self, x: float, y: float) -> float:
         return math.fsum(v * x**i * y**j for (i, j), v in self.coeffs.items())
 
+    def grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Values at every (xs[i], ys[j]), a len(xs) x len(ys) array.
+
+        Computed as Vx @ C @ Vy.T from the power tables Vx[i, a] = xs[i]**a,
+        Vy[j, b] = ys[j]**b and the dense coefficient matrix C[a, b] = a_ab.
+        The sums are plain floating point, not fsum, so a value can differ
+        from __call__ in the last digits.
+        """
+        dx = max((i for i, _ in self.coeffs), default=0)
+        dy = max((j for _, j in self.coeffs), default=0)
+        c = np.zeros((dx + 1, dy + 1))
+        for (i, j), v in self.coeffs.items():
+            c[i, j] = v
+        vx = np.asarray(xs, dtype=float)[:, None] ** np.arange(dx + 1)
+        vy = np.asarray(ys, dtype=float)[:, None] ** np.arange(dy + 1)
+        return vx @ c @ vy.T
+
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():

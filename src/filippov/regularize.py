@@ -4,11 +4,17 @@ Z_eps(q) = (1 - phi(y/eps)) Y(q) + phi(y/eps) X(q) with a monotone
 transition function phi: identically 0 left of -1, identically 1 right
 of 1.  Emergent singularities live in the band |y| < eps and are located
 by sign-grid bracketing plus damped Newton.
+
+The census grid is evaluated with numpy: every polynomial once per strip
+of x values through BivariatePolynomial.grid, and phi once per grid row,
+because t = y/eps is shared by the row.  Strips of a fixed width bound
+the memory whatever eps is.  Newton and the Jacobians stay scalar.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -83,6 +89,9 @@ def make_transition(family: str, parameter: int = 1) -> TransitionFunction:
     raise BadParameter(f"unknown transition family {family!r}")
 
 
+_STRIP = 512  # grid cells along x per strip of the census
+
+
 @dataclass(frozen=True)
 class RegularizedField:
     Z: PiecewiseField
@@ -90,8 +99,8 @@ class RegularizedField:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
 
     def __call__(self, x: float, y: float) -> tuple[float, float]:
         t = y / self.epsilon
@@ -103,6 +112,20 @@ class RegularizedField:
         vx = self.Z.X(x, y)
         vy = self.Z.Y(x, y)
         return ((1 - w) * vy[0] + w * vx[0], (1 - w) * vy[1] + w * vx[1])
+
+    def strips(self, xs: np.ndarray, ys: np.ndarray
+               ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Both components on the grid xs x ys, one strip at a time: yields
+        (s, U, V) with U[i, j], V[i, j] the field at (xs[s + i], ys[j]) for
+        the strip xs[s:s + _STRIP + 1]; neighbouring strips share a column.
+        phi is called once per y for the whole walk; outside the band it is
+        exactly 0 or 1, so the blend of __call__ gives the piece itself."""
+        w = np.array([self.phi(y / self.epsilon) for y in ys])
+        X, Y = self.Z.X, self.Z.Y
+        for s in range(0, len(xs) - 1, _STRIP):
+            sx = xs[s:s + _STRIP + 1]
+            yield (s, (1 - w) * Y.P.grid(sx, ys) + w * X.P.grid(sx, ys),
+                   (1 - w) * Y.Q.grid(sx, ys) + w * X.Q.grid(sx, ys))
 
     def jacobian_fd(self, x: float, y: float, h: float) -> np.ndarray:
         j = np.empty((2, 2))
@@ -171,6 +194,13 @@ def _newton(R: RegularizedField, x0: float, y0: float,
     return (x, y) if res <= tols.newton else None
 
 
+def _sign_varies(W: np.ndarray) -> np.ndarray:
+    """Cells of the grid W whose four corners bracket 0: min <= 0 <= max."""
+    corners = (W[:-1, :-1], W[1:, :-1], W[:-1, 1:], W[1:, 1:])
+    return ((np.minimum.reduce(corners) <= 0.0)
+            & (np.maximum.reduce(corners) >= 0.0))
+
+
 def emergent_singularities(R: RegularizedField,
                            x_window: tuple[float, float],
                            tols: Tolerances | None = None
@@ -180,39 +210,32 @@ def emergent_singularities(R: RegularizedField,
     Grid step eps/20 resolves the band where emergent singularities are
     isolated for small eps; cells showing sign variation in both
     components seed a damped Newton run; converged zeros are merged when
-    closer than 10 * tol_root.
+    closer than 10 * tol_root.  The grid is walked in strips of _STRIP
+    cells along x (one column of overlap), so its memory is bounded
+    whatever eps is; each polynomial is evaluated once per strip and phi
+    once per grid row for the whole census.  Seeds are visited in (x, y)
+    cell order; Newton and the Jacobians use the scalar field.
     """
     tols = tols or default_tols()
     eps = R.epsilon
     step = eps / 20.0
     xs = np.arange(x_window[0], x_window[1] + step, step)
     ys = np.arange(-eps, eps + step / 2, step)
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    U = np.empty_like(XX)
-    V = np.empty_like(XX)
-    for i in range(XX.shape[0]):
-        for j in range(XX.shape[1]):
-            U[i, j], V[i, j] = R(XX[i, j], YY[i, j])
-
-    def varies(W, i, j):
-        c = W[i:i + 2, j:j + 2]
-        return c.min() <= 0.0 <= c.max()
 
     found: list[tuple[float, float]] = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            if varies(U, i, j) and varies(V, i, j):
-                sol = _newton(R, XX[i, j] + step / 2, YY[i, j] + step / 2, tols)
-                if sol is None:
-                    continue
-                x, y = sol
-                if not (x_window[0] - step <= x <= x_window[1] + step
-                        and abs(y) <= eps + step):
-                    continue
-                if any(math.hypot(x - a, y - b) <= 10 * tols.root
-                       for a, b in found):
-                    continue
-                found.append((x, y))
+    for s, U, V in R.strips(xs, ys):
+        for i, j in zip(*np.nonzero(_sign_varies(U) & _sign_varies(V))):
+            sol = _newton(R, xs[s + i] + step / 2, ys[j] + step / 2, tols)
+            if sol is None:
+                continue
+            x, y = sol
+            if not (x_window[0] - step <= x <= x_window[1] + step
+                    and abs(y) <= eps + step):
+                continue
+            if any(math.hypot(x - a, y - b) <= 10 * tols.root
+                   for a, b in found):
+                continue
+            found.append((x, y))
 
     out = []
     h = 1e-6 * max(1.0, eps)
@@ -235,8 +258,10 @@ def epsilon_sweep(Z: PiecewiseField, phi: TransitionFunction,
                   x_window: tuple[float, float], eps_list: list[float],
                   tols: Tolerances | None = None) -> list[SweepRow]:
     """One emergent-singularity census per epsilon, descending."""
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise ValueError("eps_list must be positive")
+    if not eps_list:
+        raise ValueError("eps_list must be nonempty")
+    if not all(math.isfinite(e) and e > 0 for e in eps_list):
+        raise ValueError("epsilon must be positive and finite")
     if list(eps_list) != sorted(eps_list, reverse=True):
         raise ValueError("eps_list must be descending")
     rows = []

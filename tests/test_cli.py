@@ -243,3 +243,10 @@ def test_sweep_deterministic(tmp_path):
     cli.main(["sweep", spec, "--out", a])
     cli.main(["sweep", spec, "--out", b])
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0.1,nan"])
+def test_sweep_non_finite_eps_exit3(tmp_path, capsys, eps):
+    spec = _write(tmp_path, "saddle.txt", SADDLE_TEXT)
+    assert cli.main(["sweep", spec, "--eps", eps]) == 3
+    assert "epsilon must be positive and finite" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from filippov.compactify import (
 )
 from filippov.errors import DegenerateTopCoefficient, EvenDegree, WrongHalf
 from filippov.polys import piecewise, poly, vf
+from filippov.stability import check_gm
 
 ROTATION = vf({(0, 1): -1.0}, {(1, 0): 1.0})      # (-y, x)
 RADIAL = vf({(1, 0): 1.0}, {(0, 1): 1.0})         # (x, y)
@@ -225,6 +226,38 @@ def test_s1_singular_equator():
     z = piecewise(X, X)
     rep = s1_elementarity(z)
     assert rep.status is S1Status.HAS_SINGULARITIES
+
+
+def test_s1_transversal_zeros_between_samples():
+    # A_{1,1} has two transversal zeros on (0, pi) that no grid sample comes
+    # within tols.sign of; integrating R/A across them used to raise
+    # ZeroDivisionError inside check_gm
+    X = vf({(0, 0): 1.4711161357108895, (0, 1): 1.8346377056338201},
+           {(0, 0): -2.1125315231595048, (0, 1): 0.57555487355090751,
+            (1, 0): 0.23704424806156199})
+    Y = vf({(0, 0): 1.762485021695853, (0, 1): -0.27523378627626904},
+           {(0, 0): -1.1348111800878744, (1, 0): 0.19372187074744884})
+    z = piecewise(X, Y)
+    assert s1_elementarity(z).status is S1Status.HAS_SINGULARITIES
+    assert [s.field_tag for s in infinity_singularities(z)
+            if s.field_tag == "X"] == ["X", "X"]
+    check_gm(z)
+
+
+def test_s1_status_consistent_with_infinity_census():
+    rng = np.random.default_rng(11)
+    seen = 0
+    for k in range(40):
+        m = (1, 3)[k % 2]
+
+        def cs():
+            return {(i, j): rng.uniform(-2, 2) for i in range(m + 1)
+                    for j in range(m + 1 - i)}
+        z = piecewise(vf(cs(), cs(), m=m), vf(cs(), cs(), m=m))
+        if any(s.field_tag in ("X", "Y") for s in infinity_singularities(z)):
+            seen += 1
+            assert s1_elementarity(z).status is not S1Status.ELEMENTARY
+    assert seen >= 10
 
 
 def test_quadrature_against_trapezoid():

@@ -154,3 +154,20 @@ def test_vf_eval_and_degree_guard():
     assert X(2.0, 3.0) == (2.0, 3.0)
     with pytest.raises(ValueError):
         vf({(3, 0): 1.0}, {}, m=2)
+
+
+def test_grid_matches_scalar_evaluation():
+    rng = np.random.default_rng(5)
+    xs = np.linspace(-3.0, 2.0, 7)
+    ys = np.linspace(-0.5, 1.5, 4)
+    for coeffs in ({}, {(0, 0): 2.5},
+                   {(i, j): rng.standard_normal()
+                    for i in range(4) for j in range(4 - i)}):
+        p = poly(coeffs)
+        g = p.grid(xs, ys)
+        assert g.shape == (7, 4)
+        for a, x in enumerate(xs):
+            for b, y in enumerate(ys):
+                # plain sums against fsum: a few ulps of the largest term
+                size = sum(abs(v * x**i * y**j) for (i, j), v in coeffs.items())
+                assert abs(g[a, b] - p(x, y)) <= 8 * np.finfo(float).eps * size

@@ -5,8 +5,12 @@ import pytest
 
 from filippov.polys import piecewise, vf
 from filippov.regularize import (
+    EmergentSingularity,
     RegularizedField,
     SingularityType,
+    TransitionFunction,
+    _classify_eigs,
+    _newton,
     emergent_singularities,
     epsilon_sweep,
     make_transition,
@@ -127,6 +131,118 @@ def test_epsilon_sweep_rejects_bad_lists():
         epsilon_sweep(Z, phi, (-2.0, 0.0), [0.1, 0.2])
     with pytest.raises(ValueError):
         epsilon_sweep(Z, phi, (-2.0, 0.0), [0.1, -0.2])
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+def test_non_finite_epsilon_rejected(eps):
+    Z = piecewise(vf({(1, 0): 1.0}, {(0, 0): -1.0}), vf({(0, 0): 1.0}, {(0, 0): 1.0}))
+    phi = make_transition("smoothstep", 1)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        RegularizedField(Z, phi, eps)
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        epsilon_sweep(Z, phi, (-2.0, 0.0), [eps])
+
+
+SADDLE = piecewise(vf({(1, 0): 1.0}, {(0, 0): -1.0}),
+                   vf({(0, 0): 1.0}, {(0, 0): 1.0}))
+FOLD = piecewise(vf({(0, 0): 1.0}, {(1, 0): 1.0}), vf({}, {(0, 0): 1.0}))
+CUBIC = piecewise(
+    vf({(1, 0): 1.0, (3, 0): -0.1, (1, 2): 0.05},
+       {(0, 0): 1.0, (0, 1): -1.0, (0, 3): 0.1, (2, 1): 0.05}),
+    vf({(0, 1): -1.0, (3, 0): 0.2}, {(0, 0): 0.3, (1, 0): 1.0, (0, 3): -0.2}))
+
+
+def _reference_census(R, x_window, tols):
+    """The census as a scalar double loop: one field call per grid point
+    and one Python cell check per cell."""
+    eps = R.epsilon
+    step = eps / 20.0
+    xs = np.arange(x_window[0], x_window[1] + step, step)
+    ys = np.arange(-eps, eps + step / 2, step)
+    XX, YY = np.meshgrid(xs, ys, indexing="ij")
+    U = np.empty_like(XX)
+    V = np.empty_like(XX)
+    for i in range(XX.shape[0]):
+        for j in range(XX.shape[1]):
+            U[i, j], V[i, j] = R(XX[i, j], YY[i, j])
+
+    def varies(W, i, j):
+        c = W[i:i + 2, j:j + 2]
+        return c.min() <= 0.0 <= c.max()
+
+    found = []
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            if varies(U, i, j) and varies(V, i, j):
+                sol = _newton(R, XX[i, j] + step / 2, YY[i, j] + step / 2, tols)
+                if sol is None:
+                    continue
+                x, y = sol
+                if not (x_window[0] - step <= x <= x_window[1] + step
+                        and abs(y) <= eps + step):
+                    continue
+                if any(math.hypot(x - a, y - b) <= 10 * tols.root
+                       for a, b in found):
+                    continue
+                found.append((x, y))
+    out = []
+    h = 1e-6 * max(1.0, eps)
+    for x, y in sorted(found):
+        j = R.jacobian_fd(x, y, h)
+        eigs = np.linalg.eigvals(j)
+        out.append(EmergentSingularity(
+            (x, y), j, (complex(eigs[0]), complex(eigs[1])),
+            _classify_eigs(eigs, tols.sign)))
+    return out
+
+
+@pytest.mark.parametrize("Z, window, eps_list", [
+    (SADDLE, (-2.0, 0.0), (0.2, 0.05)),
+    (FOLD, (-2.0, 2.0), (0.1, 0.025)),
+    (CUBIC, (-3.0, 3.0), (0.2, 0.1)),
+], ids=["saddle", "fold", "cubic"])
+@pytest.mark.parametrize("family, par", [
+    ("smoothstep", 1), ("smoothstep", 2), ("bump", 0)])
+def test_census_matches_scalar_reference(Z, window, eps_list, family, par):
+    # the grid sums are not fsum, so a cell on a sign boundary may seed
+    # differently; a zero then differs by at most the merge radius
+    tols = default_tols()
+    phi = make_transition(family, par)
+    for eps in eps_list:
+        R = RegularizedField(Z, phi, eps)
+        got = emergent_singularities(R, window, tols)
+        want = _reference_census(R, window, tols)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert math.dist(g.position, w.position) <= 10 * tols.root
+            assert g.type is w.type
+            assert np.allclose(g.eigenvalues, w.eigenvalues, rtol=1e-6, atol=1e-6)
+
+
+def _count_calls(monkeypatch, cls):
+    calls = [0]
+    original = cls.__call__
+
+    def counted(self, *args):
+        calls[0] += 1
+        return original(self, *args)
+    monkeypatch.setattr(cls, "__call__", counted)
+    return calls
+
+
+def test_census_work_counters(monkeypatch):
+    # parent of the numpy census: 67,782 field calls on the saddle and
+    # 124,878 phi calls on the fold
+    field_calls = _count_calls(monkeypatch, RegularizedField)
+    phi_calls = _count_calls(monkeypatch, TransitionFunction)
+    phi = make_transition("smoothstep", 1)
+    assert len(emergent_singularities(
+        RegularizedField(SADDLE, phi, 0.025), (-2.0, 0.0))) == 1
+    assert field_calls[0] <= 5000
+    phi_calls[0] = 0
+    assert emergent_singularities(
+        RegularizedField(FOLD, phi, 0.025), (-2.0, 2.0)) == []
+    assert phi_calls[0] <= 50
 
 
 def test_regularized_cycle_inherits_from_crossing_cycle():
