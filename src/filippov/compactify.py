@@ -8,6 +8,12 @@ rescaling that removes (1+rho^2)^((1-m)/2),
 
 with A_k = Q_k(c,s) c - P_k(c,s) s and R_k = P_k(c,s) c + Q_k(c,s) s built
 from the homogeneous parts.  rho = 0 is the invariant circle at infinity.
+
+A_m is homogeneous of degree m+1 in (cos, sin): t = cot(theta) turns it into
+a polynomial a(t) of degree <= m+1 on each open half-circle, whose real
+roots (Sturm-isolated, with exact multiplicities) are the singular points
+at infinity.  The equator is free of them when a has no real root and a
+nonzero leading coefficient (no zero at theta = 0, pi).
 """
 
 from __future__ import annotations
@@ -17,16 +23,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import DegenerateTopCoefficient, EvenDegree, WrongHalf
 from .polys import (
     BivariatePolynomial,
     PiecewiseField,
     PolyVectorField,
+    cauchy_bound,
     homogeneous_part,
     partial,
+    univariate_roots,
 )
 from .tolerances import Tolerances, default_tols
 
@@ -176,37 +184,28 @@ def _top_scale(coef: TrigCoefficient) -> float:
                1.0)
 
 
-def _zeros_on_interval(A: TrigCoefficient, lo: float, hi: float,
-                       tols: Tolerances, n_grid: int = 4096) -> list[float]:
-    """Zeros of A on the open interval (lo, hi), including even-order
-    zeros found as near-zero local minima of |A|."""
-    pad = 1e-9
-    grid = np.linspace(lo + pad, hi - pad, n_grid)
-    vals = np.array([A(t) for t in grid])
-    scale = _top_scale(A)
-    zeros: list[float] = []
-    sign = np.sign(vals)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        zeros.append(brentq(A, grid[i], grid[i + 1], xtol=tols.root))
-    # even-order zeros: local minima of |A| that dip below threshold
-    absv = np.abs(vals)
-    for i in range(1, n_grid - 1):
-        if absv[i] <= absv[i - 1] and absv[i] <= absv[i + 1] \
-                and absv[i] < 1e-4 * scale:
-            res = minimize_scalar(lambda t: abs(A(t)),
-                                  bracket=(grid[i - 1], grid[i], grid[i + 1]),
-                                  method="brent",
-                                  options={"xtol": tols.root})
-            t_star = float(res.x)
-            if abs(A(t_star)) <= tols.sign and lo < t_star < hi:
-                zeros.append(t_star)
-    zeros.sort()
-    merged: list[float] = []
-    for z in zeros:
-        if merged and abs(z - merged[-1]) <= 100 * tols.root:
-            continue
-        merged.append(z)
-    return merged
+def _cot_poly(A: TrigCoefficient) -> np.ndarray:
+    """Ascending coefficients of a(t) = t Q_k(t, 1) - P_k(t, 1), so that
+    A_k(theta) = sin(theta)^(k+1) a(cot theta) on both open half-circles."""
+    a = np.zeros(A.k + 2)
+    for (i, _), v in A.q_k.coeffs.items():
+        a[i + 1] += v
+    for (i, _), v in A.p_k.coeffs.items():
+        a[i] -= v
+    return a
+
+
+def _real_roots(a: np.ndarray, tols: Tolerances) -> list[tuple[float, int]]:
+    """Every real root of a with its multiplicity, by Sturm isolation.  A
+    simple root takes one Newton step, kept if it stays within tols.root."""
+    bound = cauchy_bound(a)
+    out = []
+    for r, mult in univariate_roots(a, (-bound, bound), tols):
+        if mult == 1:
+            step = npoly.polyval(r, a) / npoly.polyval(r, npoly.polyder(a))
+            r = r - step if abs(step) <= tols.root else r
+        out.append((r, mult))
+    return out
 
 
 def infinity_singularities(Z: PiecewiseField,
@@ -214,7 +213,8 @@ def infinity_singularities(Z: PiecewiseField,
                            ) -> list[InfinitySingularity]:
     """Singular points on the circle at infinity.
 
-    Zeros of the top A-coefficient of each piece in its open half, plus
+    Zeros of the top A-coefficient of each piece in its open half (real
+    roots of its cot-polynomial; a multiple root is never hyperbolic), plus
     the two D-on-S1 points at theta = 0 and pi carrying the hyperbolicity
     certificate of the sliding field there.
     """
@@ -224,21 +224,18 @@ def infinity_singularities(Z: PiecewiseField,
     A2m, R2m = tf.A2[Z.m], tf.R2[Z.m]
 
     for A in (A1m, A2m):
-        grid = np.linspace(0, 2 * math.pi, 512)
-        if max(abs(A(t)) for t in grid) <= tols.sign * _top_scale(A):
+        if np.max(np.abs(_cot_poly(A))) <= tols.sign * _top_scale(A):
             raise DegenerateTopCoefficient(
                 f"top coefficient A_{{{A.field_tag},{Z.m}}} vanishes identically")
 
     out: list[InfinitySingularity] = []
-    for A, R, tag, (lo, hi) in (
-        (A1m, R1m, "X", (0.0, math.pi)),
-        (A2m, R2m, "Y", (math.pi, 2 * math.pi)),
-    ):
-        for t in _zeros_on_interval(A, lo, hi, tols):
+    for A, R, tag, lo in ((A1m, R1m, "X", 0.0), (A2m, R2m, "Y", math.pi)):
+        for r, mult in _real_roots(_cot_poly(A), tols):
+            t = lo + math.atan2(1.0, r)   # cot(t) = r in (lo, lo + pi)
             dA = A.derivative(t)
             Rv = R(t)
             cert = {"A": A(t), "dA": dA, "R": Rv}
-            hyp = Hyperbolicity.YES if abs(dA * Rv) > tols.sign \
+            hyp = Hyperbolicity.YES if mult == 1 and abs(dA * Rv) > tols.sign \
                 else Hyperbolicity.NO
             out.append(InfinitySingularity(t, tag, hyp, cert))
 
@@ -293,12 +290,12 @@ def s1_elementarity(Z: PiecewiseField,
     A1m, R1m = tf.A1[Z.m], tf.R1[Z.m]
     A2m, R2m = tf.A2[Z.m], tf.R2[Z.m]
 
-    # a near-zero sample or a sign change between neighbours: A_m has a
-    # zero there, so the integrand below has a pole
-    for A, lo in ((A1m, 0.0), (A2m, math.pi)):
-        vals = np.array([A(t) for t in np.linspace(lo, lo + math.pi, 2048)])
-        if (np.min(np.abs(vals)) <= tols.sign * _top_scale(A)
-                or np.any(vals[:-1] * vals[1:] < 0)):
+    # a real root of a is a zero of A_m inside a half-circle, a vanishing
+    # leading coefficient one at theta = 0 and pi; either is a pole of the
+    # integrand below
+    for A in (A1m, A2m):
+        a = _cot_poly(A)
+        if abs(a[-1]) <= tols.sign * _top_scale(A) or _real_roots(a, tols):
             return S1Report(S1Status.HAS_SINGULARITIES)
 
     def integrand(t):

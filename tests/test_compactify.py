@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
+from scipy.optimize import brentq, minimize_scalar
 
 from filippov.compactify import (
     Hyperbolicity,
@@ -17,11 +20,62 @@ from filippov.compactify import (
 from filippov.errors import DegenerateTopCoefficient, EvenDegree, WrongHalf
 from filippov.polys import piecewise, poly, vf
 from filippov.stability import check_gm
+from filippov.tolerances import default_tols
 
 ROTATION = vf({(0, 1): -1.0}, {(1, 0): 1.0})      # (-y, x)
 RADIAL = vf({(1, 0): 1.0}, {(0, 1): 1.0})         # (x, y)
 SPIRAL = vf({(0, 1): -1.0, (1, 0): 1.0},
             {(1, 0): 1.0, (0, 1): 1.0})           # (-y+x, x+y)
+# X = (0.6x - 0.09y, x): A_{1,1} = (cos t - 0.3 sin t)^2, a double zero at
+# cot t = 0.3, i.e. a saddle-node at infinity
+DOUBLE_ZERO = piecewise(vf({(1, 0): 0.6, (0, 1): -0.09}, {(1, 0): 1.0}),
+                        ROTATION)
+
+
+def _zeros_on_interval(A, lo, hi, tols, n_grid=4096):
+    """Test-only reference: the sampling census that the cot-polynomial
+    roots replaced (sign changes polished by brentq, even-order zeros as
+    near-zero local minima of |A|)."""
+    pad = 1e-9
+    grid = np.linspace(lo + pad, hi - pad, n_grid)
+    vals = np.array([A(t) for t in grid])
+    scale = max(max((abs(v) for v in A.p_k.coeffs.values()), default=0.0),
+                max((abs(v) for v in A.q_k.coeffs.values()), default=0.0),
+                1.0)
+    zeros = []
+    sign = np.sign(vals)
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        zeros.append(brentq(A, grid[i], grid[i + 1], xtol=tols.root))
+    absv = np.abs(vals)
+    for i in range(1, n_grid - 1):
+        if absv[i] <= absv[i - 1] and absv[i] <= absv[i + 1] \
+                and absv[i] < 1e-4 * scale:
+            res = minimize_scalar(lambda t: abs(A(t)),
+                                  bracket=(grid[i - 1], grid[i], grid[i + 1]),
+                                  method="brent",
+                                  options={"xtol": tols.root})
+            t_star = float(res.x)
+            if abs(A(t_star)) <= tols.sign and lo < t_star < hi:
+                zeros.append(t_star)
+    zeros.sort()
+    merged = []
+    for z in zeros:
+        if merged and abs(z - merged[-1]) <= 100 * tols.root:
+            continue
+        merged.append(z)
+    return merged
+
+
+def _seeded_fields():
+    """40 random degree-1/3 piecewise fields."""
+    rng = np.random.default_rng(11)
+    for k in range(40):
+        m = (1, 3)[k % 2]
+
+        def cs():
+            return {(i, j): rng.uniform(-2, 2) for i in range(m + 1)
+                    for j in range(m + 1 - i)}
+        yield piecewise(vf(cs(), cs(), m=m), vf(cs(), cs(), m=m))
 
 
 def test_trig_rotation():
@@ -160,8 +214,49 @@ def test_infinity_even_order_zero():
     sings = infinity_singularities(z)
     xs = [s for s in sings if s.field_tag == "X"]
     assert len(xs) == 1
-    assert xs[0].theta == pytest.approx(math.pi / 2, abs=1e-6)
+    assert xs[0].theta == pytest.approx(math.pi / 2, abs=1e-9)
     assert xs[0].hyperbolic is Hyperbolicity.NO
+
+
+def test_infinity_saddle_node_not_hyperbolic():
+    sings = infinity_singularities(DOUBLE_ZERO)
+    xs = [s for s in sings if s.field_tag == "X"]
+    assert len(xs) == 1
+    assert xs[0].theta == pytest.approx(math.atan2(1.0, 0.3), abs=1e-9)
+    assert xs[0].hyperbolic is Hyperbolicity.NO
+    rep = check_gm(DOUBLE_ZERO)
+    assert rep.infinity_status == "Violated"
+    assert {"kind": "non_hyperbolic_at_infinity",
+            "theta": xs[0].theta, "field": "X"} in rep.gm1.witnesses
+
+
+def test_infinity_simple_zeros_to_rounding():
+    # a(t) = q t^2 - p t: simple roots at cot t = 0 and p/q, which the
+    # Sturm bisection alone leaves 3e-11 and 5e-11 off in theta
+    p, q = -0.018259651632236196, -1.8866100939119748
+    X = vf({(0, 0): 1.0, (1, 0): p}, {(0, 0): -1.0, (1, 0): q})
+    thetas = [s.theta for s in infinity_singularities(piecewise(X, ROTATION))
+              if s.field_tag == "X"]
+    assert thetas == pytest.approx([math.atan2(1.0, p / q), math.pi / 2],
+                                   abs=1e-14)
+
+
+def test_infinity_census_matches_sampling_reference():
+    tols = default_tols()
+    for z in _seeded_fields():
+        tf = compactified_field(z)
+        ref = []
+        for A, R, tag, lo in ((tf.A1[z.m], tf.R1[z.m], "X", 0.0),
+                              (tf.A2[z.m], tf.R2[z.m], "Y", math.pi)):
+            for t in _zeros_on_interval(A, lo, lo + math.pi, tols):
+                ref.append((t, tag, abs(A.derivative(t) * R(t)) > tols.sign))
+        got = [(s.theta, s.field_tag, s.hyperbolic is Hyperbolicity.YES)
+               for s in infinity_singularities(z, tols)
+               if s.field_tag in ("X", "Y")]
+        assert len(got) == len(ref)
+        for (t, tag, hyp), (t_ref, tag_ref, hyp_ref) in zip(got, sorted(ref)):
+            assert t == pytest.approx(t_ref, abs=1e-8)
+            assert (tag, hyp) == (tag_ref, hyp_ref)
 
 
 def test_eq4_examples():
@@ -244,16 +339,19 @@ def test_s1_transversal_zeros_between_samples():
     check_gm(z)
 
 
-def test_s1_status_consistent_with_infinity_census():
-    rng = np.random.default_rng(11)
-    seen = 0
-    for k in range(40):
-        m = (1, 3)[k % 2]
+def test_s1_double_zero_between_samples():
+    # the sampled check missed this tangent zero and integrated across the
+    # double pole: Elementary with mu = 4.68e6 and an IntegrationWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        rep = s1_elementarity(DOUBLE_ZERO)
+    assert rep.status is S1Status.HAS_SINGULARITIES
+    assert rep.mu is None
 
-        def cs():
-            return {(i, j): rng.uniform(-2, 2) for i in range(m + 1)
-                    for j in range(m + 1 - i)}
-        z = piecewise(vf(cs(), cs(), m=m), vf(cs(), cs(), m=m))
+
+def test_s1_status_consistent_with_infinity_census():
+    seen = 0
+    for z in _seeded_fields():
         if any(s.field_tag in ("X", "Y") for s in infinity_singularities(z)):
             seen += 1
             assert s1_elementarity(z).status is not S1Status.ELEMENTARY

@@ -47,6 +47,16 @@ def test_interior_center_not_hyperbolic():
     assert s.hyperbolic == "no"
 
 
+@pytest.mark.xfail(strict=True, reason="the grid brackets sign changes only; "
+                   "P = (x - 0.3)^2 never changes sign")
+def test_interior_saddle_node_without_sign_change():
+    X = vf({(2, 0): 1.0, (1, 0): -0.6, (0, 0): 0.09}, {(0, 1): 1.0, (0, 0): -1.0})
+    out = interior_singularities(X, "N", WIN)
+    assert len(out) == 1
+    assert math.hypot(out[0].point[0] - 0.3, out[0].point[1] - 1.0) < 1e-5
+    assert out[0].hyperbolic == "no"
+
+
 def test_interior_constant_field_empty():
     assert interior_singularities(vf(ONE, ONE), "N", WIN) == []
 
