@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from .errors import DegenerateTopCoefficient, EvenDegree, WrongHalf
@@ -99,6 +98,19 @@ class TrigField:
         th = sum(rho**i * A[self.m - i](theta) for i in range(self.m + 1))
         rr = sum(rho**i * R[self.m - i](theta) for i in range(self.m + 1))
         return (th, -rho * rr)
+
+    def slope(self, A, R, theta: float, rho: float) -> tuple[float, float]:
+        """d(rho)/d(theta) = rho'/theta' of the piece with coefficients
+        (A, R) and its rho-derivative, from one evaluation of each
+        coefficient: theta' and rho' are polynomials in rho."""
+        a = [A[self.m - i](theta) for i in range(self.m + 1)]
+        r = [R[self.m - i](theta) for i in range(self.m + 1)]
+        th = sum(rho**i * v for i, v in enumerate(a))
+        rr = sum(rho**i * v for i, v in enumerate(r))
+        dth = sum(i * rho**(i - 1) * v for i, v in enumerate(a) if i)
+        drr = sum(i * rho**(i - 1) * v for i, v in enumerate(r) if i)
+        f = -rho * rr / th
+        return f, (-rr - rho * drr - f * dth) / th
 
     def eval_upper(self, theta: float, rho: float) -> tuple[float, float]:
         """X-piece, valid for theta in [0, pi] mod 2*pi."""
@@ -196,16 +208,9 @@ def _cot_poly(A: TrigCoefficient) -> np.ndarray:
 
 
 def _real_roots(a: np.ndarray, tols: Tolerances) -> list[tuple[float, int]]:
-    """Every real root of a with its multiplicity, by Sturm isolation.  A
-    simple root takes one Newton step, kept if it stays within tols.root."""
+    """Every real root of a with its multiplicity, by Sturm isolation."""
     bound = cauchy_bound(a)
-    out = []
-    for r, mult in univariate_roots(a, (-bound, bound), tols):
-        if mult == 1:
-            step = npoly.polyval(r, a) / npoly.polyval(r, npoly.polyder(a))
-            r = r - step if abs(step) <= tols.root else r
-        out.append((r, mult))
-    return out
+    return univariate_roots(a, (-bound, bound), tols)
 
 
 def infinity_singularities(Z: PiecewiseField,

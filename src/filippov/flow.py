@@ -40,8 +40,6 @@ Window = tuple[float, float, float, float]  # x0, x1, y0, y1
 _D_DIRECTION = (1.0, 0.0)
 # sewing abscissas that seed the closed-trajectory census by default
 DEFAULT_SEEDS = (-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0)
-# central-difference step in rho of compactified_return_map's derivative
-_H_FD = 1e-4
 
 
 class EventKind(Enum):
@@ -581,34 +579,31 @@ def compactified_return_map(Z: PiecewiseField, rho0: float,
                             tols: Tolerances | None = None
                             ) -> tuple[float, float]:
     """Return map of the compactified field on the section theta=0 and its
-    central finite-difference derivative at rho0 (step _H_FD).
+    derivative at rho0.
 
     Valid when the equator carries no singular points (theta moves
-    monotonically); integrates d(rho)/d(theta) across both halves.
+    monotonically); integrates f = d(rho)/d(theta) across both halves,
+    with the variational integral of df/drho as a second component of the
+    same solve, so the derivative is exp of its total.
     """
     from .compactify import compactified_field
 
     tols = tols or default_tols()
     tf = compactified_field(Z)
-    # (half-field, theta at entry, theta at exit) in the order theta runs
-    halves = [(tf.eval_upper, 0.0, math.pi),
-              (tf.eval_lower, math.pi, 2 * math.pi)]
+    # (coefficients of the half, theta at entry, theta at exit) in the
+    # order theta runs
+    halves = [((tf.A1, tf.R1), 0.0, math.pi),
+              ((tf.A2, tf.R2), math.pi, 2 * math.pi)]
     if tf.eval_upper(math.pi / 2, 0.0)[0] <= 0:
-        halves = [(ev, b, a) for ev, a, b in reversed(halves)]
+        halves = [(ar, b, a) for ar, a, b in reversed(halves)]
 
-    def rho_after_loop(rho: float) -> float:
-        for ev, theta0, theta1 in halves:
-            def rhs(theta, s, ev=ev):
-                v = ev(theta, s[0])
-                return [v[1] / v[0]]
-            sol = _integrate(rhs, [rho], theta1, tols, t0=theta0)
-            rho = float(sol.y[0][-1])
-        return rho
-
-    rho1 = rho_after_loop(rho0)
-    d = (rho_after_loop(rho0 + _H_FD) - rho_after_loop(rho0 - _H_FD)) \
-        / (2 * _H_FD)
-    return rho1, d
+    state = [rho0, 0.0]
+    for (A, R), theta0, theta1 in halves:
+        def rhs(theta, s, A=A, R=R):
+            return tf.slope(A, R, theta, s[0])
+        sol = _integrate(rhs, state, theta1, tols, t0=theta0)
+        state = [float(v) for v in sol.y[:, -1]]
+    return state[0], math.exp(state[1])
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,22 @@
 """Bivariate polynomials, polynomial vector fields and the piecewise field.
 
 Coefficients are double-precision reals stored sparsely; exact rational
-arithmetic is out of scope.  Real roots on the discontinuity line y=0 are
-isolated with Sturm sequences and polished by bisection/Newton, because
-arc classification downstream depends on exact root counts and ordering.
+arithmetic is out of scope.  A polynomial evaluates at a point through a
+function generated from its coefficients on the first call and cached on
+the instance: a straight-line Horner form in x whose coefficients are
+Horner forms in y, every coefficient written by repr, so the generated
+code holds the stored doubles exactly.  Real roots on the discontinuity
+line y=0 are isolated with Sturm sequences and polished by Newton's
+method kept inside the isolating bracket, because arc classification
+downstream depends on exact root counts and ordering.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -18,6 +25,40 @@ from .errors import IdenticallyZeroOnD
 from .tolerances import Tolerances, default_tols
 
 Coeffs = dict[tuple[int, int], float]
+
+
+def _horner_form(terms: dict[int, str], var: str) -> str:
+    """Horner form of sum terms[k] * var**k, highest power first."""
+    expr = ""
+    for k in range(max(terms), -1, -1):
+        if not expr:
+            expr = terms[k]
+        else:
+            expr = f"({expr})*{var}"
+            if k in terms:
+                expr += f" + {terms[k]}"
+    return expr
+
+
+def _compile_horner(coeffs: Coeffs) -> Callable[[float, float], float]:
+    """Straight-line evaluator of sum a_ij x^i y^j: Horner in x of Horner
+    forms in y.  The arguments are converted with float() first, so numpy
+    scalars run at Python float speed and the result is a float."""
+    rows: dict[int, dict[int, str]] = {}
+    for (i, j), v in coeffs.items():
+        rows.setdefault(i, {})[j] = repr(v)
+    inner = {i: _horner_form(r, "y") for i, r in rows.items()}
+    body = _horner_form(inner, "x") if inner else "0.0"
+    source = f"def horner(x, y):\n    x = float(x)\n    y = float(y)\n" \
+             f"    return {body}\n"
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec(compile(source, "<horner>", "exec"), namespace)
+    return namespace["horner"]
+
+
+def _field_state(obj) -> dict:
+    """Pickle state of a dataclass: its fields, without cached evaluators."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -46,16 +87,22 @@ class BivariatePolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    __getstate__ = _field_state
+
+    @cached_property
+    def _horner(self) -> Callable[[float, float], float]:
+        return _compile_horner(self.coeffs)
+
     def __call__(self, x: float, y: float) -> float:
-        return math.fsum(v * x**i * y**j for (i, j), v in self.coeffs.items())
+        return self._horner(x, y)
 
     def grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Values at every (xs[i], ys[j]), a len(xs) x len(ys) array.
 
         Computed as Vx @ C @ Vy.T from the power tables Vx[i, a] = xs[i]**a,
         Vy[j, b] = ys[j]**b and the dense coefficient matrix C[a, b] = a_ab.
-        The sums are plain floating point, not fsum, so a value can differ
-        from __call__ in the last digits.
+        The sums run in a different order from __call__'s Horner form, so
+        a value can differ from it in the last digits.
         """
         dx = max((i for i, _ in self.coeffs), default=0)
         dy = max((j for _, j in self.coeffs), default=0)
@@ -158,13 +205,24 @@ class PolyVectorField:
     def __call__(self, x: float, y: float) -> tuple[float, float]:
         return self.P(x, y), self.Q(x, y)
 
-    def jacobian(self) -> tuple[BivariatePolynomial, ...]:
-        """(dP/dx, dP/dy, dQ/dx, dQ/dy)."""
+    __getstate__ = _field_state
+
+    @cached_property
+    def _jacobian(self) -> tuple[BivariatePolynomial, ...]:
         return (partial(self.P, "x"), partial(self.P, "y"),
                 partial(self.Q, "x"), partial(self.Q, "y"))
 
+    @cached_property
+    def _divergence(self) -> BivariatePolynomial:
+        return self._jacobian[0] + self._jacobian[3]
+
+    def jacobian(self) -> tuple[BivariatePolynomial, ...]:
+        """(dP/dx, dP/dy, dQ/dx, dQ/dy), built once per field."""
+        return self._jacobian
+
     def divergence(self) -> BivariatePolynomial:
-        return partial(self.P, "x") + partial(self.Q, "y")
+        """dP/dx + dQ/dy, built once per field."""
+        return self._divergence
 
 
 def vf(P: Coeffs, Q: Coeffs, m: int | None = None) -> PolyVectorField:
@@ -271,30 +329,35 @@ def _count_roots(chain, a, b, zero_tol) -> int:
 
 
 def _polish_root(c: np.ndarray, a: float, b: float, tol: float) -> float:
-    """Bisection to tol, with Newton acceleration when it stays bracketed."""
+    """Newton's method kept inside the sign-change bracket [a, b].
+
+    A Newton step that would leave the bracket is replaced by bisection.
+    Returns the iterate of the first Newton step no longer than tol, whose
+    error is of the order of that step squared, or the bracket's end once
+    bisection has narrowed it to two adjacent doubles.
+    """
     d = npoly.polyder(c)
     fa = npoly.polyval(a, c)
+    x = 0.5 * (a + b)
     for _ in range(200):
-        if b - a <= tol:
-            break
-        mid = 0.5 * (a + b)
-        # Newton attempt from the midpoint
-        fm = npoly.polyval(mid, c)
-        dm = npoly.polyval(mid, d)
-        if dm != 0.0:
-            nxt = mid - fm / dm
-            if a < nxt < b:
-                fn = npoly.polyval(nxt, c)
-                if fa * fn <= 0:
-                    b, mid, fm = nxt, nxt, fn
-                else:
-                    a, fa = nxt, fn
-                continue
-        if fa * fm <= 0:
-            b = mid
+        fx = npoly.polyval(x, c)
+        if fx == 0.0:
+            return x
+        if fa * fx < 0:
+            b = x
         else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+            a, fa = x, fx
+        dfx = npoly.polyval(x, d)
+        step = fx / dfx if dfx != 0.0 else math.inf
+        if a < x - step < b:
+            if abs(step) <= tol:
+                return x - step
+            x -= step
+        else:
+            x = 0.5 * (a + b)
+            if x in (a, b):
+                return x
+    return x
 
 
 def _multiplicity(c: np.ndarray, r: float, zero_tol: float) -> int:

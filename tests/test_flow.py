@@ -357,6 +357,29 @@ def test_compactified_return_derivative_matches_mu():
     assert abs(d - math.exp(-math.pi)) < 1e-3
 
 
+
+@pytest.mark.parametrize("Z", [
+    # criterion 3's spiral: the map is linear, with slope e^-pi
+    piecewise(vf({(0, 1): -1.0, (1, 0): 1.0}, {(1, 0): 1.0, (0, 1): 1.0}),
+              ROT),
+    # cubic pieces without zeros at infinity: the slope depends on rho0
+    piecewise(vf({(1, 0): 1.0, (0, 1): -1.0, (2, 1): -1.0, (0, 3): -1.0},
+                 {(1, 0): 1.0, (0, 1): 1.0, (3, 0): 1.0, (1, 2): 1.0}),
+              vf({(0, 1): -1.0, (2, 1): -0.5, (0, 3): -0.5},
+                 {(1, 0): 1.0, (3, 0): 0.5, (1, 2): 0.5})),
+], ids=["spiral", "cubic"])
+def test_compactified_return_derivative_matches_richardson(Z):
+    rho0, h = 0.05, 1e-3
+
+    def central(step):
+        return (compactified_return_map(Z, rho0 + step)[0]
+                - compactified_return_map(Z, rho0 - step)[0]) / (2 * step)
+
+    richardson = (4 * central(h / 2) - central(h)) / 3
+    _, d = compactified_return_map(Z, rho0)
+    assert abs(d - richardson) <= 1e-7 * abs(richardson)
+
+
 def test_census_center_orbits_not_elementary():
     Z = piecewise(ROT, ROT)
     found = find_closed_polytrajectories(Z, WIN)

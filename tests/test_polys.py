@@ -1,6 +1,12 @@
+import copy
+import math
+import pickle
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from filippov import polys
 from filippov.errors import IdenticallyZeroOnD
 from filippov.polys import (
     BivariatePolynomial,
@@ -8,10 +14,14 @@ from filippov.polys import (
     eval_poly,
     homogeneous_part,
     partial,
+    piecewise,
     poly,
     real_roots_on_line,
+    univariate_roots,
     vf,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_eval_simple():
@@ -168,6 +178,96 @@ def test_grid_matches_scalar_evaluation():
         assert g.shape == (7, 4)
         for a, x in enumerate(xs):
             for b, y in enumerate(ys):
-                # plain sums against fsum: a few ulps of the largest term
+                # two summation orders: a few ulps of the largest term
                 size = sum(abs(v * x**i * y**j) for (i, j), v in coeffs.items())
                 assert abs(g[a, b] - p(x, y)) <= 8 * np.finfo(float).eps * size
+
+
+def _random_coeffs(rng, degree: int, shape: str) -> dict:
+    monomials = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)
+                 if shape == "full" or (shape == "x" and j == 0)
+                 or (shape == "y" and i == 0)]
+    keep = rng.random(len(monomials)) < 0.7
+    return {m: float(rng.standard_normal() * 10.0 ** rng.integers(-3, 4))
+            for m, k in zip(monomials, keep) if k}
+
+
+def test_horner_within_eight_eps_of_exact_value():
+    # each a_ij x^i y^j passes at most 2(i+j)+1 roundings of the nested
+    # Horner form, so the error is at most gamma_15 = 7.5 eps of sum |terms|
+    rng = np.random.default_rng(2024)
+    cases = [({}, "zero"), ({(0, 0): -3.75}, "constant")]
+    for degree in range(8):
+        for shape in ("full", "x", "y"):
+            for _ in range(4):
+                cases.append((_random_coeffs(rng, degree, shape), shape))
+    for coeffs, _ in cases:
+        p = poly(coeffs)
+        points = [(0.0, 0.0), (1.0, -1.0), (50.0, -50.0), (-50.0, 50.0)]
+        points += [tuple(rng.uniform(-50.0, 50.0, size=2)) for _ in range(10)]
+        points += [tuple(rng.uniform(-1.0, 1.0, size=2)) for _ in range(5)]
+        for x, y in points:
+            terms = [Fraction(v) * Fraction(x) ** i * Fraction(y) ** j
+                     for (i, j), v in p.coeffs.items()]
+            got = p(x, y)
+            assert type(got) is float
+            err = abs(Fraction(got) - sum(terms, Fraction(0)))
+            assert err <= 8 * Fraction(EPS) * sum(map(abs, terms), Fraction(0)), \
+                (coeffs, x, y)
+
+
+def test_horner_compiled_once_on_first_call(monkeypatch):
+    compiled = []
+    original = polys._compile_horner
+
+    def counting(coeffs):
+        compiled.append(coeffs)
+        return original(coeffs)
+
+    monkeypatch.setattr(polys, "_compile_horner", counting)
+    X = vf({(2, 1): 1.5, (0, 0): -2.0}, {(1, 0): 1.0})
+    X.jacobian()
+    X.divergence()
+    assert compiled == []  # building a field and its partials compiles nothing
+    assert [X.P(x, 0.5) for x in (0.0, 1.0, 2.0)] == [-2.0, -1.25, 1.0]
+    assert X.P(np.float64(2.0), np.float64(0.5)) == 1.0
+    assert len(compiled) == 1
+
+
+def test_field_partials_built_once():
+    X = vf({(3, 0): 1.0, (1, 1): -2.0}, {(0, 2): 0.5, (1, 0): 1.0})
+    assert X.jacobian() is X.jacobian()
+    assert X.divergence() is X.divergence()
+    assert X.divergence() == partial(X.P, "x") + partial(X.Q, "y")
+
+
+def test_evaluated_polynomial_and_field_round_trip():
+    X = vf({(2, 0): 1.0, (0, 1): -0.25}, {(1, 1): 3.0, (0, 0): 1.0})
+    Z = piecewise(X, vf({(0, 1): -1.0}, {(1, 0): 1.0}))
+    X(0.5, -1.0)
+    X.divergence()(0.5, -1.0)
+    Z.Y(0.5, -1.0)
+    for obj in (X.P, X, Z):
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert clone == obj
+    clone = pickle.loads(pickle.dumps(X))
+    assert clone(0.5, -1.0) == X(0.5, -1.0)
+    assert clone.divergence()(0.5, -1.0) == X.divergence()(0.5, -1.0)
+    assert copy.deepcopy(X.P)(2.0, 4.0) == X.P(2.0, 4.0)
+
+
+@pytest.mark.parametrize("coeffs, want", [
+    ([-2.0, 0.0, 1.0], [-math.sqrt(2.0), math.sqrt(2.0)]),
+    ([-6.0, 11.0, -6.0, 1.0], [1.0, 2.0, 3.0]),
+    ([0.0, -3.0, 0.0, 1.0], [-math.sqrt(3.0), 0.0, math.sqrt(3.0)]),
+    ([0.0, 1.0], [0.0]),
+    ([-1.0, 3.0, 0.0, 0.0, 0.0, 1.0], None),
+], ids=["sqrt2", "cubic123", "sqrt3_and_0", "x", "quintic"])
+def test_simple_roots_polished_to_machine_precision(coeffs, want):
+    if want is None:  # the one real root of x^5 + 3x - 1, by numpy
+        r = np.roots(coeffs[::-1])
+        want = sorted(float(v.real) for v in r if abs(v.imag) < 1e-12)
+    got = univariate_roots(np.array(coeffs), (-4.0, 4.0))
+    assert [m for _, m in got] == [1] * len(want)
+    for (r, _), w in zip(got, want):
+        assert abs(r - w) <= 1e-14

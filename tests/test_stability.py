@@ -222,3 +222,17 @@ def test_repair_refuses_other_violations():
     rep = check_gm(Z)
     with pytest.raises(NotRepairable):
         genericity_repair(Z, rep)
+
+
+def test_d_arc_boundary_at_exact_root_of_q():
+    # Q_X(x, 0) = x and the fold there is non-elementary: the D census puts
+    # the arc boundary, the fold and the witness at x = 0 to the last bit
+    Z = piecewise(vf({(1, 0): 0.6, (0, 1): -0.09}, {(1, 0): 1.0}), ROT)
+    rep = check_gm(Z).to_json_dict()
+    left, right = rep["d_census"]["arcs"]
+    assert abs(left["interval"][1]) <= 1e-15
+    assert abs(right["interval"][0]) <= 1e-15
+    assert [abs(f["x"]) <= 1e-15 for f in rep["d_census"]["folds"]] == [True]
+    witnesses = rep["conditions"]["interior_and_d"]["witnesses"]
+    d_point = [w for w in witnesses if w["kind"] == "non_elementary_d_point"]
+    assert len(d_point) == 1 and abs(d_point[0]["x"]) <= 1e-15
