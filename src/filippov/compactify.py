@@ -312,17 +312,3 @@ def s1_elementarity(Z: PiecewiseField,
     status = S1Status.ELEMENTARY if abs(mu) > tols.mu else S1Status.NON_ELEMENTARY
     return S1Report(status, mu, sigma, derivative)
 
-
-def s1_mu_two_leg(Z: PiecewiseField,
-                  tols: Tolerances | None = None) -> float:
-    """Cross-check form of the equator integral: the X-leg over [0, pi]
-    plus the Y-leg over [pi, 2pi]."""
-    tols = tols or default_tols()
-    tf = compactified_field(Z)
-    A1m, R1m = tf.A1[Z.m], tf.R1[Z.m]
-    A2m, R2m = tf.A2[Z.m], tf.R2[Z.m]
-    leg1, _ = quad(lambda t: R1m(t) / A1m(t), 0.0, math.pi,
-                   epsabs=1e-12, epsrel=1e-12, limit=200)
-    leg2, _ = quad(lambda t: R2m(t) / A2m(t), math.pi, 2 * math.pi,
-                   epsabs=1e-12, epsrel=1e-12, limit=200)
-    return leg1 + leg2

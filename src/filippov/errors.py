@@ -17,6 +17,10 @@ class WrongHalf(FilippovError):
     """A trig-field piece was evaluated outside its theta half-interval."""
 
 
+class CommonFactor(FilippovError):
+    """Two polynomials share a factor, so their common zeros form a curve."""
+
+
 class DegenerateTopCoefficient(FilippovError):
     """A_{k,m} vanishes identically: infinity is not of generic type."""
 

@@ -753,11 +753,8 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
     for idx, sad in enumerate(saddles):
         if sad.kind in ("X", "Y"):
             fld = Z.X if sad.kind == "X" else Z.Y
-            jpx, jpy, jqx, jqy = fld.jacobian()
             x0, y0 = sad.point
-            J = np.array([[jpx(x0, y0), jpy(x0, y0)],
-                          [jqx(x0, y0), jqy(x0, y0)]])
-            eigvals, eigvecs = np.linalg.eig(J)
+            eigvals, eigvecs = np.linalg.eig(fld.jacobian_at(x0, y0))
             for col, lam in enumerate(eigvals):
                 v = np.real(eigvecs[:, col])
                 v = v / np.linalg.norm(v)

@@ -1,14 +1,18 @@
 """Bivariate polynomials, polynomial vector fields and the piecewise field.
 
-Coefficients are double-precision reals stored sparsely; exact rational
-arithmetic is out of scope.  A polynomial evaluates at a point through a
-function generated from its coefficients on the first call and cached on
-the instance: a straight-line Horner form in x whose coefficients are
-Horner forms in y, every coefficient written by repr, so the generated
-code holds the stored doubles exactly.  Real roots on the discontinuity
-line y=0 are isolated with Sturm sequences and polished by Newton's
-method kept inside the isolating bracket, because arc classification
-downstream depends on exact root counts and ordering.
+Coefficients are double-precision reals stored sparsely.  A polynomial
+evaluates at a point through a function generated from its coefficients
+on the first call and cached on the instance: a straight-line Horner form
+in x whose coefficients are Horner forms in y, every coefficient written
+by repr, so the generated code holds the stored doubles exactly.  Real
+roots on the discontinuity line y=0 are isolated with Sturm sequences and
+polished by Newton's method kept inside the isolating bracket, because
+arc classification downstream depends on exact root counts and ordering.
+
+Common zeros in the plane start from the resultant in y, computed exactly:
+the doubles scale to integers and the Sylvester determinant is taken by
+fraction-free elimination over Z[x], rounded once at the end.  One damped
+Newton method, newton_zero, polishes every planar zero in the package.
 """
 
 from __future__ import annotations
@@ -145,12 +149,11 @@ class BivariatePolynomial:
                 c[i] = v
         return c
 
-    def restrict_x0(self) -> np.ndarray:
-        deg = max((j for (i, j) in self.coeffs if i == 0), default=0)
-        c = np.zeros(deg + 1)
+    def restrict_x(self, x: float) -> np.ndarray:
+        """Coefficients of y -> p(x, y), ascending powers (length >= 1)."""
+        c = np.zeros(max((j for _, j in self.coeffs), default=0) + 1)
         for (i, j), v in self.coeffs.items():
-            if i == 0:
-                c[j] = v
+            c[j] += v * x ** i
         return c
 
 
@@ -223,6 +226,11 @@ class PolyVectorField:
     def divergence(self) -> BivariatePolynomial:
         """dP/dx + dQ/dy, built once per field."""
         return self._divergence
+
+    def jacobian_at(self, x: float, y: float) -> np.ndarray:
+        """The matrix [[dP/dx, dP/dy], [dQ/dx, dQ/dy]] at (x, y)."""
+        px, py, qx, qy = self._jacobian
+        return np.array([[px(x, y), py(x, y)], [qx(x, y), qy(x, y)]])
 
 
 def vf(P: Coeffs, Q: Coeffs, m: int | None = None) -> PolyVectorField:
@@ -377,10 +385,12 @@ def univariate_roots(c: np.ndarray, window: tuple[float, float],
     coefficients c inside the window, sorted ascending."""
     tols = tols or default_tols()
     c = _trim(np.asarray(c, dtype=float), 0.0)
-    scale = max(np.max(np.abs(c)), 1.0)
-    c_full = c
     if len(c) == 1:
         return []
+    # the zero floors are relative to max(|c|, 1), so smaller polynomials
+    # are scaled up to unit size first
+    c = c / min(np.max(np.abs(c)), 1.0)
+    scale = max(np.max(np.abs(c)), 1.0)
     sf = _square_free(c, tols.coeff_zero)
     if len(sf) == 1:
         return []
@@ -424,7 +434,7 @@ def univariate_roots(c: np.ndarray, window: tuple[float, float],
     out = []
     for r in roots:
         if window[0] - tols.root <= r <= window[1] + tols.root:
-            out.append((r, _multiplicity(c_full, r, tols.coeff_zero)))
+            out.append((r, _multiplicity(c, r, tols.coeff_zero)))
     return out
 
 
@@ -451,3 +461,91 @@ def cauchy_bound(c: np.ndarray) -> float:
         return 1.0
     return 1.0 + float(np.max(np.abs(c[:-1])) / abs(c[-1]))
 
+
+# ---------------------------------------------------------------------------
+# Common zeros in the plane.
+# ---------------------------------------------------------------------------
+
+def resultant_y(p: BivariatePolynomial, q: BivariatePolynomial
+                ) -> np.ndarray:
+    """Ascending x-coefficients of Res_y(p, q), the determinant of the
+    Sylvester matrix of p and q as polynomials in y, each rounded once from
+    its exact value.  A double is an integer over a power of two, so the
+    entries scale to integer polynomials in x; packed as their values at
+    x = 2**b (Kronecker substitution), fraction-free (Bareiss) elimination
+    takes the determinant with exact integer divisions, and b is large
+    enough that its base-2**b digits are the resultant's coefficients.
+    When neither depends on y, p gets formal y-degree 1, so the result is q.
+    """
+    ints, exps = [], []
+    for f in (p, q):
+        ratios = {k: v.as_integer_ratio() for k, v in f.coeffs.items()}
+        exps.append(max((d.bit_length() for _, d in ratios.values()),
+                        default=1) - 1)
+        ints.append({k: n << (exps[-1] - d.bit_length() + 1)
+                     for k, (n, d) in ratios.items()})
+    ny = [max((j for _, j in f), default=0) for f in ints]
+    ny[0] = max(ny[0], 1 - ny[1])
+    size = sum(ny)
+    bits = max((abs(v).bit_length() for f in ints for v in f.values()),
+               default=0)
+    # a coefficient of the determinant, a sum of size! products of size
+    # entries of at most deg + 1 terms each, is below
+    # (size (deg + 1))**size 2**(size bits) <= 2**(b - 1) in magnitude
+    terms = size * (max(p.degree, q.degree) + 1)
+    b = size * (bits + terms.bit_length()) + 1
+    m = [[0] * size for _ in range(size)]
+    for f, n, k, top in ((ints[0], *ny, 0), (ints[1], ny[1], ny[0], ny[1])):
+        for (i, j), v in f.items():
+            for r in range(k):     # row top + r holds y^r f, descending
+                m[top + r][r + n - j] += v << (b * i)
+    sign, prev = 1, 1
+    for s in range(size - 1):
+        piv = next((i for i in range(s, size) if m[i][s]), None)
+        if piv is None:
+            return np.zeros(1)
+        if piv != s:
+            m[s], m[piv], sign = m[piv], m[s], -sign
+        for i in range(s + 1, size):
+            for j in range(s + 1, size):
+                m[i][j] = (m[s][s] * m[i][j] - m[i][s] * m[s][j]) // prev
+        prev = m[s][s]
+    det, digits = sign * m[-1][-1], []
+    while det:
+        d = det & ((1 << b) - 1)
+        d -= (d >> (b - 1)) << b       # the digit in [-2**(b-1), 2**(b-1))
+        digits.append(d)
+        det = (det - d) >> b
+    den = 1 << (exps[0] * ny[1] + exps[1] * ny[0])
+    return np.array([d / den for d in digits] or [0.0])
+
+
+def newton_zero(f: Callable[[float, float], tuple[float, float]],
+                jac: Callable[[float, float], np.ndarray],
+                x: float, y: float, tols: Tolerances
+                ) -> tuple[float, float] | None:
+    """Damped Newton for a zero of the planar map f with Jacobian jac: a
+    step is halved until the residual norm drops (at most 25 times); the
+    first iterate with residual norm <= tols.newton within 60 steps, else
+    None."""
+    fx, fy = f(x, y)
+    res = math.hypot(fx, fy)
+    for _ in range(60):
+        if res <= tols.newton:
+            return (x, y)
+        try:
+            sx, sy = np.linalg.solve(jac(x, y), (fx, fy))
+        except np.linalg.LinAlgError:
+            return None
+        lam = 1.0
+        for _ in range(25):
+            xn, yn = x - lam * sx, y - lam * sy
+            gx, gy = f(xn, yn)
+            rn = math.hypot(gx, gy)
+            if rn < res:
+                x, y, fx, fy, res = xn, yn, gx, gy, rn
+                break
+            lam *= 0.5
+        else:
+            return None
+    return (x, y) if res <= tols.newton else None

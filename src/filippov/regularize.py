@@ -3,12 +3,14 @@
 Z_eps(q) = (1 - phi(y/eps)) Y(q) + phi(y/eps) X(q) with a monotone
 transition function phi: identically 0 left of -1, identically 1 right
 of 1.  Emergent singularities live in the band |y| < eps and are located
-by sign-grid bracketing plus damped Newton.
+by sign-grid bracketing plus the damped Newton of polys.newton_zero.
 
 The census grid is evaluated with numpy: every polynomial once per strip
 of x values through BivariatePolynomial.grid, and phi once per grid row,
 because t = y/eps is shared by the row.  Strips of a fixed width bound
-the memory whatever eps is.  Newton and the Jacobians stay scalar.
+the memory whatever eps is.  Newton and the Jacobians stay scalar; the
+Jacobian is exact, from the pieces' polynomial partials and phi', as is
+the divergence that gives a regularized cycle its return derivative.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import BadParameter, NoReturn, NotTransversal, StepFailure
-from .polys import PiecewiseField
+from .polys import PiecewiseField, newton_zero
 from .tolerances import Tolerances, default_tols
 
 
@@ -127,13 +129,21 @@ class RegularizedField:
             yield (s, (1 - w) * Y.P.grid(sx, ys) + w * X.P.grid(sx, ys),
                    (1 - w) * Y.Q.grid(sx, ys) + w * X.Q.grid(sx, ys))
 
-    def jacobian_fd(self, x: float, y: float, h: float) -> np.ndarray:
-        j = np.empty((2, 2))
-        for col, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
-            fp = self(x + dx, y + dy)
-            fm = self(x - dx, y - dy)
-            j[0, col] = (fp[0] - fm[0]) / (2 * h)
-            j[1, col] = (fp[1] - fm[1]) / (2 * h)
+    def jacobian(self, x: float, y: float) -> np.ndarray:
+        """Exact Jacobian of the blend: w J_X + (1 - w) J_Y with
+        w = phi(y/eps), plus phi'(y/eps)/eps (X - Y) in the y column."""
+        t = y / self.epsilon
+        if t >= 1.0:
+            return self.Z.X.jacobian_at(x, y)
+        if t <= -1.0:
+            return self.Z.Y.jacobian_at(x, y)
+        w = self.phi(t)
+        j = w * self.Z.X.jacobian_at(x, y) \
+            + (1 - w) * self.Z.Y.jacobian_at(x, y)
+        dw = self.phi.derivative(t) / self.epsilon
+        vx, vy = self.Z.X(x, y), self.Z.Y(x, y)
+        j[0, 1] += dw * (vx[0] - vy[0])
+        j[1, 1] += dw * (vx[1] - vy[1])
         return j
 
 
@@ -166,34 +176,6 @@ def _classify_eigs(eigs: np.ndarray, tol: float) -> SingularityType:
     return SingularityType.NODE
 
 
-def _newton(R: RegularizedField, x0: float, y0: float,
-            tols: Tolerances) -> tuple[float, float] | None:
-    h = 1e-6 * max(1.0, R.epsilon)
-    x, y = x0, y0
-    f = np.array(R(x, y))
-    res = float(np.linalg.norm(f))
-    for _ in range(50):
-        if res <= tols.newton:
-            return (x, y)
-        j = R.jacobian_fd(x, y, h)
-        try:
-            step = np.linalg.solve(j, f)
-        except np.linalg.LinAlgError:
-            return None
-        lam = 1.0
-        for _ in range(20):
-            xn, yn = x - lam * step[0], y - lam * step[1]
-            fn = np.array(R(xn, yn))
-            rn = float(np.linalg.norm(fn))
-            if rn < res:
-                x, y, f, res = xn, yn, fn, rn
-                break
-            lam *= 0.5
-        else:
-            return None
-    return (x, y) if res <= tols.newton else None
-
-
 def _sign_varies(W: np.ndarray) -> np.ndarray:
     """Cells of the grid W whose four corners bracket 0: min <= 0 <= max."""
     corners = (W[:-1, :-1], W[1:, :-1], W[:-1, 1:], W[1:, 1:])
@@ -214,7 +196,7 @@ def emergent_singularities(R: RegularizedField,
     cells along x (one column of overlap), so its memory is bounded
     whatever eps is; each polynomial is evaluated once per strip and phi
     once per grid row for the whole census.  Seeds are visited in (x, y)
-    cell order; Newton and the Jacobians use the scalar field.
+    cell order; Newton and the exact Jacobian use the scalar field.
     """
     tols = tols or default_tols()
     eps = R.epsilon
@@ -225,7 +207,8 @@ def emergent_singularities(R: RegularizedField,
     found: list[tuple[float, float]] = []
     for s, U, V in R.strips(xs, ys):
         for i, j in zip(*np.nonzero(_sign_varies(U) & _sign_varies(V))):
-            sol = _newton(R, xs[s + i] + step / 2, ys[j] + step / 2, tols)
+            sol = newton_zero(R, R.jacobian, xs[s + i] + step / 2,
+                              ys[j] + step / 2, tols)
             if sol is None:
                 continue
             x, y = sol
@@ -238,9 +221,8 @@ def emergent_singularities(R: RegularizedField,
             found.append((x, y))
 
     out = []
-    h = 1e-6 * max(1.0, eps)
     for x, y in sorted(found):
-        j = R.jacobian_fd(x, y, h)
+        j = R.jacobian(x, y)
         eigs = np.linalg.eigvals(j)
         out.append(EmergentSingularity(
             (x, y), j, (complex(eigs[0]), complex(eigs[1])),
@@ -289,8 +271,8 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
     x=section_x, y in s_range: fixed points of the smooth first-return map
     found by bisection on eta(s)-s.  The derivative at a fixed point comes
     from one run with the divergence integral:
-    eta' = (R_x(start)/R_x(end)) exp(int div R), where
-    div R = w div X + (1-w) div Y + phi'(y/eps)/eps (Q_X - Q_Y), w = phi(y/eps).
+    eta' = (R_x(start)/R_x(end)) exp(int div R), div R the trace of the
+    exact Jacobian: w div X + (1-w) div Y + phi'(y/eps)/eps (Q_X - Q_Y).
     Raises NotTransversal when R_x vanishes at either end of that run.
     Grid points whose orbit fails to return or blows up are skipped.
     """
@@ -301,13 +283,6 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
     tols = tols or default_tols()
     R = RegularizedField(Z, phi, epsilon)
     sec = Section((section_x, 0.0), (0.0, 1.0), s_range)
-    div_x, div_y = Z.X.divergence(), Z.Y.divergence()
-
-    def div_r(x: float, y: float) -> float:
-        t = y / epsilon
-        w = phi(t)
-        return (w * div_x(x, y) + (1 - w) * div_y(x, y)
-                + phi.derivative(t) / epsilon * (Z.X.Q(x, y) - Z.Y.Q(x, y)))
 
     def run(s: float, with_div: bool):
         """End state of the first return from sec(s), with the divergence
@@ -317,7 +292,7 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
         def rhs(t, st):
             v = R(st[0], st[1])
             if with_div:
-                return [v[0], v[1], div_r(st[0], st[1])]
+                return [v[0], v[1], np.trace(R.jacobian(st[0], st[1]))]
             return list(v)
 
         # leave the section before arming the event: integrate a short leg

@@ -1,7 +1,8 @@
 """Structural-stability report for piecewise polynomial fields.
 
 Assembles per-condition certificates: interior hyperbolicity on each open
-half-plane, elementarity of every discontinuity-line singularity,
+half-plane (the common zeros of each piece, by the resultant in y and
+Newton polish), elementarity of every discontinuity-line singularity,
 hyperbolicity at infinity, elementarity of closed poly-trajectories
 (including the equator), and absence of saddle connections.  Also houses
 the coefficient-level perturbation operators used to repair the two
@@ -19,6 +20,7 @@ import numpy as np
 from . import compactify, dline, flow
 from .compactify import Hyperbolicity, S1Status
 from .errors import (
+    CommonFactor,
     DegenerateTopCoefficient,
     DegreeMismatch,
     EvenDegree,
@@ -26,10 +28,14 @@ from .errors import (
     NotRepairable,
 )
 from .polys import (
+    BivariatePolynomial,
     PiecewiseField,
     PolyVectorField,
     cauchy_bound,
+    newton_zero,
     poly,
+    resultant_y,
+    univariate_roots,
 )
 from .tolerances import Tolerances, default_tols
 
@@ -42,50 +48,34 @@ UNDETERMINED = "Undetermined"
 class InteriorSingularity:
     point: tuple[float, float]
     eigenvalues: tuple[complex, complex]
-    hyperbolic: str  # "yes", "no", "borderline"
+    hyperbolic: str  # "yes", "no", "borderline", or "unverified" when
+                     # Newton failed from this seed
 
     @property
     def is_saddle(self) -> bool:
         a, b = self.eigenvalues
-        return abs(a.imag) < 1e-9 and abs(b.imag) < 1e-9 and \
-            a.real * b.real < 0
-
-
-def _newton_exact(X: PolyVectorField, x0: float, y0: float,
-                  tols: Tolerances) -> tuple[float, float] | None:
-    px, py, qx, qy = X.jacobian()
-    x, y = x0, y0
-    f = np.array(X(x, y))
-    res = float(np.linalg.norm(f))
-    for _ in range(60):
-        if res <= tols.newton:
-            return (x, y)
-        j = np.array([[px(x, y), py(x, y)], [qx(x, y), qy(x, y)]])
-        try:
-            step = np.linalg.solve(j, f)
-        except np.linalg.LinAlgError:
-            return None
-        lam = 1.0
-        for _ in range(25):
-            xn, yn = x - lam * step[0], y - lam * step[1]
-            fn = np.array(X(xn, yn))
-            rn = float(np.linalg.norm(fn))
-            if rn < res:
-                x, y, f, res = xn, yn, fn, rn
-                break
-            lam *= 0.5
-        else:
-            return None
-    return (x, y) if res <= tols.newton else None
+        return self.hyperbolic != "unverified" and abs(a.imag) < 1e-9 \
+            and abs(b.imag) < 1e-9 and a.real * b.real < 0
 
 
 def interior_singularities(X: PolyVectorField, region: str,
                            window: tuple[float, float, float, float],
-                           tols: Tolerances | None = None,
-                           grid: int = 80) -> list[InteriorSingularity]:
+                           tols: Tolerances | None = None
+                           ) -> list[InteriorSingularity]:
     """Common zeros of (P, Q) in the open half-plane (region 'N': y>0,
-    'S': y<0) by sign-variation bracketing on a grid plus exact-Jacobian
-    Newton polish."""
+    'S': y<0) of the window, by elimination of y.
+
+    P and Q are first scaled to unit largest coefficient, so the zero
+    tests and the Newton residual below do not depend on the field's
+    scale.  The abscissa of a common zero is a real root of the resultant
+    Res_y(P, Q), isolated by Sturm sequences; its ordinate is a real root
+    of P(x, .) or Q(x, .) there.  Each such pair only seeds a damped Newton
+    run with the exact Jacobian, and the Newton iterate is what is
+    reported; a seed at which P and Q vanish to tols.close but whose run
+    fails is reported as it stands, with hyperbolic 'unverified'.  Raises
+    CommonFactor when P and Q share a factor: the resultant vanishes, or
+    both P(x, .) and Q(x, .) do at one of its roots.
+    """
     tols = tols or default_tols()
     x0, x1, y0, y1 = window
     if region == "N":
@@ -96,41 +86,40 @@ def interior_singularities(X: PolyVectorField, region: str,
         raise ValueError("region must be 'N' or 'S'")
     if y1 <= y0:
         return []
-    xs = np.linspace(x0, x1, grid + 1)
-    ys = np.linspace(y0, y1, grid + 1)
-    P = np.array([[X.P(x, y) for x in xs] for y in ys])
-    Q = np.array([[X.Q(x, y) for x in xs] for y in ys])
-    found: list[tuple[float, float]] = []
-    for i in range(grid):
-        for j in range(grid):
-            p_cell = P[i:i + 2, j:j + 2]
-            q_cell = Q[i:i + 2, j:j + 2]
-            if p_cell.min() > 0 or p_cell.max() < 0:
-                continue
-            if q_cell.min() > 0 or q_cell.max() < 0:
-                continue
-            xc = 0.5 * (xs[j] + xs[j + 1])
-            yc = 0.5 * (ys[i] + ys[i + 1])
-            sol = _newton_exact(X, xc, yc, tols)
-            if sol is None:
-                continue
-            if not (x0 - 1e-9 <= sol[0] <= x1 + 1e-9):
-                continue
-            if region == "N" and sol[1] <= tols.sign:
-                continue
-            if region == "S" and sol[1] >= -tols.sign:
-                continue
-            if any(math.hypot(sol[0] - a, sol[1] - b) <= 10 * tols.root
-                   for a, b in found):
-                continue
-            found.append(sol)
+    U = PolyVectorField(*(p.scale(1 / max(map(abs, p.coeffs.values()),
+                                          default=1.0)) for p in (X.P, X.Q)),
+                        X.m)
+    res = resultant_y(U.P, U.Q)
+    if np.max(np.abs(res)) <= tols.coeff_zero:
+        raise CommonFactor("Res_y(P, Q) vanishes identically")
+    slack = tols.sign
+    points = []  # (Newton failed, x, y)
+    for xr, _ in univariate_roots(res, (x0 - slack, x1 + slack), tols):
+        live = [p for p in (U.P, U.Q)
+                if np.max(np.abs(p.restrict_x(xr))) > tols.sign]
+        if not live:
+            raise CommonFactor(f"P and Q vanish on the line x = {xr!r}")
+        for yr in sorted({yr for p in live for yr, _ in univariate_roots(
+                p.restrict_x(xr), (y0 - slack, y1 + slack), tols)}):
+            sol = newton_zero(U, U.jacobian_at, xr, yr, tols)
+            if sol is None and max(map(abs, U(xr, yr))) > tols.close:
+                continue  # not a common root of P(xr, .) and Q(xr, .)
+            x, y = sol or (xr, yr)
+            if (x0 - slack <= x <= x1 + slack) and \
+                    (y > tols.sign if region == "N" else y < -tols.sign):
+                points.append((sol is None, x, y))
+    kept: list[tuple[bool, float, float]] = []
+    for p in sorted(points):  # Newton's zeros first, then failed seeds
+        if all(math.hypot(p[1] - q[1], p[2] - q[2]) > 10 * tols.root
+               for q in kept):
+            kept.append(p)
     out = []
-    px, py, qx, qy = X.jacobian()
-    for x, y in sorted(found):
-        j = np.array([[px(x, y), py(x, y)], [qx(x, y), qy(x, y)]])
-        eigs = np.linalg.eigvals(j)
+    for failed, x, y in sorted(kept, key=lambda p: p[1:]):
+        eigs = np.linalg.eigvals(X.jacobian_at(x, y))
         re = np.abs(np.real(eigs))
-        if np.min(re) > tols.sign:
+        if failed:
+            hyp = "unverified"
+        elif np.min(re) > tols.sign:
             hyp = "yes"
         elif np.min(re) > tols.sign / 10:
             hyp = "borderline"
@@ -257,7 +246,7 @@ def default_window(Z: PiecewiseField, margin: float = 1.0
     b = 1.0
     for p in (Z.X.P, Z.X.Q, Z.Y.P, Z.Y.Q):
         for axis in (0, 1):
-            c = p.restrict_y0() if axis == 0 else p.restrict_x0()
+            c = p.restrict_y0() if axis == 0 else p.restrict_x(0.0)
             nonzero = np.abs(c) > 1e-12
             if len(c) > 1 and nonzero[1:].any():
                 b = max(b, cauchy_bound(c))
@@ -283,14 +272,23 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
     gm3 = ConditionEntry()
 
     # interior singularities on both open half-planes
-    interior_x = interior_singularities(Z.X, "N", window, tols)
-    interior_y = interior_singularities(Z.Y, "S", window, tols)
-    for label, sings in (("upper", interior_x), ("lower", interior_y)):
-        for s in sings:
-            if s.hyperbolic != "yes":
+    interior: dict[str, list[InteriorSingularity]] = {}
+    for label, side, region in (("upper", Z.X, "N"), ("lower", Z.Y, "S")):
+        try:
+            interior[label] = interior_singularities(side, region, window,
+                                                     tols)
+        except CommonFactor:
+            interior[label] = []
+            gm1.weaken({"kind": "interior_common_factor", "region": label})
+        for s in interior[label]:
+            point = [s.point[0], s.point[1]]
+            if s.hyperbolic == "unverified":
+                gm1.weaken({"kind": "interior_newton_failed",
+                            "region": label, "point": point})
+            elif s.hyperbolic != "yes":
                 gm1.violate({"kind": "non_hyperbolic_interior",
-                             "region": label,
-                             "point": [s.point[0], s.point[1]]})
+                             "region": label, "point": point})
+    interior_x, interior_y = interior["upper"], interior["lower"]
 
     # D-line census
     try:

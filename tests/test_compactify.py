@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import IntegrationWarning
 from scipy.optimize import brentq, minimize_scalar
 
@@ -14,7 +15,6 @@ from filippov.compactify import (
     infinity_singularities,
     pullback_check,
     s1_elementarity,
-    s1_mu_two_leg,
     trig_coefficients,
 )
 from filippov.errors import DegenerateTopCoefficient, EvenDegree, WrongHalf
@@ -30,6 +30,43 @@ SPIRAL = vf({(0, 1): -1.0, (1, 0): 1.0},
 # cot t = 0.3, i.e. a saddle-node at infinity
 DOUBLE_ZERO = piecewise(vf({(1, 0): 0.6, (0, 1): -0.09}, {(1, 0): 1.0}),
                         ROTATION)
+
+
+def _mu_by_residues(z):
+    """Test-only reference for the equator integral mu, by residues.
+
+    With t = cot(theta), A_m = sin^(m+1) a(t) and R_m = sin^(m+1) r(t) for
+    a(t) = t Q_m(t, 1) - P_m(t, 1) and r(t) = t P_m(t, 1) + Q_m(t, 1), and
+    dtheta = -dt / (1 + t^2).  So mu is the integral over the real line of
+    (r1/a1 + r2/a2) / (1 + t^2), a rational function with no real pole.
+    Each r/a is split as c + s/a with deg s < deg a; c adds c * pi.
+    Closing the contour in the upper half-plane, s/(a (1 + t^2)) adds
+    2 pi i times its residues there: s(i) / (2i a(i)) at t = i, and
+    s(z) / (a'(z) (1 + z^2)) at each (simple) root z of a.
+    """
+    m = z.m
+    mu = 0.0
+    for side in (z.X, z.Y):
+        p, q = np.zeros(m + 1), np.zeros(m + 1)
+        for c, poly_ in ((p, side.P), (q, side.Q)):
+            for (i, j), v in poly_.coeffs.items():
+                if i + j == m:
+                    c[i] += v
+        a = npoly.polysub(npoly.polymulx(q), p)
+        r = npoly.polyadd(npoly.polymulx(p), q)
+        c = r[-1] / a[-1]
+        s = r - c * a
+        mu += c * math.pi
+        if not s.any():
+            continue
+        res = npoly.polyval(1j, s) / (2j * npoly.polyval(1j, a))
+        da = npoly.polyder(a)
+        for root in npoly.polyroots(a):
+            if root.imag > 0:
+                res += npoly.polyval(root, s) / (
+                    npoly.polyval(root, da) * (1 + root * root))
+        mu += (2j * math.pi * res).real
+    return mu
 
 
 def _zeros_on_interval(A, lo, hi, tols, n_grid=4096):
@@ -295,8 +332,25 @@ def test_s1_spiral_over_rotation():
     assert rep.mu == pytest.approx(math.pi, abs=1e-10)
     assert rep.sigma == -1
     assert rep.derivative == pytest.approx(math.exp(-math.pi), rel=1e-10)
-    # two-leg form agrees
-    assert s1_mu_two_leg(z) == pytest.approx(rep.mu, abs=1e-10)
+    assert _mu_by_residues(z) == pytest.approx(rep.mu, abs=1e-10)
+
+
+def test_s1_mu_matches_residue_sum():
+    # quad on the equator integral against the residue sum, on seeded odd
+    # degree fields whose equator carries no singular point
+    rng = np.random.default_rng(21)
+    checked = 0
+    while checked < 20:
+        m = int(rng.choice([1, 3]))
+        def cs():
+            return {(i, j): rng.uniform(-2, 2) for i in range(m + 1)
+                    for j in range(m + 1 - i)}
+        z = piecewise(vf(cs(), cs(), m=m), vf(cs(), cs(), m=m))
+        rep = s1_elementarity(z)
+        if rep.status is S1Status.HAS_SINGULARITIES:
+            continue
+        assert _mu_by_residues(z) == pytest.approx(rep.mu, abs=1e-10)
+        checked += 1
 
 
 def test_s1_cancelling():

@@ -17,6 +17,7 @@ from filippov.polys import (
     piecewise,
     poly,
     real_roots_on_line,
+    resultant_y,
     univariate_roots,
     vf,
 )
@@ -270,4 +271,65 @@ def test_simple_roots_polished_to_machine_precision(coeffs, want):
     got = univariate_roots(np.array(coeffs), (-4.0, 4.0))
     assert [m for _, m in got] == [1] * len(want)
     for (r, _), w in zip(got, want):
+        assert abs(r - w) <= 1e-14
+
+
+def _sylvester(p, q, x):
+    """The Sylvester matrix of p(x, .) and q(x, .) in y at a given x."""
+    a = p.restrict_x(x)[::-1]
+    b = q.restrict_x(x)[::-1]
+    n, k = len(a) - 1, len(b) - 1
+    s = np.zeros((n + k, n + k))
+    for r in range(k):
+        s[r, r:r + n + 1] = a
+    for r in range(n):
+        s[k + r, r:r + k + 1] = b
+    return s
+
+
+def test_resultant_matches_sylvester_determinant():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        m = int(rng.integers(1, 4))
+        def table():
+            return {(i, j): rng.uniform(-2, 2) for i in range(m + 1)
+                    for j in range(m + 1 - i) if rng.random() < 0.8}
+        p, q = poly(table()), poly(table())
+        if len(p.restrict_x(0.5)) + len(q.restrict_x(0.5)) < 3 or \
+                p.restrict_x(0.5)[-1] == 0 or q.restrict_x(0.5)[-1] == 0:
+            continue  # a y-free pair, or a y-degree that depends on x
+        res = resultant_y(p, q)
+        assert len(res) <= m * m + 1
+        for x in rng.uniform(-3, 3, 5):
+            s = _sylvester(p, q, x)
+            want = np.linalg.det(s)
+            scale = np.prod(np.linalg.norm(s, axis=1))
+            assert abs(np.polynomial.polynomial.polyval(x, res) - want) \
+                <= 1e-12 * scale
+
+
+def test_resultant_exact_on_integer_factors():
+    # Res_y((x - 1)(y - 2), (x - 1)(x + y)) = (x - 1)^2 (x + 2)
+    p = poly({(1, 1): 1.0, (1, 0): -2.0, (0, 1): -1.0, (0, 0): 2.0})
+    q = poly({(2, 0): 1.0, (1, 1): 1.0, (1, 0): -1.0, (0, 1): -1.0})
+    assert resultant_y(p, q).tolist() == [2.0, -3.0, 0.0, 1.0]
+    # a shared factor y - x that depends on y: the resultant is zero
+    p = poly({(1, 1): 1.0, (0, 1): 1.0, (2, 0): -1.0, (1, 0): -1.0})
+    q = poly({(0, 2): 1.0, (1, 1): -1.0, (0, 1): 2.0, (1, 0): -2.0})
+    assert not resultant_y(p, q).any()
+    # Res_y(y^2 - x^2, -xy) = -x^4, where the elimination swaps two rows
+    assert resultant_y(poly({(0, 2): 1.0, (2, 0): -1.0}), poly({(1, 1): -1.0})
+                       ).tolist() == [0.0, 0.0, 0.0, 0.0, -1.0]
+    # neither depends on y: the result is q itself
+    assert resultant_y(poly({(1, 0): 2.0}), poly({(0, 0): 3.0, (2, 0): 1.0})
+                       ).tolist() == [3.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-9, 1e-3, 1.0, 1e6])
+def test_univariate_roots_scale_invariant(scale):
+    # (x - 0.5)(x + 1.25)(x - 2) times scale: the zero floors are relative
+    c = scale * np.array([1.25, -2.125, -1.25, 1.0])
+    got = univariate_roots(c, (-3.0, 3.0))
+    assert [m for _, m in got] == [1, 1, 1]
+    for (r, _), w in zip(got, (-1.25, 0.5, 2.0)):
         assert abs(r - w) <= 1e-14

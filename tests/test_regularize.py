@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from filippov.polys import piecewise, vf
+from filippov.polys import newton_zero, piecewise, vf
 from filippov.regularize import (
     EmergentSingularity,
     RegularizedField,
     SingularityType,
     TransitionFunction,
     _classify_eigs,
-    _newton,
     emergent_singularities,
     epsilon_sweep,
     make_transition,
@@ -81,6 +80,26 @@ def test_convex_combination_bound():
         bx, by = Z.Y(x, y)
         assert min(ax, bx) - 1e-12 <= vx <= max(ax, bx) + 1e-12
         assert min(ay, by) - 1e-12 <= vy <= max(ay, by) + 1e-12
+
+
+@pytest.mark.parametrize("family, par", [("smoothstep", 1), ("bump", 0)])
+def test_jacobian_matches_central_differences(family, par):
+    # inside the band and outside it; the difference step 1e-6 leaves an
+    # error of about 1e-10 from rounding and 1e-12 times the third
+    # derivative.  On the seams, where phi' = 0, it is a piece's Jacobian.
+    R = RegularizedField(CUBIC, make_transition(family, par), 0.2)
+    assert np.array_equal(R.jacobian(0.5, 0.2), CUBIC.X.jacobian_at(0.5, 0.2))
+    assert np.array_equal(R.jacobian(0.5, -0.2),
+                          CUBIC.Y.jacobian_at(0.5, -0.2))
+    rng = np.random.default_rng(41)
+    h = 1e-6
+    for x, y in zip(rng.uniform(-2, 2, 30), rng.uniform(-0.3, 0.3, 30)):
+        j = R.jacobian(x, y)
+        for col, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
+            fp, fm = R(x + dx, y + dy), R(x - dx, y - dy)
+            for row in range(2):
+                fd = (fp[row] - fm[row]) / (2 * h)
+                assert abs(j[row, col] - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_emergent_saddle_from_fz_saddle():
@@ -174,7 +193,8 @@ def _reference_census(R, x_window, tols):
     for i in range(len(xs) - 1):
         for j in range(len(ys) - 1):
             if varies(U, i, j) and varies(V, i, j):
-                sol = _newton(R, XX[i, j] + step / 2, YY[i, j] + step / 2, tols)
+                sol = newton_zero(R, R.jacobian, XX[i, j] + step / 2,
+                                  YY[i, j] + step / 2, tols)
                 if sol is None:
                     continue
                 x, y = sol
@@ -186,9 +206,8 @@ def _reference_census(R, x_window, tols):
                     continue
                 found.append((x, y))
     out = []
-    h = 1e-6 * max(1.0, eps)
     for x, y in sorted(found):
-        j = R.jacobian_fd(x, y, h)
+        j = R.jacobian(x, y)
         eigs = np.linalg.eigvals(j)
         out.append(EmergentSingularity(
             (x, y), j, (complex(eigs[0]), complex(eigs[1])),

@@ -1,12 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from filippov import fieldspec, stability
 from filippov.compactify import S1Status, eq4_value, s1_elementarity
-from filippov.errors import DegreeMismatch, NotRepairable
-from filippov.polys import piecewise, vf
+from filippov.errors import CommonFactor, DegreeMismatch, NotRepairable
+from filippov.polys import PolyVectorField, newton_zero, piecewise, vf
 from filippov.stability import (
     SATISFIED,
     UNDETERMINED,
@@ -17,9 +19,11 @@ from filippov.stability import (
     RotateTranslate,
     apply_perturbation,
     check_gm,
+    default_window,
     genericity_repair,
     interior_singularities,
 )
+from filippov.tolerances import default_tols
 
 WIN = (-3.0, 3.0, -3.0, 3.0)
 ONE = {(0, 0): 1.0}
@@ -47,14 +51,183 @@ def test_interior_center_not_hyperbolic():
     assert s.hyperbolic == "no"
 
 
-@pytest.mark.xfail(strict=True, reason="the grid brackets sign changes only; "
-                   "P = (x - 0.3)^2 never changes sign")
 def test_interior_saddle_node_without_sign_change():
     X = vf({(2, 0): 1.0, (1, 0): -0.6, (0, 0): 0.09}, {(0, 1): 1.0, (0, 0): -1.0})
     out = interior_singularities(X, "N", WIN)
     assert len(out) == 1
     assert math.hypot(out[0].point[0] - 0.3, out[0].point[1] - 1.0) < 1e-5
     assert out[0].hyperbolic == "no"
+
+
+def test_interior_generic_saddle_nodes():
+    # P = c u^2 with u linear and Q linear: P never changes sign, and the
+    # common zero u = Q = 0 is a saddle-node
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 50:
+        a, b, d, e = rng.uniform(-2, 2, 4)
+        u0, q0 = rng.uniform(-2, 2, 2)
+        c = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+        if abs(a * e - b * d) < 0.2:
+            continue
+        zero = np.linalg.solve([[a, b], [d, e]], [-u0, -q0])
+        if abs(zero[1]) < 0.1 or np.max(np.abs(zero)) > 2.5:
+            continue
+        u = {(1, 0): a, (0, 1): b, (0, 0): u0}
+        P = {}
+        for (i1, j1), v1 in u.items():
+            for (i2, j2), v2 in u.items():
+                k = (i1 + i2, j1 + j2)
+                P[k] = P.get(k, 0.0) + c * v1 * v2
+        X = vf(P, {(1, 0): d, (0, 1): e, (0, 0): q0})
+        out = interior_singularities(X, "N" if zero[1] > 0 else "S", WIN)
+        assert len(out) == 1
+        assert math.dist(out[0].point, zero) < 1e-9
+        assert out[0].hyperbolic == "no"
+        checked += 1
+
+
+def test_interior_common_factor_raises():
+    # P = (x - 1)(y - 2), Q = (x - 1)(x + y) vanish on the line x = 1;
+    # P = (y - x)(x + 1), Q = (y - x)(y + 2) on the line y = x, and there
+    # the resultant vanishes identically
+    X = vf({(1, 1): 1.0, (1, 0): -2.0, (0, 1): -1.0, (0, 0): 2.0},
+           {(2, 0): 1.0, (1, 1): 1.0, (1, 0): -1.0, (0, 1): -1.0})
+    Y = vf({(1, 1): 1.0, (0, 1): 1.0, (2, 0): -1.0, (1, 0): -1.0},
+           {(0, 2): 1.0, (1, 1): -1.0, (0, 1): 2.0, (1, 0): -2.0})
+    for field in (X, Y):
+        with pytest.raises(CommonFactor):
+            interior_singularities(field, "N", WIN)
+    # a zero polynomial shares every factor of the other component
+    with pytest.raises(CommonFactor):
+        interior_singularities(vf({}, {(0, 1): 1.0, (0, 0): -1.0}), "N", WIN)
+
+
+def test_report_common_factor_undetermined():
+    # X = (y - 2) (x + 1 - y^2, x - y^2): the line y = 2 is singular and
+    # never meets D; with Y = (1 - y^3, 1 + x^3) nothing else weakens or
+    # violates condition 1
+    X = vf({(1, 1): 1.0, (0, 3): -1.0, (0, 2): 2.0, (1, 0): -2.0,
+            (0, 1): 1.0, (0, 0): -2.0},
+           {(1, 1): 1.0, (0, 3): -1.0, (0, 2): 2.0, (1, 0): -2.0})
+    Z = piecewise(X, vf({(0, 0): 1.0, (0, 3): -1.0}, {(0, 0): 1.0, (3, 0): 1.0}))
+    rep = check_gm(Z, GmOptions(window=WIN, probe_connections=False))
+    kinds = [w["kind"] for w in rep.gm1.witnesses]
+    assert rep.gm1.status == UNDETERMINED
+    assert kinds == ["interior_common_factor"]
+    assert rep.gm1.witnesses[0]["region"] == "upper"
+
+
+def test_report_newton_failure_undetermined(monkeypatch):
+    # with every Newton run failing, the seed (0.5, 0.5) of the saddle
+    # X = (x + y - 1, x - y), at which P and Q vanish, is reported as it
+    # stands, unverified, with a witness, and is not probed as a saddle
+    monkeypatch.setattr(stability, "newton_zero", lambda *args: None)
+    X = vf({(1, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0}, {(1, 0): 1.0, (0, 1): -1.0})
+    out = interior_singularities(X, "N", WIN)
+    assert [(s.point, s.hyperbolic) for s in out] == [((0.5, 0.5), "unverified")]
+    assert not out[0].is_saddle
+    rep = check_gm(piecewise(X, vf(ONE, ONE, m=1)), GmOptions(window=WIN))
+    fails = [w for w in rep.gm1.witnesses
+             if w["kind"] == "interior_newton_failed"]
+    assert rep.gm1.status == UNDETERMINED
+    assert fails == [{"kind": "interior_newton_failed", "region": "upper",
+                      "point": [0.5, 0.5]}]
+    # Res_y(y^2 - x, y - 1) = 1 - x: the seed (1, -1) from P(1, .) is not a
+    # zero of Q, so its failed run reports nothing
+    X = vf({(0, 2): 1.0, (1, 0): -1.0}, {(0, 1): 1.0, (0, 0): -1.0})
+    assert interior_singularities(X, "S", WIN) == []
+
+
+def _grid_reference(X, region, window, tols, grid=80):
+    """Test-only reference: the interior census that the resultant
+    replaced.  Cells of a (grid + 1)^2 sample grid whose corners bracket 0
+    in both P and Q seed Newton at their centres; zeros in the window's x
+    range and strictly inside the region are merged within 10 tols.root."""
+    x0, x1, y0, y1 = window
+    if region == "N":
+        y0 = max(y0, 0.0)
+    else:
+        y1 = min(y1, 0.0)
+    xs = np.linspace(x0, x1, grid + 1)
+    ys = np.linspace(y0, y1, grid + 1)
+
+    def varies(W):
+        corners = (W[:-1, :-1], W[1:, :-1], W[:-1, 1:], W[1:, 1:])
+        return ((np.minimum.reduce(corners) <= 0.0)
+                & (np.maximum.reduce(corners) >= 0.0))
+
+    cells = varies(X.P.grid(xs, ys)) & varies(X.Q.grid(xs, ys))
+    found = []
+    for i, j in zip(*np.nonzero(cells)):
+        sol = newton_zero(X, X.jacobian_at, 0.5 * (xs[i] + xs[i + 1]),
+                          0.5 * (ys[j] + ys[j + 1]), tols)
+        if sol is None or not (x0 - 1e-9 <= sol[0] <= x1 + 1e-9):
+            continue
+        if (sol[1] <= tols.sign) if region == "N" else (sol[1] >= -tols.sign):
+            continue
+        if any(math.dist(sol, f) <= 10 * tols.root for f in found):
+            continue
+        found.append(sol)
+    return sorted(found)
+
+
+CORPUS = sorted((Path(__file__).parents[1] / "bench" / "corpus").glob("*.txt"))
+
+
+def _random_side(rng, m):
+    def table():
+        return {(i, j): rng.uniform(-2, 2) for i in range(m + 1)
+                for j in range(m + 1 - i)}
+    return vf(table(), table(), m=m)
+
+
+def _census_cases():
+    for path in CORPUS:
+        spec = fieldspec.parse(path.read_text())
+        Z = spec.to_field()
+        window = spec.window or default_window(Z)
+        yield path.stem, Z.X, "N", window
+        yield path.stem, Z.Y, "S", window
+    rng = np.random.default_rng(23)
+    for k in range(24):
+        X = _random_side(rng, 1 + 2 * (k % 2))
+        yield f"random{k}", X, "NS"[k % 3 % 2], (-3.0, 3.0, -3.0, 3.0)
+
+
+def test_interior_census_matches_grid_reference():
+    tols = default_tols()
+    points = 0
+    for name, X, region, window in _census_cases():
+        got = [s.point for s in interior_singularities(X, region, window)]
+        want = _grid_reference(X, region, window, tols)
+        assert len(got) == len(want), name
+        for g in got:
+            assert min(math.dist(g, w) for w in want) <= 1e-9, name
+        points += len(got)
+    assert points >= 20
+
+
+def test_interior_census_scale_invariant():
+    # Res_y of 1e-3 (y^3 - x, y - x^3) is 1e-12 (x^9 - x), at the zero
+    # threshold of the root isolation unless P and Q are scaled first
+    X = vf({(0, 3): 1e-3, (1, 0): -1e-3}, {(0, 1): 1e-3, (3, 0): -1e-3})
+    out = interior_singularities(X, "N", WIN)
+    assert len(out) == 1 and math.dist(out[0].point, (1.0, 1.0)) < 1e-12
+    # P = 1e6 (x^3 - 0.3), Q = -1e6 (y^3 - 0.5): rounding keeps the
+    # unscaled residual near this saddle above tols.newton
+    X = vf({(3, 0): 1e6, (0, 0): -3e5}, {(0, 3): -1e6, (0, 0): 5e5})
+    out = interior_singularities(X, "N", WIN)
+    assert [s.hyperbolic for s in out] == ["yes"] and out[0].is_saddle
+    assert math.dist(out[0].point, (0.3 ** (1 / 3), 0.5 ** (1 / 3))) < 1e-12
+    for name, X, region, window in _census_cases():
+        want = [s.point for s in interior_singularities(X, region, window)]
+        for c in (1e-3, 1e6):
+            Xc = PolyVectorField(X.P.scale(c), X.Q.scale(c), X.m)
+            got = [s.point for s in interior_singularities(Xc, region, window)]
+            assert len(got) == len(want), (name, c)
+            for g, w in zip(got, want):
+                assert math.dist(g, w) <= 1e-9, (name, c)
 
 
 def test_interior_constant_field_empty():
