@@ -1,7 +1,9 @@
 """Hybrid trajectory integration with Filippov transition rules.
 
-Smooth arcs are traced with an adaptive Runge-Kutta integrator whose y=0
-events are localized by the solver's root finder; sliding arcs integrate
+Smooth arcs are traced with the adaptive DOP853 integrator (Dormand-Prince
+8(5,3)); their y=0, window and section events are localized by the solver's
+root finder and by a root count on each step's dense-output polynomial,
+which catches a pair of crossings inside one step; sliding arcs integrate
 the one-dimensional Filippov field along D.  Transitions follow the
 poly-trajectory rules: X/Y swaps only at sewing points, entry/exit of
 sliding arcs only at folds or regular sliding points, termination at
@@ -9,7 +11,7 @@ Filippov-field singularities and on escaping arcs (forward evolution is
 not unique there and trajectories are never silently branched).
 
 Every ODE solve of the package, here and in the regularized and
-compactified flows, goes through one kernel, _integrate: RK45 with
+compactified flows, goes through one kernel, _integrate: DOP853 with
 rtol = tols.root and atol = tols.root / 100, so FILIPPOV_TOLERANCE_SCALE
 reaches the solver; events are terminal; a solve whose step controller
 gives up raises StepFailure.
@@ -17,12 +19,14 @@ gives up raises StepFailure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 from scipy.integrate import solve_ivp
 
 from . import dline
@@ -33,7 +37,7 @@ from .errors import (
     NotTransversal,
     StepFailure,
 )
-from .polys import PiecewiseField, PolyVectorField
+from .polys import PiecewiseField, PolyVectorField, univariate_roots
 from .tolerances import Tolerances, default_tols
 
 Window = tuple[float, float, float, float]  # x0, x1, y0, y1
@@ -136,31 +140,86 @@ class SmoothTrace:
 
 
 def _integrate(rhs, y0, t_end: float, tols: Tolerances, events=(),
-               t0: float = 0.0, max_step: float = np.inf,
-               dense_output: bool = False):
-    """Solve y' = rhs(t, y) from t0 to t_end with RK45 at rtol = tols.root,
-    atol = tols.root / 100.  events are (g, direction) pairs, all terminal.
-    Raises StepFailure when the step controller gives up."""
+               t0: float = 0.0, dense_output: bool = False):
+    """Solve y' = rhs(t, y) from t0 to t_end with DOP853 at
+    rtol = tols.root, atol = tols.root / 100.  events are (g, direction)
+    pairs, all terminal.  Raises StepFailure when the step controller gives
+    up."""
     for g, direction in events:
         g.terminal = True
         g.direction = direction
-    sol = solve_ivp(rhs, (t0, t_end), y0, method="RK45", rtol=tols.root,
+    sol = solve_ivp(rhs, (t0, t_end), y0, method="DOP853", rtol=tols.root,
                     atol=tols.root / 100,
                     events=[g for g, _ in events] or None,
-                    max_step=max_step, dense_output=dense_output)
+                    dense_output=dense_output)
     if sol.status == -1:
         raise StepFailure(sol.message)
     return sol
 
 
-def _window_events(window: Window):
-    x0, x1, y0, y1 = window
+@functools.cache
+def _dense_basis(power: int) -> np.ndarray:
+    """Ascending coefficients, one row each, of x, x(1-x), x^2(1-x),
+    x^2(1-x)^2, ...: a DOP853 step's dense output is
+    y_old + sum_j F_j b_j(x) in the fraction x of the step."""
+    rows, p = [], np.array([1.0])
+    for j in range(power):
+        p = npoly.polymul(p, (0.0, 1.0) if j % 2 == 0 else (1.0, -1.0))
+        rows.append(np.pad(p, (0, power + 1 - len(p))))
+    return np.array(rows)
 
-    def make(idx, bound):
-        return lambda t, s: s[idx] - bound
 
-    return [(make(0, x1), 1), (make(0, x0), -1),
-            (make(1, y1), 1), (make(1, y0), -1)]
+def _stepped_over(sol, lines, tols: Tolerances):
+    """First crossing, in its direction, of an affine event
+    g = a_x x + a_y y + b of lines that a forward solve stepped over: one
+    inside a step whose end values do not show it, or one before the
+    solver's own event in its last step.  Returns (index into lines, time,
+    state) or None.
+
+    Two cheap bounds close almost every (step, event) pair.  Each b_j is
+    at most 1 on [0, 1], so a step with |g(t_old)| > sum_j |a.F_j| keeps
+    the sign of g.  A step where g is monotone (its derivative's constant
+    term outweighs the sum of the others) crosses at most once, and the
+    solver sees that crossing at the step's ends.  Only the pairs both
+    bounds leave open get an exact root count of g's interpolant."""
+    steps = sol.sol.interpolants
+    ax, ay, b = np.array([ln[:3] for ln in lines]).T
+    y_old = np.array([st.y_old[:2] for st in steps])
+    F = np.array([st.F[:, :2] for st in steps])
+    # broadcast products, not matmul: the first BLAS call of a process
+    # raises its peak memory by a quarter megabyte
+    g0 = y_old[:, :1] * ax + y_old[:, 1:] * ay + b    # (steps, events)
+    gF = F[..., :1] * ax + F[..., 1:] * ay              # (steps, power, events)
+    # nonzero lists the pairs the first bound leaves open in step order
+    pairs = np.nonzero(np.abs(g0) <= np.abs(gF).sum(axis=1))
+    # g - g0 of each such pair in powers of x, shape (pairs, power + 1)
+    c = (gF[pairs[0], :, pairs[1]][..., None]
+         * _dense_basis(F.shape[1])).sum(axis=1)
+    dc = c[:, 1:] * np.arange(1, c.shape[1])
+    monotone = np.abs(dc[:, 0]) > np.abs(dc[:, 1:]).sum(axis=1)
+    t_last = float(sol.t[-1])
+    # roots closer than this to the solver's end are its own event
+    t_stop = t_last - tols.root * max(1.0, abs(t_last))
+    first = None
+    for s, e, ce, mono in zip(*pairs, c, monotone):
+        st = steps[s]
+        if first is not None and st.t_old >= first[1]:
+            break
+        if mono:
+            continue
+        ce[0] += g0[s, e]
+        for r, mult in univariate_roots(ce, (0.0, 1.0), tols):
+            t = st.t_old + max(r, 0.0) * st.h
+            if t >= t_stop or (first is not None and t >= first[1]):
+                break
+            # the first nonzero derivative of an odd root gives its direction
+            slope = npoly.polyval(r, npoly.polyder(ce, mult))
+            if mult % 2 == 1 and lines[e][3] * slope >= 0 and slope != 0.0:
+                first = (e, t)
+                break
+    if first is None:
+        return None
+    return first[0], first[1], sol.sol(first[1])
 
 
 def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
@@ -170,7 +229,7 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
                      section_direction: int = 0,
                      tols: Tolerances | None = None,
                      extra_quadrature=None) -> SmoothTrace:
-    """Adaptive RK45 trace of X from p0, stopping at the first y=0
+    """Adaptive DOP853 trace of X from p0, stopping at the first y=0
     crossing (in the given direction), window exit or horizon.
 
     d_direction: -1 catches downward crossings (flows in N), +1 upward,
@@ -179,6 +238,11 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     crossings of its line outside the parameter range are stepped over.
     An optional extra_quadrature(x, y) integrand is accumulated as a third
     state component (used for divergence integrals).
+
+    The solver sees an event only where its sign differs at the two ends
+    of a step, so before a solve's end is accepted each step's dense output
+    is searched for crossings it stepped over (_stepped_over); the trace
+    ends at the first one found.
     """
     tols = tols or default_tols()
     aug = extra_quadrature is not None
@@ -189,10 +253,17 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
             return [v[0], v[1], extra_quadrature(s[0], s[1])]
         return [v[0], v[1]]
 
-    events = [(lambda t, s: s[1], d_direction)] + _window_events(window)
+    # affine events (a_x, a_y, b, direction): y = 0, the window's sides
+    # x1, x0, y1, y0, and the section's line (its signed_dist)
+    wx0, wx1, wy0, wy1 = window
+    lines = [(0.0, 1.0, 0.0, d_direction),
+             (1.0, 0.0, -wx1, 1), (1.0, 0.0, -wx0, -1),
+             (0.0, 1.0, -wy1, 1), (0.0, 1.0, -wy0, -1)]
     if section is not None:
-        events.append((lambda t, s: section.signed_dist((s[0], s[1])),
-                       section_direction))
+        (bx, by), (dx, dy) = section.base, section.direction
+        lines.append((-dy, dx, dy * bx - dx * by, section_direction))
+    events = [((lambda t, s, ax=ax, ay=ay, b=b: ax * s[0] + ay * s[1] + b),
+               direction) for ax, ay, b, direction in lines]
 
     state = list(p0) + ([0.0] if aug else [])
     offset = 0.0  # time already integrated before the current leg
@@ -201,14 +272,15 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     while True:
         remaining = horizon - offset
         sol = _integrate(rhs, state, remaining, tols, events,
-                         max_step=max(abs(remaining) / 10.0, 1e-3),
                          dense_output=True)
-        if section is None or len(sol.t_events[5]) == 0:
+        hit = _stepped_over(sol, lines, tols) or next(
+            ((k, float(te[0]), ye[0]) for k, (te, ye)
+             in enumerate(zip(sol.t_events, sol.y_events)) if len(te)), None)
+        if hit is None or hit[0] != 5:
             break
         # resume just past a section crossing that is not inside the
         # parameter range (or is the start point itself)
-        te = float(sol.t_events[5][0])
-        se = sol.y_events[5][0]
+        _, te, se = hit
         s_par = section.param_of((se[0], se[1]))
         if section.s_range[0] <= s_par <= section.s_range[1] and te > 1e-12:
             break
@@ -224,32 +296,20 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
         state = [float(v) for v in sol.sol(t_shift)]
         offset += t_shift
 
-    status = "horizon"
-    hit = None
-    t_end = sol.t[-1]
-    if len(sol.t_events[0]) > 0:
-        status = "d_hit"
-        t_end = float(sol.t_events[0][0])
-        se = sol.y_events[0][0]
-        hit = (float(se[0]), 0.0)
-    elif any(len(sol.t_events[k]) > 0 for k in range(1, 5)):
-        status = "window"
-    elif section is not None and len(sol.t_events[5]) > 0:
-        status = "section"
-        se = sol.y_events[5][0]
-        hit = (float(se[0]), float(se[1]))
-
-    mask = sol.t <= t_end + 1e-15
-    ts = sol.t[mask]
-    states = sol.y.T[mask]
-    if status in ("d_hit", "section"):
-        end_state = sol.y_events[0][0] if status == "d_hit" else sol.y_events[5][0]
-        ts = np.append(ts, t_end)
-        states = np.vstack([states, end_state])
+    ts, states = sol.t, sol.y.T
+    status, hit_state = "horizon", None
+    if hit is not None:
+        kind, t_end, end = hit
+        status = {0: "d_hit", 5: "section"}.get(kind, "window")
+        if status != "window":
+            hit_state = (float(end[0]), 0.0 if kind == 0 else float(end[1]))
+        keep = sol.t < t_end
+        ts = np.append(sol.t[keep], t_end)
+        states = np.vstack([sol.y.T[keep], end])
     if head_ts:
         ts = np.concatenate(head_ts + [ts + offset])
         states = np.vstack(head_states + [states])
-    return SmoothTrace(ts, states, status, hit)
+    return SmoothTrace(ts, states, status, hit_state)
 
 
 def _fz_rhs(Z: PiecewiseField):

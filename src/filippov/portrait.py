@@ -3,9 +3,10 @@
 The drawing is assembled by hand from a fixed element order so identical
 inputs give identical bytes: window frame, discontinuity-line arcs styled
 by class, singularity glyphs, and a grid of short trajectory streaks per
-half-plane.  Elements carry CSS classes (arc-sewing, arc-sliding,
-arc-escaping, glyph-saddle, glyph-node, glyph-fold, glyph-nonelementary,
-streak) so consumers can assert on structure rather than pixels.
+half-plane, each a cubic Bezier path through the integrator's step ends.
+Elements carry CSS classes (arc-sewing, arc-sliding, arc-escaping,
+glyph-saddle, glyph-node, glyph-fold, glyph-nonelementary, streak) so
+consumers can assert on structure rather than pixels.
 """
 
 from __future__ import annotations
@@ -64,13 +65,21 @@ class _Canvas:
             f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="{color}" '
             f'stroke-width="{_fmt(width)}"/>')
 
-    def polyline(self, pts, cls, color, width=1.0):
+    def curve(self, ts, pts, vels, cls, color, width=1.0):
+        """Cubic Bezier path through the points pts (n, 2) of an orbit at
+        times ts with velocities vels: Hermite data, so the control points
+        of a segment of duration h are p0 + h v0 / 3 and p1 - h v1 / 3."""
         if len(pts) < 2:
             return
-        coords = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
-                          for sx, sy in (self.map(x, y) for x, y in pts))
+        h = np.diff(ts)[:, None] / 3.0
+        ends = [self.map(x, y) for x, y in pts]
+        c0 = [self.map(x, y) for x, y in pts[:-1] + h * vels[:-1]]
+        c1 = [self.map(x, y) for x, y in pts[1:] - h * vels[1:]]
+        d = [f"M{_fmt(ends[0][0])},{_fmt(ends[0][1])}"] + [
+            "C" + " ".join(f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in seg)
+            for seg in zip(c0, c1, ends[1:])]
         self.parts.append(
-            f'<polyline class="{cls}" points="{coords}" fill="none" '
+            f'<path class="{cls}" d="{" ".join(d)}" fill="none" '
             f'stroke="{color}" stroke-width="{_fmt(width)}"/>')
 
     def glyph(self, x, y, cls):
@@ -164,5 +173,6 @@ def _draw_streaks(c: _Canvas, Z, window, grid, streak_time, tols):
                                            tols=tols)
             except FilippovError:
                 continue
-            pts = [(float(px), float(py)) for px, py in tr.states[:, :2]]
-            c.polyline(pts, "streak", color, 0.8)
+            pts = tr.states[:, :2]
+            vels = np.array([fld(px, py) for px, py in pts])
+            c.curve(tr.ts, pts, vels, "streak", color, 0.8)

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from filippov import cli, fieldspec
@@ -203,6 +205,34 @@ def test_portrait_saddle_glyph_position():
     svg = render_portrait(Z, (-2.0, 2.0, -2.0, 2.0))
     # x=-1 maps to MARGIN + (1/4)*(WIDTH-2*MARGIN) = 40 + 160 = 200
     assert '<g class="glyph-saddle"><line x1="195"' in svg
+
+
+def test_portrait_streaks_follow_rotation_orbits():
+    # each streak is a cubic Bezier path; on the rotation (-y, x) every
+    # point of it must stay on its orbit's circle, which the chords
+    # between the integrator's step ends (up to 1.0 long here) miss by up
+    # to 0.04
+    rot = vf({(0, 1): -1.0}, {(1, 0): 1.0})
+    svg = render_portrait(piecewise(rot, rot), (-3.0, 3.0, -3.0, 3.0))
+    paths = re.findall(r'<path class="streak" d="([^"]*)"', svg)
+    assert len(paths) == 42
+
+    def data(sx, sy):  # inverse of the canvas map for this window
+        return (-3.0 + (sx - 40.0) * 6.0 / 640.0,
+                -3.0 + (500.0 - sy) * 6.0 / 460.0)
+
+    worst = 0.0
+    for d in paths:
+        nums = [float(v) for v in re.findall(r"[-0-9.e]+", d)]
+        pts = np.array([data(*xy) for xy in zip(nums[::2], nums[1::2])])
+        r0 = math.hypot(*pts[0])
+        for k in range(0, len(pts) - 1, 3):
+            p0, c0, c1, p1 = pts[k:k + 4]
+            for s in np.linspace(0.0, 1.0, 9):
+                b = ((1 - s) ** 3 * p0 + 3 * (1 - s) ** 2 * s * c0
+                     + 3 * (1 - s) * s ** 2 * c1 + s ** 3 * p1)
+                worst = max(worst, abs(math.hypot(*b) - r0))
+    assert worst < 1e-3
 
 
 def test_portrait_empty_window_axes_only():

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from filippov.flow import (
 )
 from filippov.polys import piecewise, vf
 from filippov.regularize import make_transition, regularized_cycle_search
-from filippov.tolerances import default_tols
+from filippov.tolerances import Tolerances, default_tols
 
 WIN = (-5.0, 5.0, -5.0, 5.0)
 ONE = {(0, 0): 1.0}
@@ -211,7 +212,7 @@ def test_return_map_contracts_to_unit_circle():
     assert abs(s1 - 1.0) < abs(0.5 - 1.0)
     s_fix, eta_prime = return_map(Z, sec, 1.0, 100.0, WIN)
     assert abs(s_fix - 1.0) < 1e-8
-    assert abs(eta_prime - math.exp(-4 * math.pi)) < 1e-4
+    assert eta_prime == pytest.approx(math.exp(-4 * math.pi), rel=1e-6)
 
 
 def test_return_map_center_is_identity():
@@ -224,11 +225,14 @@ def test_return_map_center_is_identity():
 
 def _richardson_derivative(Z, section, s0, horizon=100.0):
     """Central difference of the return map with one Richardson step: an
-    independent cross-check of the divergence-integral eta'."""
+    independent cross-check of the divergence-integral eta'.  The runs use
+    root = 1e-12: solver noise of tols.root over h = 1e-5 would swamp an
+    eta' of 1e-6."""
     h = 1e-5 * max(abs(section.s_range[1] - section.s_range[0]), 1.0)
+    tols = replace(Tolerances(), root=1e-12)
 
     def eta(s):
-        return return_map(Z, section, s, horizon, WIN,
+        return return_map(Z, section, s, horizon, WIN, tols,
                           with_derivative=False)[0]
 
     d_h = (eta(s0 + h) - eta(s0 - h)) / (2 * h)
@@ -298,16 +302,30 @@ def test_census_work_counter(monkeypatch):
     assert nfev[0] <= 40_000
 
 
-@pytest.mark.xfail(strict=True, reason="one RK45 step spans both y = 0 "
-                   "crossings of a polynomial orbit, so the D hit is missed")
-def test_polynomial_orbit_crossing_is_not_missed():
+@pytest.mark.parametrize("field, p0, window, status, t_hit, end", [
     # X = (1, x) from (-2, 1): y = 1 - 2t + t^2/2 meets D at x = -sqrt(2),
-    # t = 2 - sqrt(2); the error estimate is zero on this orbit, so the
-    # step grows to horizon / 10 and jumps over the dip below D
-    tr = integrate_smooth(vf(ONE, X_MONO), (-2.0, 1.0), 100.0, WIN,
-                          d_direction=-1)
-    assert tr.status == "d_hit"
-    assert abs(tr.ts[-1] - (2.0 - math.sqrt(2.0))) < 1e-9
+    # t = 2 - sqrt(2), then dips below D and comes back
+    (vf(ONE, X_MONO), (-2.0, 1.0), WIN, "d_hit", 2.0 - math.sqrt(2.0),
+     (-math.sqrt(2.0), 0.0)),
+    # the same field from (-4, 7): y = 7 - 4t + t^2/2 dips below D on
+    # (4 - sqrt(2), 4 + sqrt(2)), inside one DOP853 step of this orbit
+    (vf(ONE, X_MONO), (-4.0, 7.0), (-9.0, 9.0, -9.0, 9.0), "d_hit",
+     4.0 - math.sqrt(2.0), (-math.sqrt(2.0), 0.0)),
+    # X = (1, -x) from (-3, 0.5): y = 0.5 + 3t - t^2/2 peaks at 5 and is
+    # above the window's top 4.5 on (2, 4), inside one DOP853 step
+    (vf(ONE, {(1, 0): -1.0}), (-3.0, 0.5), (-9.0, 9.0, -9.0, 4.5),
+     "window", 2.0, (-1.0, 4.5)),
+], ids=["d-near", "d-far", "window-top"])
+def test_polynomial_orbit_crossing_is_not_missed(field, p0, window, status,
+                                                 t_hit, end):
+    # on an orbit that is a polynomial in t the error estimate is zero, so
+    # the step grows until it may span both crossings of the dip; the
+    # dense-output check of integrate_smooth finds the first one
+    tr = integrate_smooth(field, p0, 100.0, window, d_direction=-1)
+    assert tr.status == status
+    assert abs(tr.ts[-1] - t_hit) < 1e-9
+    assert np.allclose(tr.states[-1, :2], end, atol=1e-9)
+    assert np.all(np.diff(tr.ts) > 0.0)
 
 
 def test_single_solver_call_site():
@@ -398,7 +416,8 @@ def test_census_finds_unit_limit_cycle_once():
     assert orb.closure is Closure.TYPE1
     assert orb.elementary == "yes"
     assert abs(abs(orb.certificate["x"]) - 1.0) < 1e-6
-    assert abs(orb.certificate["eta_prime"] - math.exp(-4 * math.pi)) < 1e-4
+    assert orb.certificate["eta_prime"] == pytest.approx(
+        math.exp(-4 * math.pi), rel=1e-6)
 
 
 def test_census_drift_field_finds_nothing():
