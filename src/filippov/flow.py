@@ -11,10 +11,13 @@ Filippov-field singularities and on escaping arcs (forward evolution is
 not unique there and trajectories are never silently branched).
 
 Every ODE solve of the package, here and in the regularized and
-compactified flows, goes through one kernel, _integrate: DOP853 with
+compactified flows, goes through one kernel, _integrate: scipy's solve_ivp
+(events, OdeSolution, nfev) with FloatDOP853 as its method, at
 rtol = tols.root and atol = tols.root / 100, so FILIPPOV_TOLERANCE_SCALE
 reaches the solver; events are terminal; a solve whose step controller
-gives up raises StepFailure.
+gives up raises StepFailure.  FloatDOP853 is scipy's DOP853 (tableau, step
+controller, initial step) with each step run as straight-line float code
+generated once per system size, so no stage builds a numpy array.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, DenseOutput, solve_ivp
 
 from . import dline
 from .dline import PointTag
@@ -126,9 +129,11 @@ class Section:
         return ((p[0] - self.base[0]) * dx + (p[1] - self.base[1]) * dy) / (
             dx * dx + dy * dy)
 
-    def signed_dist(self, p: tuple[float, float]) -> float:
-        dx, dy = self.direction
-        return dx * (p[1] - self.base[1]) - dy * (p[0] - self.base[0])
+    def line(self, direction: int) -> tuple[float, float, float, int]:
+        """The section's line as an affine event (a_x, a_y, b, direction):
+        g = dx (y - by) - dy (x - bx), a signed distance times |d|."""
+        (bx, by), (dx, dy) = self.base, self.direction
+        return (-dy, dx, dy * bx - dx * by, direction)
 
 
 @dataclass(frozen=True)
@@ -139,16 +144,147 @@ class SmoothTrace:
     hit_state: tuple[float, float] | None
 
 
+@functools.cache
+def _dop853_kernel(n: int):
+    """step and dense functions of DOP853 for n components, generated as
+    straight-line float code from the public tableau of scipy's DOP853.
+
+    step(rhs, t, h, y, f, rtol, atol) -> (error norm, y_new, f_new, K) runs
+    the 12 stages, the 8th-order solution and scipy's embedded 5th/3rd-order
+    error norm; K is the flat tuple of the 13 stage derivatives.
+    dense(rhs, t, h, y, y_new, K) runs the 3 extra stages and returns the
+    rows F of the step's interpolant, each a tuple of n floats."""
+    def lin(coef, i):  # component i of sum_j coef[j] k_j
+        terms = [f"{float(c)!r}*k{j}_{i}" for j, c in enumerate(coef) if c]
+        return f"({' + '.join(terms)})" if terms else "0.0"
+
+    def vec(fmt):  # the tuple (fmt(0), ..., fmt(n - 1))
+        return "(" + "".join(fmt(i) + ", " for i in range(n)) + ")"
+
+    def names(v):  # the unpacking target v_0, ..., v_{n-1}
+        return "".join(f"{v}_{i}, " for i in range(n))
+
+    def stage(s, c, a):
+        return (f"    {names(f'k{s}')}= rhs(t + {float(c)!r}*h, "
+                f"{vec(lambda i: f'y_{i} + {lin(a[:s], i)}*h')})")
+
+    T, m = DOP853, DOP853.n_stages  # k{m} is f at the end of the step
+    ks, yn, fn = ("".join(names(f"k{j}") for j in range(m + 1)),
+                  vec(lambda i: f"yn_{i}"), vec(lambda i: f"k{m}_{i}"))
+    step = ["def step(rhs, t, h, y, f, rtol, atol):",
+            f"    {names('y')}= y", f"    {names('k0')}= f"]
+    step += [stage(s, T.C[s], T.A[s]) for s in range(1, m)]
+    step += [f"    yn_{i} = y_{i} + h*{lin(T.B, i)}" for i in range(n)]
+    step.append(f"    {names(f'k{m}')}= rhs(t + h, {yn})")
+    for i in range(n):
+        step += [f"    sc_{i} = atol + max(abs(y_{i}), abs(yn_{i}))*rtol",
+                 f"    r5_{i} = {lin(T.E5, i)}/sc_{i}",
+                 f"    r3_{i} = {lin(T.E3, i)}/sc_{i}"]
+    step += [f"    e5 = {' + '.join(f'r5_{i}*r5_{i}' for i in range(n))}",
+             f"    e3 = {' + '.join(f'r3_{i}*r3_{i}' for i in range(n))}",
+             f"    err = abs(h)*e5/sqrt((e5 + 0.01*e3)*{n}) if e5 else 0.0",
+             f"    return err, {yn}, {fn}, ({ks})"]
+    dense = ["def dense(rhs, t, h, y, yn, K):", f"    {names('y')}= y",
+             f"    {names('yn')}= yn", f"    {ks}= K"]
+    dense += [stage(m + 1 + r, c, a)
+              for r, (c, a) in enumerate(zip(T.C_EXTRA, T.A_EXTRA))]
+    dense += [f"    d_{i} = yn_{i} - y_{i}" for i in range(n)]
+    rows = [vec(lambda i: f"d_{i}"), vec(lambda i: f"h*k0_{i} - d_{i}"),
+            vec(lambda i: f"2*d_{i} - h*(k{m}_{i} + k0_{i})")]
+    rows += [vec(lambda i, d=d: f"h*{lin(d, i)}") for d in T.D]
+    dense.append(f"    return {', '.join(rows)}")
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(step + dense) + "\n", f"<dop853-{n}>", "exec"),
+         namespace)
+    return namespace["step"], namespace["dense"]
+
+
+class FloatDOP853(DOP853):
+    """scipy's DOP853 with each step as straight-line float code.
+
+    The tableau, the step controller (safety 0.9, step factors 0.2 to 10,
+    error_exponent, min_step, the t_bound clamp) and the initial step are
+    scipy's; only the arithmetic moves into _dop853_kernel(n), whose stages
+    pass tuples of floats to the right-hand side.  An OverflowError or
+    ZeroDivisionError of the right-hand side inside a trial step rejects
+    the step, as inf and nan do in numpy's arithmetic."""
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self._rhs = fun  # called directly; nfev is counted per step
+        self.f = self.f.tolist()
+        self.h_abs = float(self.h_abs)
+        self._tols = (float(self.rtol), float(self.atol))
+        self._step, self._dense = _dop853_kernel(self.n)
+
+    def _step_impl(self):
+        t, y, direction = self.t, self.y.tolist(), float(self.direction)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min(max(self.h_abs, min_step), self.max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            self.nfev += self.n_stages
+            try:
+                err, y_new, f_new, K = self._step(self._rhs, t, h, y, self.f,
+                                                  *self._tols)
+            except (OverflowError, ZeroDivisionError):
+                err = math.inf
+            if err < 1:
+                break
+            h_abs *= max(0.2, 0.9 * err ** self.error_exponent)
+            rejected = True
+        factor = 10.0 if err == 0 else min(10.0,
+                                           0.9 * err ** self.error_exponent)
+        self.h_abs = h_abs * (min(1.0, factor) if rejected else factor)
+        self.h_previous, self.y_old, self.t = h, self.y, t_new
+        self.y, self.f, self._K = np.array(y_new), f_new, K
+        return True, None
+
+    def _dense_output_impl(self):
+        self.nfev += len(self.C_EXTRA)
+        F = self._dense(self._rhs, self.t_old, self.h_previous,
+                        self.y_old.tolist(), self.y.tolist(), self._K)
+        # an array holds a long solve's rows in a fifth of the memory
+        return _Dop853Interpolant(self.t_old, self.t, self.y_old,
+                                  np.array(F))
+
+
+class _Dop853Interpolant(DenseOutput):
+    """y_old + sum_j F_j b_j(x) on one step, x = (t - t_old) / h, with
+    b_j = x, x(1-x), x^2(1-x), x^2(1-x)^2, ... (see _dense_basis)."""
+
+    def __init__(self, t_old, t, y_old, F):
+        super().__init__(t_old, t)
+        self.h = t - t_old
+        self.y_old = y_old
+        self.F = F
+
+    def _call_impl(self, t):
+        x = ((t - self.t_old) / self.h)[..., None]
+        y = 0.0
+        for k, f in enumerate(self.F[::-1]):
+            y = (y + f) * (x if k % 2 == 0 else 1.0 - x)
+        return (y + self.y_old).T
+
+
 def _integrate(rhs, y0, t_end: float, tols: Tolerances, events=(),
                t0: float = 0.0, dense_output: bool = False):
-    """Solve y' = rhs(t, y) from t0 to t_end with DOP853 at
-    rtol = tols.root, atol = tols.root / 100.  events are (g, direction)
+    """Solve y' = rhs(t, y) from t0 to t_end with FloatDOP853 at
+    rtol = tols.root, atol = tols.root / 100.  rhs receives the state as a
+    sequence of floats and returns a sequence.  events are (g, direction)
     pairs, all terminal.  Raises StepFailure when the step controller gives
     up."""
     for g, direction in events:
         g.terminal = True
         g.direction = direction
-    sol = solve_ivp(rhs, (t0, t_end), y0, method="DOP853", rtol=tols.root,
+    sol = solve_ivp(rhs, (t0, t_end), y0, method=FloatDOP853, rtol=tols.root,
                     atol=tols.root / 100,
                     events=[g for g, _ in events] or None,
                     dense_output=dense_output)
@@ -167,6 +303,12 @@ def _dense_basis(power: int) -> np.ndarray:
         p = npoly.polymul(p, (0.0, 1.0) if j % 2 == 0 else (1.0, -1.0))
         rows.append(np.pad(p, (0, power + 1 - len(p))))
     return np.array(rows)
+
+
+def _line_events(lines):
+    """(g, direction) events of affine lines (a_x, a_y, b, direction)."""
+    return [((lambda t, s, ax=ax, ay=ay, b=b: ax * s[0] + ay * s[1] + b),
+             direction) for ax, ay, b, direction in lines]
 
 
 def _stepped_over(sol, lines, tols: Tolerances):
@@ -235,9 +377,10 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     d_direction: -1 catches downward crossings (flows in N), +1 upward,
     0 both.  An optional section event stops the trace at a transversal
     crossing of the segment (matching section_direction when nonzero);
-    crossings of its line outside the parameter range are stepped over.
-    An optional extra_quadrature(x, y) integrand is accumulated as a third
-    state component (used for divergence integrals).
+    crossings of its line outside the parameter range are stepped over
+    (one within 1e-9 horizon of the horizon ends the trace there, status
+    "horizon").  An optional extra_quadrature(x, y) integrand is
+    accumulated as a third state component (for divergence integrals).
 
     The solver sees an event only where its sign differs at the two ends
     of a step, so before a solve's end is accepted each step's dense output
@@ -254,16 +397,14 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
         return [v[0], v[1]]
 
     # affine events (a_x, a_y, b, direction): y = 0, the window's sides
-    # x1, x0, y1, y0, and the section's line (its signed_dist)
+    # x1, x0, y1, y0, and the section's line
     wx0, wx1, wy0, wy1 = window
     lines = [(0.0, 1.0, 0.0, d_direction),
              (1.0, 0.0, -wx1, 1), (1.0, 0.0, -wx0, -1),
              (0.0, 1.0, -wy1, 1), (0.0, 1.0, -wy0, -1)]
     if section is not None:
-        (bx, by), (dx, dy) = section.base, section.direction
-        lines.append((-dy, dx, dy * bx - dx * by, section_direction))
-    events = [((lambda t, s, ax=ax, ay=ay, b=b: ax * s[0] + ay * s[1] + b),
-               direction) for ax, ay, b, direction in lines]
+        lines.append(section.line(section_direction))
+    events = _line_events(lines)
 
     state = list(p0) + ([0.0] if aug else [])
     offset = 0.0  # time already integrated before the current leg
@@ -289,6 +430,7 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
             raise NotTransversal("trajectory runs along the section line")
         t_shift = te + 1e-9 * max(1.0, abs(remaining))
         if t_shift >= remaining:
+            hit = None  # the out-of-range crossing is at the horizon
             break
         keep = sol.t <= t_shift
         head_ts.append(sol.t[keep] + offset)
@@ -541,7 +683,9 @@ def transition_derivative(X: PolyVectorField, p0: tuple[float, float],
 
     The orbit from p0 ends at its first crossing of sec1's line in the
     direction the flow crosses it at p1 (p0 may lie on that line, as in a
-    half turn between two rays of one line), within 1.5 t_span."""
+    half turn between two rays of one line), within 1.5 t_span; like
+    integrate_smooth, it checks each step's dense output for a crossing
+    the solver stepped over."""
     tols = tols or default_tols()
     div = X.divergence()
 
@@ -549,13 +693,15 @@ def transition_derivative(X: PolyVectorField, p0: tuple[float, float],
         v = X(s[0], s[1])
         return [v[0], v[1], div(s[0], s[1])]
 
-    # signed_dist grows where the speed across the line is negative
-    arrive = (lambda t, s: sec1.signed_dist((s[0], s[1])),
-              -1 if _normal_speed(X, p1, sec1.direction) > 0 else 1)
-    sol = _integrate(rhs, [p0[0], p0[1], 0.0], t_span * 1.5, tols, [arrive])
-    if len(sol.t_events[0]) == 0:
+    # g of the line grows where the speed across it is negative
+    arrive = [sec1.line(-1 if _normal_speed(X, p1, sec1.direction) > 0
+                        else 1)]
+    sol = _integrate(rhs, [p0[0], p0[1], 0.0], t_span * 1.5, tols,
+                     _line_events(arrive), dense_output=True)
+    hit = _stepped_over(sol, arrive, tols)
+    if hit is None and len(sol.t_events[0]) == 0:
         raise NoReturn("orbit did not reach the target section")
-    end = sol.y_events[0][0]
+    end = sol.y_events[0][0] if hit is None else hit[2]
     d0 = _normal_speed(X, p0, sec0.direction)
     d1 = _normal_speed(X, end, sec1.direction)
     if abs(d0) <= tols.sign or abs(d1) <= tols.sign:

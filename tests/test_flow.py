@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from filippov import flow
@@ -90,6 +91,17 @@ def test_out_of_range_restart_keeps_quadrature():
     assert abs(tr.states[-1, 2] - 1.0) < 1e-9
 
 
+def test_out_of_range_crossing_at_horizon_ends_at_horizon():
+    # X = (1, 0) from (-1, 1) crosses x = 0 at y = 1, outside (5, 6), at
+    # t = 1, within 1e-9 of the horizon: no restart fits, so the trace
+    # ends there at the horizon, not as a section hit
+    sec = Section((0.0, 0.0), (0.0, 1.0), (5.0, 6.0))
+    tr = integrate_smooth(vf(ONE, {}), (-1.0, 1.0), 1.0 + 5e-10, WIN,
+                          section=sec)
+    assert tr.status == "horizon"
+    assert tr.hit_state is None
+
+
 def test_trajectory_along_section_line_not_transversal():
     # the radial field moves (0, 1) along the line x = 0 of the section
     X = vf(X_MONO, Y_MONO)
@@ -167,6 +179,19 @@ def test_transition_derivative_rotation_half_turn():
     d = transition_derivative(ROT, (1.0, 0.0), (-1.0, 0.0), sec0, sec1,
                               math.pi)
     assert abs(d - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("t_span", [10.0, 100.0])
+def test_transition_derivative_catches_stepped_over_crossing(t_span):
+    # X = (1, x) from (-4, 7): y = 7 - 4t + t^2/2 meets D at x = -sqrt(2),
+    # t = 4 - sqrt(2), inside one step of this polynomial orbit; n0 = 1,
+    # n1 = sqrt(2), div = 0
+    X = vf(ONE, X_MONO)
+    sec0 = Section((-4.0, 7.0), (0.0, 1.0), (-9.0, 9.0))
+    sec1 = Section((0.0, 0.0), (1.0, 0.0), (-9.0, 9.0))
+    d = transition_derivative(X, (-4.0, 7.0), (-math.sqrt(2.0), 0.0), sec0,
+                              sec1, t_span)
+    assert abs(d - 1.0 / math.sqrt(2.0)) < 1e-9
 
 
 def test_transition_derivative_blow_up_is_step_failure():
@@ -326,6 +351,69 @@ def test_polynomial_orbit_crossing_is_not_missed(field, p0, window, status,
     assert abs(tr.ts[-1] - t_hit) < 1e-9
     assert np.allclose(tr.states[-1, :2], end, atol=1e-9)
     assert np.all(np.diff(tr.ts) > 0.0)
+
+
+# random_01's Y (bench generator seed 1), whose attracting cycle passes
+# through (-9.40084, -4.04373)
+RANDOM_01_Y = vf({(0, 0): -1.0290401058277294, (0, 2): -1.3079703936837963,
+                  (0, 3): 0.81216304826252594, (1, 0): -0.50118791799343887,
+                  (1, 1): 0.033705952999927291, (2, 0): -0.42697962014309576,
+                  (2, 1): -1.8817001441323717, (3, 0): 0.81352835441534399},
+                 {(0, 0): -1.9771634821984283, (0, 1): -0.42560125448834407,
+                  (0, 2): 0.0089542337339323375, (1, 1): 1.4411591156821983,
+                  (1, 2): 0.055086652750548026, (2, 1): -0.16347307235732655,
+                  (3, 0): 0.19198523786499555})
+SLIDING_FZ = flow._fz_rhs(piecewise(
+    vf(X_MONO, M_ONE), vf({(0, 0): 1.0, (2, 0): 0.5}, {(0, 0): 1.0,
+                                                       (1, 0): 0.2})))
+
+
+RANDOM_01_DIV = RANDOM_01_Y.divergence()
+
+
+def _random_01_with_divergence(t, s):
+    v = RANDOM_01_Y(s[0], s[1])
+    return [v[0], v[1], RANDOM_01_DIV(s[0], s[1])]
+
+
+def test_dop853_tableau_shapes():
+    # FloatDOP853 generates its stages from these public attributes of
+    # scipy's DOP853; a change of their layout must fail here
+    T = DOP853
+    assert (T.n_stages, T.order, T.error_estimator_order) == (12, 8, 7)
+    assert T.A.shape == (12, 12) and T.B.shape == (12,)
+    assert T.C.shape == (12,)
+    assert T.E3.shape == (13,) and T.E5.shape == (13,)
+    assert T.D.shape == (4, 16)
+    assert T.A_EXTRA.shape == (3, 16) and T.C_EXTRA.shape == (3,)
+
+
+@pytest.mark.parametrize("rhs, y0", [
+    (lambda t, s: list(RANDOM_01_Y(s[0], s[1])), [-9.40084, -4.04373]),
+    (_random_01_with_divergence, [-9.40084, -4.04373, 0.0]),
+    (lambda t, s: [SLIDING_FZ(s[0])], [0.3]),
+], ids=["random_01-Y", "random_01-Y-divergence", "sliding-1d"])
+def test_float_dop853_matches_scipy_dop853(rhs, y0):
+    tols = Tolerances()
+    kw = dict(rtol=tols.root, atol=tols.root / 100, dense_output=True)
+    ref = flow.solve_ivp(rhs, (0.0, 2.0), y0, method="DOP853", **kw)
+    new = flow.solve_ivp(rhs, (0.0, 2.0), y0, method=flow.FloatDOP853, **kw)
+    assert len(new.t) == len(ref.t) and new.nfev == ref.nfev
+    # the embedded error estimate of the conservative first step cancels
+    # down to rounding noise, so the summation order moves every later step
+    # size in its last digits: each step is replayed from the same state
+    # with scipy's stepper
+    for k, st in enumerate(new.sol.interpolants):
+        one = DOP853(rhs, st.t_old, st.y_old, st.t, first_step=st.h,
+                     rtol=kw["rtol"], atol=kw["atol"])
+        one.step()
+        assert one.t == pytest.approx(st.t, rel=1e-15)
+        assert np.allclose(one.y, new.y[:, k + 1], rtol=1e-12, atol=1e-12)
+        mid = st.t_old + st.h / 2
+        assert np.allclose(one.dense_output()(mid), st(mid), rtol=1e-12,
+                           atol=1e-12)
+    mids = (ref.t[1:] + ref.t[:-1]) / 2
+    assert np.allclose(new.sol(mids), ref.sol(mids), rtol=1e-12, atol=1e-12)
 
 
 def test_single_solver_call_site():
