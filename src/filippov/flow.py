@@ -1,23 +1,25 @@
 """Hybrid trajectory integration with Filippov transition rules.
 
 Smooth arcs are traced with the adaptive DOP853 integrator (Dormand-Prince
-8(5,3)); their y=0, window and section events are localized by the solver's
-root finder and by a root count on each step's dense-output polynomial,
-which catches a pair of crossings inside one step; sliding arcs integrate
-the one-dimensional Filippov field along D.  Transitions follow the
-poly-trajectory rules: X/Y swaps only at sewing points, entry/exit of
-sliding arcs only at folds or regular sliding points, termination at
-Filippov-field singularities and on escaping arcs (forward evolution is
-not unique there and trajectories are never silently branched).
+8(5,3)); sliding arcs integrate the one-dimensional Filippov field along D
+up to the nearest root ahead of the tangency and det polynomials, found
+once.  Transitions follow the poly-trajectory rules: X/Y swaps only at
+sewing points, entry/exit of sliding arcs only at folds or regular sliding
+points, termination at Filippov-field singularities and on escaping arcs
+(forward evolution is not unique there and trajectories are never
+silently branched).
 
 Every ODE solve of the package, here and in the regularized and
 compactified flows, goes through one kernel, _integrate: scipy's solve_ivp
-(events, OdeSolution, nfev) with FloatDOP853 as its method, at
-rtol = tols.root and atol = tols.root / 100, so FILIPPOV_TOLERANCE_SCALE
-reaches the solver; events are terminal; a solve whose step controller
-gives up raises StepFailure.  FloatDOP853 is scipy's DOP853 (tableau, step
-controller, initial step) with each step run as straight-line float code
-generated once per system size, so no stage builds a numpy array.
+with FloatDOP853 as its method, at rtol = tols.root and
+atol = tols.root / 100, so FILIPPOV_TOLERANCE_SCALE reaches the solver; a
+solve whose step controller gives up raises StepFailure.  FloatDOP853 is
+scipy's DOP853 (tableau, step controller, initial step) with each step run
+as straight-line float code generated once per system size, so no stage
+builds a numpy array.  Events are affine lines (y = 0, the window's sides,
+a section, x = r on D) that the stepper checks on each accepted step's
+dense-output polynomial, which catches a pair of crossings inside one step;
+the solve ends at the first crossing.
 """
 
 from __future__ import annotations
@@ -40,7 +42,12 @@ from .errors import (
     NotTransversal,
     StepFailure,
 )
-from .polys import PiecewiseField, PolyVectorField, univariate_roots
+from .polys import (
+    PiecewiseField,
+    PolyVectorField,
+    _polish_root,
+    univariate_roots,
+)
 from .tolerances import Tolerances, default_tols
 
 Window = tuple[float, float, float, float]  # x0, x1, y0, y1
@@ -200,22 +207,34 @@ def _dop853_kernel(n: int):
 
 
 class FloatDOP853(DOP853):
-    """scipy's DOP853 with each step as straight-line float code.
+    """scipy's DOP853 with each step as straight-line float code, and with
+    its event lines checked inside the stepper.
 
     The tableau, the step controller (safety 0.9, step factors 0.2 to 10,
     error_exponent, min_step, the t_bound clamp) and the initial step are
     scipy's; only the arithmetic moves into _dop853_kernel(n), whose stages
     pass tuples of floats to the right-hand side.  An OverflowError or
     ZeroDivisionError of the right-hand side inside a trial step rejects
-    the step, as inf and nan do in numpy's arithmetic."""
+    the step, as inf and nan do in numpy's arithmetic.
 
-    def __init__(self, fun, t0, y0, t_bound, **options):
+    lines holds affine events (a_x, a_y, b, direction[, accept]) on the
+    first two components, g = a_x y_0 + a_y y_1 + b (a_y = 0 for one).
+    Each accepted step builds its dense rows, and the first crossing in its
+    line's direction (0: either) that accept(t, state) approves (_crossing)
+    goes into hits as (index, t, state); a start on a line moving in its
+    direction is a crossing.  t_bound moves to the step's end, so solve_ivp
+    ends there, status 0."""
+
+    def __init__(self, fun, t0, y0, t_bound, lines=(), tols=None, hits=None,
+                 **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self._rhs = fun  # called directly; nfev is counted per step
         self.f = self.f.tolist()
         self.h_abs = float(self.h_abs)
         self._tols = (float(self.rtol), float(self.atol))
         self._step, self._dense = _dop853_kernel(self.n)
+        self._lines, self._hits, self._t0 = lines, hits, t0
+        self._line_tols = tols or default_tols()
 
     def _step_impl(self):
         t, y, direction = self.t, self.y.tolist(), float(self.direction)
@@ -245,7 +264,71 @@ class FloatDOP853(DOP853):
         self.h_abs = h_abs * (min(1.0, factor) if rejected else factor)
         self.h_previous, self.y_old, self.t = h, self.y, t_new
         self.y, self.f, self._K = np.array(y_new), f_new, K
+        if self._lines:
+            self.nfev += len(self.C_EXTRA)
+            hit = self._crossing(t, t_new, y, y_new,
+                                 self._dense(self._rhs, t, h, y, y_new, K))
+            if hit is not None:
+                self._hits.append(hit)
+                self.t_bound = t_new  # OdeSolver.step then finishes
         return True, None
+
+    def _crossing(self, t, t_new, y, y_new, F):
+        """First approved crossing of a line inside the step from (t, y) to
+        (t_new, y_new) with dense rows F, as (index, time, state), or None.
+
+        Each b_j is at most 1 on [0, 1], so a line with |g(t)| above
+        sum_j |a.F_j| keeps its sign over the step.  Where g is monotone
+        (its derivative's constant term outweighs the rest) it crosses at
+        most once, where its end values change sign, and _polish_root
+        places that crossing; only the other steps get an exact root count
+        of g's interpolant.  A line whose interpolant is identically zero
+        raises NotTransversal."""
+        tols, h = self._line_tols, t_new - t
+        two = self.n > 1
+        Fx = [row[0] for row in F]
+        Fy = [row[1] for row in F] if two else [0.0] * len(F)
+        reach_x, reach_y = sum(map(abs, Fx)), sum(map(abs, Fy))
+        first = None
+        for k, (ax, ay, b, direction, *accept) in enumerate(self._lines):
+            g0 = ax * y[0] + (ay * y[1] if two else 0.0) + b
+            if abs(g0) > abs(ax) * reach_x + abs(ay) * reach_y:
+                continue
+            gF = [ax * fx + ay * fy for fx, fy in zip(Fx, Fy)]
+            if g0 == 0.0 and not any(gF):
+                raise NotTransversal("trajectory runs along an event line")
+            # g in powers of x = (t - t_old) / h, and its derivative
+            c = (np.array(gF)[:, None] * _dense_basis(len(F))).sum(axis=0)
+            c[0] += g0
+            dc = c[1:] * np.arange(1, len(c))
+            if abs(dc[0]) > np.abs(dc[1:]).sum():
+                g1 = ax * y_new[0] + (ay * y_new[1] if two else 0.0) + b
+                # a zero at a later step's start was the last step's end
+                if g0 * g1 > 0 or direction * (g1 - g0) < 0 \
+                        or (g0 == 0.0 and t != self._t0):
+                    continue
+                roots = [0.0 if g0 == 0.0 else 1.0 if g1 == 0.0
+                         else _polish_root(c, 0.0, 1.0, tols.root)]
+            else:
+                roots = []
+                for r, mult in univariate_roots(c, (0.0, 1.0), tols):
+                    # an odd root crosses, in the direction of g's first
+                    # nonzero derivative there
+                    slope = npoly.polyval(r, npoly.polyder(c, mult))
+                    if mult % 2 == 1 and slope != 0.0 \
+                            and direction * slope >= 0:
+                        roots.append(r)
+            for r in roots:
+                r = min(max(r, 0.0), 1.0)
+                tc = t_new if r == 1.0 else t + r * h
+                if first is not None and tc >= first[1]:
+                    break
+                state = _Dop853Interpolant(t, t_new, np.array(y),
+                                           np.array(F))(tc)
+                if not accept or accept[0](tc, state):
+                    first = (k, tc, state)
+                    break
+        return first
 
     def _dense_output_impl(self):
         self.nfev += len(self.C_EXTRA)
@@ -274,23 +357,28 @@ class _Dop853Interpolant(DenseOutput):
         return (y + self.y_old).T
 
 
-def _integrate(rhs, y0, t_end: float, tols: Tolerances, events=(),
-               t0: float = 0.0, dense_output: bool = False):
+def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
+               t0: float = 0.0):
     """Solve y' = rhs(t, y) from t0 to t_end with FloatDOP853 at
     rtol = tols.root, atol = tols.root / 100.  rhs receives the state as a
-    sequence of floats and returns a sequence.  events are (g, direction)
-    pairs, all terminal.  Raises StepFailure when the step controller gives
-    up."""
-    for g, direction in events:
-        g.terminal = True
-        g.direction = direction
+    sequence of floats and returns a sequence.  lines are the solver's
+    affine events (see FloatDOP853); the solve ends at the first crossing.
+
+    Returns (sol, hit): hit is (index into lines, time, state) of that
+    crossing or None, and sol.t, sol.y end at it.  Raises StepFailure when
+    the step controller gives up."""
+    hits: list = []
     sol = solve_ivp(rhs, (t0, t_end), y0, method=FloatDOP853, rtol=tols.root,
-                    atol=tols.root / 100,
-                    events=[g for g, _ in events] or None,
-                    dense_output=dense_output)
+                    atol=tols.root / 100, lines=lines, tols=tols, hits=hits)
     if sol.status == -1:
         raise StepFailure(sol.message)
-    return sol
+    if not hits:
+        return sol, None
+    _, t_hit, state = hits[0]
+    keep = sol.t < t_hit
+    sol.t = np.append(sol.t[keep], t_hit)
+    sol.y = np.column_stack([sol.y[:, keep], state])
+    return sol, hits[0]
 
 
 @functools.cache
@@ -303,65 +391,6 @@ def _dense_basis(power: int) -> np.ndarray:
         p = npoly.polymul(p, (0.0, 1.0) if j % 2 == 0 else (1.0, -1.0))
         rows.append(np.pad(p, (0, power + 1 - len(p))))
     return np.array(rows)
-
-
-def _line_events(lines):
-    """(g, direction) events of affine lines (a_x, a_y, b, direction)."""
-    return [((lambda t, s, ax=ax, ay=ay, b=b: ax * s[0] + ay * s[1] + b),
-             direction) for ax, ay, b, direction in lines]
-
-
-def _stepped_over(sol, lines, tols: Tolerances):
-    """First crossing, in its direction, of an affine event
-    g = a_x x + a_y y + b of lines that a forward solve stepped over: one
-    inside a step whose end values do not show it, or one before the
-    solver's own event in its last step.  Returns (index into lines, time,
-    state) or None.
-
-    Two cheap bounds close almost every (step, event) pair.  Each b_j is
-    at most 1 on [0, 1], so a step with |g(t_old)| > sum_j |a.F_j| keeps
-    the sign of g.  A step where g is monotone (its derivative's constant
-    term outweighs the sum of the others) crosses at most once, and the
-    solver sees that crossing at the step's ends.  Only the pairs both
-    bounds leave open get an exact root count of g's interpolant."""
-    steps = sol.sol.interpolants
-    ax, ay, b = np.array([ln[:3] for ln in lines]).T
-    y_old = np.array([st.y_old[:2] for st in steps])
-    F = np.array([st.F[:, :2] for st in steps])
-    # broadcast products, not matmul: the first BLAS call of a process
-    # raises its peak memory by a quarter megabyte
-    g0 = y_old[:, :1] * ax + y_old[:, 1:] * ay + b    # (steps, events)
-    gF = F[..., :1] * ax + F[..., 1:] * ay              # (steps, power, events)
-    # nonzero lists the pairs the first bound leaves open in step order
-    pairs = np.nonzero(np.abs(g0) <= np.abs(gF).sum(axis=1))
-    # g - g0 of each such pair in powers of x, shape (pairs, power + 1)
-    c = (gF[pairs[0], :, pairs[1]][..., None]
-         * _dense_basis(F.shape[1])).sum(axis=1)
-    dc = c[:, 1:] * np.arange(1, c.shape[1])
-    monotone = np.abs(dc[:, 0]) > np.abs(dc[:, 1:]).sum(axis=1)
-    t_last = float(sol.t[-1])
-    # roots closer than this to the solver's end are its own event
-    t_stop = t_last - tols.root * max(1.0, abs(t_last))
-    first = None
-    for s, e, ce, mono in zip(*pairs, c, monotone):
-        st = steps[s]
-        if first is not None and st.t_old >= first[1]:
-            break
-        if mono:
-            continue
-        ce[0] += g0[s, e]
-        for r, mult in univariate_roots(ce, (0.0, 1.0), tols):
-            t = st.t_old + max(r, 0.0) * st.h
-            if t >= t_stop or (first is not None and t >= first[1]):
-                break
-            # the first nonzero derivative of an odd root gives its direction
-            slope = npoly.polyval(r, npoly.polyder(ce, mult))
-            if mult % 2 == 1 and lines[e][3] * slope >= 0 and slope != 0.0:
-                first = (e, t)
-                break
-    if first is None:
-        return None
-    return first[0], first[1], sol.sol(first[1])
 
 
 def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
@@ -377,15 +406,14 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     d_direction: -1 catches downward crossings (flows in N), +1 upward,
     0 both.  An optional section event stops the trace at a transversal
     crossing of the segment (matching section_direction when nonzero);
-    crossings of its line outside the parameter range are stepped over
-    (one within 1e-9 horizon of the horizon ends the trace there, status
-    "horizon").  An optional extra_quadrature(x, y) integrand is
-    accumulated as a third state component (for divergence integrals).
+    crossings of its line outside the parameter range do not stop it.  An
+    optional extra_quadrature(x, y) integrand is accumulated as a third
+    state component (for divergence integrals).
 
-    The solver sees an event only where its sign differs at the two ends
-    of a step, so before a solve's end is accepted each step's dense output
-    is searched for crossings it stepped over (_stepped_over); the trace
-    ends at the first one found.
+    One solve: the events are affine lines, which the stepper checks on
+    each step's dense output (FloatDOP853), so a step that jumps a pair of
+    crossings does not hide them.  A section crossing at p0 itself does not
+    count.
     """
     tols = tols or default_tols()
     aug = extra_quadrature is not None
@@ -397,61 +425,24 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
         return [v[0], v[1]]
 
     # affine events (a_x, a_y, b, direction): y = 0, the window's sides
-    # x1, x0, y1, y0, and the section's line
+    # x1, x0, y1, y0, and the section's line within its parameter range
     wx0, wx1, wy0, wy1 = window
     lines = [(0.0, 1.0, 0.0, d_direction),
              (1.0, 0.0, -wx1, 1), (1.0, 0.0, -wx0, -1),
              (0.0, 1.0, -wy1, 1), (0.0, 1.0, -wy0, -1)]
     if section is not None:
-        lines.append(section.line(section_direction))
-    events = _line_events(lines)
-
-    state = list(p0) + ([0.0] if aug else [])
-    offset = 0.0  # time already integrated before the current leg
-    head_ts: list[np.ndarray] = []
-    head_states: list[np.ndarray] = []
-    while True:
-        remaining = horizon - offset
-        sol = _integrate(rhs, state, remaining, tols, events,
-                         dense_output=True)
-        hit = _stepped_over(sol, lines, tols) or next(
-            ((k, float(te[0]), ye[0]) for k, (te, ye)
-             in enumerate(zip(sol.t_events, sol.y_events)) if len(te)), None)
-        if hit is None or hit[0] != 5:
-            break
-        # resume just past a section crossing that is not inside the
-        # parameter range (or is the start point itself)
-        _, te, se = hit
-        s_par = section.param_of((se[0], se[1]))
-        if section.s_range[0] <= s_par <= section.s_range[1] and te > 1e-12:
-            break
-        if te <= 1e-12 and head_ts:
-            # back on the line right after stepping over a crossing
-            raise NotTransversal("trajectory runs along the section line")
-        t_shift = te + 1e-9 * max(1.0, abs(remaining))
-        if t_shift >= remaining:
-            hit = None  # the out-of-range crossing is at the horizon
-            break
-        keep = sol.t <= t_shift
-        head_ts.append(sol.t[keep] + offset)
-        head_states.append(sol.y.T[keep])
-        state = [float(v) for v in sol.sol(t_shift)]
-        offset += t_shift
-
-    ts, states = sol.t, sol.y.T
+        lo, hi = section.s_range
+        lines.append((*section.line(section_direction), lambda t, s:
+                      t > 1e-12 and lo <= section.param_of(s) <= hi))
+    sol, hit = _integrate(rhs, list(p0) + ([0.0] if aug else []), horizon,
+                          tols, lines)
     status, hit_state = "horizon", None
     if hit is not None:
-        kind, t_end, end = hit
+        kind, _, end = hit
         status = {0: "d_hit", 5: "section"}.get(kind, "window")
         if status != "window":
             hit_state = (float(end[0]), 0.0 if kind == 0 else float(end[1]))
-        keep = sol.t < t_end
-        ts = np.append(sol.t[keep], t_end)
-        states = np.vstack([sol.y.T[keep], end])
-    if head_ts:
-        ts = np.concatenate(head_ts + [ts + offset])
-        states = np.vstack(head_states + [states])
-    return SmoothTrace(ts, states, status, hit_state)
+    return SmoothTrace(sol.t, sol.y.T, status, hit_state)
 
 
 def _fz_rhs(Z: PiecewiseField):
@@ -466,41 +457,39 @@ def _fz_rhs(Z: PiecewiseField):
     return rhs
 
 
-def _d_events(Z: PiecewiseField, window: Window):
-    """Events of a motion along D: the tangency roots Q_X(x, 0) and
-    Q_Y(x, 0), then the window's x bounds."""
-    q1, q2 = Z.X.Q, Z.Y.Q
-    return [(lambda t, s: q1(s[0], 0.0), 0), (lambda t, s: q2(s[0], 0.0), 0),
-            (lambda t, s: s[0] - window[0], 0),
-            (lambda t, s: s[0] - window[1], 0)]
+def _d_stop(Z: PiecewiseField, x0: float, speed: float, window: Window,
+            tols: Tolerances, named=()) -> tuple[str, tuple]:
+    """First event of a motion along D from x0 at the given speed, as
+    (outcome, line x = r in the motion's direction): r is the nearest odd
+    root ahead of Q_X(x, 0) ("q1_root"), Q_Y(x, 0) ("q2_root") or a
+    polynomial of the (outcome, polynomial) pairs named, else the window's
+    side.  The motion is monotone between zeros of its field, so it can
+    reach no other event."""
+    ahead = 1 if speed > 0 else -1
+    side = window[1] if ahead > 0 else window[0]
+    stop, x_stop = "window", side
+    span = (min(x0, side), max(x0, side))
+    for name, p in (("q1_root", Z.X.Q), ("q2_root", Z.Y.Q), *named):
+        for r, mult in univariate_roots(p.restrict_y0(), span, tols):
+            if mult % 2 and 0 < ahead * (r - x0) < ahead * (x_stop - x0):
+                stop, x_stop = name, r
+    return stop, (1.0, 0.0, -x_stop, ahead)
 
 
 def _slide(Z: PiecewiseField, x0: float, horizon: float,
-           window: Window, tols: Tolerances,
-           section: Section | None = None) -> tuple:
+           window: Window, tols: Tolerances) -> tuple:
     """Integrate the 1-D Filippov field along D from x0.
 
     Returns (ts, xs, outcome, x_end) with outcome one of
-    'q1_root', 'q2_root', 'fz_singularity', 'window', 'horizon', 'section'.
+    'q1_root', 'q2_root', 'fz_singularity', 'window', 'horizon'.  The first
+    event ahead (_d_stop, with the roots of det) is found once and goes to
+    the solver as one line x = r.
     """
     fz = _fz_rhs(Z)
-    det = dline.det_xy(Z)
-    events = _d_events(Z, window) + [(lambda t, s: det(s[0], 0.0), 0)]
-    names = ["q1_root", "q2_root", "window", "window", "fz_singularity"]
-    if section is not None and abs(section.direction[1]) < 1e-15:
-        events.append((lambda t, s: s[0] - section.base[0], 0))
-        names.append("section")
-
-    sol = _integrate(lambda t, s: [fz(s[0])], [x0], horizon, tols, events)
-    outcome = "horizon"
-    t_end, x_end = sol.t[-1], float(sol.y[0][-1])
-    for k, name in enumerate(names):
-        if len(sol.t_events[k]) > 0 and sol.t_events[k][0] <= t_end:
-            t_end = float(sol.t_events[k][0])
-            x_end = float(sol.y_events[k][0][0])
-            outcome = name
-    mask = sol.t <= t_end + 1e-15
-    return sol.t[mask], sol.y[0][mask], outcome, x_end
+    outcome, line = _d_stop(Z, x0, fz(x0), window, tols,
+                            [("fz_singularity", dline.det_xy(Z))])
+    sol, hit = _integrate(lambda t, s: [fz(s[0])], [x0], horizon, tols, [line])
+    return sol.t, sol.y[0], outcome if hit else "horizon", float(sol.y[0][-1])
 
 
 def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
@@ -530,6 +519,15 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
 
     def record(kind: EventKind, state=None):
         traj.events.append(TrajectoryEvent(t, kind, state or p))
+
+    def close():
+        tags = {a.tag for a in traj.arcs}
+        if tags <= {"X", "Y"}:
+            traj.closed = Closure.TYPE1
+        elif "FZ" in tags and any(e.kind is EventKind.EXIT_AT_FOLD
+                                  for e in traj.events):
+            traj.closed = Closure.TYPE3
+        record(EventKind.CLOSED)
 
     if side == "D":
         cls = dline.classify_point(Z, p[0], tols)
@@ -585,14 +583,7 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                 if not started_on_d and any(
                         abs(p[0] - xc) <= tols.close and sc == new_side
                         for xc, sc in crossings):
-                    tags = {a.tag for a in traj.arcs}
-                    if tags <= {"X", "Y"}:
-                        traj.closed = Closure.TYPE1
-                    elif "FZ" in tags and any(
-                            e.kind is EventKind.EXIT_AT_FOLD
-                            for e in traj.events):
-                        traj.closed = Closure.TYPE3
-                    record(EventKind.CLOSED)
+                    close()
                     break
                 crossings.append((p[0], new_side))
                 record(EventKind.CROSSING_AT_SEWING)
@@ -628,7 +619,7 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                 record(EventKind.REACH_FZ_SINGULARITY)
                 break
             ts, xs, outcome, x_end = _slide(Z, p[0], horizon - t, window,
-                                            tols, section)
+                                            tols)
             states = np.column_stack([xs, np.zeros_like(xs)])
             traj.arcs.append(TrajectoryArc("FZ", (t, t + ts[-1]),
                                            ts + t, states))
@@ -643,30 +634,21 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
             if outcome == "horizon":
                 record(EventKind.TIME_BUDGET)
                 break
-            if outcome == "section":
-                record(EventKind.SECTION_CROSSING)
-                break
-            # fold exit: into the region of the field whose tangency vanishes
-            if outcome in ("q1_root", "q2_root"):
-                fld = Z.X if outcome == "q1_root" else Z.Y
-                other = Z.Y.Q if outcome == "q1_root" else Z.X.Q
-                lie2 = dline.second_lie_derivative(fld)(p[0], 0.0)
-                if abs(lie2) <= tols.sign or abs(other(p[0], 0.0)) <= tols.sign:
-                    raise ClassificationAmbiguous(
-                        f"sliding arc ends at non-fold tangency x={p[0]}")
-                record(EventKind.EXIT_AT_FOLD)
-                side = "N" if outcome == "q1_root" else "S"
-                p = (p[0], math.copysign(tols.event, 1 if side == "N" else -1))
+            # fold exit (q1_root or q2_root): into the region of the field
+            # whose tangency vanishes
+            fld = Z.X if outcome == "q1_root" else Z.Y
+            other = Z.Y.Q if outcome == "q1_root" else Z.X.Q
+            lie2 = dline.second_lie_derivative(fld)(p[0], 0.0)
+            if abs(lie2) <= tols.sign or abs(other(p[0], 0.0)) <= tols.sign:
+                raise ClassificationAmbiguous(
+                    f"sliding arc ends at non-fold tangency x={p[0]}")
+            record(EventKind.EXIT_AT_FOLD)
+            side = "N" if outcome == "q1_root" else "S"
+            p = (p[0], math.copysign(tols.event, 1 if side == "N" else -1))
         # closure check at transition points on D
         if abs(p[1]) <= tols.close and len(traj.arcs) >= 2 \
                 and math.hypot(p[0] - start[0], p[1] - start[1]) <= tols.close:
-            tags = {a.tag for a in traj.arcs}
-            has_fold = any(e.kind is EventKind.EXIT_AT_FOLD for e in traj.events)
-            if tags <= {"X", "Y"}:
-                traj.closed = Closure.TYPE1
-            elif "FZ" in tags and has_fold:
-                traj.closed = Closure.TYPE3
-            record(EventKind.CLOSED)
+            close()
             break
     else:
         record(EventKind.TIME_BUDGET)
@@ -683,9 +665,8 @@ def transition_derivative(X: PolyVectorField, p0: tuple[float, float],
 
     The orbit from p0 ends at its first crossing of sec1's line in the
     direction the flow crosses it at p1 (p0 may lie on that line, as in a
-    half turn between two rays of one line), within 1.5 t_span; like
-    integrate_smooth, it checks each step's dense output for a crossing
-    the solver stepped over."""
+    half turn between two rays of one line), within 1.5 t_span, found by
+    the stepper on each step's dense output as in integrate_smooth."""
     tols = tols or default_tols()
     div = X.divergence()
 
@@ -696,12 +677,10 @@ def transition_derivative(X: PolyVectorField, p0: tuple[float, float],
     # g of the line grows where the speed across it is negative
     arrive = [sec1.line(-1 if _normal_speed(X, p1, sec1.direction) > 0
                         else 1)]
-    sol = _integrate(rhs, [p0[0], p0[1], 0.0], t_span * 1.5, tols,
-                     _line_events(arrive), dense_output=True)
-    hit = _stepped_over(sol, arrive, tols)
-    if hit is None and len(sol.t_events[0]) == 0:
+    _, hit = _integrate(rhs, [p0[0], p0[1], 0.0], t_span * 1.5, tols, arrive)
+    if hit is None:
         raise NoReturn("orbit did not reach the target section")
-    end = sol.y_events[0][0] if hit is None else hit[2]
+    end = hit[2]
     d0 = _normal_speed(X, p0, sec0.direction)
     d1 = _normal_speed(X, end, sec1.direction)
     if abs(d0) <= tols.sign or abs(d1) <= tols.sign:
@@ -807,7 +786,7 @@ def compactified_return_map(Z: PiecewiseField, rho0: float,
     for (A, R), theta0, theta1 in halves:
         def rhs(theta, s, A=A, R=R):
             return tf.slope(A, R, theta, s[0])
-        sol = _integrate(rhs, state, theta1, tols, t0=theta0)
+        sol, _ = _integrate(rhs, state, theta1, tols, t0=theta0)
         state = [float(v) for v in sol.y[:, -1]]
     return state[0], math.exp(state[1])
 
@@ -1018,8 +997,9 @@ def _trace_branch(Z, seed, kind, forward, horizon, window, tols) -> np.ndarray:
 
 def _trace_d_branch(Z, x0, direction, horizon, window, tols) -> np.ndarray:
     fz = _fz_rhs(Z)
-    sol = _integrate(lambda t, s: [direction * fz(s[0])], [x0], horizon,
-                     tols, _d_events(Z, window))
+    _, line = _d_stop(Z, x0, direction * fz(x0), window, tols)
+    sol, _ = _integrate(lambda t, s: [direction * fz(s[0])], [x0], horizon,
+                        tols, [line])
     return sol.y[0]
 
 

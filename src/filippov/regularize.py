@@ -278,16 +278,15 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
     """
     from scipy.optimize import brentq
 
-    from .flow import Section, _integrate
+    from .flow import _integrate
 
     tols = tols or default_tols()
     R = RegularizedField(Z, phi, epsilon)
-    sec = Section((section_x, 0.0), (0.0, 1.0), s_range)
 
     def run(s: float, with_div: bool):
-        """End state of the first return from sec(s), with the divergence
-        integral as a third component when with_div."""
-        p = sec.point(s)
+        """End state of the first return from (section_x, s), with the
+        divergence integral as a third component when with_div."""
+        p = (section_x, s)
 
         def rhs(t, st):
             v = R(st[0], st[1])
@@ -295,16 +294,15 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
                 return [v[0], v[1], np.trace(R.jacobian(st[0], st[1]))]
             return list(v)
 
-        # leave the section before arming the event: integrate a short leg
-        y0 = list(p) + ([0.0] if with_div else [])
-        lead = _integrate(rhs, y0, 1e-3, tols)
-        ret = (lambda t, st: st[0] - section_x,
-               -1 if R(p[0], p[1])[0] < 0 else 1)
-        sol = _integrate(rhs, [float(v) for v in lead.y[:, -1]], horizon,
-                         tols, [ret])
-        if len(sol.t_events[0]) == 0:
+        # the return crosses x = section_x the way the orbit leaves it, so
+        # the crossing at the start is refused
+        ret = (1.0, 0.0, -section_x, -1 if R(p[0], p[1])[0] < 0 else 1,
+               lambda t, st: t > 1e-12)
+        _, hit = _integrate(rhs, list(p) + ([0.0] if with_div else []),
+                            horizon, tols, [ret])
+        if hit is None:
             raise NoReturn(f"no return from s={s}")
-        return sol.y_events[0][0]
+        return hit[2]
 
     def eta(s: float) -> float:
         return float(run(s, False)[1])

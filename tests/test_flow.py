@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from filippov import flow
-from filippov.errors import NotTransversal, StepFailure
+from filippov.errors import NoReturn, NotTransversal, StepFailure
 from filippov.flow import (
     Closure,
     EventKind,
@@ -108,6 +109,14 @@ def test_trajectory_along_section_line_not_transversal():
     sec = Section((0.0, 0.0), (0.0, 1.0), (5.0, 6.0))
     with pytest.raises(NotTransversal):
         integrate_smooth(X, (0.0, 1.0), 1.0, WIN, section=sec)
+
+
+def test_start_on_window_side_moving_out_exits_at_once():
+    # a start on an event line moving in its direction is a crossing: only
+    # a section refuses its start
+    tr = integrate_smooth(vf(ONE, ONE), (5.0, 1.0), 10.0, WIN)
+    assert tr.status == "window"
+    assert list(tr.ts) == [0.0]
 
 
 def test_reversibility_of_smooth_arc():
@@ -309,6 +318,18 @@ def test_return_through_sliding_arc_not_transversal():
         return_map(Z, sec, 0.0, 100.0, WIN)
 
 
+def test_slide_under_horizontal_section_is_no_return():
+    # X = (1, -1) over Y = (1, 1) slides right along D.  From (-4, 1) on the
+    # section y = 1 the orbit lands at (-3, 0) and slides under the
+    # section's base (-2, 1) to the window without returning; a slide that
+    # passed the base's abscissa once ended the run with (-2, 0) as the
+    # return, a point off the section
+    Z = piecewise(vf(ONE, M_ONE), vf(ONE, ONE))
+    sec = Section((-2.0, 1.0), (1.0, 0.0), (-5.0, 5.0))
+    with pytest.raises(NoReturn):
+        return_map(Z, sec, -2.0, 100.0, WIN, with_derivative=False)
+
+
 def test_census_work_counter(monkeypatch):
     # deterministic work gate: every return map stops at its first return
     # and eta' needs no finite-difference runs
@@ -417,10 +438,55 @@ def test_float_dop853_matches_scipy_dop853(rhs, y0):
 
 
 def test_single_solver_call_site():
-    src = Path(flow.__file__).parent
-    calls = sum(path.read_text().count("solve_ivp(")
-                for path in src.glob("*.py"))
-    assert calls == 1
+    # one solve_ivp, and its events come from the stepper's lines alone
+    texts = [path.read_text() for path in Path(flow.__file__).parent.glob(
+        "*.py")]
+    assert sum(text.count("solve_ivp(") for text in texts) == 1
+    for word in ("events=", "t_events", "y_events"):
+        assert not any(word in text for text in texts), word
+
+
+def test_float_dop853_line_ends_solve_at_crossing_step():
+    # the rotation from (1, 0) crosses y = 0 downwards at t = pi.  The
+    # stepper ends the solve by moving t_bound to the end of the step that
+    # holds the crossing, which scipy's OdeSolver.step reads as finished;
+    # lines, tols and hits are solver options that scipy must not warn about
+    def rhs(t, s):
+        return [-s[1], s[0]]
+
+    tols = Tolerances()
+    kw = dict(method=flow.FloatDOP853, rtol=tols.root, atol=tols.root / 100)
+    hits = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = flow.solve_ivp(rhs, (0.0, 10.0), [1.0, 0.0],
+                             lines=[(0.0, 1.0, 0.0, -1)], tols=tols,
+                             hits=hits, **kw)
+    free = flow.solve_ivp(rhs, (0.0, 10.0), [1.0, 0.0], **kw)
+    assert sol.status == 0
+    ((index, t_hit, state),) = hits
+    assert index == 0 and abs(t_hit - math.pi) < 1e-8
+    assert np.allclose(state, [-1.0, 0.0], atol=1e-8)
+    # the same steps as the solve without lines, up to the crossing's
+    k = int(np.searchsorted(free.t, t_hit))
+    assert np.array_equal(sol.t, free.t[:k + 1])
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-3])
+def test_sliding_arc_steps_over_close_fold_pair(delta):
+    # X = (1, delta^2 - x^2) over Y = (0, 1): D slides for |x| > delta and
+    # sews between.  The slide from x = -3 moves at x' = 1 / (1 - delta^2
+    # + x^2) and leaves at the fold x = -delta; a step that jumps both
+    # roots of Q_X kept its sign at the step ends and slid on to the horizon
+    Z = piecewise(vf(ONE, {(0, 0): delta * delta, (2, 0): -1.0}), vf({}, ONE))
+    traj = advance_hybrid(Z, (-3.0, 0.0), "D", 20.0, WIN)
+    first = traj.events[0]
+    assert first.kind is EventKind.EXIT_AT_FOLD
+    assert abs(first.state[0] + delta) < 1e-12
+    t_fold = (1 - delta ** 2) * (3 - delta) + (27 - delta ** 3) / 3
+    assert abs(first.time - t_fold) < 1e-8
+    xs = flow._trace_d_branch(Z, -3.0, 1.0, 20.0, WIN, default_tols())
+    assert abs(xs[-1] + delta) < 1e-12
 
 
 def test_tolerance_scale_reaches_solvers(monkeypatch):
