@@ -16,10 +16,14 @@ atol = tols.root / 100, so FILIPPOV_TOLERANCE_SCALE reaches the solver; a
 solve whose step controller gives up raises StepFailure.  FloatDOP853 is
 scipy's DOP853 (tableau, step controller, initial step) with each step run
 as straight-line float code generated once per system size, so no stage
-builds a numpy array.  Events are affine lines (y = 0, the window's sides,
-a section, x = r on D) that the stepper checks on each accepted step's
-dense-output polynomial, which catches a pair of crossings inside one step;
-the solve ends at the first crossing.
+builds a numpy array.  Each stage calls one generated right-hand side,
+cached on the object it integrates: PolyVectorField.rhs (forward or
+reversed, with or without the divergence), PiecewiseField.slide_rhs and
+RegularizedField.rhs, built from the Horner forms of the polynomials so
+they return the same floats.  Events are affine lines (y = 0, the window's
+sides, a section, x = r on D) that the stepper checks on each accepted
+step's dense-output polynomial, which catches a pair of crossings inside
+one step; the solve ends at the first crossing.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .errors import (
 from .polys import (
     PiecewiseField,
     PolyVectorField,
+    _generate,
     _polish_root,
     univariate_roots,
 )
@@ -200,9 +205,8 @@ def _dop853_kernel(n: int):
             vec(lambda i: f"2*d_{i} - h*(k{m}_{i} + k0_{i})")]
     rows += [vec(lambda i, d=d: f"h*{lin(d, i)}") for d in T.D]
     dense.append(f"    return {', '.join(rows)}")
-    namespace = {"sqrt": math.sqrt}
-    exec(compile("\n".join(step + dense) + "\n", f"<dop853-{n}>", "exec"),
-         namespace)
+    namespace = _generate("\n".join(step + dense) + "\n", f"dop853-{n}",
+                          sqrt=math.sqrt)
     return namespace["step"], namespace["dense"]
 
 
@@ -297,20 +301,21 @@ class FloatDOP853(DOP853):
             gF = [ax * fx + ay * fy for fx, fy in zip(Fx, Fy)]
             if g0 == 0.0 and not any(gF):
                 raise NotTransversal("trajectory runs along an event line")
-            # g in powers of x = (t - t_old) / h, and its derivative
-            c = (np.array(gF)[:, None] * _dense_basis(len(F))).sum(axis=0)
-            c[0] += g0
-            dc = c[1:] * np.arange(1, len(c))
-            if abs(dc[0]) > np.abs(dc[1:]).sum():
+            # g in powers of x = (t - t_old) / h; monotone where its
+            # derivative's constant term outweighs the rest
+            c = [g0] + [0.0] * len(F)
+            for j, p, bp in _dense_basis(len(F)):
+                c[p] += gF[j] * bp
+            if abs(c[1]) > sum(abs(c[p] * p) for p in range(2, len(c))):
                 g1 = ax * y_new[0] + (ay * y_new[1] if two else 0.0) + b
                 # a zero at a later step's start was the last step's end
                 if g0 * g1 > 0 or direction * (g1 - g0) < 0 \
                         or (g0 == 0.0 and t != self._t0):
                     continue
                 roots = [0.0 if g0 == 0.0 else 1.0 if g1 == 0.0
-                         else _polish_root(c, 0.0, 1.0, tols.root)]
+                         else _polish_root(np.array(c), 0.0, 1.0, tols.root)]
             else:
-                roots = []
+                c, roots = np.array(c), []
                 for r, mult in univariate_roots(c, (0.0, 1.0), tols):
                     # an odd root crosses, in the direction of g's first
                     # nonzero derivative there
@@ -382,15 +387,15 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
 
 
 @functools.cache
-def _dense_basis(power: int) -> np.ndarray:
-    """Ascending coefficients, one row each, of x, x(1-x), x^2(1-x),
-    x^2(1-x)^2, ...: a DOP853 step's dense output is
-    y_old + sum_j F_j b_j(x) in the fraction x of the step."""
-    rows, p = [], np.array([1.0])
+def _dense_basis(power: int) -> tuple:
+    """The nonzero coefficients (j, power, coefficient), by ascending j, of
+    b_j = x, x(1-x), x^2(1-x), x^2(1-x)^2, ...: a DOP853 step's dense
+    output is y_old + sum_j F_j b_j(x) in the fraction x of the step."""
+    terms, p = [], np.array([1.0])
     for j in range(power):
         p = npoly.polymul(p, (0.0, 1.0) if j % 2 == 0 else (1.0, -1.0))
-        rows.append(np.pad(p, (0, power + 1 - len(p))))
-    return np.array(rows)
+        terms += [(j, k, float(v)) for k, v in enumerate(p) if v]
+    return tuple(terms)
 
 
 def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
@@ -399,16 +404,18 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
                      section: Section | None = None,
                      section_direction: int = 0,
                      tols: Tolerances | None = None,
-                     extra_quadrature=None) -> SmoothTrace:
-    """Adaptive DOP853 trace of X from p0, stopping at the first y=0
-    crossing (in the given direction), window exit or horizon.
+                     with_divergence: bool = False,
+                     reverse: bool = False) -> SmoothTrace:
+    """Adaptive DOP853 trace of X (of -X when reverse) from p0, stopping at
+    the first y=0 crossing (in the given direction), window exit or
+    horizon.
 
     d_direction: -1 catches downward crossings (flows in N), +1 upward,
     0 both.  An optional section event stops the trace at a transversal
     crossing of the segment (matching section_direction when nonzero);
-    crossings of its line outside the parameter range do not stop it.  An
-    optional extra_quadrature(x, y) integrand is accumulated as a third
-    state component (for divergence integrals).
+    crossings of its line outside the parameter range do not stop it.
+    with_divergence accumulates the integral of div X as a third state
+    component.
 
     One solve: the events are affine lines, which the stepper checks on
     each step's dense output (FloatDOP853), so a step that jumps a pair of
@@ -416,14 +423,6 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     count.
     """
     tols = tols or default_tols()
-    aug = extra_quadrature is not None
-
-    def rhs(t, s):
-        v = X(s[0], s[1])
-        if aug:
-            return [v[0], v[1], extra_quadrature(s[0], s[1])]
-        return [v[0], v[1]]
-
     # affine events (a_x, a_y, b, direction): y = 0, the window's sides
     # x1, x0, y1, y0, and the section's line within its parameter range
     wx0, wx1, wy0, wy1 = window
@@ -434,8 +433,9 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
         lo, hi = section.s_range
         lines.append((*section.line(section_direction), lambda t, s:
                       t > 1e-12 and lo <= section.param_of(s) <= hi))
-    sol, hit = _integrate(rhs, list(p0) + ([0.0] if aug else []), horizon,
-                          tols, lines)
+    sol, hit = _integrate(X.rhs(reverse, with_divergence),
+                          list(p0) + ([0.0] if with_divergence else []),
+                          horizon, tols, lines)
     status, hit_state = "horizon", None
     if hit is not None:
         kind, _, end = hit
@@ -443,18 +443,6 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
         if status != "window":
             hit_state = (float(end[0]), 0.0 if kind == 0 else float(end[1]))
     return SmoothTrace(sol.t, sol.y.T, status, hit_state)
-
-
-def _fz_rhs(Z: PiecewiseField):
-    p1, q1 = Z.X.P, Z.X.Q
-    p2, q2 = Z.Y.P, Z.Y.Q
-
-    def rhs(x):
-        xf = q1(x, 0.0)
-        yf = q2(x, 0.0)
-        return (yf * p1(x, 0.0) - xf * p2(x, 0.0)) / (yf - xf)
-
-    return rhs
 
 
 def _d_stop(Z: PiecewiseField, x0: float, speed: float, window: Window,
@@ -483,12 +471,17 @@ def _slide(Z: PiecewiseField, x0: float, horizon: float,
     Returns (ts, xs, outcome, x_end) with outcome one of
     'q1_root', 'q2_root', 'fz_singularity', 'window', 'horizon'.  The first
     event ahead (_d_stop, with the roots of det) is found once and goes to
-    the solver as one line x = r.
+    the solver as one line x = r.  A tangency root where |det| <= tols.sign
+    is also a zero of the sliding field, so the slide ends there as
+    'fz_singularity', as one started there does in advance_hybrid.
     """
-    fz = _fz_rhs(Z)
-    outcome, line = _d_stop(Z, x0, fz(x0), window, tols,
-                            [("fz_singularity", dline.det_xy(Z))])
-    sol, hit = _integrate(lambda t, s: [fz(s[0])], [x0], horizon, tols, [line])
+    rhs, det = Z.slide_rhs(), dline.det_xy(Z)
+    outcome, line = _d_stop(Z, x0, rhs(0.0, (x0,))[0], window, tols,
+                            [("fz_singularity", det)])
+    if outcome in ("q1_root", "q2_root") \
+            and abs(det(-line[2], 0.0)) <= tols.sign:
+        outcome = "fz_singularity"
+    sol, hit = _integrate(rhs, [x0], horizon, tols, [line])
     return sol.t, sol.y[0], outcome if hit else "horizon", float(sol.y[0][-1])
 
 
@@ -511,8 +504,6 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
     integrates div along each smooth arc into TrajectoryArc.divergence.
     """
     tols = tols or default_tols()
-    divs = {"N": Z.X.divergence(), "S": Z.Y.divergence()} \
-        if with_divergence else {}
     traj = PolyTrajectory()
     t = 0.0
     p = (float(p0[0]), float(p0[1]))
@@ -554,7 +545,7 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
             ddir = -1 if side == "N" else 1
             tr = integrate_smooth(fld, p, horizon - t, window, ddir,
                                   section, section_direction, tols,
-                                  divs.get(side))
+                                  with_divergence)
             traj.arcs.append(TrajectoryArc(
                 "X" if side == "N" else "Y",
                 (t, t + tr.ts[-1]), tr.ts + t, tr.states[:, :2],
@@ -668,16 +659,11 @@ def transition_derivative(X: PolyVectorField, p0: tuple[float, float],
     half turn between two rays of one line), within 1.5 t_span, found by
     the stepper on each step's dense output as in integrate_smooth."""
     tols = tols or default_tols()
-    div = X.divergence()
-
-    def rhs(t, s):
-        v = X(s[0], s[1])
-        return [v[0], v[1], div(s[0], s[1])]
-
     # g of the line grows where the speed across it is negative
     arrive = [sec1.line(-1 if _normal_speed(X, p1, sec1.direction) > 0
                         else 1)]
-    _, hit = _integrate(rhs, [p0[0], p0[1], 0.0], t_span * 1.5, tols, arrive)
+    _, hit = _integrate(X.rhs(divergence=True), [p0[0], p0[1], 0.0],
+                        t_span * 1.5, tols, arrive)
     if hit is None:
         raise NoReturn("orbit did not reach the target section")
     end = hit[2]
@@ -986,20 +972,18 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
 
 def _trace_branch(Z, seed, kind, forward, horizon, window, tols) -> np.ndarray:
     fld = Z.X if kind == "X" else Z.Y
-    if not forward:
-        fld = PolyVectorField(fld.P.scale(-1.0), fld.Q.scale(-1.0), fld.m)
     ddir = -1 if kind == "X" else 1
     if (kind == "X" and seed[1] <= 0) or (kind == "Y" and seed[1] >= 0):
         return np.asarray([seed])
-    tr = integrate_smooth(fld, seed, horizon, window, ddir, tols=tols)
+    tr = integrate_smooth(fld, seed, horizon, window, ddir, tols=tols,
+                          reverse=not forward)
     return tr.states[:, :2]
 
 
 def _trace_d_branch(Z, x0, direction, horizon, window, tols) -> np.ndarray:
-    fz = _fz_rhs(Z)
-    _, line = _d_stop(Z, x0, direction * fz(x0), window, tols)
-    sol, _ = _integrate(lambda t, s: [direction * fz(s[0])], [x0], horizon,
-                        tols, [line])
+    rhs = Z.slide_rhs(direction)
+    _, line = _d_stop(Z, x0, rhs(0.0, (x0,))[0], window, tols)
+    sol, _ = _integrate(rhs, [x0], horizon, tols, [line])
     return sol.y[0]
 
 

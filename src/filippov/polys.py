@@ -44,20 +44,43 @@ def _horner_form(terms: dict[int, str], var: str) -> str:
     return expr
 
 
-def _compile_horner(coeffs: Coeffs) -> Callable[[float, float], float]:
-    """Straight-line evaluator of sum a_ij x^i y^j: Horner in x of Horner
-    forms in y.  The arguments are converted with float() first, so numpy
-    scalars run at Python float speed and the result is a float."""
+def _generate(source: str, label: str, **names) -> dict:
+    """Run generated source in a namespace holding names (and inf, nan)
+    and return the namespace.  Every evaluator the package generates goes
+    through here: Horner forms, right-hand sides and the DOP853 step."""
+    namespace = {"inf": math.inf, "nan": math.nan, **names}
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace
+
+
+def _horner_body(coeffs: Coeffs) -> str:
+    """Expression of sum a_ij x^i y^j in x and y: Horner in x of Horner
+    forms in y, every coefficient written by repr."""
     rows: dict[int, dict[int, str]] = {}
     for (i, j), v in coeffs.items():
         rows.setdefault(i, {})[j] = repr(v)
     inner = {i: _horner_form(r, "y") for i, r in rows.items()}
-    body = _horner_form(inner, "x") if inner else "0.0"
+    return f"({_horner_form(inner, 'x')})" if inner else "0.0"
+
+
+def _compile_horner(coeffs: Coeffs) -> Callable[[float, float], float]:
+    """Straight-line evaluator of sum a_ij x^i y^j (_horner_body).  The
+    arguments are converted with float() first, so numpy scalars run at
+    Python float speed and the result is a float."""
     source = f"def horner(x, y):\n    x = float(x)\n    y = float(y)\n" \
-             f"    return {body}\n"
-    namespace = {"inf": math.inf, "nan": math.nan}
-    exec(compile(source, "<horner>", "exec"), namespace)
-    return namespace["horner"]
+             f"    return {_horner_body(coeffs)}\n"
+    return _generate(source, "horner")["horner"]
+
+
+def _kernel(obj, key, body: Callable[[], list[str]], **names) -> Callable:
+    """obj's right-hand side rhs(t, s) for key, generated from the lines
+    body() on first use and cached on obj, whose pickle state leaves it
+    out (_field_state)."""
+    kernels = obj.__dict__.setdefault("_kernels", {})
+    if key not in kernels:
+        source = "def rhs(t, s):\n" + "".join(f"    {ln}\n" for ln in body())
+        kernels[key] = _generate(source, "rhs", **names)["rhs"]
+    return kernels[key]
 
 
 def _field_state(obj) -> dict:
@@ -232,6 +255,20 @@ class PolyVectorField:
         px, py, qx, qy = self._jacobian
         return np.array([[px(x, y), py(x, y)], [qx(x, y), qy(x, y)]])
 
+    def rhs(self, reverse: bool = False, divergence: bool = False
+            ) -> Callable:
+        """rhs(t, s) of the flow at (s[0], s[1]), of -(P, Q) when reverse,
+        with dP/dx + dQ/dy as a third component when divergence (_kernel).
+        It runs the Horner forms of P, Q and the divergence, so it returns
+        their floats; negation is exact, as rounding is symmetric."""
+        def body():
+            sign = "-" if reverse else ""
+            P, Q, D = (_horner_body(p.coeffs)
+                       for p in (self.P, self.Q, self._divergence))
+            return ["x = s[0]", "y = s[1]", f"return ({sign}{P}, {sign}{Q}"
+                    + (f", {D})" if divergence else ")")]
+        return _kernel(self, (reverse, divergence), body)
+
 
 def vf(P: Coeffs, Q: Coeffs, m: int | None = None) -> PolyVectorField:
     """Convenience constructor; m defaults to max component degree."""
@@ -252,6 +289,20 @@ class PiecewiseField:
     def __post_init__(self):
         if max(self.X.m, self.Y.m) > self.m:
             raise ValueError("side degree exceeds declared common degree")
+
+    __getstate__ = _field_state
+
+    def slide_rhs(self, direction: float = 1.0) -> Callable:
+        """rhs(t, s) of the 1-D Filippov sliding field on D at x = s[0],
+        (Q_Y P_X - Q_X P_Y) / (Q_Y - Q_X) at y = 0, times direction (+1 or
+        -1) (_kernel)."""
+        def body():
+            p1, q1, p2, q2 = (_horner_body(p.coeffs) for p in
+                              (self.X.P, self.X.Q, self.Y.P, self.Y.Q))
+            sign = "-" if direction < 0 else ""
+            return ["x = s[0]", "y = 0.0", f"q1 = {q1}", f"q2 = {q2}",
+                    f"return ({sign}((q2*{p1} - q1*{p2})/(q2 - q1)),)"]
+        return _kernel(self, direction, body)
 
 
 def piecewise(X: PolyVectorField, Y: PolyVectorField) -> PiecewiseField:

@@ -19,12 +19,14 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import BadParameter, NoReturn, NotTransversal, StepFailure
-from .polys import PiecewiseField, newton_zero
+from .polys import (PiecewiseField, _field_state, _horner_body, _kernel,
+                    newton_zero)
 from .tolerances import Tolerances, default_tols
 
 
@@ -65,6 +67,23 @@ class TransitionFunction:
         if self.family == "smoothstep":
             return (1 - t * t) ** self.parameter / self._norm
         return math.exp(-1.0 / (1.0 - t * t)) / self._norm
+
+    def sources(self) -> tuple[str, str]:
+        """Expressions in t of phi and phi' inside (-1, 1), term for term
+        those of __call__ and derivative; "phi(t)" where phi is a quad
+        integral (the bump, smoothstep n > 3)."""
+        norm = repr(float(self._norm))
+        if self.family == "bump":
+            return "phi(t)", f"exp(-1.0 / (1.0 - t * t)) / {norm}"
+        n = self.parameter
+        closed = _SMOOTHSTEP_INT.get(n)
+        return (f"0.5 + ({closed}) / {norm}" if closed else "phi(t)",
+                f"(1 - t * t) ** {n} / {norm}")
+
+
+# the closed forms of _smoothstep_int, as source in t
+_SMOOTHSTEP_INT = {1: "t - t**3 / 3", 2: "t - 2 * t**3 / 3 + t**5 / 5",
+                   3: "t - t**3 + 3 * t**5 / 5 - t**7 / 7"}
 
 
 def make_transition(family: str, parameter: int = 1) -> TransitionFunction:
@@ -114,6 +133,34 @@ class RegularizedField:
         vx = self.Z.X(x, y)
         vy = self.Z.Y(x, y)
         return ((1 - w) * vy[0] + w * vx[0], (1 - w) * vy[1] + w * vx[1])
+
+    __getstate__ = _field_state
+
+    def rhs(self, divergence: bool = False) -> Callable:
+        """rhs(t, s) of the flow of the blend at (s[0], s[1]), with the
+        trace of the exact Jacobian as a third component when divergence
+        (polys._kernel).  It returns the floats of __call__ and jacobian:
+        the same Horner forms, with phi and phi' as TransitionFunction.
+        sources writes them.  The field is autonomous: t holds y/epsilon."""
+        def body():
+            # P, Q, dP/dx and dQ/dy of X, then of Y
+            hx, hy = ([_horner_body(p.coeffs) for p in
+                       (F.P, F.Q, F.jacobian()[0], F.jacobian()[3])]
+                      for F in (self.Z.X, self.Z.Y))
+            side = "({0}, {1}, {2} + {3})" if divergence else "({0}, {1})"
+            phi, dphi = self.phi.sources()
+            eps = repr(float(self.epsilon))
+            # w J_X + (1 - w) J_Y, plus phi'/eps (Q_X - Q_Y) at dQ/dy
+            trace = (f", (w*{hx[2]} + (1 - w)*{hy[2]}) + ((w*{hx[3]} + (1 - w)"
+                     f"*{hy[3]}) + (({dphi}) / {eps})*(qx - qy))"
+                     ) if divergence else ""
+            return ["x = s[0]", "y = s[1]", f"t = y / {eps}",
+                    f"if t >= 1.0: return {side.format(*hx)}",
+                    f"if t <= -1.0: return {side.format(*hy)}",
+                    f"w = {phi}", f"px = {hx[0]}", f"qx = {hx[1]}",
+                    f"py = {hy[0]}", f"qy = {hy[1]}",
+                    f"return ((1 - w)*py + w*px, (1 - w)*qy + w*qx{trace})"]
+        return _kernel(self, divergence, body, phi=self.phi, exp=math.exp)
 
     def strips(self, xs: np.ndarray, ys: np.ndarray
                ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -286,19 +333,12 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
     def run(s: float, with_div: bool):
         """End state of the first return from (section_x, s), with the
         divergence integral as a third component when with_div."""
-        p = (section_x, s)
-
-        def rhs(t, st):
-            v = R(st[0], st[1])
-            if with_div:
-                return [v[0], v[1], np.trace(R.jacobian(st[0], st[1]))]
-            return list(v)
-
         # the return crosses x = section_x the way the orbit leaves it, so
         # the crossing at the start is refused
-        ret = (1.0, 0.0, -section_x, -1 if R(p[0], p[1])[0] < 0 else 1,
+        ret = (1.0, 0.0, -section_x, -1 if R(section_x, s)[0] < 0 else 1,
                lambda t, st: t > 1e-12)
-        _, hit = _integrate(rhs, list(p) + ([0.0] if with_div else []),
+        _, hit = _integrate(R.rhs(with_div),
+                            [section_x, s] + ([0.0] if with_div else []),
                             horizon, tols, [ret])
         if hit is None:
             raise NoReturn(f"no return from s={s}")

@@ -103,18 +103,6 @@ def _zeros_on_interval(A, lo, hi, tols, n_grid=4096):
     return merged
 
 
-def _seeded_fields():
-    """40 random degree-1/3 piecewise fields."""
-    rng = np.random.default_rng(11)
-    for k in range(40):
-        m = (1, 3)[k % 2]
-
-        def cs():
-            return {(i, j): rng.uniform(-2, 2) for i in range(m + 1)
-                    for j in range(m + 1 - i)}
-        yield piecewise(vf(cs(), cs(), m=m), vf(cs(), cs(), m=m))
-
-
 def test_trig_rotation():
     As, Rs = trig_coefficients(ROTATION)
     for t in np.linspace(0, 2 * math.pi, 17):
@@ -278,9 +266,9 @@ def test_infinity_simple_zeros_to_rounding():
                                    abs=1e-14)
 
 
-def test_infinity_census_matches_sampling_reference():
+def test_infinity_census_matches_sampling_reference(seeded_fields):
     tols = default_tols()
-    for z in _seeded_fields():
+    for z in seeded_fields:
         tf = compactified_field(z)
         ref = []
         for A, R, tag, lo in ((tf.A1[z.m], tf.R1[z.m], "X", 0.0),
@@ -403,9 +391,9 @@ def test_s1_double_zero_between_samples():
     assert rep.mu is None
 
 
-def test_s1_status_consistent_with_infinity_census():
+def test_s1_status_consistent_with_infinity_census(seeded_fields):
     seen = 0
-    for z in _seeded_fields():
+    for z in seeded_fields:
         if any(s.field_tag in ("X", "Y") for s in infinity_singularities(z)):
             seen += 1
             assert s1_elementarity(z).status is not S1Status.ELEMENTARY

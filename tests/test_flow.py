@@ -1,5 +1,8 @@
 import inspect
 import math
+import os
+import pickle
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -10,7 +13,7 @@ import pytest
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
-from filippov import flow
+from filippov import flow, polys
 from filippov.errors import NoReturn, NotTransversal, StepFailure
 from filippov.flow import (
     Closure,
@@ -25,8 +28,12 @@ from filippov.flow import (
     return_map,
     transition_derivative,
 )
-from filippov.polys import piecewise, vf
-from filippov.regularize import make_transition, regularized_cycle_search
+from filippov.polys import PolyVectorField, piecewise, vf
+from filippov.regularize import (
+    RegularizedField,
+    make_transition,
+    regularized_cycle_search,
+)
 from filippov.tolerances import Tolerances, default_tols
 
 WIN = (-5.0, 5.0, -5.0, 5.0)
@@ -86,7 +93,7 @@ def test_out_of_range_restart_keeps_quadrature():
     X = vf(ONE, Y_MONO)
     sec = Section((0.0, 0.0), (0.0, 1.0), (5.0, 6.0))
     tr = integrate_smooth(X, (-0.5, 1.0), 1.0, WIN, d_direction=0,
-                          section=sec, extra_quadrature=X.divergence())
+                          section=sec, with_divergence=True)
     assert tr.status == "horizon"
     assert abs(tr.states[-1, 1] - math.e) < 1e-8
     assert abs(tr.states[-1, 2] - 1.0) < 1e-9
@@ -384,17 +391,8 @@ RANDOM_01_Y = vf({(0, 0): -1.0290401058277294, (0, 2): -1.3079703936837963,
                   (0, 2): 0.0089542337339323375, (1, 1): 1.4411591156821983,
                   (1, 2): 0.055086652750548026, (2, 1): -0.16347307235732655,
                   (3, 0): 0.19198523786499555})
-SLIDING_FZ = flow._fz_rhs(piecewise(
-    vf(X_MONO, M_ONE), vf({(0, 0): 1.0, (2, 0): 0.5}, {(0, 0): 1.0,
-                                                       (1, 0): 0.2})))
-
-
-RANDOM_01_DIV = RANDOM_01_Y.divergence()
-
-
-def _random_01_with_divergence(t, s):
-    v = RANDOM_01_Y(s[0], s[1])
-    return [v[0], v[1], RANDOM_01_DIV(s[0], s[1])]
+SLIDING = piecewise(vf(X_MONO, M_ONE), vf({(0, 0): 1.0, (2, 0): 0.5},
+                                          {(0, 0): 1.0, (1, 0): 0.2}))
 
 
 def test_dop853_tableau_shapes():
@@ -410,9 +408,9 @@ def test_dop853_tableau_shapes():
 
 
 @pytest.mark.parametrize("rhs, y0", [
-    (lambda t, s: list(RANDOM_01_Y(s[0], s[1])), [-9.40084, -4.04373]),
-    (_random_01_with_divergence, [-9.40084, -4.04373, 0.0]),
-    (lambda t, s: [SLIDING_FZ(s[0])], [0.3]),
+    (RANDOM_01_Y.rhs(), [-9.40084, -4.04373]),
+    (RANDOM_01_Y.rhs(divergence=True), [-9.40084, -4.04373, 0.0]),
+    (SLIDING.slide_rhs(), [0.3]),
 ], ids=["random_01-Y", "random_01-Y-divergence", "sliding-1d"])
 def test_float_dop853_matches_scipy_dop853(rhs, y0):
     tols = Tolerances()
@@ -444,6 +442,13 @@ def test_single_solver_call_site():
     assert sum(text.count("solve_ivp(") for text in texts) == 1
     for word in ("events=", "t_events", "y_events"):
         assert not any(word in text for text in texts), word
+
+
+def test_single_code_generator():
+    # polys._generate compiles every generated evaluator of the package
+    texts = [path.read_text() for path in Path(flow.__file__).parent.glob(
+        "*.py")]
+    assert sum(text.count("exec(") for text in texts) == 1
 
 
 def test_float_dop853_line_ends_solve_at_crossing_step():
@@ -611,3 +616,142 @@ def test_probe_flags_symmetric_heteroclinic():
         if kinds == {0, 1}:
             hit = True
     assert hit
+
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _slide_reference(Z, x):
+    # the sliding field as the chain of polynomial calls evaluates it
+    q1, q2 = Z.X.Q(x, 0.0), Z.Y.Q(x, 0.0)
+    return (q2 * Z.X.P(x, 0.0) - q1 * Z.Y.P(x, 0.0)) / (q2 - q1)
+
+
+def test_generated_rhs_matches_call_chain_to_the_bit(seeded_fields):
+    # every kernel returns the floats of the evaluators it replaces: the
+    # field's __call__ and divergence, the reversed field built from
+    # negated coefficients, the sliding field, and the regularized blend
+    # with its exact Jacobian; also for a numpy state, as scipy passes one
+    rng = np.random.default_rng(3)
+    phis = [make_transition("smoothstep", n) for n in (1, 2, 3)]
+    phis.append(make_transition("bump"))
+    eps = 0.3
+    for k, Z in enumerate(seeded_fields):
+        R = RegularizedField(Z, phis[k % 4], eps)
+        R_div = RegularizedField(Z, phis[(k + 1) % 4], eps)
+        xs = rng.uniform(-3.0, 3.0, size=9)
+        # off D, inside the band, on its edges and outside it
+        ys = [*rng.uniform(-3.0, 3.0, size=3),
+              *rng.uniform(-eps, eps, size=3), eps, -eps, 2 * eps]
+        for x, y in zip(xs, ys):
+            for state in ((x, y), np.array([x, y])):
+                for F in (Z.X, Z.Y):
+                    want = F(x, y)
+                    back = PolyVectorField(F.P.scale(-1.0), F.Q.scale(-1.0),
+                                           F.m)
+                    assert _bits(F.rhs()(0.0, state)) == _bits(want)
+                    assert _bits(F.rhs(divergence=True)(0.0, state)) == \
+                        _bits(want + (F.divergence()(x, y),))
+                    assert _bits(F.rhs(reverse=True)(0.0, state)) == \
+                        _bits(back(x, y))
+                for sign in (1.0, -1.0):
+                    assert _bits(Z.slide_rhs(sign)(0.0, state[:1])) == \
+                        _bits([sign * _slide_reference(Z, x)])
+                assert _bits(R.rhs()(0.0, state)) == _bits(R(x, y))
+                assert _bits(R_div.rhs(divergence=True)(0.0, state)) == \
+                    _bits(R_div(x, y) + (np.trace(R_div.jacobian(x, y)),))
+
+
+def _counting_generator(monkeypatch) -> list[str]:
+    labels = []
+    original = polys._generate
+
+    def counting(source, label, **names):
+        labels.append(label)
+        return original(source, label, **names)
+
+    monkeypatch.setattr(polys, "_generate", counting)
+    return labels
+
+
+def test_import_and_building_fields_compile_nothing():
+    spec = Path(__file__).parents[1] / "bench" / "corpus" / "uc.txt"
+    script = f"""
+import builtins
+generated, real = [], builtins.compile
+
+def spy(source, filename, *args, **kwargs):
+    if str(filename) in ("<horner>", "<rhs>") \
+            or str(filename).startswith("<dop853"):
+        generated.append(filename)
+    return real(source, filename, *args, **kwargs)
+
+builtins.compile = spy
+from filippov import cli, fieldspec, flow, regularize
+from filippov.polys import piecewise, vf
+
+X = vf({{(2, 1): 1.5}}, {{(1, 0): 1.0}})
+X.jacobian(), X.divergence()
+Z = piecewise(X, vf({{(0, 1): -1.0}}, {{(1, 0): 1.0}}))
+regularize.RegularizedField(Z, regularize.make_transition("bump"), 0.1)
+fieldspec.parse(open({str(spec)!r}).read()).to_field()
+assert flow._dop853_kernel.cache_info().currsize == 0
+print(generated)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(flow.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_second_solve_on_a_field_compiles_nothing(monkeypatch):
+    labels = _counting_generator(monkeypatch)
+    X = vf({(0, 1): -1.0, (2, 0): 0.1}, X_MONO)
+    Z = piecewise(vf(X_MONO, M_ONE), vf({(0, 0): 1.0, (2, 0): 0.5},
+                                        {(0, 0): 1.0, (1, 0): 0.2}))
+    for _ in range(2):
+        integrate_smooth(X, (1.0, 0.5), 10.0, WIN, -1, with_divergence=True)
+        advance_hybrid(Z, (0.3, 0.0), "D", 10.0, WIN)
+    assert labels.count("rhs") == 2  # X with divergence; Z's slide
+    # the solves of one regularized search share its two kernels
+    labels.clear()
+    regularized_cycle_search(piecewise(UNIT_CYCLE, UNIT_CYCLE),
+                             make_transition("smoothstep", 1), 0.05, 0.0,
+                             (0.4, 1.6))
+    assert labels.count("rhs") == 2
+
+
+def test_reversed_branches_share_one_kernel(monkeypatch):
+    labels = _counting_generator(monkeypatch)
+    X = vf({(1, 0): 1.0, (0, 0): -0.2}, {(0, 0): 1.0, (0, 1): -1.0})
+    rep = probe_saddle_connections(piecewise(X, vf(ONE, ONE)),
+                                   [SaddleSpec("X", (0.2, 1.0))])
+    assert [b.stability for b in rep.branches].count("stable") == 2
+    assert labels.count("rhs") == 2
+    assert set(X._kernels) == {(False, False), (True, False)}
+
+
+def test_pickled_fields_drop_their_kernels():
+    Z = piecewise(UNIT_CYCLE, vf(ONE, ONE))
+    R = RegularizedField(Z, make_transition("smoothstep", 2), 0.1)
+    for obj, make in ((Z.X, lambda F: F.rhs(True, True)),
+                      (Z, lambda F: F.slide_rhs(-1.0)),
+                      (R, lambda F: F.rhs(True))):
+        rhs = make(obj)
+        clone = pickle.loads(pickle.dumps(obj))
+        assert clone == obj and "_kernels" not in vars(clone)
+        assert make(clone)(0.0, (0.25, 0.05)) == rhs(0.0, (0.25, 0.05))
+
+
+def test_slide_ending_at_zero_of_sliding_field_is_fz_singularity():
+    # Q_Y(x, 0) = x and det(x, 0) = x (x^2 - 1) share the root x = 0, where
+    # the slide from x = 0.2 stops: a zero of the sliding field, not a fold
+    X = vf({(2, 0): 1.0, (0, 0): -1.0},
+           {(1, 1): -1.0, (1, 0): 1.0, (2, 0): 0.3, (0, 0): -0.3})
+    Z = piecewise(X, vf({(0, 1): -1.0}, X_MONO))
+    traj = advance_hybrid(Z, (0.2, 0.0), "D", 50.0, WIN)
+    assert [e.kind for e in traj.events] == [EventKind.REACH_FZ_SINGULARITY]
+    assert abs(traj.end_state()[0]) < 1e-12

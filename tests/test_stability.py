@@ -409,3 +409,45 @@ def test_d_arc_boundary_at_exact_root_of_q():
     witnesses = rep["conditions"]["interior_and_d"]["witnesses"]
     d_point = [w for w in witnesses if w["kind"] == "non_elementary_d_point"]
     assert len(d_point) == 1 and abs(d_point[0]["x"]) <= 1e-15
+
+
+
+# fields whose slides run into a boundary equilibrium: a tangency root
+# ahead is also a root of det, where the sliding field vanishes.  A slide
+# that ended there as a fold exit made check_gm raise
+# ClassificationAmbiguous ("sliding arc ends at non-fold tangency")
+BOUNDARY_EQUILIBRIUM = {
+    # Y = (-y, x) vanishes at the origin: Q_Y(x, 0) = x, det(x, 0) =
+    # x (x^2 - 1); window (-3, 3, -3, 3)
+    "through_d": (piecewise(
+        vf({(2, 0): 1.0, (0, 0): -1.0},
+           {(1, 1): -1.0, (1, 0): 1.0, (2, 0): 0.3, (0, 0): -0.3}),
+        vf({(0, 1): -1.0}, {(1, 0): 1.0})), WIN),
+    # random_05 of benchmark generator seed 7: P_X(x, 0) = 0, so X
+    # vanishes at each root of Q_X(x, 0), such as x = -1.443067018733883
+    "random_05_seed_7": (piecewise(
+        vf({(0, 2): -0.3944527285291941, (1, 1): -1.4918465308085427,
+            (1, 2): 1.6194083829329573, (2, 1): 1.3060419141015482},
+           {(0, 0): -0.8253763770602331, (0, 1): -1.4760645919621984,
+            (0, 2): 1.8835607089510575, (0, 3): 0.10632418839622204,
+            (1, 1): 1.4869717119576165, (2, 0): -0.9926607545381847,
+            (2, 1): -1.0378424297666617, (3, 0): -0.9625408189191593}, 3),
+        vf({(0, 0): -1.4757052939860666, (0, 2): -0.16735605411306542,
+            (0, 3): 1.6171870981681593, (1, 0): 1.6708843373706572,
+            (1, 1): 0.1272998497437352, (1, 2): -1.9251805283783199,
+            (2, 0): -1.267568450911205, (2, 1): 1.1966818019688867,
+            (3, 0): -0.10602827015217464},
+           {(0, 0): 0.4501115373778415, (0, 1): -0.6960713958045437,
+            (0, 2): 0.2217674995209875, (1, 0): 0.241184534335809,
+            (1, 1): -0.8923317181408739, (2, 0): 0.24691754662590482}, 3)),
+        None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_EQUILIBRIUM))
+def test_slide_into_boundary_equilibrium_gets_a_report(name):
+    Z, window = BOUNDARY_EQUILIBRIUM[name]
+    rep = check_gm(Z, GmOptions(window=window))
+    assert rep.overall == VIOLATED
+    assert (rep.gm1.status, rep.gm2.status, rep.gm3.status) == (
+        VIOLATED, UNDETERMINED, UNDETERMINED)
