@@ -51,6 +51,8 @@ from .polys import (
     PolyVectorField,
     _generate,
     _polish_root,
+    _polyder,
+    _polyval,
     univariate_roots,
 )
 from .tolerances import Tolerances, default_tols
@@ -313,13 +315,13 @@ class FloatDOP853(DOP853):
                         or (g0 == 0.0 and t != self._t0):
                     continue
                 roots = [0.0 if g0 == 0.0 else 1.0 if g1 == 0.0
-                         else _polish_root(np.array(c), 0.0, 1.0, tols.root)]
+                         else _polish_root(c, 0.0, 1.0, tols.root)]
             else:
-                c, roots = np.array(c), []
+                roots = []
                 for r, mult in univariate_roots(c, (0.0, 1.0), tols):
                     # an odd root crosses, in the direction of g's first
                     # nonzero derivative there
-                    slope = npoly.polyval(r, npoly.polyder(c, mult))
+                    slope = _polyval(r, _polyder(c, mult))
                     if mult % 2 == 1 and slope != 0.0 \
                             and direction * slope >= 0:
                         roots.append(r)
@@ -819,8 +821,9 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
 
         try:
             s_star = _secant_fixed_point(g, s0, tols)
-        except NoReturn:
-            continue
+        except (NoReturn, NotTransversal, ClassificationAmbiguous,
+                StepFailure):
+            continue  # this seed's return map fails; the others still run
         if s_star is None or not (window[0] < s_star < window[1]):
             continue
         if abs(s_star) < 1e-3:  # degenerate loop shrunk into the origin

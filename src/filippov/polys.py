@@ -8,6 +8,9 @@ by repr, so the generated code holds the stored doubles exactly.  Real
 roots on the discontinuity line y=0 are isolated with Sturm sequences and
 polished by Newton's method kept inside the isolating bracket, because
 arc classification downstream depends on exact root counts and ordering.
+The isolator is float code over coefficient lists: its Horner evaluation,
+derivative and long division do numpy.polynomial's operations in the
+same order, so each root has the bits numpy's arithmetic would give.
 
 Common zeros in the plane start from the resultant in y, computed exactly:
 the doubles scale to integers and the Sylvester determinant is taken by
@@ -23,7 +26,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import IdenticallyZeroOnD
 from .tolerances import Tolerances, default_tols
@@ -312,22 +314,56 @@ def piecewise(X: PolyVectorField, Y: PolyVectorField) -> PiecewiseField:
 # ---------------------------------------------------------------------------
 # Univariate machinery for roots on D.
 # ---------------------------------------------------------------------------
+# Coefficients are lists of floats in ascending powers.
 
-def _trim(c: np.ndarray, tol: float = 0.0) -> np.ndarray:
+def _polyval(x: float, c: list[float]) -> float:
+    """c[0] + c[1] x + ... by Horner's rule."""
+    v = c[-1] + x * 0
+    for a in c[-2::-1]:
+        v = a + v * x
+    return v
+
+
+def _polyder(c: list[float], m: int = 1) -> list[float]:
+    """Coefficients of the m-th derivative."""
+    if m >= len(c):
+        return [c[0] * 0]
+    for _ in range(m):
+        c = [j * c[j] for j in range(1, len(c))]
+    return c
+
+
+def _norm(c: list[float]) -> float:
+    return max(map(abs, c))
+
+
+def _trim(c: list[float], tol: float = 0.0) -> list[float]:
     """Strip trailing coefficients with magnitude <= tol."""
-    c = np.asarray(c, dtype=float)
     n = len(c)
     while n > 1 and abs(c[n - 1]) <= tol:
         n -= 1
     return c[:n]
 
 
-def _polydiv(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q, r = npoly.polydiv(a, b)
-    return np.atleast_1d(q), np.atleast_1d(r)
+def _polydiv(a: list[float], b: list[float]
+             ) -> tuple[list[float], list[float]]:
+    """Quotient and remainder of a / b: long division by the divisor
+    scaled to a unit lead, the quotient divided by that lead at the end."""
+    a, b = _trim(a), _trim(b)
+    if len(a) < len(b):
+        return [a[0] * 0], a
+    if len(b) == 1:
+        return [v / b[0] for v in a], [a[0] * 0]
+    lead, n = b[-1], len(b) - 1
+    b = [v / lead for v in b[:-1]]
+    for j in range(len(a) - 1, n - 1, -1):
+        aj = a[j]
+        for k, bk in enumerate(b, j - n):
+            a[k] -= bk * aj
+    return [v / lead for v in a[n:]], _trim(a[:n])
 
 
-def _gcd(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
+def _gcd(a: list[float], b: list[float], rel_tol: float) -> list[float]:
     """Numeric polynomial GCD via the Euclidean remainder sequence.
 
     Remainders whose magnitude falls below rel_tol relative to the running
@@ -335,49 +371,52 @@ def _gcd(a: np.ndarray, b: np.ndarray, rel_tol: float) -> np.ndarray:
     """
     a = _trim(a)
     b = _trim(b)
-    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
+    scale = max(_norm(a), _norm(b), 1.0)
     while len(b) > 1 or abs(b[0]) > rel_tol * scale:
         _, r = _polydiv(a, b)
         r = _trim(r, rel_tol * scale)
         if len(r) == 1 and abs(r[0]) <= rel_tol * scale:
             break
-        a, b = b, r / np.max(np.abs(r))  # normalize to keep the scale tame
-    return b / b[-1] if (len(b) > 1 or abs(b[0]) > rel_tol * scale) else np.array([1.0])
+        top = _norm(r)  # normalize to keep the scale tame
+        a, b = b, [v / top for v in r]
+    if len(b) > 1 or abs(b[0]) > rel_tol * scale:
+        return [v / b[-1] for v in b]
+    return [1.0]
 
 
-def _square_free(c: np.ndarray, rel_tol: float) -> np.ndarray:
+def _square_free(c: list[float], rel_tol: float) -> list[float]:
     """Square-free part c / gcd(c, c')."""
     c = _trim(c)
     if len(c) <= 2:
         return c
-    d = _trim(npoly.polyder(c))
+    d = _trim(_polyder(c))
     g = _gcd(c, d, rel_tol)
     if len(g) == 1:
         return c
     q, _ = _polydiv(c, g)
-    return _trim(q, rel_tol * max(np.max(np.abs(q)), 1.0))
+    return _trim(q, rel_tol * max(_norm(q), 1.0))
 
 
-def _sturm_chain(c: np.ndarray, rel_tol: float) -> list[np.ndarray]:
+def _sturm_chain(c: list[float], rel_tol: float) -> list[list[float]]:
     chain = [_trim(c)]
-    d = _trim(npoly.polyder(c))
+    d = _trim(_polyder(c))
     if len(d) == 1 and d[0] == 0.0:
         return chain
     chain.append(d)
-    scale = max(np.max(np.abs(c)), 1.0)
+    scale = max(_norm(c), 1.0)
     while len(chain[-1]) > 1:
         _, r = _polydiv(chain[-2], chain[-1])
         r = _trim(r, rel_tol * scale)
         if len(r) == 1 and abs(r[0]) <= rel_tol * scale:
             break
-        chain.append(-r)
+        chain.append([-v for v in r])
     return chain
 
 
-def _sign_changes(chain: list[np.ndarray], x: float, zero_tol: float) -> int:
+def _sign_changes(chain: list[list[float]], x: float, zero_tol: float) -> int:
     signs = []
     for c in chain:
-        v = npoly.polyval(x, c)
+        v = _polyval(x, c)
         if abs(v) > zero_tol:
             signs.append(1 if v > 0 else -1)
     return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
@@ -387,7 +426,7 @@ def _count_roots(chain, a, b, zero_tol) -> int:
     return _sign_changes(chain, a, zero_tol) - _sign_changes(chain, b, zero_tol)
 
 
-def _polish_root(c: np.ndarray, a: float, b: float, tol: float) -> float:
+def _polish_root(c: list[float], a: float, b: float, tol: float) -> float:
     """Newton's method kept inside the sign-change bracket [a, b].
 
     A Newton step that would leave the bracket is replaced by bisection.
@@ -395,18 +434,18 @@ def _polish_root(c: np.ndarray, a: float, b: float, tol: float) -> float:
     error is of the order of that step squared, or the bracket's end once
     bisection has narrowed it to two adjacent doubles.
     """
-    d = npoly.polyder(c)
-    fa = npoly.polyval(a, c)
+    d = _polyder(c)
+    fa = _polyval(a, c)
     x = 0.5 * (a + b)
     for _ in range(200):
-        fx = npoly.polyval(x, c)
+        fx = _polyval(x, c)
         if fx == 0.0:
             return x
         if fa * fx < 0:
             b = x
         else:
             a, fa = x, fx
-        dfx = npoly.polyval(x, d)
+        dfx = _polyval(x, d)
         step = fx / dfx if dfx != 0.0 else math.inf
         if a < x - step < b:
             if abs(step) <= tol:
@@ -419,29 +458,31 @@ def _polish_root(c: np.ndarray, a: float, b: float, tol: float) -> float:
     return x
 
 
-def _multiplicity(c: np.ndarray, r: float, zero_tol: float) -> int:
+def _multiplicity(c: list[float], r: float, zero_tol: float) -> int:
     """Smallest k >= 1 with |c^(k)(r)| above the zero threshold."""
-    scale = max(np.max(np.abs(c)), 1.0) * max(1.0, abs(r)) ** (len(c) - 1)
-    d = np.array(c, dtype=float)
+    scale = max(_norm(c), 1.0) * max(1.0, abs(r)) ** (len(c) - 1)
+    d = c
     for k in range(1, len(c)):
-        d = npoly.polyder(d)
-        if abs(npoly.polyval(r, d)) > zero_tol * scale * 1e3:
+        d = _polyder(d)
+        if abs(_polyval(r, d)) > zero_tol * scale * 1e3:
             return k
     return max(len(c) - 1, 1)
 
 
-def univariate_roots(c: np.ndarray, window: tuple[float, float],
+def univariate_roots(c, window: tuple[float, float],
                      tols: Tolerances | None = None) -> list[tuple[float, int]]:
     """All real roots with multiplicity of the polynomial with ascending
-    coefficients c inside the window, sorted ascending."""
+    coefficients c (a sequence or an array) inside the window, sorted
+    ascending."""
     tols = tols or default_tols()
-    c = _trim(np.asarray(c, dtype=float), 0.0)
+    c = _trim([float(v) for v in c])
     if len(c) == 1:
         return []
     # the zero floors are relative to max(|c|, 1), so smaller polynomials
     # are scaled up to unit size first
-    c = c / min(np.max(np.abs(c)), 1.0)
-    scale = max(np.max(np.abs(c)), 1.0)
+    top = min(_norm(c), 1.0)
+    c = [v / top for v in c]
+    scale = max(_norm(c), 1.0)
     sf = _square_free(c, tols.coeff_zero)
     if len(sf) == 1:
         return []
@@ -450,11 +491,11 @@ def univariate_roots(c: np.ndarray, window: tuple[float, float],
     zero_tol = tols.coeff_zero * scale
     # nudge endpoints off exact roots of the square-free part
     eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    while abs(npoly.polyval(a, sf)) <= zero_tol:
+    while abs(_polyval(a, sf)) <= zero_tol:
         a -= eps
         eps *= 2
     eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    while abs(npoly.polyval(b, sf)) <= zero_tol:
+    while abs(_polyval(b, sf)) <= zero_tol:
         b += eps
         eps *= 2
 
@@ -470,12 +511,17 @@ def univariate_roots(c: np.ndarray, window: tuple[float, float],
             roots.append(0.5 * (lo + hi))
             return
         mid = 0.5 * (lo + hi)
-        e = eps
-        while abs(npoly.polyval(mid, sf)) <= zero_tol:
+        e, resets = eps, 0
+        while abs(_polyval(mid, sf)) <= zero_tol:
             mid += e
             e *= 2
             if mid >= hi:
                 mid = 0.5 * (lo + hi) - eps
+                resets += 1
+                if resets == 2:
+                    # sf is below zero_tol from here to hi: every later
+                    # step would come back to this point
+                    break
         nl = _count_roots(chain, lo, mid, zero_tol)
         isolate(lo, mid, nl)
         isolate(mid, hi, n - nl)
@@ -497,20 +543,19 @@ def real_roots_on_line(p: BivariatePolynomial, window: tuple[float, float],
     the whole line is tangency and arc analysis is meaningless.
     """
     tols = tols or default_tols()
-    c = p.restrict_y0()
-    scale = max(float(np.max(np.abs(c))) if len(c) else 0.0,
-                max((abs(v) for v in p.coeffs.values()), default=0.0), 1.0)
-    if np.all(np.abs(c) <= tols.coeff_zero * scale):
+    c = p.restrict_y0().tolist()
+    scale = max(_norm(c), max(map(abs, p.coeffs.values()), default=0.0), 1.0)
+    if _norm(c) <= tols.coeff_zero * scale:
         raise IdenticallyZeroOnD("p(x,0) vanishes identically")
     return univariate_roots(c, window, tols)
 
 
-def cauchy_bound(c: np.ndarray) -> float:
+def cauchy_bound(c) -> float:
     """Cauchy root bound 1 + max |a_i / a_n| for ascending coefficients."""
-    c = _trim(np.asarray(c, dtype=float), 0.0)
+    c = _trim([float(v) for v in c])
     if len(c) <= 1:
         return 1.0
-    return 1.0 + float(np.max(np.abs(c[:-1])) / abs(c[-1]))
+    return 1.0 + _norm(c[:-1]) / abs(c[-1])
 
 
 # ---------------------------------------------------------------------------

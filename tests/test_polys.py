@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from filippov import polys
+from filippov import flow, polys
+from filippov.dline import det_xy
 from filippov.errors import IdenticallyZeroOnD
 from filippov.polys import (
     BivariatePolynomial,
@@ -21,6 +23,7 @@ from filippov.polys import (
     univariate_roots,
     vf,
 )
+from filippov.tolerances import default_tols
 
 EPS = np.finfo(float).eps
 
@@ -332,4 +335,251 @@ def test_univariate_roots_scale_invariant(scale):
     got = univariate_roots(c, (-3.0, 3.0))
     assert [m for _, m in got] == [1, 1, 1]
     for (r, _), w in zip(got, (-1.25, 0.5, 2.0)):
+        assert abs(r - w) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# The Sturm isolator as it ran on numpy.polynomial, kept as a test-only
+# reference: the float-list isolator of polys does the same operations in
+# the same order, so it must return the same roots to the bit.
+# ---------------------------------------------------------------------------
+
+def _np_trim(c, tol=0.0):
+    c = np.asarray(c, dtype=float)
+    n = len(c)
+    while n > 1 and abs(c[n - 1]) <= tol:
+        n -= 1
+    return c[:n]
+
+
+def _np_polydiv(a, b):
+    q, r = npoly.polydiv(a, b)
+    return np.atleast_1d(q), np.atleast_1d(r)
+
+
+def _np_gcd(a, b, rel_tol):
+    a = _np_trim(a)
+    b = _np_trim(b)
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1.0)
+    while len(b) > 1 or abs(b[0]) > rel_tol * scale:
+        _, r = _np_polydiv(a, b)
+        r = _np_trim(r, rel_tol * scale)
+        if len(r) == 1 and abs(r[0]) <= rel_tol * scale:
+            break
+        a, b = b, r / np.max(np.abs(r))
+    return b / b[-1] if (len(b) > 1 or abs(b[0]) > rel_tol * scale) \
+        else np.array([1.0])
+
+
+def _np_square_free(c, rel_tol):
+    c = _np_trim(c)
+    if len(c) <= 2:
+        return c
+    g = _np_gcd(c, _np_trim(npoly.polyder(c)), rel_tol)
+    if len(g) == 1:
+        return c
+    q, _ = _np_polydiv(c, g)
+    return _np_trim(q, rel_tol * max(np.max(np.abs(q)), 1.0))
+
+
+def _np_sturm_chain(c, rel_tol):
+    chain = [_np_trim(c)]
+    d = _np_trim(npoly.polyder(c))
+    if len(d) == 1 and d[0] == 0.0:
+        return chain
+    chain.append(d)
+    scale = max(np.max(np.abs(c)), 1.0)
+    while len(chain[-1]) > 1:
+        _, r = _np_polydiv(chain[-2], chain[-1])
+        r = _np_trim(r, rel_tol * scale)
+        if len(r) == 1 and abs(r[0]) <= rel_tol * scale:
+            break
+        chain.append(-r)
+    return chain
+
+
+def _np_count_roots(chain, a, b, zero_tol):
+    def changes(x):
+        signs = [1 if v > 0 else -1 for v in (npoly.polyval(x, c)
+                                              for c in chain)
+                 if abs(v) > zero_tol]
+        return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
+    return changes(a) - changes(b)
+
+
+def _np_polish_root(c, a, b, tol):
+    d = npoly.polyder(c)
+    fa = npoly.polyval(a, c)
+    x = 0.5 * (a + b)
+    for _ in range(200):
+        fx = npoly.polyval(x, c)
+        if fx == 0.0:
+            return x
+        if fa * fx < 0:
+            b = x
+        else:
+            a, fa = x, fx
+        dfx = npoly.polyval(x, d)
+        step = fx / dfx if dfx != 0.0 else math.inf
+        if a < x - step < b:
+            if abs(step) <= tol:
+                return x - step
+            x -= step
+        else:
+            x = 0.5 * (a + b)
+            if x in (a, b):
+                return x
+    return x
+
+
+def _np_multiplicity(c, r, zero_tol):
+    scale = max(np.max(np.abs(c)), 1.0) * max(1.0, abs(r)) ** (len(c) - 1)
+    d = np.array(c, dtype=float)
+    for k in range(1, len(c)):
+        d = npoly.polyder(d)
+        if abs(npoly.polyval(r, d)) > zero_tol * scale * 1e3:
+            return k
+    return max(len(c) - 1, 1)
+
+
+def _np_univariate_roots(c, window, tols):
+    c = _np_trim(np.asarray(c, dtype=float), 0.0)
+    if len(c) == 1:
+        return []
+    c = c / min(np.max(np.abs(c)), 1.0)
+    scale = max(np.max(np.abs(c)), 1.0)
+    sf = _np_square_free(c, tols.coeff_zero)
+    if len(sf) == 1:
+        return []
+    chain = _np_sturm_chain(sf, tols.coeff_zero)
+    a, b = float(window[0]), float(window[1])
+    zero_tol = tols.coeff_zero * scale
+    eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
+    while abs(npoly.polyval(a, sf)) <= zero_tol:
+        a -= eps
+        eps *= 2
+    eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
+    while abs(npoly.polyval(b, sf)) <= zero_tol:
+        b += eps
+        eps *= 2
+    roots = []
+
+    def isolate(lo, hi, n):
+        if n == 0:
+            return
+        if n == 1 and hi - lo <= 1e-3:
+            roots.append(_np_polish_root(sf, lo, hi, tols.root))
+            return
+        if hi - lo <= tols.root:
+            roots.append(0.5 * (lo + hi))
+            return
+        mid = 0.5 * (lo + hi)
+        e = eps
+        while abs(npoly.polyval(mid, sf)) <= zero_tol:
+            mid += e
+            e *= 2
+            if mid >= hi:
+                mid = 0.5 * (lo + hi) - eps
+        nl = _np_count_roots(chain, lo, mid, zero_tol)
+        isolate(lo, mid, nl)
+        isolate(mid, hi, n - nl)
+
+    isolate(a, b, _np_count_roots(chain, a, b, zero_tol))
+    return [(r, _np_multiplicity(c, r, tols.coeff_zero)) for r in sorted(roots)
+            if window[0] - tols.root <= r <= window[1] + tols.root]
+
+
+def _bits(roots):
+    return [(float(r).hex(), m) for r, m in roots]
+
+
+def _isolator_cases(seeded_fields):
+    """(coefficients, window) pairs of every kind the isolator meets."""
+    rng = np.random.default_rng(5)
+    tols = default_tols()
+    cases = []
+    for Z in seeded_fields:
+        for p in (Z.X.P, Z.X.Q, Z.Y.P, Z.Y.Q, det_xy(Z)):
+            cases.append((p.restrict_y0(), (-3.0, 3.0)))
+        cases.append((resultant_y(Z.X.P, Z.X.Q), (-3.0, 3.0)))
+        cases.append((resultant_y(Z.Y.P, Z.Y.Q), (-3.0, 3.0)))
+    for _ in range(40):  # a line's value on one DOP853 step, in its fraction
+        c = [float(rng.uniform(-1, 1))] + [0.0] * 7
+        for j, p, bp in flow._dense_basis(7):
+            c[p] += float(rng.uniform(-2, 2)) * bp
+        cases.append((c, (0.0, 1.0)))
+    for _ in range(20):  # double and triple roots among simple ones
+        a, b, d = rng.uniform(-2, 2, 3)
+        for factors in ((a, a, b), (a, a, a, b, d), (a, a, b, b, d)):
+            cases.append((npoly.polyfromroots(factors), (-3.0, 3.0)))
+    for lo, hi in ((-1.0, 2.0), (0.0, 1.0), (-2.5, 0.5)):  # roots at the ends
+        cases.append((npoly.polyfromroots([lo, hi, 0.5 * (lo + hi) + 0.1]),
+                      (lo, hi)))
+        cases.append((npoly.polyfromroots([lo, lo, hi]), (lo, hi)))
+    for c in ([3.0], [0.0], [-2.0, 0.0, 0.0],  # constants
+              [0.5, -1.0, 0.3, 2 * tols.coeff_zero],
+              [-1.0, 0.0, 1.5 * tols.coeff_zero],
+              [1e-13, -2e-13, 1.5 * tols.coeff_zero]):
+        cases.append((c, (-5.0, 5.0)))
+    return cases
+
+
+def test_isolator_matches_numpy_reference(seeded_fields):
+    tols = default_tols()
+    cases = _isolator_cases(seeded_fields)
+    assert sum(1 for c, w in cases if univariate_roots(c, w, tols)) > 200
+    for c, window in cases:
+        want = _bits(_np_univariate_roots(np.asarray(c), window, tols))
+        assert _bits(univariate_roots(np.asarray(c), window, tols)) == want
+        assert _bits(univariate_roots(list(c), window, tols)) == want
+
+
+def test_polish_root_matches_numpy_reference(monkeypatch):
+    # the monotone crossings of the solver's event lines on one rotation
+    brackets = []
+
+    def recording(c, a, b, tol):
+        brackets.append((list(c), a, b, tol))
+        return polys._polish_root(c, a, b, tol)
+
+    monkeypatch.setattr(flow, "_polish_root", recording)
+    rot = vf({(0, 1): -1.0}, {(1, 0): 1.0})
+    for y0 in (0.5, 1.0, 2.0):
+        tr = flow.integrate_smooth(rot, (0.3, y0), 10.0, (-5, 5, -5, 5))
+        assert tr.status == "d_hit"
+    assert len(brackets) >= 3
+    for c, a, b, tol in brackets:
+        assert polys._polish_root(c, a, b, tol).hex() == \
+            float(_np_polish_root(np.array(c), a, b, tol)).hex()
+
+
+def test_isolator_makes_no_numpy_polynomial_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.polynomial call on the root path")
+
+    for name in ("polyval", "polyder", "polydiv"):
+        monkeypatch.setattr(npoly, name, refuse)
+    assert [m for _, m in univariate_roots([0.0, 1.0, -2.0, 1.0],
+                                           (-2.0, 2.0))] == [1, 2]
+    assert len(real_roots_on_line(poly({(2, 0): 1.0, (0, 0): -1.0}),
+                                  (-2.0, 2.0))) == 2
+    # X = (1, x) from (-2, 1) crosses y = 0 down at x = -sqrt(2), where the
+    # step's line value is monotone, and up at sqrt(2), where it is not
+    for direction in (-1, 1):
+        tr = flow.integrate_smooth(vf({(0, 0): 1.0}, {(1, 0): 1.0}),
+                                   (-2.0, 1.0), 100.0, (-5, 5, -5, 5),
+                                   d_direction=direction)
+        assert tr.status == "d_hit"
+        assert abs(tr.hit_state[0] - direction * math.sqrt(2.0)) <= 1e-9
+
+
+def test_isolation_ends_where_a_near_zero_band_reaches_the_bracket_end():
+    # roots 1.4e-6 apart: x (x - 1.4e-6) (x - 2) stays within coeff_zero
+    # of 0 between them, so a bisection point there found no nonzero
+    # neighbour before its bracket's end, and the search for one looped
+    # forever
+    d = 1.4125375446227554e-06
+    got = univariate_roots(npoly.polyfromroots([0.0, d, 2.0]), (-3.0, 3.0))
+    assert [m for _, m in got] == [1, 1, 1]
+    for (r, _), w in zip(got, (0.0, d, 2.0)):
         assert abs(r - w) <= 1e-14

@@ -8,7 +8,8 @@ import pytest
 from filippov import fieldspec, stability
 from filippov.compactify import S1Status, eq4_value, s1_elementarity
 from filippov.errors import CommonFactor, DegreeMismatch, NotRepairable
-from filippov.polys import PolyVectorField, newton_zero, piecewise, vf
+from filippov.flow import find_closed_polytrajectories
+from filippov.polys import PolyVectorField, newton_zero, piecewise, poly, vf
 from filippov.stability import (
     SATISFIED,
     UNDETERMINED,
@@ -447,6 +448,25 @@ BOUNDARY_EQUILIBRIUM = {
 @pytest.mark.parametrize("name", sorted(BOUNDARY_EQUILIBRIUM))
 def test_slide_into_boundary_equilibrium_gets_a_report(name):
     Z, window = BOUNDARY_EQUILIBRIUM[name]
+    rep = check_gm(Z, GmOptions(window=window))
+    assert rep.overall == VIOLATED
+    assert (rep.gm1.status, rep.gm2.status, rep.gm3.status) == (
+        VIOLATED, UNDETERMINED, UNDETERMINED)
+
+
+def test_cycle_census_skips_a_seed_whose_return_map_fails():
+    # a focus on D: g = -(r^2 - 9)(r^2 - 16)/50, X = (-y + xg, x + yg),
+    # Y = (-2y + xg, 2x + yg).  One seed's secant drifts to s = 0, where the
+    # return map hits TangencyBoth and raised ClassificationAmbiguous out of
+    # the census and check_gm
+    x, y = poly({(1, 0): 1.0}), poly({(0, 1): 1.0})
+    r2 = x * x + y * y
+    g = ((r2 - poly({(0, 0): 9.0})) * (r2 - poly({(0, 0): 16.0}))).scale(-0.02)
+    Z = piecewise(PolyVectorField(-y + x * g, x + y * g, 5),
+                  PolyVectorField(y.scale(-2.0) + x * g, x.scale(2.0) + y * g,
+                                  5))
+    window = (-6.0, 6.0, -6.0, 6.0)
+    assert find_closed_polytrajectories(Z, window) == []
     rep = check_gm(Z, GmOptions(window=window))
     assert rep.overall == VIOLATED
     assert (rep.gm1.status, rep.gm2.status, rep.gm3.status) == (
