@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IdenticallyZeroOnD
+from .errors import CommonFactor, IdenticallyZeroOnD
 from .tolerances import Tolerances, default_tols
 
 Coeffs = dict[tuple[int, int], float]
@@ -124,23 +124,6 @@ class BivariatePolynomial:
 
     def __call__(self, x: float, y: float) -> float:
         return self._horner(x, y)
-
-    def grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Values at every (xs[i], ys[j]), a len(xs) x len(ys) array.
-
-        Computed as Vx @ C @ Vy.T from the power tables Vx[i, a] = xs[i]**a,
-        Vy[j, b] = ys[j]**b and the dense coefficient matrix C[a, b] = a_ab.
-        The sums run in a different order from __call__'s Horner form, so
-        a value can differ from it in the last digits.
-        """
-        dx = max((i for i, _ in self.coeffs), default=0)
-        dy = max((j for _, j in self.coeffs), default=0)
-        c = np.zeros((dx + 1, dy + 1))
-        for (i, j), v in self.coeffs.items():
-            c[i, j] = v
-        vx = np.asarray(xs, dtype=float)[:, None] ** np.arange(dx + 1)
-        vy = np.asarray(ys, dtype=float)[:, None] ** np.arange(dy + 1)
-        return vx @ c @ vy.T
 
     def __add__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
         out = dict(self.coeffs)
@@ -516,7 +499,8 @@ def univariate_roots(c, window: tuple[float, float],
             mid += e
             e *= 2
             if mid >= hi:
-                mid = 0.5 * (lo + hi) - eps
+                # eps may exceed the bracket after the window-end nudges
+                mid = max(0.5 * (lo + hi) - eps, lo + 0.25 * (hi - lo))
                 resets += 1
                 if resets == 2:
                     # sf is below zero_tol from here to hi: every later
@@ -614,6 +598,34 @@ def resultant_y(p: BivariatePolynomial, q: BivariatePolynomial
         det = (det - d) >> b
     den = 1 << (exps[0] * ny[1] + exps[1] * ny[0])
     return np.array([d / den for d in digits] or [0.0])
+
+
+def common_zero_seeds(p: BivariatePolynomial, q: BivariatePolynomial,
+                      x_window: tuple[float, float],
+                      y_window: tuple[float, float], tols: Tolerances
+                      ) -> list[tuple[float, float]]:
+    """Seeds (x, y) for the common zeros of p and q: each x a real root of
+    Res_y(p, q) in x_window, with each real root y in y_window of p(x, .)
+    and q(x, .), leaving out one of them that vanishes to tols.sign.  p
+    and q are scaled to unit largest coefficient first, so these zero
+    tests do not depend on their scale.  Raises CommonFactor when p and q
+    share a factor: the resultant vanishes, or both p(x, .) and q(x, .)
+    do at one of its roots."""
+    p, q = (f.scale(1 / max(map(abs, f.coeffs.values()), default=1.0))
+            for f in (p, q))
+    res = resultant_y(p, q)
+    if np.max(np.abs(res)) <= tols.coeff_zero:
+        raise CommonFactor("the resultant vanishes identically")
+    seeds = []
+    for xr, _ in univariate_roots(res, x_window, tols):
+        live = [f.restrict_x(xr) for f in (p, q)]
+        live = [c for c in live if np.max(np.abs(c)) > tols.sign]
+        if not live:
+            raise CommonFactor(f"both vanish at the resultant's root {xr!r}")
+        seeds += [(xr, yr) for yr in sorted(
+            {yr for c in live for yr, _ in univariate_roots(c, y_window,
+                                                            tols)})]
+    return seeds
 
 
 def newton_zero(f: Callable[[float, float], tuple[float, float]],

@@ -2,21 +2,18 @@
 
 Z_eps(q) = (1 - phi(y/eps)) Y(q) + phi(y/eps) X(q) with a monotone
 transition function phi: identically 0 left of -1, identically 1 right
-of 1.  Emergent singularities live in the band |y| < eps and are located
-by sign-grid bracketing plus the damped Newton of polys.newton_zero.
-
-The census grid is evaluated with numpy: every polynomial once per strip
-of x values through BivariatePolynomial.grid, and phi once per grid row,
-because t = y/eps is shared by the row.  Strips of a fixed width bound
-the memory whatever eps is.  Newton and the Jacobians stay scalar; the
-Jacobian is exact, from the pieces' polynomial partials and phi', as is
-the divergence that gives a regularized cycle its return derivative.
+of 1.  Emergent singularities live in the band |y| < eps.  In t = y/eps
+the blend is a polynomial wherever its weight is: the smoothstep phi on
+the whole band, the bump's chords row by row.  Its zeros are seeded by
+the resultant that eliminates x and polished by the damped Newton of
+polys.newton_zero on the true field, with the exact Jacobian from the
+pieces' polynomial partials and phi', as is the divergence that gives a
+regularized cycle its return derivative.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -25,7 +22,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import BadParameter, NoReturn, NotTransversal, StepFailure
-from .polys import (PiecewiseField, _field_state, _horner_body, _kernel,
+from .polys import (BivariatePolynomial, PiecewiseField, _field_state,
+                    _horner_body, _horner_form, _kernel, common_zero_seeds,
                     newton_zero)
 from .tolerances import Tolerances, default_tols
 
@@ -38,6 +36,8 @@ class TransitionFunction:
     parameter: int       # smoothstep order n (ignored for bump)
     smoothness: str      # "C1", "Cn" or "Cinf"
     _norm: float = field(default=1.0, repr=False)
+    # smoothstep: coefficient k of int_0^t (1-s^2)^n ds, on t^(2k+1)
+    _coeffs: tuple[float, ...] = field(default=(), repr=False)
 
     def __call__(self, t: float) -> float:
         if t <= -1.0:
@@ -45,21 +45,12 @@ class TransitionFunction:
         if t >= 1.0:
             return 1.0
         if self.family == "smoothstep":
-            n = self.parameter
-            val, _ = quad(lambda s: (1 - s * s) ** n, 0.0, t) if n > 3 else \
-                (self._smoothstep_int(t), None)
-            return 0.5 + val / self._norm
+            s, v = t * t, 0.0
+            for c in reversed(self._coeffs):
+                v = v * s + c
+            return 0.5 + t * v / self._norm
         val, _ = quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), 0.0, t)
         return 0.5 + val / self._norm
-
-    def _smoothstep_int(self, t: float) -> float:
-        # closed forms of int_0^t (1-s^2)^n ds for small n
-        n = self.parameter
-        if n == 1:
-            return t - t**3 / 3
-        if n == 2:
-            return t - 2 * t**3 / 3 + t**5 / 5
-        return t - t**3 + 3 * t**5 / 5 - t**7 / 7  # n == 3
 
     def derivative(self, t: float) -> float:
         if t <= -1.0 or t >= 1.0:
@@ -70,20 +61,15 @@ class TransitionFunction:
 
     def sources(self) -> tuple[str, str]:
         """Expressions in t of phi and phi' inside (-1, 1), term for term
-        those of __call__ and derivative; "phi(t)" where phi is a quad
-        integral (the bump, smoothstep n > 3)."""
+        those of __call__ and derivative; "phi(t)" for the bump, a quad
+        integral."""
         norm = repr(float(self._norm))
         if self.family == "bump":
             return "phi(t)", f"exp(-1.0 / (1.0 - t * t)) / {norm}"
-        n = self.parameter
-        closed = _SMOOTHSTEP_INT.get(n)
-        return (f"0.5 + ({closed}) / {norm}" if closed else "phi(t)",
-                f"(1 - t * t) ** {n} / {norm}")
-
-
-# the closed forms of _smoothstep_int, as source in t
-_SMOOTHSTEP_INT = {1: "t - t**3 / 3", 2: "t - 2 * t**3 / 3 + t**5 / 5",
-                   3: "t - t**3 + 3 * t**5 / 5 - t**7 / 7"}
+        horner = _horner_form(dict(enumerate(map(repr, self._coeffs))),
+                              "(t * t)")
+        return (f"0.5 + t * ({horner}) / {norm}",
+                f"(1 - t * t) ** {self.parameter} / {norm}")
 
 
 def make_transition(family: str, parameter: int = 1) -> TransitionFunction:
@@ -94,23 +80,14 @@ def make_transition(family: str, parameter: int = 1) -> TransitionFunction:
         n = int(parameter)
         if n < 1:
             raise BadParameter("smoothstep order must be >= 1")
-        if n <= 3:
-            tf = TransitionFunction("smoothstep", n, f"C{n}")
-            norm = 2 * tf._smoothstep_int(1.0)
-        else:
-            tf = TransitionFunction("smoothstep", n, f"C{n}")
-            norm = 2 * quad(lambda s: (1 - s * s) ** n, 0.0, 1.0)[0]
-        object.__setattr__(tf, "_norm", norm)
-        return tf
+        coeffs = tuple((-1) ** k * math.comb(n, k) / (2 * k + 1)
+                       for k in range(n + 1))
+        return TransitionFunction("smoothstep", n, f"C{n}",
+                                  2 * math.fsum(coeffs), coeffs)
     if family in ("bump", "AnalyticBump"):
-        tf = TransitionFunction("bump", 0, "Cinf")
         norm = 2 * quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), 0.0, 1.0)[0]
-        object.__setattr__(tf, "_norm", norm)
-        return tf
+        return TransitionFunction("bump", 0, "Cinf", norm)
     raise BadParameter(f"unknown transition family {family!r}")
-
-
-_STRIP = 512  # grid cells along x per strip of the census
 
 
 @dataclass(frozen=True)
@@ -162,20 +139,6 @@ class RegularizedField:
                     f"return ((1 - w)*py + w*px, (1 - w)*qy + w*qx{trace})"]
         return _kernel(self, divergence, body, phi=self.phi, exp=math.exp)
 
-    def strips(self, xs: np.ndarray, ys: np.ndarray
-               ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Both components on the grid xs x ys, one strip at a time: yields
-        (s, U, V) with U[i, j], V[i, j] the field at (xs[s + i], ys[j]) for
-        the strip xs[s:s + _STRIP + 1]; neighbouring strips share a column.
-        phi is called once per y for the whole walk; outside the band it is
-        exactly 0 or 1, so the blend of __call__ gives the piece itself."""
-        w = np.array([self.phi(y / self.epsilon) for y in ys])
-        X, Y = self.Z.X, self.Z.Y
-        for s in range(0, len(xs) - 1, _STRIP):
-            sx = xs[s:s + _STRIP + 1]
-            yield (s, (1 - w) * Y.P.grid(sx, ys) + w * X.P.grid(sx, ys),
-                   (1 - w) * Y.Q.grid(sx, ys) + w * X.Q.grid(sx, ys))
-
     def jacobian(self, x: float, y: float) -> np.ndarray:
         """Exact Jacobian of the blend: w J_X + (1 - w) J_Y with
         w = phi(y/eps), plus phi'(y/eps)/eps (X - Y) in the y column."""
@@ -223,44 +186,52 @@ def _classify_eigs(eigs: np.ndarray, tol: float) -> SingularityType:
     return SingularityType.NODE
 
 
-def _sign_varies(W: np.ndarray) -> np.ndarray:
-    """Cells of the grid W whose four corners bracket 0: min <= 0 <= max."""
-    corners = (W[:-1, :-1], W[1:, :-1], W[:-1, 1:], W[1:, 1:])
-    return ((np.minimum.reduce(corners) <= 0.0)
-            & (np.maximum.reduce(corners) >= 0.0))
-
-
 def emergent_singularities(R: RegularizedField,
                            x_window: tuple[float, float],
                            tols: Tolerances | None = None
                            ) -> list[EmergentSingularity]:
     """All zeros of Z_eps in the band x in window, |y| <= eps.
 
-    Grid step eps/20 resolves the band where emergent singularities are
-    isolated for small eps; cells showing sign variation in both
-    components seed a damped Newton run; converged zeros are merged when
-    closer than 10 * tol_root.  The grid is walked in strips of _STRIP
-    cells along x (one column of overlap), so its memory is bounded
-    whatever eps is; each polynomial is evaluated once per strip and phi
-    once per grid row for the whole census.  Seeds are visited in (x, y)
-    cell order; Newton and the exact Jacobian use the scalar field.
+    In t = y/eps the blend is F_i(x, t) = Y_i(x, eps t) + w(t) (X_i -
+    Y_i)(x, eps t), a polynomial when w is: phi itself for smoothstep, the
+    chord of phi on each of 40 rows of height 1/20 for the bump.  Each is
+    searched with half a row of margin, so no window ends at t = +-1, where
+    the resultant can have near-multiple roots.  The seeds are the common
+    zeros of F_1 and F_2 (polys.common_zero_seeds, eliminating x, which phi
+    leaves alone); each starts a damped Newton run on the true field with
+    its exact Jacobian, and converged zeros are merged when closer than
+    10 * tol_root.  Raises CommonFactor when F_1 and F_2 share a factor.
     """
     tols = tols or default_tols()
-    eps = R.epsilon
+    eps, phi = R.epsilon, R.phi
     step = eps / 20.0
-    xs = np.arange(x_window[0], x_window[1] + step, step)
-    ys = np.arange(-eps, eps + step / 2, step)
+    lo, hi = x_window[0] - step, x_window[1] + step
+    if phi.family == "smoothstep":
+        w = {(2 * k + 1, 0): c / phi._norm for k, c in enumerate(phi._coeffs)}
+        rows = [(-1.0, 1.0, {(0, 0): 0.5, **w})]
+    else:
+        ts = [-1.0 + k / 20 for k in range(41)]
+        ws = [phi(t) for t in ts]
+        rows = [(t0, t1, {(0, 0): w0 - (w1 - w0) / (t1 - t0) * t0,
+                          (1, 0): (w1 - w0) / (t1 - t0)})
+                for t0, t1, w0, w1 in zip(ts, ts[1:], ws, ws[1:])]
+
+    def in_t(p: BivariatePolynomial) -> BivariatePolynomial:
+        # p(x, eps t), with t as the first variable
+        return BivariatePolynomial({(j, i): v * eps ** j
+                                    for (i, j), v in p.coeffs.items()})
 
     found: list[tuple[float, float]] = []
-    for s, U, V in R.strips(xs, ys):
-        for i, j in zip(*np.nonzero(_sign_varies(U) & _sign_varies(V))):
-            sol = newton_zero(R, R.jacobian, xs[s + i] + step / 2,
-                              ys[j] + step / 2, tols)
+    for t0, t1, w in rows:
+        F = [in_t(b) + BivariatePolynomial(w) * (in_t(a) - in_t(b))
+             for a, b in ((R.Z.X.P, R.Z.Y.P), (R.Z.X.Q, R.Z.Y.Q))]
+        for t, x in common_zero_seeds(*F, (t0 - 1 / 40, t1 + 1 / 40),
+                                      (lo, hi), tols):
+            sol = newton_zero(R, R.jacobian, x, eps * t, tols)
             if sol is None:
                 continue
             x, y = sol
-            if not (x_window[0] - step <= x <= x_window[1] + step
-                    and abs(y) <= eps + step):
+            if not (lo <= x <= hi and abs(y) <= eps + step):
                 continue
             if any(math.hypot(x - a, y - b) <= 10 * tols.root
                    for a, b in found):

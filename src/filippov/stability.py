@@ -32,10 +32,9 @@ from .polys import (
     PiecewiseField,
     PolyVectorField,
     cauchy_bound,
+    common_zero_seeds,
     newton_zero,
     poly,
-    resultant_y,
-    univariate_roots,
 )
 from .tolerances import Tolerances, default_tols
 
@@ -68,8 +67,8 @@ def interior_singularities(X: PolyVectorField, region: str,
     P and Q are first scaled to unit largest coefficient, so the zero
     tests and the Newton residual below do not depend on the field's
     scale.  The abscissa of a common zero is a real root of the resultant
-    Res_y(P, Q), isolated by Sturm sequences; its ordinate is a real root
-    of P(x, .) or Q(x, .) there.  Each such pair only seeds a damped Newton
+    Res_y(P, Q), its ordinate a real root of P(x, .) or Q(x, .) there
+    (polys.common_zero_seeds).  Each such pair only seeds a damped Newton
     run with the exact Jacobian, and the Newton iterate is what is
     reported; a seed at which P and Q vanish to tols.close but whose run
     fails is reported as it stands, with hyperbolic 'unverified'.  Raises
@@ -89,25 +88,17 @@ def interior_singularities(X: PolyVectorField, region: str,
     U = PolyVectorField(*(p.scale(1 / max(map(abs, p.coeffs.values()),
                                           default=1.0)) for p in (X.P, X.Q)),
                         X.m)
-    res = resultant_y(U.P, U.Q)
-    if np.max(np.abs(res)) <= tols.coeff_zero:
-        raise CommonFactor("Res_y(P, Q) vanishes identically")
     slack = tols.sign
     points = []  # (Newton failed, x, y)
-    for xr, _ in univariate_roots(res, (x0 - slack, x1 + slack), tols):
-        live = [p for p in (U.P, U.Q)
-                if np.max(np.abs(p.restrict_x(xr))) > tols.sign]
-        if not live:
-            raise CommonFactor(f"P and Q vanish on the line x = {xr!r}")
-        for yr in sorted({yr for p in live for yr, _ in univariate_roots(
-                p.restrict_x(xr), (y0 - slack, y1 + slack), tols)}):
-            sol = newton_zero(U, U.jacobian_at, xr, yr, tols)
-            if sol is None and max(map(abs, U(xr, yr))) > tols.close:
-                continue  # not a common root of P(xr, .) and Q(xr, .)
-            x, y = sol or (xr, yr)
-            if (x0 - slack <= x <= x1 + slack) and \
-                    (y > tols.sign if region == "N" else y < -tols.sign):
-                points.append((sol is None, x, y))
+    for xr, yr in common_zero_seeds(X.P, X.Q, (x0 - slack, x1 + slack),
+                                    (y0 - slack, y1 + slack), tols):
+        sol = newton_zero(U, U.jacobian_at, xr, yr, tols)
+        if sol is None and max(map(abs, U(xr, yr))) > tols.close:
+            continue  # not a common root of P(xr, .) and Q(xr, .)
+        x, y = sol or (xr, yr)
+        if (x0 - slack <= x <= x1 + slack) and \
+                (y > tols.sign if region == "N" else y < -tols.sign):
+            points.append((sol is None, x, y))
     kept: list[tuple[bool, float, float]] = []
     for p in sorted(points):  # Newton's zeros first, then failed seeds
         if all(math.hypot(p[1] - q[1], p[2] - q[2]) > 10 * tols.root

@@ -280,3 +280,14 @@ def test_sweep_non_finite_eps_exit3(tmp_path, capsys, eps):
     spec = _write(tmp_path, "saddle.txt", SADDLE_TEXT)
     assert cli.main(["sweep", spec, "--eps", eps]) == 3
     assert "epsilon must be positive and finite" in capsys.readouterr().err
+
+
+def test_sweep_shared_factor_exit4(tmp_path, capsys):
+    # every component carries the factor (x - 0.5): the regularized field
+    # vanishes on a segment, and the census raises CommonFactor
+    text = ("degree 2\nP1:\n1 0 1\n0 0 -0.5\nQ1:\n1 1 1\n0 1 -0.5\n1 0 2\n"
+            "0 0 -1\nP2:\n1 0 -1\n0 0 0.5\nQ2:\n2 0 1\n1 0 -0.5\n")
+    spec = _write(tmp_path, "shared.txt", text)
+    assert cli.main(["sweep", spec, "--eps", "0.1",
+                     "--window=-2,2,-2,2"]) == cli.EXIT_RUNTIME
+    assert "error:" in capsys.readouterr().err

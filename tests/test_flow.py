@@ -635,12 +635,12 @@ def test_generated_rhs_matches_call_chain_to_the_bit(seeded_fields):
     # negated coefficients, the sliding field, and the regularized blend
     # with its exact Jacobian; also for a numpy state, as scipy passes one
     rng = np.random.default_rng(3)
-    phis = [make_transition("smoothstep", n) for n in (1, 2, 3)]
+    phis = [make_transition("smoothstep", n) for n in (1, 2, 3, 4)]
     phis.append(make_transition("bump"))
     eps = 0.3
     for k, Z in enumerate(seeded_fields):
-        R = RegularizedField(Z, phis[k % 4], eps)
-        R_div = RegularizedField(Z, phis[(k + 1) % 4], eps)
+        R = RegularizedField(Z, phis[k % 5], eps)
+        R_div = RegularizedField(Z, phis[(k + 1) % 5], eps)
         xs = rng.uniform(-3.0, 3.0, size=9)
         # off D, inside the band, on its edges and outside it
         ys = [*rng.uniform(-3.0, 3.0, size=3),

@@ -170,23 +170,6 @@ def test_vf_eval_and_degree_guard():
         vf({(3, 0): 1.0}, {}, m=2)
 
 
-def test_grid_matches_scalar_evaluation():
-    rng = np.random.default_rng(5)
-    xs = np.linspace(-3.0, 2.0, 7)
-    ys = np.linspace(-0.5, 1.5, 4)
-    for coeffs in ({}, {(0, 0): 2.5},
-                   {(i, j): rng.standard_normal()
-                    for i in range(4) for j in range(4 - i)}):
-        p = poly(coeffs)
-        g = p.grid(xs, ys)
-        assert g.shape == (7, 4)
-        for a, x in enumerate(xs):
-            for b, y in enumerate(ys):
-                # two summation orders: a few ulps of the largest term
-                size = sum(abs(v * x**i * y**j) for (i, j), v in coeffs.items())
-                assert abs(g[a, b] - p(x, y)) <= 8 * np.finfo(float).eps * size
-
-
 def _random_coeffs(rng, degree: int, shape: str) -> dict:
     monomials = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)
                  if shape == "full" or (shape == "x" and j == 0)
@@ -583,3 +566,14 @@ def test_isolation_ends_where_a_near_zero_band_reaches_the_bracket_end():
     assert [m for _, m in got] == [1, 1, 1]
     for (r, _), w in zip(got, (0.0, d, 2.0)):
         assert abs(r - w) <= 1e-14
+
+
+def test_split_stays_inside_the_bracket_after_the_window_end_nudge():
+    # the window end 1.0 is a root, so the nudge past it doubles its step
+    # to a few 1e-6 while it crosses the pair (1, 1.000003); a bisection
+    # point reset by that step fell below its bracket, which then never
+    # shrank (RecursionError)
+    got = univariate_roots(npoly.polyfromroots([0.3, 1.0, 1.000003]),
+                           (-1.0, 1.0))
+    assert abs(got[0][0] - 0.3) <= 1e-12
+    assert any(abs(r - 1.0) <= 1e-5 for r, _ in got[1:])

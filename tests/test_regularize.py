@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from filippov import regularize
 from filippov.polys import newton_zero, piecewise, vf
 from filippov.regularize import (
     EmergentSingularity,
@@ -15,7 +17,7 @@ from filippov.regularize import (
     make_transition,
     regularized_cycle_search,
 )
-from filippov.errors import BadParameter
+from filippov.errors import BadParameter, CommonFactor
 from filippov.tolerances import default_tols
 
 
@@ -27,6 +29,17 @@ def test_smoothstep1_values():
     # closed form (2 + 3t - t^3)/4 on the transition band
     for t in np.linspace(-1, 1, 41):
         assert abs(phi(t) - (2 + 3 * t - t ** 3) / 4) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_smoothstep_matches_quadrature(n):
+    # phi(t) = 1/2 + int_0^t (1 - s^2)^n ds / int_{-1}^1 (1 - s^2)^n ds
+    phi = make_transition("smoothstep", n)
+    norm = quad(lambda s: (1 - s * s) ** n, -1.0, 1.0, epsabs=1e-15)[0]
+    for t in np.linspace(-1, 1, 41)[1:-1]:
+        want = 0.5 + quad(lambda s: (1 - s * s) ** n, 0.0, t,
+                          epsabs=1e-15)[0] / norm
+        assert abs(phi(t) - want) <= 1e-14
 
 
 def test_clamping_outside_band():
@@ -223,8 +236,9 @@ def _reference_census(R, x_window, tols):
 @pytest.mark.parametrize("family, par", [
     ("smoothstep", 1), ("smoothstep", 2), ("bump", 0)])
 def test_census_matches_scalar_reference(Z, window, eps_list, family, par):
-    # the grid sums are not fsum, so a cell on a sign boundary may seed
-    # differently; a zero then differs by at most the merge radius
+    # the reference seeds from a sampling grid, the census from the band
+    # resultant: their Newton runs stop at zeros at most the merge radius
+    # apart
     tols = default_tols()
     phi = make_transition(family, par)
     for eps in eps_list:
@@ -250,10 +264,17 @@ def _count_calls(monkeypatch, cls):
 
 
 def test_census_work_counters(monkeypatch):
-    # parent of the numpy census: 67,782 field calls on the saddle and
-    # 124,878 phi calls on the fold
+    # the parent of the numpy grid census made 67,782 field calls on the
+    # saddle and 124,878 phi calls on the fold; the grid census made 18, 34,
+    # 66 and 131 Newton runs on the saddle as eps went from 0.2 to 0.025
     field_calls = _count_calls(monkeypatch, RegularizedField)
     phi_calls = _count_calls(monkeypatch, TransitionFunction)
+    runs = [0]
+
+    def counted_newton(*args):
+        runs[0] += 1
+        return newton_zero(*args)
+    monkeypatch.setattr(regularize, "newton_zero", counted_newton)
     phi = make_transition("smoothstep", 1)
     assert len(emergent_singularities(
         RegularizedField(SADDLE, phi, 0.025), (-2.0, 0.0))) == 1
@@ -262,6 +283,41 @@ def test_census_work_counters(monkeypatch):
     assert emergent_singularities(
         RegularizedField(FOLD, phi, 0.025), (-2.0, 2.0)) == []
     assert phi_calls[0] <= 50
+    for phi, most in ((make_transition("smoothstep", 1), 1),
+                      (make_transition("bump"), 3)):
+        for eps in (0.2, 0.1, 0.05, 0.025):
+            runs[0] = 0
+            assert len(emergent_singularities(
+                RegularizedField(SADDLE, phi, eps), (-2.0, 0.0))) == 1
+            assert runs[0] <= most
+
+
+@pytest.mark.parametrize("family, par", [
+    ("smoothstep", 1), ("smoothstep", 2), ("bump", 0)])
+def test_census_separates_zeros_closer_than_a_twentieth_of_eps(family, par):
+    # R = (x^2 - 1e-6, 2 phi - 1) vanishes at (-0.001, 0) and (0.001, 0);
+    # a sampling grid of step eps/20 on this window has no column between
+    # them, and its cells bracket no sign change of x^2 - 1e-6
+    Z = piecewise(vf({(2, 0): 1.0, (0, 0): -1e-6}, {(0, 0): 1.0}),
+                  vf({(2, 0): 1.0, (0, 0): -1e-6}, {(0, 0): -1.0}))
+    R = RegularizedField(Z, make_transition(family, par), 0.1)
+    got = emergent_singularities(R, (-1.0025, 1.0))
+    assert [s.type for s in got] == [SingularityType.SADDLE,
+                                     SingularityType.NODE]
+    for s, x in zip(got, (-0.001, 0.001)):
+        assert math.dist(s.position, (x, 0.0)) <= 1e-12
+
+
+def test_census_raises_on_a_shared_factor():
+    # every component carries the factor (x - 0.5), so Z_eps vanishes on
+    # the segment x = 0.5 of the band
+    Z = piecewise(vf({(1, 0): 1.0, (0, 0): -0.5},
+                     {(1, 1): 1.0, (0, 1): -0.5, (1, 0): 2.0, (0, 0): -1.0}),
+                  vf({(1, 0): -1.0, (0, 0): 0.5},
+                     {(2, 0): 1.0, (1, 0): -0.5}))
+    for phi in (make_transition("smoothstep", 1), make_transition("bump")):
+        with pytest.raises(CommonFactor):
+            emergent_singularities(RegularizedField(Z, phi, 0.1), (-2.0, 2.0))
 
 
 def test_regularized_cycle_inherits_from_crossing_cycle():

@@ -153,12 +153,13 @@ def _grid_reference(X, region, window, tols, grid=80):
     xs = np.linspace(x0, x1, grid + 1)
     ys = np.linspace(y0, y1, grid + 1)
 
-    def varies(W):
+    def varies(p):
+        W = np.array([[p(x, y) for y in ys] for x in xs])
         corners = (W[:-1, :-1], W[1:, :-1], W[:-1, 1:], W[1:, 1:])
         return ((np.minimum.reduce(corners) <= 0.0)
                 & (np.maximum.reduce(corners) >= 0.0))
 
-    cells = varies(X.P.grid(xs, ys)) & varies(X.Q.grid(xs, ys))
+    cells = varies(X.P) & varies(X.Q)
     found = []
     for i, j in zip(*np.nonzero(cells)):
         sol = newton_zero(X, X.jacobian_at, 0.5 * (xs[i] + xs[i + 1]),
