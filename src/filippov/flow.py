@@ -23,7 +23,10 @@ RegularizedField.rhs, built from the Horner forms of the polynomials so
 they return the same floats.  Events are affine lines (y = 0, the window's
 sides, a section, x = r on D) that the stepper checks on each accepted
 step's dense-output polynomial, which catches a pair of crossings inside
-one step; the solve ends at the first crossing.
+one step; the solve ends at the first crossing that its line accepts.  So
+a separatrix branch of the connection probe, one solve, also watches a ray
+from each node, focus or center of its field, and ends once its crossings
+of one ray have settled: their drift's geometric tail is below tols.close.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -154,7 +157,7 @@ class Section:
 class SmoothTrace:
     ts: np.ndarray
     states: np.ndarray
-    status: str  # "d_hit", "window", "horizon", "section"
+    status: str  # "d_hit", "window", "horizon", "section", "settled"
     hit_state: tuple[float, float] | None
 
 
@@ -289,7 +292,7 @@ class FloatDOP853(DOP853):
         most once, where its end values change sign, and _polish_root
         places that crossing; only the other steps get an exact root count
         of g's interpolant.  A line whose interpolant is identically zero
-        raises NotTransversal."""
+        raises NotTransversal, unless it is a watched ray (_Ray)."""
         tols, h = self._line_tols, t_new - t
         two = self.n > 1
         Fx = [row[0] for row in F]
@@ -302,6 +305,8 @@ class FloatDOP853(DOP853):
                 continue
             gF = [ax * fx + ay * fy for fx, fy in zip(Fx, Fy)]
             if g0 == 0.0 and not any(gF):
+                if accept and isinstance(accept[0], _Ray):
+                    continue  # a watched ray is no event
                 raise NotTransversal("trajectory runs along an event line")
             # g in powers of x = (t - t_old) / h; monotone where its
             # derivative's constant term outweighs the rest
@@ -400,6 +405,25 @@ def _dense_basis(power: int) -> tuple:
     return tuple(terms)
 
 
+class _Ray:
+    """accept of the line y = y_c watched as the ray x > x_c in one
+    direction: it records each crossing of the ray and approves the one
+    at which the branch has settled (probe_saddle_connections)."""
+
+    def __init__(self, xc: float, close: float):
+        self.xc, self.close, self.xs = xc, close, []
+
+    def __call__(self, t, state) -> bool:
+        if state[0] <= self.xc:
+            return False
+        xs = self.xs
+        xs.append(float(state[0]))
+        if len(xs) < 3:
+            return False
+        d1, d2 = abs(xs[-2] - xs[-3]), abs(xs[-1] - xs[-2])
+        return 0.0 < d2 < d1 and d2 * (d2 / d1) / (1 - d2 / d1) <= self.close
+
+
 def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
                      horizon: float, window: Window,
                      d_direction: int = 0,
@@ -407,17 +431,19 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
                      section_direction: int = 0,
                      tols: Tolerances | None = None,
                      with_divergence: bool = False,
-                     reverse: bool = False) -> SmoothTrace:
+                     reverse: bool = False,
+                     rays: Sequence[tuple[float, float]] = ()) -> SmoothTrace:
     """Adaptive DOP853 trace of X (of -X when reverse) from p0, stopping at
     the first y=0 crossing (in the given direction), window exit or
-    horizon.
+    horizon, or with status 'settled' once a watched ray has settled.
 
     d_direction: -1 catches downward crossings (flows in N), +1 upward,
     0 both.  An optional section event stops the trace at a transversal
     crossing of the segment (matching section_direction when nonzero);
     crossings of its line outside the parameter range do not stop it.
     with_divergence accumulates the integral of div X as a third state
-    component.
+    component.  Each point (x_c, y_c) of rays is watched as the ray
+    {y = y_c, x > x_c}, once per crossing direction (_Ray).
 
     One solve: the events are affine lines, which the stepper checks on
     each step's dense output (FloatDOP853), so a step that jumps a pair of
@@ -435,14 +461,18 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
         lo, hi = section.s_range
         lines.append((*section.line(section_direction), lambda t, s:
                       t > 1e-12 and lo <= section.param_of(s) <= hi))
+    events = len(lines)
+    lines += [(0.0, 1.0, -yc, way, _Ray(xc, tols.close))
+              for xc, yc in rays for way in (1, -1)]
     sol, hit = _integrate(X.rhs(reverse, with_divergence),
                           list(p0) + ([0.0] if with_divergence else []),
                           horizon, tols, lines)
     status, hit_state = "horizon", None
     if hit is not None:
         kind, _, end = hit
-        status = {0: "d_hit", 5: "section"}.get(kind, "window")
-        if status != "window":
+        status = "settled" if kind >= events else \
+            {0: "d_hit", 5: "section"}.get(kind, "window")
+        if status in ("d_hit", "section"):
             hit_state = (float(end[0]), 0.0 if kind == 0 else float(end[1]))
     return SmoothTrace(sol.t, sol.y.T, status, hit_state)
 
@@ -903,6 +933,7 @@ class SeparatrixBranch:
     stability: str  # "stable" or "unstable"
     label: str
     points: np.ndarray
+    fate: str  # how its trace ended (see probe_saddle_connections)
 
 
 @dataclass(frozen=True)
@@ -910,20 +941,42 @@ class ConnectionReport:
     branches: list[SeparatrixBranch]
     distances: np.ndarray
     flagged: list[tuple[int, int]]
+    skipped: list[tuple[str, str]]  # (label, error kind) of failed traces
 
 
 def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
                              horizon: float = 30.0,
                              window: Window = (-5, 5, -5, 5),
-                             tols: Tolerances | None = None
-                             ) -> ConnectionReport:
+                             tols: Tolerances | None = None,
+                             rays: dict | None = None) -> ConnectionReport:
     """Trace separatrix branches of certified saddles and record minimum
     pairwise distances; close approaches are flagged PossibleConnection.
 
+    One solve per branch.  A branch of X (Y) watches the ray {y = y_c,
+    x > x_c} from each point of rays["X"] (rays["Y"]), the nodes, foci
+    and centers of its field, one of which any cycle of it surrounds.
+    At crossings x1, x2, x3 of one ray in one direction with d2 = |x3 -
+    x2| < d1 = |x2 - x1| and a geometric tail d2 q / (1 - q), q = d2/d1,
+    of at most tols.close, far below tols.connect, the branch has fate
+    'settled'; else 'd_hit', 'window' or 'horizon' (an FZ branch: the
+    _d_stop outcome or 'horizon').  A trace that raises one of
+    ClassificationAmbiguous, NotTransversal and StepFailure keeps no
+    points and the error's name as its fate (ConnectionReport.skipped).
+
     Same-saddle branch pairs exclude points within a small radius of the
     saddle so the seeding offset does not self-flag."""
-    tols = tols or default_tols()
+    tols, rays = tols or default_tols(), rays or {}
     branches: list[SeparatrixBranch] = []
+    skipped: list[tuple[str, str]] = []
+
+    def add(idx, stab, label, trace, *args):
+        try:
+            pts, fate = trace(*args)
+        except (ClassificationAmbiguous, NotTransversal, StepFailure) as e:
+            pts, fate = np.empty((0, 2)), type(e).__name__
+            skipped.append((label, fate))
+        branches.append(SeparatrixBranch(idx, stab, label, pts, fate))
+
     for idx, sad in enumerate(saddles):
         if sad.kind in ("X", "Y"):
             fld = Z.X if sad.kind == "X" else Z.Y
@@ -937,19 +990,16 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
                 for sgn in (1.0, -1.0):
                     seed = (x0 + sgn * tols.delta_sep * v[0],
                             y0 + sgn * tols.delta_sep * v[1])
-                    pts = _trace_branch(Z, seed, sad.kind, fwd, horizon,
-                                        window, tols)
-                    branches.append(SeparatrixBranch(
-                        idx, stab, f"{sad.kind}{idx}:{stab}:{sgn:+.0f}", pts))
+                    add(idx, stab, f"{sad.kind}{idx}:{stab}:{sgn:+.0f}",
+                        _trace_branch, Z, seed, sad.kind, fwd, horizon,
+                        window, tols, rays.get(sad.kind, ()))
         else:  # FZ saddle: branches along D in both time directions
             x0 = sad.point[0]
             for sgn in (1.0, -1.0):
                 for direction, stab in ((1.0, "unstable"), (-1.0, "stable")):
-                    xs = _trace_d_branch(Z, x0 + sgn * tols.delta_sep,
-                                         direction, horizon, window, tols)
-                    pts = np.column_stack([xs, np.zeros_like(xs)])
-                    branches.append(SeparatrixBranch(
-                        idx, stab, f"FZ{idx}:{stab}:{sgn:+.0f}", pts))
+                    add(idx, stab, f"FZ{idx}:{stab}:{sgn:+.0f}",
+                        _trace_d_branch, Z, x0 + sgn * tols.delta_sep,
+                        direction, horizon, window, tols)
 
     n = len(branches)
     dmat = np.full((n, n), np.inf)
@@ -970,24 +1020,25 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
             if d < tols.connect and {bi.stability, bj.stability} == \
                     {"stable", "unstable"}:
                 flagged.append((i, j))
-    return ConnectionReport(branches, dmat, flagged)
+    return ConnectionReport(branches, dmat, flagged, skipped)
 
 
-def _trace_branch(Z, seed, kind, forward, horizon, window, tols) -> np.ndarray:
+def _trace_branch(Z, seed, kind, forward, horizon, window, tols, rays=()):
     fld = Z.X if kind == "X" else Z.Y
     ddir = -1 if kind == "X" else 1
     if (kind == "X" and seed[1] <= 0) or (kind == "Y" and seed[1] >= 0):
-        return np.asarray([seed])
+        return np.asarray([seed]), "d_hit"
     tr = integrate_smooth(fld, seed, horizon, window, ddir, tols=tols,
-                          reverse=not forward)
-    return tr.states[:, :2]
+                          reverse=not forward, rays=rays)
+    return tr.states[:, :2], tr.status
 
 
-def _trace_d_branch(Z, x0, direction, horizon, window, tols) -> np.ndarray:
+def _trace_d_branch(Z, x0, direction, horizon, window, tols):
     rhs = Z.slide_rhs(direction)
-    _, line = _d_stop(Z, x0, rhs(0.0, (x0,))[0], window, tols)
-    sol, _ = _integrate(rhs, [x0], horizon, tols, [line])
-    return sol.y[0]
+    outcome, line = _d_stop(Z, x0, rhs(0.0, (x0,))[0], window, tols)
+    sol, hit = _integrate(rhs, [x0], horizon, tols, [line])
+    xs = sol.y[0]
+    return np.column_stack([xs, 0.0 * xs]), outcome if hit else "horizon"
 
 
 def _min_dist(a: np.ndarray, b: np.ndarray) -> float:

@@ -472,13 +472,17 @@ def univariate_roots(c, window: tuple[float, float],
     chain = _sturm_chain(sf, tols.coeff_zero)
     a, b = float(window[0]), float(window[1])
     zero_tol = tols.coeff_zero * scale
-    # nudge endpoints off exact roots of the square-free part
+    # nudge the endpoints off the zeros of every member of the chain,
+    # which would drop out of the sign count there
+    def vanishing(x):
+        return any(len(p) > 1 and abs(_polyval(x, p)) <= zero_tol
+                   for p in chain)
     eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    while abs(_polyval(a, sf)) <= zero_tol:
+    while vanishing(a):
         a -= eps
         eps *= 2
     eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    while abs(_polyval(b, sf)) <= zero_tol:
+    while vanishing(b):
         b += eps
         eps *= 2
 

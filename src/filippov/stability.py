@@ -354,9 +354,11 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
         saddles += [flow.SaddleSpec("FZ", (s.x, 0.0)) for s in d_sings
                     if s.kind is dline.SingKind.FZ_SADDLE]
         if saddles:
+            rays = {"X": [s.point for s in interior_x if not s.is_saddle],
+                    "Y": [s.point for s in interior_y if not s.is_saddle]}
             rep = flow.probe_saddle_connections(Z, saddles,
                                                 options.horizon / 3.0,
-                                                window, tols)
+                                                window, tols, rays)
             flags = rep.flagged
             if flags:
                 for i, j in flags:
@@ -366,6 +368,9 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
             elif not options.optimistic:
                 gm3.weaken({"kind": "connection_probe_clean",
                             "branches": len(rep.branches)})
+            if rep.skipped:  # a branch not traced may hide a connection
+                gm3.weaken({"kind": "connection_probe_skipped",
+                            "branches": [list(b) for b in rep.skipped]})
         elif not options.optimistic:
             gm3.weaken({"kind": "no_saddles_to_probe"})
 

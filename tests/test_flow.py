@@ -490,8 +490,8 @@ def test_sliding_arc_steps_over_close_fold_pair(delta):
     assert abs(first.state[0] + delta) < 1e-12
     t_fold = (1 - delta ** 2) * (3 - delta) + (27 - delta ** 3) / 3
     assert abs(first.time - t_fold) < 1e-8
-    xs = flow._trace_d_branch(Z, -3.0, 1.0, 20.0, WIN, default_tols())
-    assert abs(xs[-1] + delta) < 1e-12
+    pts, fate = flow._trace_d_branch(Z, -3.0, 1.0, 20.0, WIN, default_tols())
+    assert fate == "q1_root" and abs(pts[-1, 0] + delta) < 1e-12
 
 
 def test_tolerance_scale_reaches_solvers(monkeypatch):
@@ -616,6 +616,72 @@ def test_probe_flags_symmetric_heteroclinic():
         if kinds == {0, 1}:
             hit = True
     assert hit
+
+
+def _circle_field(k: float, center: tuple[float, float]) -> PolyVectorField:
+    # rotation about center with r' = k r (1 - r^2): for k > 0 the circle
+    # r = 1 is an attracting cycle of period 2 pi and multiplier
+    # exp(-4 pi k); for k = 0 every circle about center is a periodic orbit
+    x = polys.poly({(1, 0): 1.0}) - polys.poly({(0, 0): center[0]})
+    y = polys.poly({(0, 1): 1.0}) - polys.poly({(0, 0): center[1]})
+    g = (polys.poly({(0, 0): 1.0}) - x * x - y * y).scale(k)
+    return PolyVectorField(-y + x * g, x + y * g, 3)
+
+
+@pytest.mark.parametrize("multiplier", [0.9, 0.95])
+def test_branch_onto_a_weak_cycle_settles_only_within_its_tail_bound(
+        multiplier):
+    # with q near 1 the drift per turn falls slowly: the branch must turn
+    # until the geometric tail d2 q / (1 - q) is within tols.close, which
+    # takes over a hundred turns, far beyond the probe's horizon
+    tols, center = default_tols(), (0.0, -3.0)
+    Y = _circle_field(-math.log(multiplier) / (4 * math.pi), center)
+    window = (-10.0, 10.0, -10.0, 10.0)
+
+    def radius(p):
+        return math.hypot(p[0] - center[0], p[1] - center[1])
+
+    short = integrate_smooth(Y, (1.2, -3.0), 100.0 / 3.0, window, 1,
+                             tols=tols, rays=[center])
+    assert short.status == "horizon"
+    tr = integrate_smooth(Y, (1.2, -3.0), 3000.0, window, 1, tols=tols,
+                          rays=[center])
+    assert tr.status == "settled" and tr.ts[-1] > 100 * 2 * math.pi
+    end = tr.states[-1]
+    assert abs(end[1] - center[1]) <= 1e-12 and end[0] > center[0]
+    # the drift still to come, on the trace that does not stop
+    full = integrate_smooth(Y, (1.2, -3.0), 3000.0, window, 1, tols=tols)
+    later = [radius(p) for p in full.states[full.ts > tr.ts[-1]]]
+    assert 0.0 < radius(end) - 1.0 <= 1.5 * tols.close
+    assert max(abs(r - radius(end)) for r in later) <= 1.5 * tols.close
+
+
+def test_branch_near_a_linear_center_settles_on_its_own_orbit():
+    # every orbit about a linear center is closed, so the crossings of the
+    # ray differ only by the solver's error: settling there only drops
+    # further turns of the orbit already traced
+    tols, center = default_tols(), (0.0, 2.0)
+    X = _circle_field(0.0, center)
+    for p0 in ((0.0, 3.0), (0.3, 2.0)):
+        r0 = math.hypot(p0[0] - center[0], p0[1] - center[1])
+        tr = integrate_smooth(X, p0, 100.0, WIN, -1, tols=tols,
+                              rays=[center])
+        assert tr.status == "settled"
+        assert tr.ts[-1] >= 2 * 2 * math.pi - 1e-9  # three crossings
+        radii = np.hypot(tr.states[:, 0] - center[0],
+                         tr.states[:, 1] - center[1])
+        assert np.max(np.abs(radii - r0)) <= tols.close
+
+
+def test_ray_along_a_trace_neither_stops_nor_raises():
+    # the line y = 1 is invariant under X = (x^2 - 4x + 3, 1 - y): a trace
+    # on it runs along the ray from the node (1, 1) to the horizon
+    X = vf({(2, 0): 1.0, (1, 0): -4.0, (0, 0): 3.0}, {(0, 0): 1.0,
+                                                      (0, 1): -1.0})
+    tr = integrate_smooth(X, (3.0 - 1e-6, 1.0), 20.0, WIN, -1,
+                          rays=[(1.0, 1.0)])
+    assert tr.status == "horizon"
+    assert np.all(tr.states[:, 1] == 1.0)
 
 
 

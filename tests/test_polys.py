@@ -577,3 +577,45 @@ def test_split_stays_inside_the_bracket_after_the_window_end_nudge():
                            (-1.0, 1.0))
     assert abs(got[0][0] - 0.3) <= 1e-12
     assert any(abs(r - 1.0) <= 1e-5 for r, _ in got[1:])
+
+
+def test_window_end_clears_every_member_of_the_sturm_chain():
+    # the smoothstep-2 band resultant of random_09 (benchmark generator
+    # seed 1) at eps = 0.05, built as emergent_singularities builds it, has
+    # a cluster of near-multiple roots at t = -1.  The end nudge stopped
+    # where the square-free part cleared zero_tol, but a lower member of
+    # the Sturm chain was still below it there and dropped out of the sign
+    # count: the count came out -1 and the simple root at t = -0.0465 was
+    # lost
+    from filippov.regularize import make_transition
+
+    X = vf({(0, 1): -0.019710997135956365, (0, 2): -1.099751659844932,
+            (0, 3): 0.24162973795195608, (1, 2): 0.58566070257035419,
+            (2, 0): -1.7137944470884117, (2, 1): 1.509696315785948,
+            (3, 0): 1.0641114351892487},
+           {(0, 0): -1.5232530703765006, (0, 1): 0.77022785841125829,
+            (0, 3): 0.80513065163123487, (1, 1): 1.4251085556520189,
+            (2, 1): -1.2948964191740986, (3, 0): -1.1295252459736678}, 3)
+    Y = vf({(0, 0): 1.0310004586657469, (0, 1): 0.72654582242987287,
+            (0, 3): 0.060223217173367427, (1, 0): 0.91958460194799452,
+            (1, 1): 1.9248842325926359, (2, 0): -0.92989502141155311},
+           {(0, 0): 1.5057453260110965, (0, 2): 0.8016310656669221,
+            (0, 3): 1.6972312104997123, (1, 1): 1.2108461232014274,
+            (1, 2): -1.3409831252669049, (2, 0): -1.4946797006606301}, 3)
+    phi, eps = make_transition("smoothstep", 2), 0.05
+    w = BivariatePolynomial({(0, 0): 0.5, **{
+        (2 * k + 1, 0): c / phi._norm for k, c in enumerate(phi._coeffs)}})
+
+    def in_t(p):  # p(x, eps t), with t as the first variable
+        return BivariatePolynomial({(j, i): v * eps ** j
+                                    for (i, j), v in p.coeffs.items()})
+
+    p, q = (in_t(b) + w * (in_t(a) - in_t(b))
+            for a, b in ((X.P, Y.P), (X.Q, Y.Q)))
+    res = resultant_y(*(f.scale(1 / max(map(abs, f.coeffs.values())))
+                        for f in (p, q)))
+    wide = univariate_roots(res, (-1.025, 1.025))
+    assert any(abs(r + 0.0464738) <= 1e-7 for r, _ in wide)
+    got = univariate_roots(res, (-1.0, 1.0))
+    assert [r for r, _ in got if r > -0.5] == \
+        [r for r, _ in wide if r > -0.5]

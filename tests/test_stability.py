@@ -5,9 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filippov import fieldspec, stability
+from filippov import fieldspec, flow, stability
+from filippov.cli import dumps_report
 from filippov.compactify import S1Status, eq4_value, s1_elementarity
-from filippov.errors import CommonFactor, DegreeMismatch, NotRepairable
+from filippov.errors import (
+    ClassificationAmbiguous,
+    CommonFactor,
+    DegreeMismatch,
+    NotRepairable,
+    NotTransversal,
+    StepFailure,
+)
 from filippov.flow import find_closed_polytrajectories
 from filippov.polys import PolyVectorField, newton_zero, piecewise, poly, vf
 from filippov.stability import (
@@ -472,3 +480,92 @@ def test_cycle_census_skips_a_seed_whose_return_map_fails():
     assert rep.overall == VIOLATED
     assert (rep.gm1.status, rep.gm2.status, rep.gm3.status) == (
         VIOLATED, UNDETERMINED, UNDETERMINED)
+
+
+# X = (x^2 - 4x + 3, 1 - y) has a saddle at (3, 1) and a node at (1, 1);
+# the line y = 1 is invariant, so two separatrix branches run along the
+# node's watched ray
+RAY_EDGE = piecewise(vf({(2, 0): 1.0, (1, 0): -4.0, (0, 0): 3.0},
+                        {(0, 0): 1.0, (0, 1): -1.0}), vf(ONE, ONE))
+RAY_EDGE_WIN = (-5.0, 5.0, -5.0, 5.0)
+
+
+def test_branches_along_a_watched_ray_keep_the_report():
+    rep = check_gm(RAY_EDGE, GmOptions(window=RAY_EDGE_WIN))
+    assert [s.point for s in rep.interior_x] == [(1.0, 1.0), (3.0, 1.0)]
+    assert rep.gm3.status == UNDETERMINED
+    assert rep.gm3.witnesses == [{"kind": "connection_probe_clean",
+                                  "branches": 4}]
+    assert rep.overall == UNDETERMINED
+
+
+@pytest.mark.parametrize("error", [StepFailure, NotTransversal,
+                                   ClassificationAmbiguous])
+@pytest.mark.parametrize("optimistic", [False, True])
+def test_probe_skips_a_branch_whose_trace_raises(monkeypatch, error,
+                                                 optimistic):
+    trace, calls = flow._trace_branch, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise error("stub")
+        return trace(*args)
+
+    monkeypatch.setattr(flow, "_trace_branch", failing)
+    rep = check_gm(RAY_EDGE, GmOptions(window=RAY_EDGE_WIN, optimistic=optimistic))
+    assert len(calls) == 4
+    assert rep.gm3.status == UNDETERMINED
+    skipped = {"kind": "connection_probe_skipped",
+               "branches": [["X0:unstable:-1", error.__name__]]}
+    clean = [] if optimistic else [{"kind": "connection_probe_clean",
+                                    "branches": 4}]
+    assert rep.gm3.witnesses == clean + [skipped]
+    json.loads(dumps_report(rep.to_json_dict()))
+
+
+# random_01 of benchmark generator seed 1: Y has an attracting cycle of
+# period 0.407 and multiplier 0.105 around its focus (-7.064, -4.044)
+RANDOM_01 = piecewise(
+    vf({(0, 0): 1.7565966511140423, (0, 1): -1.1336024114775465,
+        (0, 2): -1.8838368497005282, (0, 3): -0.24844962539771176,
+        (1, 0): -1.0676621989697095, (1, 1): -1.1248758506492456,
+        (1, 2): -0.84087354163805772, (2, 0): 1.3503119026502914,
+        (2, 1): 0.56917745172978229, (3, 0): 1.9701736487042605},
+       {(0, 0): 1.8284651258409075, (0, 1): -0.66921925855948361,
+        (1, 1): 1.3201427730973081, (1, 2): -0.78652595626832955,
+        (2, 0): 1.5299160033274308, (3, 0): 0.35600903193020672}, 3),
+    vf({(0, 0): -1.0290401058277294, (0, 2): -1.3079703936837963,
+        (0, 3): 0.81216304826252594, (1, 0): -0.50118791799343887,
+        (1, 1): 0.033705952999927291, (2, 0): -0.42697962014309576,
+        (2, 1): -1.8817001441323717, (3, 0): 0.81352835441534399},
+       {(0, 0): -1.9771634821984283, (0, 1): -0.42560125448834407,
+        (0, 2): 0.0089542337339323375, (1, 1): 1.4411591156821983,
+        (1, 2): 0.055086652750548026, (2, 1): -0.16347307235732655,
+        (3, 0): 0.19198523786499555}, 3))
+
+
+def test_branches_circling_a_cycle_settle(monkeypatch):
+    reports = []
+    probe = flow.probe_saddle_connections
+
+    def keep(*args):
+        reports.append(probe(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(flow, "probe_saddle_connections", keep)
+    rep = check_gm(RANDOM_01)
+    assert rep.gm3.witnesses == [{"kind": "connection_probe_clean",
+                                  "branches": 16}]
+    fates = {b.label: b.fate for b in reports[0].branches}
+    assert {k for k, v in fates.items() if v == "settled"} == {
+        "Y1:unstable:-1", "Y2:unstable:-1"}
+    assert set(fates.values()) <= {"settled", "d_hit", "window", "horizon",
+                                   "q1_root", "q2_root"}
+
+
+def test_every_seeded_field_gets_a_report(seeded_fields):
+    for Z in seeded_fields[::5]:
+        rep = check_gm(Z)
+        assert rep.overall in (SATISFIED, VIOLATED, UNDETERMINED)
+        json.loads(dumps_report(rep.to_json_dict()))
