@@ -229,10 +229,10 @@ class FloatDOP853(DOP853):
     lines holds affine events (a_x, a_y, b, direction[, accept]) on the
     first two components, g = a_x y_0 + a_y y_1 + b (a_y = 0 for one).
     Each accepted step builds its dense rows, and the first crossing in its
-    line's direction (0: either) that accept(t, state) approves (_crossing)
-    goes into hits as (index, t, state); a start on a line moving in its
-    direction is a crossing.  t_bound moves to the step's end, so solve_ivp
-    ends there, status 0."""
+    line's direction (0: either) that accept(t, state, way) approves, way
+    the sign of g's change there (_crossing), goes into hits as (index, t,
+    state); a start on a line moving in its direction is a crossing.
+    t_bound moves to the step's end, so solve_ivp ends there, status 0."""
 
     def __init__(self, fun, t0, y0, t_bound, lines=(), tols=None, hits=None,
                  **options):
@@ -319,8 +319,9 @@ class FloatDOP853(DOP853):
                 if g0 * g1 > 0 or direction * (g1 - g0) < 0 \
                         or (g0 == 0.0 and t != self._t0):
                     continue
-                roots = [0.0 if g0 == 0.0 else 1.0 if g1 == 0.0
-                         else _polish_root(c, 0.0, 1.0, tols.root)]
+                roots = [(0.0 if g0 == 0.0 else 1.0 if g1 == 0.0
+                          else _polish_root(c, 0.0, 1.0, tols.root),
+                          1 if g1 > g0 else -1)]
             else:
                 roots = []
                 for r, mult in univariate_roots(c, (0.0, 1.0), tols):
@@ -329,15 +330,15 @@ class FloatDOP853(DOP853):
                     slope = _polyval(r, _polyder(c, mult))
                     if mult % 2 == 1 and slope != 0.0 \
                             and direction * slope >= 0:
-                        roots.append(r)
-            for r in roots:
+                        roots.append((r, 1 if slope > 0 else -1))
+            for r, way in roots:
                 r = min(max(r, 0.0), 1.0)
                 tc = t_new if r == 1.0 else t + r * h
                 if first is not None and tc >= first[1]:
                     break
                 state = _Dop853Interpolant(t, t_new, np.array(y),
                                            np.array(F))(tc)
-                if not accept or accept[0](tc, state):
+                if not accept or accept[0](tc, state, way):
                     first = (k, tc, state)
                     break
         return first
@@ -406,17 +407,17 @@ def _dense_basis(power: int) -> tuple:
 
 
 class _Ray:
-    """accept of the line y = y_c watched as the ray x > x_c in one
-    direction: it records each crossing of the ray and approves the one
-    at which the branch has settled (probe_saddle_connections)."""
+    """accept of the line y = y_c watched as the ray x > x_c: it records
+    each crossing of the ray in the list of its direction and approves the
+    one at which the branch has settled (probe_saddle_connections)."""
 
     def __init__(self, xc: float, close: float):
-        self.xc, self.close, self.xs = xc, close, []
+        self.xc, self.close, self.xs = xc, close, {1: [], -1: []}
 
-    def __call__(self, t, state) -> bool:
+    def __call__(self, t, state, way) -> bool:
         if state[0] <= self.xc:
             return False
-        xs = self.xs
+        xs = self.xs[way]
         xs.append(float(state[0]))
         if len(xs) < 3:
             return False
@@ -443,7 +444,8 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     crossings of its line outside the parameter range do not stop it.
     with_divergence accumulates the integral of div X as a third state
     component.  Each point (x_c, y_c) of rays is watched as the ray
-    {y = y_c, x > x_c}, once per crossing direction (_Ray).
+    {y = y_c, x > x_c}: one line in both directions, whose _Ray keeps the
+    crossings of each direction apart.
 
     One solve: the events are affine lines, which the stepper checks on
     each step's dense output (FloatDOP853), so a step that jumps a pair of
@@ -459,11 +461,10 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
              (0.0, 1.0, -wy1, 1), (0.0, 1.0, -wy0, -1)]
     if section is not None:
         lo, hi = section.s_range
-        lines.append((*section.line(section_direction), lambda t, s:
+        lines.append((*section.line(section_direction), lambda t, s, way:
                       t > 1e-12 and lo <= section.param_of(s) <= hi))
     events = len(lines)
-    lines += [(0.0, 1.0, -yc, way, _Ray(xc, tols.close))
-              for xc, yc in rays for way in (1, -1)]
+    lines += [(0.0, 1.0, -yc, 0, _Ray(xc, tols.close)) for xc, yc in rays]
     sol, hit = _integrate(X.rhs(reverse, with_divergence),
                           list(p0) + ([0.0] if with_divergence else []),
                           horizon, tols, lines)

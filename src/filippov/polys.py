@@ -441,6 +441,56 @@ def _polish_root(c: list[float], a: float, b: float, tol: float) -> float:
     return x
 
 
+def bracketed_root(f: Callable[[float], float], a: float, fa: float,
+                   b: float, fb: float, xtol: float) -> float:
+    """A root of f in the bracket [a, b], given fa = f(a) and fb = f(b) of
+    opposite signs (or one of them zero, whose end is returned).
+
+    Brent's method (Brent, Algorithms for Minimization without
+    Derivatives, ch. 4) step for step as scipy.optimize takes it: inverse
+    quadratic or secant steps, bisection where they fall short, and the
+    iterate returned once half the bracket is below (xtol + 4 eps |x|) / 2.
+    f is never called at a or b.  After 100 steps the last iterate is
+    returned as it stands.
+    """
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    rtol = 4 * math.ulp(1.0)
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+        if stry is not None \
+                and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return xcur
+
+
 def _multiplicity(c: list[float], r: float, zero_tol: float) -> int:
     """Smallest k >= 1 with |c^(k)(r)| above the zero threshold."""
     scale = max(_norm(c), 1.0) * max(1.0, abs(r)) ** (len(c) - 1)

@@ -23,8 +23,8 @@ from scipy.integrate import quad
 
 from .errors import BadParameter, NoReturn, NotTransversal, StepFailure
 from .polys import (BivariatePolynomial, PiecewiseField, _field_state,
-                    _horner_body, _horner_form, _kernel, common_zero_seeds,
-                    newton_zero)
+                    _horner_body, _horner_form, _kernel, bracketed_root,
+                    common_zero_seeds, newton_zero)
 from .tolerances import Tolerances, default_tols
 
 
@@ -287,15 +287,26 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
                              ) -> list[RegularizedCycle]:
     """Limit cycles of the regularized field crossing the vertical section
     x=section_x, y in s_range: fixed points of the smooth first-return map
-    found by bisection on eta(s)-s.  The derivative at a fixed point comes
-    from one run with the divergence integral:
-    eta' = (R_x(start)/R_x(end)) exp(int div R), div R the trace of the
-    exact Jacobian: w div X + (1-w) div Y + phi'(y/eps)/eps (Q_X - Q_Y).
-    Raises NotTransversal when R_x vanishes at either end of that run.
-    Grid points whose orbit fails to return or blows up are skipped.
-    """
-    from scipy.optimize import brentq
+    eta, where g(s) = eta(s) - s changes sign on a grid of 24 points.
 
+    On a transversal segment eta is increasing (Perko, Differential
+    Equations and Dynamical Systems, ch. 3), so g(s) > 0 makes g > 0 on
+    all of [s, eta(s)), and g(s) < 0 makes g < 0 on (eta(s), s].  The scan
+    evaluates the lowest and the highest grid point not yet known, in
+    turn, and gives each such sign to the unknown grid points next to it
+    that lie in that interval, up to the first at which R_x does not have
+    the evaluated point's sign or is within tols.sign of zero.  A grid
+    point whose orbit fails to return or blows up is nan and fixes no
+    other.  Each sign change between neighbours is a bracket whose ends
+    are the evaluated points that fixed the two signs, refined by
+    polys.bracketed_root to tols.root.
+
+    The derivative at a fixed point comes from one run with the
+    divergence integral: eta' = (R_x(start)/R_x(end)) exp(int div R),
+    div R the trace of the exact Jacobian: w div X + (1-w) div Y +
+    phi'(y/eps)/eps (Q_X - Q_Y).  Raises NotTransversal when R_x vanishes
+    at either end of that run.
+    """
     from .flow import _integrate
 
     tols = tols or default_tols()
@@ -307,7 +318,7 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
         # the return crosses x = section_x the way the orbit leaves it, so
         # the crossing at the start is refused
         ret = (1.0, 0.0, -section_x, -1 if R(section_x, s)[0] < 0 else 1,
-               lambda t, st: t > 1e-12)
+               lambda t, st, way: t > 1e-12)
         _, hit = _integrate(R.rhs(with_div),
                             [section_x, s] + ([0.0] if with_div else []),
                             horizon, tols, [ret])
@@ -326,22 +337,39 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
             raise NotTransversal("section parallel to the regularized field")
         return (r0 / r1) * math.exp(float(end[2]))
 
-    lo, hi = s_range
-    n_grid = 24
-    ss = np.linspace(lo, hi, n_grid)
-    gs = []
-    for s in ss:
+    ss = np.linspace(*s_range, 24).tolist()
+    vx = [R(section_x, s)[0] for s in ss]
+    gs: dict[int, float] = {}  # evaluated grid point -> g there
+    fixed_by = [0] * len(ss)   # grid point -> evaluated point of its sign
+    lo, hi = 0, len(ss) - 1    # the grid points still unknown
+    way = 1                    # evaluate at lo (1) or at hi (-1)
+    while lo <= hi:
+        k = j = lo if way == 1 else hi
         try:
-            gs.append(eta(s) - s)
+            s_ret = eta(ss[k])
         except (NoReturn, StepFailure):
-            gs.append(np.nan)
+            s_ret = math.nan
+        gs[k], fixed_by[k] = s_ret - ss[k], k
+        # g * way > 0 holds on to the return, where R_x keeps its sign
+        while gs[k] * way > 0 and lo <= j + way <= hi \
+                and (s_ret - ss[j + way]) * way > 0 \
+                and abs(vx[j + way]) > tols.sign \
+                and (vx[j + way] < 0) == (vx[k] < 0):
+            j += way
+            fixed_by[j] = k
+        if way == 1:
+            lo = j + 1
+        else:
+            hi = j - 1
+        way = -way
+
     cycles = []
-    for k in range(n_grid - 1):
-        a, b = gs[k], gs[k + 1]
-        if np.isnan(a) or np.isnan(b) or a * b > 0:
+    for i, j in zip(fixed_by, fixed_by[1:]):
+        a, b = gs[i], gs[j]
+        if math.isnan(a) or math.isnan(b) or a * b > 0:
             continue
-        s_star = brentq(lambda s: eta(s) - s, ss[k], ss[k + 1],
-                        xtol=tols.root)
+        s_star = bracketed_root(lambda s: eta(s) - s, ss[i], a, ss[j], b,
+                                tols.root)
         if any(abs(s_star - c.section_value) < 1e-8 for c in cycles):
             continue
         d = eta_prime(s_star)

@@ -684,6 +684,34 @@ def test_ray_along_a_trace_neither_stops_nor_raises():
     assert np.all(tr.states[:, 1] == 1.0)
 
 
+def test_event_line_passes_each_crossing_direction_to_accept():
+    # the rotation from (1, 0) crosses y = 0.5 upwards at t = pi/6 and
+    # downwards at 5 pi/6: one line in both directions hands accept the
+    # sign of each crossing
+    seen = []
+
+    def accept(t, state, way):
+        seen.append((t, way))
+        return False
+
+    _, hit = flow._integrate(ROT.rhs(), [1.0, 0.0], 2 * math.pi,
+                             default_tols(), [(0.0, 1.0, -0.5, 0, accept)])
+    assert hit is None
+    assert [way for _, way in seen] == [1, -1]
+    assert np.allclose([t for t, _ in seen], [math.pi / 6, 5 * math.pi / 6],
+                       atol=1e-8)
+
+
+def test_ray_settles_on_the_crossings_of_one_direction():
+    # upward crossings at 1, 2 + 1e-8, 2 + 2e-8 settle; the downward one at
+    # 2 between them is not part of that drift
+    ray = flow._Ray(0.0, default_tols().close)
+    crossings = [(1.0, 1), (2.0, -1), (2.0 + 1e-8, 1), (5.0, -1),
+                 (2.0 + 2e-8, 1)]
+    assert [ray(0.0, (x, 0.0), way) for x, way in crossings] == \
+        [False] * 4 + [True]
+
+
 
 def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
@@ -788,6 +816,46 @@ def test_second_solve_on_a_field_compiles_nothing(monkeypatch):
                              make_transition("smoothstep", 1), 0.05, 0.0,
                              (0.4, 1.6))
     assert labels.count("rhs") == 2
+
+
+def _counting_solves(monkeypatch) -> list[float]:
+    starts = []
+    original = flow._integrate
+
+    def counting(rhs, y0, *args, **kwargs):
+        starts.append(y0[1])
+        return original(rhs, y0, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "_integrate", counting)
+    return starts
+
+
+def test_regularized_search_of_the_unit_cycle_makes_few_solves(monkeypatch):
+    # the return map is increasing on the section, so one return fixes the
+    # sign of eta(s) - s on every grid point between s and eta(s): a few
+    # returns cover the 24 grid points, and the bracket ends are not solved
+    # again
+    starts = _counting_solves(monkeypatch)
+    cycles = regularized_cycle_search(piecewise(UNIT_CYCLE, UNIT_CYCLE),
+                                      make_transition("smoothstep", 1), 0.05,
+                                      0.0, (0.4, 1.6))
+    assert len(cycles) == 1 and abs(cycles[0].section_value - 1.0) <= 1e-9
+    assert len(starts) <= 8
+
+
+def test_regularized_search_spreads_no_sign_from_a_failed_return(
+        monkeypatch):
+    # rdot = r (r^2 - 1): every orbit inside the repelling unit circle
+    # returns below its start, and every orbit outside blows up before it
+    # returns.  Neither kind fixes the sign at another grid point, so each
+    # of the 24 is solved, and no bracket is formed
+    X = vf({(0, 1): -1.0, (1, 0): -1.0, (3, 0): 1.0, (1, 2): 1.0},
+           {(1, 0): 1.0, (0, 1): -1.0, (2, 1): 1.0, (0, 3): 1.0})
+    starts = _counting_solves(monkeypatch)
+    assert regularized_cycle_search(piecewise(X, X),
+                                    make_transition("smoothstep", 1), 0.05,
+                                    0.0, (0.4, 1.6)) == []
+    assert sorted(starts) == np.linspace(0.4, 1.6, 24).tolist()
 
 
 def test_reversed_branches_share_one_kernel(monkeypatch):

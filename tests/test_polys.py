@@ -6,12 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
+from scipy.optimize import brentq
 
 from filippov import flow, polys
 from filippov.dline import det_xy
 from filippov.errors import IdenticallyZeroOnD
 from filippov.polys import (
     BivariatePolynomial,
+    bracketed_root,
     cauchy_bound,
     eval_poly,
     homogeneous_part,
@@ -619,3 +621,36 @@ def test_window_end_clears_every_member_of_the_sturm_chain():
     got = univariate_roots(res, (-1.0, 1.0))
     assert [r for r, _ in got if r > -0.5] == \
         [r for r, _ in wide if r > -0.5]
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: math.exp(x) - x - 2.0, 0.5, 2.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (math.cos, 0.0, 3.0),
+    (lambda x: math.atan(x - 0.3), -5.0, 10.0),
+    (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 2.0),
+    (lambda x: 1.0 - x - 1e-6 * x * x, 0.4, 1.6),
+    (lambda x: (x - 1.0) ** 3 * (1.0 + x * x), 0.0, 2.5),
+    # a root at an end, whose value there misses zero by rounding
+    (lambda x: x * x - 2.0, 0.0, 2.0 ** 0.5),
+])
+@pytest.mark.parametrize("xtol", [1e-9, 1e-3])
+def test_bracketed_root_agrees_with_brentq(f, a, b, xtol):
+    calls = []
+
+    def logged(x):
+        calls.append(x)
+        return f(x)
+
+    got = bracketed_root(logged, a, f(a), b, f(b), xtol)
+    assert abs(got - brentq(f, a, b, xtol=xtol)) <= xtol
+    assert calls and a not in calls and b not in calls
+    assert a <= got <= b
+
+
+def test_bracketed_root_returns_a_zero_end_without_calls():
+    def never(x):
+        raise AssertionError(f"f called at {x}")
+
+    assert bracketed_root(never, 1.0, 0.0, 2.0, -3.0, 1e-9) == 1.0
+    assert bracketed_root(never, 1.0, 5.0, 2.0, 0.0, 1e-9) == 2.0

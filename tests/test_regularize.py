@@ -344,3 +344,22 @@ def test_regularized_two_sided_cycle_derivative_exact():
     assert len(cycles) == 1
     want = math.exp(-4 * math.pi)
     assert abs(cycles[0].return_derivative - want) <= 1e-6 * want
+
+
+def test_regularized_search_finds_a_repelling_and_an_attracting_cycle():
+    # X = Y = (-y + x h, x + y h), h = -(r^4 - 5 r^2 + 4)/10: rdot = r h and
+    # the angle turns at unit speed, so the circles r = 1 and r = 2 are
+    # cycles of period 2 pi with d(r h)/dr = 0.6 and -2.4 there
+    X = vf({(0, 1): -1.0, (1, 0): -0.4, (3, 0): 0.5, (1, 2): 0.5,
+            (5, 0): -0.1, (3, 2): -0.2, (1, 4): -0.1},
+           {(1, 0): 1.0, (0, 1): -0.4, (2, 1): 0.5, (0, 3): 0.5,
+            (4, 1): -0.1, (2, 3): -0.2, (0, 5): -0.1})
+    cycles = regularized_cycle_search(piecewise(X, X),
+                                      make_transition("smoothstep", 1), 0.05,
+                                      0.0, (0.4, 2.6))
+    assert len(cycles) == 2
+    for c, r, d in zip(cycles, (1.0, 2.0),
+                       (math.exp(1.2 * math.pi), math.exp(-4.8 * math.pi))):
+        assert abs(c.section_value - r) <= 1e-6 * r
+        assert abs(c.return_derivative - d) <= 1e-6 * d
+        assert c.hyperbolic
