@@ -3,7 +3,9 @@
 Subcommands: analyze (full report, exit code mirrors the overall status),
 flow (trajectory CSV plus an events sidecar), portrait (static SVG) and
 sweep (emergent-singularity census per epsilon).  All numeric output uses
-17 significant digits and files are written atomically.
+17 significant digits and files are written atomically.  The flags of the
+spec options (fieldspec.OPTIONS) are read as in a spec; a flag overrides
+the spec, which overrides the default (_option).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import tempfile
 
 from . import fieldspec, flow, portrait, regularize, stability
 from .errors import FieldSpecError, FilippovError
+from .fieldspec import _fmt
 from .tolerances import default_tols
 
 EXIT_SATISFIED = 0
@@ -74,42 +77,26 @@ def _emit(path: str | None, data: str) -> None:
         write_atomic(path, data)
 
 
-def _load_spec(path: str) -> fieldspec.FieldSpec:
+def _load_spec(path: str):
+    """The spec at path and its field."""
     with open(path) as fh:
-        return fieldspec.parse(fh.read())
+        spec = fieldspec.parse(fh.read())
+    return spec, spec.to_field()
 
 
-def _parse_window(text: str):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4 or parts[0] >= parts[1] or parts[2] >= parts[3]:
-        raise FieldSpecError(f"bad window {text!r}")
-    return tuple(parts)
-
-
-def _parse_seed(text: str):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 2:
-        raise FieldSpecError(f"bad seed {text!r}")
-    return (parts[0], parts[1])
-
-
-def _phi_from_name(name: str):
-    if name == "bump":
-        return regularize.make_transition("bump")
-    if name.startswith("smoothstep"):
-        n = int(name[len("smoothstep"):] or "1")
-        return regularize.make_transition("smoothstep", n)
-    raise FieldSpecError(f"unknown transition family {name!r}")
-
-
-def _fmt(v: float) -> str:
-    return "%.17g" % v
+def _option(args, spec, name: str, default=None):
+    """Option name from its flag, split at commas and read as in a spec,
+    else from the spec, else default (called if a function)."""
+    flag = getattr(args, name)
+    if flag is not None:
+        return fieldspec.OPTIONS[name].read(flag.split(","))
+    value = spec.options().get(name, default)
+    return value() if callable(value) else value
 
 
 def cmd_analyze(args) -> int:
-    spec = _load_spec(args.spec)
-    Z = spec.to_field()
-    window = args.window or spec.window
+    spec, Z = _load_spec(args.spec)
+    window = _option(args, spec, "window")
     opts = stability.GmOptions(window=window, optimistic=args.optimistic)
     report = stability.check_gm(Z, opts, default_tols())
     _emit(args.out, dumps_report(report.to_json_dict()))
@@ -117,16 +104,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    spec = _load_spec(args.spec)
-    Z = spec.to_field()
-    window = args.window or spec.window or stability.default_window(Z)
-    seed = args.seed or spec.seed
+    spec, Z = _load_spec(args.spec)
+    window = _option(args, spec, "window",
+                     lambda: stability.default_window(Z))
+    seed = _option(args, spec, "seed")
     if seed is None:
         raise FieldSpecError("flow needs a seed (--seed or spec)")
     if not (window[0] <= seed[0] <= window[1]
             and window[2] <= seed[1] <= window[3]):
         raise FieldSpecError(f"seed {seed} outside window {window}")
-    horizon = args.horizon or spec.horizon or 100.0
+    horizon = _option(args, spec, "horizon", 100.0)
     tols = default_tols()
     side = "D" if abs(seed[1]) <= tols.event else ("N" if seed[1] > 0 else "S")
     traj = flow.advance_hybrid(Z, seed, side, horizon, window, tols)
@@ -147,22 +134,23 @@ def cmd_flow(args) -> int:
 
 
 def cmd_portrait(args) -> int:
-    spec = _load_spec(args.spec)
-    Z = spec.to_field()
-    window = args.window or spec.window or stability.default_window(Z)
+    spec, Z = _load_spec(args.spec)
+    window = _option(args, spec, "window",
+                     lambda: stability.default_window(Z))
     svg = portrait.render_portrait(Z, window, tols=default_tols())
     _emit(args.out, svg)
     return EXIT_SATISFIED
 
 
 def cmd_sweep(args) -> int:
-    spec = _load_spec(args.spec)
-    Z = spec.to_field()
-    eps = args.eps or spec.eps
+    spec, Z = _load_spec(args.spec)
+    eps = _option(args, spec, "eps")
     if not eps:
         raise FieldSpecError("sweep needs a nonempty epsilon list")
-    window = args.window or spec.window or stability.default_window(Z)
-    phi = _phi_from_name(args.phi or spec.phi or "smoothstep1")
+    window = _option(args, spec, "window",
+                     lambda: stability.default_window(Z))
+    phi = regularize.make_transition(*fieldspec.transition(
+        _option(args, spec, "phi", "smoothstep1")))
     try:
         rows_out = regularize.epsilon_sweep(Z, phi, (window[0], window[1]),
                                             list(eps), default_tols())
@@ -187,35 +175,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "split along y = 0.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    for name, func, flags, text in (
+            ("analyze", cmd_analyze, ["window"],
+             "full structural-stability report"),
+            ("flow", cmd_flow, ["window", "seed", "horizon"],
+             "hybrid trajectory export"),
+            ("portrait", cmd_portrait, ["window"],
+             "static SVG phase portrait"),
+            ("sweep", cmd_sweep, ["window", "eps", "phi"],
+             "emergent singularities per epsilon")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("spec", help="field spec file (text or JSON)")
-        p.add_argument("--window", type=_parse_window, default=None,
-                       metavar="X0,X1,Y0,Y1")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-
-    p = sub.add_parser("analyze", help="full structural-stability report")
-    common(p)
-    p.add_argument("--optimistic", action="store_true",
-                   help="report clean semi-decisions as Satisfied")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("flow", help="hybrid trajectory export")
-    common(p)
-    p.add_argument("--seed", type=_parse_seed, default=None, metavar="X,Y")
-    p.add_argument("--horizon", type=float, default=None, metavar="T")
-    p.set_defaults(func=cmd_flow)
-
-    p = sub.add_parser("portrait", help="static SVG phase portrait")
-    common(p)
-    p.set_defaults(func=cmd_portrait)
-
-    p = sub.add_parser("sweep", help="emergent singularities per epsilon")
-    common(p)
-    p.add_argument("--eps", type=lambda s: [float(v) for v in s.split(",")],
-                   default=None, metavar="E1,E2,...")
-    p.add_argument("--phi", default=None, metavar="FAMILY",
-                   help="smoothstepN or bump")
-    p.set_defaults(func=cmd_sweep)
+        for flag in flags:
+            p.add_argument("--" + flag,
+                           metavar=fieldspec.OPTIONS[flag].metavar)
+        p.add_argument("--out", help="output path (default: stdout)")
+        p.set_defaults(func=func)
+        if func is cmd_analyze:
+            p.add_argument("--optimistic", action="store_true",
+                           help="report clean semi-decisions as Satisfied")
     return parser
 
 

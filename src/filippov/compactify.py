@@ -124,12 +124,6 @@ class TrigField:
             raise WrongHalf(f"theta={theta} outside [pi, 2pi]")
         return self._eval(self.A2, self.R2, theta, rho)
 
-    def eval(self, theta: float, rho: float) -> tuple[float, float]:
-        """Dispatch on the half-circle containing theta."""
-        if _in_upper(theta):
-            return self._eval(self.A1, self.R1, theta, rho)
-        return self._eval(self.A2, self.R2, theta, rho)
-
 
 def _in_upper(theta: float) -> bool:
     t = theta % (2 * math.pi)

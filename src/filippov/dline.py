@@ -42,7 +42,6 @@ class SingKind(Enum):
 class EndpointKind(Enum):
     Q1_ROOT = "RootOfQ1"
     Q2_ROOT = "RootOfQ2"
-    FZ_SINGULARITY = "FzSingularity"
     WINDOW = "WindowBoundary"
 
 

@@ -46,10 +46,6 @@ class ClassificationAmbiguous(FilippovError):
     """A D-hit landed within the sign tolerance of an arc endpoint."""
 
 
-class NonUniqueForward(FilippovError):
-    """Forward evolution from an escaping point is not unique."""
-
-
 class StepFailure(FilippovError):
     """The adaptive step controller underflowed."""
 

@@ -429,7 +429,6 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
                      horizon: float, window: Window,
                      d_direction: int = 0,
                      section: Section | None = None,
-                     section_direction: int = 0,
                      tols: Tolerances | None = None,
                      with_divergence: bool = False,
                      reverse: bool = False,
@@ -440,8 +439,8 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
 
     d_direction: -1 catches downward crossings (flows in N), +1 upward,
     0 both.  An optional section event stops the trace at a transversal
-    crossing of the segment (matching section_direction when nonzero);
-    crossings of its line outside the parameter range do not stop it.
+    crossing of the segment in either direction; crossings of its line
+    outside the parameter range do not stop it.
     with_divergence accumulates the integral of div X as a third state
     component.  Each point (x_c, y_c) of rays is watched as the ray
     {y = y_c, x > x_c}: one line in both directions, whose _Ray keeps the
@@ -461,7 +460,7 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
              (0.0, 1.0, -wy1, 1), (0.0, 1.0, -wy0, -1)]
     if section is not None:
         lo, hi = section.s_range
-        lines.append((*section.line(section_direction), lambda t, s, way:
+        lines.append((*section.line(0), lambda t, s, way:
                       t > 1e-12 and lo <= section.param_of(s) <= hi))
     events = len(lines)
     lines += [(0.0, 1.0, -yc, 0, _Ray(xc, tols.close)) for xc, yc in rays]
@@ -518,12 +517,19 @@ def _slide(Z: PiecewiseField, x0: float, horizon: float,
     return sol.t, sol.y[0], outcome if hit else "horizon", float(sol.y[0][-1])
 
 
+# arc outcomes that end a hybrid run, with the run's last event
+_ENDS = {"window": EventKind.WINDOW_EXIT, "horizon": EventKind.TIME_BUDGET,
+         "section": EventKind.SECTION_CROSSING,
+         "fz_singularity": EventKind.REACH_FZ_SINGULARITY}
+# a run that needs more arcs ends with TimeBudget, so crossings that pile
+# up at one point of D in finite time cannot loop forever
+_MAX_ARCS = 64
+
+
 def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                    horizon: float, window: Window,
                    tols: Tolerances | None = None,
-                   max_arcs: int = 64,
                    section: Section | None = None,
-                   section_direction: int = 0,
                    stop: Callable[[float, tuple[float, float], str], bool]
                    | None = None,
                    with_divergence: bool = False) -> PolyTrajectory:
@@ -569,7 +575,7 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
     start = p
     started_on_d = abs(p[1]) <= tols.event
     crossings: list[tuple[float, str]] = []
-    for _ in range(max_arcs):
+    for _ in range(_MAX_ARCS):
         if t >= horizon:
             record(EventKind.TIME_BUDGET)
             break
@@ -577,27 +583,31 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
             fld = Z.X if side == "N" else Z.Y
             ddir = -1 if side == "N" else 1
             tr = integrate_smooth(fld, p, horizon - t, window, ddir,
-                                  section, section_direction, tols,
-                                  with_divergence)
+                                  section, tols, with_divergence)
             traj.arcs.append(TrajectoryArc(
                 "X" if side == "N" else "Y",
                 (t, t + tr.ts[-1]), tr.ts + t, tr.states[:, :2],
                 float(tr.states[-1, 2]) if with_divergence else None))
             t += float(tr.ts[-1])
-            if tr.status == "window":
-                p = (float(tr.states[-1, 0]), float(tr.states[-1, 1]))
-                record(EventKind.WINDOW_EXIT)
-                break
-            if tr.status == "horizon":
-                p = (float(tr.states[-1, 0]), float(tr.states[-1, 1]))
-                record(EventKind.TIME_BUDGET)
-                break
-            if tr.status == "section":
-                p = tr.hit_state
-                record(EventKind.SECTION_CROSSING)
-                break
-            # D hit
-            p = tr.hit_state
+            outcome = tr.status
+            p = tr.hit_state or (float(tr.states[-1, 0]),
+                                 float(tr.states[-1, 1]))
+        elif abs(dline.det_xy(Z)(p[0], 0.0)) <= tols.sign:
+            traj.arcs.append(TrajectoryArc(
+                "FZ", (t, t), np.array([t]), np.array([[p[0], 0.0]])))
+            outcome = "fz_singularity"
+        else:
+            ts, xs, outcome, x_end = _slide(Z, p[0], horizon - t, window,
+                                            tols)
+            states = np.column_stack([xs, np.zeros_like(xs)])
+            traj.arcs.append(TrajectoryArc("FZ", (t, t + ts[-1]),
+                                           ts + t, states))
+            t += float(ts[-1])
+            p = (x_end, 0.0)
+        if outcome in _ENDS:
+            record(_ENDS[outcome])
+            break
+        if outcome == "d_hit":
             cls = dline.classify_point(Z, p[0], tols)
             if cls.tag is PointTag.SEWING:
                 new_side = "S" if side == "N" else "N"
@@ -636,28 +646,7 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
             else:
                 raise ClassificationAmbiguous(
                     f"hit TangencyBoth at x={p[0]}")
-        else:  # SLIDE
-            if abs(dline.det_xy(Z)(p[0], 0.0)) <= tols.sign:
-                traj.arcs.append(TrajectoryArc(
-                    "FZ", (t, t), np.array([t]), np.array([[p[0], 0.0]])))
-                record(EventKind.REACH_FZ_SINGULARITY)
-                break
-            ts, xs, outcome, x_end = _slide(Z, p[0], horizon - t, window,
-                                            tols)
-            states = np.column_stack([xs, np.zeros_like(xs)])
-            traj.arcs.append(TrajectoryArc("FZ", (t, t + ts[-1]),
-                                           ts + t, states))
-            t += float(ts[-1])
-            p = (x_end, 0.0)
-            if outcome == "fz_singularity":
-                record(EventKind.REACH_FZ_SINGULARITY)
-                break
-            if outcome == "window":
-                record(EventKind.WINDOW_EXIT)
-                break
-            if outcome == "horizon":
-                record(EventKind.TIME_BUDGET)
-                break
+        else:
             # fold exit (q1_root or q2_root): into the region of the field
             # whose tangency vanishes
             fld = Z.X if outcome == "q1_root" else Z.Y
@@ -714,24 +703,13 @@ def _normal_speed(X: PolyVectorField, p, direction) -> float:
 
 
 def return_map(Z: PiecewiseField, section: Section, s0: float,
-               horizon: float, window: Window | None = None,
+               horizon: float, window: Window,
                tols: Tolerances | None = None,
                with_derivative: bool = True) -> tuple[float, float | None]:
     """First-return parameter s1 of the hybrid flow from section(s0) and
-    its derivative eta'(s0).
-
-    The run ends at the first return.  eta' is the product over the smooth
-    arcs of the transition-map derivatives (n_start/n_end) exp(int div),
-    n being the arc field's speed across the section at the two ends of
-    the return and across D (-Q(x, 0)) at sewing crossings, so the Q_Y/Q_X
-    ratio of each crossing falls out of the product.  A return through a
-    sliding arc or a fold graze, or one that meets a section or D with
-    |n| <= tols.sign, raises NotTransversal.
-    """
+    its derivative eta'(s0) (return_derivative).  The run ends at the first
+    return."""
     tols = tols or default_tols()
-    if window is None:
-        big = 50.0
-        window = (-big, big, -big, big)
     p = section.point(s0)
     on_d = abs(p[1]) <= tols.event
     if on_d:
@@ -752,7 +730,6 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
     else:
         traj = advance_hybrid(Z, p, "N" if p[1] > 0 else "S", horizon,
                               window, tols, section=section,
-                              section_direction=0,
                               with_divergence=with_derivative)
     # a run from D may also close at its start, off the parameter range
     ends = (EventKind.SECTION_CROSSING, EventKind.CLOSED) if on_d \
@@ -762,6 +739,20 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
     s1 = section.param_of(traj.end_state())
     if not with_derivative:
         return s1, None
+    return s1, return_derivative(Z, traj, section.direction, tols)
+
+
+def return_derivative(Z: PiecewiseField, traj: PolyTrajectory,
+                      direction: tuple[float, float],
+                      tols: Tolerances) -> float:
+    """eta' of a run from a section with the given direction back to it,
+    integrated with_divergence: the product over its smooth arcs of the
+    transition-map derivatives (n_start/n_end) exp(int div), n being the
+    arc field's speed across the section at the two ends of the run and
+    across D (-Q(x, 0)) at sewing crossings, so the Q_Y/Q_X ratio of each
+    crossing falls out of the product.  A run through a sliding arc or a
+    fold graze, or one that meets the section or D with |n| <= tols.sign,
+    raises NotTransversal."""
     if any(a.tag == "FZ" for a in traj.arcs) or any(
             e.kind is EventKind.FOLD_GRAZE for e in traj.events):
         raise NotTransversal("return passes a sliding arc or a fold graze")
@@ -770,13 +761,13 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
     for k, arc in enumerate(traj.arcs):
         fld = Z.X if arc.tag == "X" else Z.Y
         n0 = _normal_speed(fld, arc.states[0],
-                           section.direction if k == 0 else _D_DIRECTION)
-        n1 = _normal_speed(fld, arc.states[-1], section.direction
-                           if k == last_arc else _D_DIRECTION)
+                           direction if k == 0 else _D_DIRECTION)
+        n1 = _normal_speed(fld, arc.states[-1],
+                           direction if k == last_arc else _D_DIRECTION)
         if abs(n0) <= tols.sign or abs(n1) <= tols.sign:
             raise NotTransversal("return meets a section or D tangentially")
         eta_prime *= (n0 / n1) * math.exp(arc.divergence)
-    return s1, eta_prime
+    return eta_prime
 
 
 def compactified_return_map(Z: PiecewiseField, rho0: float,
@@ -808,6 +799,10 @@ def compactified_return_map(Z: PiecewiseField, rho0: float,
         sol, _ = _integrate(rhs, state, theta1, tols, t0=theta0)
         state = [float(v) for v in sol.y[:, -1]]
     return state[0], math.exp(state[1])
+
+
+# the errors of a census run: the run is skipped and the census goes on
+_RUN_ERRORS = (ClassificationAmbiguous, NoReturn, NotTransversal, StepFailure)
 
 
 @dataclass(frozen=True)
@@ -852,8 +847,7 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
 
         try:
             s_star = _secant_fixed_point(g, s0, tols)
-        except (NoReturn, NotTransversal, ClassificationAmbiguous,
-                StepFailure):
+        except _RUN_ERRORS:
             continue  # this seed's return map fails; the others still run
         if s_star is None or not (window[0] < s_star < window[1]):
             continue
@@ -865,11 +859,13 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
         if cls_star.tag is not PointTag.SEWING:
             continue
         try:
-            _, eta_prime = return_map(Z, section, s_star, horizon, window, tols)
-            traj = advance_hybrid(Z, (s_star, 0.0), "D", horizon, window, tols)
-        except (NoReturn, NotTransversal, ClassificationAmbiguous):
-            continue
-        if traj.closed is not Closure.TYPE1:
+            # one run to the closure, with the divergence for eta'
+            traj = advance_hybrid(Z, (s_star, 0.0), "D", horizon, window, tols,
+                                  with_divergence=True)
+            if traj.closed is not Closure.TYPE1:
+                continue
+            eta_prime = return_derivative(Z, traj, section.direction, tols)
+        except _RUN_ERRORS:
             continue
         seen_x.append(s_star)
         # record every sewing abscissa of the orbit so the same cycle is
@@ -889,7 +885,7 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
         p = (fold.x, math.copysign(tols.event, 1 if side == "N" else -1))
         try:
             traj = advance_hybrid(Z, p, side, horizon, window, tols)
-        except (ClassificationAmbiguous, StepFailure):
+        except _RUN_ERRORS:
             continue
         if traj.closed is Closure.TYPE3:
             classes = set()

@@ -34,7 +34,6 @@ class TransitionFunction:
 
     family: str          # "smoothstep" or "bump"
     parameter: int       # smoothstep order n (ignored for bump)
-    smoothness: str      # "C1", "Cn" or "Cinf"
     _norm: float = field(default=1.0, repr=False)
     # smoothstep: coefficient k of int_0^t (1-s^2)^n ds, on t^(2k+1)
     _coeffs: tuple[float, ...] = field(default=(), repr=False)
@@ -73,20 +72,20 @@ class TransitionFunction:
 
 
 def make_transition(family: str, parameter: int = 1) -> TransitionFunction:
-    """SmoothstepN(n): phi' proportional to (1-t^2)^n (C^n at the seams,
-    (2+3t-t^3)/4 for n=1); AnalyticBump: normalized integral of
-    exp(-1/(1-t^2)), C-infinity."""
-    if family in ("smoothstep", "smoothstep1", "SmoothstepN"):
+    """smoothstep of order n = parameter: phi' proportional to (1-t^2)^n
+    (C^n at the seams, (2+3t-t^3)/4 for n=1); bump: normalized integral
+    of exp(-1/(1-t^2)), C-infinity."""
+    if family == "smoothstep":
         n = int(parameter)
         if n < 1:
             raise BadParameter("smoothstep order must be >= 1")
         coeffs = tuple((-1) ** k * math.comb(n, k) / (2 * k + 1)
                        for k in range(n + 1))
-        return TransitionFunction("smoothstep", n, f"C{n}",
-                                  2 * math.fsum(coeffs), coeffs)
-    if family in ("bump", "AnalyticBump"):
+        return TransitionFunction("smoothstep", n, 2 * math.fsum(coeffs),
+                                  coeffs)
+    if family == "bump":
         norm = 2 * quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), 0.0, 1.0)[0]
-        return TransitionFunction("bump", 0, "Cinf", norm)
+        return TransitionFunction("bump", 0, norm)
     raise BadParameter(f"unknown transition family {family!r}")
 
 

@@ -239,7 +239,7 @@ def test_criterion_6_transition_derivative(capfd):
         def hit_param(s):
             p = sec0.point(s)
             tr = integrate_smooth(X, p, 20.0, WIN, d_direction=0,
-                                  section=sec1, section_direction=0)
+                                  section=sec1)
             assert tr.status == "section"
             return sec1.param_of(tr.hit_state)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,3 +292,74 @@ def test_sweep_shared_factor_exit4(tmp_path, capsys):
     assert cli.main(["sweep", spec, "--eps", "0.1",
                      "--window=-2,2,-2,2"]) == cli.EXIT_RUNTIME
     assert "error:" in capsys.readouterr().err
+
+
+def _json_spec(**changes):
+    """SADDLE_TEXT as JSON with top-level members replaced, and options
+    updated from changes["options"]."""
+    d = json.loads(fieldspec.serialize_json(fieldspec.parse(SADDLE_TEXT)))
+    d["options"].update(changes.pop("options", {}))
+    d.update(changes)
+    return json.dumps(d)
+
+
+def _with_line(line):
+    return SADDLE_TEXT.replace("degree 1\n", f"degree 1\n{line}\n")
+
+
+# every malformed option, flag or coefficient row is an input error (exit 3)
+@pytest.mark.parametrize("command, text, flags", [
+    ("analyze", SADDLE_TEXT, ["--window", "1,0,0,1"]),
+    ("analyze", SADDLE_TEXT, ["--window", "1,2,3"]),
+    ("flow", SADDLE_TEXT, ["--seed", "0.5"]),
+    ("flow", SADDLE_TEXT, ["--seed", "0.5,0.5", "--horizon", "0"]),
+    ("sweep", SADDLE_TEXT, ["--eps", "0.1", "--phi", "smoothstepx"]),
+    ("sweep", SADDLE_TEXT, ["--eps", "0.1", "--phi", "smoothstep0"]),
+    ("analyze", _json_spec(options={"window": [0, 1]}), []),
+    ("analyze", _json_spec(options={"horizon": "ten"}), []),
+    ("analyze", _json_spec(P1=[["one", 0, 1.0]]), []),
+    ("analyze", _json_spec(options={"colour": "red"}), []),
+    ("analyze", _with_line("window 2 -2 -2 2"), []),
+    ("analyze", _with_line("seed 0.5 0.5 9"), []),
+    ("analyze", _with_line("horizon 3 4"), []),
+], ids=["flag-window-inverted", "flag-window-three", "flag-seed-one",
+        "flag-horizon-zero", "flag-phi-name", "flag-phi-order-zero",
+        "json-window-two", "json-horizon-text", "json-row-text",
+        "json-unknown-option", "text-window-inverted", "text-seed-three",
+        "text-horizon-two"])
+def test_malformed_option_exit3(tmp_path, capsys, command, text, flags):
+    spec = _write(tmp_path, "spec.txt", text)
+    assert cli.main([command, spec] + flags) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _spec_texts():
+    bench = Path(__file__).parents[1] / "bench"
+    for path in sorted([*(bench / "corpus").glob("*.txt"),
+                        *(bench / "known_defects").glob("*.txt")]):
+        yield path.read_text()
+
+
+def test_every_spec_round_trips_bit_for_bit(seeded_fields):
+    specs = [fieldspec.parse(text) for text in _spec_texts()]
+    for k, Z in enumerate(seeded_fields):
+        tables = dict(zip(fieldspec.TABLE_NAMES, (
+            p.coeffs for p in (Z.X.P, Z.X.Q, Z.Y.P, Z.Y.Q))))
+        specs.append(fieldspec.FieldSpec(
+            Z.m, tables, window=(-2 - k / 7, 2.5, -math.pi, 3.0),
+            eps=[0.2, 0.1 / 3, 1e-3 * (k + 1)],
+            phi=f"smoothstep{k % 4 + 1}" if k % 5 else "bump",
+            seed=(1 / 3, -0.7 + k / 100), horizon=math.e * (k + 1)))
+    assert len(specs) >= 10 + 40  # 10 specs under bench/ when written
+
+    def coeffs(spec):
+        Z = spec.to_field()
+        return [{k: v.hex() for k, v in p.coeffs.items()}
+                for p in (Z.X.P, Z.X.Q, Z.Y.P, Z.Y.Q)]
+
+    for spec in specs:
+        for encode in (fieldspec.serialize_text, fieldspec.serialize_json):
+            again = fieldspec.parse(encode(spec))
+            assert again == spec
+            assert coeffs(again) == coeffs(spec)

@@ -229,7 +229,7 @@ def test_transition_derivative_matches_displacement():
     def hit_param(s):
         p = sec0.point(s)
         tr = integrate_smooth(X, p, 20.0, WIN, d_direction=0,
-                              section=sec1, section_direction=0)
+                              section=sec1)
         assert tr.status == "section"
         return sec1.param_of(tr.hit_state)
 
@@ -353,6 +353,31 @@ def test_census_work_counter(monkeypatch):
                                          (-5.0, 5.0, -5.0, 5.0))
     assert len(found) == 1
     assert nfev[0] <= 40_000
+
+
+def test_census_runs_each_found_cycle_once(monkeypatch):
+    # beyond the returns of its secant iterations (return_map without the
+    # derivative), the census makes one hybrid run per cycle it finds: the
+    # closure and eta' come from the same run
+    runs, returns = [0], [0]
+    hybrid, first_return = flow.advance_hybrid, flow.return_map
+
+    def counting_run(*args, **kwargs):
+        runs[0] += 1
+        return hybrid(*args, **kwargs)
+
+    def counting_return(*args, **kwargs):
+        returns[0] += kwargs.get("with_derivative") is False
+        return first_return(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "advance_hybrid", counting_run)
+    monkeypatch.setattr(flow, "return_map", counting_return)
+    found = find_closed_polytrajectories(piecewise(UNIT_CYCLE, UNIT_CYCLE),
+                                         WIN)
+    assert len(found) == 1
+    assert runs[0] - returns[0] == len(found)
+    assert found[0].certificate["eta_prime"] == pytest.approx(
+        math.exp(-4 * math.pi), rel=1e-6)
 
 
 @pytest.mark.parametrize("field, p0, window, status, t_hit, end", [

@@ -12,6 +12,7 @@ from filippov.errors import (
     ClassificationAmbiguous,
     CommonFactor,
     DegreeMismatch,
+    NoReturn,
     NotRepairable,
     NotTransversal,
     StepFailure,
@@ -305,6 +306,33 @@ def test_report_cycle_census_satisfied():
     assert rep.gm3.status == UNDETERMINED
     opt = check_gm(Z, GmOptions(window=(-5, 5, -5, 5), optimistic=True))
     assert opt.gm3.status == SATISFIED
+
+
+@pytest.mark.parametrize("error", [ClassificationAmbiguous, NoReturn,
+                                   NotTransversal, StepFailure])
+@pytest.mark.parametrize("field", [
+    piecewise(UNIT_CYCLE, UNIT_CYCLE),
+    # X = (1, x) over Y = (1, 1): a visible fold of X at the origin
+    piecewise(vf(ONE, {(1, 0): 1.0}), vf(ONE, ONE)),
+], ids=["cycle", "fold"])
+def test_census_run_failure_skips_the_run(monkeypatch, field, error):
+    # every hybrid run of the census that is not a return of the secant
+    # (those pass a section or a stop) fails: the run after a fixed point
+    # on the unit cycle, the fold run on the drift field.  Each failure
+    # kind skips that run, and check_gm still gives its report
+    original, failed = flow.advance_hybrid, []
+
+    def failing(*args, **kwargs):
+        if "section" in kwargs or "stop" in kwargs:
+            return original(*args, **kwargs)
+        failed.append(args[1])
+        raise error("stubbed failure")
+
+    monkeypatch.setattr(flow, "advance_hybrid", failing)
+    rep = check_gm(field, GmOptions(window=(-5, 5, -5, 5),
+                                    probe_connections=False))
+    assert failed and rep.cycles == []
+    assert rep.gm2.status == UNDETERMINED
 
 
 def test_report_json_stable_across_runs():
