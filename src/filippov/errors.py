@@ -30,6 +30,10 @@ class EvenDegree(FilippovError):
     singular points otherwise)."""
 
 
+class NoConvergence(FilippovError):
+    """A quadrature rule reached its node limit before it settled."""
+
+
 class BadParameter(FilippovError):
     """Invalid transition-function parameter."""
 

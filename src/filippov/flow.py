@@ -10,13 +10,14 @@ points, termination at Filippov-field singularities and on escaping arcs
 silently branched).
 
 Every ODE solve of the package, here and in the regularized and
-compactified flows, goes through one kernel, _integrate: scipy's solve_ivp
-with FloatDOP853 as its method, at rtol = tols.root and
+compactified flows, goes through one kernel, _integrate, which steps
+FloatDOP853 from t0 to t_end at rtol = tols.root and
 atol = tols.root / 100, so FILIPPOV_TOLERANCE_SCALE reaches the solver; a
-solve whose step controller gives up raises StepFailure.  FloatDOP853 is
-scipy's DOP853 (tableau, step controller, initial step) with each step run
-as straight-line float code generated once per system size, so no stage
-builds a numpy array.  Each stage calls one generated right-hand side,
+solve whose step controller gives up raises StepFailure.  FloatDOP853
+takes the steps of scipy's solve_ivp with method DOP853 (the tableau of
+the dop853 module, the step controller, the initial step) with each step
+run as straight-line float code generated once per system size, so no
+stage builds a numpy array.  Each stage calls one generated right-hand side,
 cached on the object it integrates: PolyVectorField.rhs (forward or
 reversed, with or without the divergence), PiecewiseField.slide_rhs and
 RegularizedField.rhs, built from the Horner forms of the polynomials so
@@ -39,9 +40,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
-from scipy.integrate import DOP853, DenseOutput, solve_ivp
 
-from . import dline
+from . import dline, dop853
 from .dline import PointTag
 from .errors import (
     ClassificationAmbiguous,
@@ -164,13 +164,13 @@ class SmoothTrace:
 @functools.cache
 def _dop853_kernel(n: int):
     """step and dense functions of DOP853 for n components, generated as
-    straight-line float code from the public tableau of scipy's DOP853.
+    straight-line float code from the tableau of the dop853 module.
 
     step(rhs, t, h, y, f, rtol, atol) -> (error norm, y_new, f_new, K) runs
-    the 12 stages, the 8th-order solution and scipy's embedded 5th/3rd-order
-    error norm; K is the flat tuple of the 13 stage derivatives.
-    dense(rhs, t, h, y, y_new, K) runs the 3 extra stages and returns the
-    rows F of the step's interpolant, each a tuple of n floats."""
+    the 12 stages, the 8th-order solution and the embedded 5th/3rd-order
+    error norm of Hairer's code; K is the flat tuple of the 13 stage
+    derivatives.  dense(rhs, t, h, y, y_new, K) runs the 3 extra stages and
+    returns the rows F of the step's interpolant, each a tuple of n floats."""
     def lin(coef, i):  # component i of sum_j coef[j] k_j
         terms = [f"{float(c)!r}*k{j}_{i}" for j, c in enumerate(coef) if c]
         return f"({' + '.join(terms)})" if terms else "0.0"
@@ -185,7 +185,7 @@ def _dop853_kernel(n: int):
         return (f"    {names(f'k{s}')}= rhs(t + {float(c)!r}*h, "
                 f"{vec(lambda i: f'y_{i} + {lin(a[:s], i)}*h')})")
 
-    T, m = DOP853, DOP853.n_stages  # k{m} is f at the end of the step
+    T, m = dop853, dop853.N_STAGES  # k{m} is f at the end of the step
     ks, yn, fn = ("".join(names(f"k{j}") for j in range(m + 1)),
                   vec(lambda i: f"yn_{i}"), vec(lambda i: f"k{m}_{i}"))
     step = ["def step(rhs, t, h, y, f, rtol, atol):",
@@ -215,16 +215,57 @@ def _dop853_kernel(n: int):
     return namespace["step"], namespace["dense"]
 
 
-class FloatDOP853(DOP853):
-    """scipy's DOP853 with each step as straight-line float code, and with
-    its event lines checked inside the stepper.
+# the step factor is 0.9 err^(-1/8), the DOP853 error estimator being of
+# order 7; scipy's solvers raise a smaller rtol to 100 eps
+_ERROR_EXPONENT, _MIN_RTOL = -1 / 8, 100 * 2.0 ** -52
 
-    The tableau, the step controller (safety 0.9, step factors 0.2 to 10,
-    error_exponent, min_step, the t_bound clamp) and the initial step are
-    scipy's; only the arithmetic moves into _dop853_kernel(n), whose stages
-    pass tuples of floats to the right-hand side.  An OverflowError or
-    ZeroDivisionError of the right-hand side inside a trial step rejects
-    the step, as inf and nan do in numpy's arithmetic.
+
+def _rms(v: np.ndarray):
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+    """Starting step size of Hairer, Norsett and Wanner (Solving ODEs I,
+    section II.4) for an error estimator of order 7, with the numpy
+    operations of scipy's select_initial_step in its order, so that a
+    solve takes scipy's first step; fun is called once, unless the
+    interval is empty."""
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    return min(100 * h0, h1, interval_length)
+
+
+class FloatDOP853:
+    """The DOP853 stepper with each step as straight-line float code, and
+    with its event lines checked inside the stepper.
+
+    It takes the steps of scipy's solve_ivp with method DOP853 float for
+    float: the tableau (dop853), the initial step (_initial_step), the step
+    controller (safety 0.9, step factors 0.2 to 10, exponent -1/8, a
+    smallest step of 10 ulps of t), the clamp of each step to t_bound and
+    the count of right-hand side evaluations in nfev: one for f(t0), one
+    for the initial step, 12 per trial step and 3 per dense output (each
+    step makes one when there are lines).  The arithmetic of a step runs
+    in _dop853_kernel(n), whose stages pass tuples of floats to the
+    right-hand side; f(t0) and the initial step pass numpy arrays.  An
+    OverflowError or ZeroDivisionError of the right-hand side inside a
+    trial step rejects the step, as inf and nan do in numpy's arithmetic.
+
+    step() makes one accepted step; status goes from 'running' to
+    'finished' once t reaches t_bound, or to 'failed' when the step size
+    falls below its smallest (TOO_SMALL_STEP).  dense_output() is the
+    interpolant of the last step.
 
     lines holds affine events (a_x, a_y, b, direction[, accept]) on the
     first two components, g = a_x y_0 + a_y y_1 + b (a_y = 0 for one).
@@ -232,33 +273,55 @@ class FloatDOP853(DOP853):
     line's direction (0: either) that accept(t, state, way) approves, way
     the sign of g's change there (_crossing), goes into hits as (index, t,
     state); a start on a line moving in its direction is a crossing.
-    t_bound moves to the step's end, so solve_ivp ends there, status 0."""
+    t_bound moves to the step's end, so the solve finishes there."""
 
-    def __init__(self, fun, t0, y0, t_bound, lines=(), tols=None, hits=None,
-                 **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self._rhs = fun  # called directly; nfev is counted per step
-        self.f = self.f.tolist()
-        self.h_abs = float(self.h_abs)
-        self._tols = (float(self.rtol), float(self.atol))
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, lines=(), tols=None,
+                 hits=None):
+        y = np.asarray(y0, dtype=float)
+        if not np.isfinite(y).all():
+            raise ValueError("All components of the initial state `y0` "
+                             "must be finite.")
+        t0, t_bound = float(t0), float(t_bound)
+        rtol = max(rtol, _MIN_RTOL)
+        direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 \
+            else 1.0
+
+        def fun_array(t, s):
+            self.nfev += 1
+            return np.asarray(fun(t, s), dtype=float)
+
+        self.nfev = 0
+        f0 = fun_array(t0, y)
+        self.h_abs = float(_initial_step(fun_array, t0, y, t_bound, f0,
+                                         direction, rtol, atol))
+        self.t, self.y, self.f = t0, y.tolist(), f0.tolist()
+        self.t_old, self.t_bound, self.direction = None, t_bound, direction
+        self.n, self.status = len(self.y), "running"
+        self._rhs, self._tols = fun, (float(rtol), float(atol))
         self._step, self._dense = _dop853_kernel(self.n)
         self._lines, self._hits, self._t0 = lines, hits, t0
         self._line_tols = tols or default_tols()
 
-    def _step_impl(self):
-        t, y, direction = self.t, self.y.tolist(), float(self.direction)
+    def step(self) -> None:
+        t, y, direction = self.t, self.y, self.direction
+        if t == self.t_bound:  # an empty interval
+            self.t_old, self.status = t, "finished"
+            return
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = min(max(self.h_abs, min_step), self.max_step)
+        h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
+                self.status = "failed"
+                return
             t_new = t + h_abs * direction
             if direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
             h = t_new - t
             h_abs = abs(h)
-            self.nfev += self.n_stages
+            self.nfev += dop853.N_STAGES
             try:
                 err, y_new, f_new, K = self._step(self._rhs, t, h, y, self.f,
                                                   *self._tols)
@@ -266,21 +329,22 @@ class FloatDOP853(DOP853):
                 err = math.inf
             if err < 1:
                 break
-            h_abs *= max(0.2, 0.9 * err ** self.error_exponent)
+            h_abs *= max(0.2, 0.9 * err ** _ERROR_EXPONENT)
             rejected = True
         factor = 10.0 if err == 0 else min(10.0,
-                                           0.9 * err ** self.error_exponent)
+                                           0.9 * err ** _ERROR_EXPONENT)
         self.h_abs = h_abs * (min(1.0, factor) if rejected else factor)
-        self.h_previous, self.y_old, self.t = h, self.y, t_new
-        self.y, self.f, self._K = np.array(y_new), f_new, K
+        self.h_previous, self.t_old, self.y_old = h, t, y
+        self.t, self.y, self.f, self._K = t_new, y_new, f_new, K
         if self._lines:
-            self.nfev += len(self.C_EXTRA)
+            self.nfev += len(dop853.C_EXTRA)
             hit = self._crossing(t, t_new, y, y_new,
                                  self._dense(self._rhs, t, h, y, y_new, K))
             if hit is not None:
                 self._hits.append(hit)
-                self.t_bound = t_new  # OdeSolver.step then finishes
-        return True, None
+                self.t_bound = t_new
+        if direction * (t_new - self.t_bound) >= 0:
+            self.status = "finished"
 
     def _crossing(self, t, t_new, y, y_new, F):
         """First approved crossing of a line inside the step from (t, y) to
@@ -343,35 +407,41 @@ class FloatDOP853(DOP853):
                     break
         return first
 
-    def _dense_output_impl(self):
-        self.nfev += len(self.C_EXTRA)
-        F = self._dense(self._rhs, self.t_old, self.h_previous,
-                        self.y_old.tolist(), self.y.tolist(), self._K)
-        # an array holds a long solve's rows in a fifth of the memory
-        return _Dop853Interpolant(self.t_old, self.t, self.y_old,
+    def dense_output(self) -> "_Dop853Interpolant":
+        self.nfev += len(dop853.C_EXTRA)
+        F = self._dense(self._rhs, self.t_old, self.h_previous, self.y_old,
+                        self.y, self._K)
+        return _Dop853Interpolant(self.t_old, self.t, np.array(self.y_old),
                                   np.array(F))
 
 
-class _Dop853Interpolant(DenseOutput):
+class _Dop853Interpolant:
     """y_old + sum_j F_j b_j(x) on one step, x = (t - t_old) / h, with
-    b_j = x, x(1-x), x^2(1-x), x^2(1-x)^2, ... (see _dense_basis)."""
+    b_j = x, x(1-x), x^2(1-x), x^2(1-x)^2, ... (see _dense_basis); called
+    at a time or an array of times."""
 
     def __init__(self, t_old, t, y_old, F):
-        super().__init__(t_old, t)
-        self.h = t - t_old
+        self.t_old, self.t, self.h = t_old, t, t - t_old
         self.y_old = y_old
         self.F = F
 
-    def _call_impl(self, t):
-        x = ((t - self.t_old) / self.h)[..., None]
+    def __call__(self, t):
+        x = ((np.asarray(t) - self.t_old) / self.h)[..., None]
         y = 0.0
         for k, f in enumerate(self.F[::-1]):
             y = (y + f) * (x if k % 2 == 0 else 1.0 - x)
         return (y + self.y_old).T
 
 
+@dataclass
+class Solution:
+    t: np.ndarray  # the times of the accepted steps
+    y: np.ndarray  # the states, one column per time
+    nfev: int      # right-hand side evaluations
+
+
 def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
-               t0: float = 0.0):
+               t0: float = 0.0) -> tuple[Solution, tuple | None]:
     """Solve y' = rhs(t, y) from t0 to t_end with FloatDOP853 at
     rtol = tols.root, atol = tols.root / 100.  rhs receives the state as a
     sequence of floats and returns a sequence.  lines are the solver's
@@ -381,17 +451,24 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
     crossing or None, and sol.t, sol.y end at it.  Raises StepFailure when
     the step controller gives up."""
     hits: list = []
-    sol = solve_ivp(rhs, (t0, t_end), y0, method=FloatDOP853, rtol=tols.root,
-                    atol=tols.root / 100, lines=lines, tols=tols, hits=hits)
-    if sol.status == -1:
-        raise StepFailure(sol.message)
-    if not hits:
-        return sol, None
-    _, t_hit, state = hits[0]
-    keep = sol.t < t_hit
-    sol.t = np.append(sol.t[keep], t_hit)
-    sol.y = np.column_stack([sol.y[:, keep], state])
-    return sol, hits[0]
+    solver = FloatDOP853(rhs, t0, y0, t_end, rtol=tols.root,
+                         atol=tols.root / 100, lines=lines, tols=tols,
+                         hits=hits)
+    ts, ys = [solver.t], [solver.y]
+    while solver.status == "running":
+        solver.step()
+        if solver.status == "failed":
+            raise StepFailure(solver.TOO_SMALL_STEP)
+        ts.append(solver.t)
+        ys.append(solver.y)
+    hit = hits[0] if hits else None
+    if hit is not None:  # the last step ends at or past the crossing
+        _, t_hit, state = hit
+        while ts and ts[-1] >= t_hit:
+            del ts[-1], ys[-1]
+        ts.append(t_hit)
+        ys.append(state)
+    return Solution(np.array(ts), np.array(ys).T, solver.nfev), hit
 
 
 @functools.cache
@@ -1039,8 +1116,11 @@ def _trace_d_branch(Z, x0, direction, horizon, window, tols):
 
 
 def _min_dist(a: np.ndarray, b: np.ndarray) -> float:
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(b)
-    d, _ = tree.query(a, k=1)
-    return float(np.min(d))
+    """Least distance between a point of a and a point of b, over blocks of
+    a so that no block's table of squared distances passes 2^16 entries."""
+    rows = max(1, (1 << 16) // len(b))
+    best = math.inf
+    for k in range(0, len(a), rows):
+        d = a[k:k + rows, None, :] - b[None, :, :]
+        best = min(best, float(np.min(np.sum(d * d, axis=-1))))
+    return math.sqrt(best)

@@ -13,13 +13,13 @@ regularized cycle its return derivative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import BadParameter, NoReturn, NotTransversal, StepFailure
 from .polys import (BivariatePolynomial, PiecewiseField, _field_state,
@@ -48,8 +48,7 @@ class TransitionFunction:
             for c in reversed(self._coeffs):
                 v = v * s + c
             return 0.5 + t * v / self._norm
-        val, _ = quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), 0.0, t)
-        return 0.5 + val / self._norm
+        return 0.5 + _bump_integral(t) / self._norm
 
     def derivative(self, t: float) -> float:
         if t <= -1.0 or t >= 1.0:
@@ -60,15 +59,42 @@ class TransitionFunction:
 
     def sources(self) -> tuple[str, str]:
         """Expressions in t of phi and phi' inside (-1, 1), term for term
-        those of __call__ and derivative; "phi(t)" for the bump, a quad
-        integral."""
+        those of __call__ and derivative: for the bump, the Gauss-Legendre
+        sum of _bump_integral written out."""
         norm = repr(float(self._norm))
         if self.family == "bump":
-            return "phi(t)", f"exp(-1.0 / (1.0 - t * t)) / {norm}"
+            terms = " + ".join(f"{w!r} * exp(-1.0 / (1.0 - (t * t) * {uu!r}))"
+                               for uu, w in _bump_rule())
+            return (f"0.5 + t * ({terms}) / {norm}",
+                    f"exp(-1.0 / (1.0 - t * t)) / {norm}")
         horner = _horner_form(dict(enumerate(map(repr, self._coeffs))),
                               "(t * t)")
         return (f"0.5 + t * ({horner}) / {norm}",
                 f"(1 - t * t) ** {self.parameter} / {norm}")
+
+
+# nodes of the Gauss-Legendre rule of the bump's integral (_bump_rule)
+_BUMP_NODES = 60
+
+
+@functools.cache
+def _bump_rule() -> tuple[tuple[float, float], ...]:
+    """(u^2, w) pairs of the _BUMP_NODES-point Gauss-Legendre rule moved
+    to [0, 1], int_0^t f(s) ds ~ t sum w f(t u), for the even bump.  Its
+    integrand is smooth on [0, 1] and flat at 1, so the rule is within
+    1e-14 of the integral for every t in [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(_BUMP_NODES)
+    return tuple((((1.0 + a) / 2) ** 2, b / 2)
+                 for a, b in zip(x.tolist(), w.tolist()))
+
+
+def _bump_integral(t: float) -> float:
+    """int_0^t exp(-1/(1-s^2)) ds by _bump_rule, summed term by term in
+    the order of the expression TransitionFunction.sources writes."""
+    total, tt = 0.0, t * t
+    for uu, w in _bump_rule():
+        total += w * math.exp(-1.0 / (1.0 - tt * uu))
+    return t * total
 
 
 def make_transition(family: str, parameter: int = 1) -> TransitionFunction:
@@ -84,8 +110,7 @@ def make_transition(family: str, parameter: int = 1) -> TransitionFunction:
         return TransitionFunction("smoothstep", n, 2 * math.fsum(coeffs),
                                   coeffs)
     if family == "bump":
-        norm = 2 * quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), 0.0, 1.0)[0]
-        return TransitionFunction("bump", 0, norm)
+        return TransitionFunction("bump", 0, 2 * _bump_integral(1.0))
     raise BadParameter(f"unknown transition family {family!r}")
 
 
@@ -136,7 +161,7 @@ class RegularizedField:
                     f"w = {phi}", f"px = {hx[0]}", f"qx = {hx[1]}",
                     f"py = {hy[0]}", f"qy = {hy[1]}",
                     f"return ((1 - w)*py + w*px, (1 - w)*qy + w*qx{trace})"]
-        return _kernel(self, divergence, body, phi=self.phi, exp=math.exp)
+        return _kernel(self, divergence, body, exp=math.exp)
 
     def jacobian(self, x: float, y: float) -> np.ndarray:
         """Exact Jacobian of the blend: w J_X + (1 - w) J_Y with

@@ -25,6 +25,7 @@ from .errors import (
     DegreeMismatch,
     EvenDegree,
     IdenticallyZeroOnD,
+    NoConvergence,
     NotRepairable,
 )
 from .polys import (
@@ -321,7 +322,7 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
             s1 = compactify.s1_elementarity(Z, tols)
             if s1.status is S1Status.NON_ELEMENTARY:
                 gm2.violate({"kind": "mu_zero", "mu": s1.mu})
-        except (EvenDegree, DegenerateTopCoefficient):
+        except (EvenDegree, DegenerateTopCoefficient, NoConvergence):
             s1 = None
             gm2.weaken({"kind": "equator_undetermined"})
 
@@ -474,7 +475,7 @@ def genericity_repair(Z: PiecewiseField, report: StabilityReport,
             Z2 = apply_perturbation(Z, pert)
             try:
                 s1 = compactify.s1_elementarity(Z2, tols)
-            except (EvenDegree, DegenerateTopCoefficient):
+            except (EvenDegree, DegenerateTopCoefficient, NoConvergence):
                 continue
             if s1.status is S1Status.ELEMENTARY and abs(s1.mu) > tols.mu:
                 return pert, Z2, check_gm(Z2, GmOptions(

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -363,3 +366,26 @@ def test_every_spec_round_trips_bit_for_bit(seeded_fields):
             again = fieldspec.parse(encode(spec))
             assert again == spec
             assert coeffs(again) == coeffs(spec)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # analyze, flow, portrait and a bump sweep import no scipy module, also
+    # lazily
+    corpus = Path(__file__).parents[1] / "bench" / "corpus"
+    uc, saddle = str(corpus / "uc.txt"), str(corpus / "saddle.txt")
+    out = str(tmp_path / "out")
+    script = f"""
+import sys
+from filippov import cli
+for argv in (["analyze", {uc!r}],
+             ["flow", {uc!r}, "--seed=0.5,0.5"],
+             ["portrait", {uc!r}],
+             ["sweep", {saddle!r}, "--eps", "0.1,0.05", "--phi", "bump"]):
+    assert cli.main(argv + ["--out", {out!r}]) in (0, 1, 2), argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -10,6 +10,8 @@ from scipy.optimize import brentq, minimize_scalar
 from filippov.compactify import (
     Hyperbolicity,
     S1Status,
+    _cot_poly,
+    _real_roots,
     compactified_field,
     eq4_value,
     infinity_singularities,
@@ -17,9 +19,14 @@ from filippov.compactify import (
     s1_elementarity,
     trig_coefficients,
 )
-from filippov.errors import DegenerateTopCoefficient, EvenDegree, WrongHalf
+from filippov.errors import (
+    DegenerateTopCoefficient,
+    EvenDegree,
+    NoConvergence,
+    WrongHalf,
+)
 from filippov.polys import piecewise, poly, vf
-from filippov.stability import check_gm
+from filippov.stability import SATISFIED, check_gm
 from filippov.tolerances import default_tols
 
 ROTATION = vf({(0, 1): -1.0}, {(1, 0): 1.0})      # (-y, x)
@@ -324,8 +331,9 @@ def test_s1_spiral_over_rotation():
 
 
 def test_s1_mu_matches_residue_sum():
-    # quad on the equator integral against the residue sum, on seeded odd
-    # degree fields whose equator carries no singular point
+    # the trapezoidal rule for the equator integral against the residue
+    # sum, on seeded odd degree fields whose equator carries no singular
+    # point
     rng = np.random.default_rng(21)
     checked = 0
     while checked < 20:
@@ -389,6 +397,23 @@ def test_s1_double_zero_between_samples():
         rep = s1_elementarity(DOUBLE_ZERO)
     assert rep.status is S1Status.HAS_SINGULARITIES
     assert rep.mu is None
+
+
+def test_s1_near_pole_is_undetermined_not_a_silent_mu():
+    # X = (-(10^8 + 1) y, x - 2*10^4 y): a(t) = (t - 10^4)^2 + 1 has no real
+    # root, but its roots 10^4 +- i put a pole pair of the equator
+    # integrand within 1e-8 of the real theta axis, where the trapezoidal
+    # rule cannot settle within its node cap: the report says so instead of
+    # giving a mu
+    X = vf({(0, 1): -(1e8 + 1.0)}, {(1, 0): 1.0, (0, 1): -2e4})
+    z = piecewise(X, ROTATION)
+    a = _cot_poly(compactified_field(z).A1[1])
+    assert _real_roots(a, default_tols()) == []
+    with pytest.raises(NoConvergence):
+        s1_elementarity(z)
+    rep = check_gm(z)
+    assert {"kind": "equator_undetermined"} in rep.gm2.witnesses
+    assert rep.gm2.status != SATISFIED
 
 
 def test_s1_status_consistent_with_infinity_census(seeded_fields):

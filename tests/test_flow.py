@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, OdeSolution, solve_ivp
 from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
-from filippov import flow, polys
+from filippov import dop853, flow, polys
 from filippov.errors import NoReturn, NotTransversal, StepFailure
 from filippov.flow import (
     Closure,
@@ -341,14 +342,14 @@ def test_census_work_counter(monkeypatch):
     # deterministic work gate: every return map stops at its first return
     # and eta' needs no finite-difference runs
     nfev = [0]
-    original = flow.solve_ivp
+    original = flow._integrate
 
     def counting(*args, **kwargs):
-        sol = original(*args, **kwargs)
+        sol, hit = original(*args, **kwargs)
         nfev[0] += sol.nfev
-        return sol
+        return sol, hit
 
-    monkeypatch.setattr(flow, "solve_ivp", counting)
+    monkeypatch.setattr(flow, "_integrate", counting)
     found = find_closed_polytrajectories(piecewise(UNIT_CYCLE, UNIT_CYCLE),
                                          (-5.0, 5.0, -5.0, 5.0))
     assert len(found) == 1
@@ -421,15 +422,36 @@ SLIDING = piecewise(vf(X_MONO, M_ONE), vf({(0, 0): 1.0, (2, 0): 0.5},
 
 
 def test_dop853_tableau_shapes():
-    # FloatDOP853 generates its stages from these public attributes of
-    # scipy's DOP853; a change of their layout must fail here
-    T = DOP853
-    assert (T.n_stages, T.order, T.error_estimator_order) == (12, 8, 7)
-    assert T.A.shape == (12, 12) and T.B.shape == (12,)
-    assert T.C.shape == (12,)
-    assert T.E3.shape == (13,) and T.E5.shape == (13,)
-    assert T.D.shape == (4, 16)
-    assert T.A_EXTRA.shape == (3, 16) and T.C_EXTRA.shape == (3,)
+    # FloatDOP853 generates its stages from these attributes of the dop853
+    # module; a change of their layout must fail here
+    T = dop853
+    assert T.N_STAGES == 12
+    assert np.shape(T.A) == (12, 12) and np.shape(T.B) == (12,)
+    assert np.shape(T.C) == (12,)
+    assert np.shape(T.E3) == (13,) and np.shape(T.E5) == (13,)
+    assert np.shape(T.D) == (4, 16)
+    assert np.shape(T.A_EXTRA) == (3, 16) and np.shape(T.C_EXTRA) == (3,)
+
+
+def test_dop853_tableau_matches_scipy_bit_for_bit():
+    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        ours, ref = np.array(getattr(dop853, name)), getattr(DOP853, name)
+        assert ours.shape == ref.shape, name
+        assert ours.tobytes() == ref.tobytes(), name
+
+
+def _steps(solver):
+    """The times and states of the steps of a FloatDOP853 solver run to
+    its end, and the interpolant of each step (3 more evaluations a step,
+    as scipy's dense output makes)."""
+    ts, ys, interpolants = [solver.t], [solver.y], []
+    while solver.status == "running":
+        solver.step()
+        assert solver.status != "failed"
+        ts.append(solver.t)
+        ys.append(solver.y)
+        interpolants.append(solver.dense_output())
+    return np.array(ts), np.array(ys).T, interpolants
 
 
 @pytest.mark.parametrize("rhs, y0", [
@@ -439,33 +461,37 @@ def test_dop853_tableau_shapes():
 ], ids=["random_01-Y", "random_01-Y-divergence", "sliding-1d"])
 def test_float_dop853_matches_scipy_dop853(rhs, y0):
     tols = Tolerances()
-    kw = dict(rtol=tols.root, atol=tols.root / 100, dense_output=True)
-    ref = flow.solve_ivp(rhs, (0.0, 2.0), y0, method="DOP853", **kw)
-    new = flow.solve_ivp(rhs, (0.0, 2.0), y0, method=flow.FloatDOP853, **kw)
-    assert len(new.t) == len(ref.t) and new.nfev == ref.nfev
+    kw = dict(rtol=tols.root, atol=tols.root / 100)
+    ref = solve_ivp(rhs, (0.0, 2.0), y0, method="DOP853", dense_output=True,
+                    **kw)
+    solver = flow.FloatDOP853(rhs, 0.0, y0, 2.0, **kw)
+    ts, ys, interpolants = _steps(solver)
+    assert len(ts) == len(ref.t) and solver.nfev == ref.nfev
     # the embedded error estimate of the conservative first step cancels
     # down to rounding noise, so the summation order moves every later step
     # size in its last digits: each step is replayed from the same state
     # with scipy's stepper
-    for k, st in enumerate(new.sol.interpolants):
+    for k, st in enumerate(interpolants):
         one = DOP853(rhs, st.t_old, st.y_old, st.t, first_step=st.h,
                      rtol=kw["rtol"], atol=kw["atol"])
         one.step()
         assert one.t == pytest.approx(st.t, rel=1e-15)
-        assert np.allclose(one.y, new.y[:, k + 1], rtol=1e-12, atol=1e-12)
+        assert np.allclose(one.y, ys[:, k + 1], rtol=1e-12, atol=1e-12)
         mid = st.t_old + st.h / 2
         assert np.allclose(one.dense_output()(mid), st(mid), rtol=1e-12,
                            atol=1e-12)
     mids = (ref.t[1:] + ref.t[:-1]) / 2
-    assert np.allclose(new.sol(mids), ref.sol(mids), rtol=1e-12, atol=1e-12)
+    ours = OdeSolution(ts, interpolants)
+    assert np.allclose(ours(mids), ref.sol(mids), rtol=1e-12, atol=1e-12)
 
 
 def test_single_solver_call_site():
-    # one solve_ivp, and its events come from the stepper's lines alone
+    # one solver, made in one place, and its events come from the
+    # stepper's lines alone
     texts = [path.read_text() for path in Path(flow.__file__).parent.glob(
         "*.py")]
-    assert sum(text.count("solve_ivp(") for text in texts) == 1
-    for word in ("events=", "t_events", "y_events"):
+    assert sum(text.count("FloatDOP853(") for text in texts) == 1
+    for word in ("solve_ivp(", "events=", "t_events", "y_events"):
         assert not any(word in text for text in texts), word
 
 
@@ -479,27 +505,26 @@ def test_single_code_generator():
 def test_float_dop853_line_ends_solve_at_crossing_step():
     # the rotation from (1, 0) crosses y = 0 downwards at t = pi.  The
     # stepper ends the solve by moving t_bound to the end of the step that
-    # holds the crossing, which scipy's OdeSolver.step reads as finished;
-    # lines, tols and hits are solver options that scipy must not warn about
+    # holds the crossing, which its step() reads as finished, with no
+    # warning
     def rhs(t, s):
         return [-s[1], s[0]]
 
     tols = Tolerances()
-    kw = dict(method=flow.FloatDOP853, rtol=tols.root, atol=tols.root / 100)
+    kw = dict(rtol=tols.root, atol=tols.root / 100)
     hits = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = flow.solve_ivp(rhs, (0.0, 10.0), [1.0, 0.0],
-                             lines=[(0.0, 1.0, 0.0, -1)], tols=tols,
-                             hits=hits, **kw)
-    free = flow.solve_ivp(rhs, (0.0, 10.0), [1.0, 0.0], **kw)
-    assert sol.status == 0
+        ts, _, _ = _steps(flow.FloatDOP853(
+            rhs, 0.0, [1.0, 0.0], 10.0, lines=[(0.0, 1.0, 0.0, -1)],
+            tols=tols, hits=hits, **kw))
+    free, _, _ = _steps(flow.FloatDOP853(rhs, 0.0, [1.0, 0.0], 10.0, **kw))
     ((index, t_hit, state),) = hits
     assert index == 0 and abs(t_hit - math.pi) < 1e-8
     assert np.allclose(state, [-1.0, 0.0], atol=1e-8)
     # the same steps as the solve without lines, up to the crossing's
-    k = int(np.searchsorted(free.t, t_hit))
-    assert np.array_equal(sol.t, free.t[:k + 1])
+    k = int(np.searchsorted(free, t_hit))
+    assert np.array_equal(ts, free[:k + 1])
 
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-3])
@@ -522,13 +547,13 @@ def test_sliding_arc_steps_over_close_fold_pair(delta):
 def test_tolerance_scale_reaches_solvers(monkeypatch):
     monkeypatch.setenv("FILIPPOV_TOLERANCE_SCALE", "10")
     seen = []
-    original = flow.solve_ivp
+    original = flow.FloatDOP853
 
     def recording(*args, **kwargs):
         seen[-1].append((kwargs["rtol"], kwargs["atol"]))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "solve_ivp", recording)
+    monkeypatch.setattr(flow, "FloatDOP853", recording)
     sec0 = Section((1.0, 0.0), (1.0, 0.0), (0.5, 1.5))
     sec1 = Section((-1.0, 0.0), (-1.0, 0.0), (0.5, 1.5))
     spiral = piecewise(vf({(0, 1): -1.0, (1, 0): 1.0},
@@ -607,6 +632,16 @@ def test_census_finds_unit_limit_cycle_once():
 def test_census_drift_field_finds_nothing():
     Z = piecewise(vf(ONE, X_MONO), vf(ONE, ONE))
     assert find_closed_polytrajectories(Z, WIN) == []
+
+
+def test_min_dist_matches_kdtree():
+    # the blocked numpy search against scipy's k-d tree, bit for bit, on
+    # point sets smaller and larger than one block
+    rng = np.random.default_rng(5)
+    for na, nb in ((1, 1), (7, 300), (400, 350), (5000, 3)):
+        a, b = rng.normal(size=(na, 2)), rng.normal(size=(nb, 2)) + 0.5
+        want = float(np.min(cKDTree(b).query(a, k=1)[0]))
+        assert flow._min_dist(a, b) == want
 
 
 def test_probe_no_saddles():

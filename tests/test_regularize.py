@@ -42,6 +42,23 @@ def test_smoothstep_matches_quadrature(n):
         assert abs(phi(t) - want) <= 1e-14
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_bump_matches_quadrature():
+    # phi(t) = 1/2 + int_0^t b / int_{-1}^1 b, b(s) = exp(-1/(1 - s^2)),
+    # against quad at its tightest tolerances, which reports roundoff but
+    # is within 2e-16 of a 40-digit reference here
+    def b(s):
+        return math.exp(-1.0 / (1.0 - s * s))
+
+    phi = make_transition("bump")
+    norm = 2 * quad(b, 0.0, 1.0, epsabs=1e-15, epsrel=1e-15, limit=200)[0]
+    assert abs(phi._norm - norm) <= 1e-14
+    for t in np.linspace(-1, 1, 41)[1:-1]:
+        want = 0.5 + quad(b, 0.0, t, epsabs=1e-15, epsrel=1e-15,
+                          limit=200)[0] / norm
+        assert abs(phi(t) - want) <= 1e-14
+
+
 def test_clamping_outside_band():
     phi = make_transition("smoothstep", 2)
     assert phi(-3.7) == 0.0
