@@ -16,6 +16,7 @@ from .polys import (
     BivariatePolynomial,
     PiecewiseField,
     PolyVectorField,
+    _cached,
     partial,
     real_roots_on_line,
 )
@@ -72,13 +73,15 @@ def lie_derivative(X: PolyVectorField) -> BivariatePolynomial:
 
 
 def second_lie_derivative(X: PolyVectorField) -> BivariatePolynomial:
-    """X(Xf) = P dQ/dx + Q dQ/dy."""
-    return X.P * partial(X.Q, "x") + X.Q * partial(X.Q, "y")
+    """X(Xf) = P dQ/dx + Q dQ/dy, built once per field."""
+    _, _, qx, qy = X.jacobian()
+    return _cached(X, "_derived", "lie2", lambda: X.P * qx + X.Q * qy)
 
 
 def det_xy(Z: PiecewiseField) -> BivariatePolynomial:
-    """det[X,Y] = P1 Q2 - Q1 P2."""
-    return Z.X.P * Z.Y.Q - Z.X.Q * Z.Y.P
+    """det[X,Y] = P1 Q2 - Q1 P2, built once per field."""
+    return _cached(Z, "_derived", "det",
+                   lambda: Z.X.P * Z.Y.Q - Z.X.Q * Z.Y.P)
 
 
 def classify_point(Z: PiecewiseField, x: float,

@@ -14,20 +14,25 @@ compactified flows, goes through one kernel, _integrate, which steps
 FloatDOP853 from t0 to t_end at rtol = tols.root and
 atol = tols.root / 100, so FILIPPOV_TOLERANCE_SCALE reaches the solver; a
 solve whose step controller gives up raises StepFailure.  FloatDOP853
-takes the steps of scipy's solve_ivp with method DOP853 (the tableau of
-the dop853 module, the step controller, the initial step) with each step
-run as straight-line float code generated once per system size, so no
-stage builds a numpy array.  Each stage calls one generated right-hand side,
-cached on the object it integrates: PolyVectorField.rhs (forward or
-reversed, with or without the divergence), PiecewiseField.slide_rhs and
-RegularizedField.rhs, built from the Horner forms of the polynomials so
-they return the same floats.  Events are affine lines (y = 0, the window's
-sides, a section, x = r on D) that the stepper checks on each accepted
-step's dense-output polynomial, which catches a pair of crossings inside
-one step; the solve ends at the first crossing that its line accepts.  So
-a separatrix branch of the connection probe, one solve, also watches a ray
-from each node, focus or center of its field, and ends once its crossings
-of one ray have settled: their drift's geometric tail is below tols.close.
+follows scipy's solve_ivp with method DOP853 (the tableau of the dop853
+module, the step controller, the initial step), and runs its whole
+accepted-step loop as straight-line float code generated once per system
+size, so no stage builds a numpy array.  Each stage calls one generated
+right-hand side, cached on the object it integrates: PolyVectorField.rhs
+(forward or reversed, with or without the divergence),
+PiecewiseField.slide_rhs and RegularizedField.rhs, built from the Horner
+forms of the polynomials so they return the same floats.  Events are
+affine lines (y = 0, the window's sides, a section, x = r on D).  The loop
+screens each of them on each accepted step's dense-output polynomial with
+the standard bounds of a continuous Runge-Kutta step's interpolant (Hairer,
+Norsett and Wanner, Solving ODEs I, section II.6), and only a step that
+keeps a line goes to the crossing search in Python, which counts the roots
+of the line's interpolant exactly and so catches a pair of crossings
+inside one step; the solve ends at the first crossing that its line
+accepts.  So a separatrix branch of the connection probe, one solve, also
+watches a ray from each node, focus or center of its field, and ends once
+its crossings of one ray have settled: their drift's geometric tail is
+below tols.close.
 """
 
 from __future__ import annotations
@@ -161,63 +166,152 @@ class SmoothTrace:
     hit_state: tuple[float, float] | None
 
 
-@functools.cache
-def _dop853_kernel(n: int):
-    """step and dense functions of DOP853 for n components, generated as
-    straight-line float code from the tableau of the dop853 module.
+# the step factor is 0.9 err^(-1/8), the DOP853 error estimator being of
+# order 7; scipy's solvers raise a smaller rtol to 100 eps
+_ERROR_EXPONENT, _MIN_RTOL = -1 / 8, 100 * 2.0 ** -52
+# the maxima on [0, 1] of b_1, ..., b_6 of the dense output (_dense_basis):
+# x(1-x), x^2(1-x), x^2(1-x)^2, ... at x = 1/2, 2/3, 1/2, 3/5, 1/2, 4/7
+_BEND = (1 / 4, 4 / 27, 1 / 16, 108 / 3125, 1 / 64, 6912 / 823543)
 
-    step(rhs, t, h, y, f, rtol, atol) -> (error norm, y_new, f_new, K) runs
-    the 12 stages, the 8th-order solution and the embedded 5th/3rd-order
-    error norm of Hairer's code; K is the flat tuple of the 13 stage
-    derivatives.  dense(rhs, t, h, y, y_new, K) runs the 3 extra stages and
-    returns the rows F of the step's interpolant, each a tuple of n floats."""
+
+@functools.cache
+def _dop853_kernel(n: int, name: str = "run"):
+    """The run or the dense function of DOP853 for n components, generated
+    as straight-line float code from the tableau of the dop853 module.
+
+    run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
+    ts, ys, once) takes accepted steps from (t, y), f = rhs(t, y), with the
+    step controller of FloatDOP853, and appends each step's end time and
+    state to ts and ys.  With lines in screen, each step also runs the 3
+    extra stages and the interpolant's rows of components 0 and 1, and
+    keeps the lines that the screen cannot rule out (FloatDOP853).  It
+    returns (ok, t, y, f, h_abs, nfev, near, K) when the step size falls
+    below its smallest (ok false), or after a step that reaches t_bound,
+    keeps a line, or is the one step asked for by once.  near is (t_old, t,
+    y_old, y, F, kept) after a step that keeps lines, F the rows of every
+    component; K is the flat tuple of the 13 stage derivatives when once.
+    dense(rhs, t, h, y, yn, K) runs the 3 extra stages of a step and
+    returns its rows F by component, each a tuple of 7 floats; it is
+    compiled apart, as only FloatDOP853.dense_output calls it."""
     def lin(coef, i):  # component i of sum_j coef[j] k_j
         terms = [f"{float(c)!r}*k{j}_{i}" for j, c in enumerate(coef) if c]
         return f"({' + '.join(terms)})" if terms else "0.0"
 
-    def vec(fmt):  # the tuple (fmt(0), ..., fmt(n - 1))
-        return "(" + "".join(fmt(i) + ", " for i in range(n)) + ")"
-
     def names(v):  # the unpacking target v_0, ..., v_{n-1}
         return "".join(f"{v}_{i}, " for i in range(n))
 
+    def vec(v):  # the tuple (v_0, ..., v_{n-1})
+        return f"({names(v)})"
+
     def stage(s, c, a):
-        return (f"    {names(f'k{s}')}= rhs(t + {float(c)!r}*h, "
-                f"{vec(lambda i: f'y_{i} + {lin(a[:s], i)}*h')})")
+        state = "".join(f"y_{i} + {lin(a[:s], i)}*h, " for i in range(n))
+        return f"{names(f'k{s}')}= rhs(t + {float(c)!r}*h, ({state}))"
 
-    T, m = dop853, dop853.N_STAGES  # k{m} is f at the end of the step
-    ks, yn, fn = ("".join(names(f"k{j}") for j in range(m + 1)),
-                  vec(lambda i: f"yn_{i}"), vec(lambda i: f"k{m}_{i}"))
-    step = ["def step(rhs, t, h, y, f, rtol, atol):",
-            f"    {names('y')}= y", f"    {names('k0')}= f"]
-    step += [stage(s, T.C[s], T.A[s]) for s in range(1, m)]
-    step += [f"    yn_{i} = y_{i} + h*{lin(T.B, i)}" for i in range(n)]
-    step.append(f"    {names(f'k{m}')}= rhs(t + h, {yn})")
+    def rows(comps):  # the rows F0_i, ..., F6_i of the interpolant
+        return [line for i in comps for line in (
+            f"F0_{i} = yn_{i} - y_{i}", f"F1_{i} = h*k0_{i} - F0_{i}",
+            f"F2_{i} = 2*F0_{i} - h*(k{m}_{i} + k0_{i})",
+            *(f"F{3 + r}_{i} = h*{lin(d, i)}" for r, d in enumerate(T.D)))]
+
+    def block(depth, lines):
+        return "".join(" " * depth + line + "\n" for line in lines)
+
+    def dot(a, b, v):  # a v_0 + b v_1, over the components lines act on
+        return " + ".join(f"{c}*{v}_{i}" for c, i in zip((a, b), seen))
+
+    T, m, e = dop853, dop853.N_STAGES, _ERROR_EXPONENT
+    seen = range(min(n, 2))  # k{m} below is f at the end of the step
+    y, yn = vec("y"), vec("yn")
+    ks = "(" + "".join(names(f"k{j}") for j in range(m + 1)) + ")"  # K
+    F = "(" + "".join("(" + ", ".join(f"F{r}_{i}" for r in range(7)) + "), "
+                      for i in range(n)) + ")"
+    extra = [stage(m + 1 + r, c, a)
+             for r, (c, a) in enumerate(zip(T.C_EXTRA, T.A_EXTRA))]
+    if name == "dense":
+        return _generate(f"""\
+def dense(rhs, t, h, y, yn, K):
+    {names('y')}= y
+    {names('yn')}= yn
+    {ks[1:-1]}= K
+{block(4, extra + rows(range(n)))}\
+    return {F}
+""", f"dop853-{n}")["dense"]
+    trial = [stage(s, T.C[s], T.A[s]) for s in range(1, m)]
+    trial += [f"yn_{i} = y_{i} + h*{lin(T.B, i)}" for i in range(n)]
+    trial.append(f"{names(f'k{m}')}= rhs(t + h, {yn})")
     for i in range(n):
-        step += [f"    sc_{i} = atol + max(abs(y_{i}), abs(yn_{i}))*rtol",
-                 f"    r5_{i} = {lin(T.E5, i)}/sc_{i}",
-                 f"    r3_{i} = {lin(T.E3, i)}/sc_{i}"]
-    step += [f"    e5 = {' + '.join(f'r5_{i}*r5_{i}' for i in range(n))}",
-             f"    e3 = {' + '.join(f'r3_{i}*r3_{i}' for i in range(n))}",
-             f"    err = abs(h)*e5/sqrt((e5 + 0.01*e3)*{n}) if e5 else 0.0",
-             f"    return err, {yn}, {fn}, ({ks})"]
-    dense = ["def dense(rhs, t, h, y, yn, K):", f"    {names('y')}= y",
-             f"    {names('yn')}= yn", f"    {ks}= K"]
-    dense += [stage(m + 1 + r, c, a)
-              for r, (c, a) in enumerate(zip(T.C_EXTRA, T.A_EXTRA))]
-    dense += [f"    d_{i} = yn_{i} - y_{i}" for i in range(n)]
-    rows = [vec(lambda i: f"d_{i}"), vec(lambda i: f"h*k0_{i} - d_{i}"),
-            vec(lambda i: f"2*d_{i} - h*(k{m}_{i} + k0_{i})")]
-    rows += [vec(lambda i, d=d: f"h*{lin(d, i)}") for d in T.D]
-    dense.append(f"    return {', '.join(rows)}")
-    namespace = _generate("\n".join(step + dense) + "\n", f"dop853-{n}",
-                          sqrt=math.sqrt)
-    return namespace["step"], namespace["dense"]
-
-
-# the step factor is 0.9 err^(-1/8), the DOP853 error estimator being of
-# order 7; scipy's solvers raise a smaller rtol to 100 eps
-_ERROR_EXPONENT, _MIN_RTOL = -1 / 8, 100 * 2.0 ** -52
+        trial += [f"sc_{i} = atol + max(abs(y_{i}), abs(yn_{i}))*rtol",
+                  f"r5_{i} = {lin(T.E5, i)}/sc_{i}",
+                  f"r3_{i} = {lin(T.E3, i)}/sc_{i}"]
+    trial += [f"e5 = {' + '.join(f'r5_{i}*r5_{i}' for i in range(n))}",
+              f"e3 = {' + '.join(f'r3_{i}*r3_{i}' for i in range(n))}",
+              f"err = abs(h)*e5/sqrt((e5 + 0.01*e3)*{n}) if e5 else 0.0"]
+    sieve = extra + rows(seen)
+    for i in seen:  # u_r = |F_r|, their sum and the bend off the chord
+        sieve += [f"u{r}_{i} = abs(F{r}_{i})" for r in range(7)] + [
+            f"reach_{i} = " + " + ".join(f"u{r}_{i}" for r in range(7)),
+            f"bend_{i} = " + " + ".join(f"{c!r}*u{r + 1}_{i}"
+                                        for r, c in enumerate(_BEND))
+            + f" + slack*(abs(y_{i}) + reach_{i})"]
+    done = f"True, t_new, {yn}, {vec(f'k{m}')}, h_abs, nfev"
+    source = f"""\
+def run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
+        ts, ys, once):
+    {names('y')}= y
+    {names('k0')}= f
+    nfev = 0
+    toward = direction*inf
+    while True:
+        min_step = 10*abs(nextafter(t, toward) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, t, {y}, {vec('k0')}, h_abs, nfev, None, None
+            t_new = t + h_abs*direction
+            if direction*(t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            nfev += {m}
+            try:
+{block(16, trial)}\
+            except (OverflowError, ZeroDivisionError):
+                err = inf
+            if err < 1:
+                break
+            h_abs *= max(0.2, 0.9*err**{e!r})
+            rejected = True
+        factor = 10.0 if err == 0 else min(10.0, 0.9*err**{e!r})
+        h_abs = h_abs*(min(1.0, factor) if rejected else factor)
+        kept = None
+        if screen:
+            nfev += {len(extra)}
+{block(12, sieve)}\
+            kept = []
+            for i, (ax, ay, b, sx, sy, sb) in enumerate(screen):
+                g0 = {dot('ax', 'ay', 'y')} + b
+                if abs(g0) > {dot('sx', 'sy', 'reach')}:
+                    continue
+                g1 = {dot('ax', 'ay', 'yn')} + b
+                if g0*g1 > 0.0 and \\
+                        min(abs(g0), abs(g1)) > {dot('sx', 'sy', 'bend')} + sb:
+                    continue
+                kept.append(i)
+        ts.append(t_new)
+        ys.append({yn})
+        K = {ks} if once else None
+        if kept:
+{block(12, rows(range(len(seen), n)))}\
+            return {done}, (t, t_new, {y}, {yn}, {F}, kept), K
+        if once or t_new == t_bound:
+            return {done}, None, K
+        t = t_new
+        {names('y')}= {names('yn')}
+        {names('k0')}= {names(f'k{m}')}
+"""
+    return _generate(source, f"dop853-{n}", sqrt=math.sqrt,
+                     nextafter=math.nextafter)["run"]
 
 
 def _rms(v: np.ndarray):
@@ -247,33 +341,43 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
 
 
 class FloatDOP853:
-    """The DOP853 stepper with each step as straight-line float code, and
-    with its event lines checked inside the stepper.
+    """The DOP853 stepper, its accepted-step loop and the screen of its
+    event lines run as straight-line float code (_dop853_kernel).
 
-    It takes the steps of scipy's solve_ivp with method DOP853 float for
-    float: the tableau (dop853), the initial step (_initial_step), the step
-    controller (safety 0.9, step factors 0.2 to 10, exponent -1/8, a
-    smallest step of 10 ulps of t), the clamp of each step to t_bound and
-    the count of right-hand side evaluations in nfev: one for f(t0), one
-    for the initial step, 12 per trial step and 3 per dense output (each
-    step makes one when there are lines).  The arithmetic of a step runs
-    in _dop853_kernel(n), whose stages pass tuples of floats to the
-    right-hand side; f(t0) and the initial step pass numpy arrays.  An
-    OverflowError or ZeroDivisionError of the right-hand side inside a
-    trial step rejects the step, as inf and nan do in numpy's arithmetic.
+    It follows scipy's solve_ivp with method DOP853: the tableau (dop853),
+    the initial step (_initial_step), the step controller (safety 0.9, step
+    factors 0.2 to 10, exponent -1/8, a smallest step of 10 ulps of t), the
+    clamp of each step to t_bound and the count of right-hand side
+    evaluations in nfev: one for f(t0), one for the initial step, 12 per
+    trial step and 3 per dense output (each step makes one when there are
+    lines).  Each step replays scipy's to rounding; the sums of its error
+    estimate run in another order, so later step sizes can differ in their
+    last digits.  The stages pass tuples of floats to the right-hand side;
+    f(t0) and the initial step pass numpy arrays.  An OverflowError or
+    ZeroDivisionError of the right-hand side inside a trial step rejects
+    the step, as inf and nan do in numpy's arithmetic.
 
-    step() makes one accepted step; status goes from 'running' to
-    'finished' once t reaches t_bound, or to 'failed' when the step size
-    falls below its smallest (TOO_SMALL_STEP).  dense_output() is the
-    interpolant of the last step.
+    run(ts, ys) steps to the end of the solve; step() makes one accepted
+    step.  status goes from 'running' to 'finished' once t reaches t_bound,
+    or to 'failed' when the step size falls below its smallest
+    (TOO_SMALL_STEP).  dense_output() is the interpolant of the last step
+    of step().
 
     lines holds affine events (a_x, a_y, b, direction[, accept]) on the
     first two components, g = a_x y_0 + a_y y_1 + b (a_y = 0 for one).
-    Each accepted step builds its dense rows, and the first crossing in its
-    line's direction (0: either) that accept(t, state, way) approves, way
-    the sign of g's change there (_crossing), goes into hits as (index, t,
-    state); a start on a line moving in its direction is a crossing.
-    t_bound moves to the step's end, so the solve finishes there."""
+    Each accepted step builds the rows F_j of its interpolant
+    g0 + sum_j (a.F_j) b_j(x) and screens every line.  The line keeps its
+    sign over the step, and is dropped, when |g0| > sum_j |a.F_j|, each b_j
+    being at most 1 on [0, 1]; or when g0 and g1 = g(1) share a sign and
+    both exceed sum_{j>=1} |a.F_j| max|b_j| (_BEND), the most that the
+    interpolant bends away from its chord, plus a slack of tols.root
+    relative to the terms of g, so that no root of g comes within
+    tols.root of the step either.  Only a step that keeps a line goes to
+    _crossing, and the first crossing in its line's direction (0: either)
+    that accept(t, state, way) approves, way the sign of g's change there,
+    goes into hits as (index, t, state); a start on a line moving in its
+    direction is a crossing.  t_bound moves to the step's end, so the
+    solve finishes there."""
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
@@ -300,73 +404,67 @@ class FloatDOP853:
         self.t_old, self.t_bound, self.direction = None, t_bound, direction
         self.n, self.status = len(self.y), "running"
         self._rhs, self._tols = fun, (float(rtol), float(atol))
-        self._step, self._dense = _dop853_kernel(self.n)
+        self._run = _dop853_kernel(self.n)
         self._lines, self._hits, self._t0 = lines, hits, t0
         self._line_tols = tols or default_tols()
+        # each line as the screen reads it: a, b, |a| and the slack of b
+        self._screen = [(ax, ay, b, abs(ax), abs(ay),
+                         self._line_tols.root * abs(b))
+                        for ax, ay, b, *_ in lines]
 
-    def step(self) -> None:
-        t, y, direction = self.t, self.y, self.direction
-        if t == self.t_bound:  # an empty interval
-            self.t_old, self.status = t, "finished"
-            return
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs = max(self.h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
+    def run(self, ts: list, ys: list, once: bool = False) -> None:
+        """Accepted steps to the end of the solve, or one when once; the
+        end time and state of each go into ts and ys."""
+        while self.status == "running":
+            t, y = self.t, self.y
+            if t == self.t_bound:  # an empty interval
+                self.t_old, self.status = t, "finished"
+                ts.append(t)
+                ys.append(y)
+                return
+            ok, self.t, self.y, self.f, self.h_abs, nfev, near, K = \
+                self._run(self._rhs, t, y, self.f, self.h_abs, self.t_bound,
+                          self.direction, *self._tols, self._screen,
+                          self._line_tols.root, ts, ys, once)
+            self.nfev += nfev
+            if not ok:
                 self.status = "failed"
                 return
-            t_new = t + h_abs * direction
-            if direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            self.nfev += dop853.N_STAGES
-            try:
-                err, y_new, f_new, K = self._step(self._rhs, t, h, y, self.f,
-                                                  *self._tols)
-            except (OverflowError, ZeroDivisionError):
-                err = math.inf
-            if err < 1:
-                break
-            h_abs *= max(0.2, 0.9 * err ** _ERROR_EXPONENT)
-            rejected = True
-        factor = 10.0 if err == 0 else min(10.0,
-                                           0.9 * err ** _ERROR_EXPONENT)
-        self.h_abs = h_abs * (min(1.0, factor) if rejected else factor)
-        self.h_previous, self.t_old, self.y_old = h, t, y
-        self.t, self.y, self.f, self._K = t_new, y_new, f_new, K
-        if self._lines:
-            self.nfev += len(dop853.C_EXTRA)
-            hit = self._crossing(t, t_new, y, y_new,
-                                 self._dense(self._rhs, t, h, y, y_new, K))
-            if hit is not None:
-                self._hits.append(hit)
-                self.t_bound = t_new
-        if direction * (t_new - self.t_bound) >= 0:
-            self.status = "finished"
+            if near is not None:
+                hit = self._crossing(*near)
+                if hit is not None:
+                    self._hits.append(hit)
+                    self.t_bound = self.t
+            if self.direction * (self.t - self.t_bound) >= 0:
+                self.status = "finished"
+            if once:
+                self.t_old, self.y_old, self._K = t, y, K
+                return
 
-    def _crossing(self, t, t_new, y, y_new, F):
-        """First approved crossing of a line inside the step from (t, y) to
-        (t_new, y_new) with dense rows F, as (index, time, state), or None.
+    def step(self) -> None:
+        self.run([], [], once=True)
 
-        Each b_j is at most 1 on [0, 1], so a line with |g(t)| above
-        sum_j |a.F_j| keeps its sign over the step.  Where g is monotone
-        (its derivative's constant term outweighs the rest) it crosses at
-        most once, where its end values change sign, and _polish_root
-        places that crossing; only the other steps get an exact root count
-        of g's interpolant.  A line whose interpolant is identically zero
-        raises NotTransversal, unless it is a watched ray (_Ray)."""
+    def _crossing(self, t, t_new, y, y_new, F, kept):
+        """First approved crossing of a line of kept, the lines that the
+        screen left, inside the step from (t, y) to (t_new, y_new) whose
+        interpolant has the rows F by component, as (index, time, state),
+        or None.
+
+        Where g is monotone (its derivative's constant term outweighs the
+        rest) it crosses at most once, where its end values change sign,
+        and _polish_root places that crossing; only the other lines get an
+        exact root count of g's interpolant.  The state at a crossing is
+        the interpolant's (_interpolate).  A line whose interpolant is
+        identically zero raises NotTransversal, unless it is a watched ray
+        (_Ray)."""
         tols, h = self._line_tols, t_new - t
         two = self.n > 1
-        Fx = [row[0] for row in F]
-        Fy = [row[1] for row in F] if two else [0.0] * len(F)
-        reach_x, reach_y = sum(map(abs, Fx)), sum(map(abs, Fy))
+        Fx = F[0]
+        Fy = F[1] if two else (0.0,) * len(Fx)
         first = None
-        for k, (ax, ay, b, direction, *accept) in enumerate(self._lines):
+        for k in kept:
+            ax, ay, b, direction, *accept = self._lines[k]
             g0 = ax * y[0] + (ay * y[1] if two else 0.0) + b
-            if abs(g0) > abs(ax) * reach_x + abs(ay) * reach_y:
-                continue
             gF = [ax * fx + ay * fy for fx, fy in zip(Fx, Fy)]
             if g0 == 0.0 and not any(gF):
                 if accept and isinstance(accept[0], _Ray):
@@ -374,8 +472,8 @@ class FloatDOP853:
                 raise NotTransversal("trajectory runs along an event line")
             # g in powers of x = (t - t_old) / h; monotone where its
             # derivative's constant term outweighs the rest
-            c = [g0] + [0.0] * len(F)
-            for j, p, bp in _dense_basis(len(F)):
+            c = [g0] + [0.0] * len(Fx)
+            for j, p, bp in _dense_basis(len(Fx)):
                 c[p] += gF[j] * bp
             if abs(c[1]) > sum(abs(c[p] * p) for p in range(2, len(c))):
                 g1 = ax * y_new[0] + (ay * y_new[1] if two else 0.0) + b
@@ -400,8 +498,7 @@ class FloatDOP853:
                 tc = t_new if r == 1.0 else t + r * h
                 if first is not None and tc >= first[1]:
                     break
-                state = _Dop853Interpolant(t, t_new, np.array(y),
-                                           np.array(F))(tc)
+                state = _interpolate(F, y, (tc - t) / h)
                 if not accept or accept[0](tc, state, way):
                     first = (k, tc, state)
                     break
@@ -409,10 +506,21 @@ class FloatDOP853:
 
     def dense_output(self) -> "_Dop853Interpolant":
         self.nfev += len(dop853.C_EXTRA)
-        F = self._dense(self._rhs, self.t_old, self.h_previous, self.y_old,
-                        self.y, self._K)
+        F = _dop853_kernel(self.n, "dense")(self._rhs, self.t_old,
+                                            self.t - self.t_old, self.y_old,
+                                            self.y, self._K)
         return _Dop853Interpolant(self.t_old, self.t, np.array(self.y_old),
-                                  np.array(F))
+                                  np.array(F).T)
+
+
+def _interpolate(F, y, x: float) -> tuple:
+    """y + sum_j F_j b_j(x), a step's interpolant at the fraction x of the
+    step, with F its rows by component: the floats of
+    _Dop853Interpolant.__call__, whose operations it does in their order."""
+    x1 = 1.0 - x
+    return tuple((((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2)
+                    * x + f1) * x1 + f0) * x + v
+                 for (f0, f1, f2, f3, f4, f5, f6), v in zip(F, y))
 
 
 class _Dop853Interpolant:
@@ -455,12 +563,9 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
                          atol=tols.root / 100, lines=lines, tols=tols,
                          hits=hits)
     ts, ys = [solver.t], [solver.y]
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
-            raise StepFailure(solver.TOO_SMALL_STEP)
-        ts.append(solver.t)
-        ys.append(solver.y)
+    solver.run(ts, ys)
+    if solver.status == "failed":
+        raise StepFailure(solver.TOO_SMALL_STEP)
     hit = hits[0] if hits else None
     if hit is not None:  # the last step ends at or past the crossing
         _, t_hit, state = hit

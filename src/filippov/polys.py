@@ -74,19 +74,27 @@ def _compile_horner(coeffs: Coeffs) -> Callable[[float, float], float]:
     return _generate(source, "horner")["horner"]
 
 
+def _cached(obj, slot: str, key, build: Callable[[], object]):
+    """build() for key, run on first use and cached on obj in the dict
+    slot, which obj's pickle state leaves out (_field_state)."""
+    cache = obj.__dict__.setdefault(slot, {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 def _kernel(obj, key, body: Callable[[], list[str]], **names) -> Callable:
     """obj's right-hand side rhs(t, s) for key, generated from the lines
-    body() on first use and cached on obj, whose pickle state leaves it
-    out (_field_state)."""
-    kernels = obj.__dict__.setdefault("_kernels", {})
-    if key not in kernels:
+    body() on first use and cached on obj (_cached)."""
+    def build():
         source = "def rhs(t, s):\n" + "".join(f"    {ln}\n" for ln in body())
-        kernels[key] = _generate(source, "rhs", **names)["rhs"]
-    return kernels[key]
+        return _generate(source, "rhs", **names)["rhs"]
+    return _cached(obj, "_kernels", key, build)
 
 
 def _field_state(obj) -> dict:
-    """Pickle state of a dataclass: its fields, without cached evaluators."""
+    """Pickle state of a dataclass: its fields, without cached evaluators
+    and derived polynomials."""
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 

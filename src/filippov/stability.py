@@ -32,6 +32,7 @@ from .polys import (
     BivariatePolynomial,
     PiecewiseField,
     PolyVectorField,
+    _cached,
     cauchy_bound,
     common_zero_seeds,
     newton_zero,
@@ -86,9 +87,10 @@ def interior_singularities(X: PolyVectorField, region: str,
         raise ValueError("region must be 'N' or 'S'")
     if y1 <= y0:
         return []
-    U = PolyVectorField(*(p.scale(1 / max(map(abs, p.coeffs.values()),
-                                          default=1.0)) for p in (X.P, X.Q)),
-                        X.m)
+    # the unit-scaled field, built once per field
+    U = _cached(X, "_derived", "unit", lambda: PolyVectorField(
+        *(p.scale(1 / max(map(abs, p.coeffs.values()), default=1.0))
+          for p in (X.P, X.Q)), X.m))
     slack = tols.sign
     points = []  # (Newton failed, x, y)
     for xr, yr in common_zero_seeds(X.P, X.Q, (x0 - slack, x1 + slack),

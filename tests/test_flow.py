@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from filippov import dop853, flow, polys
+from filippov.dline import fold_points
 from filippov.errors import NoReturn, NotTransversal, StepFailure
 from filippov.flow import (
     Closure,
@@ -29,7 +30,7 @@ from filippov.flow import (
     return_map,
     transition_derivative,
 )
-from filippov.polys import PolyVectorField, piecewise, vf
+from filippov.polys import PolyVectorField, piecewise, univariate_roots, vf
 from filippov.regularize import (
     RegularizedField,
     make_transition,
@@ -527,6 +528,110 @@ def test_float_dop853_line_ends_solve_at_crossing_step():
     assert np.array_equal(ts, free[:k + 1])
 
 
+def test_screen_drops_only_lines_without_a_root(seeded_fields, monkeypatch):
+    # steps of random fields, with lines at random distances from a point
+    # inside a step: half of them along the flow there, which the orbit
+    # grazes or crosses twice, half at a random angle.  For each line that
+    # the screen drops from a step, g = a.y + b on the step's interpolant
+    # has no root that the exact root count finds, in [0, 1] or within
+    # tols.root of it
+    rng = np.random.default_rng(7)
+    tols = default_tols()
+    kw = dict(rtol=tols.root, atol=tols.root / 100, tols=tols)
+    kept = {}  # the lines that the screen keeps, by the end of their step
+
+    def record(self, t, t_new, y, y_new, F, lines):
+        kept[t_new] = list(lines)  # and no crossing
+
+    monkeypatch.setattr(flow.FloatDOP853, "_crossing", record)
+    dropped = by_chord = 0
+    for rhs in [F.rhs() for Z in seeded_fields[:20] for F in (Z.X, Z.Y)]:
+        p0 = rng.uniform(-1.0, 1.0, 2)
+        free, inside = flow.FloatDOP853(rhs, 0.0, p0, 2.0, **kw), []
+        while free.status == "running":
+            free.step()
+            t = free.t_old + (free.t - free.t_old) * rng.uniform(0.2, 0.8)
+            inside.append(free.dense_output()(t))
+        if free.status == "failed":  # the orbit blows up
+            continue
+        lines = []
+        for k in rng.integers(0, len(inside), 8):
+            x, y = inside[k]
+            vx, vy = rhs(0.0, (x, y))
+            angle = math.atan2(vx, -vy) if len(lines) % 2 else \
+                rng.uniform(0, 2 * math.pi)
+            ax, ay = math.cos(angle), math.sin(angle)
+            dist = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-10, -1)
+            lines.append((ax, ay, dist - ax * x - ay * y, 0))
+        solver = flow.FloatDOP853(rhs, 0.0, p0, 2.0, lines=lines, **kw)
+        while solver.status == "running":
+            solver.step()
+            F = solver.dense_output().F  # the kernel's rows, as (7, 2)
+            y0 = solver.y_old
+            for i, (ax, ay, b, _) in enumerate(lines):
+                if i in kept.get(solver.t, ()):
+                    continue
+                g0 = ax * y0[0] + ay * y0[1] + b
+                gF = F @ (ax, ay)
+                c = [g0] + [0.0] * 7
+                for j, p, bp in flow._dense_basis(7):
+                    c[p] += gF[j] * bp
+                assert univariate_roots(c, (0.0, 1.0), tols) == []
+                dropped += 1
+                by_chord += abs(g0) <= np.sum(np.abs(F) @ (abs(ax), abs(ay)))
+    assert dropped > 4000 and by_chord > 800  # 5631 and 1036
+
+
+def test_crossing_state_is_the_interpolants_to_the_bit():
+    # _crossing takes the state at a crossing from the rows in float code;
+    # it is the step's interpolant at that time, float for float
+    tols = Tolerances()
+    rng = np.random.default_rng(9)
+    solver = flow.FloatDOP853(RANDOM_01_Y.rhs(divergence=True), 0.0,
+                              [-9.40084, -4.04373, 0.0], 2.0,
+                              rtol=tols.root, atol=tols.root / 100)
+    for st in _steps(solver)[2]:
+        for t in [st.t_old, st.t, *(st.t_old + st.h * rng.random(4))]:
+            state = flow._interpolate(st.F.T.tolist(), st.y_old.tolist(),
+                                      (t - st.t_old) / st.h)
+            assert _bits(state) == _bits(st(t))
+
+
+def test_bend_bounds_are_the_maxima_of_the_dense_basis():
+    xs = np.linspace(0.0, 1.0, 200_001)
+    b = np.zeros((7, xs.size))
+    for j, p, bp in flow._dense_basis(7):
+        b[j] += bp * xs ** p
+    peaks = np.abs(b[1:]).max(axis=1)
+    assert np.all(peaks <= np.array(flow._BEND) * (1 + 1e-15))
+    assert np.allclose(peaks, flow._BEND, rtol=1e-9, atol=0.0)
+
+
+def test_return_map_hands_few_steps_to_the_crossing_search(monkeypatch):
+    # one return around the unit cycle takes 52 steps, each watching y = 0,
+    # the window's sides and the section; only the steps near one of these
+    # lines go to the crossing search in Python
+    calls, steps = [], []
+    crossing, integrate = flow.FloatDOP853._crossing, flow._integrate
+
+    def counting_crossing(self, *args):
+        calls.append(args[1])
+        return crossing(self, *args)
+
+    def counting_integrate(*args, **kwargs):
+        sol, hit = integrate(*args, **kwargs)
+        steps.append(len(sol.t) - 1)
+        return sol, hit
+
+    monkeypatch.setattr(flow.FloatDOP853, "_crossing", counting_crossing)
+    monkeypatch.setattr(flow, "_integrate", counting_integrate)
+    Z = piecewise(UNIT_CYCLE, UNIT_CYCLE)
+    sec = Section((0.0, 0.0), (0.0, 1.0), (0.1, 2.0))
+    s_fix, _ = return_map(Z, sec, 1.0, 100.0, WIN)
+    assert abs(s_fix - 1.0) < 1e-8
+    assert sum(steps) >= 40 and len(calls) <= 10
+
+
 @pytest.mark.parametrize("delta", [1e-2, 1e-3])
 def test_sliding_arc_steps_over_close_fold_pair(delta):
     # X = (1, delta^2 - x^2) over Y = (0, 1): D slides for |x| > delta and
@@ -866,10 +971,17 @@ def test_second_solve_on_a_field_compiles_nothing(monkeypatch):
     X = vf({(0, 1): -1.0, (2, 0): 0.1}, X_MONO)
     Z = piecewise(vf(X_MONO, M_ONE), vf({(0, 0): 1.0, (2, 0): 0.5},
                                         {(0, 0): 1.0, (1, 0): 0.2}))
+    horners = []
     for _ in range(2):
         integrate_smooth(X, (1.0, 0.5), 10.0, WIN, -1, with_divergence=True)
-        advance_hybrid(Z, (0.3, 0.0), "D", 10.0, WIN)
+        traj = advance_hybrid(Z, (0.3, 0.0), "D", 10.0, WIN)
+        fold_points(Z, (-3.0, 3.0))
+        horners.append(labels.count("horner"))
     assert labels.count("rhs") == 2  # X with divergence; Z's slide
+    # the run slides, and det and the second Lie derivatives of the folds
+    # are built once per field, so the second round compiles no horner
+    assert "FZ" in [arc.tag for arc in traj.arcs]
+    assert horners[0] > 0 and horners[1] == horners[0]
     # the solves of one regularized search share its two kernels
     labels.clear()
     regularized_cycle_search(piecewise(UNIT_CYCLE, UNIT_CYCLE),

@@ -1,13 +1,17 @@
 """Solver-work gate: runs every operation of the benchmark's workloads
 (bench/workloads.py, seed 1) once, with flow._integrate, the one ODE solve
 of the package, wrapped to count its calls and the right-hand side
-evaluations of each, and prints the counts of each workload.
+evaluations of each, and FloatDOP853._crossing wrapped to count the steps
+that the stepper's screen hands to the crossing search in Python, and
+prints the counts of each workload.
 
     python3 tools/solver_work.py
 
 Exits 1 if an operation fails, if cycles, analyze or trajectories makes no
-solve or no evaluation, or if analyze makes more than 230,000 evaluations
-or cycles more than 70,000 in more than 150 solves.
+solve, no evaluation or no crossing search, if analyze makes more than
+230,000 evaluations or cycles more than 70,000 in more than 150 solves, or
+if cycles searches more than 400 steps for crossings, analyze more than 700
+or trajectories more than 400.
 """
 
 import os
@@ -24,7 +28,9 @@ import workloads  # noqa: E402
 
 # (workload, counter) -> most allowed
 BOUNDS = {("analyze", "nfev"): 230_000, ("cycles", "nfev"): 70_000,
-          ("cycles", "solver_calls"): 150}
+          ("cycles", "solver_calls"): 150, ("cycles", "crossing_steps"): 400,
+          ("analyze", "crossing_steps"): 700,
+          ("trajectories", "crossing_steps"): 400}
 GATED = ("cycles", "analyze", "trajectories")
 
 
@@ -41,9 +47,21 @@ def count_solves(counts: dict) -> None:
     flow._integrate = counted
 
 
+def count_crossing_steps(counts: dict) -> None:
+    """Wrap FloatDOP853._crossing so that each step it searches adds to
+    counts."""
+    crossing = flow.FloatDOP853._crossing
+
+    def counted(self, *args):
+        counts["crossing_steps"] += 1
+        return crossing(self, *args)
+    flow.FloatDOP853._crossing = counted
+
+
 def main() -> int:
-    counts = {"solver_calls": 0, "nfev": 0}
+    counts = {"solver_calls": 0, "nfev": 0, "crossing_steps": 0}
     count_solves(counts)
+    count_crossing_steps(counts)
     ok = True
     for name, make in workloads.WORKLOADS.items():
         workdir = tempfile.mkdtemp(prefix=f"solver-work-{name}-")
@@ -60,7 +78,8 @@ def main() -> int:
             shutil.rmtree(workdir, ignore_errors=True)
         work = {k: counts[k] - before[k] for k in counts}
         print(f"{name}: {work['solver_calls']} solver calls, "
-              f"{work['nfev']} RHS evaluations")
+              f"{work['nfev']} RHS evaluations, "
+              f"{work['crossing_steps']} steps searched for crossings")
         for key, value in work.items():
             bound = BOUNDS.get((name, key))
             if (name in GATED and value <= 0) \
