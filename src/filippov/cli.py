@@ -11,6 +11,7 @@ the spec, which overrides the default (_option).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -168,7 +169,10 @@ def cmd_sweep(args) -> int:
     return EXIT_SATISFIED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: each
+    parse_args call fills a new namespace, so no flag outlives its call."""
     parser = argparse.ArgumentParser(
         prog="filippov",
         description="Analyze planar piecewise polynomial vector fields "

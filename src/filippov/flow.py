@@ -1106,6 +1106,11 @@ class SaddleSpec:
     point: tuple[float, float]
 
 
+# points of two branches of one saddle that lie this close to it are not
+# compared (probe_saddle_connections)
+_R_EXCL = 5e-2
+
+
 @dataclass(frozen=True)
 class SeparatrixBranch:
     saddle_index: int
@@ -1118,7 +1123,8 @@ class SeparatrixBranch:
 @dataclass(frozen=True)
 class ConnectionReport:
     branches: list[SeparatrixBranch]
-    distances: np.ndarray
+    distances: np.ndarray  # least distance of each searched branch pair;
+                           # inf for every pair left out (_pairs_to_search)
     flagged: list[tuple[int, int]]
     skipped: list[tuple[str, str]]  # (label, error kind) of failed traces
 
@@ -1128,8 +1134,9 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
                              window: Window = (-5, 5, -5, 5),
                              tols: Tolerances | None = None,
                              rays: dict | None = None) -> ConnectionReport:
-    """Trace separatrix branches of certified saddles and record minimum
-    pairwise distances; close approaches are flagged PossibleConnection.
+    """Trace separatrix branches of certified saddles and flag each stable
+    and unstable branch pair that comes within tols.connect as a
+    PossibleConnection.
 
     One solve per branch.  A branch of X (Y) watches the ray {y = y_c,
     x > x_c} from each point of rays["X"] (rays["Y"]), the nodes, foci
@@ -1142,8 +1149,12 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
     ClassificationAmbiguous, NotTransversal and StepFailure keeps no
     points and the error's name as its fate (ConnectionReport.skipped).
 
-    Same-saddle branch pairs exclude points within a small radius of the
-    saddle so the seeding offset does not self-flag."""
+    Only the pairs of _pairs_to_search get the exact least distance: one
+    stable and one unstable branch whose bounding boxes come within
+    tols.connect of each other on both axes.  Same-saddle pairs exclude
+    points within _R_EXCL of the saddle, so the seeding offset does not
+    self-flag.  Every other pair, which cannot be flagged, reads inf in
+    distances."""
     tols, rays = tols or default_tols(), rays or {}
     branches: list[SeparatrixBranch] = []
     skipped: list[tuple[str, str]] = []
@@ -1183,23 +1194,44 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
     n = len(branches)
     dmat = np.full((n, n), np.inf)
     flagged = []
-    r_excl = 5e-2
-    for i in range(n):
-        for j in range(i + 1, n):
-            bi, bj = branches[i], branches[j]
+    centers = [s.point for s in saddles]
+    for i, j, pi, pj in _pairs_to_search(branches, centers, tols.connect):
+        d = _min_dist(pi, pj)
+        dmat[i, j] = dmat[j, i] = d
+        if d < tols.connect:
+            flagged.append((i, j))
+    return ConnectionReport(branches, dmat, flagged, skipped)
+
+
+def _pairs_to_search(branches: list[SeparatrixBranch],
+                     centers: list[tuple[float, float]], connect: float):
+    """Yield (i, j, pi, pj), i < j, for each branch pair whose least
+    distance can be under connect: one branch stable and the other
+    unstable, with bounding boxes less than connect apart on both axes.
+    pi and pj are the pair's points, less those within _R_EXCL of the
+    saddle at centers[k] when both branches leave saddle k; a pair that
+    keeps no point on one side is not yielded.
+
+    A box gap of at least connect puts every pair of points at least that
+    far apart, so the pairs left out cannot be flagged."""
+    boxes = [(b.points.min(axis=0), b.points.max(axis=0))
+             if len(b.points) else None for b in branches]
+    for i, (bi, box_i) in enumerate(zip(branches, boxes)):
+        for j in range(i + 1, len(branches)):
+            bj, box_j = branches[j], boxes[j]
+            if bi.stability == bj.stability or box_i is None \
+                    or box_j is None:
+                continue
+            gap = np.maximum(box_j[0] - box_i[1], box_i[0] - box_j[1])
+            if np.any(gap >= connect):
+                continue
             pi, pj = bi.points, bj.points
             if bi.saddle_index == bj.saddle_index:
-                c = np.asarray(saddles[bi.saddle_index].point)
-                pi = pi[np.linalg.norm(pi - c, axis=1) > r_excl]
-                pj = pj[np.linalg.norm(pj - c, axis=1) > r_excl]
-            if len(pi) == 0 or len(pj) == 0:
-                continue
-            d = _min_dist(pi, pj)
-            dmat[i, j] = dmat[j, i] = d
-            if d < tols.connect and {bi.stability, bj.stability} == \
-                    {"stable", "unstable"}:
-                flagged.append((i, j))
-    return ConnectionReport(branches, dmat, flagged, skipped)
+                c = np.asarray(centers[bi.saddle_index])
+                pi = pi[np.linalg.norm(pi - c, axis=1) > _R_EXCL]
+                pj = pj[np.linalg.norm(pj - c, axis=1) > _R_EXCL]
+            if len(pi) and len(pj):
+                yield i, j, pi, pj
 
 
 def _trace_branch(Z, seed, kind, forward, horizon, window, tols, rays=()):

@@ -245,10 +245,12 @@ def emergent_singularities(R: RegularizedField,
         return BivariatePolynomial({(j, i): v * eps ** j
                                     for (i, j), v in p.coeffs.items()})
 
+    # F_i = base_i + w * jump_i, with the row-independent parts built once
+    parts = [(in_t(b), in_t(a) - in_t(b))
+             for a, b in ((R.Z.X.P, R.Z.Y.P), (R.Z.X.Q, R.Z.Y.Q))]
     found: list[tuple[float, float]] = []
     for t0, t1, w in rows:
-        F = [in_t(b) + BivariatePolynomial(w) * (in_t(a) - in_t(b))
-             for a, b in ((R.Z.X.P, R.Z.Y.P), (R.Z.X.Q, R.Z.Y.Q))]
+        F = [base + BivariatePolynomial(w) * jump for base, jump in parts]
         for t, x in common_zero_seeds(*F, (t0 - 1 / 40, t1 + 1 / 40),
                                       (lo, hi), tols):
             sol = newton_zero(R, R.jacobian, x, eps * t, tols)

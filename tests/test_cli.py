@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filippov import cli, fieldspec
+from filippov import cli, fieldspec, flow, stability
 from filippov.errors import FieldSpecError
 from filippov.portrait import render_portrait
 from filippov.polys import piecewise, vf
@@ -180,6 +180,33 @@ def test_flow_seed_outside_window_exit3(tmp_path, capsys):
     code = cli.main(["flow", spec, "--seed", "10,10",
                      "--window=-2,2,-2,2"])
     assert code == 3
+
+
+def test_successive_calls_share_no_flags(tmp_path, monkeypatch):
+    # one parser serves every call of a process: a flag of one call must
+    # not reach the next, which reads the spec's value or the default
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    check_gm, advance = stability.check_gm, flow.advance_hybrid
+
+    def record_gm(Z, opts, tols):
+        seen.append(opts.optimistic)
+        return check_gm(Z, opts, tols)
+
+    def record_seed(Z, seed, *args):
+        seen.append(seed)
+        return advance(Z, seed, *args)
+
+    monkeypatch.setattr(stability, "check_gm", record_gm)
+    monkeypatch.setattr(flow, "advance_hybrid", record_seed)
+    spec = _write(tmp_path, "saddle.txt",
+                  SADDLE_TEXT.replace("phi smoothstep1\n",
+                                      "phi smoothstep1\nseed 0.5 1\n"))
+    out = str(tmp_path / "out")
+    for argv in (["analyze", spec, "--optimistic"], ["analyze", spec],
+                 ["flow", spec, "--seed", "1.5,0.25"], ["flow", spec]):
+        assert cli.main(argv + ["--out", out]) in (0, 1, 2), argv
+    assert seen == [True, False, (1.5, 0.25), (0.5, 1.0)]
 
 
 def test_portrait_classes_present(tmp_path):

@@ -783,6 +783,72 @@ def test_probe_flags_symmetric_heteroclinic():
     assert hit
 
 
+def _branch(saddle_index, stability, *points):
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    return flow.SeparatrixBranch(saddle_index, stability,
+                                 f"{saddle_index}:{stability}", pts, "horizon")
+
+
+def _searched(branches, centers=((9.0, 9.0), (-9.0, -9.0))):
+    return [(i, j) for i, j, _, _ in flow._pairs_to_search(
+        branches, list(centers), default_tols().connect)]
+
+
+def test_pairs_of_one_stability_are_never_searched():
+    # four branches over one point: only the stable-unstable pairs remain
+    stabs = ("stable", "unstable", "stable", "unstable")
+    branches = [_branch(k % 2, s, (0.0, 0.0), (1.0, 1.0))
+                for k, s in enumerate(stabs)]
+    assert _searched(branches) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_boxes_a_connect_apart_are_not_searched(axis):
+    # boxes exactly tols.connect apart on one axis can hold no pair of
+    # points closer than that; one ulp less, and the pair is searched and
+    # flagged
+    c = default_tols().connect
+    for gap, want in ((c, []), (np.nextafter(c, 0.0), [(0, 1)])):
+        shift = np.zeros(2)
+        shift[axis] = gap
+        branches = [_branch(0, "stable", (-1.0, -1.0), (0.0, 0.0)),
+                    _branch(1, "unstable", shift, shift + 1.0)]
+        assert _searched(branches) == want
+        for _, _, pi, pj in flow._pairs_to_search(branches, [(9, 9)] * 2, c):
+            assert flow._min_dist(pi, pj) == gap < c
+
+
+def test_boxes_apart_on_one_axis_only_are_not_searched():
+    # the boxes overlap in x and lie 1 apart in y
+    branches = [_branch(0, "stable", (0.0, 0.0), (2.0, 0.0)),
+                _branch(1, "unstable", (1.0, 1.0), (3.0, 1.0))]
+    assert _searched(branches) == []
+
+
+def test_same_saddle_pairs_leave_out_points_near_the_saddle():
+    # both branches leave the saddle (0, 0): the pair is searched only on
+    # points farther than _R_EXCL from it, and not at all once one side
+    # keeps none; a branch of another saddle is compared whole
+    r, c = flow._R_EXCL, default_tols().connect
+    stable = _branch(0, "stable", (0.0, r / 2), (0.0, 1.0))
+    near = (0.0, r / 2 + 1e-5)
+    far = _branch(0, "unstable", near, (0.0, 1.0 + 1e-5))
+    centers = [(0.0, 0.0), (9.0, 9.0)]
+    assert _searched([stable, _branch(0, "unstable", near)], centers) == []
+    (_, _, pi, pj), = flow._pairs_to_search([stable, far], centers, c)
+    assert pi.tolist() == [[0.0, 1.0]] and pj.tolist() == [[0.0, 1.0 + 1e-5]]
+    (_, _, pi, pj), = flow._pairs_to_search(
+        [stable, _branch(1, "unstable", near)], centers, c)
+    assert len(pi) == 2 and flow._min_dist(pi, pj) < c
+
+
+def test_skipped_branches_pair_with_nothing():
+    # a branch whose trace failed keeps no points and no box
+    branches = [_branch(0, "stable"), _branch(1, "unstable", (0.0, 0.0)),
+                _branch(2, "stable", (0.0, 0.0)), _branch(3, "unstable")]
+    assert _searched(branches, [(9.0, 9.0)] * 4) == [(1, 2)]
+
+
 def _circle_field(k: float, center: tuple[float, float]) -> PolyVectorField:
     # rotation about center with r' = k r (1 - r^2): for k > 0 the circle
     # r = 1 is an attracting cycle of period 2 pi and multiplier

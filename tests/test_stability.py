@@ -592,6 +592,50 @@ def test_branches_circling_a_cycle_settle(monkeypatch):
                                    "q1_root", "q2_root"}
 
 
+def _all_pairs_flagged(rep, centers, connect):
+    # the reference: every stable-unstable branch pair gets the exact
+    # search, whatever its bounding boxes
+    flagged = []
+    for i, bi in enumerate(rep.branches):
+        for j, bj in enumerate(rep.branches[i + 1:], i + 1):
+            if {bi.stability, bj.stability} != {"stable", "unstable"}:
+                continue
+            pi, pj = bi.points, bj.points
+            if bi.saddle_index == bj.saddle_index:
+                c = np.asarray(centers[bi.saddle_index])
+                pi = pi[np.linalg.norm(pi - c, axis=1) > flow._R_EXCL]
+                pj = pj[np.linalg.norm(pj - c, axis=1) > flow._R_EXCL]
+            if len(pi) and len(pj) and flow._min_dist(pi, pj) < connect:
+                flagged.append((i, j))
+    return flagged
+
+
+def test_probe_flags_what_an_all_pairs_search_flags(seeded_fields,
+                                                    monkeypatch):
+    runs = []
+    probe = flow.probe_saddle_connections
+
+    def keep(Z, saddles, *args, **kwargs):
+        runs.append(([s.point for s in saddles],
+                     probe(Z, saddles, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(flow, "probe_saddle_connections", keep)
+    # the symmetric heteroclinic field of test_flow.py
+    X = vf({(1, 0): 2.0, (1, 1): -1.0},
+           {(0, 0): 1.0, (0, 1): -1.0, (2, 0): -1.0})
+    flow.probe_saddle_connections(
+        piecewise(X, vf({}, {(0, 0): -1.0})),
+        [flow.SaddleSpec("X", (0.0, 1.0)), flow.SaddleSpec("FZ", (0.0, 0.0))],
+        window=(-3, 3, -3, 3))
+    for Z in [RANDOM_01] + seeded_fields[::5]:
+        check_gm(Z)
+    assert runs[0][1].flagged and len(runs) > 2
+    connect = default_tols().connect
+    for centers, rep in runs:
+        assert rep.flagged == _all_pairs_flagged(rep, centers, connect)
+
+
 def test_every_seeded_field_gets_a_report(seeded_fields):
     for Z in seeded_fields[::5]:
         rep = check_gm(Z)

@@ -1,17 +1,20 @@
 """Solver-work gate: runs every operation of the benchmark's workloads
 (bench/workloads.py, seed 1) once, with flow._integrate, the one ODE solve
 of the package, wrapped to count its calls and the right-hand side
-evaluations of each, and FloatDOP853._crossing wrapped to count the steps
+evaluations of each, FloatDOP853._crossing wrapped to count the steps
 that the stepper's screen hands to the crossing search in Python, and
-prints the counts of each workload.
+flow._min_dist wrapped to count the separatrix branch pairs that the
+connection probe hands to the exact distance search, and prints the counts
+of each workload.
 
     python3 tools/solver_work.py
 
 Exits 1 if an operation fails, if cycles, analyze or trajectories makes no
-solve, no evaluation or no crossing search, if analyze makes more than
-230,000 evaluations or cycles more than 70,000 in more than 150 solves, or
-if cycles searches more than 400 steps for crossings, analyze more than 700
-or trajectories more than 400.
+solve, no evaluation or no crossing search, or analyze no distance search,
+if analyze makes more than 230,000 evaluations or cycles more than 70,000
+in more than 150 solves, if cycles searches more than 400 steps for
+crossings, analyze more than 700 or trajectories more than 400, or if
+analyze searches more than 100 branch pairs for their least distance.
 """
 
 import os
@@ -30,8 +33,12 @@ import workloads  # noqa: E402
 BOUNDS = {("analyze", "nfev"): 230_000, ("cycles", "nfev"): 70_000,
           ("cycles", "solver_calls"): 150, ("cycles", "crossing_steps"): 400,
           ("analyze", "crossing_steps"): 700,
-          ("trajectories", "crossing_steps"): 400}
-GATED = ("cycles", "analyze", "trajectories")
+          ("trajectories", "crossing_steps"): 400,
+          ("analyze", "distance_searches"): 100}
+# workload -> counters that must not be 0
+SOLVES = ("solver_calls", "nfev", "crossing_steps")
+NONZERO = {"cycles": SOLVES, "analyze": SOLVES + ("distance_searches",),
+           "trajectories": SOLVES}
 
 
 def count_solves(counts: dict) -> None:
@@ -58,10 +65,23 @@ def count_crossing_steps(counts: dict) -> None:
     flow.FloatDOP853._crossing = counted
 
 
+def count_distance_searches(counts: dict) -> None:
+    """Wrap flow._min_dist so that each branch pair it searches adds to
+    counts."""
+    min_dist = flow._min_dist
+
+    def counted(a, b):
+        counts["distance_searches"] += 1
+        return min_dist(a, b)
+    flow._min_dist = counted
+
+
 def main() -> int:
-    counts = {"solver_calls": 0, "nfev": 0, "crossing_steps": 0}
+    counts = {"solver_calls": 0, "nfev": 0, "crossing_steps": 0,
+              "distance_searches": 0}
     count_solves(counts)
     count_crossing_steps(counts)
+    count_distance_searches(counts)
     ok = True
     for name, make in workloads.WORKLOADS.items():
         workdir = tempfile.mkdtemp(prefix=f"solver-work-{name}-")
@@ -79,10 +99,12 @@ def main() -> int:
         work = {k: counts[k] - before[k] for k in counts}
         print(f"{name}: {work['solver_calls']} solver calls, "
               f"{work['nfev']} RHS evaluations, "
-              f"{work['crossing_steps']} steps searched for crossings")
+              f"{work['crossing_steps']} steps searched for crossings, "
+              f"{work['distance_searches']} branch pairs searched for "
+              "their least distance")
         for key, value in work.items():
             bound = BOUNDS.get((name, key))
-            if (name in GATED and value <= 0) \
+            if (key in NONZERO.get(name, ()) and value <= 0) \
                     or (bound is not None and value > bound):
                 print(f"{name}.{key} = {value} is out of bounds")
                 ok = False
