@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .errors import IdenticallyZeroOnD, NotOnSlidingOrEscaping
 from .polys import (
     BivariatePolynomial,
@@ -106,17 +108,18 @@ def classify_point(Z: PiecewiseField, x: float,
     return DPointClass(tag, xf, yf)
 
 
-def _roots_or_empty(q: BivariatePolynomial, window, tols) -> list[float]:
-    """Roots of q(x,0) in window; [] for a nonzero constant restriction."""
-    import numpy as np
-
+def _roots_or_empty(q: BivariatePolynomial, window, tols) -> tuple[float, ...]:
+    """Roots of q(x,0) in window; () for a nonzero constant restriction.
+    Cached on q for (window, tols) (polys._cached), as segment_d and each
+    fold_points ask for the same ones."""
     c = q.restrict_y0()
     nonzero = np.abs(c) > tols.coeff_zero
     if not nonzero.any():
         raise IdenticallyZeroOnD("Q(x,0) vanishes identically")
     if not nonzero[1:].any():
-        return []
-    return [r for r, _ in real_roots_on_line(q, window, tols)]
+        return ()
+    return _cached(q, "_roots", (tuple(window), tols), lambda: tuple(
+        r for r, _ in real_roots_on_line(q, window, tols)))
 
 
 def segment_d(Z: PiecewiseField, window: tuple[float, float],

@@ -32,7 +32,12 @@ inside one step; the solve ends at the first crossing that its line
 accepts.  So a separatrix branch of the connection probe, one solve, also
 watches a ray from each node, focus or center of its field, and ends once
 its crossings of one ray have settled: their drift's geometric tail is
-below tols.close.
+below tols.close.  A solve may also watch boxes: after each step that
+keeps no line, the loop checks whether the step ends in one, and ends the
+solve there.  The cycle census watches the box of each stable node or
+focus that sink_trap certifies with an exact Lyapunov bound: its disc is
+forward-invariant and meets neither D nor the window's sides, so a run
+that enters it ends with EnterSink instead of integrating to the horizon.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -61,9 +66,13 @@ from .polys import (
     _polish_root,
     _polyder,
     _polyval,
+    taylor_at,
     univariate_roots,
 )
 from .tolerances import Tolerances, default_tols
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Window = tuple[float, float, float, float]  # x0, x1, y0, y1
 _D_DIRECTION = (1.0, 0.0)
@@ -82,6 +91,7 @@ class EventKind(Enum):
     TIME_BUDGET = "TimeBudget"
     CLOSED = "Closed"
     SECTION_CROSSING = "SectionCrossing"
+    ENTER_SINK = "EnterSink"
 
 
 class Closure(Enum):
@@ -180,16 +190,19 @@ def _dop853_kernel(n: int, name: str = "run"):
     as straight-line float code from the tableau of the dop853 module.
 
     run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
-    ts, ys, once) takes accepted steps from (t, y), f = rhs(t, y), with the
-    step controller of FloatDOP853, and appends each step's end time and
-    state to ts and ys.  With lines in screen, each step also runs the 3
-    extra stages and the interpolant's rows of components 0 and 1, and
-    keeps the lines that the screen cannot rule out (FloatDOP853).  It
+    traps, ts, ys, once) takes accepted steps from (t, y), f = rhs(t, y),
+    with the step controller of FloatDOP853, and appends each step's end
+    time and state to ts and ys.  With lines in screen, each step also runs
+    the 3 extra stages and the interpolant's rows of components 0 and 1,
+    and keeps the lines that the screen cannot rule out (FloatDOP853).  It
     returns (ok, t, y, f, h_abs, nfev, near, K) when the step size falls
     below its smallest (ok false), or after a step that reaches t_bound,
-    keeps a line, or is the one step asked for by once.  near is (t_old, t,
-    y_old, y, F, kept) after a step that keeps lines, F the rows of every
-    component; K is the flat tuple of the 13 stage derivatives when once.
+    keeps a line, ends in a box (x0, x1, y0, y1) of traps (n >= 2: only a
+    step that keeps no line is checked), or is the one step asked for by
+    once.  near is (t_old, t, y_old, y, F, kept) after a step that keeps
+    lines, F the rows of every component, or the index into traps of the
+    box the step ends in; K is the flat tuple of the 13 stage derivatives
+    when once.
     dense(rhs, t, h, y, yn, K) runs the 3 extra stages of a step and
     returns its rows F by component, each a tuple of 7 floats; it is
     compiled apart, as only FloatDOP853.dense_output calls it."""
@@ -254,9 +267,14 @@ def dense(rhs, t, h, y, yn, K):
                                         for r, c in enumerate(_BEND))
             + f" + slack*(abs(y_{i}) + reach_{i})"]
     done = f"True, t_new, {yn}, {vec(f'k{m}')}, h_abs, nfev"
+    trap = [] if n < 2 else [
+        "if traps:",
+        "    for j, (x0, x1, y0, y1) in enumerate(traps):",
+        "        if x0 <= yn_0 <= x1 and y0 <= yn_1 <= y1:",
+        f"            return {done}, j, K"]
     source = f"""\
 def run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
-        ts, ys, once):
+        traps, ts, ys, once):
     {names('y')}= y
     {names('k0')}= f
     nfev = 0
@@ -304,6 +322,7 @@ def run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
         if kept:
 {block(12, rows(range(len(seen), n)))}\
             return {done}, (t, t_new, {y}, {yn}, {F}, kept), K
+{block(8, trap)}\
         if once or t_new == t_bound:
             return {done}, None, K
         t = t_new
@@ -377,12 +396,17 @@ class FloatDOP853:
     that accept(t, state, way) approves, way the sign of g's change there,
     goes into hits as (index, t, state); a start on a line moving in its
     direction is a crossing.  t_bound moves to the step's end, so the
-    solve finishes there."""
+    solve finishes there.
+
+    traps holds boxes (x0, x1, y0, y1) of the first two components.  A
+    step that keeps no line and ends in one of them ends the solve there,
+    with (len(lines) + its index, t, state) in hits; a step that keeps a
+    line goes to _crossing, so a crossing still comes first."""
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, lines=(), tols=None,
-                 hits=None):
+                 hits=None, traps=()):
         y = np.asarray(y0, dtype=float)
         if not np.isfinite(y).all():
             raise ValueError("All components of the initial state `y0` "
@@ -406,6 +430,7 @@ class FloatDOP853:
         self._rhs, self._tols = fun, (float(rtol), float(atol))
         self._run = _dop853_kernel(self.n)
         self._lines, self._hits, self._t0 = lines, hits, t0
+        self._traps = traps
         self._line_tols = tols or default_tols()
         # each line as the screen reads it: a, b, |a| and the slack of b
         self._screen = [(ax, ay, b, abs(ax), abs(ay),
@@ -425,13 +450,14 @@ class FloatDOP853:
             ok, self.t, self.y, self.f, self.h_abs, nfev, near, K = \
                 self._run(self._rhs, t, y, self.f, self.h_abs, self.t_bound,
                           self.direction, *self._tols, self._screen,
-                          self._line_tols.root, ts, ys, once)
+                          self._line_tols.root, self._traps, ts, ys, once)
             self.nfev += nfev
             if not ok:
                 self.status = "failed"
                 return
             if near is not None:
-                hit = self._crossing(*near)
+                hit = (len(self._lines) + near, self.t, self.y) \
+                    if isinstance(near, int) else self._crossing(*near)
                 if hit is not None:
                     self._hits.append(hit)
                     self.t_bound = self.t
@@ -549,19 +575,21 @@ class Solution:
 
 
 def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
-               t0: float = 0.0) -> tuple[Solution, tuple | None]:
+               t0: float = 0.0, traps=()) -> tuple[Solution, tuple | None]:
     """Solve y' = rhs(t, y) from t0 to t_end with FloatDOP853 at
     rtol = tols.root, atol = tols.root / 100.  rhs receives the state as a
     sequence of floats and returns a sequence.  lines are the solver's
-    affine events (see FloatDOP853); the solve ends at the first crossing.
+    affine events and traps its boxes (see FloatDOP853); the solve ends at
+    the first crossing, or at the end of a step in a box.
 
     Returns (sol, hit): hit is (index into lines, time, state) of that
-    crossing or None, and sol.t, sol.y end at it.  Raises StepFailure when
-    the step controller gives up."""
+    crossing, (len(lines) + index into traps, time, state) of that step's
+    end, or None, and sol.t, sol.y end at it.  Raises StepFailure when the
+    step controller gives up."""
     hits: list = []
     solver = FloatDOP853(rhs, t0, y0, t_end, rtol=tols.root,
                          atol=tols.root / 100, lines=lines, tols=tols,
-                         hits=hits)
+                         hits=hits, traps=traps)
     ts, ys = [solver.t], [solver.y]
     solver.run(ts, ys)
     if solver.status == "failed":
@@ -614,10 +642,13 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
                      tols: Tolerances | None = None,
                      with_divergence: bool = False,
                      reverse: bool = False,
-                     rays: Sequence[tuple[float, float]] = ()) -> SmoothTrace:
+                     rays: Sequence[tuple[float, float]] = (),
+                     sinks: Sequence[Window] = ()) -> SmoothTrace:
     """Adaptive DOP853 trace of X (of -X when reverse) from p0, stopping at
     the first y=0 crossing (in the given direction), window exit or
-    horizon, or with status 'settled' once a watched ray has settled.
+    horizon, with status 'settled' once a watched ray has settled, or with
+    status 'sink' at the end of a step in one of the boxes of sinks, which
+    hold no crossing to look for (sink_trap).
 
     d_direction: -1 catches downward crossings (flows in N), +1 upward,
     0 both.  An optional section event stops the trace at a transversal
@@ -648,12 +679,16 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     lines += [(0.0, 1.0, -yc, 0, _Ray(xc, tols.close)) for xc, yc in rays]
     sol, hit = _integrate(X.rhs(reverse, with_divergence),
                           list(p0) + ([0.0] if with_divergence else []),
-                          horizon, tols, lines)
+                          horizon, tols, lines, traps=sinks)
     status, hit_state = "horizon", None
     if hit is not None:
         kind, _, end = hit
-        status = "settled" if kind >= events else \
-            {0: "d_hit", 5: "section"}.get(kind, "window")
+        if kind >= len(lines):
+            status = "sink"
+        elif kind >= events:
+            status = "settled"
+        else:
+            status = {0: "d_hit", 5: "section"}.get(kind, "window")
         if status in ("d_hit", "section"):
             hit_state = (float(end[0]), 0.0 if kind == 0 else float(end[1]))
     return SmoothTrace(sol.t, sol.y.T, status, hit_state)
@@ -702,7 +737,8 @@ def _slide(Z: PiecewiseField, x0: float, horizon: float,
 # arc outcomes that end a hybrid run, with the run's last event
 _ENDS = {"window": EventKind.WINDOW_EXIT, "horizon": EventKind.TIME_BUDGET,
          "section": EventKind.SECTION_CROSSING,
-         "fz_singularity": EventKind.REACH_FZ_SINGULARITY}
+         "fz_singularity": EventKind.REACH_FZ_SINGULARITY,
+         "sink": EventKind.ENTER_SINK}
 # a run that needs more arcs ends with TimeBudget, so crossings that pile
 # up at one point of D in finite time cannot loop forever
 _MAX_ARCS = 64
@@ -714,7 +750,8 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                    section: Section | None = None,
                    stop: Callable[[float, tuple[float, float], str], bool]
                    | None = None,
-                   with_divergence: bool = False) -> PolyTrajectory:
+                   with_divergence: bool = False,
+                   sinks: Sequence[Window] = ()) -> PolyTrajectory:
     """Alternate smooth and sliding arcs under the Filippov rules.
 
     side: 'N', 'S' or 'D' (consistent with p0).  When a section is given,
@@ -723,6 +760,9 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
     asked after each sewing crossing, with the side just entered; True
     ends the run there with a SectionCrossing event.  with_divergence
     integrates div along each smooth arc into TrajectoryArc.divergence.
+    sinks are the boxes of sink_trap, each of the field of its side: an
+    arc of X (Y) that reaches one in N (S) ends the run with an EnterSink
+    event, as it would otherwise stay there to the horizon.
     """
     tols = tols or default_tols()
     traj = PolyTrajectory()
@@ -765,7 +805,9 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
             fld = Z.X if side == "N" else Z.Y
             ddir = -1 if side == "N" else 1
             tr = integrate_smooth(fld, p, horizon - t, window, ddir,
-                                  section, tols, with_divergence)
+                                  section, tols, with_divergence,
+                                  sinks=[b for b in sinks
+                                         if (b[2] > 0) == (side == "N")])
             traj.arcs.append(TrajectoryArc(
                 "X" if side == "N" else "Y",
                 (t, t + tr.ts[-1]), tr.ts + t, tr.states[:, :2],
@@ -887,10 +929,12 @@ def _normal_speed(X: PolyVectorField, p, direction) -> float:
 def return_map(Z: PiecewiseField, section: Section, s0: float,
                horizon: float, window: Window,
                tols: Tolerances | None = None,
-               with_derivative: bool = True) -> tuple[float, float | None]:
+               with_derivative: bool = True,
+               sinks: Sequence[Window] = ()) -> tuple[float, float | None]:
     """First-return parameter s1 of the hybrid flow from section(s0) and
     its derivative eta'(s0) (return_derivative).  The run ends at the first
-    return."""
+    return, or raises NoReturn at an end of another kind, among them the
+    entry into one of the boxes of sinks (advance_hybrid)."""
     tols = tols or default_tols()
     p = section.point(s0)
     on_d = abs(p[1]) <= tols.event
@@ -908,11 +952,12 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
                 and t > 1e-9
 
         traj = advance_hybrid(Z, p, "D", horizon, window, tols,
-                              stop=returned, with_divergence=with_derivative)
+                              stop=returned, with_divergence=with_derivative,
+                              sinks=sinks)
     else:
         traj = advance_hybrid(Z, p, "N" if p[1] > 0 else "S", horizon,
                               window, tols, section=section,
-                              with_divergence=with_derivative)
+                              with_divergence=with_derivative, sinks=sinks)
     # a run from D may also close at its start, off the parameter range
     ends = (EventKind.SECTION_CROSSING, EventKind.CLOSED) if on_d \
         else (EventKind.SECTION_CROSSING,)
@@ -983,6 +1028,132 @@ def compactified_return_map(Z: PiecewiseField, rho0: float,
     return state[0], math.exp(state[1])
 
 
+@dataclass(frozen=True)
+class SinkTrap:
+    """A certified trap around a stable node or focus p of a field: the
+    Lyapunov function V(u) = u^T M u, with M = [[m11, m12], [m12, m22]]
+    exact (lyapunov), decreases along the field on the whole level set
+    {V = level}, so no trajectory leaves {V <= level}, which lies in the
+    disc of the given radius around p.  box is a square around p inside
+    {V <= level}."""
+
+    point: tuple[float, float]
+    lyapunov: tuple[Fraction, Fraction, Fraction]
+    level: Fraction
+    radius: float
+    box: Window
+
+
+def sink_trap(X: PolyVectorField, point: tuple[float, float],
+              window: Window, tols: Tolerances) -> SinkTrap | None:
+    """A trap around the zero p = point of X, a stable node or focus, or
+    None when none is proved: the region-of-attraction estimate of a
+    quadratic Lyapunov function (Khalil, Nonlinear Systems, section 8.2).
+
+    The doubles are integers over powers of two, so the Taylor
+    coefficients of P and Q at p are exact (polys.taylor_at), and so is
+    A = [[a, b], [c, d]], the linear part of X at p.  A is stable when its
+    trace T < 0 and determinant det A > 0, and then M solves
+    A^T M + M A = -I exactly: M = [[det A + c^2 + d^2, -(a c + b d)],
+    [-(a c + b d), det A + a^2 + b^2]] / (-2 T det A).  The rest is
+    bounded by |X(p + u) - A u| <= C_0 + sum_{k>=2} C_k |u|^k, with C_k
+    the sum of the absolute Taylor coefficients of degree k; C_0 is kept,
+    as p is a Newton iterate, not an exact zero.  So V(u) = u^T M u has
+    V' = 2 u^T M X(p + u) < 0 wherever r = |u| satisfies
+    g(r) = 2 |M| (C_0 / r + sum_{k>=2} C_k r^(k-1)) < 1, and as g is
+    convex, on the whole level set {V = c} once g < 1 at both ends of the
+    r it spans.  With lam at least the largest eigenvalue of M (and |M|)
+    and mu = det M / lam at most the smallest, {V = c} spans r from
+    sqrt(c / lam) to sqrt(c / mu).  The outer radius rho, c = mu rho^2, is
+    the largest found for which both ends pass and the disc of radius rho
+    lies inside the window, at least tols.event off D; the box is the
+    square of half-side sqrt(c / lam) / sqrt(2), inside {V <= c}.  The
+    inequalities of V and g are decided in exact arithmetic, and the
+    float differences that place the disc and the box carry a margin of 4
+    ulps of their operands."""
+    from fractions import Fraction  # here, as the import costs ms
+
+    px, py = float(point[0]), float(point[1])
+    (tp, tq), e = taylor_at((X.P, X.Q), px, py)    # each over 2**e
+    a, b, c, d = tp.get((1, 0), 0), tp.get((0, 1), 0), \
+        tq.get((1, 0), 0), tq.get((0, 1), 0)
+    trace, det = a + d, a * d - b * c
+    if trace >= 0 or det <= 0:          # not a stable node or focus
+        return None
+    deg = max(X.P.degree, X.Q.degree)
+    C = [0] * (deg + 1)                 # C_1 stays 0: A u is the linear part
+    for (k, l), n in [*tp.items(), *tq.items()]:
+        if k + l != 1:
+            C[k + l] += abs(n)
+    # M = kappa N: with a, b, c, d over 2**e, N's entries are over
+    # 2**(2 e) and kappa = 2**e / (-2 trace det)
+    n11, n12, n22 = det + c * c + d * d, -(a * c + b * d), det + a * a + b * b
+    disc = (n11 - n22) ** 2 + 4 * n12 * n12
+    root = math.isqrt(disc)
+    root += root * root < disc          # at least sqrt(disc)
+    # N's largest eigenvalue is at most lam_N = (n11 + n22 + root) / 2, so
+    # 2 |M| C_k / 2**e <= lam_N C_k / (-trace det) = C_k num / den
+    num, den = n11 + n22 + root, -2 * trace * det
+    # the inner radius over the outer, at most sqrt(mu / lam), the same
+    # for N as for M
+    det_n = n11 * n22 - n12 * n12
+    ratio = math.nextafter(2 * math.isqrt(det_n) / num, 0.0)
+    # the disc's room in the window and off D, less 4 ulps of the largest
+    # operand: each difference is off by at most half of one
+    room = min(px - window[0], window[1] - px, py - window[2],
+               window[3] - py, abs(py) - tols.event) \
+        - 4 * math.ulp(max(map(abs, (px, py, *window))) + tols.event)
+    if room <= 0 or ratio <= 0.0:
+        return None
+    cf = [num * n / den for n in C]
+
+    def passes(rho: float) -> bool:     # g < 1 at both ends, in floats
+        return all(cf[0] / r + sum(ck * r ** (k - 1) for k, ck in
+                                   enumerate(cf) if k) < 1.0
+                   for r in (rho, rho * ratio))
+
+    def proved(r: float) -> bool:
+        # g(r) < 1, exactly: r = n / 2**q, times n 2**(q (deg - 1))
+        n, q = r.as_integer_ratio()
+        q = q.bit_length() - 1
+        return num * sum(ck * n ** k << q * (deg - k)
+                         for k, ck in enumerate(C)) \
+            < den * n << q * (deg - 1)
+
+    rho = math.nextafter(room, 0.0)
+    if not passes(rho):
+        # the set of rho that pass is an interval, as both radii are
+        # convex in rho: halve down into it, then bisect its upper end
+        for _ in range(64):
+            rho /= 2
+            if passes(rho):
+                break
+        else:
+            return None
+        lo, hi = rho, 2 * rho
+        for _ in range(20):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+        rho = lo
+    for _ in range(4):  # certify, or shrink past the floats' rounding
+        inner = math.nextafter(rho * ratio, 0.0)
+        if proved(rho) and proved(inner):
+            break
+        rho *= 1 - 1e-9
+    else:
+        return None
+    # the half-side, below inner / sqrt(2) past its two roundings, and
+    # each side of the box less 4 ulps of |v| + h off, so at most h off
+    h = inner / math.sqrt(2.0) * (1 - 1e-12)
+    box = tuple(v + s * (h - 4 * math.ulp(abs(v) + h))
+                for v, s in ((px, -1), (px, 1), (py, -1), (py, 1)))
+    # c = mu rho^2 = kappa^2 det_N / (kappa lam_N) rho^2
+    kappa = Fraction(1 << e, den)
+    return SinkTrap((px, py), (kappa * n11, kappa * n12, kappa * n22),
+                    kappa * Fraction(2 * det_n, num) * Fraction(rho) ** 2,
+                    rho, box)
+
+
 # the errors of a census run: the run is skipped and the census goes on
 _RUN_ERRORS = (ClassificationAmbiguous, NoReturn, NotTransversal, StepFailure)
 
@@ -998,14 +1169,19 @@ class ClosedOrbit:
 def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
                                  seeds: list[float] | None = None,
                                  horizon: float = 100.0,
-                                 tols: Tolerances | None = None
+                                 tols: Tolerances | None = None,
+                                 sinks: Sequence[Window] = ()
                                  ) -> list[ClosedOrbit]:
     """Heuristic census of closed poly-trajectories.
 
     Type-1 candidates come from fixed points of the D-section return map
     started at seed abscissas on sewing arcs (secant iteration); type-3
     candidates from hybrid runs seeded at fold points.  Misses are
-    possible; the search is a semi-decision.
+    possible; the search is a semi-decision.  Every run watches the boxes
+    of sinks (sink_trap) and ends in one with an EnterSink event: the box
+    lies in a forward-invariant disc that meets neither D, the census's
+    section, nor the window's sides, so such a run would end with
+    TimeBudget, and neither returns nor closes.
     """
     tols = tols or default_tols()
     if seeds is None:
@@ -1024,7 +1200,7 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
 
         def g(s):
             s1, _ = return_map(Z, section, s, horizon, window, tols,
-                               with_derivative=False)
+                               with_derivative=False, sinks=sinks)
             return s1 - s
 
         try:
@@ -1043,7 +1219,7 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
         try:
             # one run to the closure, with the divergence for eta'
             traj = advance_hybrid(Z, (s_star, 0.0), "D", horizon, window, tols,
-                                  with_divergence=True)
+                                  with_divergence=True, sinks=sinks)
             if traj.closed is not Closure.TYPE1:
                 continue
             eta_prime = return_derivative(Z, traj, section.direction, tols)
@@ -1066,7 +1242,8 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
         side = "N" if fold.kind is dline.SingKind.FOLD_X else "S"
         p = (fold.x, math.copysign(tols.event, 1 if side == "N" else -1))
         try:
-            traj = advance_hybrid(Z, p, side, horizon, window, tols)
+            traj = advance_hybrid(Z, p, side, horizon, window, tols,
+                                  sinks=sinks)
         except _RUN_ERRORS:
             continue
         if traj.closed is Closure.TYPE3:

@@ -1,28 +1,35 @@
 """Bivariate polynomials, polynomial vector fields and the piecewise field.
 
 Coefficients are double-precision reals stored sparsely.  A polynomial
-evaluates at a point through a function generated from its coefficients
-on the first call and cached on the instance: a straight-line Horner form
-in x whose coefficients are Horner forms in y, every coefficient written
-by repr, so the generated code holds the stored doubles exactly.  Real
-roots on the discontinuity line y=0 are isolated with Sturm sequences and
-polished by Newton's method kept inside the isolating bracket, because
-arc classification downstream depends on exact root counts and ordering.
-The isolator is float code over coefficient lists: its Horner evaluation,
-derivative and long division do numpy.polynomial's operations in the
-same order, so each root has the bits numpy's arithmetic would give.
+evaluates at a point through a straight-line function made on the first
+call and cached on the instance: Horner forms in y of the rows of equal
+power of x, joined in x's Horner order with each lower row added term by
+term (_horner_body gives the exact order).  Its code depends on the
+monomial support alone, with each coefficient a parameter whose default
+is the stored double, so it is compiled once per support (_horner_code)
+and returns the floats of the form with the coefficients written out.
+Real roots on the discontinuity line y=0 are isolated with Sturm
+sequences and polished by Newton's method kept inside the isolating
+bracket, because arc classification downstream depends on exact root
+counts and ordering.  The bisection takes the chain's sign changes once at
+each point.  The isolator is float code over coefficient lists: its Horner
+evaluation, derivative and long division do numpy.polynomial's operations
+in the same order, so each root has the bits numpy's arithmetic would give.
 
 Common zeros in the plane start from the resultant in y, computed exactly:
 the doubles scale to integers and the Sylvester determinant is taken by
-fraction-free elimination over Z[x], rounded once at the end.  One damped
-Newton method, newton_zero, polishes every planar zero in the package.
+fraction-free elimination over Z[x], rounded once at the end.  The Taylor
+coefficients of a polynomial at a point are exact in the same way
+(taylor_at).  One damped Newton method, newton_zero, polishes every planar
+zero in the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import CodeType
 from typing import Callable
 
 import numpy as np
@@ -46,32 +53,58 @@ def _horner_form(terms: dict[int, str], var: str) -> str:
     return expr
 
 
-def _generate(source: str, label: str, **names) -> dict:
-    """Run generated source in a namespace holding names (and inf, nan)
-    and return the namespace.  Every evaluator the package generates goes
-    through here: Horner forms, right-hand sides and the DOP853 step."""
+def _generate(source, label: str, **names) -> dict:
+    """Run generated source, or its compiled code, in a namespace holding
+    names (and inf, nan) and return the namespace.  Every evaluator the
+    package generates goes through here: Horner forms, right-hand sides
+    and the DOP853 step."""
     namespace = {"inf": math.inf, "nan": math.nan, **names}
-    exec(compile(source, f"<{label}>", "exec"), namespace)
+    if isinstance(source, str):
+        source = compile(source, f"<{label}>", "exec")
+    exec(source, namespace)
     return namespace
 
 
-def _horner_body(coeffs: Coeffs) -> str:
-    """Expression of sum a_ij x^i y^j in x and y: Horner in x of Horner
-    forms in y, every coefficient written by repr."""
+def _horner_body(coeffs: Coeffs, named: bool = False) -> str:
+    """Expression of sum a_ij x^i y^j in x and y, every coefficient written
+    by repr, or as the name a{i}_{j} when named.
+
+    Each row sum_j a_ij y^j is a Horner form in y, and the rows join in
+    x's Horner order, the row of the highest power of x in parentheses
+    and each lower one appended after ")*x + " without them.  So Python
+    adds a lower row to the running value term by term, its y-part first
+    and its constant a_i0 last: 0.5xy + 3x - y + 2 evaluates as
+    (((0.5*y + 3.0)*x) + (-1.0)*y) + 2.0."""
     rows: dict[int, dict[int, str]] = {}
     for (i, j), v in coeffs.items():
-        rows.setdefault(i, {})[j] = repr(v)
+        rows.setdefault(i, {})[j] = f"a{i}_{j}" if named else repr(v)
     inner = {i: _horner_form(r, "y") for i, r in rows.items()}
     return f"({_horner_form(inner, 'x')})" if inner else "0.0"
 
 
+@lru_cache(maxsize=1024)
+def _horner_code(support: tuple[tuple[int, int], ...]) -> CodeType:
+    """Compiled source of horner(x, y) for the monomials of support: the
+    _horner_body expression with each coefficient the parameter a{i}_{j},
+    whose default is taken from the namespace the code runs in.  The
+    source depends on the support alone, so each is compiled once while
+    it stays among the 1024 supports used last."""
+    names = "".join(f", a{i}_{j}=a{i}_{j}" for i, j in support)
+    source = f"def horner(x, y{names}):\n    x = float(x)\n" \
+             f"    y = float(y)\n" \
+             f"    return {_horner_body(dict.fromkeys(support), True)}\n"
+    return compile(source, "<horner>", "exec")
+
+
 def _compile_horner(coeffs: Coeffs) -> Callable[[float, float], float]:
-    """Straight-line evaluator of sum a_ij x^i y^j (_horner_body).  The
-    arguments are converted with float() first, so numpy scalars run at
-    Python float speed and the result is a float."""
-    source = f"def horner(x, y):\n    x = float(x)\n    y = float(y)\n" \
-             f"    return {_horner_body(coeffs)}\n"
-    return _generate(source, "horner")["horner"]
+    """Straight-line evaluator of sum a_ij x^i y^j (_horner_body), the code
+    of its support (_horner_code) run with the coefficients as its
+    defaults; as a default is a stored double, it returns the floats of
+    the literal form.  The arguments are converted with float() first, so
+    numpy scalars run at Python float speed and the result is a float."""
+    return _generate(_horner_code(tuple(sorted(coeffs))), "horner",
+                     **{f"a{i}_{j}": v for (i, j), v in coeffs.items()}
+                     )["horner"]
 
 
 def _cached(obj, slot: str, key, build: Callable[[], object]):
@@ -404,17 +437,19 @@ def _sturm_chain(c: list[float], rel_tol: float) -> list[list[float]]:
     return chain
 
 
-def _sign_changes(chain: list[list[float]], x: float, zero_tol: float) -> int:
-    signs = []
+def _sign_changes(chain: list[list[float]], x: float, zero_tol: float
+                  ) -> tuple[int, bool]:
+    """Sign changes of the chain's values at x, leaving out those within
+    zero_tol, and whether a nonconstant member is among those left out:
+    one pass over the chain."""
+    signs, vanishing = [], False
     for c in chain:
         v = _polyval(x, c)
         if abs(v) > zero_tol:
             signs.append(1 if v > 0 else -1)
-    return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
-
-
-def _count_roots(chain, a, b, zero_tol) -> int:
-    return _sign_changes(chain, a, zero_tol) - _sign_changes(chain, b, zero_tol)
+        elif len(c) > 1 and abs(v) <= zero_tol:  # not for a nan
+            vanishing = True
+    return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1), vanishing
 
 
 def _polish_root(c: list[float], a: float, b: float, tol: float) -> float:
@@ -530,23 +565,29 @@ def univariate_roots(c, window: tuple[float, float],
     chain = _sturm_chain(sf, tols.coeff_zero)
     a, b = float(window[0]), float(window[1])
     zero_tol = tols.coeff_zero * scale
-    # nudge the endpoints off the zeros of every member of the chain,
-    # which would drop out of the sign count there
-    def vanishing(x):
-        return any(len(p) > 1 and abs(_polyval(x, p)) <= zero_tol
-                   for p in chain)
+
+    def nudged(x: float, step: float) -> tuple[float, int, float]:
+        # x moved by step, 2 step, 4 step, ... off the zeros of every
+        # member of the chain, which would drop out of the sign count
+        # there, with the chain's sign changes there and the next step
+        while True:
+            n, vanishing = _sign_changes(chain, x, zero_tol)
+            if not vanishing:
+                return x, n, step
+            x += step
+            step *= 2
+
     eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    while vanishing(a):
-        a -= eps
-        eps *= 2
+    a, va, _ = nudged(a, -eps)
     eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    while vanishing(b):
-        b += eps
-        eps *= 2
+    b, vb, eps = nudged(b, eps)
 
     roots: list[float] = []
 
-    def isolate(lo: float, hi: float, n: int):
+    def isolate(lo: float, hi: float, vlo: int, vhi: int):
+        # vlo and vhi are the chain's sign changes at lo and hi, so each
+        # point of the bisection has its count taken once
+        n = vlo - vhi
         if n == 0:
             return
         if n == 1 and hi - lo <= 1e-3:
@@ -568,11 +609,11 @@ def univariate_roots(c, window: tuple[float, float],
                     # sf is below zero_tol from here to hi: every later
                     # step would come back to this point
                     break
-        nl = _count_roots(chain, lo, mid, zero_tol)
-        isolate(lo, mid, nl)
-        isolate(mid, hi, n - nl)
+        vmid = _sign_changes(chain, mid, zero_tol)[0]
+        isolate(lo, mid, vlo, vmid)
+        isolate(mid, hi, vmid, vhi)
 
-    isolate(a, b, _count_roots(chain, a, b, zero_tol))
+    isolate(a, b, va, vb)
     roots.sort()
     out = []
     for r in roots:
@@ -660,6 +701,37 @@ def resultant_y(p: BivariatePolynomial, q: BivariatePolynomial
         det = (det - d) >> b
     den = 1 << (exps[0] * ny[1] + exps[1] * ny[0])
     return np.array([d / den for d in digits] or [0.0])
+
+
+def taylor_at(ps, x: float, y: float
+              ) -> tuple[list[dict[tuple[int, int], int]], int]:
+    """The coefficients of each p(x + u, y + v), p in ps, in u^k v^l,
+    exactly, as integers over one power of two: (dicts of integers by
+    (k, l), e), each coefficient being its integer over 2**e.  The
+    doubles x, y and those of each p are integers over powers of two, so
+    the binomial expansion scales to integers, as in resultant_y."""
+    (nx, dx), (ny, dy) = x.as_integer_ratio(), y.as_integer_ratio()
+    s = max(dx, dy).bit_length() - 1          # x = X / 2**s, y = Y / 2**s
+    X, Y = nx * (1 << s) // dx, ny * (1 << s) // dy
+    ratios = [{k: v.as_integer_ratio() for k, v in p.coeffs.items()}
+              for p in ps]
+    t = max((d.bit_length() for r in ratios for _, d in r.values()),
+            default=1) - 1
+    deg = max(p.degree for p in ps)
+    xs, ys = ([v ** k for k in range(deg + 1)] for v in (X, Y))
+    out: list[dict[tuple[int, int], int]] = []
+    for r in ratios:
+        out.append({})
+        for (i, j), (n, d) in r.items():
+            a = n * (1 << t) // d             # a_ij 2**t
+            for k in range(i + 1):
+                ak = a * math.comb(i, k) * xs[i - k]
+                for l in range(j + 1):
+                    # the power of 2**-s is i - k + j - l
+                    term = ak * math.comb(j, l) * ys[j - l] \
+                        << s * (deg - i + k - j + l)
+                    out[-1][(k, l)] = out[-1].get((k, l), 0) + term
+    return out, t + s * deg
 
 
 def common_zero_seeds(p: BivariatePolynomial, q: BivariatePolynomial,

@@ -328,10 +328,16 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
             s1 = None
             gm2.weaken({"kind": "equator_undetermined"})
 
-    # closed poly-trajectory census (semi-decision)
+    # closed poly-trajectory census (semi-decision); its runs end in the
+    # certified traps of the stable nodes and foci of X in N and Y in S
+    sinks = [flow.sink_trap(F, s.point, window, tols)
+             for F, sings in ((Z.X, interior_x), (Z.Y, interior_y))
+             for s in sings if s.hyperbolic == "yes"
+             and max(e.real for e in s.eigenvalues) < 0]
     try:
         cycles = flow.find_closed_polytrajectories(
-            Z, window, options.seeds, options.horizon, tols)
+            Z, window, options.seeds, options.horizon, tols,
+            [t.box for t in sinks if t is not None])
     except IdenticallyZeroOnD:
         cycles = []
     bad = [c for c in cycles if c.elementary == "no"]

@@ -1,5 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
+
+from filippov import polys
 
 from filippov.dline import (
     DArc,
@@ -18,6 +22,7 @@ from filippov.dline import (
 )
 from filippov.errors import NotOnSlidingOrEscaping
 from filippov.polys import piecewise, poly, vf
+from filippov.stability import check_gm
 
 
 def Z_of(P1, Q1, P2, Q2):
@@ -205,3 +210,48 @@ def test_arc_partition_and_stability():
             pad = (hi - lo) * 1e-3
             for x in np.linspace(lo + pad, hi - pad, 25):
                 assert classify_point(z, float(x)).tag is arc.tag
+
+
+# Q_X(x, 0) = x^2 - 1 and Q_Y(x, 0) = x (x - 0.5): folds of X at -1 and 1,
+# of Y at 0 and 0.5
+FOLDS = Z_of({(0, 0): 1.0, (1, 1): 0.5}, {(2, 0): 1.0, (0, 0): -1.0,
+                                          (0, 1): 0.3},
+             {(0, 0): -1.0}, {(2, 0): 1.0, (1, 0): -0.5, (1, 1): 2.0})
+
+
+def _counting_roots(monkeypatch) -> list:
+    calls = []
+    original = polys.univariate_roots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polys, "univariate_roots", counting)
+    return calls
+
+
+def test_second_fold_points_asks_for_no_roots(monkeypatch):
+    calls = _counting_roots(monkeypatch)
+    first = fold_points(FOLDS, (-3.0, 3.0))
+    assert len(calls) == 2  # Q_X(x, 0) and Q_Y(x, 0)
+    assert [s.x for s in first] == pytest.approx([-1.0, 0.0, 0.5, 1.0],
+                                                 abs=1e-12)
+    assert fold_points(FOLDS, (-3.0, 3.0)) == first
+    segment_d(FOLDS, (-3.0, 3.0))
+    assert len(calls) == 2
+    # another window asks again
+    assert [s.x for s in fold_points(FOLDS, (-0.8, 3.0))] == \
+        pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
+    assert len(calls) == 4
+
+
+def test_field_pickled_after_check_gm_carries_no_cached_roots():
+    Z = Z_of({(0, 0): 1.0, (1, 1): 0.5}, {(2, 0): 1.0, (0, 0): -1.0},
+             {(0, 0): -1.0}, {(2, 0): 1.0, (1, 0): -0.5})
+    check_gm(Z)
+    assert "_roots" in vars(Z.X.Q) and "_roots" in vars(Z.Y.Q)
+    clone = pickle.loads(pickle.dumps(Z))
+    assert clone == Z
+    assert "_roots" not in vars(clone.X.Q) and "_roots" not in vars(clone.Y.Q)
+    assert fold_points(clone, (-3.0, 3.0)) == fold_points(Z, (-3.0, 3.0))

@@ -1,3 +1,4 @@
+import ast
 import copy
 import math
 import pickle
@@ -654,3 +655,192 @@ def test_bracketed_root_returns_a_zero_end_without_calls():
 
     assert bracketed_root(never, 1.0, 0.0, 2.0, -3.0, 1e-9) == 1.0
     assert bracketed_root(never, 1.0, 5.0, 2.0, 0.0, 1e-9) == 2.0
+
+
+# -- Horner code shared by monomial support ------------------------------
+
+def _literal_horner_form(terms, var):
+    expr = ""
+    for k in range(max(terms), -1, -1):
+        if not expr:
+            expr = terms[k]
+        else:
+            expr = f"({expr})*{var}"
+            if k in terms:
+                expr += f" + {terms[k]}"
+    return expr
+
+
+def _literal_horner(coeffs):
+    """The evaluator of sum a_ij x^i y^j built with every coefficient
+    written into its source by repr, as it was before evaluators shared
+    their code by support: the reference of the shared one."""
+    rows = {}
+    for (i, j), v in coeffs.items():
+        rows.setdefault(i, {})[j] = repr(v)
+    inner = {i: _literal_horner_form(r, "y") for i, r in rows.items()}
+    body = f"({_literal_horner_form(inner, 'x')})" if inner else "0.0"
+    namespace = {"inf": math.inf, "nan": math.nan}
+    exec(f"def horner(x, y):\n    x = float(x)\n    y = float(y)\n"
+         f"    return {body}\n", namespace)
+    return namespace["horner"]
+
+
+def _tree(source):
+    return ast.dump(ast.parse(source, mode="eval"))
+
+
+def test_horner_body_adds_each_lower_row_term_by_term():
+    # the row of x^1 is a Horner form in y; the row of x^0 joins after
+    # ")*x + " without parentheses, so its y-part is added before its
+    # constant
+    coeffs = {(1, 1): 0.5, (1, 0): 3.0, (0, 1): -1.0, (0, 0): 2.0}
+    assert _tree(polys._horner_body(coeffs)) == \
+        _tree("(((0.5*y + 3.0)*x) + (-1.0)*y) + 2.0")
+    assert _tree(polys._horner_body(coeffs, True)) == \
+        _tree("(((a1_1*y + a1_0)*x) + a0_1*y) + a0_0")
+    # x^2 y^2 + x y + 1: the row of x^1 has no constant, that of x^0 no y
+    assert _tree(polys._horner_body({(2, 2): 1.0, (1, 1): 1.0,
+                                     (0, 0): 1.0})) == \
+        _tree("((((1.0*y)*y)*x + (1.0)*y)*x) + 1.0")
+
+
+def test_shared_support_evaluator_matches_literal_evaluator_to_the_bit():
+    rng = np.random.default_rng(22)
+    for degree in range(10):
+        for shape in ("full", "x", "y"):
+            for _ in range(3):
+                p = poly(_random_coeffs(rng, degree, shape))
+                literal = _literal_horner(p.coeffs)
+                for x, y in rng.uniform(-50.0, 50.0, size=(20, 2)):
+                    assert p(x, y).hex() == literal(x, y).hex(), \
+                        (p.coeffs, x, y)
+                assert p(0.0, 0.0).hex() == literal(0.0, 0.0).hex()
+
+
+def test_horner_code_compiled_once_per_support():
+    polys._horner_code.cache_clear()
+    p = poly({(3, 0): 1.5, (1, 2): -2.0, (0, 0): 0.25})
+    q = poly({(0, 0): 7.0, (1, 2): 3.0, (3, 0): -1e-3})  # p's support
+    r = poly({(3, 0): 1.5, (1, 2): -2.0})
+    assert p(1.5, -2.0) == 1.5 * 1.5 ** 3 - 2.0 * 1.5 * 4.0 + 0.25
+    assert q(2.0, 1.0) == 7.0 + 6.0 - 8e-3
+    r(0.5, 0.5)
+    assert p._horner is not q._horner
+    assert p._horner.__code__ is q._horner.__code__
+    assert r._horner.__code__ is not p._horner.__code__
+    assert polys._horner_code.cache_info().misses == 2
+
+
+# -- each Sturm count once -------------------------------------------------
+
+def _two_count_roots(c, window, tols):
+    """univariate_roots as it was with the sign changes at both ends of
+    every interval counted there: the reference of the isolator that takes
+    each count once."""
+    c = polys._trim([float(v) for v in c])
+    if len(c) == 1:
+        return []
+    top = min(polys._norm(c), 1.0)
+    c = [v / top for v in c]
+    scale = max(polys._norm(c), 1.0)
+    sf = polys._square_free(c, tols.coeff_zero)
+    if len(sf) == 1:
+        return []
+    chain = polys._sturm_chain(sf, tols.coeff_zero)
+    a, b = float(window[0]), float(window[1])
+    zero_tol = tols.coeff_zero * scale
+
+    def changes(x):
+        signs = [1 if v > 0 else -1 for v in (polys._polyval(x, p)
+                                              for p in chain)
+                 if abs(v) > zero_tol]
+        return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
+
+    def count(lo, hi):
+        return changes(lo) - changes(hi)
+
+    def vanishing(x):
+        return any(len(p) > 1 and abs(polys._polyval(x, p)) <= zero_tol
+                   for p in chain)
+
+    eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
+    while vanishing(a):
+        a -= eps
+        eps *= 2
+    eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
+    while vanishing(b):
+        b += eps
+        eps *= 2
+    roots = []
+
+    def isolate(lo, hi, n):
+        if n == 0:
+            return
+        if n == 1 and hi - lo <= 1e-3:
+            roots.append(polys._polish_root(sf, lo, hi, tols.root))
+            return
+        if hi - lo <= tols.root:
+            roots.append(0.5 * (lo + hi))
+            return
+        mid = 0.5 * (lo + hi)
+        e, resets = eps, 0
+        while abs(polys._polyval(mid, sf)) <= zero_tol:
+            mid += e
+            e *= 2
+            if mid >= hi:
+                mid = max(0.5 * (lo + hi) - eps, lo + 0.25 * (hi - lo))
+                resets += 1
+                if resets == 2:
+                    break
+        nl = count(lo, mid)
+        isolate(lo, mid, nl)
+        isolate(mid, hi, n - nl)
+
+    isolate(a, b, count(a, b))
+    return [(r, polys._multiplicity(c, r, tols.coeff_zero))
+            for r in sorted(roots)
+            if window[0] - tols.root <= r <= window[1] + tols.root]
+
+
+def _count_once_cases(seeded_fields):
+    cases = _isolator_cases(seeded_fields)
+    rng = np.random.default_rng(9)
+    for d in (1.4125375446227554e-06, 1e-7, 3e-9, 1e-11):
+        # the close roots of x (x - d) (x - 2), as in the near-zero band
+        # test above, with their cluster moved about
+        for shift in (0.0, *rng.uniform(-2.0, 2.0, 3)):
+            cases.append((npoly.polyfromroots([shift, shift + d, 2.0]),
+                          (-3.0, 3.0)))
+    for degree in range(1, 10):
+        for _ in range(4):
+            cases.append((rng.standard_normal(degree + 1), (-4.0, 4.0)))
+    return cases
+
+
+def test_isolator_matches_two_count_reference(seeded_fields):
+    tols = default_tols()
+    cases = _count_once_cases(seeded_fields)
+    assert sum(len(_two_count_roots(c, w, tols)) for c, w in cases) > 500
+    for c, window in cases:
+        assert _bits(univariate_roots(c, window, tols)) == \
+            _bits(_two_count_roots(c, window, tols))
+
+
+def test_isolator_counts_the_chain_once_per_point(seeded_fields,
+                                                  monkeypatch):
+    points = []
+    original = polys._sign_changes
+
+    def recording(chain, x, zero_tol):
+        points.append(x)
+        return original(chain, x, zero_tol)
+
+    monkeypatch.setattr(polys, "_sign_changes", recording)
+    counted = 0
+    for c, window in _count_once_cases(seeded_fields):
+        points.clear()
+        univariate_roots(c, window, default_tols())
+        assert len(points) == len(set(points)), (c, window)
+        counted += len(points)
+    assert counted > 1000

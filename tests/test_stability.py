@@ -641,3 +641,43 @@ def test_every_seeded_field_gets_a_report(seeded_fields):
         rep = check_gm(Z)
         assert rep.overall in (SATISFIED, VIOLATED, UNDETERMINED)
         json.loads(dumps_report(rep.to_json_dict()))
+
+
+def _cycle_bits(cycles) -> list:
+    return [(c.closure, c.elementary,
+             {k: float(v).hex() for k, v in c.certificate.items()})
+            for c in cycles]
+
+
+def test_census_finds_the_same_cycles_with_and_without_traps(
+        seeded_fields, monkeypatch):
+    # check_gm hands the census the traps of the stable nodes and foci; a
+    # run that enters one would have gone on to its horizon, so the cycles,
+    # their x and eta' come out the same to the bit
+    runs, sink_ends = [], []
+    census, advance = flow.find_closed_polytrajectories, flow.advance_hybrid
+
+    def both(Z, window, seeds, horizon, tols, sinks=()):
+        runs.append((census(Z, window, seeds, horizon, tols, sinks),
+                     census(Z, window, seeds, horizon, tols), sinks))
+        return runs[-1][0]
+
+    def counting(*args, **kwargs):
+        traj = advance(*args, **kwargs)
+        if traj.events[-1].kind is flow.EventKind.ENTER_SINK:
+            sink_ends.append(args[1])
+        return traj
+
+    monkeypatch.setattr(flow, "find_closed_polytrajectories", both)
+    monkeypatch.setattr(flow, "advance_hybrid", counting)
+    corpus = Path(__file__).parents[1] / "bench" / "corpus"
+    for name in ("uc", "uc2", "rot"):
+        spec = fieldspec.parse((corpus / f"{name}.txt").read_text())
+        check_gm(spec.to_field(), GmOptions(window=spec.window))
+    for Z in [RANDOM_01] + seeded_fields[::4]:
+        check_gm(Z)
+    assert len(runs) == 14 and sum(len(s) for *_, s in runs) >= 3
+    assert sink_ends  # some census run ended in a trap
+    assert sum(len(found) for found, *_ in runs) >= 3
+    for found, without, _ in runs:
+        assert _cycle_bits(found) == _cycle_bits(without)

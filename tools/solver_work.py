@@ -2,19 +2,22 @@
 (bench/workloads.py, seed 1) once, with flow._integrate, the one ODE solve
 of the package, wrapped to count its calls and the right-hand side
 evaluations of each, FloatDOP853._crossing wrapped to count the steps
-that the stepper's screen hands to the crossing search in Python, and
+that the stepper's screen hands to the crossing search in Python,
 flow._min_dist wrapped to count the separatrix branch pairs that the
-connection probe hands to the exact distance search, and prints the counts
-of each workload.
+connection probe hands to the exact distance search, and
+flow.advance_hybrid wrapped to count the hybrid runs that end in the trap
+of a stable node or focus (EnterSink: only the cycle census watches
+them), and prints the counts of each workload.
 
     python3 tools/solver_work.py
 
 Exits 1 if an operation fails, if cycles, analyze or trajectories makes no
-solve, no evaluation or no crossing search, or analyze no distance search,
-if analyze makes more than 230,000 evaluations or cycles more than 70,000
-in more than 150 solves, if cycles searches more than 400 steps for
-crossings, analyze more than 700 or trajectories more than 400, or if
-analyze searches more than 100 branch pairs for their least distance.
+solve, no evaluation or no crossing search, or analyze no distance search
+or no run that ends in a trap, if analyze makes more than 180,000
+evaluations or cycles more than 70,000 in more than 150 solves, if cycles
+searches more than 400 steps for crossings, analyze more than 700 or
+trajectories more than 400, or if analyze searches more than 100 branch
+pairs for their least distance.
 """
 
 import os
@@ -30,14 +33,15 @@ from filippov import flow  # noqa: E402
 import workloads  # noqa: E402
 
 # (workload, counter) -> most allowed
-BOUNDS = {("analyze", "nfev"): 230_000, ("cycles", "nfev"): 70_000,
+BOUNDS = {("analyze", "nfev"): 180_000, ("cycles", "nfev"): 70_000,
           ("cycles", "solver_calls"): 150, ("cycles", "crossing_steps"): 400,
           ("analyze", "crossing_steps"): 700,
           ("trajectories", "crossing_steps"): 400,
           ("analyze", "distance_searches"): 100}
 # workload -> counters that must not be 0
 SOLVES = ("solver_calls", "nfev", "crossing_steps")
-NONZERO = {"cycles": SOLVES, "analyze": SOLVES + ("distance_searches",),
+NONZERO = {"cycles": SOLVES,
+           "analyze": SOLVES + ("distance_searches", "sink_runs"),
            "trajectories": SOLVES}
 
 
@@ -76,12 +80,26 @@ def count_distance_searches(counts: dict) -> None:
     flow._min_dist = counted
 
 
+def count_sink_runs(counts: dict) -> None:
+    """Wrap flow.advance_hybrid so that each run that ends in a trap adds
+    to counts."""
+    advance = flow.advance_hybrid
+
+    def counted(*args, **kwargs):
+        traj = advance(*args, **kwargs)
+        if traj.events and traj.events[-1].kind is flow.EventKind.ENTER_SINK:
+            counts["sink_runs"] += 1
+        return traj
+    flow.advance_hybrid = counted
+
+
 def main() -> int:
     counts = {"solver_calls": 0, "nfev": 0, "crossing_steps": 0,
-              "distance_searches": 0}
+              "distance_searches": 0, "sink_runs": 0}
     count_solves(counts)
     count_crossing_steps(counts)
     count_distance_searches(counts)
+    count_sink_runs(counts)
     ok = True
     for name, make in workloads.WORKLOADS.items():
         workdir = tempfile.mkdtemp(prefix=f"solver-work-{name}-")
@@ -101,7 +119,8 @@ def main() -> int:
               f"{work['nfev']} RHS evaluations, "
               f"{work['crossing_steps']} steps searched for crossings, "
               f"{work['distance_searches']} branch pairs searched for "
-              "their least distance")
+              f"their least distance, {work['sink_runs']} hybrid runs "
+              "ended in a trap")
         for key, value in work.items():
             bound = BOUNDS.get((name, key))
             if (key in NONZERO.get(name, ()) and value <= 0) \
