@@ -10,18 +10,18 @@ points, termination at Filippov-field singularities and on escaping arcs
 silently branched).
 
 Every ODE solve of the package, here and in the regularized and
-compactified flows, goes through one kernel, _integrate, which steps
-FloatDOP853 from t0 to t_end at rtol = tols.root and
-atol = tols.root / 100, so FILIPPOV_TOLERANCE_SCALE reaches the solver; a
-solve whose step controller gives up raises StepFailure.  FloatDOP853
-follows scipy's solve_ivp with method DOP853 (the tableau of the dop853
-module, the step controller, the initial step), and runs its whole
-accepted-step loop as straight-line float code generated once per system
-size, so no stage builds a numpy array.  Each stage calls one generated
-right-hand side, cached on the object it integrates: PolyVectorField.rhs
-(forward or reversed, with or without the divergence),
-PiecewiseField.slide_rhs and RegularizedField.rhs, built from the Horner
-forms of the polynomials so they return the same floats.  Events are
+compactified flows, is one call of _integrate, which runs DOP853 from t0
+to t_end at rtol = tols.root and atol = tols.root / 100, so
+FILIPPOV_TOLERANCE_SCALE reaches the solver; a solve whose step controller
+gives up raises StepFailure.  _integrate follows scipy's solve_ivp with
+method DOP853 (the tableau of the dop853 module, the step controller, the
+initial step), and runs its whole accepted-step loop as straight-line
+float code generated once per system size, so no stage builds a numpy
+array.  Each stage calls one generated right-hand side, cached on the
+object it integrates: PolyVectorField.rhs (forward or reversed, with or
+without the divergence), PiecewiseField.slide_rhs and
+RegularizedField.rhs, built from the Horner forms of the polynomials so
+they return the same floats.  Events are
 affine lines (y = 0, the window's sides, a section, x = r on D).  The loop
 screens each of them on each accepted step's dense-output polynomial with
 the standard bounds of a continuous Runge-Kutta step's interpolant (Hairer,
@@ -185,27 +185,22 @@ _BEND = (1 / 4, 4 / 27, 1 / 16, 108 / 3125, 1 / 64, 6912 / 823543)
 
 
 @functools.cache
-def _dop853_kernel(n: int, name: str = "run"):
-    """The run or the dense function of DOP853 for n components, generated
-    as straight-line float code from the tableau of the dop853 module.
+def _dop853_kernel(n: int):
+    """The accepted-step loop of DOP853 for n components, generated as
+    straight-line float code from the tableau of the dop853 module.
 
     run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
-    traps, ts, ys, once) takes accepted steps from (t, y), f = rhs(t, y),
-    with the step controller of FloatDOP853, and appends each step's end
-    time and state to ts and ys.  With lines in screen, each step also runs
-    the 3 extra stages and the interpolant's rows of components 0 and 1,
-    and keeps the lines that the screen cannot rule out (FloatDOP853).  It
-    returns (ok, t, y, f, h_abs, nfev, near, K) when the step size falls
-    below its smallest (ok false), or after a step that reaches t_bound,
-    keeps a line, ends in a box (x0, x1, y0, y1) of traps (n >= 2: only a
-    step that keeps no line is checked), or is the one step asked for by
-    once.  near is (t_old, t, y_old, y, F, kept) after a step that keeps
-    lines, F the rows of every component, or the index into traps of the
-    box the step ends in; K is the flat tuple of the 13 stage derivatives
-    when once.
-    dense(rhs, t, h, y, yn, K) runs the 3 extra stages of a step and
-    returns its rows F by component, each a tuple of 7 floats; it is
-    compiled apart, as only FloatDOP853.dense_output calls it."""
+    traps, ts, ys) takes accepted steps from (t, y), f = rhs(t, y), with
+    the step controller of _integrate, and appends each step's end time
+    and state to ts and ys.  With lines in screen, each step also runs the
+    3 extra stages and the interpolant's rows of components 0 and 1, and
+    keeps the lines that the screen cannot rule out (_integrate).  It
+    returns (ok, t, y, f, h_abs, near) when the step size falls below its
+    smallest (ok false), or after a step that reaches t_bound, keeps a
+    line, or ends in a box (x0, x1, y0, y1) of traps (n >= 2: only a step
+    that keeps no line is checked).  near is (t_old, t, y_old, y, F, kept)
+    after a step that keeps lines, F the rows of every component, or the
+    index into traps of the box the step ends in."""
     def lin(coef, i):  # component i of sum_j coef[j] k_j
         terms = [f"{float(c)!r}*k{j}_{i}" for j, c in enumerate(coef) if c]
         return f"({' + '.join(terms)})" if terms else "0.0"
@@ -235,20 +230,10 @@ def _dop853_kernel(n: int, name: str = "run"):
     T, m, e = dop853, dop853.N_STAGES, _ERROR_EXPONENT
     seen = range(min(n, 2))  # k{m} below is f at the end of the step
     y, yn = vec("y"), vec("yn")
-    ks = "(" + "".join(names(f"k{j}") for j in range(m + 1)) + ")"  # K
     F = "(" + "".join("(" + ", ".join(f"F{r}_{i}" for r in range(7)) + "), "
                       for i in range(n)) + ")"
     extra = [stage(m + 1 + r, c, a)
              for r, (c, a) in enumerate(zip(T.C_EXTRA, T.A_EXTRA))]
-    if name == "dense":
-        return _generate(f"""\
-def dense(rhs, t, h, y, yn, K):
-    {names('y')}= y
-    {names('yn')}= yn
-    {ks[1:-1]}= K
-{block(4, extra + rows(range(n)))}\
-    return {F}
-""", f"dop853-{n}")["dense"]
     trial = [stage(s, T.C[s], T.A[s]) for s in range(1, m)]
     trial += [f"yn_{i} = y_{i} + h*{lin(T.B, i)}" for i in range(n)]
     trial.append(f"{names(f'k{m}')}= rhs(t + h, {yn})")
@@ -266,18 +251,17 @@ def dense(rhs, t, h, y, yn, K):
             f"bend_{i} = " + " + ".join(f"{c!r}*u{r + 1}_{i}"
                                         for r, c in enumerate(_BEND))
             + f" + slack*(abs(y_{i}) + reach_{i})"]
-    done = f"True, t_new, {yn}, {vec(f'k{m}')}, h_abs, nfev"
+    done = f"True, t_new, {yn}, {vec(f'k{m}')}, h_abs"
     trap = [] if n < 2 else [
         "if traps:",
         "    for j, (x0, x1, y0, y1) in enumerate(traps):",
         "        if x0 <= yn_0 <= x1 and y0 <= yn_1 <= y1:",
-        f"            return {done}, j, K"]
+        f"            return {done}, j"]
     source = f"""\
 def run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
-        traps, ts, ys, once):
+        traps, ts, ys):
     {names('y')}= y
     {names('k0')}= f
-    nfev = 0
     toward = direction*inf
     while True:
         min_step = 10*abs(nextafter(t, toward) - t)
@@ -285,13 +269,12 @@ def run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
         rejected = False
         while True:
             if h_abs < min_step:
-                return False, t, {y}, {vec('k0')}, h_abs, nfev, None, None
+                return False, t, {y}, {vec('k0')}, h_abs, None
             t_new = t + h_abs*direction
             if direction*(t_new - t_bound) > 0:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            nfev += {m}
             try:
 {block(16, trial)}\
             except (OverflowError, ZeroDivisionError):
@@ -304,7 +287,6 @@ def run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
         h_abs = h_abs*(min(1.0, factor) if rejected else factor)
         kept = None
         if screen:
-            nfev += {len(extra)}
 {block(12, sieve)}\
             kept = []
             for i, (ax, ay, b, sx, sy, sb) in enumerate(screen):
@@ -318,13 +300,12 @@ def run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
                 kept.append(i)
         ts.append(t_new)
         ys.append({yn})
-        K = {ks} if once else None
         if kept:
 {block(12, rows(range(len(seen), n)))}\
-            return {done}, (t, t_new, {y}, {yn}, {F}, kept), K
+            return {done}, (t, t_new, {y}, {yn}, {F}, kept)
 {block(8, trap)}\
-        if once or t_new == t_bound:
-            return {done}, None, K
+        if t_new == t_bound:
+            return {done}, None
         t = t_new
         {names('y')}= {names('yn')}
         {names('k0')}= {names(f'k{m}')}
@@ -359,28 +340,26 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-class FloatDOP853:
-    """The DOP853 stepper, its accepted-step loop and the screen of its
-    event lines run as straight-line float code (_dop853_kernel).
+def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
+               t0: float = 0.0, traps=()) -> tuple:
+    """Solve y' = rhs(t, y) from t0 to t_end with DOP853 at
+    rtol = tols.root, atol = tols.root / 100; the accepted-step loop and
+    the screen of the event lines run as straight-line float code
+    (_dop853_kernel).  rhs receives the state as a sequence of floats and
+    returns a sequence.
 
-    It follows scipy's solve_ivp with method DOP853: the tableau (dop853),
-    the initial step (_initial_step), the step controller (safety 0.9, step
-    factors 0.2 to 10, exponent -1/8, a smallest step of 10 ulps of t), the
-    clamp of each step to t_bound and the count of right-hand side
-    evaluations in nfev: one for f(t0), one for the initial step, 12 per
-    trial step and 3 per dense output (each step makes one when there are
-    lines).  Each step replays scipy's to rounding; the sums of its error
-    estimate run in another order, so later step sizes can differ in their
-    last digits.  The stages pass tuples of floats to the right-hand side;
-    f(t0) and the initial step pass numpy arrays.  An OverflowError or
-    ZeroDivisionError of the right-hand side inside a trial step rejects
-    the step, as inf and nan do in numpy's arithmetic.
-
-    run(ts, ys) steps to the end of the solve; step() makes one accepted
-    step.  status goes from 'running' to 'finished' once t reaches t_bound,
-    or to 'failed' when the step size falls below its smallest
-    (TOO_SMALL_STEP).  dense_output() is the interpolant of the last step
-    of step().
+    The solve follows scipy's solve_ivp with method DOP853: the tableau
+    (dop853), the initial step (_initial_step), the step controller (safety
+    0.9, step factors 0.2 to 10, exponent -1/8, a smallest step of 10 ulps
+    of t), the clamp of each step to t_end and the right-hand side
+    evaluations: one for f(t0), one for the initial step, 12 per trial step
+    and 3 per dense output (each step makes one when there are lines).
+    Each step replays scipy's to rounding; the sums of its error estimate
+    run in another order, so later step sizes can differ in their last
+    digits.  The stages pass tuples of floats to rhs; f(t0) and the initial
+    step pass numpy arrays.  An OverflowError or ZeroDivisionError of rhs
+    inside a trial step rejects the step, as inf and nan do in numpy's
+    arithmetic.
 
     lines holds affine events (a_x, a_y, b, direction[, accept]) on the
     first two components, g = a_x y_0 + a_y y_1 + b (a_y = 0 for one).
@@ -394,214 +373,131 @@ class FloatDOP853:
     tols.root of the step either.  Only a step that keeps a line goes to
     _crossing, and the first crossing in its line's direction (0: either)
     that accept(t, state, way) approves, way the sign of g's change there,
-    goes into hits as (index, t, state); a start on a line moving in its
-    direction is a crossing.  t_bound moves to the step's end, so the
-    solve finishes there.
+    ends the solve; a start on a line moving in its direction is a
+    crossing.
 
     traps holds boxes (x0, x1, y0, y1) of the first two components.  A
-    step that keeps no line and ends in one of them ends the solve there,
-    with (len(lines) + its index, t, state) in hits; a step that keeps a
-    line goes to _crossing, so a crossing still comes first."""
+    step that keeps no line and ends in one of them ends the solve there;
+    a step that keeps a line goes to _crossing, so a crossing still comes
+    first.
 
-    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+    Returns (ts, ys, hit): the times and the states, one per row, of the
+    steps' ends from t0; hit is (index into lines, time, state) of the
+    crossing that ends the solve, (len(lines) + index into traps, time,
+    state) of the step's end in a box, or None, and ts, ys end at it.
+    Raises StepFailure when the step size falls below its smallest."""
+    y = np.asarray(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` "
+                         "must be finite.")
+    t0, t_end = float(t0), float(t_end)
+    rtol, atol = max(tols.root, _MIN_RTOL), tols.root / 100
+    direction = math.copysign(1.0, t_end - t0) if t_end != t0 else 1.0
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, lines=(), tols=None,
-                 hits=None, traps=()):
-        y = np.asarray(y0, dtype=float)
-        if not np.isfinite(y).all():
-            raise ValueError("All components of the initial state `y0` "
-                             "must be finite.")
-        t0, t_bound = float(t0), float(t_bound)
-        rtol = max(rtol, _MIN_RTOL)
-        direction = math.copysign(1.0, t_bound - t0) if t_bound != t0 \
-            else 1.0
+    def fun(t, s):
+        return np.asarray(rhs(t, s), dtype=float)
 
-        def fun_array(t, s):
-            self.nfev += 1
-            return np.asarray(fun(t, s), dtype=float)
-
-        self.nfev = 0
-        f0 = fun_array(t0, y)
-        self.h_abs = float(_initial_step(fun_array, t0, y, t_bound, f0,
-                                         direction, rtol, atol))
-        self.t, self.y, self.f = t0, y.tolist(), f0.tolist()
-        self.t_old, self.t_bound, self.direction = None, t_bound, direction
-        self.n, self.status = len(self.y), "running"
-        self._rhs, self._tols = fun, (float(rtol), float(atol))
-        self._run = _dop853_kernel(self.n)
-        self._lines, self._hits, self._t0 = lines, hits, t0
-        self._traps = traps
-        self._line_tols = tols or default_tols()
-        # each line as the screen reads it: a, b, |a| and the slack of b
-        self._screen = [(ax, ay, b, abs(ax), abs(ay),
-                         self._line_tols.root * abs(b))
-                        for ax, ay, b, *_ in lines]
-
-    def run(self, ts: list, ys: list, once: bool = False) -> None:
-        """Accepted steps to the end of the solve, or one when once; the
-        end time and state of each go into ts and ys."""
-        while self.status == "running":
-            t, y = self.t, self.y
-            if t == self.t_bound:  # an empty interval
-                self.t_old, self.status = t, "finished"
-                ts.append(t)
-                ys.append(y)
-                return
-            ok, self.t, self.y, self.f, self.h_abs, nfev, near, K = \
-                self._run(self._rhs, t, y, self.f, self.h_abs, self.t_bound,
-                          self.direction, *self._tols, self._screen,
-                          self._line_tols.root, self._traps, ts, ys, once)
-            self.nfev += nfev
-            if not ok:
-                self.status = "failed"
-                return
-            if near is not None:
-                hit = (len(self._lines) + near, self.t, self.y) \
-                    if isinstance(near, int) else self._crossing(*near)
-                if hit is not None:
-                    self._hits.append(hit)
-                    self.t_bound = self.t
-            if self.direction * (self.t - self.t_bound) >= 0:
-                self.status = "finished"
-            if once:
-                self.t_old, self.y_old, self._K = t, y, K
-                return
-
-    def step(self) -> None:
-        self.run([], [], once=True)
-
-    def _crossing(self, t, t_new, y, y_new, F, kept):
-        """First approved crossing of a line of kept, the lines that the
-        screen left, inside the step from (t, y) to (t_new, y_new) whose
-        interpolant has the rows F by component, as (index, time, state),
-        or None.
-
-        Where g is monotone (its derivative's constant term outweighs the
-        rest) it crosses at most once, where its end values change sign,
-        and _polish_root places that crossing; only the other lines get an
-        exact root count of g's interpolant.  The state at a crossing is
-        the interpolant's (_interpolate).  A line whose interpolant is
-        identically zero raises NotTransversal, unless it is a watched ray
-        (_Ray)."""
-        tols, h = self._line_tols, t_new - t
-        two = self.n > 1
-        Fx = F[0]
-        Fy = F[1] if two else (0.0,) * len(Fx)
-        first = None
-        for k in kept:
-            ax, ay, b, direction, *accept = self._lines[k]
-            g0 = ax * y[0] + (ay * y[1] if two else 0.0) + b
-            gF = [ax * fx + ay * fy for fx, fy in zip(Fx, Fy)]
-            if g0 == 0.0 and not any(gF):
-                if accept and isinstance(accept[0], _Ray):
-                    continue  # a watched ray is no event
-                raise NotTransversal("trajectory runs along an event line")
-            # g in powers of x = (t - t_old) / h; monotone where its
-            # derivative's constant term outweighs the rest
-            c = [g0] + [0.0] * len(Fx)
-            for j, p, bp in _dense_basis(len(Fx)):
-                c[p] += gF[j] * bp
-            if abs(c[1]) > sum(abs(c[p] * p) for p in range(2, len(c))):
-                g1 = ax * y_new[0] + (ay * y_new[1] if two else 0.0) + b
-                # a zero at a later step's start was the last step's end
-                if g0 * g1 > 0 or direction * (g1 - g0) < 0 \
-                        or (g0 == 0.0 and t != self._t0):
-                    continue
-                roots = [(0.0 if g0 == 0.0 else 1.0 if g1 == 0.0
-                          else _polish_root(c, 0.0, 1.0, tols.root),
-                          1 if g1 > g0 else -1)]
-            else:
-                roots = []
-                for r, mult in univariate_roots(c, (0.0, 1.0), tols):
-                    # an odd root crosses, in the direction of g's first
-                    # nonzero derivative there
-                    slope = _polyval(r, _polyder(c, mult))
-                    if mult % 2 == 1 and slope != 0.0 \
-                            and direction * slope >= 0:
-                        roots.append((r, 1 if slope > 0 else -1))
-            for r, way in roots:
-                r = min(max(r, 0.0), 1.0)
-                tc = t_new if r == 1.0 else t + r * h
-                if first is not None and tc >= first[1]:
-                    break
-                state = _interpolate(F, y, (tc - t) / h)
-                if not accept or accept[0](tc, state, way):
-                    first = (k, tc, state)
-                    break
-        return first
-
-    def dense_output(self) -> "_Dop853Interpolant":
-        self.nfev += len(dop853.C_EXTRA)
-        F = _dop853_kernel(self.n, "dense")(self._rhs, self.t_old,
-                                            self.t - self.t_old, self.y_old,
-                                            self.y, self._K)
-        return _Dop853Interpolant(self.t_old, self.t, np.array(self.y_old),
-                                  np.array(F).T)
-
-
-def _interpolate(F, y, x: float) -> tuple:
-    """y + sum_j F_j b_j(x), a step's interpolant at the fraction x of the
-    step, with F its rows by component: the floats of
-    _Dop853Interpolant.__call__, whose operations it does in their order."""
-    x1 = 1.0 - x
-    return tuple((((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2)
-                    * x + f1) * x1 + f0) * x + v
-                 for (f0, f1, f2, f3, f4, f5, f6), v in zip(F, y))
-
-
-class _Dop853Interpolant:
-    """y_old + sum_j F_j b_j(x) on one step, x = (t - t_old) / h, with
-    b_j = x, x(1-x), x^2(1-x), x^2(1-x)^2, ... (see _dense_basis); called
-    at a time or an array of times."""
-
-    def __init__(self, t_old, t, y_old, F):
-        self.t_old, self.t, self.h = t_old, t, t - t_old
-        self.y_old = y_old
-        self.F = F
-
-    def __call__(self, t):
-        x = ((np.asarray(t) - self.t_old) / self.h)[..., None]
-        y = 0.0
-        for k, f in enumerate(self.F[::-1]):
-            y = (y + f) * (x if k % 2 == 0 else 1.0 - x)
-        return (y + self.y_old).T
-
-
-@dataclass
-class Solution:
-    t: np.ndarray  # the times of the accepted steps
-    y: np.ndarray  # the states, one column per time
-    nfev: int      # right-hand side evaluations
-
-
-def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
-               t0: float = 0.0, traps=()) -> tuple[Solution, tuple | None]:
-    """Solve y' = rhs(t, y) from t0 to t_end with FloatDOP853 at
-    rtol = tols.root, atol = tols.root / 100.  rhs receives the state as a
-    sequence of floats and returns a sequence.  lines are the solver's
-    affine events and traps its boxes (see FloatDOP853); the solve ends at
-    the first crossing, or at the end of a step in a box.
-
-    Returns (sol, hit): hit is (index into lines, time, state) of that
-    crossing, (len(lines) + index into traps, time, state) of that step's
-    end, or None, and sol.t, sol.y end at it.  Raises StepFailure when the
-    step controller gives up."""
-    hits: list = []
-    solver = FloatDOP853(rhs, t0, y0, t_end, rtol=tols.root,
-                         atol=tols.root / 100, lines=lines, tols=tols,
-                         hits=hits, traps=traps)
-    ts, ys = [solver.t], [solver.y]
-    solver.run(ts, ys)
-    if solver.status == "failed":
-        raise StepFailure(solver.TOO_SMALL_STEP)
-    hit = hits[0] if hits else None
+    f0 = fun(t0, y)
+    h_abs = float(_initial_step(fun, t0, y, t_end, f0, direction, rtol,
+                                atol))
+    t, y, f = t0, y.tolist(), f0.tolist()
+    ts, ys, hit = [t], [y], None
+    if t == t_end:  # an empty interval ends where it starts, as in scipy
+        ts.append(t)
+        ys.append(y)
+    run = _dop853_kernel(len(y))
+    # each line as the screen reads it: a, b, |a| and the slack of b
+    screen = [(ax, ay, b, abs(ax), abs(ay), tols.root * abs(b))
+              for ax, ay, b, *_ in lines]
+    while hit is None and direction * (t - t_end) < 0:
+        ok, t, y, f, h_abs, near = run(rhs, t, y, f, h_abs, t_end, direction,
+                                       rtol, atol, screen, tols.root, traps,
+                                       ts, ys)
+        if not ok:
+            raise StepFailure("Required step size is less than spacing "
+                              "between numbers.")
+        if near is not None:
+            hit = (len(lines) + near, t, y) if isinstance(near, int) \
+                else _crossing(lines, tols, t0, *near)
     if hit is not None:  # the last step ends at or past the crossing
         _, t_hit, state = hit
         while ts and ts[-1] >= t_hit:
             del ts[-1], ys[-1]
         ts.append(t_hit)
         ys.append(state)
-    return Solution(np.array(ts), np.array(ys).T, solver.nfev), hit
+    return np.array(ts), np.array(ys), hit
+
+
+def _crossing(lines, tols: Tolerances, t0: float, t, t_new, y, y_new, F,
+              kept):
+    """First approved crossing of a line of kept, the lines that the
+    screen left of a solve from t0, inside the step from (t, y) to
+    (t_new, y_new) whose interpolant has the rows F by component, as
+    (index, time, state), or None.
+
+    Where g is monotone (its derivative's constant term outweighs the
+    rest) it crosses at most once, where its end values change sign,
+    and _polish_root places that crossing; only the other lines get an
+    exact root count of g's interpolant.  The state at a crossing is
+    the interpolant's (_interpolate).  A line whose interpolant is
+    identically zero raises NotTransversal, unless it is a watched ray
+    (_Ray)."""
+    h = t_new - t
+    two = len(y) > 1
+    Fx = F[0]
+    Fy = F[1] if two else (0.0,) * len(Fx)
+    first = None
+    for k in kept:
+        ax, ay, b, direction, *accept = lines[k]
+        g0 = ax * y[0] + (ay * y[1] if two else 0.0) + b
+        gF = [ax * fx + ay * fy for fx, fy in zip(Fx, Fy)]
+        if g0 == 0.0 and not any(gF):
+            if accept and isinstance(accept[0], _Ray):
+                continue  # a watched ray is no event
+            raise NotTransversal("trajectory runs along an event line")
+        # g in powers of x = (t - t_old) / h; monotone where its
+        # derivative's constant term outweighs the rest
+        c = [g0] + [0.0] * len(Fx)
+        for j, p, bp in _dense_basis(len(Fx)):
+            c[p] += gF[j] * bp
+        if abs(c[1]) > sum(abs(c[p] * p) for p in range(2, len(c))):
+            g1 = ax * y_new[0] + (ay * y_new[1] if two else 0.0) + b
+            # a zero at a later step's start was the last step's end
+            if g0 * g1 > 0 or direction * (g1 - g0) < 0 \
+                    or (g0 == 0.0 and t != t0):
+                continue
+            roots = [(0.0 if g0 == 0.0 else 1.0 if g1 == 0.0
+                      else _polish_root(c, 0.0, 1.0, tols.root),
+                      1 if g1 > g0 else -1)]
+        else:
+            roots = []
+            for r, mult in univariate_roots(c, (0.0, 1.0), tols):
+                # an odd root crosses, in the direction of g's first
+                # nonzero derivative there
+                slope = _polyval(r, _polyder(c, mult))
+                if mult % 2 == 1 and slope != 0.0 \
+                        and direction * slope >= 0:
+                    roots.append((r, 1 if slope > 0 else -1))
+        for r, way in roots:
+            r = min(max(r, 0.0), 1.0)
+            tc = t_new if r == 1.0 else t + r * h
+            if first is not None and tc >= first[1]:
+                break
+            state = _interpolate(F, y, (tc - t) / h)
+            if not accept or accept[0](tc, state, way):
+                first = (k, tc, state)
+                break
+    return first
+
+
+def _interpolate(F, y, x: float) -> tuple:
+    """y + sum_j F_j b_j(x), a step's interpolant at the fraction x of the
+    step, with F its rows by component: the floats of scipy's DOP853
+    dense output, whose operations it does in their order."""
+    x1 = 1.0 - x
+    return tuple((((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2)
+                    * x + f1) * x1 + f0) * x + v
+                 for (f0, f1, f2, f3, f4, f5, f6), v in zip(F, y))
 
 
 @functools.cache
@@ -660,7 +556,7 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     crossings of each direction apart.
 
     One solve: the events are affine lines, which the stepper checks on
-    each step's dense output (FloatDOP853), so a step that jumps a pair of
+    each step's dense output (_integrate), so a step that jumps a pair of
     crossings does not hide them.  A section crossing at p0 itself does not
     count.
     """
@@ -677,9 +573,9 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
                       t > 1e-12 and lo <= section.param_of(s) <= hi))
     events = len(lines)
     lines += [(0.0, 1.0, -yc, 0, _Ray(xc, tols.close)) for xc, yc in rays]
-    sol, hit = _integrate(X.rhs(reverse, with_divergence),
-                          list(p0) + ([0.0] if with_divergence else []),
-                          horizon, tols, lines, traps=sinks)
+    ts, ys, hit = _integrate(X.rhs(reverse, with_divergence),
+                             list(p0) + ([0.0] if with_divergence else []),
+                             horizon, tols, lines, traps=sinks)
     status, hit_state = "horizon", None
     if hit is not None:
         kind, _, end = hit
@@ -691,7 +587,7 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
             status = {0: "d_hit", 5: "section"}.get(kind, "window")
         if status in ("d_hit", "section"):
             hit_state = (float(end[0]), 0.0 if kind == 0 else float(end[1]))
-    return SmoothTrace(sol.t, sol.y.T, status, hit_state)
+    return SmoothTrace(ts, ys, status, hit_state)
 
 
 def _d_stop(Z: PiecewiseField, x0: float, speed: float, window: Window,
@@ -730,8 +626,8 @@ def _slide(Z: PiecewiseField, x0: float, horizon: float,
     if outcome in ("q1_root", "q2_root") \
             and abs(det(-line[2], 0.0)) <= tols.sign:
         outcome = "fz_singularity"
-    sol, hit = _integrate(rhs, [x0], horizon, tols, [line])
-    return sol.t, sol.y[0], outcome if hit else "horizon", float(sol.y[0][-1])
+    ts, ys, hit = _integrate(rhs, [x0], horizon, tols, [line])
+    return ts, ys[:, 0], outcome if hit else "horizon", float(ys[-1, 0])
 
 
 # arc outcomes that end a hybrid run, with the run's last event
@@ -908,8 +804,8 @@ def transition_derivative(X: PolyVectorField, p0: tuple[float, float],
     # g of the line grows where the speed across it is negative
     arrive = [sec1.line(-1 if _normal_speed(X, p1, sec1.direction) > 0
                         else 1)]
-    _, hit = _integrate(X.rhs(divergence=True), [p0[0], p0[1], 0.0],
-                        t_span * 1.5, tols, arrive)
+    *_, hit = _integrate(X.rhs(divergence=True), [p0[0], p0[1], 0.0],
+                         t_span * 1.5, tols, arrive)
     if hit is None:
         raise NoReturn("orbit did not reach the target section")
     end = hit[2]
@@ -1023,8 +919,8 @@ def compactified_return_map(Z: PiecewiseField, rho0: float,
     for (A, R), theta0, theta1 in halves:
         def rhs(theta, s, A=A, R=R):
             return tf.slope(A, R, theta, s[0])
-        sol, _ = _integrate(rhs, state, theta1, tols, t0=theta0)
-        state = [float(v) for v in sol.y[:, -1]]
+        _, ys, _ = _integrate(rhs, state, theta1, tols, t0=theta0)
+        state = [float(v) for v in ys[-1]]
     return state[0], math.exp(state[1])
 
 
@@ -1424,8 +1320,8 @@ def _trace_branch(Z, seed, kind, forward, horizon, window, tols, rays=()):
 def _trace_d_branch(Z, x0, direction, horizon, window, tols):
     rhs = Z.slide_rhs(direction)
     outcome, line = _d_stop(Z, x0, rhs(0.0, (x0,))[0], window, tols)
-    sol, hit = _integrate(rhs, [x0], horizon, tols, [line])
-    xs = sol.y[0]
+    _, ys, hit = _integrate(rhs, [x0], horizon, tols, [line])
+    xs = ys[:, 0]
     return np.column_stack([xs, 0.0 * xs]), outcome if hit else "horizon"
 
 

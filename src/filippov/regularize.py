@@ -345,9 +345,9 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
         # the crossing at the start is refused
         ret = (1.0, 0.0, -section_x, -1 if R(section_x, s)[0] < 0 else 1,
                lambda t, st, way: t > 1e-12)
-        _, hit = _integrate(R.rhs(with_div),
-                            [section_x, s] + ([0.0] if with_div else []),
-                            horizon, tols, [ret])
+        *_, hit = _integrate(R.rhs(with_div),
+                             [section_x, s] + ([0.0] if with_div else []),
+                             horizon, tols, [ret])
         if hit is None:
             raise NoReturn(f"no return from s={s}")
         return hit[2]

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, OdeSolution, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
@@ -345,10 +346,11 @@ def test_census_work_counter(monkeypatch):
     nfev = [0]
     original = flow._integrate
 
-    def counting(*args, **kwargs):
-        sol, hit = original(*args, **kwargs)
-        nfev[0] += sol.nfev
-        return sol, hit
+    def counting(rhs, *args, **kwargs):
+        def counted(t, s):
+            nfev[0] += 1
+            return rhs(t, s)
+        return original(counted, *args, **kwargs)
 
     monkeypatch.setattr(flow, "_integrate", counting)
     found = find_closed_polytrajectories(piecewise(UNIT_CYCLE, UNIT_CYCLE),
@@ -423,7 +425,7 @@ SLIDING = piecewise(vf(X_MONO, M_ONE), vf({(0, 0): 1.0, (2, 0): 0.5},
 
 
 def test_dop853_tableau_shapes():
-    # FloatDOP853 generates its stages from these attributes of the dop853
+    # _dop853_kernel generates its stages from these attributes of the dop853
     # module; a change of their layout must fail here
     T = dop853
     assert T.N_STAGES == 12
@@ -441,18 +443,28 @@ def test_dop853_tableau_matches_scipy_bit_for_bit():
         assert ours.tobytes() == ref.tobytes(), name
 
 
-def _steps(solver):
-    """The times and states of the steps of a FloatDOP853 solver run to
-    its end, and the interpolant of each step (3 more evaluations a step,
-    as scipy's dense output makes)."""
-    ts, ys, interpolants = [solver.t], [solver.y], []
-    while solver.status == "running":
-        solver.step()
-        assert solver.status != "failed"
-        ts.append(solver.t)
-        ys.append(solver.y)
-        interpolants.append(solver.dense_output())
-    return np.array(ts), np.array(ys).T, interpolants
+# a line that the screen never drops: every step goes to the crossing
+# search, and runs the 3 extra stages of its dense output
+ALWAYS = (0.0, 0.0, 0.0, 0)
+
+
+def _record_steps(monkeypatch) -> list:
+    """Make flow._crossing record each step that it gets, as
+    (t_old, t, y_old, y, F, kept) with F the rows of the step's interpolant
+    by component, and find no crossing; returns the list of steps."""
+    steps = []
+
+    def record(lines, tols, t0, *step):
+        steps.append(step)
+
+    monkeypatch.setattr(flow, "_crossing", record)
+    return steps
+
+
+def _interpolants(steps) -> list:
+    """scipy's DOP853 dense output of each recorded step, on its rows."""
+    return [Dop853DenseOutput(t, t_new, np.array(y), np.array(F).T)
+            for t, t_new, y, _, F, _ in steps]
 
 
 @pytest.mark.parametrize("rhs, y0", [
@@ -460,14 +472,23 @@ def _steps(solver):
     (RANDOM_01_Y.rhs(divergence=True), [-9.40084, -4.04373, 0.0]),
     (SLIDING.slide_rhs(), [0.3]),
 ], ids=["random_01-Y", "random_01-Y-divergence", "sliding-1d"])
-def test_float_dop853_matches_scipy_dop853(rhs, y0):
+def test_float_dop853_matches_scipy_dop853(rhs, y0, monkeypatch):
     tols = Tolerances()
     kw = dict(rtol=tols.root, atol=tols.root / 100)
     ref = solve_ivp(rhs, (0.0, 2.0), y0, method="DOP853", dense_output=True,
                     **kw)
-    solver = flow.FloatDOP853(rhs, 0.0, y0, 2.0, **kw)
-    ts, ys, interpolants = _steps(solver)
-    assert len(ts) == len(ref.t) and solver.nfev == ref.nfev
+    steps, nfev = _record_steps(monkeypatch), [0]
+
+    def counted(t, s):
+        nfev[0] += 1
+        return rhs(t, s)
+
+    # each step with a line makes the 3 evaluations a step of scipy's
+    # dense output makes
+    ts, ys, hit = flow._integrate(counted, y0, 2.0, tols, [ALWAYS])
+    assert hit is None and len(steps) == len(ts) - 1
+    assert len(ts) == len(ref.t) and nfev[0] == ref.nfev
+    interpolants = _interpolants(steps)
     # the embedded error estimate of the conservative first step cancels
     # down to rounding noise, so the summation order moves every later step
     # size in its last digits: each step is replayed from the same state
@@ -477,7 +498,7 @@ def test_float_dop853_matches_scipy_dop853(rhs, y0):
                      rtol=kw["rtol"], atol=kw["atol"])
         one.step()
         assert one.t == pytest.approx(st.t, rel=1e-15)
-        assert np.allclose(one.y, ys[:, k + 1], rtol=1e-12, atol=1e-12)
+        assert np.allclose(one.y, ys[k + 1], rtol=1e-12, atol=1e-12)
         mid = st.t_old + st.h / 2
         assert np.allclose(one.dense_output()(mid), st(mid), rtol=1e-12,
                            atol=1e-12)
@@ -487,11 +508,13 @@ def test_float_dop853_matches_scipy_dop853(rhs, y0):
 
 
 def test_single_solver_call_site():
-    # one solver, made in one place, and its events come from the
+    # one solver loop, made in one place, and its events come from the
     # stepper's lines alone
     texts = [path.read_text() for path in Path(flow.__file__).parent.glob(
         "*.py")]
-    assert sum(text.count("FloatDOP853(") for text in texts) == 1
+    assert sum(text.count("_dop853_kernel(")
+               - text.count("def _dop853_kernel(") for text in texts) == 1
+    assert inspect.getsource(flow._integrate).count("_dop853_kernel(") == 1
     for word in ("solve_ivp(", "events=", "t_events", "y_events"):
         assert not any(word in text for text in texts), word
 
@@ -503,29 +526,33 @@ def test_single_code_generator():
     assert sum(text.count("exec(") for text in texts) == 1
 
 
-def test_float_dop853_line_ends_solve_at_crossing_step():
+def test_float_dop853_line_ends_solve_at_crossing_step(monkeypatch):
     # the rotation from (1, 0) crosses y = 0 downwards at t = pi.  The
-    # stepper ends the solve by moving t_bound to the end of the step that
-    # holds the crossing, which its step() reads as finished, with no
-    # warning
+    # solve ends with the step that holds the crossing, with no warning,
+    # and its trace ends at the crossing
     def rhs(t, s):
         return [-s[1], s[0]]
 
     tols = Tolerances()
-    kw = dict(rtol=tols.root, atol=tols.root / 100)
-    hits = []
+    searched, crossing = [], flow._crossing
+
+    def record(*args):
+        searched.append(args[4])  # the end of the step searched
+        return crossing(*args)
+
+    monkeypatch.setattr(flow, "_crossing", record)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ts, _, _ = _steps(flow.FloatDOP853(
-            rhs, 0.0, [1.0, 0.0], 10.0, lines=[(0.0, 1.0, 0.0, -1)],
-            tols=tols, hits=hits, **kw))
-    free, _, _ = _steps(flow.FloatDOP853(rhs, 0.0, [1.0, 0.0], 10.0, **kw))
-    ((index, t_hit, state),) = hits
+        ts, ys, hit = flow._integrate(rhs, [1.0, 0.0], 10.0, tols,
+                                      [(0.0, 1.0, 0.0, -1)])
+    free, _, _ = flow._integrate(rhs, [1.0, 0.0], 10.0, tols)
+    index, t_hit, state = hit
     assert index == 0 and abs(t_hit - math.pi) < 1e-8
     assert np.allclose(state, [-1.0, 0.0], atol=1e-8)
+    assert ts[-1] == t_hit and np.array_equal(ys[-1], state)
     # the same steps as the solve without lines, up to the crossing's
     k = int(np.searchsorted(free, t_hit))
-    assert np.array_equal(ts, free[:k + 1])
+    assert np.array_equal(ts[:-1], free[:k]) and searched[-1] == free[k]
 
 
 def test_screen_drops_only_lines_without_a_root(seeded_fields, monkeypatch):
@@ -537,23 +564,17 @@ def test_screen_drops_only_lines_without_a_root(seeded_fields, monkeypatch):
     # tols.root of it
     rng = np.random.default_rng(7)
     tols = default_tols()
-    kw = dict(rtol=tols.root, atol=tols.root / 100, tols=tols)
-    kept = {}  # the lines that the screen keeps, by the end of their step
-
-    def record(self, t, t_new, y, y_new, F, lines):
-        kept[t_new] = list(lines)  # and no crossing
-
-    monkeypatch.setattr(flow.FloatDOP853, "_crossing", record)
+    steps = _record_steps(monkeypatch)
     dropped = by_chord = 0
     for rhs in [F.rhs() for Z in seeded_fields[:20] for F in (Z.X, Z.Y)]:
         p0 = rng.uniform(-1.0, 1.0, 2)
-        free, inside = flow.FloatDOP853(rhs, 0.0, p0, 2.0, **kw), []
-        while free.status == "running":
-            free.step()
-            t = free.t_old + (free.t - free.t_old) * rng.uniform(0.2, 0.8)
-            inside.append(free.dense_output()(t))
-        if free.status == "failed":  # the orbit blows up
+        steps.clear()
+        try:
+            flow._integrate(rhs, p0, 2.0, tols, [ALWAYS])
+        except StepFailure:  # the orbit blows up
             continue
+        inside = [flow._interpolate(F, y, rng.uniform(0.2, 0.8))
+                  for _, _, y, _, F, _ in steps]
         lines = []
         for k in rng.integers(0, len(inside), 8):
             x, y = inside[k]
@@ -563,13 +584,13 @@ def test_screen_drops_only_lines_without_a_root(seeded_fields, monkeypatch):
             ax, ay = math.cos(angle), math.sin(angle)
             dist = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-10, -1)
             lines.append((ax, ay, dist - ax * x - ay * y, 0))
-        solver = flow.FloatDOP853(rhs, 0.0, p0, 2.0, lines=lines, **kw)
-        while solver.status == "running":
-            solver.step()
-            F = solver.dense_output().F  # the kernel's rows, as (7, 2)
-            y0 = solver.y_old
+        # the same steps, each with the lines that the screen keeps
+        steps.clear()
+        flow._integrate(rhs, p0, 2.0, tols, [*lines, ALWAYS])
+        for _, _, y0, _, F, kept in steps:
+            F = np.array(F).T  # the kernel's rows, as (7, 2)
             for i, (ax, ay, b, _) in enumerate(lines):
-                if i in kept.get(solver.t, ()):
+                if i in kept:
                     continue
                 g0 = ax * y0[0] + ay * y0[1] + b
                 gF = F @ (ax, ay)
@@ -579,18 +600,20 @@ def test_screen_drops_only_lines_without_a_root(seeded_fields, monkeypatch):
                 assert univariate_roots(c, (0.0, 1.0), tols) == []
                 dropped += 1
                 by_chord += abs(g0) <= np.sum(np.abs(F) @ (abs(ax), abs(ay)))
-    assert dropped > 4000 and by_chord > 800  # 5631 and 1036
+    assert dropped > 4000 and by_chord > 800  # 4538 and 925
 
 
-def test_crossing_state_is_the_interpolants_to_the_bit():
+def test_crossing_state_is_the_interpolants_to_the_bit(monkeypatch):
     # _crossing takes the state at a crossing from the rows in float code;
-    # it is the step's interpolant at that time, float for float
+    # it is the step's interpolant, scipy's dense output on those rows, at
+    # that time, float for float
     tols = Tolerances()
     rng = np.random.default_rng(9)
-    solver = flow.FloatDOP853(RANDOM_01_Y.rhs(divergence=True), 0.0,
-                              [-9.40084, -4.04373, 0.0], 2.0,
-                              rtol=tols.root, atol=tols.root / 100)
-    for st in _steps(solver)[2]:
+    steps = _record_steps(monkeypatch)
+    flow._integrate(RANDOM_01_Y.rhs(divergence=True),
+                    [-9.40084, -4.04373, 0.0], 2.0, tols, [ALWAYS])
+    assert steps
+    for st in _interpolants(steps):
         for t in [st.t_old, st.t, *(st.t_old + st.h * rng.random(4))]:
             state = flow._interpolate(st.F.T.tolist(), st.y_old.tolist(),
                                       (t - st.t_old) / st.h)
@@ -612,25 +635,24 @@ def test_return_map_hands_few_steps_to_the_crossing_search(monkeypatch):
     # the window's sides and the section; only the steps near one of these
     # lines go to the crossing search in Python
     calls, steps = [], []
-    crossing, integrate = flow.FloatDOP853._crossing, flow._integrate
+    crossing, integrate = flow._crossing, flow._integrate
 
-    def counting_crossing(self, *args):
-        calls.append(args[1])
-        return crossing(self, *args)
+    def counting_crossing(*args):
+        calls.append(args[4])
+        return crossing(*args)
 
     def counting_integrate(*args, **kwargs):
-        sol, hit = integrate(*args, **kwargs)
-        steps.append(len(sol.t) - 1)
-        return sol, hit
+        ts, ys, hit = integrate(*args, **kwargs)
+        steps.append(len(ts) - 1)
+        return ts, ys, hit
 
-    monkeypatch.setattr(flow.FloatDOP853, "_crossing", counting_crossing)
+    monkeypatch.setattr(flow, "_crossing", counting_crossing)
     monkeypatch.setattr(flow, "_integrate", counting_integrate)
     Z = piecewise(UNIT_CYCLE, UNIT_CYCLE)
     sec = Section((0.0, 0.0), (0.0, 1.0), (0.1, 2.0))
     s_fix, _ = return_map(Z, sec, 1.0, 100.0, WIN)
     assert abs(s_fix - 1.0) < 1e-8
     assert sum(steps) >= 40 and len(calls) <= 10
-
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-3])
 def test_sliding_arc_steps_over_close_fold_pair(delta):
@@ -651,14 +673,19 @@ def test_sliding_arc_steps_over_close_fold_pair(delta):
 
 def test_tolerance_scale_reaches_solvers(monkeypatch):
     monkeypatch.setenv("FILIPPOV_TOLERANCE_SCALE", "10")
+    # the rtol and atol that reach the generated loop of each solve
     seen = []
-    original = flow.FloatDOP853
+    kernel = flow._dop853_kernel
 
-    def recording(*args, **kwargs):
-        seen[-1].append((kwargs["rtol"], kwargs["atol"]))
-        return original(*args, **kwargs)
+    def recording(n):
+        run = kernel(n)
 
-    monkeypatch.setattr(flow, "FloatDOP853", recording)
+        def recorded(*args):
+            seen[-1].append(args[7:9])
+            return run(*args)
+        return recorded
+
+    monkeypatch.setattr(flow, "_dop853_kernel", recording)
     sec0 = Section((1.0, 0.0), (1.0, 0.0), (0.5, 1.5))
     sec1 = Section((-1.0, 0.0), (-1.0, 0.0), (0.5, 1.5))
     spiral = piecewise(vf({(0, 1): -1.0, (1, 0): 1.0},
@@ -925,8 +952,8 @@ def test_event_line_passes_each_crossing_direction_to_accept():
         seen.append((t, way))
         return False
 
-    _, hit = flow._integrate(ROT.rhs(), [1.0, 0.0], 2 * math.pi,
-                             default_tols(), [(0.0, 1.0, -0.5, 0, accept)])
+    *_, hit = flow._integrate(ROT.rhs(), [1.0, 0.0], 2 * math.pi,
+                              default_tols(), [(0.0, 1.0, -0.5, 0, accept)])
     assert hit is None
     assert [way for _, way in seen] == [1, -1]
     assert np.allclose([t for t, _ in seen], [math.pi / 6, 5 * math.pi / 6],

@@ -324,6 +324,33 @@ def test_univariate_roots_scale_invariant(scale):
         assert abs(r - w) <= 1e-14
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the window-end and midpoint nudges of the float "
+                   "Sturm isolator misplace close roots")
+def test_univariate_roots_separates_close_roots():
+    # (x - 2)(x^2 - 4.988e-13): on (-3, 3) the isolator returns -1.146e-6,
+    # -7.06e-7 and 2, losing +7.06e-7
+    got = univariate_roots([9.976e-13, -4.988e-13, -2.0, 1.0], (-3.0, 3.0))
+    assert [m for _, m in got] == [1, 1, 1]
+    r = math.sqrt(4.988e-13)
+    assert np.allclose([x for x, _ in got], [-r, r, 2.0], rtol=0.0,
+                       atol=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the float Sturm chain of a polynomial whose "
+                   "higher terms are 1e-11 of its constant is noise")
+def test_univariate_roots_of_a_nearly_constant_polynomial():
+    # g of a line on a step's interpolant: 1.0966 plus terms below 1e-10
+    # in sum, so no root on [0, 1]; the isolator returns two, of
+    # multiplicity 6 and 5
+    c = [1.0965856814019732, 4.803209323664649e-12, 2.0537719897398916e-13,
+         -1.505923542087269e-11, 4.605438827099401e-11,
+         -7.630425985338618e-11, 6.166559788233185e-11,
+         -1.8886343706758067e-11]
+    assert univariate_roots(c, (0.0, 1.0)) == []
+
+
 # ---------------------------------------------------------------------------
 # The Sturm isolator as it ran on numpy.polynomial, kept as a test-only
 # reference: the float-list isolator of polys does the same operations in

@@ -18,6 +18,7 @@ from filippov.regularize import (
     regularized_cycle_search,
 )
 from filippov.errors import BadParameter, CommonFactor
+from filippov.stability import default_window
 from filippov.tolerances import default_tols
 
 
@@ -190,6 +191,30 @@ def test_non_finite_epsilon_rejected(eps):
         RegularizedField(Z, phi, eps)
     with pytest.raises(ValueError, match="epsilon must be positive and finite"):
         epsilon_sweep(Z, phi, (-2.0, 0.0), [eps])
+
+
+# random_02 of benchmark generator seed 1: X = (0, Q_X) vanishes along
+# x = -1.83273, the root of Q_X(x, y) = 0.4498 + 0.2454 x
+RANDOM_02 = piecewise(
+    vf({}, {(0, 0): 0.44980985913090255, (1, 0): 0.24543145911351605}, 1),
+    vf({(0, 0): -1.7755068099170384, (1, 0): -1.2006423192914277},
+       {(0, 0): -0.22771235069016571, (0, 1): -0.61568832392738049,
+        (1, 0): 0.49395781119002047}, 1))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="newton_zero stops on an absolute residual, which "
+                   "is small where 1 - phi is")
+def test_bump_sweep_reports_no_focus_where_x_vanishes():
+    # the band census found 3 "Focus" rows on x = -1.83273 at y/eps near
+    # 0.974, with eigenvalues of order 1e-8 +- 1e-4 i: R is small there
+    # only because the bump's 1 - phi is
+    x0, x1, _, _ = default_window(RANDOM_02)
+    (row,) = epsilon_sweep(RANDOM_02, make_transition("bump"), (x0, x1),
+                           [0.1])
+    assert not [s for s in row.singularities
+                if s.type is SingularityType.FOCUS
+                and abs(s.position[0] + 1.83273) < 1e-4]
 
 
 SADDLE = piecewise(vf({(1, 0): 1.0}, {(0, 0): -1.0}),

@@ -681,3 +681,76 @@ def test_census_finds_the_same_cycles_with_and_without_traps(
     assert sum(len(found) for found, *_ in runs) >= 3
     for found, without, _ in runs:
         assert _cycle_bits(found) == _cycle_bits(without)
+
+
+# known wrong verdicts: each test asserts the right answer and fails until
+# the census or the probe that it names is mended
+
+def _const(v: float):
+    return poly({(0, 0): v})
+
+
+def _two_circle_field():
+    # v = y - 0.5, r^2 = x^2 + v^2, g = -(r^2 - 9)(r^2 - 16)/50: the circles
+    # r = 3 and r = 4 are hyperbolic crossing cycles of X = (-v + x g,
+    # x + v g) over Y = (-2v + x g, 2x + v g); they meet D at +-2.958040
+    # and +-3.968627
+    x, y = poly({(1, 0): 1.0}), poly({(0, 1): 1.0})
+    v = y - _const(0.5)
+    r2 = x * x + v * v
+    g = ((r2 - _const(9.0)) * (r2 - _const(16.0))).scale(-0.02)
+    return piecewise(PolyVectorField(-v + x * g, x + v * g, 5),
+                     PolyVectorField(v.scale(-2.0) + x * g,
+                                     x.scale(2.0) + v * g, 5))
+
+
+def _semi_stable_field():
+    # u = x, v = y + 3, r^2 = u^2 + v^2: the circle r = 1 is a semi-stable
+    # cycle of Y = (-v - u (1 - r^2)^2, u - v (1 - r^2)^2), below
+    # X = (1, 1)
+    u, v = poly({(1, 0): 1.0}), poly({(0, 1): 1.0}) + _const(3.0)
+    q = _const(1.0) - (u * u + v * v)
+    return piecewise(PolyVectorField(_const(1.0), _const(1.0), 5),
+                     PolyVectorField(-v - u * (q * q), u - v * (q * q), 5))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the cycle census seeds only on fixed sewing "
+                   "abscissas and misses both circles")
+def test_two_circle_field_reports_both_crossing_cycles():
+    # the cycles are hyperbolic, so condition 2 may stand; today it stands
+    # under --optimistic on a census that finds no cycle
+    rep = check_gm(_two_circle_field(),
+                   GmOptions(window=(-6.0, 6.0, -6.0, 6.0), optimistic=True))
+    xs = sorted(abs(c.certificate["x"]) for c in rep.cycles)
+    assert len(xs) == 2
+    assert np.allclose(xs, [2.958040, 3.968627], rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the cycle census never looks off D, and the "
+                   "focus of Y is lost to a false common factor")
+def test_semi_stable_cycle_is_not_satisfied():
+    rep = check_gm(_semi_stable_field(),
+                   GmOptions(window=(-6.0, 6.0, -6.0, 6.0), optimistic=True))
+    assert rep.gm2.status != SATISFIED
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the connection probe stops each branch at D")
+def test_connection_through_d_is_not_satisfied():
+    # the unstable branch of X's saddle (-1, 1) runs down x = -1, follows
+    # Y's half-circle and climbs x = 1 into the saddle (1, 1)
+    Z, window = BOUNDARY_EQUILIBRIUM["through_d"]
+    rep = check_gm(Z, GmOptions(window=window, optimistic=True))
+    assert rep.gm3.status != SATISFIED
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the cycle census never looks off D")
+def test_random_01_reports_the_cycle_of_y():
+    # the cycle is hyperbolic, so the verdict may stand; today it stands
+    # under --optimistic on a census that finds no cycle
+    rep = check_gm(RANDOM_01, GmOptions(optimistic=True))
+    etas = [c.certificate["eta_prime"] for c in rep.cycles]
+    assert len(etas) == 1 and abs(etas[0] - 0.1049229581) <= 1e-6

@@ -1,8 +1,8 @@
 """Solver-work gate: runs every operation of the benchmark's workloads
 (bench/workloads.py, seed 1) once, with flow._integrate, the one ODE solve
 of the package, wrapped to count its calls and the right-hand side
-evaluations of each, FloatDOP853._crossing wrapped to count the steps
-that the stepper's screen hands to the crossing search in Python,
+evaluations of each, flow._crossing wrapped to count the steps that the
+stepper's screen hands to the crossing search in Python,
 flow._min_dist wrapped to count the separatrix branch pairs that the
 connection probe hands to the exact distance search, and
 flow.advance_hybrid wrapped to count the hybrid runs that end in the trap
@@ -14,10 +14,11 @@ them), and prints the counts of each workload.
 Exits 1 if an operation fails, if cycles, analyze or trajectories makes no
 solve, no evaluation or no crossing search, or analyze no distance search
 or no run that ends in a trap, if analyze makes more than 180,000
-evaluations or cycles more than 70,000 in more than 150 solves, if cycles
-searches more than 400 steps for crossings, analyze more than 700 or
-trajectories more than 400, or if analyze searches more than 100 branch
-pairs for their least distance.
+evaluations in more than 260 solves, cycles more than 70,000 in more than
+150 solves or trajectories more than 75,000 in more than 450 solves, if
+cycles searches more than 400 steps for crossings, analyze more than 700
+or trajectories more than 400, or if analyze searches more than 100
+branch pairs for their least distance.
 """
 
 import os
@@ -33,8 +34,11 @@ from filippov import flow  # noqa: E402
 import workloads  # noqa: E402
 
 # (workload, counter) -> most allowed
-BOUNDS = {("analyze", "nfev"): 180_000, ("cycles", "nfev"): 70_000,
-          ("cycles", "solver_calls"): 150, ("cycles", "crossing_steps"): 400,
+BOUNDS = {("analyze", "nfev"): 180_000, ("analyze", "solver_calls"): 260,
+          ("cycles", "nfev"): 70_000, ("cycles", "solver_calls"): 150,
+          ("trajectories", "nfev"): 75_000,
+          ("trajectories", "solver_calls"): 450,
+          ("cycles", "crossing_steps"): 400,
           ("analyze", "crossing_steps"): 700,
           ("trajectories", "crossing_steps"): 400,
           ("analyze", "distance_searches"): 100}
@@ -59,14 +63,14 @@ def count_solves(counts: dict) -> None:
 
 
 def count_crossing_steps(counts: dict) -> None:
-    """Wrap FloatDOP853._crossing so that each step it searches adds to
+    """Wrap flow._crossing so that each step it searches adds to
     counts."""
-    crossing = flow.FloatDOP853._crossing
+    crossing = flow._crossing
 
-    def counted(self, *args):
+    def counted(*args):
         counts["crossing_steps"] += 1
-        return crossing(self, *args)
-    flow.FloatDOP853._crossing = counted
+        return crossing(*args)
+    flow._crossing = counted
 
 
 def count_distance_searches(counts: dict) -> None:
