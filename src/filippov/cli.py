@@ -58,12 +58,24 @@ def dumps_report(d: dict) -> str:
     return json.dumps(_jsonable(d), sort_keys=True, indent=2) + "\n"
 
 
+def _umask() -> int:
+    """The process's umask (reading it means setting it, so it is set
+    back at once)."""
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def write_atomic(path: str, data: str) -> None:
+    """Write data to path through a temporary file in its directory and a
+    rename, with the mode a plain open() would give a new file:
+    0o666 less the umask, where mkstemp makes 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -120,7 +132,7 @@ def cmd_flow(args) -> int:
     traj = flow.advance_hybrid(Z, seed, side, horizon, window, tols)
     rows = ["t,x,y,field_tag"]
     for arc in traj.arcs:
-        for t, (x, y) in zip(arc.ts, arc.states[:, :2]):
+        for t, (x, y) in zip(arc.ts.tolist(), arc.states[:, :2].tolist()):
             rows.append(f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{arc.tag}")
     _emit(args.out, "\n".join(rows) + "\n")
     events = {

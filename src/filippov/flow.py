@@ -17,11 +17,12 @@ gives up raises StepFailure.  _integrate follows scipy's solve_ivp with
 method DOP853 (the tableau of the dop853 module, the step controller, the
 initial step), and runs its whole accepted-step loop as straight-line
 float code generated once per system size, so no stage builds a numpy
-array.  Each stage calls one generated right-hand side, cached on the
-object it integrates: PolyVectorField.rhs (forward or reversed, with or
-without the divergence), PiecewiseField.slide_rhs and
-RegularizedField.rhs, built from the Horner forms of the polynomials so
-they return the same floats.  Events are
+array or a tuple of its state.  Each stage calls one generated
+right-hand side with the state's components as its arguments,
+rhs(t, *state), cached on the object it integrates: PolyVectorField.rhs
+(forward or reversed, with or without the divergence),
+PiecewiseField.slide_rhs and RegularizedField.rhs, built from the Horner
+forms of the polynomials so they return the same floats.  Events are
 affine lines (y = 0, the window's sides, a section, x = r on D).  The loop
 screens each of them on each accepted step's dense-output polynomial with
 the standard bounds of a continuous Runge-Kutta step's interpolant (Hairer,
@@ -190,7 +191,7 @@ def _dop853_kernel(n: int):
     straight-line float code from the tableau of the dop853 module.
 
     run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
-    traps, ts, ys) takes accepted steps from (t, y), f = rhs(t, y), with
+    traps, ts, ys) takes accepted steps from (t, y), f = rhs(t, *y), with
     the step controller of _integrate, and appends each step's end time
     and state to ts and ys.  With lines in screen, each step also runs the
     3 extra stages and the interpolant's rows of components 0 and 1, and
@@ -208,12 +209,15 @@ def _dop853_kernel(n: int):
     def names(v):  # the unpacking target v_0, ..., v_{n-1}
         return "".join(f"{v}_{i}, " for i in range(n))
 
+    def args(v):  # the arguments v_0, ..., v_{n-1} of rhs after t
+        return ", ".join(f"{v}_{i}" for i in range(n))
+
     def vec(v):  # the tuple (v_0, ..., v_{n-1})
         return f"({names(v)})"
 
     def stage(s, c, a):
-        state = "".join(f"y_{i} + {lin(a[:s], i)}*h, " for i in range(n))
-        return f"{names(f'k{s}')}= rhs(t + {float(c)!r}*h, ({state}))"
+        state = ", ".join(f"y_{i} + {lin(a[:s], i)}*h" for i in range(n))
+        return f"{names(f'k{s}')}= rhs(t + {float(c)!r}*h, {state})"
 
     def rows(comps):  # the rows F0_i, ..., F6_i of the interpolant
         return [line for i in comps for line in (
@@ -236,7 +240,7 @@ def _dop853_kernel(n: int):
              for r, (c, a) in enumerate(zip(T.C_EXTRA, T.A_EXTRA))]
     trial = [stage(s, T.C[s], T.A[s]) for s in range(1, m)]
     trial += [f"yn_{i} = y_{i} + h*{lin(T.B, i)}" for i in range(n)]
-    trial.append(f"{names(f'k{m}')}= rhs(t + h, {yn})")
+    trial.append(f"{names(f'k{m}')}= rhs(t + h, {args('yn')})")
     for i in range(n):
         trial += [f"sc_{i} = atol + max(abs(y_{i}), abs(yn_{i}))*rtol",
                   f"r5_{i} = {lin(T.E5, i)}/sc_{i}",
@@ -314,8 +318,13 @@ def run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
                      nextafter=math.nextafter)["run"]
 
 
-def _rms(v: np.ndarray):
-    return np.linalg.norm(v) / v.size ** 0.5
+def _rms(v: np.ndarray) -> np.float64:
+    """Root mean square of the float vector v, to the bit numpy's
+    norm(v) / sqrt(v.size), which for a real vector is sqrt(v.dot(v)):
+    the dot product stays numpy's, as a sum of squares in Python rounds
+    differently, and the result a numpy scalar, so that _initial_step
+    divides by a zero step as numpy does, to inf or nan."""
+    return np.sqrt(v.dot(v)) / v.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
@@ -342,11 +351,11 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
 
 def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
                t0: float = 0.0, traps=()) -> tuple:
-    """Solve y' = rhs(t, y) from t0 to t_end with DOP853 at
+    """Solve y' = rhs(t, *y) from t0 to t_end with DOP853 at
     rtol = tols.root, atol = tols.root / 100; the accepted-step loop and
     the screen of the event lines run as straight-line float code
-    (_dop853_kernel).  rhs receives the state as a sequence of floats and
-    returns a sequence.
+    (_dop853_kernel).  rhs receives the state's components as its
+    arguments after t and returns a sequence.
 
     The solve follows scipy's solve_ivp with method DOP853: the tableau
     (dop853), the initial step (_initial_step), the step controller (safety
@@ -356,8 +365,9 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
     and 3 per dense output (each step makes one when there are lines).
     Each step replays scipy's to rounding; the sums of its error estimate
     run in another order, so later step sizes can differ in their last
-    digits.  The stages pass tuples of floats to rhs; f(t0) and the initial
-    step pass numpy arrays.  An OverflowError or ZeroDivisionError of rhs
+    digits.  The stages pass floats to rhs; f(t0) and the initial step
+    pass the numpy scalars of their arrays, and _initial_step's norms are
+    numpy's to the bit (_rms).  An OverflowError or ZeroDivisionError of rhs
     inside a trial step rejects the step, as inf and nan do in numpy's
     arithmetic.
 
@@ -395,7 +405,7 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
     direction = math.copysign(1.0, t_end - t0) if t_end != t0 else 1.0
 
     def fun(t, s):
-        return np.asarray(rhs(t, s), dtype=float)
+        return np.asarray(rhs(t, *s), dtype=float)
 
     f0 = fun(t0, y)
     h_abs = float(_initial_step(fun, t0, y, t_end, f0, direction, rtol,
@@ -621,7 +631,7 @@ def _slide(Z: PiecewiseField, x0: float, horizon: float,
     'fz_singularity', as one started there does in advance_hybrid.
     """
     rhs, det = Z.slide_rhs(), dline.det_xy(Z)
-    outcome, line = _d_stop(Z, x0, rhs(0.0, (x0,))[0], window, tols,
+    outcome, line = _d_stop(Z, x0, rhs(0.0, x0)[0], window, tols,
                             [("fz_singularity", det)])
     if outcome in ("q1_root", "q2_root") \
             and abs(det(-line[2], 0.0)) <= tols.sign:
@@ -917,8 +927,8 @@ def compactified_return_map(Z: PiecewiseField, rho0: float,
 
     state = [rho0, 0.0]
     for (A, R), theta0, theta1 in halves:
-        def rhs(theta, s, A=A, R=R):
-            return tf.slope(A, R, theta, s[0])
+        def rhs(theta, rho, integral, A=A, R=R):
+            return tf.slope(A, R, theta, rho)
         _, ys, _ = _integrate(rhs, state, theta1, tols, t0=theta0)
         state = [float(v) for v in ys[-1]]
     return state[0], math.exp(state[1])
@@ -1319,7 +1329,7 @@ def _trace_branch(Z, seed, kind, forward, horizon, window, tols, rays=()):
 
 def _trace_d_branch(Z, x0, direction, horizon, window, tols):
     rhs = Z.slide_rhs(direction)
-    outcome, line = _d_stop(Z, x0, rhs(0.0, (x0,))[0], window, tols)
+    outcome, line = _d_stop(Z, x0, rhs(0.0, x0)[0], window, tols)
     _, ys, hit = _integrate(rhs, [x0], horizon, tols, [line])
     xs = ys[:, 0]
     return np.column_stack([xs, 0.0 * xs]), outcome if hit else "horizon"

@@ -116,11 +116,16 @@ def _cached(obj, slot: str, key, build: Callable[[], object]):
     return cache[key]
 
 
-def _kernel(obj, key, body: Callable[[], list[str]], **names) -> Callable:
-    """obj's right-hand side rhs(t, s) for key, generated from the lines
-    body() on first use and cached on obj (_cached)."""
+def _kernel(obj, key, n: int, body: Callable[[], list[str]],
+            **names) -> Callable:
+    """obj's right-hand side for key and a state of n components, which it
+    takes as its parameters after t: rhs(t, x), rhs(t, x, y) or
+    rhs(t, x, y, d).  It is generated from the lines body() on first use
+    and cached on obj (_cached)."""
     def build():
-        source = "def rhs(t, s):\n" + "".join(f"    {ln}\n" for ln in body())
+        state = ", ".join(("x", "y", "d")[:n])
+        source = f"def rhs(t, {state}):\n" \
+            + "".join(f"    {ln}\n" for ln in body())
         return _generate(source, "rhs", **names)["rhs"]
     return _cached(obj, "_kernels", key, build)
 
@@ -283,17 +288,18 @@ class PolyVectorField:
 
     def rhs(self, reverse: bool = False, divergence: bool = False
             ) -> Callable:
-        """rhs(t, s) of the flow at (s[0], s[1]), of -(P, Q) when reverse,
-        with dP/dx + dQ/dy as a third component when divergence (_kernel).
-        It runs the Horner forms of P, Q and the divergence, so it returns
-        their floats; negation is exact, as rounding is symmetric."""
+        """rhs(t, x, y) of the flow at (x, y), of -(P, Q) when reverse; when
+        divergence, rhs(t, x, y, d) with dP/dx + dQ/dy as a third component,
+        d (the integral so far) unread (_kernel).  It runs the Horner forms
+        of P, Q and the divergence, so it returns their floats; negation is
+        exact, as rounding is symmetric."""
         def body():
             sign = "-" if reverse else ""
             P, Q, D = (_horner_body(p.coeffs)
                        for p in (self.P, self.Q, self._divergence))
-            return ["x = s[0]", "y = s[1]", f"return ({sign}{P}, {sign}{Q}"
+            return [f"return ({sign}{P}, {sign}{Q}"
                     + (f", {D})" if divergence else ")")]
-        return _kernel(self, (reverse, divergence), body)
+        return _kernel(self, (reverse, divergence), 2 + divergence, body)
 
 
 def vf(P: Coeffs, Q: Coeffs, m: int | None = None) -> PolyVectorField:
@@ -319,16 +325,16 @@ class PiecewiseField:
     __getstate__ = _field_state
 
     def slide_rhs(self, direction: float = 1.0) -> Callable:
-        """rhs(t, s) of the 1-D Filippov sliding field on D at x = s[0],
+        """rhs(t, x) of the 1-D Filippov sliding field on D at x,
         (Q_Y P_X - Q_X P_Y) / (Q_Y - Q_X) at y = 0, times direction (+1 or
         -1) (_kernel)."""
         def body():
             p1, q1, p2, q2 = (_horner_body(p.coeffs) for p in
                               (self.X.P, self.X.Q, self.Y.P, self.Y.Q))
             sign = "-" if direction < 0 else ""
-            return ["x = s[0]", "y = 0.0", f"q1 = {q1}", f"q2 = {q2}",
+            return ["y = 0.0", f"q1 = {q1}", f"q2 = {q2}",
                     f"return ({sign}((q2*{p1} - q1*{p2})/(q2 - q1)),)"]
-        return _kernel(self, direction, body)
+        return _kernel(self, direction, 1, body)
 
 
 def piecewise(X: PolyVectorField, Y: PolyVectorField) -> PiecewiseField:

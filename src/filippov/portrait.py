@@ -43,8 +43,12 @@ GLYPH_CLASS = {
 }
 
 
+_FMT = "%.6g"
+_POINT = f"{_FMT},{_FMT}"  # a canvas point, "sx,sy"
+
+
 def _fmt(v: float) -> str:
-    return "%.6g" % v
+    return _FMT % v
 
 
 class _Canvas:
@@ -65,19 +69,24 @@ class _Canvas:
             f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" stroke="{color}" '
             f'stroke-width="{_fmt(width)}"/>')
 
+    def point(self, x: float, y: float) -> str:
+        """The canvas point of (x, y) as "sx,sy"."""
+        return _POINT % self.map(x, y)
+
     def curve(self, ts, pts, vels, cls, color, width=1.0):
-        """Cubic Bezier path through the points pts (n, 2) of an orbit at
-        times ts with velocities vels: Hermite data, so the control points
-        of a segment of duration h are p0 + h v0 / 3 and p1 - h v1 / 3."""
+        """Cubic Bezier path through the points pts of an orbit at times ts
+        with velocities vels, lists of floats and of pairs: Hermite data,
+        so the control points of a segment of duration h are p0 + h v0 / 3
+        and p1 - h v1 / 3."""
         if len(pts) < 2:
             return
-        h = np.diff(ts)[:, None] / 3.0
-        ends = [self.map(x, y) for x, y in pts]
-        c0 = [self.map(x, y) for x, y in pts[:-1] + h * vels[:-1]]
-        c1 = [self.map(x, y) for x, y in pts[1:] - h * vels[1:]]
-        d = [f"M{_fmt(ends[0][0])},{_fmt(ends[0][1])}"] + [
-            "C" + " ".join(f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in seg)
-            for seg in zip(c0, c1, ends[1:])]
+        d = ["M" + self.point(*pts[0])]
+        for t0, t1, (x0, y0), (x1, y1), (u0, v0), (u1, v1) in zip(
+                ts, ts[1:], pts, pts[1:], vels, vels[1:]):
+            h = (t1 - t0) / 3.0
+            d.append(f"C{self.point(x0 + h * u0, y0 + h * v0)} "
+                     f"{self.point(x1 - h * u1, y1 - h * v1)} "
+                     f"{self.point(x1, y1)}")
         self.parts.append(
             f'<path class="{cls}" d="{" ".join(d)}" fill="none" '
             f'stroke="{color}" stroke-width="{_fmt(width)}"/>')
@@ -164,6 +173,7 @@ def _draw_streaks(c: _Canvas, Z, window, grid, streak_time, tols):
         if abs(y) < 1e-12:
             continue
         fld = Z.X if y > 0 else Z.Y
+        rhs = fld.rhs()
         ddir = -1 if y > 0 else 1
         color = "#2ca02c" if y > 0 else "#ff7f0e"
         for x in xs:
@@ -173,6 +183,6 @@ def _draw_streaks(c: _Canvas, Z, window, grid, streak_time, tols):
                                            tols=tols)
             except FilippovError:
                 continue
-            pts = tr.states[:, :2]
-            vels = np.array([fld(px, py) for px, py in pts])
-            c.curve(tr.ts, pts, vels, "streak", color, 0.8)
+            pts = tr.states[:, :2].tolist()
+            c.curve(tr.ts.tolist(), pts, [rhs(0.0, x, y) for x, y in pts],
+                    "streak", color, 0.8)

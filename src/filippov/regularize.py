@@ -138,11 +138,12 @@ class RegularizedField:
     __getstate__ = _field_state
 
     def rhs(self, divergence: bool = False) -> Callable:
-        """rhs(t, s) of the flow of the blend at (s[0], s[1]), with the
-        trace of the exact Jacobian as a third component when divergence
-        (polys._kernel).  It returns the floats of __call__ and jacobian:
-        the same Horner forms, with phi and phi' as TransitionFunction.
-        sources writes them.  The field is autonomous: t holds y/epsilon."""
+        """rhs(t, x, y) of the flow of the blend at (x, y); when divergence,
+        rhs(t, x, y, d) with the trace of the exact Jacobian as a third
+        component, d unread (polys._kernel).  It returns the floats of
+        __call__ and jacobian: the same Horner forms, with phi and phi' as
+        TransitionFunction.sources writes them.  The field is autonomous:
+        t holds y/epsilon."""
         def body():
             # P, Q, dP/dx and dQ/dy of X, then of Y
             hx, hy = ([_horner_body(p.coeffs) for p in
@@ -155,13 +156,13 @@ class RegularizedField:
             trace = (f", (w*{hx[2]} + (1 - w)*{hy[2]}) + ((w*{hx[3]} + (1 - w)"
                      f"*{hy[3]}) + (({dphi}) / {eps})*(qx - qy))"
                      ) if divergence else ""
-            return ["x = s[0]", "y = s[1]", f"t = y / {eps}",
+            return [f"t = y / {eps}",
                     f"if t >= 1.0: return {side.format(*hx)}",
                     f"if t <= -1.0: return {side.format(*hy)}",
                     f"w = {phi}", f"px = {hx[0]}", f"qx = {hx[1]}",
                     f"py = {hy[0]}", f"qy = {hy[1]}",
                     f"return ((1 - w)*py + w*px, (1 - w)*qy + w*qx{trace})"]
-        return _kernel(self, divergence, body, exp=math.exp)
+        return _kernel(self, divergence, 2 + divergence, body, exp=math.exp)
 
     def jacobian(self, x: float, y: float) -> np.ndarray:
         """Exact Jacobian of the blend: w J_X + (1 - w) J_Y with

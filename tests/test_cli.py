@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filippov import cli, fieldspec, flow, stability
-from filippov.errors import FieldSpecError
+from filippov import cli, fieldspec, flow, portrait, stability
+from filippov.errors import FieldSpecError, FilippovError
 from filippov.portrait import render_portrait
 from filippov.polys import piecewise, vf
 
@@ -264,6 +265,143 @@ def test_portrait_streaks_follow_rotation_orbits():
                      + 3 * (1 - s) * s ** 2 * c1 + s ** 3 * p1)
                 worst = max(worst, abs(math.hypot(*b) - r0))
     assert worst < 1e-3
+
+
+def _reference_curve(c, ts, pts, vels, cls, color, width=1.0):
+    # the streak path as it was drawn from numpy rows: every point and
+    # control point mapped one numpy scalar at a time
+    fmt = portrait._fmt
+    if len(pts) < 2:
+        return
+    h = np.diff(ts)[:, None] / 3.0
+    ends = [c.map(x, y) for x, y in pts]
+    c0 = [c.map(x, y) for x, y in pts[:-1] + h * vels[:-1]]
+    c1 = [c.map(x, y) for x, y in pts[1:] - h * vels[1:]]
+    d = [f"M{fmt(ends[0][0])},{fmt(ends[0][1])}"] + [
+        "C" + " ".join(f"{fmt(sx)},{fmt(sy)}" for sx, sy in seg)
+        for seg in zip(c0, c1, ends[1:])]
+    c.parts.append(
+        f'<path class="{cls}" d="{" ".join(d)}" fill="none" '
+        f'stroke="{color}" stroke-width="{fmt(width)}"/>')
+
+
+def _reference_streaks(c, Z, window, grid, streak_time, tols):
+    # the streaks with each point's velocity from the field's polynomial
+    # calls on numpy scalars
+    x0, x1, y0, y1 = window
+    for y in np.linspace(y0, y1, grid + 2)[1:-1]:
+        if abs(y) < 1e-12:
+            continue
+        fld = Z.X if y > 0 else Z.Y
+        color = "#2ca02c" if y > 0 else "#ff7f0e"
+        for x in np.linspace(x0, x1, grid + 2)[1:-1]:
+            try:
+                tr = flow.integrate_smooth(fld, (float(x), float(y)),
+                                           streak_time, window,
+                                           -1 if y > 0 else 1, tols=tols)
+            except FilippovError:
+                continue
+            pts = tr.states[:, :2]
+            vels = np.array([fld(px, py) for px, py in pts])
+            _reference_curve(c, tr.ts, pts, vels, "streak", color, 0.8)
+
+
+def _windows(Z, spec_window=None):
+    # the spec's (or the default) window, a zoom on its middle and a
+    # window shifted off its centre
+    x0, x1, y0, y1 = spec_window or stability.default_window(Z)
+    wx, wy = (x1 - x0) / 2, (y1 - y0) / 2
+    cx, cy = x0 + wx, y0 + wy
+    return [(x0, x1, y0, y1),
+            (cx - wx / 2, cx + wx / 2, cy - wy / 2, cy + wy / 2),
+            (x0 + wx / 3, x1 + wx / 5, y0 - wy / 7, y1 + wy / 3)]
+
+
+def _rendering_cases(seeded_fields):
+    for text in _spec_texts():
+        spec = fieldspec.parse(text)
+        yield spec.to_field(), spec.window
+    for Z in seeded_fields[::2]:
+        yield Z, None
+
+
+def test_portrait_bytes_match_the_per_point_drawing(seeded_fields,
+                                                    monkeypatch):
+    # the streaks drawn from float lists, with the velocities of the
+    # field's generated right-hand side, give the bytes of the per-point
+    # drawing on numpy scalars
+    cases = 0
+    for Z, spec_window in _rendering_cases(seeded_fields):
+        for window in _windows(Z, spec_window):
+            svg = render_portrait(Z, window)
+            with monkeypatch.context() as m:
+                m.setattr(portrait, "_draw_streaks", _reference_streaks)
+                assert render_portrait(Z, window) == svg, window
+            cases += 'class="streak"' in svg
+    assert cases >= 80
+
+
+def test_flow_bytes_match_the_numpy_row_export(tmp_path, seeded_fields,
+                                               monkeypatch):
+    # the CSV rows formatted from float lists, and the events file, hold
+    # the bytes of the rows formatted from numpy rows
+    runs = []
+    advance = flow.advance_hybrid
+
+    def record(*args, **kwargs):
+        runs.append(advance(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(flow, "advance_hybrid", record)
+    fmt, out, compared = fieldspec._fmt, str(tmp_path / "traj.csv"), 0
+    for Z, spec_window in _rendering_cases(seeded_fields):
+        spec = _write(tmp_path, "spec.json", fieldspec.serialize_json(
+            fieldspec.FieldSpec(Z.m, dict(zip(fieldspec.TABLE_NAMES, (
+                p.coeffs for p in (Z.X.P, Z.X.Q, Z.Y.P, Z.Y.Q)))))))
+        x0, x1, y0, y1 = _windows(Z, spec_window)[0]
+        window = ",".join("%.17g" % v for v in (x0, x1, y0, y1))
+        for u, v in ((0.3, 0.6), (0.7, 0.2), (0.45, 0.5)):
+            seed = "%.17g,%.17g" % (x0 + u * (x1 - x0), y0 + v * (y1 - y0))
+            runs.clear()
+            code = cli.main(["flow", spec, "--window=" + window,
+                             "--seed=" + seed, "--horizon=20", "--out", out])
+            if code != 0:
+                continue
+            traj, = runs
+            rows = ["t,x,y,field_tag"] + [
+                f"{fmt(t)},{fmt(x)},{fmt(y)},{arc.tag}" for arc in traj.arcs
+                for t, (x, y) in zip(arc.ts, arc.states[:, :2])]
+            events = {"closed": traj.closed.value,
+                      "events": [{"time": e.time, "kind": e.kind.value,
+                                  "state": [e.state[0], e.state[1]]}
+                                 for e in traj.events]}
+            assert Path(out).read_text() == "\n".join(rows) + "\n"
+            assert Path(out + ".events.json").read_text() == \
+                cli.dumps_report(events)
+            compared += 1
+    assert compared >= 40
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002],
+                         ids=["022", "077", "002"])
+def test_output_files_take_the_mode_the_umask_gives(tmp_path, mask):
+    # write_atomic's temporary file starts with mkstemp's mode 0o600; the
+    # file it becomes has the mode a plain open() gives a new file
+    spec = _write(tmp_path, "spiral.txt", SPIRAL_TEXT)
+    out, report = str(tmp_path / "traj.csv"), str(tmp_path / "report.json")
+    plain = tmp_path / "plain.txt"
+    old = os.umask(mask)
+    try:
+        assert cli.main(["flow", spec, "--seed", "1,0.5", "--horizon", "5",
+                         "--window=-2,2,-2,2", "--out", out]) == 0
+        assert cli.main(["analyze", spec, "--out", report]) == 1
+        plain.write_text("")
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE(plain.stat().st_mode)
+    assert want == 0o666 & ~mask
+    for path in (out, out + ".events.json", report):
+        assert stat.S_IMODE(os.stat(path).st_mode) == want, path
 
 
 def test_portrait_empty_window_axes_only():

@@ -347,9 +347,9 @@ def test_census_work_counter(monkeypatch):
     original = flow._integrate
 
     def counting(rhs, *args, **kwargs):
-        def counted(t, s):
+        def counted(t, *s):
             nfev[0] += 1
-            return rhs(t, s)
+            return rhs(t, *s)
         return original(counted, *args, **kwargs)
 
     monkeypatch.setattr(flow, "_integrate", counting)
@@ -467,6 +467,27 @@ def _interpolants(steps) -> list:
             for t, t_new, y, _, F, _ in steps]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rms_is_numpys_norm_to_the_bit(n):
+    # _initial_step's norms: numpy's norm(v) / sqrt(v.size) bit for bit,
+    # as a numpy scalar, on vectors whose entries run from subnormal to
+    # overflowing squares
+    rng = np.random.default_rng(n)
+    assert n ** 0.5 == math.sqrt(n)
+    for _ in range(5000):
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-320, 300, n)
+        with np.errstate(over="ignore"):
+            got, want = flow._rms(v), np.linalg.norm(v) / math.sqrt(v.size)
+        assert isinstance(got, np.float64)
+        assert float(got).hex() == float(want).hex()
+
+
+def _scipy(rhs):
+    """rhs(t, *state) as scipy's solvers call it, with the state as one
+    array."""
+    return lambda t, s: rhs(t, *s)
+
+
 @pytest.mark.parametrize("rhs, y0", [
     (RANDOM_01_Y.rhs(), [-9.40084, -4.04373]),
     (RANDOM_01_Y.rhs(divergence=True), [-9.40084, -4.04373, 0.0]),
@@ -475,13 +496,13 @@ def _interpolants(steps) -> list:
 def test_float_dop853_matches_scipy_dop853(rhs, y0, monkeypatch):
     tols = Tolerances()
     kw = dict(rtol=tols.root, atol=tols.root / 100)
-    ref = solve_ivp(rhs, (0.0, 2.0), y0, method="DOP853", dense_output=True,
-                    **kw)
+    ref = solve_ivp(_scipy(rhs), (0.0, 2.0), y0, method="DOP853",
+                    dense_output=True, **kw)
     steps, nfev = _record_steps(monkeypatch), [0]
 
-    def counted(t, s):
+    def counted(t, *s):
         nfev[0] += 1
-        return rhs(t, s)
+        return rhs(t, *s)
 
     # each step with a line makes the 3 evaluations a step of scipy's
     # dense output makes
@@ -494,8 +515,8 @@ def test_float_dop853_matches_scipy_dop853(rhs, y0, monkeypatch):
     # size in its last digits: each step is replayed from the same state
     # with scipy's stepper
     for k, st in enumerate(interpolants):
-        one = DOP853(rhs, st.t_old, st.y_old, st.t, first_step=st.h,
-                     rtol=kw["rtol"], atol=kw["atol"])
+        one = DOP853(_scipy(rhs), st.t_old, st.y_old, st.t,
+                     first_step=st.h, rtol=kw["rtol"], atol=kw["atol"])
         one.step()
         assert one.t == pytest.approx(st.t, rel=1e-15)
         assert np.allclose(one.y, ys[k + 1], rtol=1e-12, atol=1e-12)
@@ -530,8 +551,8 @@ def test_float_dop853_line_ends_solve_at_crossing_step(monkeypatch):
     # the rotation from (1, 0) crosses y = 0 downwards at t = pi.  The
     # solve ends with the step that holds the crossing, with no warning,
     # and its trace ends at the crossing
-    def rhs(t, s):
-        return [-s[1], s[0]]
+    def rhs(t, x, y):
+        return [-y, x]
 
     tols = Tolerances()
     searched, crossing = [], flow._crossing
@@ -578,7 +599,7 @@ def test_screen_drops_only_lines_without_a_root(seeded_fields, monkeypatch):
         lines = []
         for k in rng.integers(0, len(inside), 8):
             x, y = inside[k]
-            vx, vy = rhs(0.0, (x, y))
+            vx, vy = rhs(0.0, x, y)
             angle = math.atan2(vx, -vy) if len(lines) % 2 else \
                 rng.uniform(0, 2 * math.pi)
             ax, ay = math.cos(angle), math.sin(angle)
@@ -985,7 +1006,8 @@ def test_generated_rhs_matches_call_chain_to_the_bit(seeded_fields):
     # every kernel returns the floats of the evaluators it replaces: the
     # field's __call__ and divergence, the reversed field built from
     # negated coefficients, the sliding field, and the regularized blend
-    # with its exact Jacobian; also for a numpy state, as scipy passes one
+    # with its exact Jacobian; also for a numpy state's components, as the
+    # first evaluations of a solve pass them
     rng = np.random.default_rng(3)
     phis = [make_transition("smoothstep", n) for n in (1, 2, 3, 4)]
     phis.append(make_transition("bump"))
@@ -1003,17 +1025,17 @@ def test_generated_rhs_matches_call_chain_to_the_bit(seeded_fields):
                     want = F(x, y)
                     back = PolyVectorField(F.P.scale(-1.0), F.Q.scale(-1.0),
                                            F.m)
-                    assert _bits(F.rhs()(0.0, state)) == _bits(want)
-                    assert _bits(F.rhs(divergence=True)(0.0, state)) == \
-                        _bits(want + (F.divergence()(x, y),))
-                    assert _bits(F.rhs(reverse=True)(0.0, state)) == \
+                    assert _bits(F.rhs()(0.0, *state)) == _bits(want)
+                    assert _bits(F.rhs(divergence=True)(0.0, *state, 0.0)) \
+                        == _bits(want + (F.divergence()(x, y),))
+                    assert _bits(F.rhs(reverse=True)(0.0, *state)) == \
                         _bits(back(x, y))
                 for sign in (1.0, -1.0):
-                    assert _bits(Z.slide_rhs(sign)(0.0, state[:1])) == \
+                    assert _bits(Z.slide_rhs(sign)(0.0, state[0])) == \
                         _bits([sign * _slide_reference(Z, x)])
-                assert _bits(R.rhs()(0.0, state)) == _bits(R(x, y))
-                assert _bits(R_div.rhs(divergence=True)(0.0, state)) == \
-                    _bits(R_div(x, y) + (np.trace(R_div.jacobian(x, y)),))
+                assert _bits(R.rhs()(0.0, *state)) == _bits(R(x, y))
+                assert _bits(R_div.rhs(divergence=True)(0.0, *state, 0.0)) \
+                    == _bits(R_div(x, y) + (np.trace(R_div.jacobian(x, y)),))
 
 
 def _counting_generator(monkeypatch) -> list[str]:
@@ -1136,13 +1158,14 @@ def test_reversed_branches_share_one_kernel(monkeypatch):
 def test_pickled_fields_drop_their_kernels():
     Z = piecewise(UNIT_CYCLE, vf(ONE, ONE))
     R = RegularizedField(Z, make_transition("smoothstep", 2), 0.1)
-    for obj, make in ((Z.X, lambda F: F.rhs(True, True)),
-                      (Z, lambda F: F.slide_rhs(-1.0)),
-                      (R, lambda F: F.rhs(True))):
+    for obj, make, state in (
+            (Z.X, lambda F: F.rhs(True, True), (0.25, 0.05, 0.0)),
+            (Z, lambda F: F.slide_rhs(-1.0), (0.25,)),
+            (R, lambda F: F.rhs(True), (0.25, 0.05, 0.0))):
         rhs = make(obj)
         clone = pickle.loads(pickle.dumps(obj))
         assert clone == obj and "_kernels" not in vars(clone)
-        assert make(clone)(0.0, (0.25, 0.05)) == rhs(0.0, (0.25, 0.05))
+        assert make(clone)(0.0, *state) == rhs(0.0, *state)
 
 
 def test_slide_ending_at_zero_of_sliding_field_is_fz_singularity():

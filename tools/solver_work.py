@@ -54,9 +54,9 @@ def count_solves(counts: dict) -> None:
     integrate = flow._integrate
 
     def counted(rhs, *args, **kwargs):
-        def rhs_counted(t, s):
+        def rhs_counted(t, *s):
             counts["nfev"] += 1
-            return rhs(t, s)
+            return rhs(t, *s)
         counts["solver_calls"] += 1
         return integrate(rhs_counted, *args, **kwargs)
     flow._integrate = counted
