@@ -175,6 +175,8 @@ class SmoothTrace:
     states: np.ndarray
     status: str  # "d_hit", "window", "horizon", "section", "settled"
     hit_state: tuple[float, float] | None
+    # each watched ray's crossings by direction, as _Ray.xs keeps them
+    crossings: tuple[dict[int, list[float]], ...]
 
 
 # the step factor is 0.9 err^(-1/8), the DOP853 error estimator being of
@@ -563,7 +565,8 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     with_divergence accumulates the integral of div X as a third state
     component.  Each point (x_c, y_c) of rays is watched as the ray
     {y = y_c, x > x_c}: one line in both directions, whose _Ray keeps the
-    crossings of each direction apart.
+    crossings of each direction apart; they come back in
+    SmoothTrace.crossings, one entry per ray.
 
     One solve: the events are affine lines, which the stepper checks on
     each step's dense output (_integrate), so a step that jumps a pair of
@@ -582,7 +585,8 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
         lines.append((*section.line(0), lambda t, s, way:
                       t > 1e-12 and lo <= section.param_of(s) <= hi))
     events = len(lines)
-    lines += [(0.0, 1.0, -yc, 0, _Ray(xc, tols.close)) for xc, yc in rays]
+    watched = [_Ray(xc, tols.close) for xc, _ in rays]
+    lines += [(0.0, 1.0, -yc, 0, ray) for ray, (_, yc) in zip(watched, rays)]
     ts, ys, hit = _integrate(X.rhs(reverse, with_divergence),
                              list(p0) + ([0.0] if with_divergence else []),
                              horizon, tols, lines, traps=sinks)
@@ -597,7 +601,8 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
             status = {0: "d_hit", 5: "section"}.get(kind, "window")
         if status in ("d_hit", "section"):
             hit_state = (float(end[0]), 0.0 if kind == 0 else float(end[1]))
-    return SmoothTrace(ts, ys, status, hit_state)
+    return SmoothTrace(ts, ys, status, hit_state,
+                       tuple(ray.xs for ray in watched))
 
 
 def _d_stop(Z: PiecewiseField, x0: float, speed: float, window: Window,
@@ -1189,11 +1194,6 @@ class SaddleSpec:
     point: tuple[float, float]
 
 
-# points of two branches of one saddle that lie this close to it are not
-# compared (probe_saddle_connections)
-_R_EXCL = 5e-2
-
-
 @dataclass(frozen=True)
 class SeparatrixBranch:
     saddle_index: int
@@ -1201,13 +1201,14 @@ class SeparatrixBranch:
     label: str
     points: np.ndarray
     fate: str  # how its trace ended (see probe_saddle_connections)
+    # section -> abscissas where the branch crosses it: (ray point,
+    # direction in forward time) for a watched ray, "D" for its end on D
+    crossings: dict
 
 
 @dataclass(frozen=True)
 class ConnectionReport:
     branches: list[SeparatrixBranch]
-    distances: np.ndarray  # least distance of each searched branch pair;
-                           # inf for every pair left out (_pairs_to_search)
     flagged: list[tuple[int, int]]
     skipped: list[tuple[str, str]]  # (label, error kind) of failed traces
 
@@ -1218,8 +1219,7 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
                              tols: Tolerances | None = None,
                              rays: dict | None = None) -> ConnectionReport:
     """Trace separatrix branches of certified saddles and flag each stable
-    and unstable branch pair that comes within tols.connect as a
-    PossibleConnection.
+    and unstable branch pair that may connect as a PossibleConnection.
 
     One solve per branch.  A branch of X (Y) watches the ray {y = y_c,
     x > x_c} from each point of rays["X"] (rays["Y"]), the nodes, foci
@@ -1232,23 +1232,29 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
     ClassificationAmbiguous, NotTransversal and StepFailure keeps no
     points and the error's name as its fate (ConnectionReport.skipped).
 
-    Only the pairs of _pairs_to_search get the exact least distance: one
-    stable and one unstable branch whose bounding boxes come within
-    tols.connect of each other on both axes.  Same-saddle pairs exclude
-    points within _R_EXCL of the saddle, so the seeding offset does not
-    self-flag.  Every other pair, which cannot be flagged, reads inf in
-    distances."""
+    A connecting orbit is a matching condition on a section (Beyn, IMA J.
+    Numer. Anal. 10, 1990).  Each branch keeps its crossings of each
+    watched ray under the ray and the crossing's direction in forward
+    time, so a stable branch, traced in reverse, flips its directions; a
+    branch that ends on D (an X or Y branch at 'd_hit', an FZ branch at
+    'q1_root' or 'q2_root') keeps that abscissa under "D".  A stable and
+    an unstable branch are flagged when two of their crossings of one
+    section differ by less than tols.connect, or, for branches of two
+    saddles, when a point of either comes within tols.connect of the
+    other's seed: a connection that crosses no section, as one that runs
+    into an FZ saddle along D (_connections)."""
     tols, rays = tols or default_tols(), rays or {}
     branches: list[SeparatrixBranch] = []
     skipped: list[tuple[str, str]] = []
 
     def add(idx, stab, label, trace, *args):
         try:
-            pts, fate = trace(*args)
+            pts, fate, crossings = trace(*args)
         except (ClassificationAmbiguous, NotTransversal, StepFailure) as e:
-            pts, fate = np.empty((0, 2)), type(e).__name__
+            pts, fate, crossings = np.empty((0, 2)), type(e).__name__, {}
             skipped.append((label, fate))
-        branches.append(SeparatrixBranch(idx, stab, label, pts, fate))
+        branches.append(SeparatrixBranch(idx, stab, label, pts, fate,
+                                         crossings))
 
     for idx, sad in enumerate(saddles):
         if sad.kind in ("X", "Y"):
@@ -1274,73 +1280,65 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
                         _trace_d_branch, Z, x0 + sgn * tols.delta_sep,
                         direction, horizon, window, tols)
 
-    n = len(branches)
-    dmat = np.full((n, n), np.inf)
+    return ConnectionReport(branches, _connections(branches, tols.connect),
+                            skipped)
+
+
+def _connections(branches: list[SeparatrixBranch], connect: float
+                 ) -> list[tuple[int, int]]:
+    """The pairs (i, j), i < j, of a stable and an unstable branch with two
+    crossings of one section less than connect apart, or of two saddles
+    with a point of either less than connect from the other's seed; a
+    branch without points pairs with nothing."""
     flagged = []
-    centers = [s.point for s in saddles]
-    for i, j, pi, pj in _pairs_to_search(branches, centers, tols.connect):
-        d = _min_dist(pi, pj)
-        dmat[i, j] = dmat[j, i] = d
-        if d < tols.connect:
-            flagged.append((i, j))
-    return ConnectionReport(branches, dmat, flagged, skipped)
-
-
-def _pairs_to_search(branches: list[SeparatrixBranch],
-                     centers: list[tuple[float, float]], connect: float):
-    """Yield (i, j, pi, pj), i < j, for each branch pair whose least
-    distance can be under connect: one branch stable and the other
-    unstable, with bounding boxes less than connect apart on both axes.
-    pi and pj are the pair's points, less those within _R_EXCL of the
-    saddle at centers[k] when both branches leave saddle k; a pair that
-    keeps no point on one side is not yielded.
-
-    A box gap of at least connect puts every pair of points at least that
-    far apart, so the pairs left out cannot be flagged."""
-    boxes = [(b.points.min(axis=0), b.points.max(axis=0))
-             if len(b.points) else None for b in branches]
-    for i, (bi, box_i) in enumerate(zip(branches, boxes)):
+    for i, bi in enumerate(branches):
         for j in range(i + 1, len(branches)):
-            bj, box_j = branches[j], boxes[j]
-            if bi.stability == bj.stability or box_i is None \
-                    or box_j is None:
+            bj = branches[j]
+            if bi.stability == bj.stability or not (
+                    len(bi.points) and len(bj.points)):
                 continue
-            gap = np.maximum(box_j[0] - box_i[1], box_i[0] - box_j[1])
-            if np.any(gap >= connect):
-                continue
-            pi, pj = bi.points, bj.points
-            if bi.saddle_index == bj.saddle_index:
-                c = np.asarray(centers[bi.saddle_index])
-                pi = pi[np.linalg.norm(pi - c, axis=1) > _R_EXCL]
-                pj = pj[np.linalg.norm(pj - c, axis=1) > _R_EXCL]
-            if len(pi) and len(pj):
-                yield i, j, pi, pj
+            shared = bi.crossings.keys() & bj.crossings.keys()
+            if any(abs(u - v) < connect for key in shared
+                   for u in bi.crossings[key] for v in bj.crossings[key]) \
+                    or bi.saddle_index != bj.saddle_index and (
+                        _reaches(bi.points, bj.points[0], connect)
+                        or _reaches(bj.points, bi.points[0], connect)):
+                flagged.append((i, j))
+    return flagged
 
 
 def _trace_branch(Z, seed, kind, forward, horizon, window, tols, rays=()):
+    """(points, fate, crossings) of the branch of X or Y from seed
+    (probe_saddle_connections)."""
     fld = Z.X if kind == "X" else Z.Y
     ddir = -1 if kind == "X" else 1
     if (kind == "X" and seed[1] <= 0) or (kind == "Y" and seed[1] >= 0):
-        return np.asarray([seed]), "d_hit"
+        return np.asarray([seed]), "d_hit", {"D": [float(seed[0])]}
     tr = integrate_smooth(fld, seed, horizon, window, ddir, tols=tols,
                           reverse=not forward, rays=rays)
-    return tr.states[:, :2], tr.status
+    turn = 1 if forward else -1
+    crossings = {(tuple(p), turn * way): xs
+                 for p, ray in zip(rays, tr.crossings)
+                 for way, xs in ray.items()}
+    if tr.status == "d_hit":
+        crossings["D"] = [tr.hit_state[0]]
+    return tr.states[:, :2], tr.status, crossings
 
 
 def _trace_d_branch(Z, x0, direction, horizon, window, tols):
+    """(points, fate, crossings) of the branch along D from x0, in the
+    given time direction (probe_saddle_connections)."""
     rhs = Z.slide_rhs(direction)
     outcome, line = _d_stop(Z, x0, rhs(0.0, x0)[0], window, tols)
     _, ys, hit = _integrate(rhs, [x0], horizon, tols, [line])
     xs = ys[:, 0]
-    return np.column_stack([xs, 0.0 * xs]), outcome if hit else "horizon"
+    fate = outcome if hit else "horizon"
+    crossings = {"D": [float(xs[-1])]} \
+        if fate in ("q1_root", "q2_root") else {}
+    return np.column_stack([xs, 0.0 * xs]), fate, crossings
 
 
-def _min_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Least distance between a point of a and a point of b, over blocks of
-    a so that no block's table of squared distances passes 2^16 entries."""
-    rows = max(1, (1 << 16) // len(b))
-    best = math.inf
-    for k in range(0, len(a), rows):
-        d = a[k:k + rows, None, :] - b[None, :, :]
-        best = min(best, float(np.min(np.sum(d * d, axis=-1))))
-    return math.sqrt(best)
+def _reaches(points: np.ndarray, target, connect: float) -> bool:
+    """Whether a point of points lies less than connect from target."""
+    d = points - np.asarray(target)
+    return bool(np.min(np.hypot(d[:, 0], d[:, 1])) < connect)

@@ -23,6 +23,9 @@ from .tolerances import Tolerances, default_tols
 
 WIDTH, HEIGHT = 720, 540
 MARGIN = 40
+# streaks start on a STREAK_GRID x STREAK_GRID grid inside the window and
+# run for STREAK_TIME
+STREAK_GRID, STREAK_TIME = 7, 0.6
 
 ARC_CLASS = {
     PointTag.SEWING: "arc-sewing",
@@ -117,7 +120,6 @@ class _Canvas:
 
 def render_portrait(Z: PiecewiseField,
                     window: tuple[float, float, float, float],
-                    streak_grid: int = 7, streak_time: float = 0.6,
                     tols: Tolerances | None = None) -> str:
     """SVG 1.1 portrait of Z on the window; degrades to an empty frame on
     degenerate input instead of failing."""
@@ -129,7 +131,7 @@ def render_portrait(Z: PiecewiseField,
         f'width="{WIDTH - 2 * MARGIN}" height="{HEIGHT - 2 * MARGIN}" '
         f'fill="none" stroke="#000" stroke-width="1"/>')
     if x1 > x0 and y1 > y0:
-        _draw_streaks(c, Z, window, streak_grid, streak_time, tols)
+        _draw_streaks(c, Z, window, tols)
         _draw_d_line(c, Z, window, tols)
     body = "\n".join(c.parts)
     return (
@@ -165,10 +167,10 @@ def _draw_d_line(c: _Canvas, Z, window, tols):
         c.glyph(s.x, 0.0, GLYPH_CLASS[s.kind])
 
 
-def _draw_streaks(c: _Canvas, Z, window, grid, streak_time, tols):
+def _draw_streaks(c: _Canvas, Z, window, tols):
     x0, x1, y0, y1 = window
-    xs = np.linspace(x0, x1, grid + 2)[1:-1]
-    ys = np.linspace(y0, y1, grid + 2)[1:-1]
+    xs = np.linspace(x0, x1, STREAK_GRID + 2)[1:-1]
+    ys = np.linspace(y0, y1, STREAK_GRID + 2)[1:-1]
     for y in ys:
         if abs(y) < 1e-12:
             continue
@@ -179,7 +181,7 @@ def _draw_streaks(c: _Canvas, Z, window, grid, streak_time, tols):
         for x in xs:
             try:
                 tr = flow.integrate_smooth(fld, (float(x), float(y)),
-                                           streak_time, window, ddir,
+                                           STREAK_TIME, window, ddir,
                                            tols=tols)
             except FilippovError:
                 continue

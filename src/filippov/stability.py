@@ -72,8 +72,9 @@ def interior_singularities(X: PolyVectorField, region: str,
     Res_y(P, Q), its ordinate a real root of P(x, .) or Q(x, .) there
     (polys.common_zero_seeds).  Each such pair only seeds a damped Newton
     run with the exact Jacobian, and the Newton iterate is what is
-    reported; a seed at which P and Q vanish to tols.close but whose run
-    fails is reported as it stands, with hyperbolic 'unverified'.  Raises
+    reported, if it lies in the window and the region; a seed at which P
+    and Q vanish to tols.close but whose run fails is reported as it
+    stands, with hyperbolic 'unverified'.  Raises
     CommonFactor when P and Q share a factor: the resultant vanishes, or
     both P(x, .) and Q(x, .) do at one of its roots.
     """
@@ -99,8 +100,8 @@ def interior_singularities(X: PolyVectorField, region: str,
         if sol is None and max(map(abs, U(xr, yr))) > tols.close:
             continue  # not a common root of P(xr, .) and Q(xr, .)
         x, y = sol or (xr, yr)
-        if (x0 - slack <= x <= x1 + slack) and \
-                (y > tols.sign if region == "N" else y < -tols.sign):
+        if x0 - slack <= x <= x1 + slack and y0 - slack <= y <= y1 + slack \
+                and (y > tols.sign if region == "N" else y < -tols.sign):
             points.append((sol is None, x, y))
     kept: list[tuple[bool, float, float]] = []
     for p in sorted(points):  # Newton's zeros first, then failed seeds
@@ -232,7 +233,6 @@ class GmOptions:
     horizon: float = 100.0
     seeds: list[float] | None = None
     optimistic: bool = False
-    probe_connections: bool = True
 
 
 def default_window(Z: PiecewiseField, margin: float = 1.0
@@ -355,33 +355,32 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
 
     # saddle-connection probe (semi-decision)
     flags: list[tuple[int, int]] = []
-    if options.probe_connections:
-        saddles = [flow.SaddleSpec("X", s.point) for s in interior_x
-                   if s.is_saddle]
-        saddles += [flow.SaddleSpec("Y", s.point) for s in interior_y
-                    if s.is_saddle]
-        saddles += [flow.SaddleSpec("FZ", (s.x, 0.0)) for s in d_sings
-                    if s.kind is dline.SingKind.FZ_SADDLE]
-        if saddles:
-            rays = {"X": [s.point for s in interior_x if not s.is_saddle],
-                    "Y": [s.point for s in interior_y if not s.is_saddle]}
-            rep = flow.probe_saddle_connections(Z, saddles,
-                                                options.horizon / 3.0,
-                                                window, tols, rays)
-            flags = rep.flagged
-            if flags:
-                for i, j in flags:
-                    gm3.violate({"kind": "possible_connection",
-                                 "branches": [rep.branches[i].label,
-                                              rep.branches[j].label]})
-            elif not options.optimistic:
-                gm3.weaken({"kind": "connection_probe_clean",
-                            "branches": len(rep.branches)})
-            if rep.skipped:  # a branch not traced may hide a connection
-                gm3.weaken({"kind": "connection_probe_skipped",
-                            "branches": [list(b) for b in rep.skipped]})
+    saddles = [flow.SaddleSpec("X", s.point) for s in interior_x
+               if s.is_saddle]
+    saddles += [flow.SaddleSpec("Y", s.point) for s in interior_y
+                if s.is_saddle]
+    saddles += [flow.SaddleSpec("FZ", (s.x, 0.0)) for s in d_sings
+                if s.kind is dline.SingKind.FZ_SADDLE]
+    if saddles:
+        rays = {"X": [s.point for s in interior_x if not s.is_saddle],
+                "Y": [s.point for s in interior_y if not s.is_saddle]}
+        rep = flow.probe_saddle_connections(Z, saddles,
+                                            options.horizon / 3.0,
+                                            window, tols, rays)
+        flags = rep.flagged
+        if flags:
+            for i, j in flags:
+                gm3.violate({"kind": "possible_connection",
+                             "branches": [rep.branches[i].label,
+                                          rep.branches[j].label]})
         elif not options.optimistic:
-            gm3.weaken({"kind": "no_saddles_to_probe"})
+            gm3.weaken({"kind": "connection_probe_clean",
+                        "branches": len(rep.branches)})
+        if rep.skipped:  # a branch not traced may hide a connection
+            gm3.weaken({"kind": "connection_probe_skipped",
+                        "branches": [list(b) for b in rep.skipped]})
+    elif not options.optimistic:
+        gm3.weaken({"kind": "no_saddles_to_probe"})
 
     return StabilityReport(gm1, gm2, gm3, interior_x, interior_y,
                            arcs, d_sings, folds, infinity, infinity_status,

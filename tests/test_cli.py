@@ -285,10 +285,11 @@ def _reference_curve(c, ts, pts, vels, cls, color, width=1.0):
         f'stroke="{color}" stroke-width="{fmt(width)}"/>')
 
 
-def _reference_streaks(c, Z, window, grid, streak_time, tols):
+def _reference_streaks(c, Z, window, tols):
     # the streaks with each point's velocity from the field's polynomial
     # calls on numpy scalars
     x0, x1, y0, y1 = window
+    grid = portrait.STREAK_GRID
     for y in np.linspace(y0, y1, grid + 2)[1:-1]:
         if abs(y) < 1e-12:
             continue
@@ -297,7 +298,7 @@ def _reference_streaks(c, Z, window, grid, streak_time, tols):
         for x in np.linspace(x0, x1, grid + 2)[1:-1]:
             try:
                 tr = flow.integrate_smooth(fld, (float(x), float(y)),
-                                           streak_time, window,
+                                           portrait.STREAK_TIME, window,
                                            -1 if y > 0 else 1, tols=tols)
             except FilippovError:
                 continue

@@ -13,7 +13,6 @@ import pytest
 from scipy.integrate import DOP853, OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from filippov import dop853, flow, polys
 from filippov.dline import fold_points
@@ -688,8 +687,10 @@ def test_sliding_arc_steps_over_close_fold_pair(delta):
     assert abs(first.state[0] + delta) < 1e-12
     t_fold = (1 - delta ** 2) * (3 - delta) + (27 - delta ** 3) / 3
     assert abs(first.time - t_fold) < 1e-8
-    pts, fate = flow._trace_d_branch(Z, -3.0, 1.0, 20.0, WIN, default_tols())
+    pts, fate, crossings = flow._trace_d_branch(Z, -3.0, 1.0, 20.0, WIN,
+                                                default_tols())
     assert fate == "q1_root" and abs(pts[-1, 0] + delta) < 1e-12
+    assert crossings == {"D": [pts[-1, 0]]}
 
 
 def test_tolerance_scale_reaches_solvers(monkeypatch):
@@ -787,16 +788,6 @@ def test_census_drift_field_finds_nothing():
     assert find_closed_polytrajectories(Z, WIN) == []
 
 
-def test_min_dist_matches_kdtree():
-    # the blocked numpy search against scipy's k-d tree, bit for bit, on
-    # point sets smaller and larger than one block
-    rng = np.random.default_rng(5)
-    for na, nb in ((1, 1), (7, 300), (400, 350), (5000, 3)):
-        a, b = rng.normal(size=(na, 2)), rng.normal(size=(nb, 2)) + 0.5
-        want = float(np.min(cKDTree(b).query(a, k=1)[0]))
-        assert flow._min_dist(a, b) == want
-
-
 def test_probe_no_saddles():
     Z = piecewise(ROT, ROT)
     rep = probe_saddle_connections(Z, [])
@@ -810,8 +801,6 @@ def test_probe_generic_no_connection():
     Z = piecewise(X, vf(ONE, ONE))
     rep = probe_saddle_connections(Z, [SaddleSpec("X", (0.2, 1.0))])
     assert rep.flagged == []
-    finite = rep.distances[np.isfinite(rep.distances)]
-    assert finite.size == 0 or np.min(finite) > default_tols().connect
 
 
 def test_probe_flags_symmetric_heteroclinic():
@@ -831,70 +820,96 @@ def test_probe_flags_symmetric_heteroclinic():
     assert hit
 
 
-def _branch(saddle_index, stability, *points):
+@pytest.mark.parametrize("shift", [0.0, 0.01])
+def test_probe_flags_a_connection_through_a_sewing_point(shift):
+    # X = (-x, y - 1) and Y = (x - shift, -1 - y) sew downward along D:
+    # the unstable branch of X's saddle (0, 1) runs down x = 0 to D, and
+    # the stable branch of Y's saddle (shift, -1) comes up x = shift from
+    # it, so they meet on D only when shift = 0
+    Z = piecewise(vf({(1, 0): -1.0}, {(0, 1): 1.0, (0, 0): -1.0}),
+                  vf({(1, 0): 1.0, (0, 0): -shift}, {(0, 1): -1.0, **M_ONE}))
+    rep = probe_saddle_connections(
+        Z, [SaddleSpec("X", (0.0, 1.0)), SaddleSpec("Y", (shift, -1.0))],
+        window=(-3, 3, -3, 3))
+    ends = {b.label: b.crossings["D"] for b in rep.branches
+            if b.fate == "d_hit"}
+    assert ends.keys() == {"X0:unstable:-1", "Y1:stable:+1"}
+    assert abs(ends["X0:unstable:-1"][0]) < 1e-9
+    assert abs(ends["Y1:stable:+1"][0] - shift) < 1e-9
+    assert [(rep.branches[i].label, rep.branches[j].label)
+            for i, j in rep.flagged] == (
+        [("X0:unstable:-1", "Y1:stable:+1")] if shift == 0.0 else [])
+
+
+def _branch(saddle_index, stability, *points, crossings=None):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     return flow.SeparatrixBranch(saddle_index, stability,
-                                 f"{saddle_index}:{stability}", pts, "horizon")
-
-
-def _searched(branches, centers=((9.0, 9.0), (-9.0, -9.0))):
-    return [(i, j) for i, j, _, _ in flow._pairs_to_search(
-        branches, list(centers), default_tols().connect)]
+                                 f"{saddle_index}:{stability}", pts,
+                                 "horizon", crossings or {})
 
 
 def test_pairs_of_one_stability_are_never_searched():
-    # four branches over one point: only the stable-unstable pairs remain
+    # four branches with one crossing of one section, over one point:
+    # only the stable-unstable pairs are flagged
     stabs = ("stable", "unstable", "stable", "unstable")
-    branches = [_branch(k % 2, s, (0.0, 0.0), (1.0, 1.0))
+    branches = [_branch(k % 2, s, (0.0, 0.0), (1.0, 1.0),
+                        crossings={"D": [0.5]})
                 for k, s in enumerate(stabs)]
-    assert _searched(branches) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert flow._connections(branches, default_tols().connect) == [
+        (0, 1), (0, 3), (1, 2), (2, 3)]
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_boxes_a_connect_apart_are_not_searched(axis):
-    # boxes exactly tols.connect apart on one axis can hold no pair of
-    # points closer than that; one ulp less, and the pair is searched and
-    # flagged
+def test_crossings_flag_only_on_a_shared_section():
+    # crossings less than tols.connect apart flag a pair only under one
+    # key: one ray in one direction of forward time, or D
     c = default_tols().connect
-    for gap, want in ((c, []), (np.nextafter(c, 0.0), [(0, 1)])):
-        shift = np.zeros(2)
-        shift[axis] = gap
-        branches = [_branch(0, "stable", (-1.0, -1.0), (0.0, 0.0)),
-                    _branch(1, "unstable", shift, shift + 1.0)]
-        assert _searched(branches) == want
-        for _, _, pi, pj in flow._pairs_to_search(branches, [(9, 9)] * 2, c):
-            assert flow._min_dist(pi, pj) == gap < c
+    ray = (0.0, 0.0)
+    for cross, want in (({(ray, 1): [c / 2]}, [(0, 1)]),
+                        ({(ray, 1): [np.nextafter(c, 0.0)]}, [(0, 1)]),
+                        ({(ray, 1): [c]}, []),
+                        ({(ray, -1): [0.0]}, []),
+                        ({((1.0, 0.0), 1): [0.0]}, []),
+                        ({"D": [0.0]}, [])):
+        branches = [_branch(0, "stable", (0.0, 1.0), (0.0, 2.0),
+                            crossings={(ray, 1): [3.0, 0.0]}),
+                    _branch(0, "unstable", (0.0, 1.1), (5.0, 5.0),
+                            crossings=cross)]
+        assert flow._connections(branches, c) == want, cross
 
 
-def test_boxes_apart_on_one_axis_only_are_not_searched():
-    # the boxes overlap in x and lie 1 apart in y
-    branches = [_branch(0, "stable", (0.0, 0.0), (2.0, 0.0)),
-                _branch(1, "unstable", (1.0, 1.0), (3.0, 1.0))]
-    assert _searched(branches) == []
+def test_a_branch_reaching_another_saddles_seed_is_flagged():
+    # the unstable branch of saddle 1 passes within tols.connect of the
+    # stable branch's seed (its first point); a branch of the same saddle
+    # does not count, as its seed lies next to the other's
+    c = default_tols().connect
+    stable = _branch(0, "stable", (0.0, 0.0), (2.0, 2.0))
+    for saddle, gap, want in ((1, c / 2, [(0, 1)]), (1, c, []),
+                              (0, c / 2, [])):
+        unstable = _branch(saddle, "unstable", (5.0, 5.0), (gap, 0.0),
+                           (0.0, 5.0))
+        assert flow._connections([stable, unstable], c) == want
+        assert flow._connections([unstable, stable], c) == want
 
 
-def test_same_saddle_pairs_leave_out_points_near_the_saddle():
-    # both branches leave the saddle (0, 0): the pair is searched only on
-    # points farther than _R_EXCL from it, and not at all once one side
-    # keeps none; a branch of another saddle is compared whole
-    r, c = flow._R_EXCL, default_tols().connect
-    stable = _branch(0, "stable", (0.0, r / 2), (0.0, 1.0))
-    near = (0.0, r / 2 + 1e-5)
-    far = _branch(0, "unstable", near, (0.0, 1.0 + 1e-5))
-    centers = [(0.0, 0.0), (9.0, 9.0)]
-    assert _searched([stable, _branch(0, "unstable", near)], centers) == []
-    (_, _, pi, pj), = flow._pairs_to_search([stable, far], centers, c)
-    assert pi.tolist() == [[0.0, 1.0]] and pj.tolist() == [[0.0, 1.0 + 1e-5]]
-    (_, _, pi, pj), = flow._pairs_to_search(
-        [stable, _branch(1, "unstable", near)], centers, c)
-    assert len(pi) == 2 and flow._min_dist(pi, pj) < c
+def test_skipped_branches_pair_with_nothing(monkeypatch):
+    # the FZ saddle's branches flag the heteroclinic field; when their
+    # traces fail, they keep no points and no crossings, and pair with
+    # nothing
+    def failing(*args):
+        raise StepFailure("stub")
 
-
-def test_skipped_branches_pair_with_nothing():
-    # a branch whose trace failed keeps no points and no box
-    branches = [_branch(0, "stable"), _branch(1, "unstable", (0.0, 0.0)),
-                _branch(2, "stable", (0.0, 0.0)), _branch(3, "unstable")]
-    assert _searched(branches, [(9.0, 9.0)] * 4) == [(1, 2)]
+    monkeypatch.setattr(flow, "_trace_d_branch", failing)
+    X = vf({(1, 0): 2.0, (1, 1): -1.0},
+           {(0, 0): 1.0, (0, 1): -1.0, (2, 0): -1.0})
+    saddles = [SaddleSpec("X", (0.0, 1.0)), SaddleSpec("FZ", (0.0, 0.0))]
+    rep = probe_saddle_connections(piecewise(X, vf({}, M_ONE)), saddles,
+                                   window=(-3, 3, -3, 3))
+    assert rep.skipped == [(b.label, "StepFailure")
+                           for b in rep.branches[4:]]
+    assert [b.saddle_index for b in rep.branches[4:]] == [1] * 4
+    assert all(len(b.points) == 0 and b.crossings == {}
+               for b in rep.branches[4:])
+    assert rep.flagged == []
 
 
 def _circle_field(k: float, center: tuple[float, float]) -> PolyVectorField:

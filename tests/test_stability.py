@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from filippov import fieldspec, flow, stability
 from filippov.cli import dumps_report
@@ -121,7 +122,7 @@ def test_report_common_factor_undetermined():
             (0, 1): 1.0, (0, 0): -2.0},
            {(1, 1): 1.0, (0, 3): -1.0, (0, 2): 2.0, (1, 0): -2.0})
     Z = piecewise(X, vf({(0, 0): 1.0, (0, 3): -1.0}, {(0, 0): 1.0, (3, 0): 1.0}))
-    rep = check_gm(Z, GmOptions(window=WIN, probe_connections=False))
+    rep = check_gm(Z, GmOptions(window=WIN))
     kinds = [w["kind"] for w in rep.gm1.witnesses]
     assert rep.gm1.status == UNDETERMINED
     assert kinds == ["interior_common_factor"]
@@ -268,6 +269,30 @@ def test_interior_affine_matches_closed_form():
                 assert out == []
 
 
+# Y of random_15 of benchmark generator seed 11, whose default window is
+# the square of half-side 4.783658266005226: Newton from a seed inside it
+# converges to the node (3.2669, -5.4501) below it
+RANDOM_15_Y = vf({(0, 0): 0.25521875525258286, (0, 2): 1.3455054340106627,
+                  (0, 3): -1.2936312231499061, (1, 2): -1.9110796385633901,
+                  (2, 0): 0.17660665985000712, (2, 1): 1.8656642145615883,
+                  (3, 0): 1.2172759599311656},
+                 {(0, 0): -0.46148129961639128, (0, 2): -1.6733095862375431,
+                  (1, 1): 0.53651206652934613, (1, 2): 0.98316615272318941,
+                  (2, 0): -1.0181990351616426, (2, 1): 1.0614121230762339,
+                  (3, 0): 1.0588372188529398}, 3)
+
+
+def test_interior_census_reports_no_zero_below_the_window():
+    h = 4.783658266005226
+    out = interior_singularities(RANDOM_15_Y, "S", (-h, h, -h, h))
+    assert [s.is_saddle for s in out] == [True]
+    assert all(-h <= s.point[1] < 0 for s in out)
+    # the node is a zero of Y, reported once the window takes it in
+    out = interior_singularities(RANDOM_15_Y, "S", (-h, h, -6.0, h))
+    assert any(math.hypot(s.point[0] - 3.26692, s.point[1] + 5.45008)
+               < 1e-4 and not s.is_saddle for s in out)
+
+
 def test_report_violated_origin_tangency():
     Z = piecewise(vf({(0, 1): -1.0, (1, 0): 1.0},
                      {(1, 0): 1.0, (0, 1): 1.0}), ROT)
@@ -329,8 +354,7 @@ def test_census_run_failure_skips_the_run(monkeypatch, field, error):
         raise error("stubbed failure")
 
     monkeypatch.setattr(flow, "advance_hybrid", failing)
-    rep = check_gm(field, GmOptions(window=(-5, 5, -5, 5),
-                                    probe_connections=False))
+    rep = check_gm(field, GmOptions(window=(-5, 5, -5, 5)))
     assert failed and rep.cycles == []
     assert rep.gm2.status == UNDETERMINED
 
@@ -593,8 +617,9 @@ def test_branches_circling_a_cycle_settle(monkeypatch):
 
 
 def _all_pairs_flagged(rep, centers, connect):
-    # the reference: every stable-unstable branch pair gets the exact
-    # search, whatever its bounding boxes
+    # the reference: the least distance between the points of every
+    # stable-unstable branch pair, less, for two branches of one saddle,
+    # their points within 0.05 of it
     flagged = []
     for i, bi in enumerate(rep.branches):
         for j, bj in enumerate(rep.branches[i + 1:], i + 1):
@@ -603,9 +628,10 @@ def _all_pairs_flagged(rep, centers, connect):
             pi, pj = bi.points, bj.points
             if bi.saddle_index == bj.saddle_index:
                 c = np.asarray(centers[bi.saddle_index])
-                pi = pi[np.linalg.norm(pi - c, axis=1) > flow._R_EXCL]
-                pj = pj[np.linalg.norm(pj - c, axis=1) > flow._R_EXCL]
-            if len(pi) and len(pj) and flow._min_dist(pi, pj) < connect:
+                pi = pi[np.linalg.norm(pi - c, axis=1) > 0.05]
+                pj = pj[np.linalg.norm(pj - c, axis=1) > 0.05]
+            if len(pi) and len(pj) and \
+                    np.min(cKDTree(pj).query(pi, k=1)[0]) < connect:
                 flagged.append((i, j))
     return flagged
 
@@ -634,6 +660,61 @@ def test_probe_flags_what_an_all_pairs_search_flags(seeded_fields,
     connect = default_tols().connect
     for centers, rep in runs:
         assert rep.flagged == _all_pairs_flagged(rep, centers, connect)
+
+
+def _loop_field(cx, cy, s, mu, shift=0.0):
+    # H = v^2/2 - u^2/2 + u^3/3 in u = (x - cx)/s, v = (y - cy)/s: H = 0
+    # is a homoclinic loop of the saddle (cx, cy) around the focus
+    # (cx + s, cy), and X = (H_v + mu H H_u, -H_u + mu H H_v) + (shift, 0)
+    # keeps it when shift = 0, as then H' = mu H |grad H|^2; Y = (1, -1)
+    u = poly({(1, 0): 1 / s, (0, 0): -cx / s})
+    v = poly({(0, 1): 1 / s, (0, 0): -cy / s})
+    H = (v * v - u * u).scale(0.5) + (u * u * u).scale(1 / 3)
+    Hu, Hv = u * u - u, v
+    P = Hv + (H * Hu).scale(mu) + poly({(0, 0): shift})
+    Q = (H * Hv).scale(mu) - Hu
+    return piecewise(PolyVectorField(P, Q, 5), vf(ONE, {(0, 0): -1.0}))
+
+
+@pytest.mark.parametrize("optimistic", [False, True])
+def test_homoclinic_loop_is_a_possible_connection(optimistic):
+    # the loop of the saddle (0, 2) surrounds the focus (1, 2) with
+    # eigenvalues -1/12 +- i; both branches on it cross the focus's ray
+    # at x = 1.5, downward in forward time
+    rep = check_gm(_loop_field(0.0, 2.0, 1.0, 0.5),
+                   GmOptions(window=WIN, optimistic=optimistic))
+    assert rep.gm3.status == VIOLATED
+    assert rep.gm3.witnesses == [{"kind": "possible_connection",
+                                  "branches": ["X0:unstable:+1",
+                                               "X0:stable:-1"]}]
+
+
+def _planted_loops():
+    # 20 loops of scale 0.5 to 2 and |mu| 0.1 to 0.8 in N, each in its
+    # bounding box (u in [0, 1.5], |v| <= 1/sqrt(3)) widened by 1.5
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        s = rng.uniform(0.5, 2.0)
+        mu = rng.uniform(0.1, 0.8) * rng.choice((-1.0, 1.0))
+        cx, cy = rng.uniform(-1.0, 1.0), 0.6 * s + rng.uniform(0.3, 1.0)
+        yield (cx, cy, s, mu), (cx - 1.5, cx + 1.5 * s + 1.5,
+                                cy - 0.6 * s - 1.5, cy + 0.6 * s + 1.5)
+
+
+def test_planted_homoclinic_loops_are_flagged():
+    # each loop flags a stable and an unstable branch of its saddle; with
+    # 0.01 added to P the loop breaks, and none is flagged
+    for loop, window in _planted_loops():
+        rep = check_gm(_loop_field(*loop), GmOptions(window=window))
+        assert rep.gm3.status == VIOLATED, loop
+        for w in rep.gm3.witnesses:
+            assert w["kind"] == "possible_connection"
+            assert sorted(b.split(":")[:2] for b in w["branches"]) == [
+                ["X0", "stable"], ["X0", "unstable"]], loop
+        rep = check_gm(_loop_field(*loop, shift=0.01),
+                       GmOptions(window=window))
+        assert [w["kind"] for w in rep.gm3.witnesses] == [
+            "connection_probe_clean"], loop
 
 
 def test_every_seeded_field_gets_a_report(seeded_fields):

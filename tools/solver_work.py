@@ -3,8 +3,9 @@
 of the package, wrapped to count its calls and the right-hand side
 evaluations of each, flow._crossing wrapped to count the steps that the
 stepper's screen hands to the crossing search in Python,
-flow._min_dist wrapped to count the separatrix branch pairs that the
-connection probe hands to the exact distance search, and
+flow._reaches wrapped to count the scans of a separatrix branch's
+points against another saddle's branch seed (the connection probe's reach
+test), and
 flow.advance_hybrid wrapped to count the hybrid runs that end in the trap
 of a stable node or focus (EnterSink: only the cycle census watches
 them), and prints the counts of each workload.
@@ -12,13 +13,13 @@ them), and prints the counts of each workload.
     python3 tools/solver_work.py
 
 Exits 1 if an operation fails, if cycles, analyze or trajectories makes no
-solve, no evaluation or no crossing search, or analyze no distance search
-or no run that ends in a trap, if analyze makes more than 180,000
+solve, no evaluation or no crossing search, or analyze no reach scan or
+no run that ends in a trap, if analyze makes more than 180,000
 evaluations in more than 260 solves, cycles more than 70,000 in more than
 150 solves or trajectories more than 75,000 in more than 450 solves, if
 cycles searches more than 400 steps for crossings, analyze more than 700
-or trajectories more than 400, or if analyze searches more than 100
-branch pairs for their least distance.
+or trajectories more than 400, or if analyze makes more than 300 reach
+scans.
 """
 
 import os
@@ -41,11 +42,11 @@ BOUNDS = {("analyze", "nfev"): 180_000, ("analyze", "solver_calls"): 260,
           ("cycles", "crossing_steps"): 400,
           ("analyze", "crossing_steps"): 700,
           ("trajectories", "crossing_steps"): 400,
-          ("analyze", "distance_searches"): 100}
+          ("analyze", "reach_scans"): 300}
 # workload -> counters that must not be 0
 SOLVES = ("solver_calls", "nfev", "crossing_steps")
 NONZERO = {"cycles": SOLVES,
-           "analyze": SOLVES + ("distance_searches", "sink_runs"),
+           "analyze": SOLVES + ("reach_scans", "sink_runs"),
            "trajectories": SOLVES}
 
 
@@ -73,15 +74,15 @@ def count_crossing_steps(counts: dict) -> None:
     flow._crossing = counted
 
 
-def count_distance_searches(counts: dict) -> None:
-    """Wrap flow._min_dist so that each branch pair it searches adds to
-    counts."""
-    min_dist = flow._min_dist
+def count_reach_scans(counts: dict) -> None:
+    """Wrap flow._reaches so that each scan of a branch's points against a
+    seed adds to counts."""
+    reaches = flow._reaches
 
-    def counted(a, b):
-        counts["distance_searches"] += 1
-        return min_dist(a, b)
-    flow._min_dist = counted
+    def counted(*args):
+        counts["reach_scans"] += 1
+        return reaches(*args)
+    flow._reaches = counted
 
 
 def count_sink_runs(counts: dict) -> None:
@@ -99,10 +100,10 @@ def count_sink_runs(counts: dict) -> None:
 
 def main() -> int:
     counts = {"solver_calls": 0, "nfev": 0, "crossing_steps": 0,
-              "distance_searches": 0, "sink_runs": 0}
+              "reach_scans": 0, "sink_runs": 0}
     count_solves(counts)
     count_crossing_steps(counts)
-    count_distance_searches(counts)
+    count_reach_scans(counts)
     count_sink_runs(counts)
     ok = True
     for name, make in workloads.WORKLOADS.items():
@@ -122,9 +123,8 @@ def main() -> int:
         print(f"{name}: {work['solver_calls']} solver calls, "
               f"{work['nfev']} RHS evaluations, "
               f"{work['crossing_steps']} steps searched for crossings, "
-              f"{work['distance_searches']} branch pairs searched for "
-              f"their least distance, {work['sink_runs']} hybrid runs "
-              "ended in a trap")
+              f"{work['reach_scans']} reach scans, "
+              f"{work['sink_runs']} hybrid runs ended in a trap")
         for key, value in work.items():
             bound = BOUNDS.get((name, key))
             if (key in NONZERO.get(name, ()) and value <= 0) \
