@@ -63,6 +63,7 @@ from .errors import (
 from .polys import (
     PiecewiseField,
     PolyVectorField,
+    _dyadic,
     _generate,
     _polish_root,
     _polyder,
@@ -77,8 +78,10 @@ if TYPE_CHECKING:
 
 Window = tuple[float, float, float, float]  # x0, x1, y0, y1
 _D_DIRECTION = (1.0, 0.0)
-# sewing abscissas that seed the closed-trajectory census by default
+# sewing abscissas that seed the closed-trajectory census, and the time
+# each of its runs may take
 DEFAULT_SEEDS = (-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0)
+CENSUS_HORIZON = 100.0
 
 
 class EventKind(Enum):
@@ -1025,8 +1028,7 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
 
     def proved(r: float) -> bool:
         # g(r) < 1, exactly: r = n / 2**q, times n 2**(q (deg - 1))
-        n, q = r.as_integer_ratio()
-        q = q.bit_length() - 1
+        (n,), q = _dyadic((r,))
         return num * sum(ck * n ** k << q * (deg - k)
                          for k, ck in enumerate(C)) \
             < den * n << q * (deg - 1)
@@ -1078,15 +1080,14 @@ class ClosedOrbit:
 
 
 def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
-                                 seeds: list[float] | None = None,
-                                 horizon: float = 100.0,
                                  tols: Tolerances | None = None,
                                  sinks: Sequence[Window] = ()
                                  ) -> list[ClosedOrbit]:
-    """Heuristic census of closed poly-trajectories.
+    """Heuristic census of closed poly-trajectories, each run up to
+    CENSUS_HORIZON.
 
     Type-1 candidates come from fixed points of the D-section return map
-    started at seed abscissas on sewing arcs (secant iteration); type-3
+    started at the DEFAULT_SEEDS on sewing arcs (secant iteration); type-3
     candidates from hybrid runs seeded at fold points.  Misses are
     possible; the search is a semi-decision.  Every run watches the boxes
     of sinks (sink_trap) and ends in one with an EnterSink event: the box
@@ -1095,13 +1096,11 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
     TimeBudget, and neither returns nor closes.
     """
     tols = tols or default_tols()
-    if seeds is None:
-        seeds = DEFAULT_SEEDS
     found: list[ClosedOrbit] = []
     seen_x: list[float] = []
 
     span = (window[0], window[1])
-    for s0 in seeds:
+    for s0 in DEFAULT_SEEDS:
         if not (window[0] < s0 < window[1]):
             continue
         cls = dline.classify_point(Z, s0, tols)
@@ -1110,8 +1109,8 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
         section = Section((0.0, 0.0), (1.0, 0.0), span)
 
         def g(s):
-            s1, _ = return_map(Z, section, s, horizon, window, tols,
-                               with_derivative=False, sinks=sinks)
+            s1, _ = return_map(Z, section, s, CENSUS_HORIZON, window,
+                               tols, with_derivative=False, sinks=sinks)
             return s1 - s
 
         try:
@@ -1129,8 +1128,9 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
             continue
         try:
             # one run to the closure, with the divergence for eta'
-            traj = advance_hybrid(Z, (s_star, 0.0), "D", horizon, window, tols,
-                                  with_divergence=True, sinks=sinks)
+            traj = advance_hybrid(Z, (s_star, 0.0), "D", CENSUS_HORIZON,
+                                  window, tols, with_divergence=True,
+                                  sinks=sinks)
             if traj.closed is not Closure.TYPE1:
                 continue
             eta_prime = return_derivative(Z, traj, section.direction, tols)
@@ -1153,8 +1153,8 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
         side = "N" if fold.kind is dline.SingKind.FOLD_X else "S"
         p = (fold.x, math.copysign(tols.event, 1 if side == "N" else -1))
         try:
-            traj = advance_hybrid(Z, p, side, horizon, window, tols,
-                                  sinks=sinks)
+            traj = advance_hybrid(Z, p, side, CENSUS_HORIZON, window,
+                                  tols, sinks=sinks)
         except _RUN_ERRORS:
             continue
         if traj.closed is Closure.TYPE3:

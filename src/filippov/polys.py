@@ -8,20 +8,18 @@ term (_horner_body gives the exact order).  Its code depends on the
 monomial support alone, with each coefficient a parameter whose default
 is the stored double, so it is compiled once per support (_horner_code)
 and returns the floats of the form with the coefficients written out.
-Real roots on the discontinuity line y=0 are isolated with Sturm
-sequences and polished by Newton's method kept inside the isolating
-bracket, because arc classification downstream depends on exact root
-counts and ordering.  The bisection takes the chain's sign changes once at
-each point.  The isolator is float code over coefficient lists: its Horner
-evaluation, derivative and long division do numpy.polynomial's operations
-in the same order, so each root has the bits numpy's arithmetic would give.
+Real roots are isolated by bisection with exact Sturm counts and polished
+by Newton's method inside the isolating bracket, as arc classification
+depends on exact root counts and ordering.  The chain is that of the float
+square-free part, whose tolerance says what a multiple root is, over the
+integers (_dyadic); a window where Descartes' rule of signs finds at most
+one root needs none.  The float steps do numpy.polynomial's operations in
+the same order, so they give numpy's bits.
 
-Common zeros in the plane start from the resultant in y, computed exactly:
-the doubles scale to integers and the Sylvester determinant is taken by
-fraction-free elimination over Z[x], rounded once at the end.  The Taylor
-coefficients of a polynomial at a point are exact in the same way
-(taylor_at).  One damped Newton method, newton_zero, polishes every planar
-zero in the package.
+Common zeros in the plane start from the resultant in y, whose Sylvester
+determinant is taken exactly by fraction-free elimination over Z[x] and
+rounded once; the Taylor coefficients at a point are exact too (taylor_at).
+One damped Newton method, newton_zero, polishes every planar zero.
 """
 
 from __future__ import annotations
@@ -419,53 +417,101 @@ def _square_free(c: list[float], rel_tol: float) -> list[float]:
     c = _trim(c)
     if len(c) <= 2:
         return c
-    d = _trim(_polyder(c))
-    g = _gcd(c, d, rel_tol)
+    g = _gcd(c, _polyder(c), rel_tol)  # _gcd trims c'
     if len(g) == 1:
         return c
     q, _ = _polydiv(c, g)
     return _trim(q, rel_tol * max(_norm(q), 1.0))
 
 
-def _sturm_chain(c: list[float], rel_tol: float) -> list[list[float]]:
-    chain = [_trim(c)]
-    d = _trim(_polyder(c))
-    if len(d) == 1 and d[0] == 0.0:
-        return chain
-    chain.append(d)
-    scale = max(_norm(c), 1.0)
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers n_k and the least e >= 0 with values[k] = n_k / 2**e."""
+    ratios = [v.as_integer_ratio() for v in values]
+    e = max((d.bit_length() for _, d in ratios), default=1) - 1
+    return [n << e - d.bit_length() + 1 for n, d in ratios], e
+
+
+def _member(m: list[int]) -> tuple:
+    """A chain member of ascending integers m: (m, its floats descending
+    over their largest power of two, their bound factor, degree)."""
+    k = max(map(int.bit_length, m)) - 1
+    s = max(k - 1000, 0)  # so that float(v >> s) cannot overflow
+    fl = [math.ldexp(v >> s, s - k) for v in reversed(m)]
+    return m, fl, len(m) * 2 ** -51 * sum(map(abs, fl)), len(m) - 1
+
+
+def _integer_chain(p: list[int]) -> list[tuple]:
+    """The Sturm chain of p over the integers: p, p', then each negated
+    pseudo-remainder of the last two made primitive, its sign making the
+    factor positive (Collins and Akritas, SYMSAC 1976), as _members."""
+    chain = [p, [j * v for j, v in enumerate(p)][1:]]
     while len(chain[-1]) > 1:
-        _, r = _polydiv(chain[-2], chain[-1])
-        r = _trim(r, rel_tol * scale)
-        if len(r) == 1 and abs(r[0]) <= rel_tol * scale:
+        r, b = chain[-2], chain[-1]
+        lead, n, e = b[-1], len(b) - 1, len(r) - len(b) + 1
+        for j in range(len(r) - 1, n - 1, -1):  # lead**e r mod b
+            top = r[j]
+            r = [lead * v - top * w for v, w in zip(r, [0] * (j - n) + b)]
+            r.pop()
+        r = _trim(r)
+        if not r[-1]:  # b divides its predecessor: p has a repeated root
             break
-        chain.append([-v for v in r])
-    return chain
+        g = math.gcd(*r) * (1 if lead < 0 and e % 2 else -1)
+        chain.append([v // g for v in r])
+    return [_member(m) for m in chain]
 
 
-def _sign_changes(chain: list[list[float]], x: float, zero_tol: float
-                  ) -> tuple[int, bool]:
-    """Sign changes of the chain's values at x, leaving out those within
-    zero_tol, and whether a nonconstant member is among those left out:
-    one pass over the chain."""
-    signs, vanishing = [], False
-    for c in chain:
-        v = _polyval(x, c)
-        if abs(v) > zero_tol:
-            signs.append(1 if v > 0 else -1)
-        elif len(c) > 1 and abs(v) <= zero_tol:  # not for a nan
-            vanishing = True
-    return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1), vanishing
+def _descartes(p: list[int], a: float, b: float) -> tuple[int, int, int]:
+    """The sign variations of (1 + t)**n p((b + a t) / (1 + t)), n the
+    degree of p, which exceed the number of roots of p in the open (a, b)
+    by an even number (Descartes' rule of signs), and the signs of p(a)
+    and p(b), all exact."""
+    (A, B), s = _dyadic((a, b))
+    n = len(p) - 1
+    q = [v << s * (n - k) for k, v in enumerate(p)]  # in z = 2**s x
+    for i in range(n if A else 0):  # z = A + w
+        for j in range(n - 1, i - 1, -1):
+            q[j] += A * q[j + 1]
+    q = [v * (B - A) ** k for k, v in enumerate(q)][::-1]  # w = (B - A) / y
+    for i in range(n):  # y = 1 + t
+        for j in range(n - 1, i - 1, -1):
+            q[j] += q[j + 1]
+    signs = [v > 0 for v in q if v]
+    return (sum(u != v for u, v in zip(signs, signs[1:])),
+            (q[-1] > 0) - (q[-1] < 0), (q[0] > 0) - (q[0] < 0))
+
+
+def _signs_at(chain, x: float) -> tuple[int, int]:
+    """The sign changes of chain at x without exact zeros, and its first
+    member's sign there, both exact.  A member's floats, its integers over
+    their largest power of two, have a Horner value v within (2n + 1) u S
+    b**n (1 + O(n u)) of its value (Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1; a rounding u per float; S >= 1 their sum of
+    magnitudes, n the degree, b = max(1, |x|)).  Where v clears (n + 1)
+    2**-51 S b**n, twice that with room for underflows and for the cut of
+    a member past 1000 bits, v decides; elsewhere the integers do."""
+    b = max(abs(x), 1.0)
+    changes, last, first = 0, 0, None
+    for ints, fl, factor, n in chain:
+        v = 0.0
+        for a in fl:
+            v = v * x + a
+        if not abs(v) > factor * b ** n:  # or nan; v = 2**(n e) ints(x)
+            (X,), e = _dyadic((x,))
+            v = sum(a * X ** k << e * (n - k) for k, a in enumerate(ints))
+        s = (v > 0) - (v < 0)
+        if first is None:
+            first = s
+        if s:
+            changes += last * s < 0
+            last = s
+    return changes, first
 
 
 def _polish_root(c: list[float], a: float, b: float, tol: float) -> float:
-    """Newton's method kept inside the sign-change bracket [a, b].
-
-    A Newton step that would leave the bracket is replaced by bisection.
-    Returns the iterate of the first Newton step no longer than tol, whose
-    error is of the order of that step squared, or the bracket's end once
-    bisection has narrowed it to two adjacent doubles.
-    """
+    """Newton's method kept inside the sign-change bracket [a, b], a step
+    that would leave it replaced by bisection: the iterate of the first
+    step no longer than tol, whose error is of the order of that step
+    squared, or the bracket's end once it is two adjacent doubles."""
     d = _polyder(c)
     fa = _polyval(a, c)
     x = 0.5 * (a + b)
@@ -553,79 +599,64 @@ def _multiplicity(c: list[float], r: float, zero_tol: float) -> int:
 
 def univariate_roots(c, window: tuple[float, float],
                      tols: Tolerances | None = None) -> list[tuple[float, int]]:
-    """All real roots with multiplicity of the polynomial with ascending
-    coefficients c (a sequence or an array) inside the window, sorted
-    ascending."""
+    """The real roots in the window, ascending with multiplicity, of the
+    polynomial with ascending coefficients c (a sequence or an array):
+    those of its float square-free part, counted exactly (_signs_at).  A
+    window end where that part is within the zero floor moves out once, a
+    point where it is 0 is a root, and a polished root is kept only where
+    the exact signs tols.root, or an ulp, to either side of it hold one."""
     tols = tols or default_tols()
     c = _trim([float(v) for v in c])
     if len(c) == 1:
         return []
-    # the zero floors are relative to max(|c|, 1), so smaller polynomials
-    # are scaled up to unit size first
+    # up to unit size, as the zero floors are relative to max(|c|, 1)
     top = min(_norm(c), 1.0)
     c = [v / top for v in c]
-    scale = max(_norm(c), 1.0)
     sf = _square_free(c, tols.coeff_zero)
     if len(sf) == 1:
         return []
-    chain = _sturm_chain(sf, tols.coeff_zero)
-    a, b = float(window[0]), float(window[1])
-    zero_tol = tols.coeff_zero * scale
+    ends = [float(window[0]), float(window[1])]
+    for k, way in ((0, -1.0), (1, 1.0)):
+        if abs(_polyval(ends[k], sf)) <= tols.coeff_zero * _norm(c):
+            ends[k] += way * max(tols.root * 1e-2,
+                                 1e-14 * max(abs(ends[0]), abs(ends[1]), 1.0))
+    ints = _dyadic(sf)[0]
+    variations, sa, sb = _descartes(ints, *ends)
+    if variations <= 1 and sa * sb:  # no root at an end, at most one inside
+        if not variations:
+            return []
+        chain = [_member(ints), _member([sb])]  # sf, sign sf(b): Sturm here
+    else:
+        chain = _integer_chain(ints)
 
-    def nudged(x: float, step: float) -> tuple[float, int, float]:
-        # x moved by step, 2 step, 4 step, ... off the zeros of every
-        # member of the chain, which would drop out of the sign count
-        # there, with the chain's sign changes there and the next step
-        while True:
-            n, vanishing = _sign_changes(chain, x, zero_tol)
-            if not vanishing:
-                return x, n, step
-            x += step
-            step *= 2
-
-    eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    a, va, _ = nudged(a, -eps)
-    eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    b, vb, eps = nudged(b, eps)
-
-    roots: list[float] = []
-
-    def isolate(lo: float, hi: float, vlo: int, vhi: int):
-        # vlo and vhi are the chain's sign changes at lo and hi, so each
-        # point of the bisection has its count taken once
-        n = vlo - vhi
+    def isolate(lo: float, hi: float, slo: tuple, shi: tuple):
+        n = slo[0] - shi[0] - (shi[1] == 0)  # roots in the open (lo, hi)
         if n == 0:
             return
-        if n == 1 and hi - lo <= 1e-3:
-            roots.append(_polish_root(sf, lo, hi, tols.root))
-            return
-        if hi - lo <= tols.root:
-            roots.append(0.5 * (lo + hi))
-            return
+        if n == 1 and hi - lo <= 1e-3 and slo[1] * shi[1] < 0:
+            r = _polish_root(sf, lo, hi, tols.root)
+            near = [_signs_at(chain[:1], min(max(x, lo), hi))[1]
+                    for x in (min(r - tols.root, math.nextafter(r, lo)),
+                              max(r + tols.root, math.nextafter(r, hi)))]
+            if near[0] != near[1]:
+                roots.append(r)
+                return
         mid = 0.5 * (lo + hi)
-        e, resets = eps, 0
-        while abs(_polyval(mid, sf)) <= zero_tol:
-            mid += e
-            e *= 2
-            if mid >= hi:
-                # eps may exceed the bracket after the window-end nudges
-                mid = max(0.5 * (lo + hi) - eps, lo + 0.25 * (hi - lo))
-                resets += 1
-                if resets == 2:
-                    # sf is below zero_tol from here to hi: every later
-                    # step would come back to this point
-                    break
-        vmid = _sign_changes(chain, mid, zero_tol)[0]
-        isolate(lo, mid, vlo, vmid)
-        isolate(mid, hi, vmid, vhi)
+        if hi - lo <= tols.root or not lo < mid < hi:  # or adjacent doubles
+            roots.append(mid)
+            return
+        smid = _signs_at(chain, mid)
+        if smid[1] == 0:
+            roots.append(mid)
+        isolate(lo, mid, slo, smid)
+        isolate(mid, hi, smid, shi)
 
-    isolate(a, b, va, vb)
+    signs = [_signs_at(chain, x) for x in ends]
+    roots = [x for x, s in zip(ends, signs) if s[1] == 0]
+    isolate(*ends, *signs)
     roots.sort()
-    out = []
-    for r in roots:
-        if window[0] - tols.root <= r <= window[1] + tols.root:
-            out.append((r, _multiplicity(c, r, tols.coeff_zero)))
-    return out
+    return [(r, _multiplicity(c, r, tols.coeff_zero)) for r in roots
+            if window[0] - tols.root <= r <= window[1] + tols.root]
 
 
 def real_roots_on_line(p: BivariatePolynomial, window: tuple[float, float],
@@ -659,20 +690,17 @@ def resultant_y(p: BivariatePolynomial, q: BivariatePolynomial
                 ) -> np.ndarray:
     """Ascending x-coefficients of Res_y(p, q), the determinant of the
     Sylvester matrix of p and q as polynomials in y, each rounded once from
-    its exact value.  A double is an integer over a power of two, so the
-    entries scale to integer polynomials in x; packed as their values at
-    x = 2**b (Kronecker substitution), fraction-free (Bareiss) elimination
-    takes the determinant with exact integer divisions, and b is large
-    enough that its base-2**b digits are the resultant's coefficients.
-    When neither depends on y, p gets formal y-degree 1, so the result is q.
-    """
+    its exact value.  The entries scale to integer polynomials in x
+    (_dyadic); packed as their values at x = 2**b (Kronecker substitution),
+    fraction-free (Bareiss) elimination takes the determinant with exact
+    integer divisions, and b is large enough that its base-2**b digits are
+    the resultant's coefficients.  When neither depends on y, p gets formal
+    y-degree 1, so the result is q."""
     ints, exps = [], []
     for f in (p, q):
-        ratios = {k: v.as_integer_ratio() for k, v in f.coeffs.items()}
-        exps.append(max((d.bit_length() for _, d in ratios.values()),
-                        default=1) - 1)
-        ints.append({k: n << (exps[-1] - d.bit_length() + 1)
-                     for k, (n, d) in ratios.items()})
+        ns, e = _dyadic(f.coeffs.values())
+        ints.append(dict(zip(f.coeffs, ns)))
+        exps.append(e)
     ny = [max((j for _, j in f), default=0) for f in ints]
     ny[0] = max(ny[0], 1 - ny[1])
     size = sum(ny)
@@ -713,23 +741,17 @@ def taylor_at(ps, x: float, y: float
               ) -> tuple[list[dict[tuple[int, int], int]], int]:
     """The coefficients of each p(x + u, y + v), p in ps, in u^k v^l,
     exactly, as integers over one power of two: (dicts of integers by
-    (k, l), e), each coefficient being its integer over 2**e.  The
-    doubles x, y and those of each p are integers over powers of two, so
-    the binomial expansion scales to integers, as in resultant_y."""
-    (nx, dx), (ny, dy) = x.as_integer_ratio(), y.as_integer_ratio()
-    s = max(dx, dy).bit_length() - 1          # x = X / 2**s, y = Y / 2**s
-    X, Y = nx * (1 << s) // dx, ny * (1 << s) // dy
-    ratios = [{k: v.as_integer_ratio() for k, v in p.coeffs.items()}
-              for p in ps]
-    t = max((d.bit_length() for r in ratios for _, d in r.values()),
-            default=1) - 1
+    (k, l), e), each coefficient being its integer over 2**e.  The doubles
+    scale to integers (_dyadic), and so does the binomial expansion."""
+    (X, Y), s = _dyadic((x, y))               # x = X / 2**s, y = Y / 2**s
+    ints, t = _dyadic([v for p in ps for v in p.coeffs.values()])
+    ints = iter(ints)                         # each a_ij 2**t
     deg = max(p.degree for p in ps)
     xs, ys = ([v ** k for k in range(deg + 1)] for v in (X, Y))
     out: list[dict[tuple[int, int], int]] = []
-    for r in ratios:
+    for p in ps:
         out.append({})
-        for (i, j), (n, d) in r.items():
-            a = n * (1 << t) // d             # a_ij 2**t
+        for (i, j), a in zip(p.coeffs, ints):
             for k in range(i + 1):
                 ak = a * math.comb(i, k) * xs[i - k]
                 for l in range(j + 1):

@@ -230,8 +230,6 @@ class StabilityReport:
 @dataclass(frozen=True)
 class GmOptions:
     window: tuple[float, float, float, float] | None = None
-    horizon: float = 100.0
-    seeds: list[float] | None = None
     optimistic: bool = False
 
 
@@ -336,8 +334,7 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
              and max(e.real for e in s.eigenvalues) < 0]
     try:
         cycles = flow.find_closed_polytrajectories(
-            Z, window, options.seeds, options.horizon, tols,
-            [t.box for t in sinks if t is not None])
+            Z, window, tols, [t.box for t in sinks if t is not None])
     except IdenticallyZeroOnD:
         cycles = []
     bad = [c for c in cycles if c.elementary == "no"]
@@ -349,9 +346,8 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
     elif cycles:
         pass  # found, all elementary: census stands as Satisfied
     elif gm2.status == SATISFIED and not options.optimistic:
-        seeds = flow.DEFAULT_SEEDS if options.seeds is None else options.seeds
         gm2.weaken({"kind": "cycle_census_empty",
-                    "seeds": [float(x) for x in seeds]})
+                    "seeds": [float(x) for x in flow.DEFAULT_SEEDS]})
 
     # saddle-connection probe (semi-decision)
     flags: list[tuple[int, int]] = []
@@ -365,7 +361,7 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
         rays = {"X": [s.point for s in interior_x if not s.is_saddle],
                 "Y": [s.point for s in interior_y if not s.is_saddle]}
         rep = flow.probe_saddle_connections(Z, saddles,
-                                            options.horizon / 3.0,
+                                            flow.CENSUS_HORIZON / 3.0,
                                             window, tols, rays)
         flags = rep.flagged
         if flags:

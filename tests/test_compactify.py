@@ -273,6 +273,18 @@ def test_infinity_simple_zeros_to_rounding():
                                    abs=1e-14)
 
 
+def test_infinity_root_beyond_a_million():
+    # X = (1e7 x, x): a(t) = t^2 - 1e7 t, roots cot t = 0 and 1e7, the
+    # latter in the Cauchy bound's window where tols.root is below an ulp
+    X = vf({(1, 0): 1e7}, {(1, 0): 1.0})
+    assert [r for r, _ in _real_roots(_cot_poly(compactified_field(
+        piecewise(X, ROTATION)).A1[1]), default_tols())] == [0.0, 1e7]
+    thetas = [s.theta for s in infinity_singularities(piecewise(X, ROTATION))
+              if s.field_tag == "X"]
+    assert thetas == pytest.approx([math.atan2(1.0, 1e7), math.pi / 2],
+                                   rel=1e-15)
+
+
 def test_infinity_census_matches_sampling_reference(seeded_fields):
     tols = default_tols()
     for z in seeded_fields:

@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -324,12 +325,10 @@ def test_univariate_roots_scale_invariant(scale):
         assert abs(r - w) <= 1e-14
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the window-end and midpoint nudges of the float "
-                   "Sturm isolator misplace close roots")
 def test_univariate_roots_separates_close_roots():
-    # (x - 2)(x^2 - 4.988e-13): on (-3, 3) the isolator returns -1.146e-6,
-    # -7.06e-7 and 2, losing +7.06e-7
+    # (x - 2)(x^2 - 4.988e-13): on (-3, 3) the float Sturm chain with its
+    # window-end and midpoint nudges returned -1.146e-6, -7.06e-7 and 2,
+    # losing +7.06e-7
     got = univariate_roots([9.976e-13, -4.988e-13, -2.0, 1.0], (-3.0, 3.0))
     assert [m for _, m in got] == [1, 1, 1]
     r = math.sqrt(4.988e-13)
@@ -337,13 +336,10 @@ def test_univariate_roots_separates_close_roots():
                        atol=1e-12)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the float Sturm chain of a polynomial whose "
-                   "higher terms are 1e-11 of its constant is noise")
 def test_univariate_roots_of_a_nearly_constant_polynomial():
     # g of a line on a step's interpolant: 1.0966 plus terms below 1e-10
-    # in sum, so no root on [0, 1]; the isolator returns two, of
-    # multiplicity 6 and 5
+    # in sum, so no root on [0, 1]; the float Sturm chain, noise there,
+    # returned two, of multiplicity 6 and 5
     c = [1.0965856814019732, 4.803209323664649e-12, 2.0537719897398916e-13,
          -1.505923542087269e-11, 4.605438827099401e-11,
          -7.630425985338618e-11, 6.166559788233185e-11,
@@ -352,9 +348,10 @@ def test_univariate_roots_of_a_nearly_constant_polynomial():
 
 
 # ---------------------------------------------------------------------------
-# The Sturm isolator as it ran on numpy.polynomial, kept as a test-only
-# reference: the float-list isolator of polys does the same operations in
-# the same order, so it must return the same roots to the bit.
+# The float steps of the isolator as they ran on numpy.polynomial, kept as
+# a test-only reference: the square-free part, the polish and the
+# multiplicity of polys do the same operations in the same order, so they
+# must give the same bits.
 # ---------------------------------------------------------------------------
 
 def _np_trim(c, tol=0.0):
@@ -395,31 +392,6 @@ def _np_square_free(c, rel_tol):
     return _np_trim(q, rel_tol * max(np.max(np.abs(q)), 1.0))
 
 
-def _np_sturm_chain(c, rel_tol):
-    chain = [_np_trim(c)]
-    d = _np_trim(npoly.polyder(c))
-    if len(d) == 1 and d[0] == 0.0:
-        return chain
-    chain.append(d)
-    scale = max(np.max(np.abs(c)), 1.0)
-    while len(chain[-1]) > 1:
-        _, r = _np_polydiv(chain[-2], chain[-1])
-        r = _np_trim(r, rel_tol * scale)
-        if len(r) == 1 and abs(r[0]) <= rel_tol * scale:
-            break
-        chain.append(-r)
-    return chain
-
-
-def _np_count_roots(chain, a, b, zero_tol):
-    def changes(x):
-        signs = [1 if v > 0 else -1 for v in (npoly.polyval(x, c)
-                                              for c in chain)
-                 if abs(v) > zero_tol]
-        return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
-    return changes(a) - changes(b)
-
-
 def _np_polish_root(c, a, b, tol):
     d = npoly.polyder(c)
     fa = npoly.polyval(a, c)
@@ -453,53 +425,6 @@ def _np_multiplicity(c, r, zero_tol):
         if abs(npoly.polyval(r, d)) > zero_tol * scale * 1e3:
             return k
     return max(len(c) - 1, 1)
-
-
-def _np_univariate_roots(c, window, tols):
-    c = _np_trim(np.asarray(c, dtype=float), 0.0)
-    if len(c) == 1:
-        return []
-    c = c / min(np.max(np.abs(c)), 1.0)
-    scale = max(np.max(np.abs(c)), 1.0)
-    sf = _np_square_free(c, tols.coeff_zero)
-    if len(sf) == 1:
-        return []
-    chain = _np_sturm_chain(sf, tols.coeff_zero)
-    a, b = float(window[0]), float(window[1])
-    zero_tol = tols.coeff_zero * scale
-    eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    while abs(npoly.polyval(a, sf)) <= zero_tol:
-        a -= eps
-        eps *= 2
-    eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    while abs(npoly.polyval(b, sf)) <= zero_tol:
-        b += eps
-        eps *= 2
-    roots = []
-
-    def isolate(lo, hi, n):
-        if n == 0:
-            return
-        if n == 1 and hi - lo <= 1e-3:
-            roots.append(_np_polish_root(sf, lo, hi, tols.root))
-            return
-        if hi - lo <= tols.root:
-            roots.append(0.5 * (lo + hi))
-            return
-        mid = 0.5 * (lo + hi)
-        e = eps
-        while abs(npoly.polyval(mid, sf)) <= zero_tol:
-            mid += e
-            e *= 2
-            if mid >= hi:
-                mid = 0.5 * (lo + hi) - eps
-        nl = _np_count_roots(chain, lo, mid, zero_tol)
-        isolate(lo, mid, nl)
-        isolate(mid, hi, n - nl)
-
-    isolate(a, b, _np_count_roots(chain, a, b, zero_tol))
-    return [(r, _np_multiplicity(c, r, tols.coeff_zero)) for r in sorted(roots)
-            if window[0] - tols.root <= r <= window[1] + tols.root]
 
 
 def _bits(roots):
@@ -537,14 +462,26 @@ def _isolator_cases(seeded_fields):
     return cases
 
 
-def test_isolator_matches_numpy_reference(seeded_fields):
+def _unit(c):
+    """c as univariate_roots scales it: trimmed, then up to unit size."""
+    c = polys._trim([float(v) for v in c])
+    top = min(polys._norm(c), 1.0)
+    return [v / top for v in c]
+
+
+def test_square_free_matches_numpy_reference(seeded_fields):
     tols = default_tols()
     cases = _isolator_cases(seeded_fields)
-    assert sum(1 for c, w in cases if univariate_roots(c, w, tols)) > 200
-    for c, window in cases:
-        want = _bits(_np_univariate_roots(np.asarray(c), window, tols))
-        assert _bits(univariate_roots(np.asarray(c), window, tols)) == want
-        assert _bits(univariate_roots(list(c), window, tols)) == want
+    reduced = 0
+    for c, _ in cases:
+        if not any(c):
+            continue
+        c = _unit(c)
+        got = polys._square_free(c, tols.coeff_zero)
+        assert [v.hex() for v in got] == \
+            [float(v).hex() for v in _np_square_free(c, tols.coeff_zero)]
+        reduced += len(got) < len(c)
+    assert reduced >= 60
 
 
 def test_polish_root_matches_numpy_reference(monkeypatch):
@@ -759,75 +696,42 @@ def test_horner_code_compiled_once_per_support():
     assert polys._horner_code.cache_info().misses == 2
 
 
-# -- each Sturm count once -------------------------------------------------
+# -- exact Sturm counts -----------------------------------------------------
 
-def _two_count_roots(c, window, tols):
-    """univariate_roots as it was with the sign changes at both ends of
-    every interval counted there: the reference of the isolator that takes
-    each count once."""
-    c = polys._trim([float(v) for v in c])
-    if len(c) == 1:
-        return []
-    top = min(polys._norm(c), 1.0)
-    c = [v / top for v in c]
-    scale = max(polys._norm(c), 1.0)
-    sf = polys._square_free(c, tols.coeff_zero)
-    if len(sf) == 1:
-        return []
-    chain = polys._sturm_chain(sf, tols.coeff_zero)
-    a, b = float(window[0]), float(window[1])
-    zero_tol = tols.coeff_zero * scale
+def _exact_root_count(c, lo, hi):
+    """The distinct real roots in [lo, hi] of the polynomial with the
+    float coefficients c, by a Sturm chain of Fractions: the sign changes
+    at lo less those at hi count the roots in (lo, hi]."""
+    def value(p, x):
+        v = Fraction(0)
+        for a in reversed(p):
+            v = v * x + a
+        return v
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    chain = [[Fraction(v) for v in c]]
+    chain.append(trim([k * a for k, a in enumerate(chain[0])][1:]))
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        for j in range(len(r) - 1, len(b) - 2, -1):
+            q = r[j] / b[-1]
+            for k, bk in enumerate(b):
+                r[j - len(b) + 1 + k] -= q * bk
+        r = trim(r[:len(b) - 1])
+        if not r:
+            break
+        chain.append([-a for a in r])
 
     def changes(x):
-        signs = [1 if v > 0 else -1 for v in (polys._polyval(x, p)
-                                              for p in chain)
-                 if abs(v) > zero_tol]
+        signs = [v > 0 for v in (value(p, x) for p in chain) if v != 0]
         return sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
 
-    def count(lo, hi):
-        return changes(lo) - changes(hi)
-
-    def vanishing(x):
-        return any(len(p) > 1 and abs(polys._polyval(x, p)) <= zero_tol
-                   for p in chain)
-
-    eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    while vanishing(a):
-        a -= eps
-        eps *= 2
-    eps = max(tols.root * 1e-2, 1e-14 * max(abs(a), abs(b), 1.0))
-    while vanishing(b):
-        b += eps
-        eps *= 2
-    roots = []
-
-    def isolate(lo, hi, n):
-        if n == 0:
-            return
-        if n == 1 and hi - lo <= 1e-3:
-            roots.append(polys._polish_root(sf, lo, hi, tols.root))
-            return
-        if hi - lo <= tols.root:
-            roots.append(0.5 * (lo + hi))
-            return
-        mid = 0.5 * (lo + hi)
-        e, resets = eps, 0
-        while abs(polys._polyval(mid, sf)) <= zero_tol:
-            mid += e
-            e *= 2
-            if mid >= hi:
-                mid = max(0.5 * (lo + hi) - eps, lo + 0.25 * (hi - lo))
-                resets += 1
-                if resets == 2:
-                    break
-        nl = count(lo, mid)
-        isolate(lo, mid, nl)
-        isolate(mid, hi, n - nl)
-
-    isolate(a, b, count(a, b))
-    return [(r, polys._multiplicity(c, r, tols.coeff_zero))
-            for r in sorted(roots)
-            if window[0] - tols.root <= r <= window[1] + tols.root]
+    lo, hi = Fraction(lo), Fraction(hi)
+    return changes(lo) - changes(hi) + (value(chain[0], lo) == 0)
 
 
 def _count_once_cases(seeded_fields):
@@ -839,31 +743,94 @@ def _count_once_cases(seeded_fields):
         for shift in (0.0, *rng.uniform(-2.0, 2.0, 3)):
             cases.append((npoly.polyfromroots([shift, shift + d, 2.0]),
                           (-3.0, 3.0)))
+    for shift in (0.047286498801026866, -0.3066942041096974):
+        # three roots 1.4e-6 and 2.8e-6 apart, where the float values of
+        # the square-free part are noise: _polish_root converges away from
+        # the root of its bracket at several levels of the bisection
+        d = 1.4e-6
+        cases.append((npoly.polyfromroots([shift, shift + d, shift + 3 * d]),
+                      (-3.0, 3.0)))
     for degree in range(1, 10):
         for _ in range(4):
             cases.append((rng.standard_normal(degree + 1), (-4.0, 4.0)))
     return cases
 
 
-def test_isolator_matches_two_count_reference(seeded_fields):
+def test_isolator_matches_exact_counts(seeded_fields):
+    # every root of the float square-free part in the window is returned,
+    # and nothing else: each returned root has a root of it within
+    # tols.root, by an exact count, and the multiplicities are the float
+    # ones of the numpy reference
     tols = default_tols()
     cases = _count_once_cases(seeded_fields)
-    assert sum(len(_two_count_roots(c, w, tols)) for c, w in cases) > 500
-    for c, window in cases:
-        assert _bits(univariate_roots(c, window, tols)) == \
-            _bits(_two_count_roots(c, window, tols))
+    found = 0
+    for c, (w0, w1) in cases:
+        got = univariate_roots(c, (w0, w1), tols)
+        assert univariate_roots(list(c), (w0, w1), tols) == got
+        if len(polys._trim([float(v) for v in c])) == 1:
+            assert got == []
+            continue
+        c = _unit(c)
+        sf = polys._square_free(c, tols.coeff_zero)
+        tol = Fraction(tols.root)
+        inner = _exact_root_count(sf, w0, w1)
+        outer = _exact_root_count(sf, Fraction(w0) - tol, Fraction(w1) + tol)
+        assert inner <= len(got) <= outer, (c, (w0, w1), got)
+        roots = [r for r, _ in got]
+        assert roots == sorted(set(roots))
+        for r, m in got:
+            assert _exact_root_count(sf, Fraction(r) - tol,
+                                     Fraction(r) + tol) >= 1, (c, r)
+            assert m == _np_multiplicity(c, r, tols.coeff_zero)
+        found += len(got)
+    assert found > 500
 
 
-def test_isolator_counts_the_chain_once_per_point(seeded_fields,
+def test_signs_at_matches_exact_signs_next_to_roots(seeded_fields):
+    # at a root and at the doubles next to it a chain member's float value
+    # is rounding noise, so these are the points where the float bound
+    # must leave the sign to the integers
+    def exact(chain, x):
+        signs = []
+        for ints, *_ in chain:
+            v = sum(a * Fraction(x) ** k for k, a in enumerate(ints))
+            signs.append((v > 0) - (v < 0))
+        nonzero = [s for s in signs if s]
+        return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0]
+
+    tols = default_tols()
+    checked = 0
+    for c, window in _count_once_cases(seeded_fields):
+        if not any(c):
+            continue
+        sf = polys._square_free(_unit(c), tols.coeff_zero)
+        if len(sf) == 1:
+            continue
+        chain = polys._integer_chain(polys._dyadic(sf)[0])
+        for r, _ in univariate_roots(c, window, tols):
+            points = [r]
+            for way in (-math.inf, math.inf):  # six doubles to either side
+                x = r
+                for _ in range(6):
+                    x = math.nextafter(x, way)
+                    points.append(x)
+            for x in points:
+                assert polys._signs_at(chain, x) == exact(chain, x), (c, x)
+            checked += 1
+    assert checked > 500
+
+
+def test_isolator_signs_each_bisection_point_once(seeded_fields,
                                                   monkeypatch):
     points = []
-    original = polys._sign_changes
+    original = polys._signs_at
 
-    def recording(chain, x, zero_tol):
-        points.append(x)
-        return original(chain, x, zero_tol)
+    def recording(chain, x):
+        if len(chain) > 1:  # not the check of a polished root
+            points.append(x)
+        return original(chain, x)
 
-    monkeypatch.setattr(polys, "_sign_changes", recording)
+    monkeypatch.setattr(polys, "_signs_at", recording)
     counted = 0
     for c, window in _count_once_cases(seeded_fields):
         points.clear()
@@ -871,3 +838,152 @@ def test_isolator_counts_the_chain_once_per_point(seeded_fields,
         assert len(points) == len(set(points)), (c, window)
         counted += len(points)
     assert counted > 1000
+
+
+def test_a_polished_root_away_from_its_bracket_root_is_not_kept(
+        monkeypatch):
+    # a polish that returns its bracket's lower end, 1e-3 or less from the
+    # root, is caught by the signs tols.root to either side; the bisection
+    # goes on down to tols.root
+    ends = []
+
+    def lower_end(c, a, b, tol):
+        ends.append(a)
+        return a
+
+    monkeypatch.setattr(polys, "_polish_root", lower_end)
+    got = univariate_roots([-6.0, 11.0, -6.0, 1.0], (0.3, 4.1))
+    assert len(ends) > 3 * 20  # from 1e-3 down to tols.root, per root
+    assert [m for _, m in got] == [1, 1, 1]
+    assert np.allclose([r for r, _ in got], [1.0, 2.0, 3.0], rtol=0.0,
+                       atol=default_tols().root)
+
+
+def test_exact_zero_at_a_bisection_point_is_the_root(monkeypatch):
+    # the first bisection point of a symmetric window is 0.0, an exact root
+    # of x (x - 1)(x + 1): it is returned as it is, and no bracket with an
+    # end there is polished
+    polished = []
+    original = polys._polish_root
+
+    def recording(c, a, b, tol):
+        polished.append((a, b))
+        return original(c, a, b, tol)
+
+    monkeypatch.setattr(polys, "_polish_root", recording)
+    got = univariate_roots([0.0, -1.0, 0.0, 1.0], (-2.0, 2.0))
+    assert got == [(-1.0, 1), (0.0, 1), (1.0, 1)]
+    # x (x - 1e-4)(x - 2): brackets of at most 1e-3 with one root in them
+    # and 0 at their lower end are bisected on, not polished
+    got = univariate_roots(npoly.polyfromroots([0.0, 1e-4, 2.0]), (-3.0, 3.0))
+    assert [m for _, m in got] == [1, 1, 1] and got[0][0] == 0.0
+    assert abs(got[1][0] - 1e-4) <= 1e-15 and abs(got[2][0] - 2.0) <= 1e-14
+    assert len(polished) == 2 and all(0.0 not in b for b in polished)
+
+
+def test_a_root_just_past_the_window_end_is_found():
+    # the square-free part is 5e-14 at the window end 1.0, within the zero
+    # floor, so the end moves out by 1e-12 and the root 1 + 1e-13 is in
+    got = univariate_roots(npoly.polyfromroots([0.5, 1.0 + 1e-13]),
+                           (0.0, 1.0))
+    assert [m for _, m in got] == [1, 1]
+    assert abs(got[1][0] - (1.0 + 1e-13)) <= 1e-15
+
+
+def test_a_root_on_the_moved_window_end_takes_the_full_chain():
+    # with tols.root 100 the window end 1.0, a root of x (x - 1), moves out
+    # by 1.0 onto the root 0.0; Descartes' count on (0, 3) leaves that end
+    # out, so the window takes the integer chain, which counts the root 1
+    # inside, and the bisection stops at once at 1.5, within tols.root
+    tols = dataclasses.replace(default_tols(), root=100.0)
+    assert univariate_roots([0.0, -1.0, 1.0], (1.0, 3.0), tols) == \
+        [(0.0, 1), (1.5, 1)]
+
+
+def test_roots_past_where_tols_root_is_below_an_ulp():
+    # from |r| of about 2**20 on, r +- tols.root rounds back to r, and from
+    # about 5.2e5 on, adjacent doubles lie more than tols.root apart: the
+    # polish check signs the next doubles instead, and the bisection ends
+    # at two adjacent doubles
+    assert univariate_roots([-1e7, 3.0], (-1e8, 1e8)) == \
+        [(3333333.3333333335, 1)]
+    assert univariate_roots([-1e13, 3.0], (-1e17, 1e17)) == \
+        [(3333333333333.3335, 1)]
+    got = univariate_roots([1.0, -1e-13], (-1e17, 1e17))
+    assert [m for _, m in got] == [1] and got[0][0] == pytest.approx(1e13)
+
+
+def test_integer_chain_is_exact_on_integer_coefficients():
+    # x^3 - 3x + 1 has three real roots; its chain over the integers is
+    # x^3 - 3x + 1, 3x^2 - 3, 2x - 1 (minus the remainder 1 - 2x) and 1
+    # (9/4 made primitive)
+    chain = polys._integer_chain([1, -3, 0, 1])
+    assert [m[0] for m in chain] == [[1, -3, 0, 1], [-3, 0, 3], [-1, 2], [1]]
+    assert polys._signs_at(chain, -2.0) == (3, -1)
+    assert polys._signs_at(chain, 2.0) == (0, 1)
+    # x^4 + x - 1: the remainder of x^4 + x - 1 by 4x^3 + 1 is 3x/4 - 1, two
+    # degrees down, so its pseudo-remainder is 4**3 times it and the next
+    # member is 4 - 3x; after it comes -283/27, made primitive -1
+    chain = polys._integer_chain([-1, 1, 0, 0, 1])
+    assert [m[0] for m in chain] == [[-1, 1, 0, 0, 1], [1, 0, 0, 4],
+                                     [4, -3], [-1]]
+    assert polys._signs_at(chain, -3.0)[0] - \
+        polys._signs_at(chain, 3.0)[0] == 2
+    assert polys._dyadic([0.75, -3.0, 2.0 ** -60]) == \
+        ([3 << 58, -3 << 60, 1], 60)
+
+
+def test_descartes_bounds_the_exact_root_count(seeded_fields):
+    # the sign variations are at least the exact number of roots in the
+    # open window, exact when 0 or 1, and the ends carry the signs there
+    tols = default_tols()
+    seen = set()
+    for c, (w0, w1) in _count_once_cases(seeded_fields):
+        if not any(c):
+            continue
+        sf = polys._square_free(_unit(c), tols.coeff_zero)
+        if len(sf) == 1:
+            continue
+        variations, *signs = polys._descartes(polys._dyadic(sf)[0], w0, w1)
+        ends = [sum(Fraction(a) * Fraction(x) ** k for k, a in enumerate(sf))
+                for x in (w0, w1)]
+        assert signs == [(v > 0) - (v < 0) for v in ends]
+        inside = _exact_root_count(sf, w0, w1) - sum(v == 0 for v in ends)
+        assert inside <= variations and (variations > 1 or inside ==
+                                         variations), (c, (w0, w1))
+        seen.add(min(variations, 2))
+    assert seen == {0, 1, 2}
+
+
+def test_window_with_at_most_one_variation_gives_the_full_chain_roots(
+        seeded_fields, monkeypatch):
+    # such a window returns at once or takes sf and its sign at the upper
+    # end as its chain; the integer chain everywhere gives the same roots
+    # to the bit
+    tols = default_tols()
+    cases = _count_once_cases(seeded_fields)
+    want = [univariate_roots(c, w, tols) for c, w in cases]
+    monkeypatch.setattr(polys, "_descartes", lambda p, a, b: (2, 1, 1))
+    assert [univariate_roots(c, w, tols) for c, w in cases] == want
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the float square-free step turns the resultant "
+                   "of degree 21 into -x + 1.19e-12")
+def test_semi_stable_focus_root_of_the_resultant_at_small_scale():
+    # the semi-stable Y of tests/test_stability.py with v = y + 3, times
+    # 1e-3 and scaled to unit largest coefficients as common_zero_seeds
+    # scales it: its resultant is -1.598e-20 x plus a constant of 4e-33
+    # and higher terms of at most 1e-32, so the focus's abscissa 0 is a
+    # root to within 1e-12; _square_free turns it into [-1.0, 1.19e-12],
+    # whose root is 8.4e11, so no root is found: the focus would be lost
+    # even without the census's zero floor on the resultant
+    u, v = poly({(1, 0): 1.0}), poly({(0, 1): 1.0, (0, 0): 3.0})
+    q = poly({(0, 0): 1.0}) - (u * u + v * v)
+    P, Q = ((f * poly({(0, 0): 1e-3})) for f in (-v - u * (q * q),
+                                                  u - v * (q * q)))
+    res = resultant_y(*(f.scale(1 / max(map(abs, f.coeffs.values())))
+                        for f in (P, Q)))
+    assert len(res) == 22
+    roots = univariate_roots(res, (-6.0, 6.0))
+    assert len(roots) == 1 and abs(roots[0][0]) <= 1e-12

@@ -114,6 +114,24 @@ def test_interior_common_factor_raises():
         interior_singularities(vf({}, {(0, 1): 1.0, (0, 0): -1.0}), "N", WIN)
 
 
+@pytest.mark.parametrize("a, b, c, d", [
+    (0.3, 0.1, 1.0, 2.0), (0.3, 0.1, 3.0, 1.7), (0.7, 0.2, -2.5, 1.7),
+    (1.3, 0.45, 0.5, -0.3)])
+def test_interior_common_factor_typed_in_decimals_raises(a, b, c, d):
+    # P = (y - a x - b)(x + c), Q = (y - a x - b)(y + d), expanded with
+    # decimal coefficients: the doubles share the factor only up to
+    # rounding, so the exact resultant of the unit-scaled pair is 1e-17 to
+    # 3e-16, not 0.  Taken as no common factor, its noise has roots and
+    # Newton reports points of the line y = a x + b as singularities
+    P = {(1, 1): 1.0, (0, 1): c, (2, 0): -a, (1, 0): -round(a * c + b, 10),
+         (0, 0): -round(b * c, 10)}
+    Q = {(0, 2): 1.0, (0, 1): round(d - b, 10), (1, 1): -a,
+         (1, 0): -round(a * d, 10), (0, 0): -round(b * d, 10)}
+    for region in "NS":
+        with pytest.raises(CommonFactor):
+            interior_singularities(vf(P, Q), region, (-10, 10, -10, 10))
+
+
 def test_report_common_factor_undetermined():
     # X = (y - 2) (x + 1 - y^2, x - y^2): the line y = 2 is singular and
     # never meets D; with Y = (1 - y^3, 1 + x^3) nothing else weakens or
@@ -738,9 +756,9 @@ def test_census_finds_the_same_cycles_with_and_without_traps(
     runs, sink_ends = [], []
     census, advance = flow.find_closed_polytrajectories, flow.advance_hybrid
 
-    def both(Z, window, seeds, horizon, tols, sinks=()):
-        runs.append((census(Z, window, seeds, horizon, tols, sinks),
-                     census(Z, window, seeds, horizon, tols), sinks))
+    def both(Z, window, tols, sinks=()):
+        runs.append((census(Z, window, tols, sinks),
+                     census(Z, window, tols), sinks))
         return runs[-1][0]
 
     def counting(*args, **kwargs):
@@ -806,6 +824,29 @@ def test_two_circle_field_reports_both_crossing_cycles():
     xs = sorted(abs(c.certificate["x"]) for c in rep.cycles)
     assert len(xs) == 2
     assert np.allclose(xs, [2.958040, 3.968627], rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("c, scale", [
+    pytest.param(c, s, marks=pytest.mark.xfail(
+        strict=True, raises=CommonFactor, reason="unit scaling makes the "
+        "resultant -1.2e-14 x at c = 2 and -1.6e-20 x at c = 3, below the "
+        "zero floor, which a decimal shared factor's rounding residue "
+        "needs (ROADMAP item 2)"))
+    if c > 1.0 else (c, s)
+    for c in (1.0, 2.0, 3.0, 5.0) for s in (1e-3, 1.0, 1e3)])
+def test_semi_stable_focus_is_found_at_every_scale(c, scale):
+    # Y of the semi-stable field with v = y + c, times scale: one stable
+    # focus (0, -c) with eigenvalues -scale +- scale i
+    u, v = poly({(1, 0): 1.0}), poly({(0, 1): 1.0}) + _const(c)
+    q = _const(1.0) - (u * u + v * v)
+    Y = PolyVectorField((-v - u * (q * q)).scale(scale),
+                        (u - v * (q * q)).scale(scale), 5)
+    got = interior_singularities(Y, "S", (-6.0, 6.0, -6.0, 6.0))
+    assert len(got) == 1 and got[0].hyperbolic == "yes"
+    assert np.allclose(got[0].point, (0.0, -c), rtol=0.0, atol=1e-9)
+    assert np.allclose(sorted(got[0].eigenvalues, key=lambda e: e.imag),
+                       [-scale - scale * 1j, -scale + scale * 1j],
+                       rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
