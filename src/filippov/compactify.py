@@ -11,9 +11,10 @@ from the homogeneous parts.  rho = 0 is the invariant circle at infinity.
 
 A_m is homogeneous of degree m+1 in (cos, sin): t = cot(theta) turns it into
 a polynomial a(t) of degree <= m+1 on each open half-circle, whose real
-roots (Sturm-isolated, with exact multiplicities) are the singular points
-at infinity.  The equator is free of them when a has no real root and a
-nonzero leading coefficient (no zero at theta = 0, pi).
+roots (isolated by exact Descartes counts, with the float square-free
+step's multiplicities) are the singular points at infinity.  The equator
+is free of them when a has no real root and a nonzero leading coefficient
+(no zero at theta = 0, pi).
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def _cot_poly(A: TrigCoefficient) -> np.ndarray:
 
 
 def _real_roots(a: np.ndarray, tols: Tolerances) -> list[tuple[float, int]]:
-    """Every real root of a with its multiplicity, by Sturm isolation."""
+    """Every real root of a with its multiplicity (univariate_roots)."""
     bound = cauchy_bound(a)
     return univariate_roots(a, (-bound, bound), tols)
 

@@ -109,17 +109,15 @@ def classify_point(Z: PiecewiseField, x: float,
 
 
 def _roots_or_empty(q: BivariatePolynomial, window, tols) -> tuple[float, ...]:
-    """Roots of q(x,0) in window; () for a nonzero constant restriction.
-    Cached on q for (window, tols) (polys._cached), as segment_d and each
-    fold_points ask for the same ones."""
+    """Roots of q(x,0) in window, cached on q (polys.real_roots_on_line);
+    () for a nonzero constant restriction."""
     c = q.restrict_y0()
     nonzero = np.abs(c) > tols.coeff_zero
     if not nonzero.any():
         raise IdenticallyZeroOnD("Q(x,0) vanishes identically")
     if not nonzero[1:].any():
         return ()
-    return _cached(q, "_roots", (tuple(window), tols), lambda: tuple(
-        r for r, _ in real_roots_on_line(q, window, tols)))
+    return tuple(r for r, _ in real_roots_on_line(q, window, tols))
 
 
 def segment_d(Z: PiecewiseField, window: tuple[float, float],

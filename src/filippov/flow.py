@@ -68,6 +68,7 @@ from .polys import (
     _polish_root,
     _polyder,
     _polyval,
+    roots_on_d,
     taylor_at,
     univariate_roots,
 )
@@ -615,13 +616,13 @@ def _d_stop(Z: PiecewiseField, x0: float, speed: float, window: Window,
     root ahead of Q_X(x, 0) ("q1_root"), Q_Y(x, 0) ("q2_root") or a
     polynomial of the (outcome, polynomial) pairs named, else the window's
     side.  The motion is monotone between zeros of its field, so it can
-    reach no other event."""
+    reach no other event.  The roots are those in the window's x-range
+    that the D census caches (roots_on_d)."""
     ahead = 1 if speed > 0 else -1
     side = window[1] if ahead > 0 else window[0]
     stop, x_stop = "window", side
-    span = (min(x0, side), max(x0, side))
     for name, p in (("q1_root", Z.X.Q), ("q2_root", Z.Y.Q), *named):
-        for r, mult in univariate_roots(p.restrict_y0(), span, tols):
+        for r, mult in roots_on_d(p, window[:2], tols):
             if mult % 2 and 0 < ahead * (r - x0) < ahead * (x_stop - x0):
                 stop, x_stop = name, r
     return stop, (1.0, 0.0, -x_stop, ahead)

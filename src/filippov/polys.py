@@ -8,13 +8,15 @@ term (_horner_body gives the exact order).  Its code depends on the
 monomial support alone, with each coefficient a parameter whose default
 is the stored double, so it is compiled once per support (_horner_code)
 and returns the floats of the form with the coefficients written out.
-Real roots are isolated by bisection with exact Sturm counts and polished
-by Newton's method inside the isolating bracket, as arc classification
-depends on exact root counts and ordering.  The chain is that of the float
-square-free part, whose tolerance says what a multiple root is, over the
-integers (_dyadic); a window where Descartes' rule of signs finds at most
-one root needs none.  The float steps do numpy.polynomial's operations in
-the same order, so they give numpy's bits.
+Real roots are isolated by bisection with exact counts and polished by
+Newton's method inside the isolating bracket, as arc classification
+depends on exact root counts and ordering.  They are the roots of the float
+square-free part, whose tolerance says what a multiple root is, taken over
+the integers (_dyadic), and Descartes' rule of signs is the only count:
+a window with no sign variation holds no root, one with a single variation
+holds one, and any other is split (Vincent-Collins-Akritas).  The float
+steps do numpy.polynomial's operations in the same order, so they give
+numpy's bits.
 
 Common zeros in the plane start from the resultant in y, whose Sylvester
 determinant is taken exactly by fraction-free elimination over Z[x] and
@@ -431,35 +433,6 @@ def _dyadic(values) -> tuple[list[int], int]:
     return [n << e - d.bit_length() + 1 for n, d in ratios], e
 
 
-def _member(m: list[int]) -> tuple:
-    """A chain member of ascending integers m: (m, its floats descending
-    over their largest power of two, their bound factor, degree)."""
-    k = max(map(int.bit_length, m)) - 1
-    s = max(k - 1000, 0)  # so that float(v >> s) cannot overflow
-    fl = [math.ldexp(v >> s, s - k) for v in reversed(m)]
-    return m, fl, len(m) * 2 ** -51 * sum(map(abs, fl)), len(m) - 1
-
-
-def _integer_chain(p: list[int]) -> list[tuple]:
-    """The Sturm chain of p over the integers: p, p', then each negated
-    pseudo-remainder of the last two made primitive, its sign making the
-    factor positive (Collins and Akritas, SYMSAC 1976), as _members."""
-    chain = [p, [j * v for j, v in enumerate(p)][1:]]
-    while len(chain[-1]) > 1:
-        r, b = chain[-2], chain[-1]
-        lead, n, e = b[-1], len(b) - 1, len(r) - len(b) + 1
-        for j in range(len(r) - 1, n - 1, -1):  # lead**e r mod b
-            top = r[j]
-            r = [lead * v - top * w for v, w in zip(r, [0] * (j - n) + b)]
-            r.pop()
-        r = _trim(r)
-        if not r[-1]:  # b divides its predecessor: p has a repeated root
-            break
-        g = math.gcd(*r) * (1 if lead < 0 and e % 2 else -1)
-        chain.append([v // g for v in r])
-    return [_member(m) for m in chain]
-
-
 def _descartes(p: list[int], a: float, b: float) -> tuple[int, int, int]:
     """The sign variations of (1 + t)**n p((b + a t) / (1 + t)), n the
     degree of p, which exceed the number of roots of p in the open (a, b)
@@ -480,31 +453,29 @@ def _descartes(p: list[int], a: float, b: float) -> tuple[int, int, int]:
             (q[-1] > 0) - (q[-1] < 0), (q[0] > 0) - (q[0] < 0))
 
 
-def _signs_at(chain, x: float) -> tuple[int, int]:
-    """The sign changes of chain at x without exact zeros, and its first
-    member's sign there, both exact.  A member's floats, its integers over
-    their largest power of two, have a Horner value v within (2n + 1) u S
-    b**n (1 + O(n u)) of its value (Higham, Accuracy and Stability of
-    Numerical Algorithms, 5.1; a rounding u per float; S >= 1 their sum of
-    magnitudes, n the degree, b = max(1, |x|)).  Where v clears (n + 1)
-    2**-51 S b**n, twice that with room for underflows and for the cut of
-    a member past 1000 bits, v decides; elsewhere the integers do."""
-    b = max(abs(x), 1.0)
-    changes, last, first = 0, 0, None
-    for ints, fl, factor, n in chain:
+def _sign_at(p: list[int]) -> Callable[[float], int]:
+    """The exact sign at a float x of the integer polynomial p, ascending.
+    Its floats, p over its largest power of two, have a Horner value v
+    within (2n + 1) u S b**n (1 + O(n u)) of its value (Higham, Accuracy
+    and Stability of Numerical Algorithms, 5.1; a rounding u per float;
+    S >= 1 their sum of magnitudes, n the degree, b = max(1, |x|)).  Where
+    v clears (n + 1) 2**-51 S b**n, twice that with room for underflows and
+    for the cut of a coefficient past 1000 bits, v decides; elsewhere the
+    integers do."""
+    n, k = len(p) - 1, max(map(int.bit_length, p)) - 1
+    s = max(k - 1000, 0)  # so that float(v >> s) cannot overflow
+    fl = [math.ldexp(v >> s, s - k) for v in reversed(p)]
+    bound = len(p) * 2 ** -51 * sum(map(abs, fl))
+
+    def sign(x: float) -> int:
         v = 0.0
         for a in fl:
             v = v * x + a
-        if not abs(v) > factor * b ** n:  # or nan; v = 2**(n e) ints(x)
-            (X,), e = _dyadic((x,))
-            v = sum(a * X ** k << e * (n - k) for k, a in enumerate(ints))
-        s = (v > 0) - (v < 0)
-        if first is None:
-            first = s
-        if s:
-            changes += last * s < 0
-            last = s
-    return changes, first
+        if not abs(v) > bound * max(abs(x), 1.0) ** n:  # or nan
+            (X,), e = _dyadic((x,))  # v = 2**(n e) p(x)
+            v = sum(a * X ** j << e * (n - j) for j, a in enumerate(p))
+        return (v > 0) - (v < 0)
+    return sign
 
 
 def _polish_root(c: list[float], a: float, b: float, tol: float) -> float:
@@ -587,24 +558,30 @@ def bracketed_root(f: Callable[[float], float], a: float, fa: float,
 
 
 def _multiplicity(c: list[float], r: float, zero_tol: float) -> int:
-    """Smallest k >= 1 with |c^(k)(r)| above the zero threshold."""
-    scale = max(_norm(c), 1.0) * max(1.0, abs(r)) ** (len(c) - 1)
+    """Smallest k >= 1 with |c^(k)(r)| above its zero threshold, zero_tol
+    1e3 max(|c|, 1) max(1, |r|)**(deg - k), which grows with |r| as
+    c^(k) does."""
+    scale, b, deg = max(_norm(c), 1.0), max(1.0, abs(r)), len(c) - 1
     d = c
     for k in range(1, len(c)):
         d = _polyder(d)
-        if abs(_polyval(r, d)) > zero_tol * scale * 1e3:
+        if abs(_polyval(r, d)) > zero_tol * (scale * b ** (deg - k)) * 1e3:
             return k
-    return max(len(c) - 1, 1)
+    return max(deg, 1)
 
 
 def univariate_roots(c, window: tuple[float, float],
                      tols: Tolerances | None = None) -> list[tuple[float, int]]:
     """The real roots in the window, ascending with multiplicity, of the
     polynomial with ascending coefficients c (a sequence or an array):
-    those of its float square-free part, counted exactly (_signs_at).  A
-    window end where that part is within the zero floor moves out once, a
-    point where it is 0 is a root, and a polished root is kept only where
-    the exact signs tols.root, or an ulp, to either side of it hold one."""
+    those of its float square-free part, isolated by bisection with exact
+    Descartes counts (Vincent-Collins-Akritas).  A window end where that
+    part is within the zero floor moves out once; a subwindow with no sign
+    variation holds no root, and one with a single variation and opposite
+    end signs holds one, which is bracketed by exact signs (_sign_at) and
+    polished; any other splits at its midpoint, itself a root where the
+    part is 0 there.  A polished root is kept only where the exact signs
+    tols.root, or an ulp, to either side of it hold one."""
     tols = tols or default_tols()
     c = _trim([float(v) for v in c])
     if len(c) == 1:
@@ -622,20 +599,16 @@ def univariate_roots(c, window: tuple[float, float],
                                  1e-14 * max(abs(ends[0]), abs(ends[1]), 1.0))
     ints = _dyadic(sf)[0]
     variations, sa, sb = _descartes(ints, *ends)
-    if variations <= 1 and sa * sb:  # no root at an end, at most one inside
-        if not variations:
-            return []
-        chain = [_member(ints), _member([sb])]  # sf, sign sf(b): Sturm here
-    else:
-        chain = _integer_chain(ints)
+    if not variations and sa * sb:  # no root in the window or at its ends
+        return []
 
-    def isolate(lo: float, hi: float, slo: tuple, shi: tuple):
-        n = slo[0] - shi[0] - (shi[1] == 0)  # roots in the open (lo, hi)
-        if n == 0:
+    def isolate(lo: float, hi: float, v: int, slo: int, shi: int):
+        if not v:  # no root in the open (lo, hi)
             return
-        if n == 1 and hi - lo <= 1e-3 and slo[1] * shi[1] < 0:
+        one = v == 1 and slo * shi < 0
+        if one and hi - lo <= 1e-3:
             r = _polish_root(sf, lo, hi, tols.root)
-            near = [_signs_at(chain[:1], min(max(x, lo), hi))[1]
+            near = [sign(min(max(x, lo), hi))
                     for x in (min(r - tols.root, math.nextafter(r, lo)),
                               max(r + tols.root, math.nextafter(r, hi)))]
             if near[0] != near[1]:
@@ -645,23 +618,38 @@ def univariate_roots(c, window: tuple[float, float],
         if hi - lo <= tols.root or not lo < mid < hi:  # or adjacent doubles
             roots.append(mid)
             return
-        smid = _signs_at(chain, mid)
-        if smid[1] == 0:
+        if one:  # the root is in the half whose end signs differ
+            smid = sign(mid)
+            vlo, vhi = smid == shi, smid == slo
+        else:
+            vlo, _, smid = _descartes(ints, lo, mid)
+            vhi = _descartes(ints, mid, hi)[0]
+        if not smid:
             roots.append(mid)
-        isolate(lo, mid, slo, smid)
-        isolate(mid, hi, smid, shi)
+        isolate(lo, mid, vlo, slo, smid)
+        isolate(mid, hi, vhi, smid, shi)
 
-    signs = [_signs_at(chain, x) for x in ends]
-    roots = [x for x, s in zip(ends, signs) if s[1] == 0]
-    isolate(*ends, *signs)
+    roots = [x for x, s in zip(ends, (sa, sb)) if not s]
+    sign = _sign_at(ints)
+    isolate(*ends, variations, sa, sb)
     roots.sort()
     return [(r, _multiplicity(c, r, tols.coeff_zero)) for r in roots
             if window[0] - tols.root <= r <= window[1] + tols.root]
 
 
+def roots_on_d(p: BivariatePolynomial, window: tuple[float, float],
+               tols: Tolerances) -> tuple[tuple[float, int], ...]:
+    """univariate_roots of x -> p(x, 0) in the window, without a zero test,
+    cached on p for (window, tols) (_cached): the D census and every motion
+    along D ask for the same ones."""
+    return _cached(p, "_roots", (tuple(window), tols), lambda: tuple(
+        univariate_roots(p.restrict_y0(), window, tols)))
+
+
 def real_roots_on_line(p: BivariatePolynomial, window: tuple[float, float],
                        tols: Tolerances | None = None) -> list[tuple[float, int]]:
-    """Real roots of x -> p(x, 0) inside the window, with multiplicity.
+    """Real roots of x -> p(x, 0) inside the window, with multiplicity
+    (roots_on_d).
 
     Raises IdenticallyZeroOnD when the restriction vanishes identically:
     the whole line is tangency and arc analysis is meaningless.
@@ -671,7 +659,7 @@ def real_roots_on_line(p: BivariatePolynomial, window: tuple[float, float],
     scale = max(_norm(c), max(map(abs, p.coeffs.values()), default=0.0), 1.0)
     if _norm(c) <= tols.coeff_zero * scale:
         raise IdenticallyZeroOnD("p(x,0) vanishes identically")
-    return univariate_roots(c, window, tols)
+    return list(roots_on_d(p, window, tols))
 
 
 def cauchy_bound(c) -> float:

@@ -262,6 +262,21 @@ def test_infinity_saddle_node_not_hyperbolic():
             "theta": xs[0].theta, "field": "X"} in rep.gm1.witnesses
 
 
+def test_infinity_simple_zero_far_out_on_the_cot_line_is_hyperbolic():
+    # X = (1e7 x, x): a(t) = t - 1e7 has the simple cot-root 1e7, at theta
+    # about 1e-7, where dA R = -1e14; a multiplicity threshold that grew
+    # as |r|**deg, not |r|**(deg - k), called it double and so not
+    # hyperbolic
+    X = vf({(1, 0): 1e7}, {(1, 0): 1.0})
+    sings = infinity_singularities(piecewise(X, ROTATION))
+    far = [s for s in sings if s.field_tag == "X" and s.theta < 1e-6]
+    assert len(far) == 1
+    assert far[0].theta == pytest.approx(1e-7, rel=1e-12)
+    assert abs(far[0].certificates["dA"] * far[0].certificates["R"]) \
+        == pytest.approx(1e14)
+    assert far[0].hyperbolic is Hyperbolicity.YES
+
+
 def test_infinity_simple_zeros_to_rounding():
     # a(t) = q t^2 - p t: simple roots at cot t = 0 and p/q, which the
     # Sturm bisection alone leaves 3e-11 and 5e-11 off in theta

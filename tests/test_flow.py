@@ -693,6 +693,30 @@ def test_sliding_arc_steps_over_close_fold_pair(delta):
     assert crossings == {"D": [pts[-1, 0]]}
 
 
+def test_second_motion_along_d_isolates_no_roots(monkeypatch):
+    # X = (1, x - 1) over Y = (1, 1): D slides for x < 1 to the fold x = 1.
+    # The first slide isolates the roots of Q_X(x, 0), Q_Y(x, 0) and det on
+    # the window; a second slide and an FZ branch on the same field and
+    # window take them from the cache on each polynomial
+    calls = []
+    original = polys.univariate_roots
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (polys, flow):
+        monkeypatch.setattr(module, "univariate_roots", counting)
+    Z = piecewise(vf(ONE, {(1, 0): 1.0, (0, 0): -1.0}), vf(ONE, ONE))
+    tols = default_tols()
+    for x0 in (-3.0, 0.5):
+        _, _, outcome, x_end = flow._slide(Z, x0, 20.0, WIN, tols)
+        assert outcome == "q1_root" and abs(x_end - 1.0) < 1e-12
+        assert len(calls) == 3
+    _, fate, _ = flow._trace_d_branch(Z, -2.0, 1.0, 20.0, WIN, tols)
+    assert fate == "q1_root" and len(calls) == 3
+
+
 def test_tolerance_scale_reaches_solvers(monkeypatch):
     monkeypatch.setenv("FILIPPOV_TOLERANCE_SCALE", "10")
     # the rtol and atol that reach the generated loop of each solve

@@ -418,13 +418,14 @@ def _np_polish_root(c, a, b, tol):
 
 
 def _np_multiplicity(c, r, zero_tol):
-    scale = max(np.max(np.abs(c)), 1.0) * max(1.0, abs(r)) ** (len(c) - 1)
+    scale, b, deg = max(np.max(np.abs(c)), 1.0), max(1.0, abs(r)), len(c) - 1
     d = np.array(c, dtype=float)
     for k in range(1, len(c)):
         d = npoly.polyder(d)
-        if abs(npoly.polyval(r, d)) > zero_tol * scale * 1e3:
+        if abs(npoly.polyval(r, d)) > \
+                zero_tol * (scale * b ** (deg - k)) * 1e3:
             return k
-    return max(len(c) - 1, 1)
+    return max(deg, 1)
 
 
 def _bits(roots):
@@ -696,7 +697,7 @@ def test_horner_code_compiled_once_per_support():
     assert polys._horner_code.cache_info().misses == 2
 
 
-# -- exact Sturm counts -----------------------------------------------------
+# -- exact Descartes counts --------------------------------------------------
 
 def _exact_root_count(c, lo, hi):
     """The distinct real roots in [lo, hi] of the polynomial with the
@@ -786,18 +787,10 @@ def test_isolator_matches_exact_counts(seeded_fields):
     assert found > 500
 
 
-def test_signs_at_matches_exact_signs_next_to_roots(seeded_fields):
-    # at a root and at the doubles next to it a chain member's float value
-    # is rounding noise, so these are the points where the float bound
-    # must leave the sign to the integers
-    def exact(chain, x):
-        signs = []
-        for ints, *_ in chain:
-            v = sum(a * Fraction(x) ** k for k, a in enumerate(ints))
-            signs.append((v > 0) - (v < 0))
-        nonzero = [s for s in signs if s]
-        return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0]
-
+def test_sign_at_matches_exact_signs_next_to_roots(seeded_fields):
+    # at a root and at the doubles next to it the float value of the
+    # square-free part is rounding noise, so these are the points where the
+    # float bound must leave the sign to the integers
     tols = default_tols()
     checked = 0
     for c, window in _count_once_cases(seeded_fields):
@@ -806,7 +799,8 @@ def test_signs_at_matches_exact_signs_next_to_roots(seeded_fields):
         sf = polys._square_free(_unit(c), tols.coeff_zero)
         if len(sf) == 1:
             continue
-        chain = polys._integer_chain(polys._dyadic(sf)[0])
+        ints = polys._dyadic(sf)[0]
+        sign = polys._sign_at(ints)
         for r, _ in univariate_roots(c, window, tols):
             points = [r]
             for way in (-math.inf, math.inf):  # six doubles to either side
@@ -815,28 +809,48 @@ def test_signs_at_matches_exact_signs_next_to_roots(seeded_fields):
                     x = math.nextafter(x, way)
                     points.append(x)
             for x in points:
-                assert polys._signs_at(chain, x) == exact(chain, x), (c, x)
+                v = sum(a * Fraction(x) ** k for k, a in enumerate(ints))
+                assert sign(x) == (v > 0) - (v < 0), (c, x)
             checked += 1
     assert checked > 500
 
 
-def test_isolator_signs_each_bisection_point_once(seeded_fields,
-                                                  monkeypatch):
-    points = []
-    original = polys._signs_at
+def test_isolator_counts_each_window_and_signs_each_point_once(
+        seeded_fields, monkeypatch):
+    windows, points, checks = [], [], [0]
+    descartes, sign_at, polish = \
+        polys._descartes, polys._sign_at, polys._polish_root
 
-    def recording(chain, x):
-        if len(chain) > 1:  # not the check of a polished root
-            points.append(x)
-        return original(chain, x)
+    def counting(p, a, b):
+        windows.append((a, b))
+        return descartes(p, a, b)
 
-    monkeypatch.setattr(polys, "_signs_at", recording)
+    def recording(p):
+        sign = sign_at(p)
+
+        def signing(x):
+            if checks[0]:  # one of the two checks of a polished root
+                checks[0] -= 1
+            else:
+                points.append(x)
+            return sign(x)
+        return signing
+
+    def polishing(c, a, b, tol):
+        checks[0] = 2
+        return polish(c, a, b, tol)
+
+    monkeypatch.setattr(polys, "_descartes", counting)
+    monkeypatch.setattr(polys, "_sign_at", recording)
+    monkeypatch.setattr(polys, "_polish_root", polishing)
     counted = 0
     for c, window in _count_once_cases(seeded_fields):
+        windows.clear()
         points.clear()
         univariate_roots(c, window, default_tols())
+        assert len(windows) == len(set(windows)), (c, window)
         assert len(points) == len(set(points)), (c, window)
-        counted += len(points)
+        counted += len(windows) + len(points)
     assert counted > 1000
 
 
@@ -888,13 +902,16 @@ def test_a_root_just_past_the_window_end_is_found():
                            (0.0, 1.0))
     assert [m for _, m in got] == [1, 1]
     assert abs(got[1][0] - (1.0 + 1e-13)) <= 1e-15
+    # x (x - 2) is -2e-12 at the window end 1e-12, within the floor, so
+    # the end moves out onto the root 0, with no sign variation inside
+    assert univariate_roots([0.0, -2.0, 1.0], (1e-12, 1.0)) == [(0.0, 1)]
 
 
-def test_a_root_on_the_moved_window_end_takes_the_full_chain():
+def test_a_root_on_the_moved_window_end_splits_the_window():
     # with tols.root 100 the window end 1.0, a root of x (x - 1), moves out
     # by 1.0 onto the root 0.0; Descartes' count on (0, 3) leaves that end
-    # out, so the window takes the integer chain, which counts the root 1
-    # inside, and the bisection stops at once at 1.5, within tols.root
+    # out and finds the root 1 inside, but with a zero end sign the window
+    # is split, and the bisection stops at once at 1.5, within tols.root
     tols = dataclasses.replace(default_tols(), root=100.0)
     assert univariate_roots([0.0, -1.0, 1.0], (1.0, 3.0), tols) == \
         [(0.0, 1), (1.5, 1)]
@@ -913,24 +930,51 @@ def test_roots_past_where_tols_root_is_below_an_ulp():
     assert [m for _, m in got] == [1] and got[0][0] == pytest.approx(1e13)
 
 
-def test_integer_chain_is_exact_on_integer_coefficients():
-    # x^3 - 3x + 1 has three real roots; its chain over the integers is
-    # x^3 - 3x + 1, 3x^2 - 3, 2x - 1 (minus the remainder 1 - 2x) and 1
-    # (9/4 made primitive)
-    chain = polys._integer_chain([1, -3, 0, 1])
-    assert [m[0] for m in chain] == [[1, -3, 0, 1], [-3, 0, 3], [-1, 2], [1]]
-    assert polys._signs_at(chain, -2.0) == (3, -1)
-    assert polys._signs_at(chain, 2.0) == (0, 1)
-    # x^4 + x - 1: the remainder of x^4 + x - 1 by 4x^3 + 1 is 3x/4 - 1, two
-    # degrees down, so its pseudo-remainder is 4**3 times it and the next
-    # member is 4 - 3x; after it comes -283/27, made primitive -1
-    chain = polys._integer_chain([-1, 1, 0, 0, 1])
-    assert [m[0] for m in chain] == [[-1, 1, 0, 0, 1], [1, 0, 0, 4],
-                                     [4, -3], [-1]]
-    assert polys._signs_at(chain, -3.0)[0] - \
-        polys._signs_at(chain, 3.0)[0] == 2
+def test_descartes_counts_are_exact_on_integer_coefficients():
+    # x^3 - 3x + 1 has three real roots, all in (-2, 2), where its signs
+    # are -1 and 3
+    assert polys._descartes([1, -3, 0, 1], -2.0, 2.0) == (3, -1, 1)
+    # x^4 + x - 1 has two real roots, one in each of (-2, 0) and (0, 2):
+    # the count on (-2, 2) exceeds them by 2, that of each half is exact
+    assert polys._descartes([-1, 1, 0, 0, 1], -2.0, 2.0) == (4, 1, 1)
+    assert polys._descartes([-1, 1, 0, 0, 1], -2.0, 0.0) == (1, 1, -1)
+    assert polys._descartes([-1, 1, 0, 0, 1], 0.0, 2.0) == (1, -1, 1)
     assert polys._dyadic([0.75, -3.0, 2.0 ** -60]) == \
         ([3 << 58, -3 << 60, 1], 60)
+
+
+def test_simple_roots_far_from_zero_have_multiplicity_one():
+    # 3x^2 - 1e7 has simple roots at +-1825.74, where its derivative is
+    # 1.1e4: the zero threshold of c' grows as |r|**1, not as |r|**2, which
+    # put it at 3.3e4 and made both roots double
+    got = univariate_roots([-1e7, 0.0, 3.0], (-1e8, 1e8))
+    r = math.sqrt(1e7 / 3)
+    assert [m for _, m in got] == [1, 1]
+    assert [x for x, _ in got] == pytest.approx([-r, r], rel=1e-15)
+
+
+@pytest.mark.parametrize("a", [0.3, 1 / 3, 2.0, -1.7])
+def test_near_axis_complex_pairs(a):
+    # (x - a)^2 + eps^2 has no real root, and times (x - 1) only the root
+    # 1; from eps = 1e-6 on, the float square-free step makes the pair a
+    # double root at a, which the cubic shows at eps = 1e-7, and at
+    # eps = 1e-6 only for a = 2
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+        pair = [a * a + eps * eps, -2.0 * a, 1.0]
+        cubic = npoly.polymul(pair, [-1.0, 1.0])
+        double = [(a, 2)] if eps <= 1e-6 else []
+        got = univariate_roots(pair, (-3.0, 3.0))
+        assert [m for _, m in got] == [m for _, m in double]
+        assert [x for x, _ in got] == pytest.approx([x for x, _ in double],
+                                                    abs=1e-15)
+        if eps == 1e-7 or eps == 1e-6 and a == 2.0:
+            want = sorted(double + [(1.0, 1)])
+        else:
+            want = [(1.0, 1)]
+        got = univariate_roots(cubic, (-3.0, 3.0))
+        assert [m for _, m in got] == [m for _, m in want]
+        assert [x for x, _ in got] == pytest.approx([x for x, _ in want],
+                                                    abs=1e-11)
 
 
 def test_descartes_bounds_the_exact_root_count(seeded_fields):
@@ -953,18 +997,6 @@ def test_descartes_bounds_the_exact_root_count(seeded_fields):
                                          variations), (c, (w0, w1))
         seen.add(min(variations, 2))
     assert seen == {0, 1, 2}
-
-
-def test_window_with_at_most_one_variation_gives_the_full_chain_roots(
-        seeded_fields, monkeypatch):
-    # such a window returns at once or takes sf and its sign at the upper
-    # end as its chain; the integer chain everywhere gives the same roots
-    # to the bit
-    tols = default_tols()
-    cases = _count_once_cases(seeded_fields)
-    want = [univariate_roots(c, w, tols) for c, w in cases]
-    monkeypatch.setattr(polys, "_descartes", lambda p, a, b: (2, 1, 1))
-    assert [univariate_roots(c, w, tols) for c, w in cases] == want
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
