@@ -31,6 +31,7 @@ from .polys import (
     BivariatePolynomial,
     PiecewiseField,
     PolyVectorField,
+    _cached,
     cauchy_bound,
     homogeneous_part,
     partial,
@@ -137,11 +138,10 @@ def _in_lower(theta: float) -> bool:
 
 
 def compactified_field(Z: PiecewiseField) -> TrigField:
-    A1, R1 = trig_coefficients(
-        PolyVectorField(Z.X.P, Z.X.Q, Z.m), "X")
-    A2, R2 = trig_coefficients(
-        PolyVectorField(Z.Y.P, Z.Y.Q, Z.m), "Y")
-    return TrigField(Z.m, A1, R1, A2, R2)
+    """The compactified field of Z, built once per field (_cached)."""
+    return _cached(Z, "_derived", "trig", lambda: TrigField(
+        Z.m, *trig_coefficients(PolyVectorField(Z.X.P, Z.X.Q, Z.m), "X"),
+        *trig_coefficients(PolyVectorField(Z.Y.P, Z.Y.Q, Z.m), "Y")))
 
 
 def pullback_check(Z: PiecewiseField, theta: float, rho: float,
@@ -202,10 +202,16 @@ def _cot_poly(A: TrigCoefficient) -> np.ndarray:
     return a
 
 
-def _real_roots(a: np.ndarray, tols: Tolerances) -> list[tuple[float, int]]:
-    """Every real root of a with its multiplicity (univariate_roots)."""
-    bound = cauchy_bound(a)
-    return univariate_roots(a, (-bound, bound), tols)
+def _real_roots(A: TrigCoefficient, tols: Tolerances
+                ) -> tuple[tuple[float, int], ...]:
+    """Every real root of A's cot-polynomial with its multiplicity
+    (univariate_roots), isolated once per tols and cached on A (_cached):
+    the census at infinity and the equator integral ask for the same."""
+    def build():
+        a = _cot_poly(A)
+        bound = cauchy_bound(a)
+        return tuple(univariate_roots(a, (-bound, bound), tols))
+    return _cached(A, "_roots", tols, build)
 
 
 def infinity_singularities(Z: PiecewiseField,
@@ -230,7 +236,7 @@ def infinity_singularities(Z: PiecewiseField,
 
     out: list[InfinitySingularity] = []
     for A, R, tag, lo in ((A1m, R1m, "X", 0.0), (A2m, R2m, "Y", math.pi)):
-        for r, mult in _real_roots(_cot_poly(A), tols):
+        for r, mult in _real_roots(A, tols):
             t = lo + math.atan2(1.0, r)   # cot(t) = r in (lo, lo + pi)
             dA = A.derivative(t)
             Rv = R(t)
@@ -298,7 +304,7 @@ def s1_elementarity(Z: PiecewiseField,
     # integrand below
     for A in (A1m, A2m):
         a = _cot_poly(A)
-        if abs(a[-1]) <= tols.sign * _top_scale(A) or _real_roots(a, tols):
+        if abs(a[-1]) <= tols.sign * _top_scale(A) or _real_roots(A, tols):
             return S1Report(S1Status.HAS_SINGULARITIES)
 
     def integrand(t):

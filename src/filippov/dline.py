@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .errors import IdenticallyZeroOnD, NotOnSlidingOrEscaping
 from .polys import (
     BivariatePolynomial,
@@ -42,12 +40,6 @@ class SingKind(Enum):
     NON_ELEMENTARY = "NonElementary"
 
 
-class EndpointKind(Enum):
-    Q1_ROOT = "RootOfQ1"
-    Q2_ROOT = "RootOfQ2"
-    WINDOW = "WindowBoundary"
-
-
 @dataclass(frozen=True)
 class DPointClass:
     tag: PointTag
@@ -59,7 +51,6 @@ class DPointClass:
 class DArc:
     interval: tuple[float, float]
     tag: PointTag
-    endpoints: list[tuple[float, EndpointKind]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -108,54 +99,25 @@ def classify_point(Z: PiecewiseField, x: float,
     return DPointClass(tag, xf, yf)
 
 
-def _roots_or_empty(q: BivariatePolynomial, window, tols) -> tuple[float, ...]:
-    """Roots of q(x,0) in window, cached on q (polys.real_roots_on_line);
-    () for a nonzero constant restriction."""
-    c = q.restrict_y0()
-    nonzero = np.abs(c) > tols.coeff_zero
-    if not nonzero.any():
-        raise IdenticallyZeroOnD("Q(x,0) vanishes identically")
-    if not nonzero[1:].any():
-        return ()
-    return tuple(r for r, _ in real_roots_on_line(q, window, tols))
-
-
 def segment_d(Z: PiecewiseField, window: tuple[float, float],
               tols: Tolerances | None = None) -> list[DArc]:
-    """Maximal constant-class arcs between consecutive roots of Q1*Q2 on D."""
-    tols = tols or default_tols()
-    q1_roots = _roots_or_empty(Z.X.Q, window, tols)
-    q2_roots = _roots_or_empty(Z.Y.Q, window, tols)
-    events: list[tuple[float, EndpointKind]] = (
-        [(r, EndpointKind.Q1_ROOT) for r in q1_roots]
-        + [(r, EndpointKind.Q2_ROOT) for r in q2_roots]
-    )
-    events.sort(key=lambda e: e[0])
-    # merge events that coincide within root tolerance
-    merged: list[tuple[float, list[EndpointKind]]] = []
-    for x, kind in events:
-        if merged and abs(x - merged[-1][0]) <= 10 * tols.root:
-            merged[-1][1].append(kind)
-        else:
-            merged.append((x, [kind]))
+    """Maximal constant-class arcs between consecutive roots of Q1*Q2 on D.
 
-    cuts = [window[0]] + [x for x, _ in merged] + [window[1]]
-    arcs = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi - lo <= 10 * tols.root:
-            continue
-        mid = 0.5 * (lo + hi)
-        tag = classify_point(Z, mid, tols).tag
-        eps: list[tuple[float, EndpointKind]] = []
-        for x, kinds in merged:
-            if abs(x - lo) <= 10 * tols.root or abs(x - hi) <= 10 * tols.root:
-                eps.extend((x, k) for k in kinds)
-        if abs(lo - window[0]) <= 10 * tols.root:
-            eps.append((window[0], EndpointKind.WINDOW))
-        if abs(hi - window[1]) <= 10 * tols.root:
-            eps.append((window[1], EndpointKind.WINDOW))
-        arcs.append(DArc((lo, hi), tag, eps))
-    return arcs
+    The window is cut at each root of Q1(x,0) or Q2(x,0) more than
+    10 tols.root past the previous root cut (never merged into a window
+    end), and each piece longer than that is tagged by its midpoint.
+    Raises IdenticallyZeroOnD when either restriction vanishes identically
+    (real_roots_on_line).
+    """
+    tols = tols or default_tols()
+    cuts: list[float] = []
+    for r in sorted(r for q in (Z.X.Q, Z.Y.Q)
+                    for r, _ in real_roots_on_line(q, window, tols)):
+        if not cuts or r - cuts[-1] > 10 * tols.root:
+            cuts.append(r)
+    cuts = [window[0], *cuts, window[1]]
+    return [DArc((lo, hi), classify_point(Z, 0.5 * (lo + hi), tols).tag)
+            for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 10 * tols.root]
 
 
 def filippov_field(Z: PiecewiseField, x: float,
@@ -165,13 +127,8 @@ def filippov_field(Z: PiecewiseField, x: float,
     lambda = Yf / (Yf - Xf) is the unique weight with zero y-component;
     the second component is set identically to 0.
     """
-    tols = tols or default_tols()
-    cls = classify_point(Z, x, tols)
-    if cls.tag not in (PointTag.SLIDING, PointTag.ESCAPING):
-        raise NotOnSlidingOrEscaping(f"point x={x} is {cls.tag.value}")
-    lam = cls.yf / (cls.yf - cls.xf)
-    first = lam * Z.X.P(x, 0.0) + (1.0 - lam) * Z.Y.P(x, 0.0)
-    return (first, 0.0)
+    lam = filippov_lambda(Z, x, tols)
+    return (lam * Z.X.P(x, 0.0) + (1.0 - lam) * Z.Y.P(x, 0.0), 0.0)
 
 
 def filippov_lambda(Z: PiecewiseField, x: float,
@@ -235,12 +192,8 @@ def fold_points(Z: PiecewiseField, window: tuple[float, float],
         ("X", Z.X.Q, x2f, SingKind.FOLD_X),
         ("Y", Z.Y.Q, y2f, SingKind.FOLD_Y),
     ):
-        try:
-            roots = _roots_or_empty(q, window, tols)
-        except IdenticallyZeroOnD:
-            raise
         other = Z.Y.Q if side == "X" else Z.X.Q
-        for r in roots:
+        for r, _ in real_roots_on_line(q, window, tols):
             second = lie2(r, 0.0)
             opp = other(r, 0.0)
             certs = {"xf" if side == "X" else "yf": q(r, 0.0),

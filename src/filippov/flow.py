@@ -1170,14 +1170,13 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
     return found
 
 
-def _secant_fixed_point(g, s0: float, tols: Tolerances,
-                        max_iter: int = 30) -> float | None:
+def _secant_fixed_point(g, s0: float, tols: Tolerances) -> float | None:
     g0 = g(s0)
     if abs(g0) <= tols.close:
         return s0
     s1 = s0 * 1.05 + 1e-3
     g1 = g(s1)
-    for _ in range(max_iter):
+    for _ in range(30):
         if abs(g1) <= tols.root * 1e3:
             return s1
         denom = g1 - g0

@@ -309,7 +309,6 @@ class RegularizedCycle:
 def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
                              epsilon: float, section_x: float,
                              s_range: tuple[float, float],
-                             horizon: float = 50.0,
                              tols: Tolerances | None = None
                              ) -> list[RegularizedCycle]:
     """Limit cycles of the regularized field crossing the vertical section
@@ -323,8 +322,8 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
     turn, and gives each such sign to the unknown grid points next to it
     that lie in that interval, up to the first at which R_x does not have
     the evaluated point's sign or is within tols.sign of zero.  A grid
-    point whose orbit fails to return or blows up is nan and fixes no
-    other.  Each sign change between neighbours is a bracket whose ends
+    point whose orbit fails to return by t = 50 or blows up is nan and
+    fixes no other.  Each sign change between neighbours is a bracket whose ends
     are the evaluated points that fixed the two signs, refined by
     polys.bracketed_root to tols.root.
 
@@ -348,7 +347,7 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
                lambda t, st, way: t > 1e-12)
         *_, hit = _integrate(R.rhs(with_div),
                              [section_x, s] + ([0.0] if with_div else []),
-                             horizon, tols, [ret])
+                             50.0, tols, [ret])
         if hit is None:
             raise NoReturn(f"no return from s={s}")
         return hit[2]

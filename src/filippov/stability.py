@@ -233,8 +233,7 @@ class GmOptions:
     optimistic: bool = False
 
 
-def default_window(Z: PiecewiseField, margin: float = 1.0
-                   ) -> tuple[float, float, float, float]:
+def default_window(Z: PiecewiseField) -> tuple[float, float, float, float]:
     b = 1.0
     for p in (Z.X.P, Z.X.Q, Z.Y.P, Z.Y.Q):
         for axis in (0, 1):
@@ -242,7 +241,7 @@ def default_window(Z: PiecewiseField, margin: float = 1.0
             nonzero = np.abs(c) > 1e-12
             if len(c) > 1 and nonzero[1:].any():
                 b = max(b, cauchy_bound(c))
-    b += margin
+    b += 1.0  # a margin past every root bound
     return (-b, b, -b, b)
 
 
@@ -282,14 +281,14 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
                              "region": label, "point": point})
     interior_x, interior_y = interior["upper"], interior["lower"]
 
-    # D-line census
+    # D-line census; where Q1 or Q2 vanishes on all of D it has no arcs
     try:
         arcs = dline.segment_d(Z, span, tols)
+        d_sings = dline.fz_singularities(Z, span, tols)
+        folds = dline.fold_points(Z, span, tols)
     except IdenticallyZeroOnD:
-        arcs = []
+        arcs, d_sings, folds = [], [], []
         gm1.weaken({"kind": "tangency_component_zero_on_d"})
-    d_sings = dline.fz_singularities(Z, span, tols)
-    folds = dline.fold_points(Z, span, tols)
     for s in list(d_sings) + list(folds):
         if s.kind is dline.SingKind.NON_ELEMENTARY:
             gm1.violate({"kind": "non_elementary_d_point", "x": s.x})

@@ -126,6 +126,41 @@ def test_analyze_constant_field_undetermined(tmp_path):
     assert report["interior_singularities"] == {"upper": [], "lower": []}
 
 
+# X = (1, y), Y = (1, 1 + x): Q1(x, 0) vanishes on all of D
+TANGENT_TEXT = """\
+degree 1
+P1:
+0 0 1
+Q1:
+0 1 1
+P2:
+0 0 1
+Q2:
+0 0 1
+1 0 1
+"""
+
+
+def test_analyze_field_tangent_to_all_of_d_writes_a_report(tmp_path, capsys):
+    spec = _write(tmp_path, "tangent.txt", TANGENT_TEXT)
+    out = str(tmp_path / "report.json")
+    code = cli.main(["analyze", spec, "--out", out])
+    report = json.loads(open(out).read())
+    assert code == cli._STATUS_EXIT[report["overall"]] != cli.EXIT_RUNTIME
+    assert {"kind": "tangency_component_zero_on_d"} in \
+        report["conditions"]["interior_and_d"]["witnesses"]
+    assert report["d_census"] == {"arcs": [], "folds": [],
+                                  "singularities": []}
+    assert capsys.readouterr().err == ""
+
+
+def test_portrait_field_tangent_to_all_of_d(tmp_path):
+    spec = _write(tmp_path, "tangent.txt", TANGENT_TEXT)
+    out = str(tmp_path / "tangent.svg")
+    assert cli.main(["portrait", spec, "--out", out]) == 0
+    assert 'class="arc-degenerate"' in open(out).read()
+
+
 def test_analyze_malformed_spec_exit3(tmp_path, capsys):
     bad = SPIRAL_TEXT.replace("degree 1", "degree 0")
     spec = _write(tmp_path, "bad.txt", bad)

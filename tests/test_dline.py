@@ -7,7 +7,6 @@ from filippov import polys
 
 from filippov.dline import (
     DArc,
-    EndpointKind,
     PointTag,
     SingKind,
     classify_point,
@@ -69,8 +68,6 @@ def test_segment_sliding_sewing():
     arcs = segment_d(z, (-2, 2))
     assert [a.tag for a in arcs] == [PointTag.SLIDING, PointTag.SEWING]
     assert arcs[0].interval[1] == pytest.approx(0.0, abs=1e-9)
-    kinds = [k for _, k in arcs[0].endpoints]
-    assert EndpointKind.Q1_ROOT in kinds
 
 
 def test_segment_single_sewing():
@@ -129,6 +126,25 @@ def test_fz_node():
 def test_fz_no_singularity():
     z = Z_of(ONE, {(0, 0): -1.0}, ONE, ONE)  # det = 2 everywhere
     assert fz_singularities(z, (-5, 5)) == []
+
+
+def test_fz_det_zero_on_d_gives_one_witness_per_arc():
+    # X = (1, 1), Y = (-1, -1): escaping everywhere and det = 0, so every
+    # point of the arc is F_Z-singular; its midpoint is the witness
+    z = Z_of(ONE, ONE, {(0, 0): -1.0}, {(0, 0): -1.0})
+    assert [a.tag for a in segment_d(z, (-2, 2))] == [PointTag.ESCAPING]
+    sings = fz_singularities(z, (-2, 2))
+    assert [(s.x, s.kind) for s in sings] == [(0.0, SingKind.NON_ELEMENTARY)]
+    assert sings[0].certificates == {"det": 0.0, "ddet": 0.0}
+
+
+def test_fz_double_det_root_is_non_elementary():
+    # X = (x^2, -1), Y = (0, 1): sliding everywhere, det = x^2
+    z = Z_of({(2, 0): 1.0}, {(0, 0): -1.0}, {}, ONE)
+    sings = fz_singularities(z, (-2, 2))
+    assert len(sings) == 1
+    assert sings[0].kind is SingKind.NON_ELEMENTARY
+    assert sings[0].x == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fold_x():

@@ -36,6 +36,7 @@ from filippov.regularize import (
     make_transition,
     regularized_cycle_search,
 )
+from filippov.stability import default_window
 from filippov.tolerances import Tolerances, default_tols
 
 WIN = (-5.0, 5.0, -5.0, 5.0)
@@ -810,6 +811,28 @@ def test_census_finds_unit_limit_cycle_once():
 def test_census_drift_field_finds_nothing():
     Z = piecewise(vf(ONE, X_MONO), vf(ONE, ONE))
     assert find_closed_polytrajectories(Z, WIN) == []
+
+
+def test_census_finds_a_type3_cycle_from_a_fold():
+    # generator seed 9, random_00: the orbit leaving X's fold slides along
+    # D back to it, so the census's fold run closes as type 3
+    X = vf({(0, 0): -0.50675227441983184, (0, 1): 1.4662473999453653,
+            (1, 0): 0.011128320208833475},
+           {(0, 0): -0.46534062058940728, (0, 1): 0.21708187271314427,
+            (1, 0): -1.8364169380607538})
+    Y = vf({(0, 0): 0.81392156917498815, (0, 1): 0.90026147432883619,
+            (1, 0): -1.0479511901338689},
+           {(0, 0): 1.0094570743736435, (1, 0): 1.0968378689420444})
+    Z = piecewise(X, Y)
+    found = find_closed_polytrajectories(Z, default_window(Z))
+    assert len(found) == 1
+    orb = found[0]
+    assert orb.closure is Closure.TYPE3 and orb.elementary == "yes"
+    assert orb.certificate["fold_x"] == pytest.approx(-0.2533959532527534,
+                                                      abs=1e-12)
+    assert [a.tag for a in orb.trajectory.arcs] == ["X", "FZ"]
+    assert [e.kind for e in orb.trajectory.events] == [
+        EventKind.ENTER_SLIDING, EventKind.EXIT_AT_FOLD, EventKind.CLOSED]
 
 
 def test_probe_no_saddles():

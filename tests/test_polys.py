@@ -25,6 +25,7 @@ from filippov.polys import (
     real_roots_on_line,
     resultant_y,
     univariate_roots,
+    newton_zero,
     vf,
 )
 from filippov.tolerances import default_tols
@@ -620,6 +621,17 @@ def test_bracketed_root_returns_a_zero_end_without_calls():
 
     assert bracketed_root(never, 1.0, 0.0, 2.0, -3.0, 1e-9) == 1.0
     assert bracketed_root(never, 1.0, 5.0, 2.0, 0.0, 1e-9) == 2.0
+
+
+def test_newton_zero_gives_up_at_a_singular_jacobian():
+    # f = (x^2 + 1, y) has no zero; its Jacobian at (0, 1) is singular
+    def f(x, y):
+        return (x * x + 1.0, y)
+
+    def jac(x, y):
+        return np.array([[2.0 * x, 0.0], [0.0, 1.0]])
+
+    assert newton_zero(f, jac, 0.0, 1.0, default_tols()) is None
 
 
 # -- Horner code shared by monomial support ------------------------------

@@ -336,6 +336,18 @@ def test_report_constant_field_undetermined_infinity():
     assert rep.overall == UNDETERMINED
 
 
+def test_report_field_tangent_to_all_of_d():
+    # X = (1, y) is tangent to D everywhere (Q1(x, 0) = 0): the D census
+    # is empty and says why, and fold_points' IdenticallyZeroOnD does not
+    # escape check_gm
+    Z = piecewise(vf(ONE, {(0, 1): 1.0}), vf(ONE, {(0, 0): 1.0, (1, 0): 1.0}))
+    rep = check_gm(Z)
+    assert {"kind": "tangency_component_zero_on_d"} in rep.gm1.witnesses
+    assert rep.gm1.status != SATISFIED
+    assert rep.d_arcs == [] and rep.d_singularities == [] \
+        and rep.fold_points == []
+
+
 UNIT_CYCLE = vf({(1, 0): 1.0, (0, 1): -1.0, (3, 0): -1.0, (1, 2): -1.0},
                 {(1, 0): 1.0, (0, 1): 1.0, (2, 1): -1.0, (0, 3): -1.0})
 
