@@ -83,6 +83,9 @@ _D_DIRECTION = (1.0, 0.0)
 # each of its runs may take
 DEFAULT_SEEDS = (-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0)
 CENSUS_HORIZON = 100.0
+# D abscissas this close lie on one cycle of the census (absolute: the
+# field's scale is not normalized at entry)
+SAME_CYCLE = 1e-5
 
 
 class EventKind(Enum):
@@ -1072,6 +1075,10 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
 _RUN_ERRORS = (ClassificationAmbiguous, NoReturn, NotTransversal, StepFailure)
 
 
+class _KnownCycle(Exception):
+    """A census seed's return landed on a cycle already found."""
+
+
 @dataclass(frozen=True)
 class ClosedOrbit:
     trajectory: PolyTrajectory
@@ -1095,14 +1102,26 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
     lies in a forward-invariant disc that meets neither D, the census's
     section, nor the window's sides, so such a run would end with
     TimeBudget, and neither returns nor closes.
+
+    A seed stops once it can only lead to a cycle already found, that is,
+    to within SAME_CYCLE of a D crossing x* recorded for one: before any
+    run when the seed itself lies there, and during its secant when a
+    return eta(s) lands there.  The return map is non-decreasing on a
+    sewing arc, so a fixed point s' between s and x* has s' = eta(s') >=
+    eta(s) >= x* - SAME_CYCLE when s < x*, and the mirror bound when
+    s > x*: every such fixed point is within SAME_CYCLE of x*, the known
+    cycle.  A secant that converges is checked against x* once more.
     """
     tols = tols or default_tols()
     found: list[ClosedOrbit] = []
     seen_x: list[float] = []
 
+    def known(x: float) -> bool:
+        return any(abs(x - c) <= SAME_CYCLE for c in seen_x)
+
     span = (window[0], window[1])
     for s0 in DEFAULT_SEEDS:
-        if not (window[0] < s0 < window[1]):
+        if not (window[0] < s0 < window[1]) or known(s0):
             continue
         cls = dline.classify_point(Z, s0, tols)
         if cls.tag is not PointTag.SEWING:
@@ -1112,17 +1131,19 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
         def g(s):
             s1, _ = return_map(Z, section, s, CENSUS_HORIZON, window,
                                tols, with_derivative=False, sinks=sinks)
+            if known(s1):
+                raise _KnownCycle
             return s1 - s
 
         try:
             s_star = _secant_fixed_point(g, s0, tols)
-        except _RUN_ERRORS:
-            continue  # this seed's return map fails; the others still run
+        except (_KnownCycle,) + _RUN_ERRORS:
+            continue  # a known cycle, or this seed's return map fails
         if s_star is None or not (window[0] < s_star < window[1]):
             continue
         if abs(s_star) < 1e-3:  # degenerate loop shrunk into the origin
             continue
-        if any(abs(s_star - x) <= 1e-5 for x in seen_x):
+        if known(s_star):
             continue
         cls_star = dline.classify_point(Z, s_star, tols)
         if cls_star.tag is not PointTag.SEWING:

@@ -30,7 +30,14 @@ from filippov.flow import (
     return_map,
     transition_derivative,
 )
-from filippov.polys import PolyVectorField, piecewise, univariate_roots, vf
+from filippov.polys import (
+    PolyVectorField,
+    constant,
+    piecewise,
+    poly,
+    univariate_roots,
+    vf,
+)
 from filippov.regularize import (
     RegularizedField,
     make_transition,
@@ -356,7 +363,7 @@ def test_census_work_counter(monkeypatch):
     found = find_closed_polytrajectories(piecewise(UNIT_CYCLE, UNIT_CYCLE),
                                          (-5.0, 5.0, -5.0, 5.0))
     assert len(found) == 1
-    assert nfev[0] <= 40_000
+    assert nfev[0] <= 8_000
 
 
 def test_census_runs_each_found_cycle_once(monkeypatch):
@@ -786,19 +793,40 @@ def test_compactified_return_derivative_matches_richardson(Z):
     assert abs(d - richardson) <= 1e-7 * abs(richardson)
 
 
-def test_census_center_orbits_not_elementary():
-    Z = piecewise(ROT, ROT)
-    found = find_closed_polytrajectories(Z, WIN)
-    assert found
+def _count_return_maps(monkeypatch) -> list:
+    """Wrap flow.return_map so that each call adds to the returned count."""
+    calls = [0]
+    original = flow.return_map
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "return_map", counting)
+    return calls
+
+
+def test_census_center_orbits_not_elementary(monkeypatch):
+    # each seed x > 0 lies on the orbit of the seed -x found before it, so
+    # it makes no return map (8 when every seed's secant ran)
+    calls = _count_return_maps(monkeypatch)
+    found = find_closed_polytrajectories(piecewise(ROT, ROT), WIN)
+    assert calls[0] <= 4
+    assert [o.certificate["x"] for o in found] == [-2.0, -1.5, -1.0, -0.5]
     for orb in found:
         assert orb.closure is Closure.TYPE1
         assert orb.elementary == "no"
         assert abs(orb.certificate["eta_prime"] - 1.0) < 1e-6
 
 
-def test_census_finds_unit_limit_cycle_once():
+def test_census_finds_unit_limit_cycle_once(monkeypatch):
+    # the first seed's secant finds the cycle; every later seed lies on it
+    # or returns onto it and stops there (26 return maps when each seed's
+    # secant ran to convergence)
+    calls = _count_return_maps(monkeypatch)
     Z = piecewise(UNIT_CYCLE, UNIT_CYCLE)
     found = find_closed_polytrajectories(Z, WIN)
+    assert calls[0] <= 9
     assert len(found) == 1
     orb = found[0]
     assert orb.closure is Closure.TYPE1
@@ -833,6 +861,60 @@ def test_census_finds_a_type3_cycle_from_a_fold():
     assert [a.tag for a in orb.trajectory.arcs] == ["X", "FZ"]
     assert [e.kind for e in orb.trajectory.events] == [
         EventKind.ENTER_SLIDING, EventKind.EXIT_AT_FOLD, EventKind.CLOSED]
+
+
+def test_census_keeps_nested_cycles_through_the_early_stop(monkeypatch):
+    # X = (-y + x h, x + y h), h = -(r^2 - 1)(r^2 - 3.0625) / 2, and Y = 2X:
+    # an unstable cycle r = 1 inside a stable one r = 1.75.  Seed -1.5
+    # lies between the two; its returns must not be taken for either
+    x, y = poly(X_MONO), poly(Y_MONO)
+    r2 = x * x + y * y
+    h = ((r2 - constant(1.0)) * (r2 - constant(3.0625))).scale(-0.5)
+    X = PolyVectorField(x * h - y, x + y * h, 5)
+    Y = PolyVectorField(X.P.scale(2.0), X.Q.scale(2.0), 5)
+    calls = _count_return_maps(monkeypatch)
+    found = find_closed_polytrajectories(piecewise(X, Y),
+                                         (-3.0, 3.0, -3.0, 3.0))
+    assert calls[0] <= 15  # 22 when each seed's secant converged
+    assert [o.certificate["x"] for o in found] == [
+        pytest.approx(-1.75, abs=1e-9), pytest.approx(-1.0, abs=1e-9)]
+    assert all(o.closure is Closure.TYPE1 and o.elementary == "yes"
+               for o in found)
+
+
+@pytest.mark.parametrize("X, Y, x, eta_prime", [
+    # generator seed 3, random_12
+    (vf({(0, 0): 1.2267212332809874},
+        {(0, 0): 2.6250428336301308, (0, 1): -1.563511437568426,
+         (1, 0): -1.6882307575567617}),
+     vf({(0, 0): -1.3567109587343285, (0, 1): 0.79711190068676485,
+         (1, 0): -0.31155531977448625},
+        {(0, 0): 0.097367712259217143, (0, 1): 1.0283950177218899,
+         (1, 0): -1.2776437564082155}),
+     float.fromhex("-0x1.3af086abf22aap+2"), 0.0026864),
+    # generator seed 8, random_05
+    (vf({(0, 1): 1.2530922535339073, (0, 2): 1.3188994585091831,
+         (0, 3): 1.1230652363821156, (1, 1): 0.61876646192990847},
+        {(0, 0): 0.35670209831597832, (0, 1): -1.651820716397888,
+         (0, 2): 1.4748480221395455, (1, 1): 0.42834598891647735,
+         (2, 0): -0.72032201914164951, (2, 1): 1.6791702831970063}),
+     vf({(0, 0): -0.53500115886501298, (1, 0): -0.72282227211208383,
+         (1, 1): -0.5700343857046315, (1, 2): 0.080216255787582291,
+         (2, 0): 0.88553382782732282, (2, 1): -1.3610487533484639,
+         (3, 0): -0.44283055815811956},
+        {(0, 0): 1.3801698918162182, (0, 1): -1.1095864748315494,
+         (0, 2): -1.2932642299843176, (1, 0): -1.7964905185348594,
+         (1, 1): 0.94468388490928179, (2, 0): -0.69295277311196335}),
+     float.fromhex("0x1.7c3795aa7642ep-2"), 0.52981),
+], ids=["seed3-random_12", "seed8-random_05"])
+def test_census_pins_the_generator_cycles_of_its_secant(X, Y, x, eta_prime):
+    # the two baseline cycles that the secant finds, to the bit
+    Z = piecewise(X, Y)
+    (orb,) = find_closed_polytrajectories(Z, default_window(Z))
+    assert orb.closure is Closure.TYPE1 and orb.elementary == "yes"
+    assert orb.certificate["x"] == x
+    assert orb.certificate["eta_prime"] == pytest.approx(eta_prime,
+                                                         rel=1e-4)
 
 
 def test_probe_no_saddles():

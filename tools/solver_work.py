@@ -8,18 +8,22 @@ points against another saddle's branch seed (the connection probe's reach
 test), and
 flow.advance_hybrid wrapped to count the hybrid runs that end in the trap
 of a stable node or focus (EnterSink: only the cycle census watches
-them), and prints the counts of each workload.
+them), and flow.return_map wrapped to count the cycle census's return
+maps, and prints the counts of each workload.
 
     python3 tools/solver_work.py
 
 Exits 1 if an operation fails, if cycles, analyze or trajectories makes no
 solve, no evaluation or no crossing search, or analyze no reach scan or
 no run that ends in a trap, if analyze makes more than 180,000
-evaluations in more than 260 solves, cycles more than 70,000 in more than
-150 solves or trajectories more than 75,000 in more than 450 solves, if
-cycles searches more than 400 steps for crossings, analyze more than 700
-or trajectories more than 400, or if analyze makes more than 300 reach
-scans.
+evaluations in more than 260 solves, cycles more than 35,000 in more than
+75 solves or trajectories more than 75,000 in more than 450 solves, if
+cycles searches more than 170 steps for crossings, analyze more than 700
+or trajectories more than 400, if analyze makes more than 300 reach
+scans, or if cycles makes more than 26 return maps or analyze more than
+100.  A census seed that lies on, or whose return lands on, a cycle
+already found stops there, so cycles makes 22 return maps, where one
+secant per seed to convergence made 60.
 """
 
 import os
@@ -36,17 +40,18 @@ import workloads  # noqa: E402
 
 # (workload, counter) -> most allowed
 BOUNDS = {("analyze", "nfev"): 180_000, ("analyze", "solver_calls"): 260,
-          ("cycles", "nfev"): 70_000, ("cycles", "solver_calls"): 150,
+          ("cycles", "nfev"): 35_000, ("cycles", "solver_calls"): 75,
           ("trajectories", "nfev"): 75_000,
           ("trajectories", "solver_calls"): 450,
-          ("cycles", "crossing_steps"): 400,
+          ("cycles", "crossing_steps"): 170,
           ("analyze", "crossing_steps"): 700,
           ("trajectories", "crossing_steps"): 400,
-          ("analyze", "reach_scans"): 300}
+          ("analyze", "reach_scans"): 300,
+          ("cycles", "return_maps"): 26, ("analyze", "return_maps"): 100}
 # workload -> counters that must not be 0
 SOLVES = ("solver_calls", "nfev", "crossing_steps")
-NONZERO = {"cycles": SOLVES,
-           "analyze": SOLVES + ("reach_scans", "sink_runs"),
+NONZERO = {"cycles": SOLVES + ("return_maps",),
+           "analyze": SOLVES + ("reach_scans", "sink_runs", "return_maps"),
            "trajectories": SOLVES}
 
 
@@ -98,13 +103,25 @@ def count_sink_runs(counts: dict) -> None:
     flow.advance_hybrid = counted
 
 
+def count_return_maps(counts: dict) -> None:
+    """Wrap flow.return_map so that each return the cycle census asks for
+    adds to counts."""
+    return_map = flow.return_map
+
+    def counted(*args, **kwargs):
+        counts["return_maps"] += 1
+        return return_map(*args, **kwargs)
+    flow.return_map = counted
+
+
 def main() -> int:
     counts = {"solver_calls": 0, "nfev": 0, "crossing_steps": 0,
-              "reach_scans": 0, "sink_runs": 0}
+              "reach_scans": 0, "sink_runs": 0, "return_maps": 0}
     count_solves(counts)
     count_crossing_steps(counts)
     count_reach_scans(counts)
     count_sink_runs(counts)
+    count_return_maps(counts)
     ok = True
     for name, make in workloads.WORKLOADS.items():
         workdir = tempfile.mkdtemp(prefix=f"solver-work-{name}-")
@@ -124,7 +141,8 @@ def main() -> int:
               f"{work['nfev']} RHS evaluations, "
               f"{work['crossing_steps']} steps searched for crossings, "
               f"{work['reach_scans']} reach scans, "
-              f"{work['sink_runs']} hybrid runs ended in a trap")
+              f"{work['sink_runs']} hybrid runs ended in a trap, "
+              f"{work['return_maps']} return maps")
         for key, value in work.items():
             bound = BOUNDS.get((name, key))
             if (key in NONZERO.get(name, ()) and value <= 0) \
