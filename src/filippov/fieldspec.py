@@ -6,6 +6,13 @@ double survives a round trip bit-for-bit.
 Each option is declared once, in OPTIONS.  Option.read reads the text line
 `window -2 2 -2 2`, the JSON member `"window": [-2, 2, -2, 2]` and the flag
 `--window=-2,2,-2,2`; a malformed value or unknown key is a FieldSpecError.
+
+FieldSpec.to_field returns one PiecewiseField per degree and coefficient
+rows, held while it stays among the FIELD_CACHE fields used last (_field).
+Every cache of the package sits on a field or its polynomials (generated
+right-hand sides, Horner evaluators, roots on D, derived polynomials, the
+compactified field), so a spec parsed again in the same process, as each
+CLI call does, reuses all of them.
 """
 
 from __future__ import annotations
@@ -13,12 +20,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable
 
 from .errors import FieldSpecError
 from .polys import PiecewiseField, vf
 
 TABLE_NAMES = ("P1", "Q1", "P2", "Q2")
+# fields that to_field keeps alive: the specs of one portrait-and-flow run
+# of the corpus, with room for one more
+FIELD_CACHE = 8
 
 
 def transition(name: str) -> tuple[str, int] | None:
@@ -129,14 +140,26 @@ class FieldSpec:
                               if v != 0.0} for name in TABLE_NAMES}
 
     def to_field(self) -> PiecewiseField:
-        X = vf(self.tables["P1"], self.tables["Q1"], self.degree)
-        Y = vf(self.tables["P2"], self.tables["Q2"], self.degree)
-        return PiecewiseField(X, Y, self.degree)
+        """The piecewise field of the spec, one object per degree and
+        coefficient rows (_field): a second spec with the same rows
+        returns the field built for the first, with its caches."""
+        return _field(self.degree, *(tuple(self.tables[name].items())
+                                     for name in TABLE_NAMES))
 
     def options(self) -> dict[str, Any]:
         """The options set (an empty eps list is unset), in OPTIONS order."""
         return {name: getattr(self, name) for name in OPTIONS
                 if getattr(self, name) not in (None, [])}
+
+
+@lru_cache(maxsize=FIELD_CACHE)
+def _field(degree: int, *rows) -> PiecewiseField:
+    """The field of degree whose tables P1, Q1, P2, Q2 hold rows, the
+    ((i, j), value) pairs of each in the order of the spec.  The key keeps
+    that order, as the sums of a product of polynomials run in it, so a
+    field shared by two specs is the one each would build."""
+    P1, Q1, P2, Q2 = map(dict, rows)
+    return PiecewiseField(vf(P1, Q1, degree), vf(P2, Q2, degree), degree)
 
 
 def _fmt(v: float) -> str:

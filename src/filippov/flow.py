@@ -327,30 +327,36 @@ def run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
                      nextafter=math.nextafter)["run"]
 
 
-def _rms(v: np.ndarray) -> np.float64:
-    """Root mean square of the float vector v, to the bit numpy's
-    norm(v) / sqrt(v.size), which for a real vector is sqrt(v.dot(v)):
+def _rms(v: list[float]) -> np.float64:
+    """Root mean square of the floats v, to the bit numpy's
+    norm(v) / sqrt(len(v)), which for a real vector is sqrt(v.dot(v)):
     the dot product stays numpy's, as a sum of squares in Python rounds
-    differently, and the result a numpy scalar, so that _initial_step
-    divides by a zero step as numpy does, to inf or nan."""
-    return np.sqrt(v.dot(v)) / v.size ** 0.5
+    differently (numpy's dot may fuse a multiply and an add), and the
+    result a numpy scalar, so that _initial_step divides by a zero step
+    or norm as numpy does, to inf or nan."""
+    a = np.array(v)
+    return np.sqrt(a.dot(a)) / len(v) ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     """Starting step size of Hairer, Norsett and Wanner (Solving ODEs I,
-    section II.4) for an error estimator of order 7, with the numpy
-    operations of scipy's select_initial_step in its order, so that a
-    solve takes scipy's first step; fun is called once, unless the
-    interval is empty."""
+    section II.4) for an error estimator of order 7, with the operations
+    of scipy's select_initial_step in its order, so that a solve takes
+    scipy's first step.  y0 and f0 are lists of floats, and the
+    arithmetic is on floats but for the norms (_rms), whose numpy scalars
+    carry numpy's inf and nan into every quotient; fun is called once,
+    unless the interval is empty."""
     interval_length = abs(t_bound - t0)
     if interval_length == 0.0:
         return 0.0
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([f / s for f, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
+    h0 = float(min(h0, interval_length))
+    step = h0 * direction
+    f1 = fun(t0 + step, [v + step * f for v, f in zip(y0, f0)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -374,10 +380,11 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
     and 3 per dense output (each step makes one when there are lines).
     Each step replays scipy's to rounding; the sums of its error estimate
     run in another order, so later step sizes can differ in their last
-    digits.  The stages pass floats to rhs; f(t0) and the initial step
-    pass the numpy scalars of their arrays, and _initial_step's norms are
-    numpy's to the bit (_rms).  An OverflowError or ZeroDivisionError of rhs
-    inside a trial step rejects the step, as inf and nan do in numpy's
+    digits.  Every call passes floats to rhs, and _initial_step's norms
+    are numpy's to the bit (_rms).  Where float arithmetic raises an
+    OverflowError or ZeroDivisionError, f(t0) and the initial step's
+    evaluation take numpy's inf or nan, calling rhs again on numpy
+    scalars, and a trial step is rejected, as inf and nan do in numpy's
     arithmetic.
 
     lines holds affine events (a_x, a_y, b, direction[, accept]) on the
@@ -405,21 +412,24 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
     crossing that ends the solve, (len(lines) + index into traps, time,
     state) of the step's end in a box, or None, and ts, ys end at it.
     Raises StepFailure when the step size falls below its smallest."""
-    y = np.asarray(y0, dtype=float)
-    if not np.isfinite(y).all():
+    y = [float(v) for v in y0]
+    if not all(map(math.isfinite, y)):
         raise ValueError("All components of the initial state `y0` "
                          "must be finite.")
     t0, t_end = float(t0), float(t_end)
     rtol, atol = max(tols.root, _MIN_RTOL), tols.root / 100
     direction = math.copysign(1.0, t_end - t0) if t_end != t0 else 1.0
 
-    def fun(t, s):
-        return np.asarray(rhs(t, *s), dtype=float)
+    def fun(t, s):  # numpy's inf or nan where float arithmetic raises
+        try:
+            return [float(v) for v in rhs(t, *s)]
+        except (OverflowError, ZeroDivisionError):
+            return np.asarray(rhs(t, *np.array(s)), dtype=float).tolist()
 
-    f0 = fun(t0, y)
-    h_abs = float(_initial_step(fun, t0, y, t_end, f0, direction, rtol,
+    f = fun(t0, y)
+    h_abs = float(_initial_step(fun, t0, y, t_end, f, direction, rtol,
                                 atol))
-    t, y, f = t0, y.tolist(), f0.tolist()
+    t = t0
     ts, ys, hit = [t], [y], None
     if t == t_end:  # an empty interval ends where it starts, as in scipy
         ts.append(t)

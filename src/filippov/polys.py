@@ -292,13 +292,14 @@ class PolyVectorField:
         divergence, rhs(t, x, y, d) with dP/dx + dQ/dy as a third component,
         d (the integral so far) unread (_kernel).  It runs the Horner forms
         of P, Q and the divergence, so it returns their floats; negation is
-        exact, as rounding is symmetric."""
+        exact, as rounding is symmetric.  The divergence is built only for
+        a kernel that returns it."""
         def body():
             sign = "-" if reverse else ""
-            P, Q, D = (_horner_body(p.coeffs)
-                       for p in (self.P, self.Q, self._divergence))
-            return [f"return ({sign}{P}, {sign}{Q}"
-                    + (f", {D})" if divergence else ")")]
+            P, Q = (_horner_body(p.coeffs) for p in (self.P, self.Q))
+            D = f", {_horner_body(self._divergence.coeffs)}" \
+                if divergence else ""
+            return [f"return ({sign}{P}, {sign}{Q}{D})"]
         return _kernel(self, (reverse, divergence), 2 + divergence, body)
 
 

@@ -143,12 +143,14 @@ class RegularizedField:
         component, d unread (polys._kernel).  It returns the floats of
         __call__ and jacobian: the same Horner forms, with phi and phi' as
         TransitionFunction.sources writes them.  The field is autonomous:
-        t holds y/epsilon."""
+        t holds y/epsilon.  The kernel is cached on the piecewise field Z
+        for (phi, epsilon, divergence), so every blend of Z with the same
+        phi and epsilon shares it."""
         def body():
-            # P, Q, dP/dx and dQ/dy of X, then of Y
-            hx, hy = ([_horner_body(p.coeffs) for p in
-                       (F.P, F.Q, F.jacobian()[0], F.jacobian()[3])]
-                      for F in (self.Z.X, self.Z.Y))
+            # P, Q, and with the divergence dP/dx and dQ/dy, of X, then Y
+            hx, hy = ([_horner_body(p.coeffs) for p in (
+                F.P, F.Q, *(F.jacobian()[::3] if divergence else ()))]
+                for F in (self.Z.X, self.Z.Y))
             side = "({0}, {1}, {2} + {3})" if divergence else "({0}, {1})"
             phi, dphi = self.phi.sources()
             eps = repr(float(self.epsilon))
@@ -162,7 +164,8 @@ class RegularizedField:
                     f"w = {phi}", f"px = {hx[0]}", f"qx = {hx[1]}",
                     f"py = {hy[0]}", f"qy = {hy[1]}",
                     f"return ((1 - w)*py + w*px, (1 - w)*qy + w*qx{trace})"]
-        return _kernel(self, divergence, 2 + divergence, body, exp=math.exp)
+        return _kernel(self.Z, (self.phi, self.epsilon, divergence),
+                       2 + divergence, body, exp=math.exp)
 
     def jacobian(self, x: float, y: float) -> np.ndarray:
         """Exact Jacobian of the blend: w J_X + (1 - w) J_Y with

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filippov import cli, fieldspec, flow, portrait, stability
+from filippov import (cli, compactify, fieldspec, flow, polys, portrait,
+                      stability)
 from filippov.errors import FieldSpecError, FilippovError
 from filippov.portrait import render_portrait
 from filippov.polys import piecewise, vf
@@ -92,6 +93,36 @@ def test_missing_top_degree_rejected():
     text = "degree 2\nP1:\n0 0 1\nQ1:\n0 0 1\nP2:\n0 0 1\nQ2:\n0 0 1\n"
     with pytest.raises(FieldSpecError):
         fieldspec.parse(text)
+
+
+def test_to_field_returns_one_field_per_coefficient_rows():
+    spec = fieldspec.parse(SPIRAL_TEXT)
+    Z = spec.to_field()
+    assert fieldspec.parse(SPIRAL_TEXT).to_field() is Z
+    assert fieldspec.parse(fieldspec.serialize_json(spec)).to_field() is Z
+    other = fieldspec.parse(SPIRAL_TEXT.replace("1 0 1\nQ1", "1 0 1.5\nQ1"))
+    assert other.to_field() is not Z
+    assert other.to_field().X.P.coeffs == {(0, 1): -1.0, (1, 0): 1.5}
+    # a product's sums run in row order, so rows in another order are
+    # another key
+    swapped = SPIRAL_TEXT.replace("0 1 -1\n1 0 1\nQ1", "1 0 1\n0 1 -1\nQ1")
+    assert fieldspec.parse(swapped).to_field() is not Z
+
+
+def test_field_cache_evicts_past_its_bound():
+    def spec(k):
+        return fieldspec.FieldSpec(1, {"P1": {(1, 0): 1.0 + k},
+                                       "Q1": {(0, 1): 1.0}, "P2": {},
+                                       "Q2": {(1, 0): -1.0 - k}})
+
+    assert fieldspec._field.cache_info().maxsize == fieldspec.FIELD_CACHE
+    Z = spec(0).to_field()
+    for k in range(1, fieldspec.FIELD_CACHE):
+        spec(k).to_field()
+    assert spec(0).to_field() is Z
+    for k in range(fieldspec.FIELD_CACHE, 2 * fieldspec.FIELD_CACHE):
+        spec(k).to_field()
+    assert spec(0).to_field() is not Z
 
 
 def _write(tmp_path, name, text):
@@ -590,3 +621,73 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def _counting_field_work(monkeypatch) -> dict:
+    """Count the right-hand sides that polys._generate makes and the root
+    isolations, in every module that calls univariate_roots."""
+    counts = {"rhs": 0, "roots": 0}
+    generate, roots = polys._generate, polys.univariate_roots
+
+    def generating(source, label, **names):
+        counts["rhs"] += label == "rhs"
+        return generate(source, label, **names)
+
+    def isolating(*args, **kwargs):
+        counts["roots"] += 1
+        return roots(*args, **kwargs)
+
+    monkeypatch.setattr(polys, "_generate", generating)
+    for module in (polys, flow, compactify):
+        monkeypatch.setattr(module, "univariate_roots", isolating)
+    return counts
+
+
+@pytest.mark.parametrize("command, flags, suffixes", [
+    ("flow", ["--seed=0.5,1"], ("", ".events.json")),
+    ("portrait", [], ("",)),
+])
+def test_second_call_on_a_spec_builds_nothing(tmp_path, monkeypatch,
+                                              command, flags, suffixes):
+    # the spec parsed again returns the field of the first call, with its
+    # right-hand sides and roots on D, and the same bytes come out
+    fieldspec._field.cache_clear()
+    counts = _counting_field_work(monkeypatch)
+    spec = _write(tmp_path, "saddle.txt", SADDLE_TEXT)
+    work, written = [], []
+    for k in range(2):
+        before, out = dict(counts), str(tmp_path / f"out{k}")
+        assert cli.main([command, spec, *flags, "--out", out]) == 0
+        work.append({key: counts[key] - before[key] for key in counts})
+        written.append([Path(out + s).read_bytes() for s in suffixes])
+    assert work[0]["rhs"] > 0 and work[0]["roots"] > 0
+    assert work[1] == {"rhs": 0, "roots": 0}
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("command, flags, suffixes", [
+    ("analyze", [], ("",)),
+    ("flow", ["--seed=0.5,1"], ("", ".events.json")),
+    ("portrait", [], ("",)),
+])
+def test_tolerance_scale_run_shares_no_cached_result(tmp_path, monkeypatch,
+                                                     command, flags,
+                                                     suffixes):
+    # the caches on a shared field are keyed on the tolerances: a run
+    # under FILIPPOV_TOLERANCE_SCALE=10 between two default runs leaves the
+    # second the bytes of the first, and writes the bytes of a scaled run
+    # on a field of its own
+    spec = _write(tmp_path, "saddle.txt", SADDLE_TEXT)
+
+    def run(scale, k):
+        monkeypatch.setenv("FILIPPOV_TOLERANCE_SCALE", scale)
+        out = str(tmp_path / f"out{k}")
+        assert cli.main([command, spec, *flags, "--out", out]) in (0, 1, 2)
+        return [Path(out + s).read_bytes() for s in suffixes]
+
+    fieldspec._field.cache_clear()
+    first, scaled, second = run("1", 0), run("10", 1), run("1", 2)
+    fieldspec._field.cache_clear()
+    assert first == second and run("10", 3) == scaled
+    if command == "flow":
+        assert scaled != first

@@ -535,6 +535,88 @@ def test_float_dop853_matches_scipy_dop853(rhs, y0, monkeypatch):
     assert np.allclose(ours(mids), ref.sol(mids), rtol=1e-12, atol=1e-12)
 
 
+def _numpy_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+    """scipy's select_initial_step for DOP853 (error estimator order 7),
+    in numpy as scipy writes it, with h0 clamped to the interval as
+    recent scipy releases do."""
+    def norm(v):
+        return np.linalg.norm(v) / v.size ** 0.5
+
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = norm(y0 / scale), norm(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = norm((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length)
+
+
+def _zero_division_at_start(t, x, y):
+    # divides by zero at x = 1: a ZeroDivisionError on floats, inf on
+    # numpy scalars
+    return 1.0 / (x - 1.0), -y
+
+
+def _zero_division_after_start(t, x, y):
+    # finite at t = 0, and x / 0 at the initial step's point
+    return 1.0, (0.0 if t == 0.0 else x / (x - x))
+
+
+@pytest.mark.parametrize("rhs, y0, t_end", [
+    (RANDOM_01_Y.rhs(), [-9.40084, -4.04373], 2.0),
+    (RANDOM_01_Y.rhs(divergence=True), [-9.40084, -4.04373, 0.0], 2.0),
+    (RANDOM_01_Y.rhs(reverse=True), [-9.40084, -4.04373], -2.0),
+    (SLIDING.slide_rhs(), [0.3], 2.0),
+    (ROT.rhs(), [0.0, 0.0], 2.0),
+    (ROT.rhs(), [1e-300, 0.0], 1e-12),
+    (_zero_division_at_start, [1.0, 0.5], 1.0),
+    (_zero_division_after_start, [1.0, 0.5], 1.0),
+], ids=["random_01-Y", "random_01-Y-divergence", "random_01-Y-backward",
+        "sliding-1d", "rest-point", "short-interval", "inf-at-start",
+        "inf-after-start"])
+def test_initial_step_is_scipys_to_the_bit(rhs, y0, t_end, monkeypatch):
+    # the first step from floats, with numpy's norms, and numpy's inf or
+    # nan where the field divides by zero, is scipy's first step to the bit
+    tols = Tolerances()
+    rtol, atol = tols.root, tols.root / 100
+    steps, args = [], []
+    initial_step = flow._initial_step
+
+    def recording(*a):
+        steps.append(initial_step(*a))
+        return steps[-1]
+
+    def typed(t, *s):
+        args.append(s)
+        return rhs(t, *s)
+
+    def fun(t, s):
+        return np.asarray(rhs(t, *s), dtype=float)
+
+    monkeypatch.setattr(flow, "_initial_step", recording)
+    y = np.array(y0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _numpy_initial_step(fun, 0.0, y, t_end, fun(0.0, y),
+                                   np.sign(t_end), rtol, atol)
+        try:
+            flow._integrate(typed, y0, t_end, tols)
+        except StepFailure:
+            pass
+    assert len(steps) == 1
+    assert float(steps[0]).hex() == float(want).hex()
+    # every evaluation takes floats; where float arithmetic raises in f(t0)
+    # or in the initial step's evaluation, that one is made again on numpy
+    # scalars
+    again = {_zero_division_at_start: [1], _zero_division_after_start: [2]}
+    assert [k for k, s in enumerate(args)
+            if any(type(v) is not float for v in s)] == again.get(rhs, [])
+
+
 def test_single_solver_call_site():
     # one solver loop, made in one place, and its events come from the
     # stepper's lines alone
@@ -1241,12 +1323,29 @@ def test_second_solve_on_a_field_compiles_nothing(monkeypatch):
     # are built once per field, so the second round compiles no horner
     assert "FZ" in [arc.tag for arc in traj.arcs]
     assert horners[0] > 0 and horners[1] == horners[0]
-    # the solves of one regularized search share its two kernels
-    labels.clear()
-    regularized_cycle_search(piecewise(UNIT_CYCLE, UNIT_CYCLE),
-                             make_transition("smoothstep", 1), 0.05, 0.0,
-                             (0.4, 1.6))
-    assert labels.count("rhs") == 2
+    # the solves of one regularized search share its two kernels, which
+    # are cached on the piecewise field for phi and epsilon: a second search
+    # generates none, and another epsilon two more
+    Z = piecewise(UNIT_CYCLE, UNIT_CYCLE)
+    phi = make_transition("smoothstep", 1)
+    for eps, want in ((0.05, 2), (0.05, 0), (0.04, 2)):
+        labels.clear()
+        regularized_cycle_search(Z, phi, eps, 0.0, (0.4, 1.6))
+        assert labels.count("rhs") == want
+    assert RegularizedField(Z, make_transition("smoothstep", 1), 0.05).rhs() \
+        is RegularizedField(Z, phi, 0.05).rhs()
+    assert RegularizedField(Z, make_transition("bump"), 0.05).rhs() \
+        is not RegularizedField(Z, phi, 0.05).rhs()
+
+
+def test_rhs_builds_the_divergence_only_when_asked():
+    X = vf({(2, 1): 1.5, (0, 1): -1.0}, X_MONO)
+    Y = vf(ONE, X_MONO)
+    X.rhs(), X.rhs(reverse=True)
+    RegularizedField(piecewise(X, Y), make_transition("bump"), 0.1).rhs()
+    assert not {"_divergence", "_jacobian"} & (vars(X).keys() | vars(Y).keys())
+    assert X.rhs(divergence=True)(0.0, 2.0, 3.0, 0.0)[2] == \
+        X.divergence()(2.0, 3.0) == 18.0
 
 
 def _counting_solves(monkeypatch) -> list[float]:
@@ -1310,6 +1409,8 @@ def test_pickled_fields_drop_their_kernels():
         clone = pickle.loads(pickle.dumps(obj))
         assert clone == obj and "_kernels" not in vars(clone)
         assert make(clone)(0.0, *state) == rhs(0.0, *state)
+    # a regularized field's kernels sit on its piecewise field
+    assert "_kernels" not in vars(pickle.loads(pickle.dumps(R)).Z)
 
 
 def test_slide_ending_at_zero_of_sliding_field_is_fz_singularity():

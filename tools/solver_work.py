@@ -1,29 +1,41 @@
 """Solver-work gate: runs every operation of the benchmark's workloads
-(bench/workloads.py, seed 1) once, with flow._integrate, the one ODE solve
-of the package, wrapped to count its calls and the right-hand side
-evaluations of each, flow._crossing wrapped to count the steps that the
-stepper's screen hands to the crossing search in Python,
-flow._reaches wrapped to count the scans of a separatrix branch's
-points against another saddle's branch seed (the connection probe's reach
-test), and
-flow.advance_hybrid wrapped to count the hybrid runs that end in the trap
-of a stable node or focus (EnterSink: only the cycle census watches
-them), and flow.return_map wrapped to count the cycle census's return
-maps, and prints the counts of each workload.
+(bench/workloads.py, seed 1) once, in one process and in the order of
+WORKLOADS, with these wrapped to count their work:
+
+- flow._integrate, the one ODE solve of the package: its calls and the
+  right-hand side evaluations of each;
+- flow._crossing: the steps that the stepper's screen hands to the
+  crossing search in Python;
+- flow._reaches: the scans of a separatrix branch's points against another
+  saddle's branch seed (the connection probe's reach test);
+- flow.advance_hybrid: the hybrid runs that end in the trap of a stable
+  node or focus (EnterSink: only the cycle census watches them);
+- flow.return_map: the cycle census's return maps;
+- polys._generate: the right-hand sides it generates (label "rhs").
+
+It prints the counts of each workload.
 
     python3 tools/solver_work.py
 
 Exits 1 if an operation fails, if cycles, analyze or trajectories makes no
-solve, no evaluation or no crossing search, or analyze no reach scan or
-no run that ends in a trap, if analyze makes more than 180,000
-evaluations in more than 260 solves, cycles more than 35,000 in more than
-75 solves or trajectories more than 75,000 in more than 450 solves, if
-cycles searches more than 170 steps for crossings, analyze more than 700
-or trajectories more than 400, if analyze makes more than 300 reach
-scans, or if cycles makes more than 26 return maps or analyze more than
-100.  A census seed that lies on, or whose return lands on, a cycle
-already found stops there, so cycles makes 22 return maps, where one
-secant per seed to convergence made 60.
+solve, no evaluation, no crossing search or no right-hand side, or
+analyze no reach scan or no run that ends in a trap, if analyze makes
+more than 180,000 evaluations in more than 260 solves, cycles more than
+35,000 in more than 75 solves or trajectories more than 75,000 in more
+than 450 solves, if cycles searches more than 170 steps for crossings,
+analyze more than 700 or trajectories more than 400, if analyze makes
+more than 300 reach scans, if cycles makes more than 26 return maps or
+analyze more than 100, or if cycles generates more than 18 right-hand
+sides or trajectories more than 20.
+
+A census seed that lies on, or whose return lands on, a cycle already
+found stops there, so cycles makes 22 return maps, where one secant per
+seed to convergence made 60.  A spec parsed again returns the field built
+for it before (fieldspec.FieldSpec.to_field), with the right-hand sides
+cached on it, and a regularized field's kernels are cached on its
+piecewise field, so trajectories generates 16 right-hand sides (87 when
+each CLI call built its own field) and cycles 16 (24 when each
+regularized search generated its own).
 """
 
 import os
@@ -35,7 +47,7 @@ import traceback
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
-from filippov import flow  # noqa: E402
+from filippov import flow, polys  # noqa: E402
 import workloads  # noqa: E402
 
 # (workload, counter) -> most allowed
@@ -47,9 +59,11 @@ BOUNDS = {("analyze", "nfev"): 180_000, ("analyze", "solver_calls"): 260,
           ("analyze", "crossing_steps"): 700,
           ("trajectories", "crossing_steps"): 400,
           ("analyze", "reach_scans"): 300,
-          ("cycles", "return_maps"): 26, ("analyze", "return_maps"): 100}
+          ("cycles", "return_maps"): 26, ("analyze", "return_maps"): 100,
+          ("cycles", "rhs_generated"): 18,
+          ("trajectories", "rhs_generated"): 20}
 # workload -> counters that must not be 0
-SOLVES = ("solver_calls", "nfev", "crossing_steps")
+SOLVES = ("solver_calls", "nfev", "crossing_steps", "rhs_generated")
 NONZERO = {"cycles": SOLVES + ("return_maps",),
            "analyze": SOLVES + ("reach_scans", "sink_runs", "return_maps"),
            "trajectories": SOLVES}
@@ -114,14 +128,27 @@ def count_return_maps(counts: dict) -> None:
     flow.return_map = counted
 
 
+def count_rhs_generated(counts: dict) -> None:
+    """Wrap polys._generate so that each right-hand side it generates
+    adds to counts."""
+    generate = polys._generate
+
+    def counted(source, label, **names):
+        counts["rhs_generated"] += label == "rhs"
+        return generate(source, label, **names)
+    polys._generate = counted
+
+
 def main() -> int:
     counts = {"solver_calls": 0, "nfev": 0, "crossing_steps": 0,
-              "reach_scans": 0, "sink_runs": 0, "return_maps": 0}
+              "reach_scans": 0, "sink_runs": 0, "return_maps": 0,
+              "rhs_generated": 0}
     count_solves(counts)
     count_crossing_steps(counts)
     count_reach_scans(counts)
     count_sink_runs(counts)
     count_return_maps(counts)
+    count_rhs_generated(counts)
     ok = True
     for name, make in workloads.WORKLOADS.items():
         workdir = tempfile.mkdtemp(prefix=f"solver-work-{name}-")
@@ -142,7 +169,8 @@ def main() -> int:
               f"{work['crossing_steps']} steps searched for crossings, "
               f"{work['reach_scans']} reach scans, "
               f"{work['sink_runs']} hybrid runs ended in a trap, "
-              f"{work['return_maps']} return maps")
+              f"{work['return_maps']} return maps, "
+              f"{work['rhs_generated']} right-hand sides generated")
         for key, value in work.items():
             bound = BOUNDS.get((name, key))
             if (key in NONZERO.get(name, ()) and value <= 0) \
