@@ -177,6 +177,19 @@ def fz_singularities(Z: PiecewiseField, window: tuple[float, float],
     return out
 
 
+def fold_test(Z: PiecewiseField, side: str, x: float,
+              tols: Tolerances) -> tuple[float, float, bool]:
+    """(second, opposite, fold) at a tangency of X (side "X") or Y with D
+    at (x, 0): the field's second Lie derivative X(Xf), the other field's
+    Lie derivative, and whether the tangency is a fold, both of them off
+    zero by more than tols.sign."""
+    fld, other = (Z.X, Z.Y) if side == "X" else (Z.Y, Z.X)
+    second = second_lie_derivative(fld)(x, 0.0)
+    opposite = other.Q(x, 0.0)
+    return second, opposite, \
+        abs(second) > tols.sign and abs(opposite) > tols.sign
+
+
 def fold_points(Z: PiecewiseField, window: tuple[float, float],
                 tols: Tolerances | None = None) -> list[DSingularity]:
     """Tangency points of each field with D, typed fold or non-elementary.
@@ -186,23 +199,15 @@ def fold_points(Z: PiecewiseField, window: tuple[float, float],
     """
     tols = tols or default_tols()
     out = []
-    x2f = second_lie_derivative(Z.X)
-    y2f = second_lie_derivative(Z.Y)
-    for side, q, lie2, kind in (
-        ("X", Z.X.Q, x2f, SingKind.FOLD_X),
-        ("Y", Z.Y.Q, y2f, SingKind.FOLD_Y),
-    ):
-        other = Z.Y.Q if side == "X" else Z.X.Q
+    for side, q, kind in (("X", Z.X.Q, SingKind.FOLD_X),
+                          ("Y", Z.Y.Q, SingKind.FOLD_Y)):
         for r, _ in real_roots_on_line(q, window, tols):
-            second = lie2(r, 0.0)
-            opp = other(r, 0.0)
+            second, opp, fold = fold_test(Z, side, r, tols)
             certs = {"xf" if side == "X" else "yf": q(r, 0.0),
                      "second_lie": second,
                      "opposite": opp}
-            if abs(opp) <= tols.sign or abs(second) <= tols.sign:
-                out.append(DSingularity(r, SingKind.NON_ELEMENTARY, certs))
-            else:
-                out.append(DSingularity(r, kind, certs))
+            out.append(DSingularity(
+                r, kind if fold else SingKind.NON_ELEMENTARY, certs))
     out.sort(key=lambda s: s.x)
     # deduplicate double tangencies reported from both sides
     dedup: list[DSingularity] = []

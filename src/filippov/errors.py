@@ -46,10 +46,6 @@ class NotTransversal(FilippovError):
     """A section is not transversal to the field at the base point."""
 
 
-class ClassificationAmbiguous(FilippovError):
-    """A D-hit landed within the sign tolerance of an arc endpoint."""
-
-
 class StepFailure(FilippovError):
     """The adaptive step controller underflowed."""
 

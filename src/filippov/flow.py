@@ -5,9 +5,9 @@ Smooth arcs are traced with the adaptive DOP853 integrator (Dormand-Prince
 up to the nearest root ahead of the tangency and det polynomials, found
 once.  Transitions follow the poly-trajectory rules: X/Y swaps only at
 sewing points, entry/exit of sliding arcs only at folds or regular sliding
-points, termination at Filippov-field singularities and on escaping arcs
-(forward evolution is not unique there and trajectories are never
-silently branched).
+points, termination at Filippov-field singularities, on escaping arcs and
+at tangencies no graze passes (forward evolution is not unique or not
+decided there; trajectories are never silently branched).
 
 Every ODE solve of the package, here and in the regularized and
 compactified flows, is one call of _integrate, which runs DOP853 from t0
@@ -54,12 +54,7 @@ import numpy.polynomial.polynomial as npoly
 
 from . import dline, dop853
 from .dline import PointTag
-from .errors import (
-    ClassificationAmbiguous,
-    NoReturn,
-    NotTransversal,
-    StepFailure,
-)
+from .errors import NoReturn, NotTransversal, StepFailure
 from .polys import (
     PiecewiseField,
     PolyVectorField,
@@ -100,6 +95,7 @@ class EventKind(Enum):
     CLOSED = "Closed"
     SECTION_CROSSING = "SectionCrossing"
     ENTER_SINK = "EnterSink"
+    TANGENCY = "Tangency"
 
 
 class Closure(Enum):
@@ -672,6 +668,33 @@ _ENDS = {"window": EventKind.WINDOW_EXIT, "horizon": EventKind.TIME_BUDGET,
 _MAX_ARCS = 64
 
 
+def _from_d(Z: PiecewiseField, x: float, arriving: str,
+            tols: Tolerances) -> tuple[str | None, EventKind]:
+    """Where a run goes from the point (x, 0) of D, reached from side
+    arriving ("N" or "S"; "D" at the run's start), as (side, event):
+    across a sewing point into the other side, or at a start the side its
+    fields point to (CrossingAtSewing); onto a slide ("SLIDE",
+    EnterSliding); or on in arriving past a fold of its field that curves
+    back (FoldGraze, dline.fold_test).  side None ends the run, with
+    NonUniqueForward at an escaping point and with Tangency at any other
+    tangency, where forward motion is not decided (Guardia, Seara and
+    Teixeira, J. Differential Equations 250, 2011)."""
+    cls = dline.classify_point(Z, x, tols)
+    if cls.tag is PointTag.SEWING:
+        side = {"N": "S", "S": "N"}.get(arriving, "N" if cls.xf > 0 else "S")
+        return side, EventKind.CROSSING_AT_SEWING
+    if cls.tag is PointTag.SLIDING:
+        return "SLIDE", EventKind.ENTER_SLIDING
+    if cls.tag is PointTag.ESCAPING:
+        return None, EventKind.NON_UNIQUE_FORWARD
+    if arriving != "D":
+        lie2, _, fold = dline.fold_test(Z, "X" if arriving == "N" else "Y",
+                                        x, tols)
+        if fold and (lie2 > 0) == (arriving == "N"):
+            return arriving, EventKind.FOLD_GRAZE
+    return None, EventKind.TANGENCY
+
+
 def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                    horizon: float, window: Window,
                    tols: Tolerances | None = None,
@@ -682,23 +705,26 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                    sinks: Sequence[Window] = ()) -> PolyTrajectory:
     """Alternate smooth and sliding arcs under the Filippov rules.
 
-    side: 'N', 'S' or 'D' (consistent with p0).  When a section is given,
-    transversal crossings of it terminate the trajectory with a
-    SectionCrossing event (used by return maps).  stop(t, p, side) is
-    asked after each sewing crossing, with the side just entered; True
-    ends the run there with a SectionCrossing event.  with_divergence
-    integrates div along each smooth arc into TrajectoryArc.divergence.
-    sinks are the boxes of sink_trap, each of the field of its side: an
-    arc of X (Y) that reaches one in N (S) ends the run with an EnterSink
-    event, as it would otherwise stay there to the horizon.
+    side: 'N', 'S' or 'D' (consistent with p0).  A start on D and each D
+    hit go on as _from_d says; a slide that ends at a tangency exits at a
+    fold (dline.fold_test), and ends with Tangency at any other.  When a
+    section is given, transversal crossings of it terminate the
+    trajectory with a SectionCrossing event (used by return maps).
+    stop(t, p, side) is asked after each sewing crossing, with the side
+    just entered; True ends the run there with a SectionCrossing event.
+    with_divergence integrates div along each smooth arc into
+    TrajectoryArc.divergence.  sinks are the boxes of sink_trap, each of
+    the field of its side: an arc of X (Y) that reaches one in N (S) ends
+    the run with an EnterSink event, as it would otherwise stay there to
+    the horizon.
     """
     tols = tols or default_tols()
     traj = PolyTrajectory()
     t = 0.0
     p = (float(p0[0]), float(p0[1]))
 
-    def record(kind: EventKind, state=None):
-        traj.events.append(TrajectoryEvent(t, kind, state or p))
+    def record(kind: EventKind):
+        traj.events.append(TrajectoryEvent(t, kind, p))
 
     def close():
         tags = {a.tag for a in traj.arcs}
@@ -710,17 +736,10 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
         record(EventKind.CLOSED)
 
     if side == "D":
-        cls = dline.classify_point(Z, p[0], tols)
-        if cls.tag is PointTag.SEWING:
-            side = "N" if cls.xf > 0 else "S"
-        elif cls.tag is PointTag.SLIDING:
-            side = "SLIDE"
-        elif cls.tag is PointTag.ESCAPING:
-            record(EventKind.NON_UNIQUE_FORWARD)
+        side, kind = _from_d(Z, p[0], "D", tols)
+        if side is None:
+            record(kind)
             return traj
-        else:
-            raise ClassificationAmbiguous(
-                f"start point x={p[0]} is {cls.tag.value}")
 
     start = p
     started_on_d = abs(p[1]) <= tols.event
@@ -760,56 +779,35 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
             record(_ENDS[outcome])
             break
         if outcome == "d_hit":
-            cls = dline.classify_point(Z, p[0], tols)
-            if cls.tag is PointTag.SEWING:
-                new_side = "S" if side == "N" else "N"
-                # a repeated crossing means the trajectory is periodic;
-                # only needed for seeds off D, where the start-point
-                # proximity check below can never fire
-                if not started_on_d and any(
-                        abs(p[0] - xc) <= tols.close and sc == new_side
-                        for xc, sc in crossings):
-                    close()
-                    break
-                crossings.append((p[0], new_side))
-                record(EventKind.CROSSING_AT_SEWING)
-                side = new_side
-                if stop is not None and stop(t, p, side):
-                    record(EventKind.SECTION_CROSSING)
-                    break
-            elif cls.tag is PointTag.SLIDING:
-                record(EventKind.ENTER_SLIDING)
-                side = "SLIDE"
-            elif cls.tag is PointTag.ESCAPING:
-                record(EventKind.NON_UNIQUE_FORWARD)
-                break
-            elif cls.tag in (PointTag.TANGENCY_X, PointTag.TANGENCY_Y):
-                own = (cls.tag is PointTag.TANGENCY_X) == (side == "N")
-                lie2 = dline.second_lie_derivative(
-                    Z.X if side == "N" else Z.Y)(p[0], 0.0)
-                curves_back = lie2 > 0 if side == "N" else lie2 < 0
-                if own and abs(lie2) > tols.sign and curves_back:
-                    record(EventKind.FOLD_GRAZE)
-                    # graze: continue with the same field nudged off D
-                    p = (p[0], math.copysign(tols.event, 1 if side == "N" else -1))
-                else:
-                    raise ClassificationAmbiguous(
-                        f"hit tangency at x={p[0]} while flowing {side}")
+            new_side, kind = _from_d(Z, p[0], side, tols)
+        else:  # a slide's end at a root of Q_X (q1_root) or Q_Y
+            new_side = "N" if outcome == "q1_root" else "S"
+            if dline.fold_test(Z, "X" if new_side == "N" else "Y", p[0],
+                               tols)[2]:
+                kind = EventKind.EXIT_AT_FOLD
             else:
-                raise ClassificationAmbiguous(
-                    f"hit TangencyBoth at x={p[0]}")
-        else:
-            # fold exit (q1_root or q2_root): into the region of the field
-            # whose tangency vanishes
-            fld = Z.X if outcome == "q1_root" else Z.Y
-            other = Z.Y.Q if outcome == "q1_root" else Z.X.Q
-            lie2 = dline.second_lie_derivative(fld)(p[0], 0.0)
-            if abs(lie2) <= tols.sign or abs(other(p[0], 0.0)) <= tols.sign:
-                raise ClassificationAmbiguous(
-                    f"sliding arc ends at non-fold tangency x={p[0]}")
-            record(EventKind.EXIT_AT_FOLD)
-            side = "N" if outcome == "q1_root" else "S"
+                new_side, kind = None, EventKind.TANGENCY
+        if kind is EventKind.CROSSING_AT_SEWING:
+            # a repeated crossing means the trajectory is periodic; only
+            # needed for seeds off D, where the start-point proximity
+            # check below can never fire
+            if not started_on_d and any(
+                    abs(p[0] - xc) <= tols.close and sc == new_side
+                    for xc, sc in crossings):
+                close()
+                break
+            crossings.append((p[0], new_side))
+        record(kind)
+        if new_side is None:
+            break
+        side = new_side
+        if kind in (EventKind.FOLD_GRAZE, EventKind.EXIT_AT_FOLD):
+            # on with the field of side, nudged off D into it
             p = (p[0], math.copysign(tols.event, 1 if side == "N" else -1))
+        elif kind is EventKind.CROSSING_AT_SEWING and stop is not None \
+                and stop(t, p, side):
+            record(EventKind.SECTION_CROSSING)
+            break
         # closure check at transition points on D
         if abs(p[1]) <= tols.close and len(traj.arcs) >= 2 \
                 and math.hypot(p[0] - start[0], p[1] - start[1]) <= tols.close:
@@ -1082,7 +1080,7 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
 
 
 # the errors of a census run: the run is skipped and the census goes on
-_RUN_ERRORS = (ClassificationAmbiguous, NoReturn, NotTransversal, StepFailure)
+_RUN_ERRORS = (NoReturn, NotTransversal, StepFailure)
 
 
 class _KnownCycle(Exception):
@@ -1245,23 +1243,23 @@ class ConnectionReport:
 
 
 def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
-                             horizon: float = 30.0,
                              window: Window = (-5, 5, -5, 5),
                              tols: Tolerances | None = None,
                              rays: dict | None = None) -> ConnectionReport:
     """Trace separatrix branches of certified saddles and flag each stable
     and unstable branch pair that may connect as a PossibleConnection.
 
-    One solve per branch.  A branch of X (Y) watches the ray {y = y_c,
-    x > x_c} from each point of rays["X"] (rays["Y"]), the nodes, foci
-    and centers of its field, one of which any cycle of it surrounds.
+    One solve per branch, of at most CENSUS_HORIZON / 3 time units.  A
+    branch of X (Y) watches the ray {y = y_c, x > x_c} from each point of
+    rays["X"] (rays["Y"]), the nodes, foci and centers of its field, one
+    of which any cycle of it surrounds.
     At crossings x1, x2, x3 of one ray in one direction with d2 = |x3 -
     x2| < d1 = |x2 - x1| and a geometric tail d2 q / (1 - q), q = d2/d1,
     of at most tols.close, far below tols.connect, the branch has fate
     'settled'; else 'd_hit', 'window' or 'horizon' (an FZ branch: the
-    _d_stop outcome or 'horizon').  A trace that raises one of
-    ClassificationAmbiguous, NotTransversal and StepFailure keeps no
-    points and the error's name as its fate (ConnectionReport.skipped).
+    _d_stop outcome or 'horizon').  A trace that raises NotTransversal or
+    StepFailure keeps no points and the error's name as its fate
+    (ConnectionReport.skipped).
 
     A connecting orbit is a matching condition on a section (Beyn, IMA J.
     Numer. Anal. 10, 1990).  Each branch keeps its crossings of each
@@ -1275,13 +1273,14 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
     other's seed: a connection that crosses no section, as one that runs
     into an FZ saddle along D (_connections)."""
     tols, rays = tols or default_tols(), rays or {}
+    horizon = CENSUS_HORIZON / 3.0
     branches: list[SeparatrixBranch] = []
     skipped: list[tuple[str, str]] = []
 
     def add(idx, stab, label, trace, *args):
         try:
             pts, fate, crossings = trace(*args)
-        except (ClassificationAmbiguous, NotTransversal, StepFailure) as e:
+        except (NotTransversal, StepFailure) as e:
             pts, fate, crossings = np.empty((0, 2)), type(e).__name__, {}
             skipped.append((label, fate))
         branches.append(SeparatrixBranch(idx, stab, label, pts, fate,

@@ -359,9 +359,7 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
     if saddles:
         rays = {"X": [s.point for s in interior_x if not s.is_saddle],
                 "Y": [s.point for s in interior_y if not s.is_saddle]}
-        rep = flow.probe_saddle_connections(Z, saddles,
-                                            flow.CENSUS_HORIZON / 3.0,
-                                            window, tols, rays)
+        rep = flow.probe_saddle_connections(Z, saddles, window, tols, rays)
         flags = rep.flagged
         if flags:
             for i, j in flags:

@@ -15,6 +15,7 @@ from filippov import (cli, compactify, fieldspec, flow, polys, portrait,
 from filippov.errors import FieldSpecError, FilippovError
 from filippov.portrait import render_portrait
 from filippov.polys import piecewise, vf
+from filippov.tolerances import default_tols
 
 # Z = ((-y+x, x+y), (-y, x)): the worked analysis example
 SPIRAL_TEXT = """\
@@ -240,6 +241,25 @@ def test_flow_sliding_events(tmp_path):
     kinds = [e["kind"] for e in events["events"]]
     assert kinds[0] == "EnterSliding"
     assert kinds[-1] == "WindowExit"
+
+
+def test_flow_into_a_tangency_writes_its_arcs(tmp_path):
+    # X = (1, y) is tangent to all of D; the orbit of Y = (1, 1 + x) from
+    # (0.5, -0.5) reaches D at x = (sqrt(13) - 2) / 2, where X cannot
+    # carry it on
+    tangent = ("degree 1\nP1:\n0 0 1\nQ1:\n0 1 1\n"
+               "P2:\n0 0 1\nQ2:\n0 0 1\n1 0 1\n")
+    spec = _write(tmp_path, "tangent.txt", tangent)
+    out = str(tmp_path / "traj.csv")
+    code = cli.main(["flow", spec, "--seed", "0.5,-0.5",
+                     "--window=-3,3,-3,3", "--out", out])
+    assert code == 0
+    _, x, y, tag = open(out).read().splitlines()[-1].split(",")
+    assert (x, tag) == ("0.8027756377319949", "Y")
+    assert abs(float(y)) <= default_tols().event
+    events = json.loads(open(out + ".events.json").read())["events"]
+    assert events[-1]["kind"] == "Tangency"
+    assert events[-1]["state"] == [0.8027756377319949, 0.0]
 
 
 def test_flow_seed_outside_window_exit3(tmp_path, capsys):

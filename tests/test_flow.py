@@ -190,6 +190,29 @@ def test_escaping_hit_is_nonunique():
     assert traj.events[-1].kind is EventKind.NON_UNIQUE_FORWARD
 
 
+def test_start_at_a_tangency_ends_with_tangency():
+    # X = (1, x) is tangent to D at the origin and Y = (1, 1) is not: a run
+    # that starts there has no arriving field to graze with
+    Z = piecewise(vf(ONE, X_MONO), vf(ONE, ONE))
+    traj = advance_hybrid(Z, (0.0, 0.0), "D", 10.0, WIN)
+    assert traj.arcs == []
+    assert [(e.kind, e.state) for e in traj.events] == [
+        (EventKind.TANGENCY, (0.0, 0.0))]
+
+
+def test_slide_into_a_cusp_ends_with_tangency():
+    # X = (1, x^3) over Y = (1, 1): D slides for x < 0 at speed 1 into the
+    # triple root of Q_X at 0, where X(Xf) = 3 x^2 vanishes, so X has no
+    # fold there to exit at
+    Z = piecewise(vf(ONE, {(3, 0): 1.0}), vf(ONE, ONE))
+    traj = advance_hybrid(Z, (-1.0, 0.0), "D", 10.0, WIN)
+    assert [a.tag for a in traj.arcs] == ["FZ"]
+    assert [e.kind for e in traj.events] == [EventKind.TANGENCY]
+    end = traj.events[-1]
+    assert abs(end.state[0]) < 1e-9 and end.state[1] == 0.0
+    assert abs(end.time - 1.0) < 1e-8
+
+
 def test_transition_derivative_radial_linear():
     X = vf(X_MONO, Y_MONO)  # div = 2
     e = math.e

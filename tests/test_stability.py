@@ -10,7 +10,6 @@ from filippov import fieldspec, flow, stability
 from filippov.cli import dumps_report
 from filippov.compactify import S1Status, eq4_value, s1_elementarity
 from filippov.errors import (
-    ClassificationAmbiguous,
     CommonFactor,
     DegreeMismatch,
     NoReturn,
@@ -363,8 +362,7 @@ def test_report_cycle_census_satisfied():
     assert opt.gm3.status == SATISFIED
 
 
-@pytest.mark.parametrize("error", [ClassificationAmbiguous, NoReturn,
-                                   NotTransversal, StepFailure])
+@pytest.mark.parametrize("error", [NoReturn, NotTransversal, StepFailure])
 @pytest.mark.parametrize("field", [
     piecewise(UNIT_CYCLE, UNIT_CYCLE),
     # X = (1, x) over Y = (1, 1): a visible fold of X at the origin
@@ -506,8 +504,8 @@ def test_d_arc_boundary_at_exact_root_of_q():
 
 # fields whose slides run into a boundary equilibrium: a tangency root
 # ahead is also a root of det, where the sliding field vanishes.  A slide
-# that ended there as a fold exit made check_gm raise
-# ClassificationAmbiguous ("sliding arc ends at non-fold tangency")
+# that ended there as a fold exit once made check_gm raise ("sliding arc
+# ends at non-fold tangency")
 BOUNDARY_EQUILIBRIUM = {
     # Y = (-y, x) vanishes at the origin: Q_Y(x, 0) = x, det(x, 0) =
     # x (x^2 - 1); window (-3, 3, -3, 3)
@@ -548,8 +546,8 @@ def test_slide_into_boundary_equilibrium_gets_a_report(name):
 def test_cycle_census_skips_a_seed_whose_return_map_fails():
     # a focus on D: g = -(r^2 - 9)(r^2 - 16)/50, X = (-y + xg, x + yg),
     # Y = (-2y + xg, 2x + yg).  One seed's secant drifts to s = 0, where the
-    # return map hits TangencyBoth and raised ClassificationAmbiguous out of
-    # the census and check_gm
+    # return map hits TangencyBoth, which once raised out of the census and
+    # check_gm; the run now ends there with Tangency and does not return
     x, y = poly({(1, 0): 1.0}), poly({(0, 1): 1.0})
     r2 = x * x + y * y
     g = ((r2 - poly({(0, 0): 9.0})) * (r2 - poly({(0, 0): 16.0}))).scale(-0.02)
@@ -581,8 +579,7 @@ def test_branches_along_a_watched_ray_keep_the_report():
     assert rep.overall == UNDETERMINED
 
 
-@pytest.mark.parametrize("error", [StepFailure, NotTransversal,
-                                   ClassificationAmbiguous])
+@pytest.mark.parametrize("error", [StepFailure, NotTransversal])
 @pytest.mark.parametrize("optimistic", [False, True])
 def test_probe_skips_a_branch_whose_trace_raises(monkeypatch, error,
                                                  optimistic):
