@@ -19,8 +19,9 @@ is free of them when a has no real root and a nonzero leading coefficient
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -49,12 +50,12 @@ class TrigCoefficient:
     kind: str       # "A" or "R"
     p_k: BivariatePolynomial
     q_k: BivariatePolynomial
-    _parts: tuple[BivariatePolynomial, ...] = field(default=None, repr=False)
 
-    def __post_init__(self):
-        parts = (partial(self.p_k, "x"), partial(self.p_k, "y"),
-                 partial(self.q_k, "x"), partial(self.q_k, "y"))
-        object.__setattr__(self, "_parts", parts)
+    @functools.cached_property
+    def _parts(self) -> tuple[BivariatePolynomial, ...]:
+        # built on first use: only the top A_m's derivative reads them
+        return (partial(self.p_k, "x"), partial(self.p_k, "y"),
+                partial(self.q_k, "x"), partial(self.q_k, "y"))
 
     def __call__(self, theta: float) -> float:
         c, s = math.cos(theta), math.sin(theta)

@@ -612,8 +612,10 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
             status = "settled"
         else:
             status = {0: "d_hit", 5: "section"}.get(kind, "window")
+        if kind == 0:   # the run goes on from the point of D
+            ys[-1, 1] = 0.0
         if status in ("d_hit", "section"):
-            hit_state = (float(end[0]), 0.0 if kind == 0 else float(end[1]))
+            hit_state = (float(ys[-1, 0]), float(ys[-1, 1]))
     return SmoothTrace(ts, ys, status, hit_state,
                        tuple(ray.xs for ray in watched))
 
@@ -761,8 +763,7 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                 float(tr.states[-1, 2]) if with_divergence else None))
             t += float(tr.ts[-1])
             outcome = tr.status
-            p = tr.hit_state or (float(tr.states[-1, 0]),
-                                 float(tr.states[-1, 1]))
+            p = (float(tr.states[-1, 0]), float(tr.states[-1, 1]))
         elif abs(dline.det_xy(Z)(p[0], 0.0)) <= tols.sign:
             traj.arcs.append(TrajectoryArc(
                 "FZ", (t, t), np.array([t]), np.array([[p[0], 0.0]])))
@@ -867,10 +868,9 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
     if on_d:
         # returns to a section on D are sewing crossings back into the
         # starting side with parameter inside the range
-        cls = dline.classify_point(Z, p[0], tols)
-        if cls.tag is not PointTag.SEWING:
+        start_side, kind = _from_d(Z, p[0], "D", tols)
+        if kind is not EventKind.CROSSING_AT_SEWING:
             raise NoReturn("D-section seed not on a sewing arc")
-        start_side = "N" if cls.xf > 0 else "S"
         lo, hi = section.s_range
 
         def returned(t, q, side):
@@ -991,12 +991,13 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
     r it spans.  With lam at least the largest eigenvalue of M (and |M|)
     and mu = det M / lam at most the smallest, {V = c} spans r from
     sqrt(c / lam) to sqrt(c / mu).  The outer radius rho, c = mu rho^2, is
-    the largest found for which both ends pass and the disc of radius rho
-    lies inside the window, at least tols.event off D; the box is the
-    square of half-side sqrt(c / lam) / sqrt(2), inside {V <= c}.  The
-    inequalities of V and g are decided in exact arithmetic, and the
-    float differences that place the disc and the box carry a margin of 4
-    ulps of their operands."""
+    the largest found, by halving and then bisection, for which both ends
+    pass and the disc of radius rho lies inside the window, at least
+    tols.event off D; the box is the square of half-side sqrt(c / lam) /
+    sqrt(2), inside {V <= c}.  Each step of the search decides g < 1 in
+    exact arithmetic, so the radius it ends at is proved as found, and
+    the float differences that place the disc and the box carry a margin
+    of 4 ulps of their operands."""
     from fractions import Fraction  # here, as the import costs ms
 
     px, py = float(point[0]), float(point[1])
@@ -1031,12 +1032,6 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
         - 4 * math.ulp(max(map(abs, (px, py, *window))) + tols.event)
     if room <= 0 or ratio <= 0.0:
         return None
-    cf = [num * n / den for n in C]
-
-    def passes(rho: float) -> bool:     # g < 1 at both ends, in floats
-        return all(cf[0] / r + sum(ck * r ** (k - 1) for k, ck in
-                                   enumerate(cf) if k) < 1.0
-                   for r in (rho, rho * ratio))
 
     def proved(r: float) -> bool:
         # g(r) < 1, exactly: r = n / 2**q, times n 2**(q (deg - 1))
@@ -1044,6 +1039,9 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
         return num * sum(ck * n ** k << q * (deg - k)
                          for k, ck in enumerate(C)) \
             < den * n << q * (deg - 1)
+
+    def passes(rho: float) -> bool:     # g < 1 at both ends of {V = c}
+        return proved(rho) and proved(math.nextafter(rho * ratio, 0.0))
 
     rho = math.nextafter(room, 0.0)
     if not passes(rho):
@@ -1060,13 +1058,7 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if passes(mid) else (lo, mid)
         rho = lo
-    for _ in range(4):  # certify, or shrink past the floats' rounding
-        inner = math.nextafter(rho * ratio, 0.0)
-        if proved(rho) and proved(inner):
-            break
-        rho *= 1 - 1e-9
-    else:
-        return None
+    inner = math.nextafter(rho * ratio, 0.0)
     # the half-side, below inner / sqrt(2) past its two roundings, and
     # each side of the box less 4 ulps of |v| + h off, so at most h off
     h = inner / math.sqrt(2.0) * (1 - 1e-12)

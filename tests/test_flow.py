@@ -183,6 +183,24 @@ def test_center_closes_type1():
     traj.validate()
 
 
+def test_arcs_that_reach_d_end_on_it(seeded_fields):
+    # an X or Y arc that another arc follows ends at the point of D that
+    # the run goes on from, which its event at D holds too
+    followed = 0
+    for Z in seeded_fields:
+        for p0 in ((0.3, 0.8), (-0.5, -0.6)):
+            traj = advance_hybrid(Z, p0, "N" if p0[1] > 0 else "S", 10.0,
+                                  WIN)
+            for arc in traj.arcs[:-1]:
+                if arc.tag != "FZ":
+                    followed += 1
+                    assert arc.states[-1, 1] == 0.0
+                    assert any(e.time == arc.t_span[1]
+                               and e.state == tuple(arc.states[-1])
+                               for e in traj.events)
+    assert followed >= 30
+
+
 def test_escaping_hit_is_nonunique():
     # X pushes away from D above, Y away below: (0, 1) / (0, -1)
     Z = piecewise(vf(ONE, ONE), vf(ONE, M_ONE))

@@ -68,28 +68,37 @@ def _exact(p, x, y):
     return sum(Fraction(v) * x ** i * y ** j for (i, j), v in p.coeffs.items())
 
 
+def _lyapunov_matrix(trap) -> np.ndarray:
+    m11, m12, m22 = trap.lyapunov
+    return np.array([[float(m11), float(m12)], [float(m12), float(m22)]])
+
+
+def _vdot_on_level_set(X, p, trap, n=200):
+    """(theta, V') at n points of {V = level}, V' = 2 u^T M X(p + u) in
+    exact arithmetic."""
+    m11, m12, m22 = trap.lyapunov
+    M, c = _lyapunov_matrix(trap), float(trap.level)
+    px, py = Fraction(p[0]), Fraction(p[1])
+    for k in range(n):
+        theta = 2 * math.pi * k / n
+        d = np.array([math.cos(theta), math.sin(theta)])
+        s = math.sqrt(c / float(d @ M @ d))
+        x, y = Fraction(p[0] + s * d[0]), Fraction(p[1] + s * d[1])
+        ux, uy = x - px, y - py
+        yield theta, 2 * ((m11 * ux + m12 * uy) * _exact(X.P, x, y)
+                          + (m12 * ux + m22 * uy) * _exact(X.Q, x, y))
+
+
 def test_sink_trap_decreases_on_its_level_set_and_traps():
     for X, p in _sinks():
         trap = sink_trap(X, p, WIN, TOLS)
         assert trap is not None
-        m11, m12, m22 = trap.lyapunov
-        c = trap.level
-        M = np.array([[float(m11), float(m12)], [float(m12), float(m22)]])
-        lam_min = float(np.linalg.eigvalsh(M)[0])
-        outer = math.sqrt(float(c) / lam_min)
+        lam_min = float(np.linalg.eigvalsh(_lyapunov_matrix(trap))[0])
+        outer = math.sqrt(float(trap.level) / lam_min)
         assert outer <= trap.radius * (1 + 1e-12)
         x0, x1, y0, y1 = trap.box
         assert x0 < p[0] < x1 and y0 < p[1] < y1
-        # V' = 2 u^T M X(p + u) at 200 points of {V = c}, exactly
-        px, py = Fraction(p[0]), Fraction(p[1])
-        for k in range(200):
-            theta = 2 * math.pi * k / 200
-            d = np.array([math.cos(theta), math.sin(theta)])
-            s = math.sqrt(float(c) / float(d @ M @ d))
-            x, y = Fraction(p[0] + s * d[0]), Fraction(p[1] + s * d[1])
-            ux, uy = x - px, y - py
-            vdot = 2 * ((m11 * ux + m12 * uy) * _exact(X.P, x, y)
-                        + (m12 * ux + m22 * uy) * _exact(X.Q, x, y))
+        for theta, vdot in _vdot_on_level_set(X, p, trap):
             assert vdot < 0, (p, theta)
         # every corner of the box stays in the disc {|u| <= sqrt(c/mu)}
         for corner in ((x0, y0), (x0, y1), (x1, y0), (x1, y1)):
@@ -105,6 +114,32 @@ def test_weak_focus_gets_a_small_trap():
     assert abs(abs(eig[0].real) - 1e-3) < 1e-9
     trap = sink_trap(X, p, WIN, TOLS)
     assert 0.0 < trap.radius < 0.1
+
+
+def test_no_trap_where_the_residual_breaks_the_bound_at_the_inner_radius():
+    # a focus with M = diag(1/2, 2), so {V = c} spans r from rho / 2 to
+    # rho, at a point where X is (0, 3/8), off its zero: with rho = 2, the
+    # room off D, g(r) = 4 C_0 / r is 3/4 at rho but 3/2 at rho / 2, and
+    # V' = 2 u^T M X(p + u) is 1/2 > 0 at u = (0, rho / 2)
+    p = (0.0, 2.0)
+    X = _around(p, [[-1.0, -4.0], [1.0, -0.25]], {(0, 0): (0.0, 0.375)})
+    trap = sink_trap(X, p, WIN, TOLS)
+    if trap is not None:
+        for theta, vdot in _vdot_on_level_set(X, p, trap):
+            assert vdot < 0, theta
+
+
+def test_trap_radius_stays_below_where_g_reaches_one():
+    # M = I / 2 and X(p + u) = (3/16 - u_x + u_x^2, -u_y): g(r) = 3 / (16 r)
+    # + r is exactly 1 at r = 3/4, the first radius that the window leaves
+    # (its side x0 sits 3/4 off p, plus 4 ulps of 3 + tols.event and one
+    # of 3/4), so the search ends just below 3/4, not at it
+    p = (0.0, 1.0)
+    x0 = -(math.nextafter(0.75, 1.0) + 4 * math.ulp(3.0 + TOLS.event))
+    X = _around(p, [[-1.0, 0.0], [0.0, -1.0]],
+                {(0, 0): (0.1875, 0.0), (2, 0): (1.0, 0.0)})
+    trap = sink_trap(X, p, (x0, 2.0, -1.0, 3.0), TOLS)
+    assert 0.75 - 1e-6 < trap.radius < 0.75
 
 
 LINEAR = {"saddle": [[1.0, 0.0], [0.0, -1.0]],

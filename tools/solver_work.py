@@ -91,61 +91,32 @@ def count_solves(counts: dict) -> None:
     flow._integrate = counted
 
 
-def count_crossing_steps(counts: dict) -> None:
-    """Wrap flow._crossing so that each step it searches adds to
-    counts."""
-    crossing = flow._crossing
+def count_calls(counts: dict, module, name: str, key: str,
+                counted=None) -> None:
+    """Wrap module.name so that each call adds 1 to counts[key]: before
+    the call, so that a call that raises counts too, or, given counted,
+    after it when counted(result, *args, **kwargs) holds."""
+    func = getattr(module, name)
 
-    def counted(*args):
-        counts["crossing_steps"] += 1
-        return crossing(*args)
-    flow._crossing = counted
-
-
-def count_reach_scans(counts: dict) -> None:
-    """Wrap flow._reaches so that each scan of a branch's points against a
-    seed adds to counts."""
-    reaches = flow._reaches
-
-    def counted(*args):
-        counts["reach_scans"] += 1
-        return reaches(*args)
-    flow._reaches = counted
+    def wrapped(*args, **kwargs):
+        if counted is None:
+            counts[key] += 1
+            return func(*args, **kwargs)
+        result = func(*args, **kwargs)
+        counts[key] += bool(counted(result, *args, **kwargs))
+        return result
+    setattr(module, name, wrapped)
 
 
-def count_sink_runs(counts: dict) -> None:
-    """Wrap flow.advance_hybrid so that each run that ends in a trap adds
-    to counts."""
-    advance = flow.advance_hybrid
-
-    def counted(*args, **kwargs):
-        traj = advance(*args, **kwargs)
-        if traj.events and traj.events[-1].kind is flow.EventKind.ENTER_SINK:
-            counts["sink_runs"] += 1
-        return traj
-    flow.advance_hybrid = counted
+def ends_in_trap(traj, *args, **kwargs) -> bool:
+    """Whether a hybrid run ended in a trap (EnterSink)."""
+    return bool(traj.events) \
+        and traj.events[-1].kind is flow.EventKind.ENTER_SINK
 
 
-def count_return_maps(counts: dict) -> None:
-    """Wrap flow.return_map so that each return the cycle census asks for
-    adds to counts."""
-    return_map = flow.return_map
-
-    def counted(*args, **kwargs):
-        counts["return_maps"] += 1
-        return return_map(*args, **kwargs)
-    flow.return_map = counted
-
-
-def count_rhs_generated(counts: dict) -> None:
-    """Wrap polys._generate so that each right-hand side it generates
-    adds to counts."""
-    generate = polys._generate
-
-    def counted(source, label, **names):
-        counts["rhs_generated"] += label == "rhs"
-        return generate(source, label, **names)
-    polys._generate = counted
+def generates_rhs(namespace, source, label, **names) -> bool:
+    """Whether polys._generate generated a right-hand side."""
+    return label == "rhs"
 
 
 def run_pass(name: str, make, counts: dict) -> tuple[bool, dict]:
@@ -171,11 +142,11 @@ def main() -> int:
               "reach_scans": 0, "sink_runs": 0, "return_maps": 0,
               "rhs_generated": 0}
     count_solves(counts)
-    count_crossing_steps(counts)
-    count_reach_scans(counts)
-    count_sink_runs(counts)
-    count_return_maps(counts)
-    count_rhs_generated(counts)
+    count_calls(counts, flow, "_crossing", "crossing_steps")
+    count_calls(counts, flow, "_reaches", "reach_scans")
+    count_calls(counts, flow, "advance_hybrid", "sink_runs", ends_in_trap)
+    count_calls(counts, flow, "return_map", "return_maps")
+    count_calls(counts, polys, "_generate", "rhs_generated", generates_rhs)
     ok = True
     for name, make in workloads.WORKLOADS.items():
         ran, work = run_pass(name, make, counts)
