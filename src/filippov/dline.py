@@ -60,11 +60,6 @@ class DSingularity:
     certificates: dict[str, float] = field(default_factory=dict)
 
 
-def lie_derivative(X: PolyVectorField) -> BivariatePolynomial:
-    """Xf for f(x,y)=y: the gradient is (0,1), so Xf = Q."""
-    return X.Q
-
-
 def second_lie_derivative(X: PolyVectorField) -> BivariatePolynomial:
     """X(Xf) = P dQ/dx + Q dQ/dy, built once per field."""
     _, _, qx, qy = X.jacobian()

@@ -68,6 +68,7 @@ from .polys import (
     univariate_roots,
 )
 from .tolerances import Tolerances, default_tols
+from .work import WORK
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -201,12 +202,14 @@ def _dop853_kernel(n: int):
     and state to ts and ys.  With lines in screen, each step also runs the
     3 extra stages and the interpolant's rows of components 0 and 1, and
     keeps the lines that the screen cannot rule out (_integrate).  It
-    returns (ok, t, y, f, h_abs, near) when the step size falls below its
-    smallest (ok false), or after a step that reaches t_bound, keeps a
-    line, or ends in a box (x0, x1, y0, y1) of traps (n >= 2: only a step
-    that keeps no line is checked).  near is (t_old, t, y_old, y, F, kept)
-    after a step that keeps lines, F the rows of every component, or the
-    index into traps of the box the step ends in."""
+    returns (ok, t, y, f, h_abs, evals, near) when the step size falls
+    below its smallest (ok false), or after a step that reaches t_bound,
+    keeps a line, or ends in a box (x0, x1, y0, y1) of traps (n >= 2: only
+    a step that keeps no line is checked).  evals counts its rhs calls in
+    a local: 12 per trial step, one that an overflow cuts short included,
+    and 3 per screen.  near is (t_old, t, y_old, y, F, kept) after a step
+    that keeps lines, F the rows of every component, or the index into
+    traps of the box the step ends in."""
     def lin(coef, i):  # component i of sum_j coef[j] k_j
         terms = [f"{float(c)!r}*k{j}_{i}" for j, c in enumerate(coef) if c]
         return f"({' + '.join(terms)})" if terms else "0.0"
@@ -260,7 +263,7 @@ def _dop853_kernel(n: int):
             f"bend_{i} = " + " + ".join(f"{c!r}*u{r + 1}_{i}"
                                         for r, c in enumerate(_BEND))
             + f" + slack*(abs(y_{i}) + reach_{i})"]
-    done = f"True, t_new, {yn}, {vec(f'k{m}')}, h_abs"
+    done = f"True, t_new, {yn}, {vec(f'k{m}')}, h_abs, evals"
     trap = [] if n < 2 else [
         "if traps:",
         "    for j, (x0, x1, y0, y1) in enumerate(traps):",
@@ -272,18 +275,20 @@ def run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
     {names('y')}= y
     {names('k0')}= f
     toward = direction*inf
+    evals = 0
     while True:
         min_step = 10*abs(nextafter(t, toward) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                return False, t, {y}, {vec('k0')}, h_abs, None
+                return False, t, {y}, {vec('k0')}, h_abs, evals, None
             t_new = t + h_abs*direction
             if direction*(t_new - t_bound) > 0:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
+            evals += {m}
             try:
 {block(16, trial)}\
             except (OverflowError, ZeroDivisionError):
@@ -296,6 +301,7 @@ def run(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, screen, slack,
         h_abs = h_abs*(min(1.0, factor) if rejected else factor)
         kept = None
         if screen:
+            evals += {len(extra)}
 {block(12, sieve)}\
             kept = []
             for i, (ax, ay, b, sx, sy, sb) in enumerate(screen):
@@ -373,7 +379,9 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
     0.9, step factors 0.2 to 10, exponent -1/8, a smallest step of 10 ulps
     of t), the clamp of each step to t_end and the right-hand side
     evaluations: one for f(t0), one for the initial step, 12 per trial step
-    and 3 per dense output (each step makes one when there are lines).
+    and 3 per dense output (each step makes one when there are lines),
+    which WORK counts as rhs_evaluations; a trial step that an overflow
+    cuts short counts as 12.
     Each step replays scipy's to rounding; the sums of its error estimate
     run in another order, so later step sizes can differ in their last
     digits.  Every call passes floats to rhs, and _initial_step's norms
@@ -408,6 +416,7 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
     crossing that ends the solve, (len(lines) + index into traps, time,
     state) of the step's end in a box, or None, and ts, ys end at it.
     Raises StepFailure when the step size falls below its smallest."""
+    WORK["solves"] += 1
     y = [float(v) for v in y0]
     if not all(map(math.isfinite, y)):
         raise ValueError("All components of the initial state `y0` "
@@ -417,9 +426,11 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
     direction = math.copysign(1.0, t_end - t0) if t_end != t0 else 1.0
 
     def fun(t, s):  # numpy's inf or nan where float arithmetic raises
+        WORK["rhs_evaluations"] += 1
         try:
             return [float(v) for v in rhs(t, *s)]
         except (OverflowError, ZeroDivisionError):
+            WORK["rhs_evaluations"] += 1
             return np.asarray(rhs(t, *np.array(s)), dtype=float).tolist()
 
     f = fun(t0, y)
@@ -435,9 +446,10 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
     screen = [(ax, ay, b, abs(ax), abs(ay), tols.root * abs(b))
               for ax, ay, b, *_ in lines]
     while hit is None and direction * (t - t_end) < 0:
-        ok, t, y, f, h_abs, near = run(rhs, t, y, f, h_abs, t_end, direction,
-                                       rtol, atol, screen, tols.root, traps,
-                                       ts, ys)
+        ok, t, y, f, h_abs, evals, near = run(
+            rhs, t, y, f, h_abs, t_end, direction, rtol, atol, screen,
+            tols.root, traps, ts, ys)
+        WORK["rhs_evaluations"] += evals
         if not ok:
             raise StepFailure("Required step size is less than spacing "
                               "between numbers.")
@@ -467,6 +479,7 @@ def _crossing(lines, tols: Tolerances, t0: float, t, t_new, y, y_new, F,
     the interpolant's (_interpolate).  A line whose interpolant is
     identically zero raises NotTransversal, unless it is a watched ray
     (_Ray)."""
+    WORK["crossing_searches"] += 1
     h = t_new - t
     two = len(y) > 1
     Fx = F[0]
@@ -720,6 +733,7 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
     the run with an EnterSink event, as it would otherwise stay there to
     the horizon.
     """
+    WORK["hybrid_runs"] += 1
     tols = tols or default_tols()
     traj = PolyTrajectory()
     t = 0.0
@@ -778,6 +792,7 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
             p = (x_end, 0.0)
         if outcome in _ENDS:
             record(_ENDS[outcome])
+            WORK["trap_exits"] += outcome == "sink"
             break
         if outcome == "d_hit":
             new_side, kind = _from_d(Z, p[0], side, tols)
@@ -862,6 +877,7 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
     its derivative eta'(s0) (return_derivative).  The run ends at the first
     return, or raises NoReturn at an end of another kind, among them the
     entry into one of the boxes of sinks (advance_hybrid)."""
+    WORK["return_maps"] += 1
     tols = tols or default_tols()
     p = section.point(s0)
     on_d = abs(p[1]) <= tols.event
@@ -1362,5 +1378,6 @@ def _trace_d_branch(Z, x0, direction, horizon, window, tols):
 
 def _reaches(points: np.ndarray, target, connect: float) -> bool:
     """Whether a point of points lies less than connect from target."""
+    WORK["reach_scans"] += 1
     d = points - np.asarray(target)
     return bool(np.min(np.hypot(d[:, 0], d[:, 1])) < connect)

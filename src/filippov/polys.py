@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import CommonFactor, IdenticallyZeroOnD
 from .tolerances import Tolerances, default_tols
+from .work import WORK
 
 Coeffs = dict[tuple[int, int], float]
 
@@ -57,7 +58,9 @@ def _generate(source, label: str, **names) -> dict:
     """Run generated source, or its compiled code, in a namespace holding
     names (and inf, nan) and return the namespace.  Every evaluator the
     package generates goes through here: Horner forms, right-hand sides
-    and the DOP853 step."""
+    and the DOP853 step.  Counts the labels of WORK."""
+    if label in WORK:
+        WORK[label] += 1
     namespace = {"inf": math.inf, "nan": math.nan, **names}
     if isinstance(source, str):
         source = compile(source, f"<{label}>", "exec")
@@ -217,10 +220,6 @@ def poly(coeffs: Coeffs) -> BivariatePolynomial:
 
 def constant(c: float) -> BivariatePolynomial:
     return BivariatePolynomial({(0, 0): c})
-
-
-def eval_poly(p: BivariatePolynomial, point: tuple[float, float]) -> float:
-    return p(point[0], point[1])
 
 
 def partial(p: BivariatePolynomial, axis: str) -> BivariatePolynomial:
@@ -583,6 +582,7 @@ def univariate_roots(c, window: tuple[float, float],
     polished; any other splits at its midpoint, itself a root where the
     part is 0 there.  A polished root is kept only where the exact signs
     tols.root, or an ulp, to either side of it hold one."""
+    WORK["root_isolations"] += 1
     tols = tols or default_tols()
     c = _trim([float(v) for v in c])
     if len(c) == 1:

@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filippov import (cli, compactify, fieldspec, flow, polys, portrait,
-                      stability)
+from filippov import cli, fieldspec, flow, portrait, stability
 from filippov.errors import FieldSpecError, FilippovError
 from filippov.portrait import render_portrait
 from filippov.polys import piecewise, vf
+from filippov.work import WORK, since
 
 # Z = ((-y+x, x+y), (-y, x)): the worked analysis example
 SPIRAL_TEXT = """\
@@ -641,45 +641,24 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert run.stdout.strip() == "[]"
 
 
-def _counting_field_work(monkeypatch) -> dict:
-    """Count the right-hand sides that polys._generate makes and the root
-    isolations, in every module that calls univariate_roots."""
-    counts = {"rhs": 0, "roots": 0}
-    generate, roots = polys._generate, polys.univariate_roots
-
-    def generating(source, label, **names):
-        counts["rhs"] += label == "rhs"
-        return generate(source, label, **names)
-
-    def isolating(*args, **kwargs):
-        counts["roots"] += 1
-        return roots(*args, **kwargs)
-
-    monkeypatch.setattr(polys, "_generate", generating)
-    for module in (polys, flow, compactify):
-        monkeypatch.setattr(module, "univariate_roots", isolating)
-    return counts
-
-
 @pytest.mark.parametrize("command, flags, suffixes", [
     ("flow", ["--seed=0.5,1"], ("", ".events.json")),
     ("portrait", [], ("",)),
 ])
-def test_second_call_on_a_spec_builds_nothing(tmp_path, monkeypatch,
-                                              command, flags, suffixes):
+def test_second_call_on_a_spec_builds_nothing(tmp_path, command, flags,
+                                              suffixes):
     # the spec parsed again returns the field of the first call, with its
     # right-hand sides and roots on D, and the same bytes come out
     fieldspec._field.cache_clear()
-    counts = _counting_field_work(monkeypatch)
     spec = _write(tmp_path, "saddle.txt", SADDLE_TEXT)
     work, written = [], []
     for k in range(2):
-        before, out = dict(counts), str(tmp_path / f"out{k}")
+        before, out = dict(WORK), str(tmp_path / f"out{k}")
         assert cli.main([command, spec, *flags, "--out", out]) == 0
-        work.append({key: counts[key] - before[key] for key in counts})
+        work.append(since(before))
         written.append([Path(out + s).read_bytes() for s in suffixes])
-    assert work[0]["rhs"] > 0 and work[0]["roots"] > 0
-    assert work[1] == {"rhs": 0, "roots": 0}
+    assert work[0]["rhs"] > 0 and work[0]["root_isolations"] > 0
+    assert work[1]["rhs"] == work[1]["root_isolations"] == 0
     assert written[0] == written[1]
 
 

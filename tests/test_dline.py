@@ -3,8 +3,6 @@ import pickle
 import numpy as np
 import pytest
 
-from filippov import polys
-
 from filippov.dline import (
     DArc,
     PointTag,
@@ -15,13 +13,13 @@ from filippov.dline import (
     filippov_lambda,
     fold_points,
     fz_singularities,
-    lie_derivative,
     second_lie_derivative,
     segment_d,
 )
 from filippov.errors import NotOnSlidingOrEscaping
 from filippov.polys import piecewise, poly, vf
 from filippov.stability import check_gm
+from filippov.work import WORK, since
 
 
 def Z_of(P1, Q1, P2, Q2):
@@ -31,18 +29,6 @@ def Z_of(P1, Q1, P2, Q2):
 ONE = {(0, 0): 1.0}
 X_MONO = {(1, 0): 1.0}
 Y_MONO = {(0, 1): 1.0}
-
-
-def test_lie_derivative_is_q():
-    assert lie_derivative(vf(ONE, ONE)).coeffs == {(0, 0): 1.0}
-    # X = (x^2, xy): Xf(x,0) = 0 for all x
-    X = vf({(2, 0): 1.0}, {(1, 1): 1.0})
-    q = lie_derivative(X)
-    assert all(q(x, 0.0) == 0.0 for x in np.linspace(-3, 3, 7))
-    assert lie_derivative(vf(ONE, {(2, 0): 1.0, (0, 0): -1.0})).coeffs == {
-        (2, 0): 1.0,
-        (0, 0): -1.0,
-    }
 
 
 def test_second_lie_derivative():
@@ -235,31 +221,20 @@ FOLDS = Z_of({(0, 0): 1.0, (1, 1): 0.5}, {(2, 0): 1.0, (0, 0): -1.0,
              {(0, 0): -1.0}, {(2, 0): 1.0, (1, 0): -0.5, (1, 1): 2.0})
 
 
-def _counting_roots(monkeypatch) -> list:
-    calls = []
-    original = polys.univariate_roots
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(polys, "univariate_roots", counting)
-    return calls
-
-
-def test_second_fold_points_asks_for_no_roots(monkeypatch):
-    calls = _counting_roots(monkeypatch)
+def test_second_fold_points_asks_for_no_roots():
+    before = dict(WORK)
     first = fold_points(FOLDS, (-3.0, 3.0))
-    assert len(calls) == 2  # Q_X(x, 0) and Q_Y(x, 0)
+    # Q_X(x, 0) and Q_Y(x, 0)
+    assert since(before)["root_isolations"] == 2
     assert [s.x for s in first] == pytest.approx([-1.0, 0.0, 0.5, 1.0],
                                                  abs=1e-12)
     assert fold_points(FOLDS, (-3.0, 3.0)) == first
     segment_d(FOLDS, (-3.0, 3.0))
-    assert len(calls) == 2
+    assert since(before)["root_isolations"] == 2
     # another window asks again
     assert [s.x for s in fold_points(FOLDS, (-0.8, 3.0))] == \
         pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
-    assert len(calls) == 4
+    assert since(before)["root_isolations"] == 4
 
 
 def test_field_pickled_after_check_gm_carries_no_cached_roots():

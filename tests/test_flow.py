@@ -45,6 +45,7 @@ from filippov.regularize import (
 )
 from filippov.stability import default_window
 from filippov.tolerances import Tolerances, default_tols
+from filippov.work import WORK, since
 
 WIN = (-5.0, 5.0, -5.0, 5.0)
 ONE = {(0, 0): 1.0}
@@ -384,50 +385,39 @@ def test_slide_under_horizontal_section_is_no_return():
     # return, a point off the section
     Z = piecewise(vf(ONE, M_ONE), vf(ONE, ONE))
     sec = Section((-2.0, 1.0), (1.0, 0.0), (-5.0, 5.0))
+    before = dict(WORK)
     with pytest.raises(NoReturn):
         return_map(Z, sec, -2.0, 100.0, WIN, with_derivative=False)
+    # a return map that raises is counted too
+    assert since(before)["return_maps"] == 1
 
 
-def test_census_work_counter(monkeypatch):
+def test_census_work_counter():
     # deterministic work gate: every return map stops at its first return
     # and eta' needs no finite-difference runs
-    nfev = [0]
-    original = flow._integrate
-
-    def counting(rhs, *args, **kwargs):
-        def counted(t, *s):
-            nfev[0] += 1
-            return rhs(t, *s)
-        return original(counted, *args, **kwargs)
-
-    monkeypatch.setattr(flow, "_integrate", counting)
+    before = dict(WORK)
     found = find_closed_polytrajectories(piecewise(UNIT_CYCLE, UNIT_CYCLE),
                                          (-5.0, 5.0, -5.0, 5.0))
     assert len(found) == 1
-    assert nfev[0] <= 8_000
+    assert since(before)["rhs_evaluations"] <= 8_000
 
 
 def test_census_runs_each_found_cycle_once(monkeypatch):
     # beyond the returns of its secant iterations (return_map without the
     # derivative), the census makes one hybrid run per cycle it finds: the
     # closure and eta' come from the same run
-    runs, returns = [0], [0]
-    hybrid, first_return = flow.advance_hybrid, flow.return_map
-
-    def counting_run(*args, **kwargs):
-        runs[0] += 1
-        return hybrid(*args, **kwargs)
+    returns, before = [0], dict(WORK)
+    first_return = flow.return_map
 
     def counting_return(*args, **kwargs):
         returns[0] += kwargs.get("with_derivative") is False
         return first_return(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "advance_hybrid", counting_run)
     monkeypatch.setattr(flow, "return_map", counting_return)
     found = find_closed_polytrajectories(piecewise(UNIT_CYCLE, UNIT_CYCLE),
                                          WIN)
     assert len(found) == 1
-    assert runs[0] - returns[0] == len(found)
+    assert since(before)["hybrid_runs"] - returns[0] == len(found)
     assert found[0].certificate["eta_prime"] == pytest.approx(
         math.exp(-4 * math.pi), rel=1e-6)
 
@@ -553,10 +543,12 @@ def test_float_dop853_matches_scipy_dop853(rhs, y0, monkeypatch):
         return rhs(t, *s)
 
     # each step with a line makes the 3 evaluations a step of scipy's
-    # dense output makes
+    # dense output makes, and the library counts them as scipy does
+    before = dict(WORK)
     ts, ys, hit = flow._integrate(counted, y0, 2.0, tols, [ALWAYS])
     assert hit is None and len(steps) == len(ts) - 1
-    assert len(ts) == len(ref.t) and nfev[0] == ref.nfev
+    assert len(ts) == len(ref.t)
+    assert nfev[0] == since(before)["rhs_evaluations"] == ref.nfev
     interpolants = _interpolants(steps)
     # the embedded error estimate of the conservative first step cancels
     # down to rounding noise, so the summation order moves every later step
@@ -640,7 +632,7 @@ def test_initial_step_is_scipys_to_the_bit(rhs, y0, t_end, monkeypatch):
         return np.asarray(rhs(t, *s), dtype=float)
 
     monkeypatch.setattr(flow, "_initial_step", recording)
-    y = np.array(y0)
+    y, before = np.array(y0), dict(WORK)
     with np.errstate(divide="ignore", invalid="ignore"):
         want = _numpy_initial_step(fun, 0.0, y, t_end, fun(0.0, y),
                                    np.sign(t_end), rtol, atol)
@@ -656,6 +648,12 @@ def test_initial_step_is_scipys_to_the_bit(rhs, y0, t_end, monkeypatch):
     again = {_zero_division_at_start: [1], _zero_division_after_start: [2]}
     assert [k for k, s in enumerate(args)
             if any(type(v) is not float for v in s)] == again.get(rhs, [])
+    # the library counts each evaluation made, and all 12 of a trial step
+    # that raises part-way: inf-after-start's first trial step raises at
+    # its first stage, so the count is 11 above the calls made
+    counted = since(before)["rhs_evaluations"]
+    assert counted == len(args) + (11 if rhs is _zero_division_after_start
+                                   else 0)
 
 
 def test_single_solver_call_site():
@@ -785,25 +783,34 @@ def test_return_map_hands_few_steps_to_the_crossing_search(monkeypatch):
     # one return around the unit cycle takes 52 steps, each watching y = 0,
     # the window's sides and the section; only the steps near one of these
     # lines go to the crossing search in Python
-    calls, steps = [], []
-    crossing, integrate = flow._crossing, flow._integrate
+    steps, before = [], dict(WORK)
+    integrate = flow._integrate
 
-    def counting_crossing(*args):
-        calls.append(args[4])
-        return crossing(*args)
-
-    def counting_integrate(*args, **kwargs):
+    def recording(*args, **kwargs):
         ts, ys, hit = integrate(*args, **kwargs)
         steps.append(len(ts) - 1)
         return ts, ys, hit
 
-    monkeypatch.setattr(flow, "_crossing", counting_crossing)
-    monkeypatch.setattr(flow, "_integrate", counting_integrate)
+    monkeypatch.setattr(flow, "_integrate", recording)
     Z = piecewise(UNIT_CYCLE, UNIT_CYCLE)
     sec = Section((0.0, 0.0), (0.0, 1.0), (0.1, 2.0))
     s_fix, _ = return_map(Z, sec, 1.0, 100.0, WIN)
     assert abs(s_fix - 1.0) < 1e-8
-    assert sum(steps) >= 40 and len(calls) <= 10
+    assert sum(steps) >= 40 and since(before)["crossing_searches"] <= 10
+
+
+def test_run_that_needs_more_arcs_than_the_cap_ends_with_time_budget():
+    # X = Y = (-y - 0.01x, x - 0.01y) spirals slowly into the origin and
+    # crosses D every half turn: the run from (1, 0.5) stops after
+    # _MAX_ARCS arcs, near t = 200.6, where it would go on to its horizon
+    X = vf({(0, 1): -1.0, (1, 0): -0.01}, {(1, 0): 1.0, (0, 1): -0.01})
+    traj = advance_hybrid(piecewise(X, X), (1.0, 0.5), "N", 1000.0,
+                          (-3.0, 3.0, -3.0, 3.0))
+    assert len(traj.arcs) == flow._MAX_ARCS == 64
+    assert traj.events[-1].kind is EventKind.TIME_BUDGET
+    assert traj.events[-1].time == pytest.approx(200.598, abs=1e-3)
+    assert traj.closed is Closure.NO
+
 
 @pytest.mark.parametrize("delta", [1e-2, 1e-3])
 def test_sliding_arc_steps_over_close_fold_pair(delta):
@@ -824,28 +831,20 @@ def test_sliding_arc_steps_over_close_fold_pair(delta):
     assert crossings == {"D": [pts[-1, 0]]}
 
 
-def test_second_motion_along_d_isolates_no_roots(monkeypatch):
+def test_second_motion_along_d_isolates_no_roots():
     # X = (1, x - 1) over Y = (1, 1): D slides for x < 1 to the fold x = 1.
     # The first slide isolates the roots of Q_X(x, 0), Q_Y(x, 0) and det on
     # the window; a second slide and an FZ branch on the same field and
     # window take them from the cache on each polynomial
-    calls = []
-    original = polys.univariate_roots
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in (polys, flow):
-        monkeypatch.setattr(module, "univariate_roots", counting)
+    before = dict(WORK)
     Z = piecewise(vf(ONE, {(1, 0): 1.0, (0, 0): -1.0}), vf(ONE, ONE))
     tols = default_tols()
     for x0 in (-3.0, 0.5):
         _, _, outcome, x_end = flow._slide(Z, x0, 20.0, WIN, tols)
         assert outcome == "q1_root" and abs(x_end - 1.0) < 1e-12
-        assert len(calls) == 3
+        assert since(before)["root_isolations"] == 3
     _, fate, _ = flow._trace_d_branch(Z, -2.0, 1.0, 20.0, WIN, tols)
-    assert fate == "q1_root" and len(calls) == 3
+    assert fate == "q1_root" and since(before)["root_isolations"] == 3
 
 
 def test_tolerance_scale_reaches_solvers(monkeypatch):
@@ -916,25 +915,12 @@ def test_compactified_return_derivative_matches_richardson(Z):
     assert abs(d - richardson) <= 1e-7 * abs(richardson)
 
 
-def _count_return_maps(monkeypatch) -> list:
-    """Wrap flow.return_map so that each call adds to the returned count."""
-    calls = [0]
-    original = flow.return_map
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(flow, "return_map", counting)
-    return calls
-
-
-def test_census_center_orbits_not_elementary(monkeypatch):
+def test_census_center_orbits_not_elementary():
     # each seed x > 0 lies on the orbit of the seed -x found before it, so
     # it makes no return map (8 when every seed's secant ran)
-    calls = _count_return_maps(monkeypatch)
+    before = dict(WORK)
     found = find_closed_polytrajectories(piecewise(ROT, ROT), WIN)
-    assert calls[0] <= 4
+    assert since(before)["return_maps"] <= 4
     assert [o.certificate["x"] for o in found] == [-2.0, -1.5, -1.0, -0.5]
     for orb in found:
         assert orb.closure is Closure.TYPE1
@@ -942,14 +928,14 @@ def test_census_center_orbits_not_elementary(monkeypatch):
         assert abs(orb.certificate["eta_prime"] - 1.0) < 1e-6
 
 
-def test_census_finds_unit_limit_cycle_once(monkeypatch):
+def test_census_finds_unit_limit_cycle_once():
     # the first seed's secant finds the cycle; every later seed lies on it
     # or returns onto it and stops there (26 return maps when each seed's
     # secant ran to convergence)
-    calls = _count_return_maps(monkeypatch)
+    before = dict(WORK)
     Z = piecewise(UNIT_CYCLE, UNIT_CYCLE)
     found = find_closed_polytrajectories(Z, WIN)
-    assert calls[0] <= 9
+    assert since(before)["return_maps"] <= 9
     assert len(found) == 1
     orb = found[0]
     assert orb.closure is Closure.TYPE1
@@ -986,7 +972,7 @@ def test_census_finds_a_type3_cycle_from_a_fold():
         EventKind.ENTER_SLIDING, EventKind.EXIT_AT_FOLD, EventKind.CLOSED]
 
 
-def test_census_keeps_nested_cycles_through_the_early_stop(monkeypatch):
+def test_census_keeps_nested_cycles_through_the_early_stop():
     # X = (-y + x h, x + y h), h = -(r^2 - 1)(r^2 - 3.0625) / 2, and Y = 2X:
     # an unstable cycle r = 1 inside a stable one r = 1.75.  Seed -1.5
     # lies between the two; its returns must not be taken for either
@@ -995,10 +981,11 @@ def test_census_keeps_nested_cycles_through_the_early_stop(monkeypatch):
     h = ((r2 - constant(1.0)) * (r2 - constant(3.0625))).scale(-0.5)
     X = PolyVectorField(x * h - y, x + y * h, 5)
     Y = PolyVectorField(X.P.scale(2.0), X.Q.scale(2.0), 5)
-    calls = _count_return_maps(monkeypatch)
+    before = dict(WORK)
     found = find_closed_polytrajectories(piecewise(X, Y),
                                          (-3.0, 3.0, -3.0, 3.0))
-    assert calls[0] <= 15  # 22 when each seed's secant converged
+    # 22 when each seed's secant converged
+    assert since(before)["return_maps"] <= 15
     assert [o.certificate["x"] for o in found] == [
         pytest.approx(-1.75, abs=1e-9), pytest.approx(-1.0, abs=1e-9)]
     assert all(o.closure is Closure.TYPE1 and o.elementary == "yes"
@@ -1305,18 +1292,6 @@ def test_generated_rhs_matches_call_chain_to_the_bit(seeded_fields):
                     == _bits(R_div(x, y) + (np.trace(R_div.jacobian(x, y)),))
 
 
-def _counting_generator(monkeypatch) -> list[str]:
-    labels = []
-    original = polys._generate
-
-    def counting(source, label, **names):
-        labels.append(label)
-        return original(source, label, **names)
-
-    monkeypatch.setattr(polys, "_generate", counting)
-    return labels
-
-
 def test_import_and_building_fields_compile_nothing():
     spec = Path(__file__).parents[1] / "bench" / "corpus" / "uc.txt"
     script = f"""
@@ -1348,8 +1323,8 @@ print(generated)
     assert out.stdout.strip() == "[]"
 
 
-def test_second_solve_on_a_field_compiles_nothing(monkeypatch):
-    labels = _counting_generator(monkeypatch)
+def test_second_solve_on_a_field_compiles_nothing():
+    before = dict(WORK)
     X = vf({(0, 1): -1.0, (2, 0): 0.1}, X_MONO)
     Z = piecewise(vf(X_MONO, M_ONE), vf({(0, 0): 1.0, (2, 0): 0.5},
                                         {(0, 0): 1.0, (1, 0): 0.2}))
@@ -1358,8 +1333,8 @@ def test_second_solve_on_a_field_compiles_nothing(monkeypatch):
         integrate_smooth(X, (1.0, 0.5), 10.0, WIN, -1, with_divergence=True)
         traj = advance_hybrid(Z, (0.3, 0.0), "D", 10.0, WIN)
         fold_points(Z, (-3.0, 3.0))
-        horners.append(labels.count("horner"))
-    assert labels.count("rhs") == 2  # X with divergence; Z's slide
+        horners.append(since(before)["horner"])
+    assert since(before)["rhs"] == 2  # X with divergence; Z's slide
     # the run slides, and det and the second Lie derivatives of the folds
     # are built once per field, so the second round compiles no horner
     assert "FZ" in [arc.tag for arc in traj.arcs]
@@ -1370,9 +1345,9 @@ def test_second_solve_on_a_field_compiles_nothing(monkeypatch):
     Z = piecewise(UNIT_CYCLE, UNIT_CYCLE)
     phi = make_transition("smoothstep", 1)
     for eps, want in ((0.05, 2), (0.05, 0), (0.04, 2)):
-        labels.clear()
+        before = dict(WORK)
         regularized_cycle_search(Z, phi, eps, 0.0, (0.4, 1.6))
-        assert labels.count("rhs") == want
+        assert since(before)["rhs"] == want
     assert RegularizedField(Z, make_transition("smoothstep", 1), 0.05).rhs() \
         is RegularizedField(Z, phi, 0.05).rhs()
     assert RegularizedField(Z, make_transition("bump"), 0.05).rhs() \
@@ -1429,13 +1404,13 @@ def test_regularized_search_spreads_no_sign_from_a_failed_return(
     assert sorted(starts) == np.linspace(0.4, 1.6, 24).tolist()
 
 
-def test_reversed_branches_share_one_kernel(monkeypatch):
-    labels = _counting_generator(monkeypatch)
+def test_reversed_branches_share_one_kernel():
+    before = dict(WORK)
     X = vf({(1, 0): 1.0, (0, 0): -0.2}, {(0, 0): 1.0, (0, 1): -1.0})
     rep = probe_saddle_connections(piecewise(X, vf(ONE, ONE)),
                                    [SaddleSpec("X", (0.2, 1.0))])
     assert [b.stability for b in rep.branches].count("stable") == 2
-    assert labels.count("rhs") == 2
+    assert since(before)["rhs"] == 2
     assert set(X._kernels) == {(False, False), (True, False)}
 
 

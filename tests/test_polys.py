@@ -17,7 +17,6 @@ from filippov.polys import (
     BivariatePolynomial,
     bracketed_root,
     cauchy_bound,
-    eval_poly,
     homogeneous_part,
     partial,
     piecewise,
@@ -29,24 +28,25 @@ from filippov.polys import (
     vf,
 )
 from filippov.tolerances import default_tols
+from filippov.work import WORK, since
 
 EPS = np.finfo(float).eps
 
 
 def test_eval_simple():
     p = poly({(2, 0): 1.0, (0, 1): 2.0})  # x^2 + 2y
-    assert eval_poly(p, (1.0, 1.0)) == 3.0
+    assert p(1.0, 1.0) == 3.0
 
 
 def test_eval_zero_poly():
     p = poly({})
-    assert eval_poly(p, (5.0, -3.0)) == 0.0
+    assert p(5.0, -3.0) == 0.0
 
 
 def test_eval_mixed():
     # x^3 y - y^2 at (2, 1): 8 - 1 = 7
     p = poly({(3, 1): 1.0, (0, 2): -1.0})
-    assert eval_poly(p, (2.0, 1.0)) == 7.0
+    assert p(2.0, 1.0) == 7.0
 
 
 def test_partial_x_square():
@@ -103,11 +103,11 @@ def test_eval_ring_homomorphism():
         a = poly({(i, j): rng.integers(-3, 4) for i in range(3) for j in range(3)})
         b = poly({(i, j): rng.integers(-3, 4) for i in range(3) for j in range(3)})
         z = tuple(rng.uniform(-2, 2, size=2))
-        assert eval_poly(a + b, z) == pytest.approx(
-            eval_poly(a, z) + eval_poly(b, z), rel=1e-12, abs=1e-12
+        assert (a + b)(*z) == pytest.approx(
+            a(*z) + b(*z), rel=1e-12, abs=1e-12
         )
-        assert eval_poly(a * b, z) == pytest.approx(
-            eval_poly(a, z) * eval_poly(b, z), rel=1e-12, abs=1e-12
+        assert (a * b)(*z) == pytest.approx(
+            a(*z) * b(*z), rel=1e-12, abs=1e-12
         )
 
 
@@ -208,22 +208,16 @@ def test_horner_within_eight_eps_of_exact_value():
                 (coeffs, x, y)
 
 
-def test_horner_compiled_once_on_first_call(monkeypatch):
-    compiled = []
-    original = polys._compile_horner
-
-    def counting(coeffs):
-        compiled.append(coeffs)
-        return original(coeffs)
-
-    monkeypatch.setattr(polys, "_compile_horner", counting)
+def test_horner_compiled_once_on_first_call():
+    before = dict(WORK)
     X = vf({(2, 1): 1.5, (0, 0): -2.0}, {(1, 0): 1.0})
     X.jacobian()
     X.divergence()
-    assert compiled == []  # building a field and its partials compiles nothing
+    # building a field and its partials compiles nothing
+    assert since(before)["horner"] == 0
     assert [X.P(x, 0.5) for x in (0.0, 1.0, 2.0)] == [-2.0, -1.25, 1.0]
     assert X.P(np.float64(2.0), np.float64(0.5)) == 1.0
-    assert len(compiled) == 1
+    assert since(before)["horner"] == 1
 
 
 def test_field_partials_built_once():

@@ -142,6 +142,23 @@ def test_trap_radius_stays_below_where_g_reaches_one():
     assert 0.75 - 1e-6 < trap.radius < 0.75
 
 
+def test_no_trap_where_the_ratio_or_the_room_would_round_up():
+    # A = diag(-49, -625): M = diag(1/98, 1/1250), 2 |M| = 1/49, and the
+    # level set of outer radius r has inner radius 7 r / 25 on the x-axis,
+    # 7/25 being a float that rounds up.  X(p) = (c0, 0), c0 the double at
+    # or just above 49 * 0.993125, so V' = u_x (c0 - 49 u_x) / 49 - u_y^2
+    # is >= 0 at u = (7 r / 25, 0) for every r <= 3.546875 = 0.993125 *
+    # 25 / 7, the largest radius that the window leaves with its 4-ulp
+    # margin: no such disc is a trap.  A ratio rounded up proves one at
+    # r = 3.546875; the room without its margin proves a trap a few ulps
+    # wider than the window leaves
+    c0, p = 48.663125, (0.0, 5.0)
+    assert Fraction(c0) >= 49 * Fraction(3.546875) * Fraction(7, 25)
+    X = vf({(1, 0): -49.0, (0, 0): c0}, {(0, 1): -625.0, (0, 0): 3125.0})
+    window = (-3.5468750000000075, 10.0, -10.0, 10.0)
+    assert sink_trap(X, p, window, TOLS) is None
+
+
 LINEAR = {"saddle": [[1.0, 0.0], [0.0, -1.0]],
           "source": [[1.0, -2.0], [2.0, 1.0]],
           "center": [[0.0, -1.0], [1.0, 0.0]]}
