@@ -2,10 +2,15 @@
 
 Subcommands: analyze (full report, exit code mirrors the overall status),
 flow (trajectory CSV plus an events sidecar), portrait (static SVG) and
-sweep (emergent-singularity census per epsilon).  All numeric output uses
-17 significant digits and files are written atomically.  The flags of the
-spec options (fieldspec.OPTIONS) are read as in a spec; a flag overrides
-the spec, which overrides the default (_option).
+sweep (emergent-singularity census per epsilon).  The analyze report, the
+flow CSV and its events and the sweep table write every number with 17
+significant digits; the portrait writes canvas coordinates with 6
+(portrait._FMT).  Files are written atomically.  The flags of the spec
+options (fieldspec.OPTIONS) are read as in a spec; a flag overrides the
+spec, which overrides the default (_option).
+
+Each cmd_* imports the layer it runs when it is called, so a process loads
+only the modules of its own subcommand.
 """
 
 from __future__ import annotations
@@ -17,9 +22,10 @@ import os
 import sys
 import tempfile
 
-from . import fieldspec, flow, portrait, regularize, stability
+from . import fieldspec
 from .errors import FieldSpecError, FilippovError
 from .fieldspec import _fmt
+from .polys import default_window
 from .tolerances import default_tols
 
 EXIT_SATISFIED = 0
@@ -28,10 +34,11 @@ EXIT_UNDETERMINED = 2
 EXIT_INPUT = 3
 EXIT_RUNTIME = 4
 
+# the report's overall status (stability.SATISFIED, ...) -> exit code
 _STATUS_EXIT = {
-    stability.SATISFIED: EXIT_SATISFIED,
-    stability.VIOLATED: EXIT_VIOLATED,
-    stability.UNDETERMINED: EXIT_UNDETERMINED,
+    "Satisfied": EXIT_SATISFIED,
+    "Violated": EXIT_VIOLATED,
+    "Undetermined": EXIT_UNDETERMINED,
 }
 
 
@@ -108,6 +115,8 @@ def _option(args, spec, name: str, default=None):
 
 
 def cmd_analyze(args) -> int:
+    from . import stability
+
     spec, Z = _load_spec(args.spec)
     window = _option(args, spec, "window")
     opts = stability.GmOptions(window=window, optimistic=args.optimistic)
@@ -117,9 +126,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    from . import flow
+
     spec, Z = _load_spec(args.spec)
-    window = _option(args, spec, "window",
-                     lambda: stability.default_window(Z))
+    window = _option(args, spec, "window", lambda: default_window(Z))
     seed = _option(args, spec, "seed")
     if seed is None:
         raise FieldSpecError("flow needs a seed (--seed or spec)")
@@ -147,21 +157,23 @@ def cmd_flow(args) -> int:
 
 
 def cmd_portrait(args) -> int:
+    from . import portrait
+
     spec, Z = _load_spec(args.spec)
-    window = _option(args, spec, "window",
-                     lambda: stability.default_window(Z))
+    window = _option(args, spec, "window", lambda: default_window(Z))
     svg = portrait.render_portrait(Z, window, tols=default_tols())
     _emit(args.out, svg)
     return EXIT_SATISFIED
 
 
 def cmd_sweep(args) -> int:
+    from . import regularize
+
     spec, Z = _load_spec(args.spec)
     eps = _option(args, spec, "eps")
     if not eps:
         raise FieldSpecError("sweep needs a nonempty epsilon list")
-    window = _option(args, spec, "window",
-                     lambda: stability.default_window(Z))
+    window = _option(args, spec, "window", lambda: default_window(Z))
     phi = regularize.make_transition(*fieldspec.transition(
         _option(args, spec, "phi", "smoothstep1")))
     try:

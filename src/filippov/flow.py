@@ -50,7 +50,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from . import dline, dop853
 from .dline import PointTag
@@ -543,10 +542,12 @@ def _dense_basis(power: int) -> tuple:
     """The nonzero coefficients (j, power, coefficient), by ascending j, of
     b_j = x, x(1-x), x^2(1-x), x^2(1-x)^2, ...: a DOP853 step's dense
     output is y_old + sum_j F_j b_j(x) in the fraction x of the step."""
-    terms, p = [], np.array([1.0])
+    terms, p = [], [1.0]
     for j in range(power):
-        p = npoly.polymul(p, (0.0, 1.0) if j % 2 == 0 else (1.0, -1.0))
-        terms += [(j, k, float(v)) for k, v in enumerate(p) if v]
+        # times x, or times 1 - x: small integers, so every product is exact
+        xp = [0.0] + p
+        p = xp if j % 2 == 0 else [a - b for a, b in zip(p + [0.0], xp)]
+        terms += [(j, k, v) for k, v in enumerate(p) if v]
     return tuple(terms)
 
 

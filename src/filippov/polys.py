@@ -671,6 +671,21 @@ def cauchy_bound(c) -> float:
     return 1.0 + _norm(c[:-1]) / abs(c[-1])
 
 
+def default_window(Z: PiecewiseField) -> tuple[float, float, float, float]:
+    """The square window (-b, b, -b, b) that the commands use when neither
+    a flag nor the spec gives one: b is 1 past the largest Cauchy bound of
+    the four polynomials' restrictions to y = 0 and to x = 0."""
+    b = 1.0
+    for p in (Z.X.P, Z.X.Q, Z.Y.P, Z.Y.Q):
+        for axis in (0, 1):
+            c = p.restrict_y0() if axis == 0 else p.restrict_x(0.0)
+            nonzero = np.abs(c) > 1e-12
+            if len(c) > 1 and nonzero[1:].any():
+                b = max(b, cauchy_bound(c))
+    b += 1.0  # a margin past every root bound
+    return (-b, b, -b, b)
+
+
 # ---------------------------------------------------------------------------
 # Common zeros in the plane.
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from .polys import (
     PiecewiseField,
     PolyVectorField,
     _cached,
-    cauchy_bound,
     common_zero_seeds,
+    default_window,
     newton_zero,
     poly,
 )
@@ -231,18 +231,6 @@ class StabilityReport:
 class GmOptions:
     window: tuple[float, float, float, float] | None = None
     optimistic: bool = False
-
-
-def default_window(Z: PiecewiseField) -> tuple[float, float, float, float]:
-    b = 1.0
-    for p in (Z.X.P, Z.X.Q, Z.Y.P, Z.Y.Q):
-        for axis in (0, 1):
-            c = p.restrict_y0() if axis == 0 else p.restrict_x(0.0)
-            nonzero = np.abs(c) > 1e-12
-            if len(c) > 1 and nonzero[1:].any():
-                b = max(b, cauchy_bound(c))
-    b += 1.0  # a margin past every root bound
-    return (-b, b, -b, b)
 
 
 def check_gm(Z: PiecewiseField, options: GmOptions | None = None,

@@ -618,27 +618,42 @@ def test_every_spec_round_trips_bit_for_bit(seeded_fields):
             assert coeffs(again) == coeffs(spec)
 
 
-def test_commands_run_without_scipy(tmp_path):
-    # analyze, flow, portrait and a bump sweep import no scipy module, also
-    # lazily
+def test_each_command_loads_only_its_layers(tmp_path):
+    # one fresh interpreter per command: importing cli loads no layer, each
+    # command loads its own and no other, and none imports a scipy module,
+    # also lazily
     corpus = Path(__file__).parents[1] / "bench" / "corpus"
     uc, saddle = str(corpus / "uc.txt"), str(corpus / "saddle.txt")
     out = str(tmp_path / "out")
-    script = f"""
-import sys
-from filippov import cli
-for argv in (["analyze", {uc!r}],
-             ["flow", {uc!r}, "--seed=0.5,0.5"],
-             ["portrait", {uc!r}],
-             ["sweep", {saddle!r}, "--eps", "0.1,0.05", "--phi", "bump"]):
-    assert cli.main(argv + ["--out", {out!r}]) in (0, 1, 2), argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-"""
+    layers = {"flow", "dline", "dop853", "stability", "compactify",
+              "portrait", "regularize"}
+    # argv, the layer it runs, the layers it must not load
+    cases = (
+        ([], None, layers),
+        (["sweep", saddle, "--eps", "0.1,0.05", "--phi", "bump"],
+         "regularize", layers - {"regularize"}),
+        (["flow", uc, "--seed=0.5,0.5"], "flow",
+         {"stability", "compactify", "portrait", "regularize"}),
+        (["portrait", uc], "portrait",
+         {"stability", "compactify", "regularize"}),
+        (["analyze", uc], "stability", {"portrait", "regularize"}),
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    for argv, runs, absent in cases:
+        script = f"""
+import json, sys
+from filippov import cli
+argv = {argv!r}
+assert not argv or cli.main(argv + ["--out", {out!r}]) in (0, 1, 2), argv
+print(json.dumps(sorted(sys.modules)))
+"""
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        loaded = set(json.loads(run.stdout))
+        assert not any(m.split(".")[0] == "scipy" for m in loaded), argv
+        assert runs is None or "filippov." + runs in loaded, argv
+        assert not loaded & {"filippov." + m for m in absent}, argv
 
 
 @pytest.mark.parametrize("command, flags, suffixes", [

@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from scipy.integrate import DOP853, OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
@@ -777,6 +778,16 @@ def test_bend_bounds_are_the_maxima_of_the_dense_basis():
     peaks = np.abs(b[1:]).max(axis=1)
     assert np.all(peaks <= np.array(flow._BEND) * (1 + 1e-15))
     assert np.allclose(peaks, flow._BEND, rtol=1e-9, atol=0.0)
+
+
+def test_dense_basis_matches_the_numpy_products():
+    # the list products of x and 1 - x give numpy's polymul table to the bit
+    for k in range(1, 8):
+        terms, p = [], np.array([1.0])
+        for j in range(k):
+            p = npoly.polymul(p, (0.0, 1.0) if j % 2 == 0 else (1.0, -1.0))
+            terms += [(j, i, float(v).hex()) for i, v in enumerate(p) if v]
+        assert [(j, i, v.hex()) for j, i, v in flow._dense_basis(k)] == terms
 
 
 def test_return_map_hands_few_steps_to_the_crossing_search(monkeypatch):
