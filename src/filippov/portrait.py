@@ -4,6 +4,10 @@ The drawing is assembled by hand from a fixed element order so identical
 inputs give identical bytes: window frame, discontinuity-line arcs styled
 by class, singularity glyphs, and a grid of short trajectory streaks per
 half-plane, each a cubic Bezier path through the integrator's step ends.
+The streaks are illustrations, integrated to the canvas rather than to the
+verdict tolerance: their solves run at tols.root * STREAK_SLACK, which
+keeps every streak within half a pixel of one integrated at tols.root,
+while the D-line arcs and glyphs use tols itself.
 Elements carry CSS classes (arc-sewing, arc-sliding, arc-escaping,
 glyph-saddle, glyph-node, glyph-fold, glyph-nonelementary, streak) so
 consumers can assert on structure rather than pixels.
@@ -11,6 +15,7 @@ consumers can assert on structure rather than pixels.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,8 +29,10 @@ from .tolerances import Tolerances, default_tols
 WIDTH, HEIGHT = 720, 540
 MARGIN = 40
 # streaks start on a STREAK_GRID x STREAK_GRID grid inside the window and
-# run for STREAK_TIME
-STREAK_GRID, STREAK_TIME = 7, 0.6
+# run for STREAK_TIME, solved at STREAK_SLACK times the root tolerance:
+# the largest power of ten at which every streak of the rendering tests
+# stays within half a pixel of the streak solved at tols.root
+STREAK_GRID, STREAK_TIME, STREAK_SLACK = 7, 0.6, 1e3
 
 ARC_CLASS = {
     PointTag.SEWING: "arc-sewing",
@@ -122,7 +129,9 @@ def render_portrait(Z: PiecewiseField,
                     window: tuple[float, float, float, float],
                     tols: Tolerances | None = None) -> str:
     """SVG 1.1 portrait of Z on the window; degrades to an empty frame on
-    degenerate input instead of failing."""
+    degenerate input instead of failing.  The D-line arcs and glyphs use
+    tols; the streaks are solved at tols.root * STREAK_SLACK, so a
+    FILIPPOV_TOLERANCE_SCALE still scales them."""
     tols = tols or default_tols()
     x0, x1, y0, y1 = window
     c = _Canvas(window)
@@ -131,7 +140,8 @@ def render_portrait(Z: PiecewiseField,
         f'width="{WIDTH - 2 * MARGIN}" height="{HEIGHT - 2 * MARGIN}" '
         f'fill="none" stroke="#000" stroke-width="1"/>')
     if x1 > x0 and y1 > y0:
-        _draw_streaks(c, Z, window, tols)
+        _draw_streaks(c, Z, window, dataclasses.replace(
+            tols, root=tols.root * STREAK_SLACK))
         _draw_d_line(c, Z, window, tols)
     body = "\n".join(c.parts)
     return (

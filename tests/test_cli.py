@@ -426,6 +426,62 @@ def test_portrait_bytes_match_the_per_point_drawing(seeded_fields,
     assert cases >= 80
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?")
+
+
+def _bezier_points(d, per_segment):
+    # per_segment points along each cubic segment of the path d,
+    # "Mp C c0 c1 p1 C ...", both ends included, as complex numbers
+    xy = np.array([float(v) for v in _NUMBER.findall(d)])
+    pts = xy[0::2] + 1j * xy[1::2]
+    p0, c0, c1, p1 = (pts[k:len(pts) - 3 + k:3, None] for k in range(4))
+    s = np.linspace(0.0, 1.0, per_segment)
+    return ((1 - s) ** 3 * p0 + 3 * (1 - s) ** 2 * s * c0
+            + 3 * (1 - s) * s ** 2 * c1 + s ** 3 * p1).ravel()
+
+
+def _path_distance(d, e):
+    # the largest distance on the canvas from a point sampled on either
+    # path to the other, each point to the nearest segment of a dense
+    # polyline along the other path
+    def one_way(pts, line):
+        ap, ab = pts[:, None] - line[None, :-1], np.diff(line)
+        t = np.clip((ap * ab.conj()).real
+                    / np.maximum(abs(ab) ** 2, 1e-300), 0.0, 1.0)
+        return abs(ap - t * ab).min(axis=1).max()
+
+    return max(one_way(_bezier_points(d, 9), _bezier_points(e, 65)),
+               one_way(_bezier_points(e, 9), _bezier_points(d, 65)))
+
+
+def _streak_paths(svg):
+    # the streaks' path data, and every other element
+    lines = svg.splitlines()
+    return ([re.search(r' d="([^"]*)"', s).group(1) for s in lines
+             if 'class="streak"' in s],
+            [s for s in lines if 'class="streak"' not in s])
+
+
+def test_streaks_stay_within_half_a_pixel(seeded_fields, monkeypatch):
+    # the streaks solved at tols.root * STREAK_SLACK draw what the streaks
+    # solved at tols.root draw: as many streaks, each within half a pixel
+    # of its counterpart, and every other element byte for byte
+    cases = 0
+    for Z, spec_window in _rendering_cases(seeded_fields):
+        for window in _windows(Z, spec_window):
+            streaks, others = _streak_paths(render_portrait(Z, window))
+            with monkeypatch.context() as m:
+                m.setattr(portrait, "STREAK_SLACK", 1.0)
+                tight, tight_others = _streak_paths(render_portrait(Z,
+                                                                    window))
+            assert others == tight_others, window
+            assert len(streaks) == len(tight), window
+            for d, e in zip(streaks, tight):
+                assert _path_distance(d, e) < 0.5, window
+            cases += bool(streaks)
+    assert cases >= 80
+
+
 def test_flow_bytes_match_the_numpy_row_export(tmp_path, seeded_fields,
                                                monkeypatch):
     # the CSV rows formatted from float lists, and the events file, hold
@@ -620,8 +676,9 @@ def test_every_spec_round_trips_bit_for_bit(seeded_fields):
 
 def test_each_command_loads_only_its_layers(tmp_path):
     # one fresh interpreter per command: importing cli loads no layer, each
-    # command loads its own and no other, and none imports a scipy module,
-    # also lazily
+    # command loads its own and no other, none imports a scipy module,
+    # also lazily, and none a numpy.polynomial module that a bare import
+    # of numpy does not load (numpy 1.x loads them all)
     corpus = Path(__file__).parents[1] / "bench" / "corpus"
     uc, saddle = str(corpus / "uc.txt"), str(corpus / "saddle.txt")
     out = str(tmp_path / "out")
@@ -639,6 +696,15 @@ def test_each_command_loads_only_its_layers(tmp_path):
         (["analyze", uc], "stability", {"portrait", "regularize"}),
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def modules(script):
+        run = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        return set(json.loads(run.stdout))
+
+    bare = modules("import json, sys, numpy\n"
+                   "print(json.dumps(sorted(sys.modules)))")
     for argv, runs, absent in cases:
         script = f"""
 import json, sys
@@ -647,11 +713,10 @@ argv = {argv!r}
 assert not argv or cli.main(argv + ["--out", {out!r}]) in (0, 1, 2), argv
 print(json.dumps(sorted(sys.modules)))
 """
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
-        loaded = set(json.loads(run.stdout))
+        loaded = modules(script)
         assert not any(m.split(".")[0] == "scipy" for m in loaded), argv
+        assert not {m for m in loaded - bare
+                    if m.startswith("numpy.polynomial")}, argv
         assert runs is None or "filippov." + runs in loaded, argv
         assert not loaded & {"filippov." + m for m in absent}, argv
 

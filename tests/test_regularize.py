@@ -60,6 +60,18 @@ def test_bump_matches_quadrature():
         assert abs(phi(t) - want) <= 1e-14
 
 
+def test_bump_rule_table_matches_leggauss():
+    # the fixed (u^2, w) table is the Gauss-Legendre rule of this numpy,
+    # moved to [0, 1], to 4 ulp of each entry: other numpy or LAPACK
+    # builds round the nodes differently
+    x, w = np.polynomial.legendre.leggauss(regularize._BUMP_NODES)
+    table = regularize._bump_rule()
+    assert len(table) == regularize._BUMP_NODES
+    for (uu, wt), a, b in zip(table, x.tolist(), w.tolist()):
+        assert abs(uu - ((1.0 + a) / 2) ** 2) <= 4 * math.ulp(uu)
+        assert abs(wt - b / 2) <= 4 * math.ulp(wt)
+
+
 def test_clamping_outside_band():
     phi = make_transition("smoothstep", 2)
     assert phi(-3.7) == 0.0
