@@ -107,7 +107,6 @@ class Closure(Enum):
 @dataclass(frozen=True)
 class TrajectoryArc:
     tag: str  # "X", "Y" or "FZ"
-    t_span: tuple[float, float]
     ts: np.ndarray
     states: np.ndarray  # shape (n, 2)
     divergence: float | None = None  # integral of div along a smooth arc
@@ -177,7 +176,6 @@ class SmoothTrace:
     ts: np.ndarray
     states: np.ndarray
     status: str  # "d_hit", "window", "horizon", "section", "settled"
-    hit_state: tuple[float, float] | None
     # each watched ray's crossings by direction, as _Ray.xs keeps them
     crossings: tuple[dict[int, list[float]], ...]
 
@@ -617,7 +615,7 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     ts, ys, hit = _integrate(X.rhs(reverse, with_divergence),
                              list(p0) + ([0.0] if with_divergence else []),
                              horizon, tols, lines, traps=sinks)
-    status, hit_state = "horizon", None
+    status = "horizon"
     if hit is not None:
         kind, _, end = hit
         if kind >= len(lines):
@@ -628,10 +626,7 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
             status = {0: "d_hit", 5: "section"}.get(kind, "window")
         if kind == 0:   # the run goes on from the point of D
             ys[-1, 1] = 0.0
-        if status in ("d_hit", "section"):
-            hit_state = (float(ys[-1, 0]), float(ys[-1, 1]))
-    return SmoothTrace(ts, ys, status, hit_state,
-                       tuple(ray.xs for ray in watched))
+    return SmoothTrace(ts, ys, status, tuple(ray.xs for ray in watched))
 
 
 def _d_stop(Z: PiecewiseField, x0: float, speed: float, window: Window,
@@ -660,11 +655,14 @@ def _slide(Z: PiecewiseField, x0: float, horizon: float,
     Returns (ts, xs, outcome, x_end) with outcome one of
     'q1_root', 'q2_root', 'fz_singularity', 'window', 'horizon'.  The first
     event ahead (_d_stop, with the roots of det) is found once and goes to
-    the solver as one line x = r.  A tangency root where |det| <= tols.sign
-    is also a zero of the sliding field, so the slide ends there as
-    'fz_singularity', as one started there does in advance_hybrid.
+    the solver as one line x = r.  A zero of the sliding field, where
+    |det| <= tols.sign, ends the slide as 'fz_singularity': at its start,
+    as a slide of length zero, or at a tangency root ahead.
     """
-    rhs, det = Z.slide_rhs(), dline.det_xy(Z)
+    det = dline.det_xy(Z)
+    if abs(det(x0, 0.0)) <= tols.sign:
+        return np.array([0.0]), np.array([x0]), "fz_singularity", x0
+    rhs = Z.slide_rhs()
     outcome, line = _d_stop(Z, x0, rhs(0.0, x0)[0], window, tols,
                             [("fz_singularity", det)])
     if outcome in ("q1_root", "q2_root") \
@@ -721,7 +719,8 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                    sinks: Sequence[Window] = ()) -> PolyTrajectory:
     """Alternate smooth and sliding arcs under the Filippov rules.
 
-    side: 'N', 'S' or 'D' (consistent with p0).  A start on D and each D
+    side: 'N', 'S' or 'D' (consistent with p0; a start on D may also name
+    the side that _from_d gave it).  A start on D with side 'D' and each D
     hit go on as _from_d says; a slide that ends at a tangency exits at a
     fold (dline.fold_test), and ends with Tangency at any other.  When a
     section is given, transversal crossings of it terminate the
@@ -773,22 +772,16 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                                   sinks=[b for b in sinks
                                          if (b[2] > 0) == (side == "N")])
             traj.arcs.append(TrajectoryArc(
-                "X" if side == "N" else "Y",
-                (t, t + tr.ts[-1]), tr.ts + t, tr.states[:, :2],
+                "X" if side == "N" else "Y", tr.ts + t, tr.states[:, :2],
                 float(tr.states[-1, 2]) if with_divergence else None))
             t += float(tr.ts[-1])
             outcome = tr.status
             p = (float(tr.states[-1, 0]), float(tr.states[-1, 1]))
-        elif abs(dline.det_xy(Z)(p[0], 0.0)) <= tols.sign:
-            traj.arcs.append(TrajectoryArc(
-                "FZ", (t, t), np.array([t]), np.array([[p[0], 0.0]])))
-            outcome = "fz_singularity"
         else:
             ts, xs, outcome, x_end = _slide(Z, p[0], horizon - t, window,
                                             tols)
             states = np.column_stack([xs, np.zeros_like(xs)])
-            traj.arcs.append(TrajectoryArc("FZ", (t, t + ts[-1]),
-                                           ts + t, states))
+            traj.arcs.append(TrajectoryArc("FZ", ts + t, states))
             t += float(ts[-1])
             p = (x_end, 0.0)
         if outcome in _ENDS:
@@ -856,17 +849,28 @@ def transition_derivative(X: PolyVectorField, p0: tuple[float, float],
     if hit is None:
         raise NoReturn("orbit did not reach the target section")
     end = hit[2]
-    d0 = _normal_speed(X, p0, sec0.direction)
-    d1 = _normal_speed(X, end, sec1.direction)
-    if abs(d0) <= tols.sign or abs(d1) <= tols.sign:
-        raise NotTransversal("section parallel to the field")
-    return (d0 / d1) * math.exp(float(end[2]))
+    return _transition_factor(X, p0, sec0.direction, end, sec1.direction,
+                              float(end[2]), tols)
 
 
-def _normal_speed(X: PolyVectorField, p, direction) -> float:
-    """Speed of X across a line with the given direction at p."""
+def _normal_speed(X: Callable, p, direction) -> float:
+    """Speed of the field X across a line with the given direction at p."""
     v = X(float(p[0]), float(p[1]))
     return v[0] * direction[1] - v[1] * direction[0]
+
+
+def _transition_factor(X: Callable, p0, direction0, p1, direction1,
+                       divergence: float, tols: Tolerances) -> float:
+    """Derivative (n0 / n1) exp(divergence) of the transition map along an
+    orbit of the field X from p0 to p1, between lines with the directions
+    direction0 at p0 and direction1 at p1: n0 and n1 are the speeds of X
+    across them (_normal_speed), divergence the integral of div X along
+    the orbit.  Raises NotTransversal when |n0| or |n1| <= tols.sign."""
+    n0 = _normal_speed(X, p0, direction0)
+    n1 = _normal_speed(X, p1, direction1)
+    if abs(n0) <= tols.sign or abs(n1) <= tols.sign:
+        raise NotTransversal("orbit meets a section tangentially")
+    return (n0 / n1) * math.exp(divergence)
 
 
 def return_map(Z: PiecewiseField, section: Section, s0: float,
@@ -894,7 +898,7 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
             return side == start_side and lo <= section.param_of(q) <= hi \
                 and t > 1e-9
 
-        traj = advance_hybrid(Z, p, "D", horizon, window, tols,
+        traj = advance_hybrid(Z, p, start_side, horizon, window, tols,
                               stop=returned, with_divergence=with_derivative,
                               sinks=sinks)
     else:
@@ -917,9 +921,9 @@ def return_derivative(Z: PiecewiseField, traj: PolyTrajectory,
                       tols: Tolerances) -> float:
     """eta' of a run from a section with the given direction back to it,
     integrated with_divergence: the product over its smooth arcs of the
-    transition-map derivatives (n_start/n_end) exp(int div), n being the
-    arc field's speed across the section at the two ends of the run and
-    across D (-Q(x, 0)) at sewing crossings, so the Q_Y/Q_X ratio of each
+    transition-map derivatives (_transition_factor), n being the arc
+    field's speed across the section at the two ends of the run and across
+    D (-Q(x, 0)) at sewing crossings, so the Q_Y/Q_X ratio of each
     crossing falls out of the product.  A run through a sliding arc or a
     fold graze, or one that meets the section or D with |n| <= tols.sign,
     raises NotTransversal."""
@@ -929,14 +933,11 @@ def return_derivative(Z: PiecewiseField, traj: PolyTrajectory,
     eta_prime = 1.0
     last_arc = len(traj.arcs) - 1
     for k, arc in enumerate(traj.arcs):
-        fld = Z.X if arc.tag == "X" else Z.Y
-        n0 = _normal_speed(fld, arc.states[0],
-                           direction if k == 0 else _D_DIRECTION)
-        n1 = _normal_speed(fld, arc.states[-1],
-                           direction if k == last_arc else _D_DIRECTION)
-        if abs(n0) <= tols.sign or abs(n1) <= tols.sign:
-            raise NotTransversal("return meets a section or D tangentially")
-        eta_prime *= (n0 / n1) * math.exp(arc.divergence)
+        eta_prime *= _transition_factor(
+            Z.X if arc.tag == "X" else Z.Y,
+            arc.states[0], direction if k == 0 else _D_DIRECTION,
+            arc.states[-1], direction if k == last_arc else _D_DIRECTION,
+            arc.divergence, tols)
     return eta_prime
 
 
@@ -1360,7 +1361,7 @@ def _trace_branch(Z, seed, kind, forward, horizon, window, tols, rays=()):
                  for p, ray in zip(rays, tr.crossings)
                  for way, xs in ray.items()}
     if tr.status == "d_hit":
-        crossings["D"] = [tr.hit_state[0]]
+        crossings["D"] = [float(tr.states[-1, 0])]
     return tr.states[:, :2], tr.status, crossings
 
 

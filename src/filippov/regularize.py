@@ -16,14 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .errors import BadParameter, NoReturn, NotTransversal, StepFailure
+from .errors import BadParameter, NoReturn, StepFailure
 from .polys import (BivariatePolynomial, PiecewiseField, _field_state,
-                    _horner_body, _horner_form, _kernel, bracketed_root,
-                    common_zero_seeds, newton_zero)
+                    _generate, _horner_body, _horner_form, _kernel,
+                    bracketed_root, common_zero_seeds, newton_zero)
 from .tolerances import Tolerances, default_tols
 
 
@@ -37,29 +38,31 @@ class TransitionFunction:
     # smoothstep: coefficient k of int_0^t (1-s^2)^n ds, on t^(2k+1)
     _coeffs: tuple[float, ...] = field(default=(), repr=False)
 
+    __getstate__ = _field_state
+
+    @cached_property
+    def _compiled(self) -> tuple[Callable, Callable]:
+        """phi and phi', compiled once from sources(), with the clamps at
+        +-1; the compiled functions stay out of the pickle state."""
+        phi, dphi = self.sources()
+        namespace = _generate(
+            f"def phi(t):\n    if t <= -1.0: return 0.0\n"
+            f"    if t >= 1.0: return 1.0\n    return {phi}\n"
+            f"def dphi(t):\n    if t <= -1.0 or t >= 1.0: return 0.0\n"
+            f"    return {dphi}\n", "phi", exp=math.exp)
+        return namespace["phi"], namespace["dphi"]
+
     def __call__(self, t: float) -> float:
-        if t <= -1.0:
-            return 0.0
-        if t >= 1.0:
-            return 1.0
-        if self.family == "smoothstep":
-            s, v = t * t, 0.0
-            for c in reversed(self._coeffs):
-                v = v * s + c
-            return 0.5 + t * v / self._norm
-        return 0.5 + _bump_integral(t) / self._norm
+        return self._compiled[0](t)
 
     def derivative(self, t: float) -> float:
-        if t <= -1.0 or t >= 1.0:
-            return 0.0
-        if self.family == "smoothstep":
-            return (1 - t * t) ** self.parameter / self._norm
-        return math.exp(-1.0 / (1.0 - t * t)) / self._norm
+        return self._compiled[1](t)
 
     def sources(self) -> tuple[str, str]:
-        """Expressions in t of phi and phi' inside (-1, 1), term for term
-        those of __call__ and derivative: for the bump, the Gauss-Legendre
-        sum of _bump_integral written out."""
+        """Expressions in t of phi and phi' inside (-1, 1), from which
+        __call__, derivative and RegularizedField.rhs are all compiled:
+        for the smoothstep, the Horner form of its odd polynomial in t * t;
+        for the bump, the Gauss-Legendre sum of _bump_rule written out."""
         norm = repr(float(self._norm))
         if self.family == "bump":
             terms = " + ".join(f"{w!r} * exp(-1.0 / (1.0 - (t * t) * {uu!r}))"
@@ -148,15 +151,6 @@ def _bump_rule() -> tuple[tuple[float, float], ...]:
     )
 
 
-def _bump_integral(t: float) -> float:
-    """int_0^t exp(-1/(1-s^2)) ds by _bump_rule, summed term by term in
-    the order of the expression TransitionFunction.sources writes."""
-    total, tt = 0.0, t * t
-    for uu, w in _bump_rule():
-        total += w * math.exp(-1.0 / (1.0 - tt * uu))
-    return t * total
-
-
 def make_transition(family: str, parameter: int = 1) -> TransitionFunction:
     """smoothstep of order n = parameter: phi' proportional to (1-t^2)^n
     (C^n at the seams, (2+3t-t^3)/4 for n=1); bump: normalized integral
@@ -170,7 +164,9 @@ def make_transition(family: str, parameter: int = 1) -> TransitionFunction:
         return TransitionFunction("smoothstep", n, 2 * math.fsum(coeffs),
                                   coeffs)
     if family == "bump":
-        return TransitionFunction("bump", 0, 2 * _bump_integral(1.0))
+        # twice int_0^1 exp(-1/(1-s^2)) ds by _bump_rule
+        return TransitionFunction("bump", 0, 2 * sum(
+            w * math.exp(-1 / (1 - uu)) for uu, w in _bump_rule()))
     raise BadParameter(f"unknown transition family {family!r}")
 
 
@@ -391,12 +387,12 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
     polys.bracketed_root to tols.root.
 
     The derivative at a fixed point comes from one run with the
-    divergence integral: eta' = (R_x(start)/R_x(end)) exp(int div R),
-    div R the trace of the exact Jacobian: w div X + (1-w) div Y +
-    phi'(y/eps)/eps (Q_X - Q_Y).  Raises NotTransversal when R_x vanishes
-    at either end of that run.
+    divergence integral: eta' = (R_x(start)/R_x(end)) exp(int div R)
+    (flow._transition_factor), div R the trace of the exact Jacobian:
+    w div X + (1-w) div Y + phi'(y/eps)/eps (Q_X - Q_Y).  Raises
+    NotTransversal when R_x vanishes at either end of that run.
     """
-    from .flow import _integrate
+    from .flow import _integrate, _transition_factor
 
     tols = tols or default_tols()
     R = RegularizedField(Z, phi, epsilon)
@@ -419,12 +415,10 @@ def regularized_cycle_search(Z: PiecewiseField, phi: TransitionFunction,
         return float(run(s, False)[1])
 
     def eta_prime(s: float) -> float:
+        # R_x is R's speed across the vertical section
         end = run(s, True)
-        r0 = R(section_x, s)[0]
-        r1 = R(float(end[0]), float(end[1]))[0]
-        if abs(r0) <= tols.sign or abs(r1) <= tols.sign:
-            raise NotTransversal("section parallel to the regularized field")
-        return (r0 / r1) * math.exp(float(end[2]))
+        return _transition_factor(R, (section_x, s), (0.0, 1.0), end,
+                                  (0.0, 1.0), float(end[2]), tols)
 
     ss = np.linspace(*s_range, 24).tolist()
     vx = [R(section_x, s)[0] for s in ss]

@@ -178,8 +178,7 @@ class StabilityReport:
 
         def d_sing_row(s) -> dict:
             return {"x": s.x, "kind": s.kind.value,
-                    "certificates": {k: s.certificates[k]
-                                     for k in sorted(s.certificates)}}
+                    "certificates": dict(s.certificates)}
 
         d = {
             "overall": self.overall,
@@ -206,8 +205,7 @@ class StabilityReport:
                 "singularities": [
                     {"theta": s.theta, "field": s.field_tag,
                      "hyperbolic": s.hyperbolic.value,
-                     "certificates": {k: s.certificates[k]
-                                      for k in sorted(s.certificates)}}
+                     "certificates": dict(s.certificates)}
                     for s in self.infinity],
             },
             "equator": None if self.s1 is None else {
@@ -218,8 +216,7 @@ class StabilityReport:
             },
             "cycles": [{"closure": c.closure.value,
                         "elementary": c.elementary,
-                        "certificate": {k: c.certificate[k]
-                                        for k in sorted(c.certificate)}}
+                        "certificate": dict(c.certificate)}
                        for c in self.cycles],
             "connection_flags": [list(f) for f in self.connection_flags],
             "window": list(self.window),
@@ -328,8 +325,7 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
     if bad:
         for c in bad:
             gm2.violate({"kind": "non_elementary_cycle",
-                         "certificate": {k: c.certificate[k]
-                                         for k in sorted(c.certificate)}})
+                         "certificate": dict(c.certificate)})
     elif cycles:
         pass  # found, all elementary: census stands as Satisfied
     elif gm2.status == SATISFIED and not options.optimistic:

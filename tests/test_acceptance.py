@@ -241,11 +241,11 @@ def test_criterion_6_transition_derivative(capfd):
             tr = integrate_smooth(X, p, 20.0, WIN, d_direction=0,
                                   section=sec1)
             assert tr.status == "section"
-            return sec1.param_of(tr.hit_state)
+            return sec1.param_of(tr.states[-1])
 
         p0 = sec0.point(0.0)
         tr = integrate_smooth(X, p0, 20.0, WIN, d_direction=0, section=sec1)
-        d = transition_derivative(X, p0, tr.hit_state, sec0, sec1,
+        d = transition_derivative(X, p0, tr.states[-1], sec0, sec1,
                                   float(tr.ts[-1]))
         h = 1e-5
         fd = (hit_param(h) - hit_param(-h)) / (2 * h)

@@ -185,6 +185,29 @@ def test_analyze_field_tangent_to_all_of_d_writes_a_report(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_analyze_unit_cycle_reports_its_cycle_in_sorted_keys(tmp_path):
+    # the report's key order comes from dumps_report alone: every object of
+    # the file, down to each cycle's certificate, has its keys sorted
+    spec = Path(__file__).parents[1] / "bench" / "corpus" / "uc.txt"
+    out = tmp_path / "report.json"
+    cli.main(["analyze", str(spec), "--out", str(out)])
+    orders = []
+
+    def keys(pairs):
+        orders.append([k for k, _ in pairs])
+        return dict(pairs)
+
+    report = json.loads(out.read_text(), object_pairs_hook=keys)
+    assert orders and all(order == sorted(order) for order in orders)
+    (cycle,) = report["cycles"]
+    assert list(cycle) == ["certificate", "closure", "elementary"]
+    assert cycle["closure"] == "Type1" and cycle["elementary"] == "yes"
+    assert list(cycle["certificate"]) == ["eta_prime", "x"]
+    e4pi = math.exp(-4 * math.pi)
+    assert abs(cycle["certificate"]["eta_prime"] - e4pi) <= 1e-3 * e4pi
+    assert abs(abs(cycle["certificate"]["x"]) - 1.0) <= 1e-6
+
+
 def test_portrait_field_tangent_to_all_of_d(tmp_path):
     spec = _write(tmp_path, "tangent.txt", TANGENT_TEXT)
     out = str(tmp_path / "tangent.svg")

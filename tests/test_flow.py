@@ -61,7 +61,7 @@ def test_straight_drop_hits_d_at_unit_time():
     tr = integrate_smooth(X, (0.0, 1.0), 10.0, WIN, d_direction=-1)
     assert tr.status == "d_hit"
     assert abs(tr.ts[-1] - 1.0) < 1e-9
-    assert math.hypot(tr.hit_state[0], tr.hit_state[1]) < 1e-9
+    assert math.hypot(tr.states[-1, 0], tr.states[-1, 1]) < 1e-9
 
 
 def test_horizontal_field_never_hits_d():
@@ -75,7 +75,7 @@ def test_rotation_returns_to_d_at_pi():
     tr = integrate_smooth(ROT, (1.0, 0.0), 10.0, WIN, d_direction=-1)
     assert tr.status == "d_hit"
     assert abs(tr.ts[-1] - math.pi) < 1e-8
-    assert abs(tr.hit_state[0] + 1.0) < 1e-8
+    assert abs(tr.states[-1, 0] + 1.0) < 1e-8
 
 
 def test_out_of_range_section_crossings_do_not_recurse():
@@ -119,7 +119,6 @@ def test_out_of_range_crossing_at_horizon_ends_at_horizon():
     tr = integrate_smooth(vf(ONE, {}), (-1.0, 1.0), 1.0 + 5e-10, WIN,
                           section=sec)
     assert tr.status == "horizon"
-    assert tr.hit_state is None
 
 
 def test_trajectory_along_section_line_not_transversal():
@@ -197,7 +196,7 @@ def test_arcs_that_reach_d_end_on_it(seeded_fields):
                 if arc.tag != "FZ":
                     followed += 1
                     assert arc.states[-1, 1] == 0.0
-                    assert any(e.time == arc.t_span[1]
+                    assert any(e.time == arc.ts[-1]
                                and e.state == tuple(arc.states[-1])
                                for e in traj.events)
     assert followed >= 30
@@ -263,6 +262,16 @@ def test_transition_derivative_catches_stepped_over_crossing(t_span):
     assert abs(d - 1.0 / math.sqrt(2.0)) < 1e-9
 
 
+def test_transition_derivative_along_a_section_is_not_transversal():
+    # X = (1, 0) runs along the horizontal sec0 through p0, so its speed
+    # across sec0 is 0, though the orbit reaches x = 1 at (1, 0.5)
+    X = vf(ONE, {})
+    sec0 = Section((0.0, 0.5), (1.0, 0.0), (-1.0, 1.0))
+    sec1 = Section((1.0, 0.0), (0.0, 1.0), (-1.0, 1.0))
+    with pytest.raises(NotTransversal):
+        transition_derivative(X, (0.0, 0.5), (1.0, 0.5), sec0, sec1, 2.0)
+
+
 def test_transition_derivative_blow_up_is_step_failure():
     # X = (x^2, 0): x = 1/(1 - t) from x = 1 blows up at t = 1, before the
     # horizon 1.5; the solver gives up there instead of reporting no return
@@ -284,11 +293,11 @@ def test_transition_derivative_matches_displacement():
         tr = integrate_smooth(X, p, 20.0, WIN, d_direction=0,
                               section=sec1)
         assert tr.status == "section"
-        return sec1.param_of(tr.hit_state)
+        return sec1.param_of(tr.states[-1])
 
     p0 = sec0.point(0.0)
     tr = integrate_smooth(X, p0, 20.0, WIN, d_direction=0, section=sec1)
-    p1 = tr.hit_state
+    p1 = tr.states[-1]
     d = transition_derivative(X, p0, p1, sec0, sec1, float(tr.ts[-1]))
     h = 1e-5
     fd = (hit_param(h) - hit_param(-h)) / (2 * h)
@@ -350,7 +359,7 @@ def test_d_section_return_stops_at_first_return(monkeypatch):
     (traj,) = runs
     assert [a.tag for a in traj.arcs] == ["X", "Y"]
     assert traj.events[-1].kind is EventKind.SECTION_CROSSING
-    assert traj.arcs[-1].t_span[1] < 2 * math.pi + 1
+    assert traj.arcs[-1].ts[-1] < 2 * math.pi + 1
 
 
 def test_exact_eta_prime_matches_richardson_two_sided():

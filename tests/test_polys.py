@@ -10,7 +10,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy.optimize import brentq
 
-from filippov import flow, polys
+from filippov import flow, polys, regularize
 from filippov.dline import det_xy
 from filippov.errors import IdenticallyZeroOnD
 from filippov.polys import (
@@ -233,13 +233,21 @@ def test_evaluated_polynomial_and_field_round_trip():
     X(0.5, -1.0)
     X.divergence()(0.5, -1.0)
     Z.Y(0.5, -1.0)
-    for obj in (X.P, X, Z):
+    # the bump's phi is compiled on first use and the regularized field's
+    # kernel cached on Z: neither goes into a pickle
+    phi = regularize.make_transition("bump")
+    R = regularize.RegularizedField(Z, phi, 0.1)
+    R(0.5, 0.05), R.rhs()(0.0, 0.5, 0.05)
+    for obj in (X.P, X, Z, phi, R):
         for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
             assert clone == obj
     clone = pickle.loads(pickle.dumps(X))
     assert clone(0.5, -1.0) == X(0.5, -1.0)
     assert clone.divergence()(0.5, -1.0) == X.divergence()(0.5, -1.0)
     assert copy.deepcopy(X.P)(2.0, 4.0) == X.P(2.0, 4.0)
+    clone = pickle.loads(pickle.dumps(R))
+    assert clone(0.5, 0.05) == R(0.5, 0.05)
+    assert clone.phi.derivative(0.5) == phi.derivative(0.5)
 
 
 @pytest.mark.parametrize("coeffs, want", [
@@ -516,7 +524,7 @@ def test_isolator_makes_no_numpy_polynomial_call(monkeypatch):
                                    (-2.0, 1.0), 100.0, (-5, 5, -5, 5),
                                    d_direction=direction)
         assert tr.status == "d_hit"
-        assert abs(tr.hit_state[0] - direction * math.sqrt(2.0)) <= 1e-9
+        assert abs(tr.states[-1, 0] - direction * math.sqrt(2.0)) <= 1e-9
 
 
 def test_isolation_ends_where_a_near_zero_band_reaches_the_bracket_end():

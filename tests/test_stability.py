@@ -62,6 +62,17 @@ def test_interior_center_not_hyperbolic():
     assert s.hyperbolic == "no"
 
 
+def test_center_in_n_violates_condition_1():
+    # X = (1 - y, x) has a center at (0, 1), over Y = (1, 1)
+    X = vf({(0, 1): -1.0, (0, 0): 1.0}, {(1, 0): 1.0})
+    rep = check_gm(piecewise(X, vf(ONE, ONE)), GmOptions(window=WIN))
+    assert rep.gm1.status == "Violated"
+    (w,) = [w for w in rep.gm1.witnesses
+            if w["kind"] == "non_hyperbolic_interior"]
+    assert w["region"] == "upper"
+    assert math.hypot(w["point"][0], w["point"][1] - 1.0) < 1e-9
+
+
 def test_interior_saddle_node_without_sign_change():
     X = vf({(2, 0): 1.0, (1, 0): -0.6, (0, 0): 0.09}, {(0, 1): 1.0, (0, 0): -1.0})
     out = interior_singularities(X, "N", WIN)
