@@ -39,6 +39,12 @@ solve there.  The cycle census watches the box of each stable node or
 focus that sink_trap certifies with an exact Lyapunov bound: its disc is
 forward-invariant and meets neither D nor the window's sides, so a run
 that enters it ends with EnterSink instead of integrating to the horizon.
+The census also makes no run whose outcome is proved: no seed right of a
+run from D that left the window before it could meet D again, where both
+fields point off D up to the window's side, and no fold run where D has
+no sliding interval.  A separatrix branch of the connection probe watches
+the traps at the nodes and foci of its field, cut to tols.connect, and
+ends with fate 'sink' in one, as no flag can come from its rest.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .polys import (
     _polish_root,
     _polyder,
     _polyval,
+    real_roots_on_line,
     roots_on_d,
     taylor_at,
     univariate_roots,
@@ -873,15 +880,28 @@ def _transition_factor(X: Callable, p0, direction0, p1, direction1,
     return (n0 / n1) * math.exp(divergence)
 
 
+class LeftWindow(NoReturn):
+    """A return map's run from D left the window on its first arc, with
+    no other event; s is the parameter it started from."""
+
+    def __init__(self, s: float):
+        super().__init__(f"no return from s={s}: the run left the window")
+        self.s = s
+
+
 def return_map(Z: PiecewiseField, section: Section, s0: float,
                horizon: float, window: Window,
                tols: Tolerances | None = None,
                with_derivative: bool = True,
-               sinks: Sequence[Window] = ()) -> tuple[float, float | None]:
+               sinks: Sequence[Window] = (),
+               side: str | None = None) -> tuple[float, float | None]:
     """First-return parameter s1 of the hybrid flow from section(s0) and
     its derivative eta'(s0) (return_derivative).  The run ends at the first
     return, or raises NoReturn at an end of another kind, among them the
-    entry into one of the boxes of sinks (advance_hybrid)."""
+    entry into one of the boxes of sinks (advance_hybrid); a run from D
+    whose one arc leaves the window raises LeftWindow.  side is the side
+    that _from_d gives a seed on a sewing arc of D, for a caller that has
+    classified it already."""
     WORK["return_maps"] += 1
     tols = tols or default_tols()
     p = section.point(s0)
@@ -889,9 +909,11 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
     if on_d:
         # returns to a section on D are sewing crossings back into the
         # starting side with parameter inside the range
-        start_side, kind = _from_d(Z, p[0], "D", tols)
-        if kind is not EventKind.CROSSING_AT_SEWING:
-            raise NoReturn("D-section seed not on a sewing arc")
+        start_side = side
+        if side is None:
+            start_side, kind = _from_d(Z, p[0], "D", tols)
+            if kind is not EventKind.CROSSING_AT_SEWING:
+                raise NoReturn("D-section seed not on a sewing arc")
         lo, hi = section.s_range
 
         def returned(t, q, side):
@@ -909,6 +931,8 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
     ends = (EventKind.SECTION_CROSSING, EventKind.CLOSED) if on_d \
         else (EventKind.SECTION_CROSSING,)
     if not traj.events or traj.events[-1].kind not in ends:
+        if on_d and [e.kind for e in traj.events] == [EventKind.WINDOW_EXIT]:
+            raise LeftWindow(s0)
         raise NoReturn(f"no return from s={s0}")
     s1 = section.param_of(traj.end_state())
     if not with_derivative:
@@ -979,7 +1003,9 @@ class SinkTrap:
     exact (lyapunov), decreases along the field on the whole level set
     {V = level}, so no trajectory leaves {V <= level}, which lies in the
     disc of the given radius around p.  box is a square around p inside
-    {V <= level}."""
+    {V <= level}.  A trap cut by a margin (sink_trap) keeps the radius of
+    the trap it was cut from, whose disc holds every point within the
+    margin of {V <= level}."""
 
     point: tuple[float, float]
     lyapunov: tuple[Fraction, Fraction, Fraction]
@@ -989,7 +1015,8 @@ class SinkTrap:
 
 
 def sink_trap(X: PolyVectorField, point: tuple[float, float],
-              window: Window, tols: Tolerances) -> SinkTrap | None:
+              window: Window, tols: Tolerances,
+              margin: float = 0.0) -> SinkTrap | None:
     """A trap around the zero p = point of X, a stable node or focus, or
     None when none is proved: the region-of-attraction estimate of a
     quadratic Lyapunov function (Khalil, Nonlinear Systems, section 8.2).
@@ -1015,7 +1042,14 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
     sqrt(2), inside {V <= c}.  Each step of the search decides g < 1 in
     exact arithmetic, so the radius it ends at is proved as found, and
     the float differences that place the disc and the box carry a margin
-    of 4 ulps of their operands."""
+    of 4 ulps of their operands.
+
+    A margin > 0 cuts the trap to the level c' = mu (sqrt(c / lam) -
+    margin)^2, whose outer radius sqrt(c' / mu) lies margin inside the
+    inner radius sqrt(c / lam) of {V = c}: every point within margin of
+    {V <= c'} lies in {V <= c}.  The cut level is proved as c is, or None
+    is returned; the box is the square of {V <= c'}, and radius stays that
+    of {V <= c}."""
     from fractions import Fraction  # here, as the import costs ms
 
     px, py = float(point[0]), float(point[1])
@@ -1077,6 +1111,12 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
             lo, hi = (mid, hi) if passes(mid) else (lo, mid)
         rho = lo
     inner = math.nextafter(rho * ratio, 0.0)
+    cut = rho
+    if margin:  # the outer radius sqrt(c' / mu), below inner - margin
+        cut = math.nextafter(inner - margin, 0.0)
+        if cut <= 0.0 or not passes(cut):
+            return None
+        inner = math.nextafter(cut * ratio, 0.0)
     # the half-side, below inner / sqrt(2) past its two roundings, and
     # each side of the box less 4 ulps of |v| + h off, so at most h off
     h = inner / math.sqrt(2.0) * (1 - 1e-12)
@@ -1085,7 +1125,7 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
     # c = mu rho^2 = kappa^2 det_N / (kappa lam_N) rho^2
     kappa = Fraction(1 << e, den)
     return SinkTrap((px, py), (kappa * n11, kappa * n12, kappa * n22),
-                    kappa * Fraction(2 * det_n, num) * Fraction(rho) ** 2,
+                    kappa * Fraction(2 * det_n, num) * Fraction(cut) ** 2,
                     rho, box)
 
 
@@ -1129,32 +1169,55 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
     eta(s) >= x* - SAME_CYCLE when s < x*, and the mirror bound when
     s > x*: every such fixed point is within SAME_CYCLE of x*, the known
     cycle.  A secant that converges is checked against x* once more.
+
+    Two more kinds of run are skipped, as their outcome is proved:
+
+    - the seeds right of a point s of D (a seed or a secant iterate)
+      whose run left the window on its first arc, when neither Q_X(., 0)
+      nor Q_Y(., 0) has a root in [s, window[1]] (_shadows): that arc is
+      a cross-cut of its half of the window, and the orbit from a seed
+      s' > s starts on its side of it, on the stretch of D where both
+      fields point off D, so it leaves the window, or stays to the
+      horizon or a sink, before it can meet D (Perko, Differential
+      Equations and Dynamical Systems, section 3.7): a NoReturn;
+    - the fold runs when D has no sliding interval (_slides): a type-3
+      closure needs a sliding arc, and a run slides only from a sliding
+      point (_from_d).
+
+    Each seed and each fixed point is classified once, by _from_d, whose
+    side the run from it takes.
     """
     tols = tols or default_tols()
     found: list[ClosedOrbit] = []
     seen_x: list[float] = []
+    shadow = math.inf   # seeds right of it make no return (_shadows)
 
     def known(x: float) -> bool:
         return any(abs(x - c) <= SAME_CYCLE for c in seen_x)
 
     span = (window[0], window[1])
+    section = Section((0.0, 0.0), (1.0, 0.0), span)
     for s0 in DEFAULT_SEEDS:
-        if not (window[0] < s0 < window[1]) or known(s0):
+        if not window[0] < s0 < min(window[1], shadow) or known(s0):
             continue
-        cls = dline.classify_point(Z, s0, tols)
-        if cls.tag is not PointTag.SEWING:
+        side, kind = _from_d(Z, s0, "D", tols)
+        if kind is not EventKind.CROSSING_AT_SEWING:
             continue
-        section = Section((0.0, 0.0), (1.0, 0.0), span)
 
         def g(s):
             s1, _ = return_map(Z, section, s, CENSUS_HORIZON, window,
-                               tols, with_derivative=False, sinks=sinks)
+                               tols, with_derivative=False, sinks=sinks,
+                               side=side if s == s0 else None)
             if known(s1):
                 raise _KnownCycle
             return s1 - s
 
         try:
             s_star = _secant_fixed_point(g, s0, tols)
+        except LeftWindow as exc:
+            if _shadows(Z, exc.s, window, tols):
+                shadow = min(shadow, exc.s)
+            continue
         except (_KnownCycle,) + _RUN_ERRORS:
             continue  # a known cycle, or this seed's return map fails
         if s_star is None or not (window[0] < s_star < window[1]):
@@ -1163,14 +1226,14 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
             continue
         if known(s_star):
             continue
-        cls_star = dline.classify_point(Z, s_star, tols)
-        if cls_star.tag is not PointTag.SEWING:
+        side_star, kind = _from_d(Z, s_star, "D", tols)
+        if kind is not EventKind.CROSSING_AT_SEWING:
             continue
         try:
             # one run to the closure, with the divergence for eta'
-            traj = advance_hybrid(Z, (s_star, 0.0), "D", CENSUS_HORIZON,
-                                  window, tols, with_divergence=True,
-                                  sinks=sinks)
+            traj = advance_hybrid(Z, (s_star, 0.0), side_star,
+                                  CENSUS_HORIZON, window, tols,
+                                  with_divergence=True, sinks=sinks)
             if traj.closed is not Closure.TYPE1:
                 continue
             eta_prime = return_derivative(Z, traj, section.direction, tols)
@@ -1187,6 +1250,8 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
                                  {"eta_prime": eta_prime, "x": s_star}))
 
     # type-3 candidates from fold points
+    if not _slides(Z, span, tols):
+        return found
     for fold in dline.fold_points(Z, span, tols):
         if fold.kind not in (dline.SingKind.FOLD_X, dline.SingKind.FOLD_Y):
             continue
@@ -1207,6 +1272,36 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
             found.append(ClosedOrbit(traj, Closure.TYPE3, elem,
                                      {"fold_x": fold.x}))
     return found
+
+
+def _shadows(Z: PiecewiseField, s: float, window: Window,
+             tols: Tolerances) -> bool:
+    """Whether a census run from (s, 0) that left the window on its first
+    arc (LeftWindow) proves that every seed right of s makes no return:
+    s lies inside the window, and neither Q_X(., 0) nor Q_Y(., 0) has a
+    root in [s, window[1]] (roots_on_d), so both fields point off D, to
+    the side of the run, on that whole stretch
+    (find_closed_polytrajectories)."""
+    return window[0] < s and not any(
+        r >= s for q in (Z.X.Q, Z.Y.Q)
+        for r, _ in roots_on_d(q, window[:2], tols))
+
+
+def _slides(Z: PiecewiseField, span: tuple[float, float],
+            tols: Tolerances) -> bool:
+    """Whether D may hold a sliding point in span: at the midpoint of some
+    gap between consecutive roots of Q_X(., 0) and Q_Y(., 0), Q_X < 0 < Q_Y,
+    or one of them is within tols.sign of 0, as dline.classify_point tags a
+    tangency.  Raises IdenticallyZeroOnD as dline.fold_points does."""
+    cuts = sorted(r for q in (Z.X.Q, Z.Y.Q)
+                  for r, _ in real_roots_on_line(q, span, tols))
+    cuts = [span[0], *cuts, span[1]]
+    for lo, hi in zip(cuts, cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        xf, yf = Z.X.Q(mid, 0.0), Z.Y.Q(mid, 0.0)
+        if xf < 0.0 < yf or min(abs(xf), abs(yf)) <= tols.sign:
+            return True
+    return False
 
 
 def _secant_fixed_point(g, s0: float, tols: Tolerances) -> float | None:
@@ -1255,7 +1350,8 @@ class ConnectionReport:
 def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
                              window: Window = (-5, 5, -5, 5),
                              tols: Tolerances | None = None,
-                             rays: dict | None = None) -> ConnectionReport:
+                             rays: dict | None = None,
+                             traps: dict | None = None) -> ConnectionReport:
     """Trace separatrix branches of certified saddles and flag each stable
     and unstable branch pair that may connect as a PossibleConnection.
 
@@ -1266,10 +1362,25 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
     At crossings x1, x2, x3 of one ray in one direction with d2 = |x3 -
     x2| < d1 = |x2 - x1| and a geometric tail d2 q / (1 - q), q = d2/d1,
     of at most tols.close, far below tols.connect, the branch has fate
-    'settled'; else 'd_hit', 'window' or 'horizon' (an FZ branch: the
-    _d_stop outcome or 'horizon').  A trace that raises NotTransversal or
-    StepFailure keeps no points and the error's name as its fate
+    'settled'; else 'sink', 'd_hit', 'window' or 'horizon' (an FZ branch:
+    the _d_stop outcome or 'horizon').  A trace that raises NotTransversal
+    or StepFailure keeps no points and the error's name as its fate
     (ConnectionReport.skipped).
+
+    A branch of X traced forward also watches the boxes of traps["X"], and
+    one traced in reverse those of traps["-X"] (Y likewise): SinkTraps of
+    X, or of -X, at the points of rays, each cut to tols.connect
+    (sink_trap's margin).  A branch that enters one ends there with fate
+    'sink' (_trace_branch), as no flag can come from the rest of it.  The
+    rest stays in the cut trap {V <= c'}, and every point within
+    tols.connect of that lies in the trap {V <= c} it was cut from, which
+    is invariant in the branch's time direction.  A branch of the other
+    stability has no point there: each of its points flows, in that time
+    direction, to its seed, which lies outside the trap's disc, as a trap
+    is used only when every saddle of its field lies more than 2
+    tols.delta_sep outside that disc.  So neither a crossing nor a point
+    of the rest comes within tols.connect of such a branch (Khalil,
+    Nonlinear Systems, section 8.2).
 
     A connecting orbit is a matching condition on a section (Beyn, IMA J.
     Numer. Anal. 10, 1990).  Each branch keeps its crossings of each
@@ -1282,10 +1393,16 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
     saddles, when a point of either comes within tols.connect of the
     other's seed: a connection that crosses no section, as one that runs
     into an FZ saddle along D (_connections)."""
-    tols, rays = tols or default_tols(), rays or {}
+    tols, rays, traps = tols or default_tols(), rays or {}, traps or {}
     horizon = CENSUS_HORIZON / 3.0
     branches: list[SeparatrixBranch] = []
     skipped: list[tuple[str, str]] = []
+
+    def boxes(key, kind):  # the boxes of traps[key] clear of kind's saddles
+        return [t.box for t in traps.get(key, ())
+                if all(math.dist(t.point, s.point)
+                       > t.radius + 2 * tols.delta_sep
+                       for s in saddles if s.kind == kind)]
 
     def add(idx, stab, label, trace, *args):
         try:
@@ -1306,12 +1423,13 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
                 v = v / np.linalg.norm(v)
                 stab = "unstable" if np.real(lam) > 0 else "stable"
                 fwd = np.real(lam) > 0
+                sinks = boxes(("" if fwd else "-") + sad.kind, sad.kind)
                 for sgn in (1.0, -1.0):
                     seed = (x0 + sgn * tols.delta_sep * v[0],
                             y0 + sgn * tols.delta_sep * v[1])
                     add(idx, stab, f"{sad.kind}{idx}:{stab}:{sgn:+.0f}",
                         _trace_branch, Z, seed, sad.kind, fwd, horizon,
-                        window, tols, rays.get(sad.kind, ()))
+                        window, tols, rays.get(sad.kind, ()), sinks)
         else:  # FZ saddle: branches along D in both time directions
             x0 = sad.point[0]
             for sgn in (1.0, -1.0):
@@ -1347,15 +1465,18 @@ def _connections(branches: list[SeparatrixBranch], connect: float
     return flagged
 
 
-def _trace_branch(Z, seed, kind, forward, horizon, window, tols, rays=()):
-    """(points, fate, crossings) of the branch of X or Y from seed
-    (probe_saddle_connections)."""
+def _trace_branch(Z, seed, kind, forward, horizon, window, tols, rays=(),
+                  sinks=()):
+    """(points, fate, crossings) of the branch of X or Y from seed, one
+    solve that watches the rays from the points of rays and ends in a box
+    of sinks with fate 'sink' (probe_saddle_connections)."""
     fld = Z.X if kind == "X" else Z.Y
     ddir = -1 if kind == "X" else 1
     if (kind == "X" and seed[1] <= 0) or (kind == "Y" and seed[1] >= 0):
         return np.asarray([seed]), "d_hit", {"D": [float(seed[0])]}
     tr = integrate_smooth(fld, seed, horizon, window, ddir, tols=tols,
-                          reverse=not forward, rays=rays)
+                          reverse=not forward, rays=rays, sinks=sinks)
+    WORK["branch_traps"] += tr.status == "sink"
     turn = 1 if forward else -1
     crossings = {(tuple(p), turn * way): xs
                  for p, ray in zip(rays, tr.crossings)

@@ -58,9 +58,21 @@ class TransitionFunction:
     def derivative(self, t: float) -> float:
         return self._compiled[1](t)
 
+    @cached_property
+    def polynomial(self) -> BivariatePolynomial:
+        """The smoothstep's phi inside [-1, 1] as a polynomial in t, the
+        first variable: the phi expression of sources() evaluated once on
+        the numpy.poly1d t, so that its coefficients are the floats
+        c_k / norm, in ascending powers."""
+        w = _generate(f"w = {self.sources()[0]}", "phi",
+                      t=np.poly1d([1.0, 0.0]))["w"]
+        return BivariatePolynomial(
+            {(k, 0): float(v) for k, v in enumerate(w.coeffs[::-1])})
+
     def sources(self) -> tuple[str, str]:
         """Expressions in t of phi and phi' inside (-1, 1), from which
-        __call__, derivative and RegularizedField.rhs are all compiled:
+        __call__, derivative and RegularizedField.rhs are all compiled, and
+        polynomial evaluated:
         for the smoothstep, the Horner form of its odd polynomial in t * t;
         for the bump, the Gauss-Legendre sum of _bump_rule written out."""
         norm = repr(float(self._norm))
@@ -291,8 +303,7 @@ def emergent_singularities(R: RegularizedField,
     step = eps / 20.0
     lo, hi = x_window[0] - step, x_window[1] + step
     if phi.family == "smoothstep":
-        w = {(2 * k + 1, 0): c / phi._norm for k, c in enumerate(phi._coeffs)}
-        rows = [(-1.0, 1.0, {(0, 0): 0.5, **w})]
+        rows = [(-1.0, 1.0, phi.polynomial.coeffs)]
     else:
         ts = [-1.0 + k / 20 for k in range(41)]
         ws = [phi(t) for t in ts]

@@ -343,7 +343,9 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
     if saddles:
         rays = {"X": [s.point for s in interior_x if not s.is_saddle],
                 "Y": [s.point for s in interior_y if not s.is_saddle]}
-        rep = flow.probe_saddle_connections(Z, saddles, window, tols, rays)
+        rep = flow.probe_saddle_connections(
+            Z, saddles, window, tols, rays,
+            branch_traps(Z, rays, window, tols))
         flags = rep.flagged
         if flags:
             for i, j in flags:
@@ -362,6 +364,23 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
     return StabilityReport(gm1, gm2, gm3, interior_x, interior_y,
                            arcs, d_sings, folds, infinity, infinity_status,
                            s1, cycles, flags, window)
+
+
+def branch_traps(Z: PiecewiseField, rays: dict, window, tols: Tolerances
+                 ) -> dict[str, list[flow.SinkTrap]]:
+    """The traps that end the connection probe's branches
+    (flow.probe_saddle_connections): at each point of rays["X"], the trap
+    of X for the branches of X traced forward ("X") and that of -X for
+    those traced in reverse ("-X"), each cut to tols.connect; Y likewise.
+    flow.sink_trap proves at most one of the two, at a stable or an
+    unstable node or focus."""
+    traps = {}
+    for kind, F in (("X", Z.X), ("Y", Z.Y)):
+        for key, G in ((kind, F),
+                       ("-" + kind, PolyVectorField(-F.P, -F.Q, F.m))):
+            traps[key] = [t for p in rays[kind] if (t := flow.sink_trap(
+                G, p, window, tols, tols.connect)) is not None]
+    return traps
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ a call that raises counts too:
 - hybrid_runs: runs under the Filippov rules (flow.advance_hybrid);
 - return_maps: first-return maps (flow.return_map);
 - trap_exits: hybrid runs that end in a sink's trap (EnterSink);
+- branch_traps: separatrix branches of the connection probe that end in
+  a trap (flow._trace_branch);
 - root_isolations: real-root isolations (polys.univariate_roots);
 - rhs, horner: right-hand sides and Horner evaluators generated
   (polys._generate, by label).
@@ -22,8 +24,8 @@ A reader takes the difference of two snapshots (since).
 
 WORK = dict.fromkeys(
     ("solves", "rhs_evaluations", "crossing_searches", "reach_scans",
-     "hybrid_runs", "return_maps", "trap_exits", "root_isolations", "rhs",
-     "horner"), 0)
+     "hybrid_runs", "return_maps", "trap_exits", "branch_traps",
+     "root_isolations", "rhs", "horner"), 0)
 
 
 def since(before: dict) -> dict:

@@ -15,7 +15,7 @@ from scipy.integrate import DOP853, OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
-from filippov import dop853, flow, polys
+from filippov import dop853, fieldspec, flow, polys
 from filippov.dline import fold_points
 from filippov.errors import NoReturn, NotTransversal, StepFailure
 from filippov.flow import (
@@ -990,6 +990,84 @@ def test_census_finds_a_type3_cycle_from_a_fold():
     assert [a.tag for a in orb.trajectory.arcs] == ["X", "FZ"]
     assert [e.kind for e in orb.trajectory.events] == [
         EventKind.ENTER_SLIDING, EventKind.EXIT_AT_FOLD, EventKind.CLOSED]
+
+
+def test_census_skips_the_seeds_right_of_a_run_that_left_the_window():
+    # X = Y = (1, 1): every seed is sewing and runs up and out of the
+    # window, and neither field is tangent to D, so the first seed's run
+    # stands for all later ones (6 return maps when every seed ran)
+    before = dict(WORK)
+    Z = piecewise(vf(ONE, ONE), vf(ONE, ONE))
+    assert find_closed_polytrajectories(Z, (-2.0, 2.0, -2.0, 2.0)) == []
+    assert since(before)["return_maps"] == 1
+
+
+def test_census_shadow_needs_no_tangency_up_to_the_windows_side():
+    # X = (1, 1 - x) over Y = (-1, 1 - x): from a seed s < 1 the orbit of
+    # X is y = (x - s)(2 - s - x) / 2, which peaks at (1 - s)^2 / 2 and so
+    # leaves the window (top y = 1) from the seeds -2 ... -0.5; but both
+    # fields are tangent to D at x = 1, short of the window's right side,
+    # and the seeds 0.5 and 2.0 lie on the cycles through (0.5, 1.5) and
+    # (0, 2), which the census must still find
+    X = vf(ONE, {(0, 0): 1.0, (1, 0): -1.0})
+    Y = vf(M_ONE, {(0, 0): 1.0, (1, 0): -1.0})
+    found = find_closed_polytrajectories(piecewise(X, Y),
+                                         (-3.0, 3.0, -1.0, 1.0))
+    assert [o.certificate["x"] for o in found] == [
+        pytest.approx(0.5, abs=1e-9), pytest.approx(2.0, abs=1e-9)]
+    assert all(o.closure is Closure.TYPE1 for o in found)
+
+
+def _census_fields(seeded_fields):
+    """(field, window) of the benchmark's corpus specs, then of
+    seeded_fields."""
+    for path in sorted((Path(__file__).parents[1] / "bench"
+                        / "corpus").glob("*.txt")):
+        spec = fieldspec.parse(path.read_text())
+        Z = spec.to_field()
+        yield Z, spec.window or default_window(Z)
+    for Z in seeded_fields:
+        yield Z, default_window(Z)
+
+
+def test_seeds_the_census_skips_make_no_return(seeded_fields):
+    # the census skips each seed right of a point s whose run left the
+    # window on its first arc (LeftWindow) where flow._shadows(s) holds:
+    # from every such seed, a return map of its own finds no return
+    tols, shadowed = default_tols(), 0
+    for Z, window in _census_fields(seeded_fields):
+        section = Section((0.0, 0.0), (1.0, 0.0), window[:2])
+        seeds = [s for s in flow.DEFAULT_SEEDS if window[0] < s < window[1]]
+        for k, s in enumerate(seeds):
+            try:
+                return_map(Z, section, s, flow.CENSUS_HORIZON, window, tols,
+                           with_derivative=False)
+            except flow.LeftWindow as exc:
+                assert exc.s == s
+                if flow._shadows(Z, s, window, tols):
+                    break
+            except (NoReturn, NotTransversal, StepFailure):
+                pass
+        else:
+            continue
+        for later in seeds[k + 1:]:
+            shadowed += 1
+            with pytest.raises(NoReturn):
+                return_map(Z, section, later, flow.CENSUS_HORIZON, window,
+                           tols, with_derivative=False)
+    assert shadowed >= 30
+
+
+def test_census_makes_no_fold_run_without_a_sliding_interval():
+    # X = (1, x) over Y = (1, -1): D is sewing left of the fold x = 0 of X
+    # and escaping right of it, so no run slides, and none can close as
+    # type 3: the census runs its 3 seeds and not the fold (4 runs when
+    # it did)
+    before = dict(WORK)
+    Z = piecewise(vf(ONE, X_MONO), vf(ONE, M_ONE))
+    assert [f.x for f in fold_points(Z, (-2.0, 2.0))] == [0.0]
+    assert find_closed_polytrajectories(Z, (-2.0, 2.0, -2.0, 2.0)) == []
+    assert since(before)["hybrid_runs"] == 3
 
 
 def test_census_keeps_nested_cycles_through_the_early_stop():

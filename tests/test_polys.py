@@ -574,8 +574,7 @@ def test_window_end_clears_every_member_of_the_sturm_chain():
             (0, 3): 1.6972312104997123, (1, 1): 1.2108461232014274,
             (1, 2): -1.3409831252669049, (2, 0): -1.4946797006606301}, 3)
     phi, eps = make_transition("smoothstep", 2), 0.05
-    w = BivariatePolynomial({(0, 0): 0.5, **{
-        (2 * k + 1, 0): c / phi._norm for k, c in enumerate(phi._coeffs)}})
+    w = phi.polynomial
 
     def in_t(p):  # p(x, eps t), with t as the first variable
         return BivariatePolynomial({(j, i): v * eps ** j

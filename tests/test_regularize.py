@@ -60,6 +60,20 @@ def test_bump_matches_quadrature():
         assert abs(phi(t) - want) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_smoothstep_polynomial_is_phi_from_its_sources(n):
+    # the emergent census blends with phi.polynomial, the sources()
+    # expression evaluated on t: its coefficients are c_k / norm of
+    # int_0^t (1 - s^2)^n ds to the bit, and its values phi's
+    phi = make_transition("smoothstep", n)
+    c = [(-1) ** k * math.comb(n, k) / (2 * k + 1) for k in range(n + 1)]
+    norm = 2 * math.fsum(c)
+    assert phi.polynomial.coeffs == {
+        (0, 0): 0.5, **{(2 * k + 1, 0): v / norm for k, v in enumerate(c)}}
+    for t in np.linspace(-1.0, 1.0, 41):
+        assert phi.polynomial(t, 0.0) == pytest.approx(phi(t), abs=1e-15)
+
+
 def test_bump_rule_table_matches_leggauss():
     # the fixed (u^2, w) table is the Gauss-Legendre rule of this numpy,
     # moved to [0, 1], to 4 ulp of each entry: other numpy or LAPACK

@@ -701,6 +701,86 @@ def test_probe_flags_what_an_all_pairs_search_flags(seeded_fields,
         assert rep.flagged == _all_pairs_flagged(rep, centers, connect)
 
 
+# X = (v, 1 - x^2 - v / 2), v = y - 2: a saddle at (-1, 2) and a stable
+# focus at (1, 2), with E = v^2 / 2 - x + x^3 / 3 falling as E' = -v^2 / 2,
+# so the unstable branch of the saddle that heads right spirals into the
+# focus; Y = (1, -1)
+DAMPED = piecewise(vf({(0, 0): -2.0, (0, 1): 1.0},
+                      {(0, 0): 2.0, (2, 0): -1.0, (0, 1): -0.5}),
+                   vf(ONE, {(0, 0): -1.0}))
+DAMPED_WIN = (-3.0, 3.0, -3.0, 5.0)
+
+
+def test_a_branch_that_enters_a_focus_trap_ends_there():
+    tols = default_tols()
+    rays = {"X": [(1.0, 2.0)], "Y": []}
+    traps = stability.branch_traps(DAMPED, rays, DAMPED_WIN, tols)
+    assert [t.point for t in traps["X"]] == [(1.0, 2.0)]
+    assert traps["-X"] == traps["Y"] == traps["-Y"] == []
+    saddle = [flow.SaddleSpec("X", (-1.0, 2.0))]
+    before = dict(WORK)
+    rep = flow.probe_saddle_connections(DAMPED, saddle, DAMPED_WIN, tols,
+                                        rays, traps)
+    assert since(before)["branch_traps"] == 1
+    bare = flow.probe_saddle_connections(DAMPED, saddle, DAMPED_WIN, tols,
+                                         rays)
+    assert [b.fate for b in rep.branches] == [
+        "sink", "d_hit", "window", "d_hit"]
+    assert [b.fate for b in bare.branches] == [
+        "horizon", "d_hit", "window", "d_hit"]
+    assert rep.flagged == bare.flagged == []
+    # the trapped branch is the untrapped one, cut at the step that ends
+    # in the box
+    cut, full = rep.branches[0].points, bare.branches[0].points
+    assert len(cut) < len(full) and np.array_equal(cut, full[:len(cut)])
+    x0, x1, y0, y1 = traps["X"][0].box
+    assert x0 <= cut[-1, 0] <= x1 and y0 <= cut[-1, 1] <= y1
+    # a trap whose disc comes within 2 tols.delta_sep of a saddle of its
+    # field ends no branch: the seeds of that saddle could lie in it
+    (trap,) = traps["X"]
+    near = flow.SaddleSpec("X", (1.0 + trap.radius + tols.delta_sep, 2.0))
+    rep = flow.probe_saddle_connections(DAMPED, saddle + [near], DAMPED_WIN,
+                                        tols, rays, traps)
+    assert "sink" not in [b.fate for b in rep.branches]
+
+
+def test_probe_flags_the_same_pairs_without_its_traps(seeded_fields,
+                                                     monkeypatch):
+    # the traps are passed in as the census's sinks are: the probe of
+    # every report, run again without them, flags the same pairs and
+    # skips the same branches, and each branch that ended in a trap is a
+    # start of the branch traced without it
+    runs = []
+    probe = flow.probe_saddle_connections
+
+    def keep(*args):
+        runs.append((args, probe(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(flow, "probe_saddle_connections", keep)
+    bench = Path(__file__).parents[1] / "bench"
+    specs = [fieldspec.parse(path.read_text())
+             for path in sorted((bench / "corpus").glob("*.txt"))]
+    cases = [(spec.to_field(), spec.window) for spec in specs]
+    cases += [(Z, None) for Z in seeded_fields] + [(DAMPED, DAMPED_WIN)]
+    for Z, window in cases:
+        check_gm(Z, GmOptions(window=window))
+    trapped = 0
+    for args, rep in runs:
+        bare = probe(*args[:5])
+        assert rep.flagged == bare.flagged
+        assert rep.skipped == bare.skipped
+        for b, c in zip(rep.branches, bare.branches, strict=True):
+            assert b.label == c.label
+            if b.fate == "sink":
+                trapped += 1
+                assert np.array_equal(b.points, c.points[:len(b.points)])
+            else:
+                assert b.fate == c.fate
+                assert np.array_equal(b.points, c.points)
+    assert trapped >= 10
+
+
 def _loop_field(cx, cy, s, mu, shift=0.0):
     # H = v^2/2 - u^2/2 + u^3/3 in u = (x - cx)/s, v = (y - cy)/s: H = 0
     # is a homoclinic loop of the saddle (cx, cy) around the focus
