@@ -102,17 +102,22 @@ def segment_d(Z: PiecewiseField, window: tuple[float, float],
     10 tols.root past the previous root cut (never merged into a window
     end), and each piece longer than that is tagged by its midpoint.
     Raises IdenticallyZeroOnD when either restriction vanishes identically
-    (real_roots_on_line).
+    (real_roots_on_line).  Cached on Z for (window, tols).
     """
     tols = tols or default_tols()
-    cuts: list[float] = []
-    for r in sorted(r for q in (Z.X.Q, Z.Y.Q)
-                    for r, _ in real_roots_on_line(q, window, tols)):
-        if not cuts or r - cuts[-1] > 10 * tols.root:
-            cuts.append(r)
-    cuts = [window[0], *cuts, window[1]]
-    return [DArc((lo, hi), classify_point(Z, 0.5 * (lo + hi), tols).tag)
-            for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 10 * tols.root]
+
+    def build() -> tuple[DArc, ...]:
+        cuts: list[float] = []
+        for r in sorted(r for q in (Z.X.Q, Z.Y.Q)
+                        for r, _ in real_roots_on_line(q, window, tols)):
+            if not cuts or r - cuts[-1] > 10 * tols.root:
+                cuts.append(r)
+        cuts = [window[0], *cuts, window[1]]
+        return tuple(DArc((lo, hi),
+                          classify_point(Z, 0.5 * (lo + hi), tols).tag)
+                     for lo, hi in zip(cuts, cuts[1:])
+                     if hi - lo > 10 * tols.root)
+    return list(_cached(Z, "_derived", ("arcs", tuple(window), tols), build))
 
 
 def filippov_field(Z: PiecewiseField, x: float,

@@ -10,41 +10,24 @@ at tangencies no graze passes (forward evolution is not unique or not
 decided there; trajectories are never silently branched).
 
 Every ODE solve of the package, here and in the regularized and
-compactified flows, is one call of _integrate, which runs DOP853 from t0
-to t_end at rtol = tols.root and atol = tols.root / 100, so
-FILIPPOV_TOLERANCE_SCALE reaches the solver; a solve whose step controller
-gives up raises StepFailure.  _integrate follows scipy's solve_ivp with
-method DOP853 (the tableau of the dop853 module, the step controller, the
-initial step), and runs its whole accepted-step loop as straight-line
-float code generated once per system size, so no stage builds a numpy
-array or a tuple of its state.  Each stage calls one generated
-right-hand side with the state's components as its arguments,
-rhs(t, *state), cached on the object it integrates: PolyVectorField.rhs
-(forward or reversed, with or without the divergence),
-PiecewiseField.slide_rhs and RegularizedField.rhs, built from the Horner
-forms of the polynomials so they return the same floats.  Events are
-affine lines (y = 0, the window's sides, a section, x = r on D).  The loop
-screens each of them on each accepted step's dense-output polynomial with
-the standard bounds of a continuous Runge-Kutta step's interpolant (Hairer,
-Norsett and Wanner, Solving ODEs I, section II.6), and only a step that
-keeps a line goes to the crossing search in Python, which counts the roots
-of the line's interpolant exactly and so catches a pair of crossings
-inside one step; the solve ends at the first crossing that its line
-accepts.  So a separatrix branch of the connection probe, one solve, also
-watches a ray from each node, focus or center of its field, and ends once
-its crossings of one ray have settled: their drift's geometric tail is
-below tols.close.  A solve may also watch boxes: after each step that
-keeps no line, the loop checks whether the step ends in one, and ends the
-solve there.  The cycle census watches the box of each stable node or
-focus that sink_trap certifies with an exact Lyapunov bound: its disc is
-forward-invariant and meets neither D nor the window's sides, so a run
-that enters it ends with EnterSink instead of integrating to the horizon.
-The census also makes no run whose outcome is proved: no seed right of a
-run from D that left the window before it could meet D again, where both
-fields point off D up to the window's side, and no fold run where D has
-no sliding interval.  A separatrix branch of the connection probe watches
-the traps at the nodes and foci of its field, cut to tols.connect, and
-ends with fate 'sink' in one, as no flag can come from its rest.
+compactified flows, is one call of _integrate: scipy's DOP853 at
+rtol = tols.root and atol = tols.root / 100, so FILIPPOV_TOLERANCE_SCALE
+reaches the solver, its accepted-step loop generated once per system size
+as straight-line float code (_dop853_kernel).  Each stage calls one
+generated right-hand side, rhs(t, *state), cached on the object it
+integrates (PolyVectorField.rhs, PiecewiseField.slide_rhs,
+RegularizedField.rhs); a solve back in time runs the same kernel with
+negative steps.  Events are affine lines (y = 0, the window's sides, a
+section, x = r on D), which the loop screens on each step's interpolant
+(Hairer, Norsett and Wanner, Solving ODEs I, section II.6), so only the
+steps near a line reach the exact crossing search (_crossing).  A solve
+may also end in a box, the square of a trap that sink_trap certifies
+with an exact Lyapunov bound: a run of the cycle census ends in the trap
+of a stable node or focus with EnterSink, and a separatrix branch of the
+connection probe, which also watches a ray from each node, focus or
+center of its field until its crossings settle, ends with fate 'sink' in
+a trap that attracts in its direction of time.  The census skips every
+run whose outcome is proved (find_closed_polytrajectories).
 """
 
 from __future__ import annotations
@@ -63,6 +46,7 @@ from .errors import NoReturn, NotTransversal, StepFailure
 from .polys import (
     PiecewiseField,
     PolyVectorField,
+    _cached,
     _dyadic,
     _generate,
     _polish_root,
@@ -376,7 +360,9 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
     rtol = tols.root, atol = tols.root / 100; the accepted-step loop and
     the screen of the event lines run as straight-line float code
     (_dop853_kernel).  rhs receives the state's components as its
-    arguments after t and returns a sequence.
+    arguments after t and returns a sequence.  A t_end before t0 solves
+    backward, every direction below being the solve's: bit for bit, the
+    solve of -rhs(-t, *y) from -t0 to -t_end with its times negated.
 
     The solve follows scipy's solve_ivp with method DOP853: the tableau
     (dop853), the initial step (_initial_step), the step controller (safety
@@ -462,7 +448,7 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
                 else _crossing(lines, tols, t0, *near)
     if hit is not None:  # the last step ends at or past the crossing
         _, t_hit, state = hit
-        while ts and ts[-1] >= t_hit:
+        while ts and direction * (ts[-1] - t_hit) >= 0:
             del ts[-1], ys[-1]
         ts.append(t_hit)
         ys.append(state)
@@ -471,10 +457,10 @@ def _integrate(rhs, y0, t_end: float, tols: Tolerances, lines=(),
 
 def _crossing(lines, tols: Tolerances, t0: float, t, t_new, y, y_new, F,
               kept):
-    """First approved crossing of a line of kept, the lines that the
-    screen left of a solve from t0, inside the step from (t, y) to
-    (t_new, y_new) whose interpolant has the rows F by component, as
-    (index, time, state), or None.
+    """First approved crossing, in the solve's direction, of a line of
+    kept, the lines that the screen left of a solve from t0, inside the
+    step from (t, y) to (t_new, y_new) whose interpolant has the rows F by
+    component, as (index, time, state), or None.
 
     Where g is monotone (its derivative's constant term outweighs the
     rest) it crosses at most once, where its end values change sign,
@@ -485,6 +471,7 @@ def _crossing(lines, tols: Tolerances, t0: float, t, t_new, y, y_new, F,
     (_Ray)."""
     WORK["crossing_searches"] += 1
     h = t_new - t
+    ahead = 1.0 if h > 0 else -1.0  # the solve's direction
     two = len(y) > 1
     Fx = F[0]
     Fy = F[1] if two else (0.0,) * len(Fx)
@@ -523,7 +510,7 @@ def _crossing(lines, tols: Tolerances, t0: float, t, t_new, y, y_new, F,
         for r, way in roots:
             r = min(max(r, 0.0), 1.0)
             tc = t_new if r == 1.0 else t + r * h
-            if first is not None and tc >= first[1]:
+            if first is not None and ahead * (tc - first[1]) >= 0:
                 break
             state = _interpolate(F, y, (tc - t) / h)
             if not accept or accept[0](tc, state, way):
@@ -581,14 +568,13 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
                      section: Section | None = None,
                      tols: Tolerances | None = None,
                      with_divergence: bool = False,
-                     reverse: bool = False,
                      rays: Sequence[tuple[float, float]] = (),
                      sinks: Sequence[Window] = ()) -> SmoothTrace:
-    """Adaptive DOP853 trace of X (of -X when reverse) from p0, stopping at
-    the first y=0 crossing (in the given direction), window exit or
-    horizon, with status 'settled' once a watched ray has settled, or with
-    status 'sink' at the end of a step in one of the boxes of sinks, which
-    hold no crossing to look for (sink_trap).
+    """Adaptive DOP853 trace of X from p0, stopping at the first y=0
+    crossing (in the given direction), window exit or horizon, with status
+    'settled' once a watched ray has settled, or with status 'sink' at the
+    end of a step in one of the boxes of sinks, which hold no crossing to
+    look for (sink_trap).  A negative horizon traces X back in time.
 
     d_direction: -1 catches downward crossings (flows in N), +1 upward,
     0 both.  An optional section event stops the trace at a transversal
@@ -619,7 +605,7 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     events = len(lines)
     watched = [_Ray(xc, tols.close) for xc, _ in rays]
     lines += [(0.0, 1.0, -yc, 0, ray) for ray, (_, yc) in zip(watched, rays)]
-    ts, ys, hit = _integrate(X.rhs(reverse, with_divergence),
+    ts, ys, hit = _integrate(X.rhs(with_divergence),
                              list(p0) + ([0.0] if with_divergence else []),
                              horizon, tols, lines, traps=sinks)
     status = "horizon"
@@ -998,33 +984,35 @@ def compactified_return_map(Z: PiecewiseField, rho0: float,
 
 @dataclass(frozen=True)
 class SinkTrap:
-    """A certified trap around a stable node or focus p of a field: the
-    Lyapunov function V(u) = u^T M u, with M = [[m11, m12], [m12, m22]]
-    exact (lyapunov), decreases along the field on the whole level set
-    {V = level}, so no trajectory leaves {V <= level}, which lies in the
-    disc of the given radius around p.  box is a square around p inside
-    {V <= level}.  A trap cut by a margin (sink_trap) keeps the radius of
-    the trap it was cut from, whose disc holds every point within the
-    margin of {V <= level}."""
+    """A certified trap around a node or focus p of a field, attracting in
+    time direction (1 forward, -1 backward): the Lyapunov function
+    V(u) = u^T M u, with M = [[m11, m12], [m12, m22]] exact (lyapunov),
+    decreases along the flow in that direction on the whole level set
+    {V = level}, so no trajectory traced that way leaves {V <= level},
+    which lies in the disc of the given radius around p, that of the
+    uncut trap (sink_trap).  box is a square around p inside {V <= level}."""
 
     point: tuple[float, float]
     lyapunov: tuple[Fraction, Fraction, Fraction]
     level: Fraction
     radius: float
     box: Window
+    direction: int
 
 
 def sink_trap(X: PolyVectorField, point: tuple[float, float],
               window: Window, tols: Tolerances,
               margin: float = 0.0) -> SinkTrap | None:
-    """A trap around the zero p = point of X, a stable node or focus, or
-    None when none is proved: the region-of-attraction estimate of a
-    quadratic Lyapunov function (Khalil, Nonlinear Systems, section 8.2).
+    """A trap around the zero p = point of X, a node or focus, in the time
+    direction in which it attracts, or None when none is proved: the
+    region-of-attraction estimate of a quadratic Lyapunov function (Khalil,
+    Nonlinear Systems, section 8.2).
 
     The doubles are integers over powers of two, so the Taylor
     coefficients of P and Q at p are exact (polys.taylor_at), and so is
-    A = [[a, b], [c, d]], the linear part of X at p.  A is stable when its
-    trace T < 0 and determinant det A > 0, and then M solves
+    A = [[a, b], [c, d]], the linear part of X at p, negated with every
+    Taylor coefficient where its trace T > 0 (-X, X's flow backward in
+    time).  A is stable when T < 0 and det A > 0, and then M solves
     A^T M + M A = -I exactly: M = [[det A + c^2 + d^2, -(a c + b d)],
     [-(a c + b d), det A + a^2 + b^2]] / (-2 T det A).  The rest is
     bounded by |X(p + u) - A u| <= C_0 + sum_{k>=2} C_k |u|^k, with C_k
@@ -1049,15 +1037,26 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
     inner radius sqrt(c / lam) of {V = c}: every point within margin of
     {V <= c'} lies in {V <= c}.  The cut level is proved as c is, or None
     is returned; the box is the square of {V <= c'}, and radius stays that
-    of {V <= c}."""
+    of {V <= c}, whose search is cached on X for every margin."""
+    px, py = float(point[0]), float(point[1])
+    cut = _cached(X, "_traps", (px, py, tuple(window), tols),
+                  lambda: _trap_search(X, px, py, window, tols))
+    return cut(margin) if cut else None
+
+
+def _trap_search(X: PolyVectorField, px: float, py: float, window: Window,
+                 tols: Tolerances) -> Callable | None:
+    """sink_trap's search at (px, py): its trap's cut to a margin, or None."""
     from fractions import Fraction  # here, as the import costs ms
 
-    px, py = float(point[0]), float(point[1])
     (tp, tq), e = taylor_at((X.P, X.Q), px, py)    # each over 2**e
+    # where the trace is positive, -X: X's flow backward in time
+    direction = -1 if tp.get((1, 0), 0) + tq.get((0, 1), 0) > 0 else 1
+    tp, tq = ({k: direction * n for k, n in t.items()} for t in (tp, tq))
     a, b, c, d = tp.get((1, 0), 0), tp.get((0, 1), 0), \
         tq.get((1, 0), 0), tq.get((0, 1), 0)
     trace, det = a + d, a * d - b * c
-    if trace >= 0 or det <= 0:          # not a stable node or focus
+    if trace >= 0 or det <= 0:          # not a node or focus
         return None
     deg = max(X.P.degree, X.Q.degree)
     C = [0] * (deg + 1)                 # C_1 stays 0: A u is the linear part
@@ -1110,23 +1109,26 @@ def sink_trap(X: PolyVectorField, point: tuple[float, float],
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if passes(mid) else (lo, mid)
         rho = lo
-    inner = math.nextafter(rho * ratio, 0.0)
-    cut = rho
-    if margin:  # the outer radius sqrt(c' / mu), below inner - margin
-        cut = math.nextafter(inner - margin, 0.0)
-        if cut <= 0.0 or not passes(cut):
-            return None
-        inner = math.nextafter(cut * ratio, 0.0)
-    # the half-side, below inner / sqrt(2) past its two roundings, and
-    # each side of the box less 4 ulps of |v| + h off, so at most h off
-    h = inner / math.sqrt(2.0) * (1 - 1e-12)
-    box = tuple(v + s * (h - 4 * math.ulp(abs(v) + h))
-                for v, s in ((px, -1), (px, 1), (py, -1), (py, 1)))
-    # c = mu rho^2 = kappa^2 det_N / (kappa lam_N) rho^2
     kappa = Fraction(1 << e, den)
-    return SinkTrap((px, py), (kappa * n11, kappa * n12, kappa * n22),
-                    kappa * Fraction(2 * det_n, num) * Fraction(cut) ** 2,
-                    rho, box)
+    lyapunov = (kappa * n11, kappa * n12, kappa * n22)
+
+    def cut(margin: float) -> SinkTrap | None:
+        inner, outer = math.nextafter(rho * ratio, 0.0), rho
+        if margin:  # the outer radius sqrt(c' / mu), below inner - margin
+            outer = math.nextafter(inner - margin, 0.0)
+            if outer <= 0.0 or not passes(outer):
+                return None
+            inner = math.nextafter(outer * ratio, 0.0)
+        # the half-side, below inner / sqrt(2) past its two roundings, and
+        # each side of the box less 4 ulps of |v| + h off, so at most h off
+        h = inner / math.sqrt(2.0) * (1 - 1e-12)
+        box = tuple(v + s * (h - 4 * math.ulp(abs(v) + h))
+                    for v, s in ((px, -1), (px, 1), (py, -1), (py, 1)))
+        # c = mu rho^2 = kappa^2 det_N / (kappa lam_N) rho^2
+        return SinkTrap((px, py), lyapunov,
+                        kappa * Fraction(2 * det_n, num)
+                        * Fraction(outer) ** 2, rho, box, direction)
+    return cut
 
 
 # the errors of a census run: the run is skipped and the census goes on
@@ -1355,37 +1357,36 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
     """Trace separatrix branches of certified saddles and flag each stable
     and unstable branch pair that may connect as a PossibleConnection.
 
-    One solve per branch, of at most CENSUS_HORIZON / 3 time units.  A
-    branch of X (Y) watches the ray {y = y_c, x > x_c} from each point of
+    One solve per branch of at most CENSUS_HORIZON / 3 time units, an
+    unstable branch forward in time and a stable one backward.  A branch
+    of X (Y) watches the ray {y = y_c, x > x_c} from each point of
     rays["X"] (rays["Y"]), the nodes, foci and centers of its field, one
-    of which any cycle of it surrounds.
-    At crossings x1, x2, x3 of one ray in one direction with d2 = |x3 -
-    x2| < d1 = |x2 - x1| and a geometric tail d2 q / (1 - q), q = d2/d1,
-    of at most tols.close, far below tols.connect, the branch has fate
-    'settled'; else 'sink', 'd_hit', 'window' or 'horizon' (an FZ branch:
-    the _d_stop outcome or 'horizon').  A trace that raises NotTransversal
-    or StepFailure keeps no points and the error's name as its fate
-    (ConnectionReport.skipped).
+    of which any cycle of it surrounds.  At crossings x1, x2, x3 of one
+    ray in one direction with d2 = |x3 - x2| < d1 = |x2 - x1| and a
+    geometric tail d2 q / (1 - q), q = d2/d1, of at most tols.close, far
+    below tols.connect, the branch has fate 'settled'; else 'sink',
+    'd_hit', 'window' or 'horizon' (an FZ branch: the _d_stop outcome or
+    'horizon').  A trace that raises NotTransversal or StepFailure keeps
+    no points and the error's name as its fate (ConnectionReport.skipped).
 
     A branch of X traced forward also watches the boxes of traps["X"], and
-    one traced in reverse those of traps["-X"] (Y likewise): SinkTraps of
-    X, or of -X, at the points of rays, each cut to tols.connect
-    (sink_trap's margin).  A branch that enters one ends there with fate
-    'sink' (_trace_branch), as no flag can come from the rest of it.  The
-    rest stays in the cut trap {V <= c'}, and every point within
-    tols.connect of that lies in the trap {V <= c} it was cut from, which
-    is invariant in the branch's time direction.  A branch of the other
-    stability has no point there: each of its points flows, in that time
-    direction, to its seed, which lies outside the trap's disc, as a trap
-    is used only when every saddle of its field lies more than 2
-    tols.delta_sep outside that disc.  So neither a crossing nor a point
-    of the rest comes within tols.connect of such a branch (Khalil,
-    Nonlinear Systems, section 8.2).
+    one traced backward those of traps["-X"] (Y likewise): SinkTraps at
+    the points of rays that attract in that direction, each cut to
+    tols.connect (sink_trap's margin).  A branch that enters one ends
+    there with fate 'sink', as no flag can come from its rest, which stays
+    in the cut trap {V <= c'}: every point within tols.connect of it lies
+    in the trap {V <= c} it was cut from, invariant in the branch's time
+    direction.  A branch of the other stability has no point there: each
+    of its points flows, in that time direction, to its seed, which lies
+    outside the trap's disc, as a trap is used only when every saddle of
+    its field lies more than 2 tols.delta_sep outside that disc.  So
+    neither a crossing nor a point of the rest comes within tols.connect
+    of such a branch (Khalil, Nonlinear Systems, section 8.2).
 
     A connecting orbit is a matching condition on a section (Beyn, IMA J.
     Numer. Anal. 10, 1990).  Each branch keeps its crossings of each
     watched ray under the ray and the crossing's direction in forward
-    time, so a stable branch, traced in reverse, flips its directions; a
+    time, so a stable branch, traced backward, flips its directions; a
     branch that ends on D (an X or Y branch at 'd_hit', an FZ branch at
     'q1_root' or 'q2_root') keeps that abscissa under "D".  A stable and
     an unstable branch are flagged when two of their crossings of one
@@ -1421,15 +1422,15 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
             for col, lam in enumerate(eigvals):
                 v = np.real(eigvecs[:, col])
                 v = v / np.linalg.norm(v)
-                stab = "unstable" if np.real(lam) > 0 else "stable"
                 fwd = np.real(lam) > 0
+                stab, direction = ("unstable", 1) if fwd else ("stable", -1)
                 sinks = boxes(("" if fwd else "-") + sad.kind, sad.kind)
                 for sgn in (1.0, -1.0):
                     seed = (x0 + sgn * tols.delta_sep * v[0],
                             y0 + sgn * tols.delta_sep * v[1])
                     add(idx, stab, f"{sad.kind}{idx}:{stab}:{sgn:+.0f}",
-                        _trace_branch, Z, seed, sad.kind, fwd, horizon,
-                        window, tols, rays.get(sad.kind, ()), sinks)
+                        _trace_branch, Z, seed, sad.kind, direction,
+                        horizon, window, tols, rays.get(sad.kind, ()), sinks)
         else:  # FZ saddle: branches along D in both time directions
             x0 = sad.point[0]
             for sgn in (1.0, -1.0):
@@ -1465,20 +1466,20 @@ def _connections(branches: list[SeparatrixBranch], connect: float
     return flagged
 
 
-def _trace_branch(Z, seed, kind, forward, horizon, window, tols, rays=(),
+def _trace_branch(Z, seed, kind, direction, horizon, window, tols, rays=(),
                   sinks=()):
     """(points, fate, crossings) of the branch of X or Y from seed, one
-    solve that watches the rays from the points of rays and ends in a box
-    of sinks with fate 'sink' (probe_saddle_connections)."""
+    solve of the field's kernel to direction (+1 or -1) * horizon that
+    watches the rays from the points of rays and ends in a box of sinks
+    with fate 'sink' (probe_saddle_connections)."""
     fld = Z.X if kind == "X" else Z.Y
     ddir = -1 if kind == "X" else 1
     if (kind == "X" and seed[1] <= 0) or (kind == "Y" and seed[1] >= 0):
         return np.asarray([seed]), "d_hit", {"D": [float(seed[0])]}
-    tr = integrate_smooth(fld, seed, horizon, window, ddir, tols=tols,
-                          reverse=not forward, rays=rays, sinks=sinks)
+    tr = integrate_smooth(fld, seed, direction * horizon, window, ddir,
+                          tols=tols, rays=rays, sinks=sinks)
     WORK["branch_traps"] += tr.status == "sink"
-    turn = 1 if forward else -1
-    crossings = {(tuple(p), turn * way): xs
+    crossings = {(tuple(p), direction * way): xs
                  for p, ray in zip(rays, tr.crossings)
                  for way, xs in ray.items()}
     if tr.status == "d_hit":
@@ -1487,11 +1488,12 @@ def _trace_branch(Z, seed, kind, forward, horizon, window, tols, rays=(),
 
 
 def _trace_d_branch(Z, x0, direction, horizon, window, tols):
-    """(points, fate, crossings) of the branch along D from x0, in the
-    given time direction (probe_saddle_connections)."""
-    rhs = Z.slide_rhs(direction)
-    outcome, line = _d_stop(Z, x0, rhs(0.0, x0)[0], window, tols)
-    _, ys, hit = _integrate(rhs, [x0], horizon, tols, [line])
+    """(points, fate, crossings) of the branch along D from x0, one solve
+    of the sliding field to direction (+1 or -1) * horizon
+    (probe_saddle_connections)."""
+    rhs = Z.slide_rhs()
+    outcome, line = _d_stop(Z, x0, direction * rhs(0.0, x0)[0], window, tols)
+    _, ys, hit = _integrate(rhs, [x0], direction * horizon, tols, [line])
     xs = ys[:, 0]
     fate = outcome if hit else "horizon"
     crossings = {"D": [float(xs[-1])]} \

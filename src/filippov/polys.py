@@ -285,21 +285,18 @@ class PolyVectorField:
         px, py, qx, qy = self._jacobian
         return np.array([[px(x, y), py(x, y)], [qx(x, y), qy(x, y)]])
 
-    def rhs(self, reverse: bool = False, divergence: bool = False
-            ) -> Callable:
-        """rhs(t, x, y) of the flow at (x, y), of -(P, Q) when reverse; when
-        divergence, rhs(t, x, y, d) with dP/dx + dQ/dy as a third component,
-        d (the integral so far) unread (_kernel).  It runs the Horner forms
-        of P, Q and the divergence, so it returns their floats; negation is
-        exact, as rounding is symmetric.  The divergence is built only for
-        a kernel that returns it."""
+    def rhs(self, divergence: bool = False) -> Callable:
+        """rhs(t, x, y) of the flow at (x, y); when divergence,
+        rhs(t, x, y, d) with dP/dx + dQ/dy as a third component, d (the
+        integral so far) unread (_kernel).  It runs the Horner forms of P,
+        Q and the divergence, so it returns their floats.  The divergence
+        is built only for a kernel that returns it."""
         def body():
-            sign = "-" if reverse else ""
             P, Q = (_horner_body(p.coeffs) for p in (self.P, self.Q))
             D = f", {_horner_body(self._divergence.coeffs)}" \
                 if divergence else ""
-            return [f"return ({sign}{P}, {sign}{Q}{D})"]
-        return _kernel(self, (reverse, divergence), 2 + divergence, body)
+            return [f"return ({P}, {Q}{D})"]
+        return _kernel(self, divergence, 2 + divergence, body)
 
 
 def vf(P: Coeffs, Q: Coeffs, m: int | None = None) -> PolyVectorField:
@@ -324,17 +321,15 @@ class PiecewiseField:
 
     __getstate__ = _field_state
 
-    def slide_rhs(self, direction: float = 1.0) -> Callable:
+    def slide_rhs(self) -> Callable:
         """rhs(t, x) of the 1-D Filippov sliding field on D at x,
-        (Q_Y P_X - Q_X P_Y) / (Q_Y - Q_X) at y = 0, times direction (+1 or
-        -1) (_kernel)."""
+        (Q_Y P_X - Q_X P_Y) / (Q_Y - Q_X) at y = 0 (_kernel)."""
         def body():
             p1, q1, p2, q2 = (_horner_body(p.coeffs) for p in
                               (self.X.P, self.X.Q, self.Y.P, self.Y.Q))
-            sign = "-" if direction < 0 else ""
             return ["y = 0.0", f"q1 = {q1}", f"q2 = {q2}",
-                    f"return ({sign}((q2*{p1} - q1*{p2})/(q2 - q1)),)"]
-        return _kernel(self, direction, 1, body)
+                    f"return ((q2*{p1} - q1*{p2})/(q2 - q1),)"]
+        return _kernel(self, "slide", 1, body)
 
 
 def piecewise(X: PolyVectorField, Y: PolyVectorField) -> PiecewiseField:

@@ -312,13 +312,12 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
 
     # closed poly-trajectory census (semi-decision); its runs end in the
     # certified traps of the stable nodes and foci of X in N and Y in S
-    sinks = [flow.sink_trap(F, s.point, window, tols)
-             for F, sings in ((Z.X, interior_x), (Z.Y, interior_y))
+    sinks = [t.box for F, sings in ((Z.X, interior_x), (Z.Y, interior_y))
              for s in sings if s.hyperbolic == "yes"
-             and max(e.real for e in s.eigenvalues) < 0]
+             and max(e.real for e in s.eigenvalues) < 0
+             and (t := flow.sink_trap(F, s.point, window, tols))]
     try:
-        cycles = flow.find_closed_polytrajectories(
-            Z, window, tols, [t.box for t in sinks if t is not None])
+        cycles = flow.find_closed_polytrajectories(Z, window, tols, sinks)
     except IdenticallyZeroOnD:
         cycles = []
     bad = [c for c in cycles if c.elementary == "no"]
@@ -369,17 +368,15 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
 def branch_traps(Z: PiecewiseField, rays: dict, window, tols: Tolerances
                  ) -> dict[str, list[flow.SinkTrap]]:
     """The traps that end the connection probe's branches
-    (flow.probe_saddle_connections): at each point of rays["X"], the trap
-    of X for the branches of X traced forward ("X") and that of -X for
-    those traced in reverse ("-X"), each cut to tols.connect; Y likewise.
-    flow.sink_trap proves at most one of the two, at a stable or an
-    unstable node or focus."""
+    (flow.probe_saddle_connections), cut to tols.connect: the one trap
+    that flow.sink_trap proves at each point of rays["X"], under "X" if it
+    attracts forward in time and "-X" if backward; Y likewise."""
     traps = {}
     for kind, F in (("X", Z.X), ("Y", Z.Y)):
-        for key, G in ((kind, F),
-                       ("-" + kind, PolyVectorField(-F.P, -F.Q, F.m))):
-            traps[key] = [t for p in rays[kind] if (t := flow.sink_trap(
-                G, p, window, tols, tols.connect)) is not None]
+        found = [t for p in rays[kind] if (t := flow.sink_trap(
+            F, p, window, tols, tols.connect)) is not None]
+        traps[kind] = [t for t in found if t.direction > 0]
+        traps["-" + kind] = [t for t in found if t.direction < 0]
     return traps
 
 

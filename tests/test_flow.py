@@ -17,7 +17,12 @@ from scipy.optimize import brentq
 
 from filippov import dop853, fieldspec, flow, polys
 from filippov.dline import fold_points
-from filippov.errors import NoReturn, NotTransversal, StepFailure
+from filippov.errors import (
+    CommonFactor,
+    NoReturn,
+    NotTransversal,
+    StepFailure,
+)
 from filippov.flow import (
     Closure,
     EventKind,
@@ -44,7 +49,7 @@ from filippov.regularize import (
     make_transition,
     regularized_cycle_search,
 )
-from filippov.stability import default_window
+from filippov.stability import default_window, interior_singularities
 from filippov.tolerances import Tolerances, default_tols
 from filippov.work import WORK, since
 
@@ -613,7 +618,7 @@ def _zero_division_after_start(t, x, y):
 @pytest.mark.parametrize("rhs, y0, t_end", [
     (RANDOM_01_Y.rhs(), [-9.40084, -4.04373], 2.0),
     (RANDOM_01_Y.rhs(divergence=True), [-9.40084, -4.04373, 0.0], 2.0),
-    (RANDOM_01_Y.rhs(reverse=True), [-9.40084, -4.04373], -2.0),
+    (RANDOM_01_Y.rhs(), [-9.40084, -4.04373], -2.0),
     (SLIDING.slide_rhs(), [0.3], 2.0),
     (ROT.rhs(), [0.0, 0.0], 2.0),
     (ROT.rhs(), [1e-300, 0.0], 1e-12),
@@ -777,6 +782,55 @@ def test_crossing_state_is_the_interpolants_to_the_bit(monkeypatch):
             state = flow._interpolate(st.F.T.tolist(), st.y_old.tolist(),
                                       (t - st.t_old) / st.h)
             assert _bits(state) == _bits(st(t))
+
+
+def _assert_reflected(rhs, negated, y0, t_end, lines=()):
+    """rhs solved from y0 back to -t_end gives the rows, with the times
+    negated, and the event of negated solved to t_end, or fails as it
+    does; returns the backward solve's (ts, ys, hit) or None."""
+    solves = []
+    for f, t in ((rhs, -t_end), (negated, t_end)):
+        try:
+            solves.append(flow._integrate(f, y0, t, default_tols(), lines))
+        except StepFailure:
+            solves.append(None)
+    (backward, forward) = solves
+    assert (backward is None) == (forward is None)
+    if backward is None:
+        return None
+    (tb, yb, hb), (tf, yf, hf) = backward, forward
+    assert np.array_equal(tb, -tf) and _bits(yb.ravel()) == _bits(yf.ravel())
+    assert (hb is None) == (hf is None)
+    if hb is not None:
+        assert hb[0] == hf[0] and _bits([hb[1]]) == _bits([-hf[1]])
+        assert _bits(hb[2]) == _bits(hf[2])
+    return backward
+
+
+def test_backward_solve_with_events_is_the_negated_fields_forward_solve():
+    # a solve to t_end < t0 runs the field's own kernel backward: it keeps
+    # every row before its event, and every direction is the solve's, so it
+    # is the forward solve of vf(-P, -Q) with its times negated
+    X = vf({(0, 1): -1.0, (2, 0): 0.3}, {(1, 0): 1.0, (0, 1): -0.2})
+    back = vf({(0, 1): 1.0, (2, 0): -0.3}, {(1, 0): -1.0, (0, 1): 0.2})
+    x0, x1, y0, y1 = WIN
+    lines = [(0.0, 1.0, 0.0, -1), (1.0, 0.0, -x1, 1), (1.0, 0.0, -x0, -1),
+             (0.0, 1.0, -y1, 1), (0.0, 1.0, -y0, -1)]
+    for p in ((1.0, 0.5), (-0.5, 2.0), (2.0, 3.0)):
+        ts, _, hit = _assert_reflected(X.rhs(), back.rhs(), p, 20.0, lines)
+        assert hit is not None and len(ts) > 3
+
+
+def test_backward_step_across_two_lines_ends_at_the_first():
+    # x' = 1 from x = 0.2, solved backward: the step that crosses x = -0.1
+    # and x = -0.2 ends at x = -0.1, the crossing it reaches first
+    tols = default_tols()
+    lines = [(1.0, 0.0, 0.2, 0), (1.0, 0.0, 0.1, 0)]
+    ts, ys, hit = flow._integrate(vf(ONE, {}).rhs(), [0.2, 0.0], -5.0, tols,
+                                  lines)
+    assert hit[0] == 1 and abs(hit[2][0] + 0.1) < 1e-12
+    assert abs(ts[-1] + 0.3) < 1e-12 and ys[-1, 0] == hit[2][0]
+    assert ts[-2] > ts[-1] and ys[-2, 0] > -0.1
 
 
 def test_bend_bounds_are_the_maxima_of_the_dense_basis():
@@ -1028,6 +1082,38 @@ def _census_fields(seeded_fields):
         yield Z, spec.window or default_window(Z)
     for Z in seeded_fields:
         yield Z, default_window(Z)
+
+
+def test_one_trap_per_node_in_the_direction_it_attracts(seeded_fields):
+    # at a stable node or focus, sink_trap proves the trap of X, and at an
+    # unstable one that of -X, the field of negated coefficients, which
+    # stays here as the reference: one call per point, with and without
+    # the probe's cut, equal to a fresh search on the reference field
+    tols, found = default_tols(), {1: 0, -1: 0}
+    for Z, window in _census_fields(seeded_fields):
+        for F, region in ((Z.X, "N"), (Z.Y, "S")):
+            try:
+                sings = interior_singularities(F, region, window, tols)
+            except CommonFactor:
+                continue
+            for s in sings:
+                if s.hyperbolic != "yes" or s.is_saddle:
+                    continue
+                sign = 1 if max(e.real for e in s.eigenvalues) < 0 else -1
+                for margin in (0.0, tols.connect):
+                    got = flow.sink_trap(F, s.point, window, tols, margin)
+                    ref = PolyVectorField(F.P.scale(sign), F.Q.scale(sign),
+                                          F.m)
+                    want = flow.sink_trap(ref, s.point, window, tols, margin)
+                    assert (got is None) == (want is None)
+                    if got is None:
+                        continue
+                    assert (got.direction, want.direction) == (sign, 1)
+                    assert (got.point, got.lyapunov, got.level, got.radius,
+                            got.box) == (want.point, want.lyapunov,
+                                         want.level, want.radius, want.box)
+                    found[sign] += 1
+    assert min(found.values()) >= 10
 
 
 def test_seeds_the_census_skips_make_no_return(seeded_fields):
@@ -1356,10 +1442,12 @@ def _slide_reference(Z, x):
 
 def test_generated_rhs_matches_call_chain_to_the_bit(seeded_fields):
     # every kernel returns the floats of the evaluators it replaces: the
-    # field's __call__ and divergence, the reversed field built from
-    # negated coefficients, the sliding field, and the regularized blend
-    # with its exact Jacobian; also for a numpy state's components, as the
-    # first evaluations of a solve pass them
+    # field's __call__ and divergence, the sliding field, and the
+    # regularized blend with its exact Jacobian; also for a numpy state's
+    # components, as the first evaluations of a solve pass them.  Solved
+    # backward, the field's and the sliding field's kernels give the
+    # forward solves of the reversed field built from negated coefficients
+    # and of the negated sliding field, times negated
     rng = np.random.default_rng(3)
     phis = [make_transition("smoothstep", n) for n in (1, 2, 3, 4)]
     phis.append(make_transition("bump"))
@@ -1371,20 +1459,22 @@ def test_generated_rhs_matches_call_chain_to_the_bit(seeded_fields):
         # off D, inside the band, on its edges and outside it
         ys = [*rng.uniform(-3.0, 3.0, size=3),
               *rng.uniform(-eps, eps, size=3), eps, -eps, 2 * eps]
+        for F in (Z.X, Z.Y):
+            back = PolyVectorField(F.P.scale(-1.0), F.Q.scale(-1.0), F.m)
+            _assert_reflected(F.rhs(), lambda t, x, y: back(x, y),
+                              [xs[0], ys[0]], 0.1)
+        _assert_reflected(Z.slide_rhs(),
+                          lambda t, x: (-_slide_reference(Z, x),), [xs[0]],
+                          0.1)
         for x, y in zip(xs, ys):
             for state in ((x, y), np.array([x, y])):
                 for F in (Z.X, Z.Y):
                     want = F(x, y)
-                    back = PolyVectorField(F.P.scale(-1.0), F.Q.scale(-1.0),
-                                           F.m)
                     assert _bits(F.rhs()(0.0, *state)) == _bits(want)
                     assert _bits(F.rhs(divergence=True)(0.0, *state, 0.0)) \
                         == _bits(want + (F.divergence()(x, y),))
-                    assert _bits(F.rhs(reverse=True)(0.0, *state)) == \
-                        _bits(back(x, y))
-                for sign in (1.0, -1.0):
-                    assert _bits(Z.slide_rhs(sign)(0.0, state[0])) == \
-                        _bits([sign * _slide_reference(Z, x)])
+                assert _bits(Z.slide_rhs()(0.0, state[0])) == \
+                    _bits([_slide_reference(Z, x)])
                 assert _bits(R.rhs()(0.0, *state)) == _bits(R(x, y))
                 assert _bits(R_div.rhs(divergence=True)(0.0, *state, 0.0)) \
                     == _bits(R_div(x, y) + (np.trace(R_div.jacobian(x, y)),))
@@ -1455,7 +1545,7 @@ def test_second_solve_on_a_field_compiles_nothing():
 def test_rhs_builds_the_divergence_only_when_asked():
     X = vf({(2, 1): 1.5, (0, 1): -1.0}, X_MONO)
     Y = vf(ONE, X_MONO)
-    X.rhs(), X.rhs(reverse=True)
+    X.rhs()
     RegularizedField(piecewise(X, Y), make_transition("bump"), 0.1).rhs()
     assert not {"_divergence", "_jacobian"} & (vars(X).keys() | vars(Y).keys())
     assert X.rhs(divergence=True)(0.0, 2.0, 3.0, 0.0)[2] == \
@@ -1503,21 +1593,23 @@ def test_regularized_search_spreads_no_sign_from_a_failed_return(
 
 
 def test_reversed_branches_share_one_kernel():
+    # the stable branches are traced backward on X's own kernel, so the
+    # saddle's probe generates one right-hand side
     before = dict(WORK)
     X = vf({(1, 0): 1.0, (0, 0): -0.2}, {(0, 0): 1.0, (0, 1): -1.0})
     rep = probe_saddle_connections(piecewise(X, vf(ONE, ONE)),
                                    [SaddleSpec("X", (0.2, 1.0))])
     assert [b.stability for b in rep.branches].count("stable") == 2
-    assert since(before)["rhs"] == 2
-    assert set(X._kernels) == {(False, False), (True, False)}
+    assert since(before)["rhs"] == 1
+    assert set(X._kernels) == {False}
 
 
 def test_pickled_fields_drop_their_kernels():
     Z = piecewise(UNIT_CYCLE, vf(ONE, ONE))
     R = RegularizedField(Z, make_transition("smoothstep", 2), 0.1)
     for obj, make, state in (
-            (Z.X, lambda F: F.rhs(True, True), (0.25, 0.05, 0.0)),
-            (Z, lambda F: F.slide_rhs(-1.0), (0.25,)),
+            (Z.X, lambda F: F.rhs(True), (0.25, 0.05, 0.0)),
+            (Z, lambda F: F.slide_rhs(), (0.25,)),
             (R, lambda F: F.rhs(True), (0.25, 0.05, 0.0))):
         rhs = make(obj)
         clone = pickle.loads(pickle.dumps(obj))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -160,15 +161,27 @@ def test_no_trap_where_the_ratio_or_the_room_would_round_up():
 
 
 LINEAR = {"saddle": [[1.0, 0.0], [0.0, -1.0]],
-          "source": [[1.0, -2.0], [2.0, 1.0]],
           "center": [[0.0, -1.0], [1.0, 0.0]]}
+TERMS = {(2, 0): (0.3, -0.2), (1, 1): (0.1, 0.4)}
 
 
 @pytest.mark.parametrize("kind", sorted(LINEAR))
 def test_no_trap_unless_a_stable_node_or_focus(kind):
-    terms = {(2, 0): (0.3, -0.2), (1, 1): (0.1, 0.4)}
-    X = _around((0.5, 1.0), LINEAR[kind], terms)
+    X = _around((0.5, 1.0), LINEAR[kind], TERMS)
     assert sink_trap(X, (0.5, 1.0), WIN, TOLS) is None
+
+
+def test_a_source_is_trapped_backward_in_time():
+    # an unstable focus attracts backward in time: its trap is that of
+    # the stable focus -X, proved from the negated Taylor integers, with
+    # and without a cut
+    X = _around((0.5, 1.0), [[1.0, -2.0], [2.0, 1.0]], TERMS)
+    back = PolyVectorField(X.P.scale(-1.0), X.Q.scale(-1.0), X.m)
+    for margin in (0.0, TOLS.connect):
+        trap = sink_trap(X, (0.5, 1.0), WIN, TOLS, margin)
+        want = sink_trap(back, (0.5, 1.0), WIN, TOLS, margin)
+        assert (trap.direction, want.direction) == (-1, 1)
+        assert trap == replace(want, direction=-1)
 
 
 @pytest.mark.parametrize("p", [(0.5, 0.5 * TOLS.event), (0.5, -1e-12),
