@@ -2,10 +2,11 @@
 
 Subcommands: analyze (full report, exit code mirrors the overall status),
 flow (trajectory CSV plus an events sidecar), portrait (static SVG) and
-sweep (emergent-singularity census per epsilon).  The analyze report, the
-flow CSV and its events and the sweep table write every number with 17
-significant digits; the portrait writes canvas coordinates with 6
-(portrait._FMT).  Files are written atomically.  The flags of the spec
+sweep (emergent-singularity census per epsilon).  The flow CSV and the
+sweep table write every number with 17 significant digits; the analyze
+report and the flow events file write each float as Python's shortest
+repr that reads back to it (json); the portrait writes canvas coordinates
+with 6 (portrait._FMT).  Files are written atomically.  The flags of the spec
 options (fieldspec.OPTIONS) are read as in a spec; a flag overrides the
 spec, which overrides the default (_option).
 
@@ -42,27 +43,8 @@ _STATUS_EXIT = {
 }
 
 
-class _F(float):
-    # json.dumps with indent uses the pure-Python encoder, which formats
-    # floats through repr; this pins the 17-significant-digit contract
-    def __repr__(self) -> str:
-        return "%.17g" % self
-
-
-def _jsonable(obj):
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        return _F(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def dumps_report(d: dict) -> str:
-    return json.dumps(_jsonable(d), sort_keys=True, indent=2) + "\n"
+    return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
 def _umask() -> int:

@@ -120,23 +120,6 @@ class PolyTrajectory:
         s = self.arcs[-1].states[-1]
         return (float(s[0]), float(s[1]))
 
-    def validate(self, tols: Tolerances | None = None) -> None:
-        """Machine-check of the poly-trajectory legality invariants."""
-        tols = tols or default_tols()
-        tags = [a.tag for a in self.arcs]
-        for a, b in zip(tags, tags[1:]):
-            if {a, b} == {"X", "Y"}:
-                continue
-            if "FZ" in (a, b):
-                continue
-            if a == b:
-                continue
-            raise AssertionError(f"illegal transition {a} -> {b}")
-        if self.closed is Closure.TYPE1:
-            assert all(a.tag in ("X", "Y") for a in self.arcs)
-        if self.closed is Closure.TYPE3:
-            assert any(a.tag == "FZ" for a in self.arcs)
-
 
 @dataclass(frozen=True)
 class Section:
@@ -1049,6 +1032,8 @@ def _trap_search(X: PolyVectorField, px: float, py: float, window: Window,
     """sink_trap's search at (px, py): its trap's cut to a margin, or None."""
     from fractions import Fraction  # here, as the import costs ms
 
+    WORK["trap_searches"] += 1
+
     (tp, tq), e = taylor_at((X.P, X.Q), px, py)    # each over 2**e
     # where the trace is positive, -X: X's flow backward in time
     direction = -1 if tp.get((1, 0), 0) + tq.get((0, 1), 0) > 0 else 1
@@ -1131,6 +1116,15 @@ def _trap_search(X: PolyVectorField, px: float, py: float, window: Window,
     return cut
 
 
+def _traps(Z: PiecewiseField, rays: dict | None, window: Window,
+           tols: Tolerances, margin: float = 0.0) -> list:
+    """(kind, trap) for each point of rays[kind], kind "X" or "Y", at which
+    sink_trap proves a trap of kind's field, cut to margin."""
+    return [(kind, t) for kind, F in (("X", Z.X), ("Y", Z.Y))
+            for p in (rays or {}).get(kind, ())
+            if (t := sink_trap(F, p, window, tols, margin))]
+
+
 # the errors of a census run: the run is skipped and the census goes on
 _RUN_ERRORS = (NoReturn, NotTransversal, StepFailure)
 
@@ -1149,7 +1143,7 @@ class ClosedOrbit:
 
 def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
                                  tols: Tolerances | None = None,
-                                 sinks: Sequence[Window] = ()
+                                 rays: dict | None = None
                                  ) -> list[ClosedOrbit]:
     """Heuristic census of closed poly-trajectories, each run up to
     CENSUS_HORIZON.
@@ -1158,10 +1152,12 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
     started at the DEFAULT_SEEDS on sewing arcs (secant iteration); type-3
     candidates from hybrid runs seeded at fold points.  Misses are
     possible; the search is a semi-decision.  Every run watches the boxes
-    of sinks (sink_trap) and ends in one with an EnterSink event: the box
-    lies in a forward-invariant disc that meets neither D, the census's
-    section, nor the window's sides, so such a run would end with
-    TimeBudget, and neither returns nor closes.
+    of the traps that sink_trap proves forward in time at the points of
+    rays["X"] for X and rays["Y"] for Y (the nodes, foci and centers of
+    each field, as the connection probe gets them), and ends in one with
+    an EnterSink event: the box lies in a forward-invariant disc that
+    meets neither D, the census's section, nor the window's sides, so
+    such a run would end with TimeBudget, and neither returns nor closes.
 
     A seed stops once it can only lead to a cycle already found, that is,
     to within SAME_CYCLE of a D crossing x* recorded for one: before any
@@ -1190,6 +1186,8 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
     side the run from it takes.
     """
     tols = tols or default_tols()
+    sinks = [t.box for _, t in _traps(Z, rays, window, tols)
+             if t.direction > 0]
     found: list[ClosedOrbit] = []
     seen_x: list[float] = []
     shadow = math.inf   # seeds right of it make no return (_shadows)
@@ -1352,8 +1350,7 @@ class ConnectionReport:
 def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
                              window: Window = (-5, 5, -5, 5),
                              tols: Tolerances | None = None,
-                             rays: dict | None = None,
-                             traps: dict | None = None) -> ConnectionReport:
+                             rays: dict | None = None) -> ConnectionReport:
     """Trace separatrix branches of certified saddles and flag each stable
     and unstable branch pair that may connect as a PossibleConnection.
 
@@ -1369,10 +1366,10 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
     'horizon').  A trace that raises NotTransversal or StepFailure keeps
     no points and the error's name as its fate (ConnectionReport.skipped).
 
-    A branch of X traced forward also watches the boxes of traps["X"], and
-    one traced backward those of traps["-X"] (Y likewise): SinkTraps at
-    the points of rays that attract in that direction, each cut to
-    tols.connect (sink_trap's margin).  A branch that enters one ends
+    A branch of X (Y) traced in one time direction also watches the boxes
+    of the traps that sink_trap proves in that direction at the points of
+    rays["X"] (rays["Y"]), each cut to tols.connect (sink_trap's margin),
+    and taken once per call.  A branch that enters one ends
     there with fate 'sink', as no flag can come from its rest, which stays
     in the cut trap {V <= c'}: every point within tols.connect of it lies
     in the trap {V <= c} it was cut from, invariant in the branch's time
@@ -1394,16 +1391,18 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
     saddles, when a point of either comes within tols.connect of the
     other's seed: a connection that crosses no section, as one that runs
     into an FZ saddle along D (_connections)."""
-    tols, rays, traps = tols or default_tols(), rays or {}, traps or {}
+    tols, rays = tols or default_tols(), rays or {}
     horizon = CENSUS_HORIZON / 3.0
     branches: list[SeparatrixBranch] = []
     skipped: list[tuple[str, str]] = []
+    traps = _traps(Z, rays, window, tols, tols.connect)
 
-    def boxes(key, kind):  # the boxes of traps[key] clear of kind's saddles
-        return [t.box for t in traps.get(key, ())
-                if all(math.dist(t.point, s.point)
-                       > t.radius + 2 * tols.delta_sep
-                       for s in saddles if s.kind == kind)]
+    def boxes(kind, direction):  # of kind's traps, clear of its saddles
+        return [t.box for k, t in traps
+                if k == kind and t.direction == direction
+                and all(math.dist(t.point, s.point)
+                        > t.radius + 2 * tols.delta_sep
+                        for s in saddles if s.kind == kind)]
 
     def add(idx, stab, label, trace, *args):
         try:
@@ -1422,9 +1421,9 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
             for col, lam in enumerate(eigvals):
                 v = np.real(eigvecs[:, col])
                 v = v / np.linalg.norm(v)
-                fwd = np.real(lam) > 0
-                stab, direction = ("unstable", 1) if fwd else ("stable", -1)
-                sinks = boxes(("" if fwd else "-") + sad.kind, sad.kind)
+                stab, direction = ("unstable", 1) if np.real(lam) > 0 \
+                    else ("stable", -1)
+                sinks = boxes(sad.kind, direction)
                 for sgn in (1.0, -1.0):
                     seed = (x0 + sgn * tols.delta_sep * v[0],
                             y0 + sgn * tols.delta_sep * v[1])

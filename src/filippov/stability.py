@@ -310,14 +310,14 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
             s1 = None
             gm2.weaken({"kind": "equator_undetermined"})
 
-    # closed poly-trajectory census (semi-decision); its runs end in the
-    # certified traps of the stable nodes and foci of X in N and Y in S
-    sinks = [t.box for F, sings in ((Z.X, interior_x), (Z.Y, interior_y))
-             for s in sings if s.hyperbolic == "yes"
-             and max(e.real for e in s.eigenvalues) < 0
-             and (t := flow.sink_trap(F, s.point, window, tols))]
+    # the nodes, foci and centers of X in N and Y in S: both semi-decisions
+    # watch their rays and end their runs in the traps proved at them
+    rays = {"X": [s.point for s in interior_x if not s.is_saddle],
+            "Y": [s.point for s in interior_y if not s.is_saddle]}
+
+    # closed poly-trajectory census (semi-decision)
     try:
-        cycles = flow.find_closed_polytrajectories(Z, window, tols, sinks)
+        cycles = flow.find_closed_polytrajectories(Z, window, tols, rays)
     except IdenticallyZeroOnD:
         cycles = []
     bad = [c for c in cycles if c.elementary == "no"]
@@ -340,11 +340,7 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
     saddles += [flow.SaddleSpec("FZ", (s.x, 0.0)) for s in d_sings
                 if s.kind is dline.SingKind.FZ_SADDLE]
     if saddles:
-        rays = {"X": [s.point for s in interior_x if not s.is_saddle],
-                "Y": [s.point for s in interior_y if not s.is_saddle]}
-        rep = flow.probe_saddle_connections(
-            Z, saddles, window, tols, rays,
-            branch_traps(Z, rays, window, tols))
+        rep = flow.probe_saddle_connections(Z, saddles, window, tols, rays)
         flags = rep.flagged
         if flags:
             for i, j in flags:
@@ -363,21 +359,6 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
     return StabilityReport(gm1, gm2, gm3, interior_x, interior_y,
                            arcs, d_sings, folds, infinity, infinity_status,
                            s1, cycles, flags, window)
-
-
-def branch_traps(Z: PiecewiseField, rays: dict, window, tols: Tolerances
-                 ) -> dict[str, list[flow.SinkTrap]]:
-    """The traps that end the connection probe's branches
-    (flow.probe_saddle_connections), cut to tols.connect: the one trap
-    that flow.sink_trap proves at each point of rays["X"], under "X" if it
-    attracts forward in time and "-X" if backward; Y likewise."""
-    traps = {}
-    for kind, F in (("X", Z.X), ("Y", Z.Y)):
-        found = [t for p in rays[kind] if (t := flow.sink_trap(
-            F, p, window, tols, tols.connect)) is not None]
-        traps[kind] = [t for t in found if t.direction > 0]
-        traps["-" + kind] = [t for t in found if t.direction < 0]
-    return traps
 
 
 @dataclass(frozen=True)

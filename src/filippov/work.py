@@ -15,6 +15,8 @@ a call that raises counts too:
 - trap_exits: hybrid runs that end in a sink's trap (EnterSink);
 - branch_traps: separatrix branches of the connection probe that end in
   a trap (flow._trace_branch);
+- trap_searches: radius searches of a node's or focus's trap, one per
+  field, point, window and tolerances (flow._trap_search);
 - root_isolations: real-root isolations (polys.univariate_roots);
 - rhs, horner: right-hand sides and Horner evaluators generated
   (polys._generate, by label).
@@ -25,7 +27,7 @@ A reader takes the difference of two snapshots (since).
 WORK = dict.fromkeys(
     ("solves", "rhs_evaluations", "crossing_searches", "reach_scans",
      "hybrid_runs", "return_maps", "trap_exits", "branch_traps",
-     "root_isolations", "rhs", "horner"), 0)
+     "trap_searches", "root_isolations", "rhs", "horner"), 0)
 
 
 def since(before: dict) -> dict:

@@ -208,6 +208,55 @@ def test_analyze_unit_cycle_reports_its_cycle_in_sorted_keys(tmp_path):
     assert abs(abs(cycle["certificate"]["x"]) - 1.0) <= 1e-6
 
 
+def _floats_read_back(written, read) -> int:
+    # the number of floats in written, each of which read, its json read
+    # back, holds to the bit
+    if isinstance(written, float):
+        assert type(read) is float and read.hex() == float(written).hex()
+        return 1
+    if isinstance(written, dict):
+        assert sorted(map(str, written)) == sorted(read)
+        return sum(_floats_read_back(v, read[str(k)])
+                   for k, v in written.items())
+    if isinstance(written, (list, tuple)):
+        assert len(written) == len(read)
+        return sum(map(_floats_read_back, written, read))
+    assert written == read
+    return 0
+
+
+def test_json_files_write_each_float_as_its_shortest_repr(tmp_path,
+                                                          monkeypatch):
+    # every float of an analyze report and of a flow events file reads
+    # back to the bit of the float it was written from, from the text of
+    # its shortest repr (0.1, not 0.10000000000000001)
+    written = []
+    dumps = cli.dumps_report
+
+    def keep(d):
+        written.append(d)
+        return dumps(d)
+
+    monkeypatch.setattr(cli, "dumps_report", keep)
+    corpus = Path(__file__).parents[1] / "bench" / "corpus"
+    out = str(tmp_path / "out")
+    calls = [["analyze", str(path), "--out", out]
+             for path in sorted(corpus.glob("*.txt"))]
+    calls += [["flow", str(corpus / name), "--horizon=20", "--out", out]
+              for name in ("rot.txt", "uc.txt", "uc2.txt")]
+    floats = 0
+    for argv in calls:
+        written.clear()
+        cli.main(argv)
+        path = out + ".events.json" if argv[0] == "flow" else out
+        texts = []
+        read = json.loads(Path(path).read_text(), parse_float=lambda s: (
+            texts.append(s), float(s))[1])
+        assert texts == [repr(float(s)) for s in texts]
+        floats += _floats_read_back(written[-1], read)
+    assert floats > 250
+
+
 def test_portrait_field_tangent_to_all_of_d(tmp_path):
     spec = _write(tmp_path, "tangent.txt", TANGENT_TEXT)
     out = str(tmp_path / "tangent.svg")

@@ -166,7 +166,6 @@ def test_hybrid_enters_sliding_then_exits_window():
     xs = slide.states[:, 0]
     ts = slide.ts
     assert abs((xs[-1] - xs[0]) / (ts[-1] - ts[0]) - 1.0) < 1e-9
-    traj.validate()
 
 
 def test_degenerate_sliding_terminates_immediately():
@@ -186,7 +185,6 @@ def test_center_closes_type1():
     assert abs(sew[0].state[0] + 1.0) < 1e-7
     end = traj.end_state()
     assert math.hypot(end[0] - 1.0, end[1]) < 1e-6
-    traj.validate()
 
 
 def test_arcs_that_reach_d_end_on_it(seeded_fields):

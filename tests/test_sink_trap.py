@@ -19,6 +19,7 @@ from filippov.flow import (
 )
 from filippov.polys import PolyVectorField, newton_zero, piecewise, poly, vf
 from filippov.tolerances import default_tols
+from filippov.work import WORK, since
 
 WIN = (-5.0, 5.0, -5.0, 5.0)
 TOLS = default_tols()
@@ -245,7 +246,10 @@ def test_census_run_into_a_basin_ends_in_its_trap():
     for sinks in ((), [trap.box]):
         with pytest.raises(NoReturn):
             return_map(BASIN, section, 0.5, 100.0, WIN, TOLS, sinks=sinks)
-    assert find_closed_polytrajectories(BASIN, WIN, sinks=[trap.box]) == []
+    before = dict(WORK)
+    assert find_closed_polytrajectories(
+        BASIN, WIN, rays={"X": [(0.0, 1.0)], "Y": []}) == []
+    assert since(before)["trap_exits"]
 
 
 def test_flow_cli_into_a_sink_runs_to_its_horizon(tmp_path):

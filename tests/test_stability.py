@@ -711,19 +711,21 @@ DAMPED = piecewise(vf({(0, 0): -2.0, (0, 1): 1.0},
 DAMPED_WIN = (-3.0, 3.0, -3.0, 5.0)
 
 
-def test_a_branch_that_enters_a_focus_trap_ends_there():
+def test_a_branch_that_enters_a_focus_trap_ends_there(monkeypatch):
     tols = default_tols()
     rays = {"X": [(1.0, 2.0)], "Y": []}
-    traps = stability.branch_traps(DAMPED, rays, DAMPED_WIN, tols)
-    assert [t.point for t in traps["X"]] == [(1.0, 2.0)]
-    assert traps["-X"] == traps["Y"] == traps["-Y"] == []
+    trap = flow.sink_trap(DAMPED.X, (1.0, 2.0), DAMPED_WIN, tols,
+                          tols.connect)
+    assert trap.point == (1.0, 2.0) and trap.direction == 1
     saddle = [flow.SaddleSpec("X", (-1.0, 2.0))]
     before = dict(WORK)
     rep = flow.probe_saddle_connections(DAMPED, saddle, DAMPED_WIN, tols,
-                                        rays, traps)
+                                        rays)
     assert since(before)["branch_traps"] == 1
-    bare = flow.probe_saddle_connections(DAMPED, saddle, DAMPED_WIN, tols,
-                                         rays)
+    with monkeypatch.context() as m:  # the same probe, with no trap proved
+        m.setattr(flow, "sink_trap", lambda *args: None)
+        bare = flow.probe_saddle_connections(DAMPED, saddle, DAMPED_WIN,
+                                             tols, rays)
     assert [b.fate for b in rep.branches] == [
         "sink", "d_hit", "window", "d_hit"]
     assert [b.fate for b in bare.branches] == [
@@ -733,23 +735,21 @@ def test_a_branch_that_enters_a_focus_trap_ends_there():
     # in the box
     cut, full = rep.branches[0].points, bare.branches[0].points
     assert len(cut) < len(full) and np.array_equal(cut, full[:len(cut)])
-    x0, x1, y0, y1 = traps["X"][0].box
+    x0, x1, y0, y1 = trap.box
     assert x0 <= cut[-1, 0] <= x1 and y0 <= cut[-1, 1] <= y1
     # a trap whose disc comes within 2 tols.delta_sep of a saddle of its
     # field ends no branch: the seeds of that saddle could lie in it
-    (trap,) = traps["X"]
     near = flow.SaddleSpec("X", (1.0 + trap.radius + tols.delta_sep, 2.0))
     rep = flow.probe_saddle_connections(DAMPED, saddle + [near], DAMPED_WIN,
-                                        tols, rays, traps)
+                                        tols, rays)
     assert "sink" not in [b.fate for b in rep.branches]
 
 
 def test_probe_flags_the_same_pairs_without_its_traps(seeded_fields,
                                                      monkeypatch):
-    # the traps are passed in as the census's sinks are: the probe of
-    # every report, run again without them, flags the same pairs and
-    # skips the same branches, and each branch that ended in a trap is a
-    # start of the branch traced without it
+    # the probe of every report, run again with no trap proved, flags the
+    # same pairs and skips the same branches, and each branch that ended
+    # in a trap is a start of the branch traced without it
     runs = []
     probe = flow.probe_saddle_connections
 
@@ -767,7 +767,11 @@ def test_probe_flags_the_same_pairs_without_its_traps(seeded_fields,
         check_gm(Z, GmOptions(window=window))
     trapped = 0
     for args, rep in runs:
-        bare = probe(*args[:5])
+        with monkeypatch.context() as m:
+            m.setattr(flow, "sink_trap", lambda *args: None)
+            before = dict(WORK)
+            bare = probe(*args)
+            assert since(before)["branch_traps"] == 0
         assert rep.flagged == bare.flagged
         assert rep.skipped == bare.skipped
         for b, c in zip(rep.branches, bare.branches, strict=True):
@@ -851,16 +855,19 @@ def _cycle_bits(cycles) -> list:
 
 def test_census_finds_the_same_cycles_with_and_without_traps(
         seeded_fields, monkeypatch):
-    # check_gm hands the census the traps of the stable nodes and foci; a
-    # run that enters one would have gone on to its horizon, so the cycles,
-    # their x and eta' come out the same to the bit
-    runs, before = [], dict(WORK)
+    # the census ends a run in the trap of a stable node or focus of the
+    # rays that check_gm hands it; a run that enters one would have gone
+    # on to its horizon, so the cycles, their x and eta' come out the same
+    # to the bit as a census without rays
+    runs = []
     census = flow.find_closed_polytrajectories
 
-    def both(Z, window, tols, sinks=()):
-        runs.append((census(Z, window, tols, sinks),
-                     census(Z, window, tols), sinks))
-        return runs[-1][0]
+    def both(Z, window, tols, rays):
+        before = dict(WORK)
+        found = census(Z, window, tols, rays)
+        exits = since(before)["trap_exits"]
+        runs.append((found, census(Z, window, tols), exits))
+        return found
 
     monkeypatch.setattr(flow, "find_closed_polytrajectories", both)
     corpus = Path(__file__).parents[1] / "bench" / "corpus"
@@ -869,8 +876,7 @@ def test_census_finds_the_same_cycles_with_and_without_traps(
         check_gm(spec.to_field(), GmOptions(window=spec.window))
     for Z in [RANDOM_01] + seeded_fields[::4]:
         check_gm(Z)
-    assert len(runs) == 14 and sum(len(s) for *_, s in runs) >= 3
-    assert since(before)["trap_exits"]  # some census run ended in a trap
+    assert len(runs) == 14 and sum(exits for *_, exits in runs) >= 3
     assert sum(len(found) for found, *_ in runs) >= 3
     for found, without, _ in runs:
         assert _cycle_bits(found) == _cycle_bits(without)

@@ -3,8 +3,8 @@
 WORKLOADS, and reads the work that the package counts itself over each
 pass (filippov.work, where each count is defined): solves, RHS
 evaluations, steps searched for crossings, reach scans, hybrid runs, those
-that end in a trap, probe branches that end in a trap, return maps and
-right-hand sides generated.
+that end in a trap, probe branches that end in a trap, trap searches,
+return maps and right-hand sides generated.
 
 It prints the counts of each workload.  cycles and trajectories then run
 a second time, straight after their pass and outside its counts, and the
@@ -22,9 +22,10 @@ ends in one, if analyze makes more than 140,000 evaluations in more than
 trajectories more than 55,000 in more than 450 solves, if cycles searches
 more than 170 steps for crossings, analyze more than 400 or trajectories
 more than 400, if analyze makes more than 300 reach scans or more than 90
-hybrid runs, if cycles makes more than 26 return maps or analyze more
-than 65, if cycles generates more than 18 right-hand sides, analyze
-more than 52 or trajectories more than 20, or if a repeat generates any.
+hybrid runs, if analyze makes more than 20 trap searches, if cycles makes
+more than 26 return maps or analyze more than 65, if cycles generates
+more than 18 right-hand sides, analyze more than 52 or trajectories more
+than 20, or if a repeat generates any.
 
 A census seed that lies on, or whose return lands on, a cycle already
 found stops there, so cycles makes 22 return maps, where one secant per
@@ -45,7 +46,12 @@ evaluations, 339 crossing searches, 81 hybrid runs and 58 return maps,
 where it made 239, 165,352, 514, 125 and 89.  The probe traces a stable
 separatrix backward in time on its field's own kernel, and a reversed
 slide on the sliding field's, so analyze generates 49 right-hand sides;
-with a negated kernel for each reversed trace it generated 67.
+with a negated kernel for each reversed trace it generated 67.  The census
+and the probe each take the trap of every node, focus and center that
+check_gm hands them, and sink_trap caches its radius search on the field,
+so the probe's cut traps reuse the census's searches: analyze makes 17
+trap searches in 31 sink_trap calls, where a search per call would make
+about twice as many.
 """
 
 import os
@@ -69,6 +75,7 @@ BOUNDS = {("analyze", "rhs_evaluations"): 140_000, ("analyze", "solves"): 200,
           ("analyze", "crossing_searches"): 400,
           ("trajectories", "crossing_searches"): 400,
           ("analyze", "reach_scans"): 300, ("analyze", "hybrid_runs"): 90,
+          ("analyze", "trap_searches"): 20,
           ("cycles", "return_maps"): 26, ("analyze", "return_maps"): 65,
           ("cycles", "rhs"): 18, ("analyze", "rhs"): 52,
           ("trajectories", "rhs"): 20}
@@ -113,6 +120,7 @@ def main() -> int:
               f"{work['hybrid_runs']} hybrid runs, "
               f"{work['trap_exits']} of them ended in a trap, "
               f"{work['branch_traps']} probe branches ended in a trap, "
+              f"{work['trap_searches']} trap searches, "
               f"{work['return_maps']} return maps, "
               f"{work['rhs']} right-hand sides generated")
         for key, value in work.items():
