@@ -122,13 +122,12 @@ def segment_d(Z: PiecewiseField, window: tuple[float, float],
 
 def filippov_field(Z: PiecewiseField, x: float,
                    tols: Tolerances | None = None) -> tuple[float, float]:
-    """The convex combination of X and Y tangent to D at (x, 0).
-
-    lambda = Yf / (Yf - Xf) is the unique weight with zero y-component;
-    the second component is set identically to 0.
+    """The convex combination of X and Y tangent to D at (x, 0), on a
+    sliding or escaping point (filippov_lambda): the sliding field of
+    PiecewiseField.slide_rhs, with second component 0.
     """
-    lam = filippov_lambda(Z, x, tols)
-    return (lam * Z.X.P(x, 0.0) + (1.0 - lam) * Z.Y.P(x, 0.0), 0.0)
+    filippov_lambda(Z, x, tols)  # raises NotOnSlidingOrEscaping elsewhere
+    return (Z.slide_rhs()(0.0, x)[0], 0.0)
 
 
 def filippov_lambda(Z: PiecewiseField, x: float,

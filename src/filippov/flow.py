@@ -1,12 +1,12 @@
 """Hybrid trajectory integration with Filippov transition rules.
 
 Smooth arcs are traced with the adaptive DOP853 integrator (Dormand-Prince
-8(5,3)); sliding arcs integrate the one-dimensional Filippov field along D
-up to the nearest root ahead of the tangency and det polynomials, found
-once.  Transitions follow the poly-trajectory rules: X/Y swaps only at
-sewing points, entry/exit of sliding arcs only at folds or regular sliding
-points, termination at Filippov-field singularities, on escaping arcs and
-at tangencies no graze passes (forward evolution is not unique or not
+8(5,3)); a slide and an FZ branch are one motion along D (_slide) of the
+1-D Filippov field, to the nearest stop ahead, found once.  Transitions
+follow the poly-trajectory rules: X/Y swaps only at sewing points,
+entry/exit of sliding arcs only at folds or regular sliding points,
+termination at Filippov-field singularities, on escaping arcs and at
+tangencies no graze passes (forward evolution is not unique or not
 decided there; trajectories are never silently branched).
 
 Every ODE solve of the package, here and in the regularized and
@@ -52,7 +52,6 @@ from .polys import (
     _polish_root,
     _polyder,
     _polyval,
-    real_roots_on_line,
     roots_on_d,
     taylor_at,
     univariate_roots,
@@ -149,7 +148,9 @@ class Section:
 class SmoothTrace:
     ts: np.ndarray
     states: np.ndarray
-    status: str  # "d_hit", "window", "horizon", "section", "settled"
+    # "d_hit", "window", "horizon", "section", "settled", "sink"; along D
+    # (_slide): "q1_root", "q2_root", a stop's outcome, "window", "horizon"
+    status: str
     # each watched ray's crossings by direction, as _Ray.xs keeps them
     crossings: tuple[dict[int, list[float]], ...]
 
@@ -605,47 +606,36 @@ def integrate_smooth(X: PolyVectorField, p0: tuple[float, float],
     return SmoothTrace(ts, ys, status, tuple(ray.xs for ray in watched))
 
 
-def _d_stop(Z: PiecewiseField, x0: float, speed: float, window: Window,
-            tols: Tolerances, named=()) -> tuple[str, tuple]:
-    """First event of a motion along D from x0 at the given speed, as
-    (outcome, line x = r in the motion's direction): r is the nearest odd
-    root ahead of Q_X(x, 0) ("q1_root"), Q_Y(x, 0) ("q2_root") or a
-    polynomial of the (outcome, polynomial) pairs named, else the window's
-    side.  The motion is monotone between zeros of its field, so it can
-    reach no other event.  The roots are those in the window's x-range
-    that the D census caches (roots_on_d)."""
-    ahead = 1 if speed > 0 else -1
-    side = window[1] if ahead > 0 else window[0]
-    stop, x_stop = "window", side
-    for name, p in (("q1_root", Z.X.Q), ("q2_root", Z.Y.Q), *named):
+def _slide(Z: PiecewiseField, x0: float, horizon: float, window: Window,
+           tols: Tolerances, stops=()) -> SmoothTrace:
+    """The motion along D from (x0, 0) under the 1-D Filippov field, back
+    in time for a negative horizon: a SmoothTrace of the points (x, 0)
+    whose status is its outcome, that of the nearest odd root ahead of
+    Q_X(x, 0) ('q1_root'), Q_Y(x, 0) ('q2_root') or p for a pair
+    (outcome, p) of stops, else 'window' or 'horizon'.  The motion is
+    monotone between zeros of its field, so that root, of those the D
+    census caches (roots_on_d), goes to the solver as one line x = r.  A
+    start, or a root of Q_X or Q_Y ahead, at which a stop's p is within
+    tols.sign of 0 takes that stop's outcome, the start as a motion of
+    length zero."""
+    for name, p in stops:
+        if abs(p(x0, 0.0)) <= tols.sign:
+            return SmoothTrace(np.array([0.0]), np.array([[x0, 0.0]]), name,
+                               ())
+    rhs = Z.slide_rhs()
+    ahead = 1 if math.copysign(1.0, horizon) * rhs(0.0, x0)[0] > 0 else -1
+    outcome, x_stop = "window", window[1] if ahead > 0 else window[0]
+    for name, p in (("q1_root", Z.X.Q), ("q2_root", Z.Y.Q), *stops):
         for r, mult in roots_on_d(p, window[:2], tols):
             if mult % 2 and 0 < ahead * (r - x0) < ahead * (x_stop - x0):
-                stop, x_stop = name, r
-    return stop, (1.0, 0.0, -x_stop, ahead)
-
-
-def _slide(Z: PiecewiseField, x0: float, horizon: float,
-           window: Window, tols: Tolerances) -> tuple:
-    """Integrate the 1-D Filippov field along D from x0.
-
-    Returns (ts, xs, outcome, x_end) with outcome one of
-    'q1_root', 'q2_root', 'fz_singularity', 'window', 'horizon'.  The first
-    event ahead (_d_stop, with the roots of det) is found once and goes to
-    the solver as one line x = r.  A zero of the sliding field, where
-    |det| <= tols.sign, ends the slide as 'fz_singularity': at its start,
-    as a slide of length zero, or at a tangency root ahead.
-    """
-    det = dline.det_xy(Z)
-    if abs(det(x0, 0.0)) <= tols.sign:
-        return np.array([0.0]), np.array([x0]), "fz_singularity", x0
-    rhs = Z.slide_rhs()
-    outcome, line = _d_stop(Z, x0, rhs(0.0, x0)[0], window, tols,
-                            [("fz_singularity", det)])
-    if outcome in ("q1_root", "q2_root") \
-            and abs(det(-line[2], 0.0)) <= tols.sign:
-        outcome = "fz_singularity"
-    ts, ys, hit = _integrate(rhs, [x0], horizon, tols, [line])
-    return ts, ys[:, 0], outcome if hit else "horizon", float(ys[-1, 0])
+                outcome, x_stop = name, r
+    if outcome in ("q1_root", "q2_root"):
+        outcome = next((name for name, p in stops
+                        if abs(p(x_stop, 0.0)) <= tols.sign), outcome)
+    ts, ys, hit = _integrate(rhs, [x0], horizon, tols,
+                             [(1.0, 0.0, -x_stop, ahead)])
+    return SmoothTrace(ts, np.column_stack([ys, np.zeros_like(ys)]),
+                       outcome if hit else "horizon", ())
 
 
 # arc outcomes that end a hybrid run, with the run's last event
@@ -697,17 +687,18 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
 
     side: 'N', 'S' or 'D' (consistent with p0; a start on D may also name
     the side that _from_d gave it).  A start on D with side 'D' and each D
-    hit go on as _from_d says; a slide that ends at a tangency exits at a
-    fold (dline.fold_test), and ends with Tangency at any other.  When a
-    section is given, transversal crossings of it terminate the
-    trajectory with a SectionCrossing event (used by return maps).
-    stop(t, p, side) is asked after each sewing crossing, with the side
-    just entered; True ends the run there with a SectionCrossing event.
-    with_divergence integrates div along each smooth arc into
-    TrajectoryArc.divergence.  sinks are the boxes of sink_trap, each of
-    the field of its side: an arc of X (Y) that reaches one in N (S) ends
-    the run with an EnterSink event, as it would otherwise stay there to
-    the horizon.
+    hit go on as _from_d says.  A slide is the motion along D (_slide)
+    that stops at the zeros of det[X, Y] as 'fz_singularity'; one that
+    ends at a tangency exits at a fold (dline.fold_test), and ends with
+    Tangency at any other.  When a section is given, transversal
+    crossings of it terminate the trajectory with a SectionCrossing event
+    (used by return maps).  stop(t, p, side) is asked after each sewing
+    crossing, with the side just entered; True ends the run there with a
+    SectionCrossing event.  with_divergence integrates div along each
+    smooth arc into TrajectoryArc.divergence.  sinks are the boxes of
+    sink_trap, each of the field of its side: an arc of X (Y) that
+    reaches one in N (S) ends the run with an EnterSink event, as it
+    would otherwise stay there to the horizon.
     """
     WORK["hybrid_runs"] += 1
     tols = tols or default_tols()
@@ -741,25 +732,22 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
             record(EventKind.TIME_BUDGET)
             break
         if side in ("N", "S"):
-            fld = Z.X if side == "N" else Z.Y
-            ddir = -1 if side == "N" else 1
+            tag, fld, ddir = ("X", Z.X, -1) if side == "N" \
+                else ("Y", Z.Y, 1)
             tr = integrate_smooth(fld, p, horizon - t, window, ddir,
                                   section, tols, with_divergence,
                                   sinks=[b for b in sinks
                                          if (b[2] > 0) == (side == "N")])
-            traj.arcs.append(TrajectoryArc(
-                "X" if side == "N" else "Y", tr.ts + t, tr.states[:, :2],
-                float(tr.states[-1, 2]) if with_divergence else None))
-            t += float(tr.ts[-1])
-            outcome = tr.status
-            p = (float(tr.states[-1, 0]), float(tr.states[-1, 1]))
         else:
-            ts, xs, outcome, x_end = _slide(Z, p[0], horizon - t, window,
-                                            tols)
-            states = np.column_stack([xs, np.zeros_like(xs)])
-            traj.arcs.append(TrajectoryArc("FZ", ts + t, states))
-            t += float(ts[-1])
-            p = (x_end, 0.0)
+            tag = "FZ"
+            tr = _slide(Z, p[0], horizon - t, window, tols,
+                        [("fz_singularity", dline.det_xy(Z))])
+        traj.arcs.append(TrajectoryArc(
+            tag, tr.ts + t, tr.states[:, :2],
+            float(tr.states[-1, 2]) if tr.states.shape[1] > 2 else None))
+        t += float(tr.ts[-1])
+        outcome = tr.status
+        p = (float(tr.states[-1, 0]), float(tr.states[-1, 1]))
         if outcome in _ENDS:
             record(_ENDS[outcome])
             WORK["trap_exits"] += outcome == "sink"
@@ -1154,7 +1142,8 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
     possible; the search is a semi-decision.  Every run watches the boxes
     of the traps that sink_trap proves forward in time at the points of
     rays["X"] for X and rays["Y"] for Y (the nodes, foci and centers of
-    each field, as the connection probe gets them), and ends in one with
+    each field, as the connection probe gets them) where the divergence
+    is negative, as no other trap attracts forward; a run ends in one with
     an EnterSink event: the box lies in a forward-invariant disc that
     meets neither D, the census's section, nor the window's sides, so
     such a run would end with TimeBudget, and neither returns nor closes.
@@ -1178,15 +1167,20 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
       fields point off D, so it leaves the window, or stays to the
       horizon or a sink, before it can meet D (Perko, Differential
       Equations and Dynamical Systems, section 3.7): a NoReturn;
-    - the fold runs when D has no sliding interval (_slides): a type-3
-      closure needs a sliding arc, and a run slides only from a sliding
-      point (_from_d).
+    - the fold runs when no arc of the D census (dline.segment_d, cached
+      on Z) is sliding or a tangency: a type-3 closure needs a sliding
+      arc, and a run slides only from a sliding point (_from_d).  Neither
+      a common root of Q_X(., 0) and Q_Y(., 0) nor a sliding stretch
+      shorter than 10 tols.root is an arc of that census.
 
     Each seed and each fixed point is classified once, by _from_d, whose
     side the run from it takes.
     """
     tols = tols or default_tols()
-    sinks = [t.box for _, t in _traps(Z, rays, window, tols)
+    forward = {kind: [p for p in (rays or {}).get(kind, ())
+                      if np.trace(F.jacobian_at(*p)) < 0]
+               for kind, F in (("X", Z.X), ("Y", Z.Y))}
+    sinks = [t.box for _, t in _traps(Z, forward, window, tols)
              if t.direction > 0]
     found: list[ClosedOrbit] = []
     seen_x: list[float] = []
@@ -1250,7 +1244,8 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
                                  {"eta_prime": eta_prime, "x": s_star}))
 
     # type-3 candidates from fold points
-    if not _slides(Z, span, tols):
+    if all(a.tag in (PointTag.SEWING, PointTag.ESCAPING)
+           for a in dline.segment_d(Z, span, tols)):
         return found
     for fold in dline.fold_points(Z, span, tols):
         if fold.kind not in (dline.SingKind.FOLD_X, dline.SingKind.FOLD_Y):
@@ -1285,23 +1280,6 @@ def _shadows(Z: PiecewiseField, s: float, window: Window,
     return window[0] < s and not any(
         r >= s for q in (Z.X.Q, Z.Y.Q)
         for r, _ in roots_on_d(q, window[:2], tols))
-
-
-def _slides(Z: PiecewiseField, span: tuple[float, float],
-            tols: Tolerances) -> bool:
-    """Whether D may hold a sliding point in span: at the midpoint of some
-    gap between consecutive roots of Q_X(., 0) and Q_Y(., 0), Q_X < 0 < Q_Y,
-    or one of them is within tols.sign of 0, as dline.classify_point tags a
-    tangency.  Raises IdenticallyZeroOnD as dline.fold_points does."""
-    cuts = sorted(r for q in (Z.X.Q, Z.Y.Q)
-                  for r, _ in real_roots_on_line(q, span, tols))
-    cuts = [span[0], *cuts, span[1]]
-    for lo, hi in zip(cuts, cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        xf, yf = Z.X.Q(mid, 0.0), Z.Y.Q(mid, 0.0)
-        if xf < 0.0 < yf or min(abs(xf), abs(yf)) <= tols.sign:
-            return True
-    return False
 
 
 def _secant_fixed_point(g, s0: float, tols: Tolerances) -> float | None:
@@ -1362,8 +1340,9 @@ def probe_saddle_connections(Z: PiecewiseField, saddles: list[SaddleSpec],
     ray in one direction with d2 = |x3 - x2| < d1 = |x2 - x1| and a
     geometric tail d2 q / (1 - q), q = d2/d1, of at most tols.close, far
     below tols.connect, the branch has fate 'settled'; else 'sink',
-    'd_hit', 'window' or 'horizon' (an FZ branch: the _d_stop outcome or
-    'horizon').  A trace that raises NotTransversal or StepFailure keeps
+    'd_hit', 'window' or 'horizon' (an FZ branch: 'q1_root', 'q2_root',
+    'window' or 'horizon', the outcome of its motion along D, _slide, with
+    no stops).  A trace that raises NotTransversal or StepFailure keeps
     no points and the error's name as its fate (ConnectionReport.skipped).
 
     A branch of X (Y) traced in one time direction also watches the boxes
@@ -1487,17 +1466,13 @@ def _trace_branch(Z, seed, kind, direction, horizon, window, tols, rays=(),
 
 
 def _trace_d_branch(Z, x0, direction, horizon, window, tols):
-    """(points, fate, crossings) of the branch along D from x0, one solve
-    of the sliding field to direction (+1 or -1) * horizon
-    (probe_saddle_connections)."""
-    rhs = Z.slide_rhs()
-    outcome, line = _d_stop(Z, x0, direction * rhs(0.0, x0)[0], window, tols)
-    _, ys, hit = _integrate(rhs, [x0], direction * horizon, tols, [line])
-    xs = ys[:, 0]
-    fate = outcome if hit else "horizon"
-    crossings = {"D": [float(xs[-1])]} \
-        if fate in ("q1_root", "q2_root") else {}
-    return np.column_stack([xs, 0.0 * xs]), fate, crossings
+    """(points, fate, crossings) of the branch along D from x0, the motion
+    along D to direction (+1 or -1) * horizon with no stops (_slide;
+    probe_saddle_connections)."""
+    tr = _slide(Z, x0, direction * horizon, window, tols)
+    crossings = {"D": [float(tr.states[-1, 0])]} \
+        if tr.status in ("q1_root", "q2_root") else {}
+    return tr.states, tr.status, crossings
 
 
 def _reaches(points: np.ndarray, target, connect: float) -> bool:

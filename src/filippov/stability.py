@@ -378,9 +378,10 @@ class AxisPowerX:
 
 @dataclass(frozen=True)
 class RadialOdd:
+    """epsilon r^(2k) (x, y) added to X."""
+
     epsilon: float
     k: int
-    target: str = "X"
 
 
 Perturbation = RotateTranslate | AxisPowerX | RadialOdd
@@ -420,13 +421,10 @@ def apply_perturbation(Z: PiecewiseField, pert: Perturbation
         r2 = poly({(2, 0): 1.0, (0, 2): 1.0})
         for _ in range(pert.k):
             r2k = r2k * r2
-        side = Z.X if pert.target == "X" else Z.Y
-        side2 = PolyVectorField(
-            side.P + (r2k * poly({(1, 0): pert.epsilon})),
-            side.Q + (r2k * poly({(0, 1): pert.epsilon})), side.m)
-        if pert.target == "X":
-            return PiecewiseField(side2, Z.Y, Z.m)
-        return PiecewiseField(Z.X, side2, Z.m)
+        X2 = PolyVectorField(
+            Z.X.P + (r2k * poly({(1, 0): pert.epsilon})),
+            Z.X.Q + (r2k * poly({(0, 1): pert.epsilon})), Z.X.m)
+        return PiecewiseField(X2, Z.Y, Z.m)
     raise TypeError(f"unknown perturbation {pert!r}")
 
 

@@ -15,10 +15,11 @@ from scipy.integrate import DOP853, OdeSolution, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
-from filippov import dop853, fieldspec, flow, polys
-from filippov.dline import fold_points
+from filippov import dline, dop853, fieldspec, flow, polys
+from filippov.dline import PointTag, fold_points
 from filippov.errors import (
     CommonFactor,
+    IdenticallyZeroOnD,
     NoReturn,
     NotTransversal,
     StepFailure,
@@ -911,12 +912,48 @@ def test_second_motion_along_d_isolates_no_roots():
     before = dict(WORK)
     Z = piecewise(vf(ONE, {(1, 0): 1.0, (0, 0): -1.0}), vf(ONE, ONE))
     tols = default_tols()
+    stops = [("fz_singularity", dline.det_xy(Z))]  # as advance_hybrid's
     for x0 in (-3.0, 0.5):
-        _, _, outcome, x_end = flow._slide(Z, x0, 20.0, WIN, tols)
-        assert outcome == "q1_root" and abs(x_end - 1.0) < 1e-12
+        tr = flow._slide(Z, x0, 20.0, WIN, tols, stops)
+        assert tr.status == "q1_root" and abs(tr.states[-1, 0] - 1.0) < 1e-12
         assert since(before)["root_isolations"] == 3
     _, fate, _ = flow._trace_d_branch(Z, -2.0, 1.0, 20.0, WIN, tols)
     assert fate == "q1_root" and since(before)["root_isolations"] == 3
+
+
+def test_a_slide_and_an_fz_branch_are_one_motion_along_d():
+    # X = (1, x - 1) over Y = (1, 1) from x0 = -3: the first arc of a
+    # hybrid run from D, which stops at det's zeros, and the forward D
+    # branch, the same motion with no stops, slide to the fold x = 1
+    Z = piecewise(vf(ONE, {(1, 0): 1.0, (0, 0): -1.0}), vf(ONE, ONE))
+    tols = default_tols()
+    arc = advance_hybrid(Z, (-3.0, 0.0), "D", 20.0, WIN, tols).arcs[0]
+    tr = flow._slide(Z, -3.0, 20.0, WIN, tols)
+    pts, fate, crossings = flow._trace_d_branch(Z, -3.0, 1.0, 20.0, WIN,
+                                                tols)
+    assert arc.tag == "FZ" and fate == tr.status == "q1_root"
+    assert _bits(arc.ts) == _bits(tr.ts) and len(arc.ts) > 2
+    assert _bits(arc.states.ravel()) == _bits(pts.ravel())
+    assert abs(pts[-1, 0] - 1.0) < 1e-12 and crossings == {"D": [pts[-1, 0]]}
+
+
+def test_a_backward_d_branch_is_the_negated_fields_forward_motion():
+    # X = (1, 1/4 - x^2) over Y = (0, 1) slides for |x| > 1/2 at
+    # x' = 1 / (3/4 + x^2): back in time from x = 3 to the fold x = 1/2,
+    # where the forward motion of (-X, -Y) ends, at the negated times
+    X, Y = vf(ONE, {(0, 0): 0.25, (2, 0): -1.0}), vf({}, ONE)
+    Z, Z_neg = piecewise(X, Y), piecewise(
+        *(PolyVectorField(-F.P, -F.Q, F.m) for F in (X, Y)))
+    tols = default_tols()
+    back = flow._slide(Z, 3.0, -20.0, WIN, tols)
+    ahead = flow._slide(Z_neg, 3.0, 20.0, WIN, tols)
+    pts, fate, crossings = flow._trace_d_branch(Z, 3.0, -1.0, 20.0, WIN,
+                                                tols)
+    assert fate == back.status == ahead.status == "q1_root"
+    assert _bits(0.0 - back.ts) == _bits(ahead.ts) and len(ahead.ts) > 2
+    assert _bits(pts.ravel()) == _bits(ahead.states.ravel()) \
+        == _bits(back.states.ravel())
+    assert abs(pts[-1, 0] - 0.5) < 1e-12 and crossings == {"D": [pts[-1, 0]]}
 
 
 def test_tolerance_scale_reaches_solvers(monkeypatch):
@@ -1112,6 +1149,28 @@ def test_one_trap_per_node_in_the_direction_it_attracts(seeded_fields):
                                          want.level, want.radius, want.box)
                     found[sign] += 1
     assert min(found.values()) >= 10
+
+
+def test_census_makes_fold_runs_when_the_d_census_slides(seeded_fields,
+                                                        monkeypatch):
+    # a census asks for D's folds exactly when an arc of the D census is
+    # sliding or a tangency, where a type-3 closure may start
+    tols, asked, seen = default_tols(), [], {True: 0, False: 0}
+    folds = dline.fold_points
+    monkeypatch.setattr(dline, "fold_points", lambda *a: asked.append(a)
+                        or folds(*a))
+    for Z, window in _census_fields(seeded_fields):
+        try:
+            arcs = dline.segment_d(Z, window[:2], tols)
+        except IdenticallyZeroOnD:
+            continue
+        slides = any(a.tag not in (PointTag.SEWING, PointTag.ESCAPING)
+                     for a in arcs)
+        asked.clear()
+        find_closed_polytrajectories(Z, window, tols)
+        assert bool(asked) == slides
+        seen[slides] += 1
+    assert min(seen.values()) >= 5
 
 
 def test_seeds_the_census_skips_make_no_return(seeded_fields):

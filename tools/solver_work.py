@@ -28,30 +28,25 @@ more than 18 right-hand sides, analyze more than 52 or trajectories more
 than 20, or if a repeat generates any.
 
 A census seed that lies on, or whose return lands on, a cycle already
-found stops there, so cycles makes 22 return maps, where one secant per
-seed to convergence made 60.  A spec parsed again returns the field built
-for it before (fieldspec.FieldSpec.to_field), with the right-hand sides
-cached on it, and a regularized field's kernels are cached on its
-piecewise field, so trajectories generates 16 right-hand sides (87 when
-each CLI call built its own field) and cycles 16 (24 when each
-regularized search generated its own).  The repeats generate 0; with the
-kernels cached on each RegularizedField instead, the repeat of cycles
-generates 4, though its pass still reads 16.  The portrait's streaks are
-solved at tols.root * portrait.STREAK_SLACK, so trajectories makes 50,054
-evaluations, 22,965 of them in its 7 portraits; streaks solved at
-tols.root made 67,223.  The census skips the seeds behind a run that left
-the window and the fold runs of a field without a sliding interval, and
-a probe branch ends in a cut trap, so analyze makes 187 solves, 129,023
-evaluations, 339 crossing searches, 81 hybrid runs and 58 return maps,
-where it made 239, 165,352, 514, 125 and 89.  The probe traces a stable
-separatrix backward in time on its field's own kernel, and a reversed
-slide on the sliding field's, so analyze generates 49 right-hand sides;
-with a negated kernel for each reversed trace it generated 67.  The census
-and the probe each take the trap of every node, focus and center that
-check_gm hands them, and sink_trap caches its radius search on the field,
-so the probe's cut traps reuse the census's searches: analyze makes 17
-trap searches in 31 sink_trap calls, where a search per call would make
-about twice as many.
+found stops there, so cycles makes 22 return maps.  A spec parsed again
+returns the field built for it before (fieldspec.FieldSpec.to_field),
+with the right-hand sides cached on it, and a regularized field's kernels
+are cached on its piecewise field, so trajectories generates 16
+right-hand sides and cycles 16, and the repeats generate 0.  The
+portrait's streaks are solved at tols.root * portrait.STREAK_SLACK, so
+trajectories makes 50,054 evaluations, 22,965 of them in its 7
+portraits.  The census skips the seeds behind a run that left the window
+and the fold runs of a field whose D census has no sliding or tangency
+arc, and a probe branch ends in a cut trap, so analyze makes 187 solves,
+129,023 evaluations, 339 crossing searches, 81 hybrid runs and 58 return
+maps.  The probe traces a stable separatrix backward in time on its
+field's own kernel, and a reversed motion along D on the sliding field's,
+so analyze generates 49 right-hand sides.  The census and the probe each
+take the trap of every node, focus and center that check_gm hands them,
+the census only where the field's divergence is negative, and sink_trap
+caches its radius search on the field, so the probe's cut traps reuse the
+census's searches: analyze makes 15 trap searches in 21 sink_trap calls,
+where a search per call would make about twice as many.
 """
 
 import os
