@@ -679,8 +679,6 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
                    horizon: float, window: Window,
                    tols: Tolerances | None = None,
                    section: Section | None = None,
-                   stop: Callable[[float, tuple[float, float], str], bool]
-                   | None = None,
                    with_divergence: bool = False,
                    sinks: Sequence[Window] = ()) -> PolyTrajectory:
     """Alternate smooth and sliding arcs under the Filippov rules.
@@ -690,14 +688,14 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
     hit go on as _from_d says.  A slide is the motion along D (_slide)
     that stops at the zeros of det[X, Y] as 'fz_singularity'; one that
     ends at a tangency exits at a fold (dline.fold_test), and ends with
-    Tangency at any other.  When a section is given, transversal
-    crossings of it terminate the trajectory with a SectionCrossing event
-    (used by return maps).  stop(t, p, side) is asked after each sewing
-    crossing, with the side just entered; True ends the run there with a
-    SectionCrossing event.  with_divergence integrates div along each
-    smooth arc into TrajectoryArc.divergence.  sinks are the boxes of
-    sink_trap, each of the field of its side: an arc of X (Y) that
-    reaches one in N (S) ends the run with an EnterSink event, as it
+    Tangency at any other.  A return to a section ends the run with a
+    SectionCrossing event (return maps): for a run from off D, a
+    transversal crossing of it (integrate_smooth); for a run from D, a
+    sewing crossing back into the side it started on, inside the
+    section's range and after t = 1e-9.  with_divergence integrates div
+    along each smooth arc into TrajectoryArc.divergence.  sinks are the
+    boxes of sink_trap, each of the field of its side: an arc of X (Y)
+    that reaches one in N (S) ends the run with an EnterSink event, as it
     would otherwise stay there to the horizon.
     """
     WORK["hybrid_runs"] += 1
@@ -724,8 +722,10 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
             record(kind)
             return traj
 
-    start = p
+    start, start_side = p, side
     started_on_d = abs(p[1]) <= tols.event
+    # a run from D meets its section at sewing crossings, not as a line
+    d_section, section = (section, None) if started_on_d else (None, section)
     crossings: list[tuple[float, str]] = []
     for _ in range(_MAX_ARCS):
         if t >= horizon:
@@ -778,8 +778,10 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
         if kind in (EventKind.FOLD_GRAZE, EventKind.EXIT_AT_FOLD):
             # on with the field of side, nudged off D into it
             p = (p[0], math.copysign(tols.event, 1 if side == "N" else -1))
-        elif kind is EventKind.CROSSING_AT_SEWING and stop is not None \
-                and stop(t, p, side):
+        elif kind is EventKind.CROSSING_AT_SEWING and d_section \
+                and side == start_side and t > 1e-9 \
+                and d_section.s_range[0] <= d_section.param_of(p) \
+                <= d_section.s_range[1]:
             record(EventKind.SECTION_CROSSING)
             break
         # closure check at transition points on D
@@ -853,38 +855,25 @@ def return_map(Z: PiecewiseField, section: Section, s0: float,
                sinks: Sequence[Window] = (),
                side: str | None = None) -> tuple[float, float | None]:
     """First-return parameter s1 of the hybrid flow from section(s0) and
-    its derivative eta'(s0) (return_derivative).  The run ends at the first
-    return, or raises NoReturn at an end of another kind, among them the
-    entry into one of the boxes of sinks (advance_hybrid); a run from D
-    whose one arc leaves the window raises LeftWindow.  side is the side
-    that _from_d gives a seed on a sewing arc of D, for a caller that has
-    classified it already."""
+    its derivative eta'(s0) (return_derivative), from one advance_hybrid
+    run that ends at the first return to section, or raises NoReturn at an
+    end of another kind, among them the entry into one of the boxes of
+    sinks; a run from D may also close at its start, and one whose one arc
+    leaves the window raises LeftWindow.  side is the side that _from_d
+    gives a seed on a sewing arc of D, for a caller that has classified it
+    already."""
     WORK["return_maps"] += 1
     tols = tols or default_tols()
     p = section.point(s0)
     on_d = abs(p[1]) <= tols.event
-    if on_d:
-        # returns to a section on D are sewing crossings back into the
-        # starting side with parameter inside the range
-        start_side = side
-        if side is None:
-            start_side, kind = _from_d(Z, p[0], "D", tols)
-            if kind is not EventKind.CROSSING_AT_SEWING:
-                raise NoReturn("D-section seed not on a sewing arc")
-        lo, hi = section.s_range
-
-        def returned(t, q, side):
-            return side == start_side and lo <= section.param_of(q) <= hi \
-                and t > 1e-9
-
-        traj = advance_hybrid(Z, p, start_side, horizon, window, tols,
-                              stop=returned, with_divergence=with_derivative,
-                              sinks=sinks)
-    else:
-        traj = advance_hybrid(Z, p, "N" if p[1] > 0 else "S", horizon,
-                              window, tols, section=section,
-                              with_divergence=with_derivative, sinks=sinks)
-    # a run from D may also close at its start, off the parameter range
+    if not on_d:
+        side = "N" if p[1] > 0 else "S"
+    elif side is None:
+        side, kind = _from_d(Z, p[0], "D", tols)
+        if kind is not EventKind.CROSSING_AT_SEWING:
+            raise NoReturn("D-section seed not on a sewing arc")
+    traj = advance_hybrid(Z, p, side, horizon, window, tols, section,
+                          with_divergence=with_derivative, sinks=sinks)
     ends = (EventKind.SECTION_CROSSING, EventKind.CLOSED) if on_d \
         else (EventKind.SECTION_CROSSING,)
     if not traj.events or traj.events[-1].kind not in ends:
@@ -1171,7 +1160,9 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
       on Z) is sliding or a tangency: a type-3 closure needs a sliding
       arc, and a run slides only from a sliding point (_from_d).  Neither
       a common root of Q_X(., 0) and Q_Y(., 0) nor a sliding stretch
-      shorter than 10 tols.root is an arc of that census.
+      shorter than 10 tols.root is an arc of that census.  The fold runs
+      start from that census's folds (dline.fold_points, cached on Z as
+      well), which check_gm has built for the report.
 
     Each seed and each fixed point is classified once, by _from_d, whose
     side the run from it takes.

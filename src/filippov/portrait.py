@@ -153,6 +153,8 @@ def render_portrait(Z: PiecewiseField,
 
 
 def _draw_d_line(c: _Canvas, Z, window, tols):
+    """D's arcs, FZ points and folds, as the D census cached on Z gives
+    them, or one degenerate arc where Q_X or Q_Y vanishes on all of D."""
     span = (window[0], window[1])
     if not (window[2] <= 0.0 <= window[3]):
         return
@@ -168,12 +170,8 @@ def _draw_d_line(c: _Canvas, Z, window, tols):
             continue
         c.line((arc.interval[0], 0.0), (arc.interval[1], 0.0), cls,
                ARC_COLOR[cls], 2.5)
-    try:
-        sings = dline.fz_singularities(Z, span, tols)
-        folds = dline.fold_points(Z, span, tols)
-    except FilippovError:
-        return
-    for s in list(sings) + list(folds):
+    for s in dline.fz_singularities(Z, span, tols) \
+            + dline.fold_points(Z, span, tols):
         c.glyph(s.x, 0.0, GLYPH_CLASS[s.kind])
 
 

@@ -55,8 +55,7 @@ class InteriorSingularity:
     @property
     def is_saddle(self) -> bool:
         a, b = self.eigenvalues
-        return self.hyperbolic != "unverified" and abs(a.imag) < 1e-9 \
-            and abs(b.imag) < 1e-9 and a.real * b.real < 0
+        return self.hyperbolic != "unverified" and a.real * b.real < 0
 
 
 def interior_singularities(X: PolyVectorField, region: str,

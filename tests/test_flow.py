@@ -366,6 +366,27 @@ def test_d_section_return_stops_at_first_return(monkeypatch):
     assert traj.arcs[-1].ts[-1] < 2 * math.pi + 1
 
 
+def test_a_run_from_d_returns_only_into_the_side_it_started_on():
+    # X = Y = (-y, x): from (0.5, 0) into N the orbit crosses D into S at
+    # (-0.5, 0), inside the section's line but not a return, and comes back
+    # into N at its start after 2 pi
+    Z = piecewise(ROT, ROT)
+
+    def run(s_range):
+        return advance_hybrid(Z, (0.5, 0.0), "N", 100.0, WIN,
+                              section=Section((0.0, 0.0), (1.0, 0.0),
+                                              s_range))
+
+    for s_range, end in (((0.0, 5.0), EventKind.SECTION_CROSSING),
+                         ((-5.0, 0.0), EventKind.CLOSED)):
+        events = run(s_range).events
+        assert [e.kind for e in events] == \
+            [EventKind.CROSSING_AT_SEWING] * 2 + [end]
+        assert events[0].state == pytest.approx((-0.5, 0.0), abs=1e-8)
+        assert events[-1].state == pytest.approx((0.5, 0.0), abs=1e-8)
+        assert events[-1].time == pytest.approx(2 * math.pi, rel=1e-8)
+
+
 def test_exact_eta_prime_matches_richardson_two_sided():
     uc2 = vf(UNIT_CYCLE.P.scale(2.0).coeffs, UNIT_CYCLE.Q.scale(2.0).coeffs)
     Z = piecewise(UNIT_CYCLE, uc2)
