@@ -142,41 +142,38 @@ def filippov_lambda(Z: PiecewiseField, x: float,
 def fz_singularities(Z: PiecewiseField, window: tuple[float, float],
                      tols: Tolerances | None = None) -> list[DSingularity]:
     """Zeros of det[X,Y] on sliding/escaping arcs, typed per the sign of
-    the derivative of det along D.  Cached on Z for (window, tols), as
-    segment_d is."""
+    the derivative of det along D."""
     tols = tols or default_tols()
     det = det_xy(Z)
-
-    def build() -> tuple[DSingularity, ...]:
-        try:
-            roots = real_roots_on_line(det, window, tols)
-        except IdenticallyZeroOnD:
-            # degenerate field: every sliding point is F_Z-singular; report
-            # the arc midpoints as non-elementary witnesses
-            return tuple(
-                DSingularity(0.5 * (arc.interval[0] + arc.interval[1]),
-                             SingKind.NON_ELEMENTARY,
-                             {"det": 0.0, "ddet": 0.0})
-                for arc in segment_d(Z, window, tols)
-                if arc.tag in (PointTag.SLIDING, PointTag.ESCAPING))
-        ddet = partial(det, "x")
+    try:
+        roots = real_roots_on_line(det, window, tols)
+    except IdenticallyZeroOnD:
+        # degenerate field: every sliding point is F_Z-singular; report the
+        # arc midpoints as non-elementary witnesses
         out = []
-        for r, _ in roots:
-            cls = classify_point(Z, r, tols)
-            if cls.tag not in (PointTag.SLIDING, PointTag.ESCAPING):
-                continue
-            dval = ddet(r, 0.0)
-            certs = {"det": det(r, 0.0), "ddet": dval,
-                     "xf": cls.xf, "yf": cls.yf}
-            if abs(dval) <= tols.sign:
-                kind = SingKind.NON_ELEMENTARY
-            elif cls.tag is PointTag.SLIDING:
-                kind = SingKind.FZ_SADDLE if dval > 0 else SingKind.FZ_NODE
-            else:  # escaping
-                kind = SingKind.FZ_SADDLE if dval < 0 else SingKind.FZ_NODE
-            out.append(DSingularity(r, kind, certs))
-        return tuple(out)
-    return list(_cached(Z, "_derived", ("fz", tuple(window), tols), build))
+        for arc in segment_d(Z, window, tols):
+            if arc.tag in (PointTag.SLIDING, PointTag.ESCAPING):
+                mid = 0.5 * (arc.interval[0] + arc.interval[1])
+                out.append(DSingularity(mid, SingKind.NON_ELEMENTARY,
+                                        {"det": 0.0, "ddet": 0.0}))
+        return out
+    ddet = partial(det, "x")
+    out = []
+    for r, _ in roots:
+        cls = classify_point(Z, r, tols)
+        if cls.tag not in (PointTag.SLIDING, PointTag.ESCAPING):
+            continue
+        dval = ddet(r, 0.0)
+        certs = {"det": det(r, 0.0), "ddet": dval,
+                 "xf": cls.xf, "yf": cls.yf}
+        if abs(dval) <= tols.sign:
+            kind = SingKind.NON_ELEMENTARY
+        elif cls.tag is PointTag.SLIDING:
+            kind = SingKind.FZ_SADDLE if dval > 0 else SingKind.FZ_NODE
+        else:  # escaping
+            kind = SingKind.FZ_SADDLE if dval < 0 else SingKind.FZ_NODE
+        out.append(DSingularity(r, kind, certs))
+    return out
 
 
 def fold_test(Z: PiecewiseField, side: str, x: float,
@@ -198,7 +195,7 @@ def fold_points(Z: PiecewiseField, window: tuple[float, float],
 
     Double tangencies (both Xf and Yf below tolerance) are reported
     non-elementary and excluded from fold typing.  Cached on Z for
-    (window, tols), as segment_d is.
+    (window, tols): the cycle census reads the folds check_gm built.
     """
     tols = tols or default_tols()
 

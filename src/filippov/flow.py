@@ -137,6 +137,12 @@ class Section:
         return ((p[0] - self.base[0]) * dx + (p[1] - self.base[1]) * dy) / (
             dx * dx + dy * dy)
 
+    def holds(self, p: tuple[float, float], tol: float) -> bool:
+        """p lies on the segment: inside s_range, within tol of its line."""
+        s = self.param_of(p)
+        return self.s_range[0] <= s <= self.s_range[1] \
+            and math.dist(p, self.point(s)) <= tol
+
     def line(self, direction: int) -> tuple[float, float, float, int]:
         """The section's line as an affine event (a_x, a_y, b, direction):
         g = dx (y - by) - dy (x - bx), a signed distance times |d|."""
@@ -691,11 +697,12 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
     Tangency at any other.  A return to a section ends the run with a
     SectionCrossing event (return maps): for a run from off D, a
     transversal crossing of it (integrate_smooth); for a run from D, a
-    sewing crossing back into the side it started on, inside the
-    section's range and after t = 1e-9.  with_divergence integrates div
-    along each smooth arc into TrajectoryArc.divergence.  sinks are the
-    boxes of sink_trap, each of the field of its side: an arc of X (Y)
-    that reaches one in N (S) ends the run with an EnterSink event, as it
+    sewing crossing back into the side it started on, after t = 1e-9, at
+    a point of the section (Section.holds), which a section across D has
+    only where it meets D.  with_divergence integrates div along each
+    smooth arc into TrajectoryArc.divergence.  sinks are the boxes of
+    sink_trap, each of the field of its side: an arc of X (Y) that
+    reaches one in N (S) ends the run with an EnterSink event, as it
     would otherwise stay there to the horizon.
     """
     WORK["hybrid_runs"] += 1
@@ -778,10 +785,8 @@ def advance_hybrid(Z: PiecewiseField, p0: tuple[float, float], side: str,
         if kind in (EventKind.FOLD_GRAZE, EventKind.EXIT_AT_FOLD):
             # on with the field of side, nudged off D into it
             p = (p[0], math.copysign(tols.event, 1 if side == "N" else -1))
-        elif kind is EventKind.CROSSING_AT_SEWING and d_section \
-                and side == start_side and t > 1e-9 \
-                and d_section.s_range[0] <= d_section.param_of(p) \
-                <= d_section.s_range[1]:
+        elif kind is EventKind.CROSSING_AT_SEWING and side == start_side \
+                and t > 1e-9 and d_section and d_section.holds(p, tols.event):
             record(EventKind.SECTION_CROSSING)
             break
         # closure check at transition points on D
@@ -1161,8 +1166,7 @@ def find_closed_polytrajectories(Z: PiecewiseField, window: Window,
       arc, and a run slides only from a sliding point (_from_d).  Neither
       a common root of Q_X(., 0) and Q_Y(., 0) nor a sliding stretch
       shorter than 10 tols.root is an arc of that census.  The fold runs
-      start from that census's folds (dline.fold_points, cached on Z as
-      well), which check_gm has built for the report.
+      start from the folds check_gm cached on Z (dline.fold_points).
 
     Each seed and each fixed point is classified once, by _from_d, whose
     side the run from it takes.

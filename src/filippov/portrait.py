@@ -153,8 +153,8 @@ def render_portrait(Z: PiecewiseField,
 
 
 def _draw_d_line(c: _Canvas, Z, window, tols):
-    """D's arcs, FZ points and folds, as the D census cached on Z gives
-    them, or one degenerate arc where Q_X or Q_Y vanishes on all of D."""
+    """D's arcs (segment_d), FZ points and folds, or one degenerate arc
+    where Q_X or Q_Y vanishes on D, the one case in which these raise."""
     span = (window[0], window[1])
     if not (window[2] <= 0.0 <= window[3]):
         return

@@ -238,27 +238,25 @@ def test_second_fold_points_asks_for_no_roots():
     assert since(before)["root_isolations"] == 4
 
 
-def test_second_d_census_tests_and_classifies_no_point(monkeypatch):
+def test_second_fold_points_tests_no_point(monkeypatch):
     # FOLDS' coefficients on a field of its own, whose caches are empty
     Z = Z_of({(0, 0): 1.0, (1, 1): 0.5}, {(2, 0): 1.0, (0, 0): -1.0,
                                           (0, 1): 0.3},
              {(0, 0): -1.0}, {(2, 0): 1.0, (1, 0): -0.5, (1, 1): 2.0})
     window = (-3.0, 3.0)
-    sings, folds = fz_singularities(Z, window), fold_points(Z, window)
-    assert len(sings) == 2 and len(folds) == 4
+    folds = fold_points(Z, window)
+    assert len(folds) == 4
     calls = []
-    for name in ("fold_test", "classify_point"):
-        def counted(*args, name=name, original=getattr(dline, name)):
-            calls.append(name)
-            return original(*args)
-        monkeypatch.setattr(dline, name, counted)
-    assert fz_singularities(Z, window) == sings
+
+    def counted(*args, original=dline.fold_test):
+        calls.append(args[2])
+        return original(*args)
+    monkeypatch.setattr(dline, "fold_test", counted)
     assert fold_points(Z, window) == folds
     assert calls == []
     # another window computes afresh
-    assert len(fz_singularities(Z, (-0.8, 3.0))) == 2
     assert len(fold_points(Z, (-0.8, 3.0))) == 3
-    assert sorted(set(calls)) == ["classify_point", "fold_test"]
+    assert len(calls) == 3
 
 
 def test_field_pickled_after_check_gm_carries_no_cached_roots():

@@ -366,20 +366,22 @@ def test_d_section_return_stops_at_first_return(monkeypatch):
     assert traj.arcs[-1].ts[-1] < 2 * math.pi + 1
 
 
-def test_a_run_from_d_returns_only_into_the_side_it_started_on():
+def test_a_run_from_d_returns_only_into_its_side_on_the_section():
     # X = Y = (-y, x): from (0.5, 0) into N the orbit crosses D into S at
     # (-0.5, 0), inside the section's line but not a return, and comes back
-    # into N at its start after 2 pi
+    # into N at its start after 2 pi.  A section across D at x = 1 holds
+    # that start's projection in its range but not the start itself; one
+    # at x = 0.5 meets D there
     Z = piecewise(ROT, ROT)
-
-    def run(s_range):
-        return advance_hybrid(Z, (0.5, 0.0), "N", 100.0, WIN,
-                              section=Section((0.0, 0.0), (1.0, 0.0),
-                                              s_range))
-
-    for s_range, end in (((0.0, 5.0), EventKind.SECTION_CROSSING),
-                         ((-5.0, 0.0), EventKind.CLOSED)):
-        events = run(s_range).events
+    for section, end in (
+            (Section((0.0, 0.0), (1.0, 0.0), (0.0, 5.0)),
+             EventKind.SECTION_CROSSING),
+            (Section((0.0, 0.0), (1.0, 0.0), (-5.0, 0.0)), EventKind.CLOSED),
+            (Section((1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)), EventKind.CLOSED),
+            (Section((0.5, 0.0), (0.0, 1.0), (-1.0, 1.0)),
+             EventKind.SECTION_CROSSING)):
+        events = advance_hybrid(Z, (0.5, 0.0), "N", 100.0, WIN,
+                                section=section).events
         assert [e.kind for e in events] == \
             [EventKind.CROSSING_AT_SEWING] * 2 + [end]
         assert events[0].state == pytest.approx((-0.5, 0.0), abs=1e-8)
