@@ -259,13 +259,12 @@ def infinity_singularities(Z: PiecewiseField,
 
 def eq4_value(Z: PiecewiseField) -> float:
     """Hyperbolicity certificate for the D-on-S1 Filippov points:
-    P_{1,m}(1,0) Q_{2,m}(1,0) - Q_{1,m}(1,0) P_{2,m}(1,0)."""
-    m = Z.m
-    p1 = homogeneous_part(Z.X.P, m)(1.0, 0.0)
-    q1 = homogeneous_part(Z.X.Q, m)(1.0, 0.0)
-    p2 = homogeneous_part(Z.Y.P, m)(1.0, 0.0)
-    q2 = homogeneous_part(Z.Y.Q, m)(1.0, 0.0)
-    return p1 * q2 - q1 * p2
+    P_{1,m}(1,0) Q_{2,m}(1,0) - Q_{1,m}(1,0) P_{2,m}(1,0), read from the
+    top parts that the compactified field holds (compactified_field)."""
+    tf = compactified_field(Z)
+    A1m, A2m = tf.A1[Z.m], tf.A2[Z.m]
+    return A1m.p_k(1.0, 0.0) * A2m.q_k(1.0, 0.0) \
+        - A1m.q_k(1.0, 0.0) * A2m.p_k(1.0, 0.0)
 
 
 class S1Status(Enum):
@@ -291,7 +290,9 @@ def s1_elementarity(Z: PiecewiseField,
     equator no integral exists and the status reports the obstruction.
     mu is the integral over [0, pi] of R1/A1 + R2/A2 by the trapezoidal
     rule (_periodic_integral), which raises NoConvergence when a zero of
-    A1 or A2 lies too close to the real axis for it to settle.
+    A1 or A2 lies too close to the real axis for it to settle.  S^1 is
+    elementary when |e^{sigma mu} - 1| > tols.sign, as every closed
+    poly-trajectory is (flow.find_closed_polytrajectories).
     """
     tols = tols or default_tols()
     if Z.m % 2 == 0:
@@ -314,8 +315,8 @@ def s1_elementarity(Z: PiecewiseField,
     mu = _periodic_integral(integrand, math.pi)
     sigma = -1 if A1m(0.5 * math.pi) > 0 else 1
     derivative = math.exp(sigma * mu)
-    status = S1Status.ELEMENTARY if abs(mu) > tols.mu else S1Status.NON_ELEMENTARY
-    return S1Report(status, mu, sigma, derivative)
+    return S1Report(S1Status.ELEMENTARY if abs(derivative - 1.0) > tols.sign
+                    else S1Status.NON_ELEMENTARY, mu, sigma, derivative)
 
 
 # the trapezoidal rule of _periodic_integral starts with _FIRST_NODES and

@@ -23,7 +23,6 @@ from .errors import (
     CommonFactor,
     DegenerateTopCoefficient,
     DegreeMismatch,
-    EvenDegree,
     IdenticallyZeroOnD,
     NoConvergence,
     NotRepairable,
@@ -32,7 +31,6 @@ from .polys import (
     BivariatePolynomial,
     PiecewiseField,
     PolyVectorField,
-    _cached,
     common_zero_seeds,
     default_window,
     newton_zero,
@@ -87,10 +85,9 @@ def interior_singularities(X: PolyVectorField, region: str,
         raise ValueError("region must be 'N' or 'S'")
     if y1 <= y0:
         return []
-    # the unit-scaled field, built once per field
-    U = _cached(X, "_derived", "unit", lambda: PolyVectorField(
+    U = PolyVectorField(
         *(p.scale(1 / max(map(abs, p.coeffs.values()), default=1.0))
-          for p in (X.P, X.Q)), X.m))
+          for p in (X.P, X.Q)), X.m)
     slack = tols.sign
     points = []  # (Newton failed, x, y)
     for xr, yr in common_zero_seeds(X.P, X.Q, (x0 - slack, x1 + slack),
@@ -287,10 +284,11 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
             infinity = compactify.infinity_singularities(Z, tols)
             infinity_status = SATISFIED
             for s in infinity:
+                if s.hyperbolic is Hyperbolicity.YES:
+                    continue
                 if s.field_tag == "FilippovPoint":
-                    if abs(s.certificates.get("eq4", 0.0)) <= tols.sign:
-                        gm1.violate({"kind": "eq4_zero", "theta": s.theta})
-                elif s.hyperbolic is not Hyperbolicity.YES:
+                    gm1.violate({"kind": "eq4_zero", "theta": s.theta})
+                else:
                     infinity_status = VIOLATED
                     gm1.violate({"kind": "non_hyperbolic_at_infinity",
                                  "theta": s.theta, "field": s.field_tag})
@@ -305,7 +303,7 @@ def check_gm(Z: PiecewiseField, options: GmOptions | None = None,
             s1 = compactify.s1_elementarity(Z, tols)
             if s1.status is S1Status.NON_ELEMENTARY:
                 gm2.violate({"kind": "mu_zero", "mu": s1.mu})
-        except (EvenDegree, DegenerateTopCoefficient, NoConvergence):
+        except NoConvergence:
             s1 = None
             gm2.weaken({"kind": "equator_undetermined"})
 
@@ -453,9 +451,9 @@ def genericity_repair(Z: PiecewiseField, report: StabilityReport,
             Z2 = apply_perturbation(Z, pert)
             try:
                 s1 = compactify.s1_elementarity(Z2, tols)
-            except (EvenDegree, DegenerateTopCoefficient, NoConvergence):
+            except NoConvergence:
                 continue
-            if s1.status is S1Status.ELEMENTARY and abs(s1.mu) > tols.mu:
+            if s1.status is S1Status.ELEMENTARY:
                 return pert, Z2, check_gm(Z2, GmOptions(
                     window=report.window), tols)
         raise NotRepairable("no radial perturbation cleared mu")

@@ -1,10 +1,11 @@
-"""Numeric tolerances used by every analysis stage.
+"""Numeric tolerances used by every analysis stage, eight in all.
 
 All strict-inequality certificates in the classification logic are open
 conditions; values inside the tolerance band are reported as
-borderline/non-elementary rather than silently classified.  The whole set
-can be scaled uniformly through the FILIPPOV_TOLERANCE_SCALE environment
-variable.
+borderline/non-elementary rather than silently classified.  A closed
+trajectory, the equator included, is elementary when its return-map
+derivative d has |d - 1| > sign.  The whole set can be scaled uniformly
+through the FILIPPOV_TOLERANCE_SCALE environment variable.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ class Tolerances:
     root: float = 1e-10       # absolute root isolation accuracy; also the
                               # integrator's rtol, with atol = root / 100
     sign: float = 1e-9        # strict-inequality certificates
-    mu: float = 1e-8          # elementarity threshold for the S^1 integral
     newton: float = 1e-11     # residual norm for 2-D Newton zeros
     event: float = 1e-9       # y=0 event localization in state space
     close: float = 1e-6       # trajectory closure detection

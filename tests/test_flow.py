@@ -16,6 +16,7 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 from filippov import dline, dop853, fieldspec, flow, polys
+from filippov.compactify import s1_elementarity
 from filippov.dline import PointTag, fold_points
 from filippov.errors import (
     CommonFactor,
@@ -1024,6 +1025,18 @@ def test_compactified_return_derivative_matches_mu():
     assert abs(d - math.exp(-math.pi)) < 1e-3
 
 
+def test_compactified_return_map_on_a_clockwise_equator():
+    # X = (x + y, y - x) and Y = (y, -x) turn clockwise at infinity, so
+    # theta runs from 2 pi down to 0: the map crosses Y's half first, and
+    # its derivative is the equator's e^{sigma mu}
+    Z = piecewise(vf({(1, 0): 1.0, (0, 1): 1.0}, {(0, 1): 1.0, (1, 0): -1.0}),
+                  vf({(0, 1): 1.0}, {(1, 0): -1.0}))
+    s1 = s1_elementarity(Z)
+    assert s1.sigma == 1
+    _, d = compactified_return_map(Z, 0.05)
+    assert abs(d - s1.derivative) <= 1e-9
+    assert d == pytest.approx(0.0432139, rel=1e-5)
+
 
 @pytest.mark.parametrize("Z", [
     # criterion 3's spiral: the map is linear, with slope e^-pi
@@ -1045,6 +1058,21 @@ def test_compactified_return_derivative_matches_richardson(Z):
     richardson = (4 * central(h / 2) - central(h)) / 3
     _, d = compactified_return_map(Z, rho0)
     assert abs(d - richardson) <= 1e-7 * abs(richardson)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the census drops a fixed point only near the "
+                   "origin (|s*| < 1e-3), so a focus on D elsewhere comes "
+                   "back as a cycle")
+def test_census_finds_no_cycle_at_a_focus_on_d():
+    # X = (-y + e (x - 1/2), (x - 1/2) + e y), Y = (-y, x - 1/2), e = 1e-3:
+    # every orbit spirals away from the focus (1/2, 0) on D, so there is no
+    # closed orbit; centred at x = 0 the census finds none
+    e = 1e-3
+    Z = piecewise(vf({(0, 1): -1.0, (1, 0): e, (0, 0): -0.5 * e},
+                     {(1, 0): 1.0, (0, 0): -0.5, (0, 1): e}),
+                  vf({(0, 1): -1.0}, {(1, 0): 1.0, (0, 0): -0.5}))
+    assert find_closed_polytrajectories(Z, WIN) == []
 
 
 def test_census_center_orbits_not_elementary():
@@ -1296,6 +1324,22 @@ def test_probe_no_saddles():
     rep = probe_saddle_connections(Z, [])
     assert rep.branches == []
     assert rep.flagged == []
+
+
+def test_probe_seed_across_d_ends_there():
+    # X = (x, 5e-7 - y) has its saddle (0, 5e-7) closer to D than
+    # tols.delta_sep: the stable branch seeded below it starts across D,
+    # so it ends at its seed with fate d_hit and no solve
+    Z = piecewise(vf(X_MONO, {(0, 0): 5e-7, (0, 1): -1.0}), vf(ONE, ONE))
+    rep = probe_saddle_connections(Z, [SaddleSpec("X", (0.0, 5e-7))])
+    below = [b for b in rep.branches
+             if b.stability == "stable" and b.points[0][1] < 0.0]
+    assert len(below) == 1
+    branch = below[0]
+    assert branch.fate == "d_hit"
+    assert np.array_equal(branch.points,
+                          [[0.0, 5e-7 - default_tols().delta_sep]])
+    assert branch.crossings == {"D": [0.0]}
 
 
 def test_probe_generic_no_connection():

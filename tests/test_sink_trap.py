@@ -161,6 +161,20 @@ def test_no_trap_where_the_ratio_or_the_room_would_round_up():
     assert sink_trap(X, p, window, TOLS) is None
 
 
+def test_a_cut_to_the_whole_radius_is_refused():
+    # the stable node (0, 2) of X = (0.1 x^2 - x, 2 - y): a cut as deep as
+    # the trap's radius leaves no level set, and half of it leaves a box
+    # inside the uncut one
+    X = vf({(2, 0): 0.1, (1, 0): -1.0}, {(0, 0): 2.0, (0, 1): -1.0})
+    trap = sink_trap(X, (0.0, 2.0), WIN, TOLS)
+    assert trap is not None
+    assert sink_trap(X, (0.0, 2.0), WIN, TOLS, margin=trap.radius) is None
+    half = sink_trap(X, (0.0, 2.0), WIN, TOLS, margin=trap.radius / 2)
+    assert half is not None and half.radius == trap.radius
+    (a0, a1, b0, b1), (c0, c1, d0, d1) = half.box, trap.box
+    assert c0 < a0 < a1 < c1 and d0 < b0 < b1 < d1
+
+
 LINEAR = {"saddle": [[1.0, 0.0], [0.0, -1.0]],
           "center": [[0.0, -1.0], [1.0, 0.0]]}
 TERMS = {(2, 0): (0.3, -0.2), (1, 1): (0.1, 0.4)}

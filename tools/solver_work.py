@@ -4,7 +4,8 @@ WORKLOADS, and reads the work that the package counts itself over each
 pass (filippov.work, where each count is defined): solves, RHS
 evaluations, steps searched for crossings, reach scans, hybrid runs, those
 that end in a trap, probe branches that end in a trap, trap searches,
-return maps and right-hand sides generated.
+return maps and right-hand sides generated, and on a line of their own its
+real-root isolations (polys.univariate_roots).
 
 It prints the counts of each workload.  cycles and trajectories then run
 a second time, straight after their pass and outside its counts, and the
@@ -25,7 +26,8 @@ more than 400, if analyze makes more than 300 reach scans or more than 90
 hybrid runs, if analyze makes more than 20 trap searches, if cycles makes
 more than 26 return maps or analyze more than 65, if cycles generates
 more than 18 right-hand sides, analyze more than 52 or trajectories more
-than 20, or if a repeat generates any.
+than 20, if analyze makes more than 400 root isolations, or if a repeat
+generates any.
 
 A census seed that lies on, or whose return lands on, a cycle already
 found stops there, so cycles makes 22 return maps.  A spec parsed again
@@ -46,7 +48,11 @@ take the trap of every node, focus and center that check_gm hands them,
 the census only where the field's divergence is negative, and sink_trap
 caches its radius search on the field, so the probe's cut traps reuse the
 census's searches: analyze makes 15 trap searches in 21 sink_trap calls,
-where a search per call would make about twice as many.
+where a search per call would make about twice as many.  The roots of each
+polynomial's p(x, 0) on D and of each top coefficient's cot-polynomial
+are isolated once per field and window, so analyze makes 364 root
+isolations (cycles 24, sweep 360, trajectories 39); more than 400 means
+some census asks for them again.
 """
 
 import os
@@ -73,7 +79,7 @@ BOUNDS = {("analyze", "rhs_evaluations"): 140_000, ("analyze", "solves"): 200,
           ("analyze", "trap_searches"): 20,
           ("cycles", "return_maps"): 26, ("analyze", "return_maps"): 65,
           ("cycles", "rhs"): 18, ("analyze", "rhs"): 52,
-          ("trajectories", "rhs"): 20}
+          ("trajectories", "rhs"): 20, ("analyze", "root_isolations"): 400}
 # workload -> counters that must not be 0
 SOLVES = ("solves", "rhs_evaluations", "crossing_searches", "rhs")
 NONZERO = {"cycles": SOLVES + ("return_maps",),
@@ -118,6 +124,7 @@ def main() -> int:
               f"{work['trap_searches']} trap searches, "
               f"{work['return_maps']} return maps, "
               f"{work['rhs']} right-hand sides generated")
+        print(f"{name}: {work['root_isolations']} root isolations")
         for key, value in work.items():
             bound = BOUNDS.get((name, key))
             if (key in NONZERO.get(name, ()) and value <= 0) \
